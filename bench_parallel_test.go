@@ -20,6 +20,7 @@ import (
 
 func runThroughput(b *testing.B, workers int, workload string) {
 	b.Helper()
+	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		s, err := bench.Build(workload)

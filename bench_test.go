@@ -104,6 +104,7 @@ func BenchmarkDatabaseSearch16(b *testing.B) {
 // (E9): 128 transputers and 25,600 records searched in under the
 // paper's 1.3 ms per query when pipelined.
 func BenchmarkDatabaseSearch128(b *testing.B) {
+	b.ReportAllocs()
 	perQuery := benchSearch(b, dbsearch.Defaults128(), 4)
 	if perQuery >= 1300*sim.Microsecond {
 		b.Fatalf("per-query period %v, paper says under 1.3ms", perQuery)

@@ -9,9 +9,8 @@
 //
 // Each analyzer encodes a rule this repo already relies on — byte-
 // identical outputs across workers/partitions/block cache, the
-// nil-bus zero-overhead contract, cycle-stamp-free link events, the
-// sender-owned same-shard delivery ring — so the rules hold at compile
-// time instead of by convention.
+// nil-bus zero-overhead contract, cycle-stamp-free link events — so the
+// rules hold at compile time instead of by convention.
 package analysis
 
 import (
@@ -22,7 +21,6 @@ import (
 	"transputer/internal/analysis/ignorecheck"
 	"transputer/internal/analysis/nondetsource"
 	"transputer/internal/analysis/probeguard"
-	"transputer/internal/analysis/shardring"
 )
 
 // All is every analyzer of the tvet suite, in name order.
@@ -32,5 +30,4 @@ var All = []*goanalysis.Analyzer{
 	ignorecheck.Analyzer,
 	nondetsource.Analyzer,
 	probeguard.Analyzer,
-	shardring.Analyzer,
 }

@@ -41,7 +41,6 @@ var AnalyzerNames = []string{
 	"ignorecheck",
 	"nondetsource",
 	"probeguard",
-	"shardring",
 }
 
 // KnownAnalyzer reports whether name is an analyzer of the suite.

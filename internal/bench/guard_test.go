@@ -34,6 +34,7 @@ func runWorkload(b testing.TB, attach bool) {
 // BenchmarkProbeDetached measures the communication-heavy ring with no
 // probe bus: the shipping configuration.
 func BenchmarkProbeDetached(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runWorkload(b, false)
 	}
@@ -43,6 +44,7 @@ func BenchmarkProbeDetached(b *testing.B) {
 // subscriber attached: every channel rendezvous, link transfer and
 // wire packet now builds and publishes an event and mints flow IDs.
 func BenchmarkProbeAttached(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runWorkload(b, true)
 	}

@@ -173,6 +173,22 @@ func (m *Machine) completeTransfer(partner uint64, count int) int {
 	return commInlineCycleLimit
 }
 
+// extXfer is the machine's record of one link transfer between the
+// message instruction that starts it and the engine's completion call.
+// A link direction carries one transfer at a time, so the record (and
+// the completion callback bound to it, built on first use) belongs to
+// the direction and starting a message allocates nothing.
+type extXfer struct {
+	busy   bool
+	output bool
+	link   int
+	count  int
+	wdesc  uint64
+	ip     uint64
+	flow   uint64
+	done   func() // m.finishExternal(x), built once per record
+}
+
 // externalTransfer hands a message over to the link engine and
 // deschedules the process; the engine reschedules it when the last
 // byte is acknowledged.
@@ -181,9 +197,24 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 		m.fault("no link engine attached", uint64(link))
 		return 1
 	}
-	wdesc := m.Wdesc
-	ip := m.Iptr
-	var fl uint64
+	dir := 0
+	if output {
+		dir = 1
+	}
+	x := &m.xfers[link][dir]
+	if x.busy {
+		// A second process on a channel end already in use — an occam
+		// program error the engine answers by never completing the
+		// transfer — or a transfer aborted by a link resync.  Either way
+		// the direction's record still describes the earlier message, so
+		// this one gets a record of its own.
+		x = new(extXfer)
+	}
+	if x.done == nil {
+		x.done = func() { m.finishExternal(x) }
+	}
+	x.busy, x.output, x.link, x.count = true, output, link, count
+	x.wdesc, x.ip, x.flow = m.Wdesc, m.Iptr, 0
 	if m.bus != nil {
 		// Outputs mint the flow here and hand it to the engine so every
 		// packet of the transfer (and its acks, NAKs and retransmits)
@@ -191,28 +222,15 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 		// first packet that lands, so ask the engine — twice, since at
 		// start nothing may have arrived yet.
 		if output {
-			fl = m.newFlow()
+			x.flow = m.newFlow()
 			if m.flowExt != nil {
-				m.flowExt.HandoffFlow(link, true, fl)
+				m.flowExt.HandoffFlow(link, true, x.flow)
 			}
 		} else if m.flowExt != nil {
-			fl = m.flowExt.TransferFlow(link, false)
+			x.flow = m.flowExt.TransferFlow(link, false)
 		}
-	}
-	done := func() {
-		if m.bus != nil {
-			f := fl
-			if !output && m.flowExt != nil {
-				f = m.flowExt.TransferFlow(link, false)
-			}
-			m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: wdesc, Link: link,
-				Bytes: count, Out: output, Flow: f, IP: ip})
-		}
-		m.wake(wdesc)
-	}
-	if m.bus != nil {
-		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: wdesc, Link: link,
-			Bytes: count, Out: output, Flow: fl, IP: ip})
+		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: x.wdesc, Link: link,
+			Bytes: count, Out: output, Flow: x.flow, IP: x.ip})
 	}
 	kind := BlockLinkIn
 	if output {
@@ -222,13 +240,28 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 	if output {
 		m.stats.ExternalOut++
 		m.stats.BytesOut += uint64(count)
-		m.ext.BeginOutput(link, ptr, count, done)
+		m.ext.BeginOutput(link, ptr, count, x.done)
 	} else {
 		m.stats.ExternalIn++
 		m.stats.BytesIn += uint64(count)
-		m.ext.BeginInput(link, ptr, count, done)
+		m.ext.BeginInput(link, ptr, count, x.done)
 	}
 	return isa.CommunicationCycles(0, m.wordBits)
+}
+
+// finishExternal is the engine's completion call for the transfer x
+// records: publish its end and reschedule the process.
+func (m *Machine) finishExternal(x *extXfer) {
+	x.busy = false
+	if m.bus != nil {
+		f := x.flow
+		if !x.output && m.flowExt != nil {
+			f = m.flowExt.TransferFlow(x.link, false)
+		}
+		m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: x.wdesc, Link: x.link,
+			Bytes: x.count, Out: x.output, Flow: f, IP: x.ip})
+	}
+	m.wake(x.wdesc)
 }
 
 // outputShort implements output byte / output word: the value in B is

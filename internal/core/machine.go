@@ -51,6 +51,10 @@ type Machine struct {
 	clock Clock
 	ext   External
 
+	// xfers holds the link transfer in progress on each link direction
+	// ([link][0] input, [link][1] output; see externalTransfer).
+	xfers [NumLinks][2]extXfer
+
 	// onReady is invoked when the machine transitions from idle (no
 	// current process) to having work; the driver uses it to resume
 	// stepping.

@@ -177,7 +177,7 @@ func (m *Machine) index(base uint64, i int) uint64 {
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice; used by
-// the link engine and by tests.
+// the vchan multiplexer and by tests.
 func (m *Machine) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	for i := 0; i < n; i++ {
@@ -186,8 +186,17 @@ func (m *Machine) ReadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// WriteBytes stores b starting at addr; used by the link engine, the
-// loader and tests.
+// ByteAt reads the byte at addr, wrapped into the address space like
+// ReadBytes; the link engine fetches each transmitted byte through it,
+// so sending allocates nothing.
+func (m *Machine) ByteAt(addr uint64) byte { return m.byteAt(addr & m.mask) }
+
+// SetByteAt stores one received byte at addr, wrapped like WriteBytes
+// (and, like it, invalidating any predecoded code the byte lands in).
+func (m *Machine) SetByteAt(addr uint64, v byte) { m.setByte(addr&m.mask, v) }
+
+// WriteBytes stores b starting at addr; used by the vchan multiplexer,
+// the loader and tests.
 func (m *Machine) WriteBytes(addr uint64, b []byte) {
 	for i, v := range b {
 		m.setByte((addr+uint64(i))&m.mask, v)

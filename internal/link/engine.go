@@ -94,28 +94,14 @@ func (e *Engine) emit(ev probe.Event) {
 
 // Connect wires link la of engine a to link lb of engine b with a pair
 // of signal lines.  Engines on the same clock domain get the
-// synchronous fast path; engines on different shards of one
-// coordinator get mailbox delivery with the coordinator's lookahead as
-// the wire's propagation delay.
+// synchronous fast path; engines on different ports of one coordinator
+// get posted delivery with the coordinator's lookahead as the wire's
+// propagation delay.
 func Connect(a *Engine, la int, b *Engine, lb int) {
-	ab := &wire{k: a.k, bitNs: BitNs, owner: a, link: la}
-	ba := &wire{k: b.k, bitNs: BitNs, owner: b, link: lb}
-	if post, prop := sim.CrossPath(a.k, b.k); post != nil {
-		ab.post, ab.prop, ab.rx = post, prop, &rxGate{}
-		ab.fused = sim.SameShard(a.k, b.k)
-	}
-	if post, prop := sim.CrossPath(b.k, a.k); post != nil {
-		ba.post, ba.prop, ba.rx = post, prop, &rxGate{}
-		ba.fused = sim.SameShard(b.k, a.k)
-	}
-	a.outs[la].wire = ab
-	a.outs[la].peer = b.ins[lb]
-	a.ins[la].ackWire = ab
-	a.ins[la].peerOut = b.outs[lb]
-	b.outs[lb].wire = ba
-	b.outs[lb].peer = a.ins[la]
-	b.ins[lb].ackWire = ba
-	b.ins[lb].peerOut = a.outs[la]
+	ab := newWire(a.k, a.outs[la], a.ins[la], b.ins[lb], b.outs[lb])
+	ba := newWire(b.k, b.outs[lb], b.ins[lb], a.ins[la], a.outs[la])
+	ab.from, ab.to, ab.prop = sim.CrossPath(a.k, b.k)
+	ba.from, ba.to, ba.prop = sim.CrossPath(b.k, a.k)
 }
 
 // Connected reports whether link i has been wired.
@@ -149,8 +135,7 @@ func (e *Engine) BeginOutput(link int, ptr uint64, count int, done func()) {
 		done()
 		return
 	}
-	m := e.m
-	o.start(func(i int) byte { return m.ReadBytes(ptr+uint64(i), 1)[0] }, count, done)
+	o.start(nil, ptr, count, done)
 }
 
 // BeginInput starts receiving count bytes into machine memory.
@@ -166,8 +151,7 @@ func (e *Engine) BeginInput(link int, ptr uint64, count int, done func()) {
 		done()
 		return
 	}
-	m := e.m
-	in.start(func(i int, b byte) { m.WriteBytes(ptr+uint64(i), []byte{b}) }, count, done)
+	in.start(nil, ptr, count, done)
 }
 
 // SetStopAndWait switches this engine's receivers between the paper's
@@ -209,7 +193,7 @@ func (e *Engine) SetFaultHook(i int, h FaultHook) {
 
 // SeverLink cuts both signal lines of link i at the current instant:
 // nothing queued or in flight is delivered afterwards, exactly like a
-// cable pulled mid-run.  When the link crosses shards, the cut is
+// cable pulled mid-run.  When the link crosses ports, the cut is
 // observed at the far end one propagation delay later: this end's
 // outgoing wire and inbound gate die now, the peer's die at now+prop —
 // a packet already in flight may still land before the cut reaches it.
@@ -226,28 +210,7 @@ func (e *Engine) SeverLink(i int) {
 		// retired, into a peer shard that has since drifted ahead.
 		return
 	}
-	w.severed = true
-	peer := e.ins[i].peerOut
-	if w.post == nil {
-		if peer != nil && peer.wire != nil {
-			peer.wire.severed = true
-		}
-	} else {
-		// Inbound traffic stops being accepted here immediately; the
-		// peer's transmitter and its receive gate for our wire are cut
-		// when the break propagates.
-		if peer != nil && peer.wire != nil && peer.wire.rx != nil {
-			peer.wire.rx.severed = true
-		}
-		pw := peer
-		rx := w.rx
-		w.post(w.k.Now()+w.prop, func() {
-			if pw != nil && pw.wire != nil {
-				pw.wire.severed = true
-			}
-			rx.severed = true
-		})
-	}
+	w.setCut(true)
 	if e.bus != nil {
 		e.emit(probe.Event{Kind: probe.LinkSever, Link: i})
 	}
@@ -273,26 +236,7 @@ func (e *Engine) RestoreLink(i int) {
 	if !e.Connected(i) {
 		return
 	}
-	w := e.outs[i].wire
-	w.severed = false
-	peer := e.ins[i].peerOut
-	if w.post == nil {
-		if peer != nil && peer.wire != nil {
-			peer.wire.severed = false
-		}
-		return
-	}
-	if peer != nil && peer.wire != nil && peer.wire.rx != nil {
-		peer.wire.rx.severed = false
-	}
-	pw := peer
-	rx := w.rx
-	w.post(w.k.Now()+w.prop, func() {
-		if pw != nil && pw.wire != nil {
-			pw.wire.severed = false
-		}
-		rx.severed = false
-	})
+	e.outs[i].wire.setCut(false)
 }
 
 // EnableInput arms alternative-input readiness signalling.

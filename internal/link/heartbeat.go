@@ -39,6 +39,7 @@ type heartbeat struct {
 	configured bool
 	running    bool
 	timer      sim.EventID
+	tick       func() // the engine's hbTick, bound once
 	lastHeard  [core.NumLinks]sim.Time
 	peerDown   [core.NumLinks]bool
 }
@@ -76,7 +77,10 @@ func (e *Engine) StartHeartbeat() {
 		e.hb.lastHeard[l] = now
 		e.hb.peerDown[l] = false
 	}
-	e.hb.timer = e.k.After(e.hb.interval, e.hbTick)
+	if e.hb.tick == nil {
+		e.hb.tick = e.hbTick
+	}
+	e.hb.timer = e.k.After(e.hb.interval, e.hb.tick)
 }
 
 // StopHeartbeat cancels the monitor's recurring timer so the
@@ -122,8 +126,8 @@ func (in *inHalf) beatArrive() {
 // monitored reports whether link l joins the heartbeat exchange: it
 // must be wired to another engine.  Host ends never beat.
 func (e *Engine) monitored(l int) bool {
-	o := e.outs[l]
-	return o.wire != nil && o.peer != nil && o.peer.eng != nil
+	w := e.outs[l].wire
+	return w != nil && w.rx.in.eng != nil
 }
 
 // hbTick is the periodic monitor body: pass verdicts on every
@@ -166,14 +170,9 @@ func (e *Engine) hbTick() {
 			e.sendBeat(l)
 		}
 	}
-	e.hb.timer = e.k.After(e.hb.interval, e.hbTick)
+	e.hb.timer = e.k.After(e.hb.interval, e.hb.tick)
 }
 
 func (e *Engine) sendBeat(l int) {
-	in := e.outs[l].peer
-	e.outs[l].wire.send(packet{
-		kind:    pktBeat,
-		bits:    BeatBits,
-		deliver: func(packet) { in.beatArrive() },
-	})
+	e.outs[l].wire.send(packet{kind: pktBeat, bits: BeatBits})
 }

@@ -22,16 +22,8 @@ func NewHostEnd(k sim.Clock) *HostEnd {
 
 // ConnectHost wires link l of a transputer's engine to the host end.
 func ConnectHost(e *Engine, l int, h *HostEnd) {
-	th := &wire{k: e.k, bitNs: BitNs, owner: e, link: l} // transputer -> host
-	ht := &wire{k: e.k, bitNs: BitNs}                    // host -> transputer
-	e.outs[l].wire = th
-	e.outs[l].peer = h.in
-	e.ins[l].ackWire = th
-	e.ins[l].peerOut = h.out
-	h.out.wire = ht
-	h.out.peer = e.ins[l]
-	h.in.ackWire = ht
-	h.in.peerOut = e.outs[l]
+	newWire(e.k, e.outs[l], e.ins[l], h.in, h.out) // transputer -> host
+	newWire(e.k, h.out, h.in, e.ins[l], e.outs[l]) // host -> transputer
 }
 
 // SetStopAndWait switches the host end's receiver between overlapped
@@ -70,16 +62,8 @@ func (h *HostEnd) SendProgress() (sent, want int, active bool) {
 // ConnectHosts wires two host ends back to back; used to test the
 // protocol machinery in isolation.
 func ConnectHosts(a, b *HostEnd) {
-	ab := &wire{k: a.k, bitNs: BitNs}
-	ba := &wire{k: b.k, bitNs: BitNs}
-	a.out.wire = ab
-	a.out.peer = b.in
-	a.in.ackWire = ab
-	a.in.peerOut = b.out
-	b.out.wire = ba
-	b.out.peer = a.in
-	b.in.ackWire = ba
-	b.in.peerOut = a.out
+	newWire(a.k, a.out, a.in, b.in, b.out)
+	newWire(b.k, b.out, b.in, a.in, a.out)
 }
 
 // Send transmits data to the transputer, calling done when the final
@@ -94,12 +78,7 @@ func (h *HostEnd) Send(data []byte, done func()) {
 		}
 		return
 	}
-	buf := append([]byte(nil), data...)
-	h.out.start(func(i int) byte { return buf[i] }, len(buf), func() {
-		if done != nil {
-			done()
-		}
-	})
+	h.out.start(append([]byte(nil), data...), 0, len(data), done)
 }
 
 // Recv receives exactly n bytes from the transputer, then calls fn with
@@ -113,5 +92,5 @@ func (h *HostEnd) Recv(n int, fn func([]byte)) {
 		return
 	}
 	buf := make([]byte, n)
-	h.in.start(func(i int, b byte) { buf[i] = b }, n, func() { fn(buf) })
+	h.in.start(buf, 0, n, func() { fn(buf) })
 }

@@ -124,13 +124,17 @@ func TestAckPriority(t *testing.T) {
 	var order []bool // true = ack
 	w := a.out.wire
 	// Queue data then an ack while the wire is busy; the ack must go
-	// first.
+	// first.  The fault hook sees every frame as it starts transmission.
+	w.hook = func(isCtl bool) FaultAction {
+		order = append(order, isCtl)
+		return FaultAction{}
+	}
 	w.send(packet{bits: DataBits})
-	w.send(packet{bits: DataBits, deliverStart: func(uint64) { order = append(order, false) }})
-	w.send(packet{kind: pktAck, bits: AckBits, deliverStart: func(uint64) { order = append(order, true) }})
+	w.send(packet{bits: DataBits})
+	w.send(packet{kind: pktAck, bits: AckBits})
 	k.Run()
-	if len(order) != 2 || !order[0] || order[1] {
-		t.Errorf("transmission order (ack first) = %v", order)
+	if len(order) != 3 || order[0] || !order[1] || order[2] {
+		t.Errorf("transmission order (data in flight, then ack first) = %v", order)
 	}
 	_ = b
 }

@@ -74,7 +74,8 @@ type relSender struct {
 	retries    int  // retries spent on the current byte
 	timer      sim.EventID
 	timerArmed bool
-	failed     bool // retry budget exhausted; link declared down
+	onTimeout  func() // the half's retryTimeout, bound once
+	failed     bool   // retry budget exhausted; link declared down
 }
 
 // relReceiver is the error-detecting-mode state of one inHalf.
@@ -87,17 +88,15 @@ type relReceiver struct {
 // marks a resend, which the wire counts separately from goodput.
 func (o *outHalf) sendReliable(b byte, retrans bool) {
 	o.rel.cur = b
-	in := o.peer
 	o.wire.send(packet{
 		kind:    pktData,
+		rel:     true,
 		bits:    RelDataBits,
 		payload: b,
 		seq:     o.rel.seq,
 		crc:     crc8(b, o.rel.seq),
 		flow:    o.flow,
 		retrans: retrans,
-		deliver: func(p packet) { in.relDataArrive(p) },
-		onTxEnd: func() { o.relTxEnd() },
 	})
 }
 
@@ -112,7 +111,10 @@ func (o *outHalf) relTxEnd() {
 
 func (o *outHalf) armRetryTimer() {
 	o.cancelRetryTimer()
-	o.rel.timer = o.wire.k.After(o.rel.timeout, o.retryTimeout)
+	if o.rel.onTimeout == nil {
+		o.rel.onTimeout = o.retryTimeout
+	}
+	o.rel.timer = o.wire.k.After(o.rel.timeout, o.rel.onTimeout)
 	o.rel.timerArmed = true
 }
 
@@ -220,25 +222,12 @@ func (in *inHalf) relDataArrive(p packet) {
 }
 
 func (in *inHalf) sendRelAck(seq byte) {
-	out := in.peerOut
-	in.ackWire.send(packet{
-		kind:    pktAck,
-		bits:    RelAckBits,
-		seq:     seq,
-		flow:    in.flow,
-		deliver: func(p packet) { out.relAckArrived(p.seq) },
-	})
+	in.ackWire.send(packet{kind: pktAck, rel: true, bits: RelAckBits, seq: seq, flow: in.flow})
 }
 
 func (in *inHalf) sendNak() {
 	if in.eng != nil && in.eng.bus != nil {
 		in.eng.emit(probe.Event{Kind: probe.LinkNak, Link: in.link, Flow: in.flow})
 	}
-	out := in.peerOut
-	in.ackWire.send(packet{
-		kind:    pktNak,
-		bits:    NakBits,
-		flow:    in.flow,
-		deliver: func(packet) { out.relNakArrived() },
-	})
+	in.ackWire.send(packet{kind: pktNak, rel: true, bits: NakBits, flow: in.flow})
 }

@@ -37,8 +37,7 @@ func (e *Engine) SendRaw(l int, data []byte, done func()) bool {
 		}
 		return true
 	}
-	buf := append([]byte(nil), data...)
-	o.start(func(i int) byte { return buf[i] }, len(buf), done)
+	o.start(append([]byte(nil), data...), 0, len(data), done)
 	return true
 }
 
@@ -60,7 +59,7 @@ func (e *Engine) RecvRaw(l int, n int, done func([]byte)) bool {
 		return true
 	}
 	buf := make([]byte, n)
-	in.start(func(i int, b byte) { buf[i] = b }, n, func() {
+	in.start(buf, 0, n, func() {
 		if done != nil {
 			done(buf)
 		}

@@ -351,7 +351,7 @@ func (m *Mux) xmit(unit []byte, flow uint64, done func()) {
 	m.txBusy = true
 	o := m.e.outs[m.link]
 	o.flow = flow
-	o.start(func(i int) byte { return unit[i] }, len(unit), func() {
+	o.start(unit, 0, len(unit), func() {
 		m.txBusy = false
 		if done != nil {
 			done()
@@ -381,7 +381,7 @@ func (m *Mux) chunkAcked(vc, n int) {
 // armed pump with no traffic never blocks quiescence.
 func (m *Mux) armHeader() {
 	in := m.e.ins[m.link]
-	in.start(func(i int, b byte) { m.hdr[i] = b }, 2, m.headerDone)
+	in.start(m.hdr[:], 0, 2, m.headerDone)
 }
 
 func (m *Mux) headerDone() {
@@ -398,7 +398,7 @@ func (m *Mux) headerDone() {
 	vc := int(b0)
 	buf := make([]byte, n)
 	in := m.e.ins[m.link]
-	in.start(func(i int, b byte) { buf[i] = b }, n, func() { m.chunkArrived(vc, buf) })
+	in.start(buf, 0, n, func() { m.chunkArrived(vc, buf) })
 }
 
 // chunkArrived stages a data chunk's payload on its vchan and tries to

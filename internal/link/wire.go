@@ -5,10 +5,12 @@
 // long data stream in one direction cannot starve the acknowledges of
 // the reverse channel), consults the fault-injection hook once per
 // frame, and carries deliveries to the receiving end — synchronously
-// when both ends share a clock domain, through the coordinator mailbox
-// with propagation latency when they do not.  Everything above this
-// layer deals in whole packets; only this file knows about bit times,
-// fault actions and shard crossings.
+// when both ends share a clock domain, as typed posts between their
+// ports with propagation latency when they do not.  A frame in flight
+// is a small pointer-free value: the wire knows its two ends, so a
+// packet carries no callbacks and crossing ports costs no allocation.
+// Everything above this layer deals in whole packets; only this file
+// knows about bit times, fault actions and port crossings.
 package link
 
 import (
@@ -26,22 +28,47 @@ const (
 	pktBeat
 )
 
-// packet is one frame queued on a wire.  Sender-side callbacks
-// (onTxEnd) always fire — transmitting hardware cannot tell its bits
-// were lost — while receiver-side callbacks (deliverStart, deliver) are
-// skipped when a fault drops the packet or the wire is severed.
+// packet is one frame queued on a wire — plain data, no pointers.  What
+// happens when it lands, and who hears that it has left, follows from
+// its kind and framing and from the wire's two ends (see rxEnd.arrive
+// and wire.finishTx).  The sender is always told its bits are out —
+// transmitting hardware cannot tell they were lost — while the
+// receiving end sees nothing of a packet a fault drops or a cut
+// overtakes.
 type packet struct {
 	kind    packetKind
-	bits    int
+	rel     bool   // error-detecting-mode framing (see reliable.go)
+	retrans bool   // a resend of a byte already counted as goodput
+	bits    uint8  // frame length in bit times
 	payload byte   // data byte (pktData)
 	seq     byte   // sequence bit (error-detecting mode)
 	crc     byte   // check trailer (error-detecting mode)
 	flow    uint64 // probe flow identity carried across the wire; 0 untraced
-	retrans bool   // a resend of a byte already counted as goodput
+}
 
-	onTxEnd      func()
-	deliverStart func(flow uint64) // receives the packet's flow identity
-	deliver      func(p packet)
+// What a posted message asks of the receiving end (low byte of word A).
+const (
+	rxArrive  = iota // the packed packet has fully arrived
+	rxStart          // a plain data packet has begun arriving
+	rxSever          // the far end cut the link one propagation ago
+	rxRestore        // the far end reconnected it
+)
+
+// msg packs the fields a receiver reads into a post's two words: word A
+// is op | kind<<8 | payload<<16 | seq<<24 | crc<<32 | rel<<40, word B
+// the flow identity.
+func (p packet) msg(op uint64) sim.Msg {
+	a := op | uint64(p.kind)<<8 | uint64(p.payload)<<16 | uint64(p.seq)<<24 | uint64(p.crc)<<32
+	if p.rel {
+		a |= 1 << 40
+	}
+	return sim.Msg{A: a, B: p.flow}
+}
+
+// unpack reverses msg.
+func unpack(m sim.Msg) packet {
+	return packet{kind: packetKind(m.A >> 8), payload: byte(m.A >> 16), seq: byte(m.A >> 24),
+		crc: byte(m.A >> 32), rel: m.A>>40&1 != 0, flow: m.B}
 }
 
 // FaultAction describes what an injected fault does to one packet.
@@ -62,17 +89,80 @@ type FaultAction struct {
 // and must be deterministic for a given call sequence.
 type FaultHook func(isCtl bool) FaultAction
 
-// rxGate is the receiver-side cut detector for a wire that crosses
-// shards: it is owned (read and written) by the receiving shard only,
-// so a sever can kill in-flight packets without touching sender state.
-type rxGate struct {
+// rxEnd is the receiving end of a wire: the far halves its frames are
+// addressed to, and the receiver-side cut detector.  It lives in the
+// receiving engine's clock domain — posted frames are delivered to it
+// there — so a sever can kill in-flight packets without touching sender
+// state.
+type rxEnd struct {
 	severed bool
+	in      *inHalf  // takes the wire's data packets and beats
+	out     *outHalf // takes its acknowledges and NAKs
+}
+
+// Receive implements sim.Receiver: a message posted by the wire's
+// sending end lands in the receiver's kernel.
+func (rx *rxEnd) Receive(m sim.Msg) {
+	switch op := m.A & 0xff; op {
+	case rxSever, rxRestore:
+		// The break (or repair) has propagated (see setCut): this end's
+		// receive gate and its own transmitter on the reverse line follow.
+		rx.severed = op == rxSever
+		rx.out.wire.severed = rx.severed
+	case rxStart:
+		if !rx.severed {
+			rx.in.dataStart(m.B)
+		}
+	default:
+		if !rx.severed {
+			rx.arrive(unpack(m))
+		}
+	}
+}
+
+// setCut cuts (or reconnects) both signal lines of the link whose
+// outgoing line is w.  The reverse line is the one the far end's
+// sending half drives.
+func (w *wire) setCut(cut bool) {
+	w.severed = cut
+	inbound := w.rx.out.wire
+	if w.to == nil {
+		inbound.severed = cut
+		return
+	}
+	// Inbound traffic stops (or resumes) being accepted here
+	// immediately; the peer's transmitter and its receive gate for our
+	// wire follow when the change has propagated (see rxEnd.Receive).
+	inbound.rx.severed = cut
+	op := uint64(rxRestore)
+	if cut {
+		op = rxSever
+	}
+	w.from.PostMsg(w.to, w.k.Now()+w.prop, w.rx, sim.Msg{A: op})
+}
+
+// arrive hands a completed packet to the half it is addressed to.
+func (rx *rxEnd) arrive(p packet) {
+	switch {
+	case p.kind == pktBeat:
+		rx.in.beatArrive()
+	case p.kind == pktNak:
+		rx.out.relNakArrived()
+	case p.kind == pktAck && p.rel:
+		rx.out.relAckArrived(p.seq)
+	case p.kind == pktAck:
+		rx.out.ackArrived()
+	case p.rel:
+		rx.in.relDataArrive(p)
+	default:
+		rx.in.dataArrive(p)
+	}
 }
 
 // wire is a one-directional signal line.  A wire lives entirely in
 // the sending engine's clock domain; when the receiver is on another
-// shard, deliveries travel through post with prop latency instead of
-// running synchronously.
+// port, deliveries are posted with prop latency instead of running
+// synchronously.
 type wire struct {
 	k     sim.Clock
 	bitNs int64
@@ -87,50 +177,44 @@ type wire struct {
 	dataHead int
 	stats    WireStats
 
-	// post and prop are set when the receiving end lives on another
-	// port: receiver-side callbacks are posted through the coordinator
-	// mailbox with prop propagation delay (the coordinator's
-	// conservative lookahead).  rx is then the receiver-owned cut gate,
-	// and fused records that both ends live on ONE shard — delivered
-	// in-kernel by the fused local loop, never concurrently with the
-	// sender, which is what licenses the capture-free delivery fifo.
-	post  func(at sim.Time, fn func())
-	prop  sim.Time
-	rx    *rxGate
-	fused bool
+	// tx is the sending half whose data frames this line carries: it is
+	// told when each one's bits are out, and its engine and link number
+	// attribute the wire's probe events (host ends have no engine and
+	// publish nothing).  rx is the receiving end.
+	tx *outHalf
+	rx *rxEnd
+
+	// from and to are set when the receiving end lives on another port:
+	// frames are then posted from one to the other, reception-start
+	// signals prop (the coordinator's conservative lookahead) after the
+	// frame starts.  The post is the same whether the two ports share a
+	// shard or not; rx.severed is the cut gate either way.
+	from, to *sim.Port
+	prop     sim.Time
 
 	// cur is the frame currently on the wire and curDropped whether a
 	// fault lost it; txDone is the cached frame-completion callback.
 	// Only one frame is in flight per wire at a time (busy), so the
-	// in-flight state lives here instead of in a per-frame closure —
-	// the alternative allocates a packet-sized capture every frame.
+	// in-flight state lives here instead of in a per-frame closure.
 	cur        packet
 	curDropped bool
 	txDone     func()
-
-	// fifo carries receiver-side callbacks posted to the far end of a
-	// cross-clock wire, paired with popPosted (cached in popFn): posts
-	// on one wire execute in the destination kernel in exactly the
-	// order they were made — delivery times along a wire are monotonic
-	// and same-instant deliveries keep their injection order — so the
-	// pending deliveries live in a head-indexed ring here and every
-	// post schedules the same capture-free callback, instead of a
-	// fresh packet-sized closure per frame.
-	fifo     []postedFrame
-	fifoHead int
-	popFn    func()
 
 	// hook, when non-nil, injects faults into this wire's traffic.
 	hook FaultHook
 	// severed marks a cut wire: nothing queued or in flight is ever
 	// delivered after the cut.
 	severed bool
+}
 
-	// owner and link attribute this wire's traffic to the engine whose
-	// outgoing signal line it is, for probe events.  Wires driven by a
-	// host end have no owner and publish nothing.
-	owner *Engine
-	link  int
+// newWire builds the signal line that carries tx's data frames and
+// ackFrom's acknowledges to the far end's halves.
+func newWire(k sim.Clock, tx *outHalf, ackFrom *inHalf, in *inHalf, out *outHalf) *wire {
+	w := &wire{k: k, bitNs: BitNs, tx: tx, rx: &rxEnd{in: in, out: out}}
+	w.txDone = w.finishTx
+	tx.wire = w
+	ackFrom.ackWire = w
+	return w
 }
 
 // queueEmpty reports whether nothing is waiting behind the frame (if
@@ -141,8 +225,8 @@ func (w *wire) queueEmpty() bool {
 
 // clearQueues discards everything queued but not yet transmitted.
 func (w *wire) clearQueues() {
-	w.acks, w.ackHead = nil, 0
-	w.data, w.dataHead = nil, 0
+	w.acks, w.ackHead = w.acks[:0], 0
+	w.data, w.dataHead = w.data[:0], 0
 }
 
 func (w *wire) send(p packet) {
@@ -165,9 +249,9 @@ func (w *wire) send(p packet) {
 // emit publishes a probe event attributed to this wire's owning engine,
 // if any.
 func (w *wire) emit(ev probe.Event) {
-	if w.owner != nil && w.owner.bus != nil {
-		ev.Link = w.link
-		w.owner.emit(ev)
+	if e := w.tx.eng; e != nil && e.bus != nil {
+		ev.Link = w.tx.link
+		e.emit(ev)
 	}
 }
 
@@ -176,11 +260,9 @@ func (w *wire) transmitNext() {
 	switch {
 	case w.ackHead < len(w.acks):
 		p = w.acks[w.ackHead]
-		w.acks[w.ackHead] = packet{} // drop callback references for the collector
 		w.ackHead++
 	case w.dataHead < len(w.data):
 		p = w.data[w.dataHead]
-		w.data[w.dataHead] = packet{}
 		w.dataHead++
 	default:
 		w.busy = false
@@ -219,129 +301,52 @@ func (w *wire) transmitNext() {
 	if act.Drop && !w.severed {
 		w.emit(probe.Event{Kind: probe.FaultDrop, Ack: isCtl, Flow: p.flow})
 	}
-	if w.post != nil {
-		// Cross-shard receiver: both callbacks travel through the
-		// mailbox, gated on the receiver-side cut flag (a cable cut is
-		// observed at the far end one propagation later; anything
-		// arriving after that is lost).  Packet completion keeps its
-		// exact wire timing — every frame lasts at least an
-		// acknowledge (2 bit times), which is precisely the
-		// coordinator's lookahead, so start+dur is always a legal
-		// cross-shard instant.  Only the reception-start signal (which
-		// fires the overlapped acknowledge) is deferred by the
-		// propagation delay.  Sender-side bookkeeping stays local.
+	// Reception start — which fires the overlapped acknowledge — exists
+	// only for the paper's plain data frame; an error-detecting receiver
+	// must see the trailer first.
+	starts := p.kind == pktData && !p.rel
+	switch {
+	case dropped:
+	case w.to != nil:
+		// Receiver on another port: both signals are posted to its end of
+		// the wire, which gates them on the receiver-side cut flag (a
+		// cable cut is observed at the far end one propagation later;
+		// anything arriving after that is lost).  Packet completion keeps
+		// its exact wire timing — every frame lasts at least an
+		// acknowledge (2 bit times), which is precisely the coordinator's
+		// lookahead, so start+dur is always a legal cross-port instant.
+		// Only the reception-start signal is deferred by the propagation
+		// delay.  Sender-side bookkeeping stays local.
 		start := w.k.Now()
-		if !dropped && w.fused {
-			// Same-shard receiver: members of one shard never run
-			// concurrently, so the pending deliveries can sit in the
-			// sender-owned fifo and every post reuses one callback.
-			if w.popFn == nil {
-				w.popFn = w.popPosted
-			}
-			if ds := p.deliverStart; ds != nil {
-				w.fifoPush(postedFrame{start: true, ds: ds, flow: p.flow})
-				w.post(start+w.prop, w.popFn)
-			}
-			if dv := p.deliver; dv != nil {
-				// The posted copy keeps only the fields receivers read;
-				// carrying the callback pointers across would triple the
-				// pointer slots the collector scans per in-flight packet.
-				pp := p
-				pp.onTxEnd, pp.deliverStart, pp.deliver = nil, nil, nil
-				w.fifoPush(postedFrame{dv: dv, p: pp})
-				w.post(start+sim.Time(dur), w.popFn)
-			}
-		} else if !dropped {
-			// Cross-shard receiver: the destination runs on another
-			// worker, so each delivery carries its own closure — the
-			// capture is what crosses the mailbox's synchronization.
-			rx := w.rx
-			if ds := p.deliverStart; ds != nil {
-				fl := p.flow
-				w.post(start+w.prop, func() {
-					if !rx.severed {
-						ds(fl)
-					}
-				})
-			}
-			if dv := p.deliver; dv != nil {
-				pp := p
-				pp.onTxEnd, pp.deliverStart, pp.deliver = nil, nil, nil
-				w.post(start+sim.Time(dur), func() {
-					if !rx.severed {
-						dv(pp)
-					}
-				})
-			}
+		if starts {
+			w.from.PostMsg(w.to, start+w.prop, w.rx, p.msg(rxStart))
 		}
-		// The receiver-side callbacks already travelled through the
-		// mailbox; only sender bookkeeping remains for completion.
-		p.deliverStart, p.deliver = nil, nil
-	} else if !dropped && p.deliverStart != nil {
-		p.deliverStart(p.flow)
+		w.from.PostMsg(w.to, start+sim.Time(dur), w.rx, p.msg(rxArrive))
+	case starts:
+		w.rx.in.dataStart(p.flow)
 	}
 	w.cur = p
 	w.curDropped = dropped
-	if w.txDone == nil {
-		w.txDone = w.finishTx
-	}
 	w.k.After(sim.Time(dur), w.txDone)
 }
 
 // finishTx fires when the frame on the wire completes: deliver (unless
-// lost, or the wire was cut while the frame was in flight), notify the
-// sender, and start the next queued frame.
+// it was posted ahead, lost, or the wire was cut while the frame was in
+// flight), tell the sending half its data frame is out, and start the
+// next queued frame.
 func (w *wire) finishTx() {
 	p := w.cur
-	w.cur = packet{}
-	if !w.curDropped && !w.severed && p.deliver != nil {
-		p.deliver(p)
+	if w.to == nil && !w.curDropped && !w.severed {
+		w.rx.arrive(p)
 	}
-	if p.onTxEnd != nil {
-		p.onTxEnd()
+	if p.kind == pktData {
+		if p.rel {
+			w.tx.relTxEnd()
+		} else {
+			w.tx.txEnd()
+		}
 	}
 	w.transmitNext()
-}
-
-// postedFrame is one receiver-side callback waiting in a cross-clock
-// wire's delivery fifo: either a reception-start signal (start, ds,
-// flow) or a completed packet (dv, p).
-type postedFrame struct {
-	start bool
-	flow  uint64
-	ds    func(flow uint64)
-	dv    func(p packet)
-	p     packet
-}
-
-// fifoPush appends to the fused delivery ring.
-//
-//tvet:ignore shardring this IS the ring implementation; every call site is fused-gated
-func (w *wire) fifoPush(f postedFrame) {
-	if w.fifoHead == len(w.fifo) {
-		w.fifo, w.fifoHead = w.fifo[:0], 0
-	}
-	w.fifo = append(w.fifo, f)
-}
-
-// popPosted runs in the destination kernel for every posted delivery:
-// it consumes the next fifo entry — always the one this event was
-// posted for, by the wire-order argument above — and dispatches it
-// unless the receiver-side cut gate has closed in the meantime.
-//
-//tvet:ignore shardring this IS the ring implementation; only fused wires ever post ring entries
-func (w *wire) popPosted() {
-	f := w.fifo[w.fifoHead]
-	w.fifo[w.fifoHead] = postedFrame{}
-	w.fifoHead++
-	if w.rx.severed {
-		return
-	}
-	if f.start {
-		f.ds(f.flow)
-		return
-	}
-	f.dv(f.p)
 }
 
 func boolByte(b bool) int {

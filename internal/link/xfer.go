@@ -7,9 +7,10 @@
 // An inHalf issues the overlapped acknowledge of figure 1 the instant a
 // data packet starts arriving — if a process is waiting — and owns the
 // single-byte buffer that catches a byte no process was ready for.
-// The data source and sink are per-transfer closures, so transputer
-// memory, host devices, the routing layer's raw streams and the vchan
-// multiplexer all feed the same machinery.
+// A transfer's source or sink is either a byte slice (host devices, the
+// routing layer's raw streams, the vchan multiplexer) or the engine's
+// machine memory, so a message costs no per-transfer closures and a
+// byte no allocation on either end.
 package link
 
 import (
@@ -20,14 +21,16 @@ import (
 // outHalf is the sending side of one channel of a link.
 type outHalf struct {
 	wire *wire // this end's outgoing signal line for the link
-	peer *inHalf
 
 	// eng and link attribute ack-stall probe events; nil for host ends.
 	eng  *Engine
 	link int
 
-	active  bool
-	read    func(i int) byte
+	active bool
+	// The message being sent: buf when non-nil, else count bytes of the
+	// engine's machine memory at ptr.
+	buf     []byte
+	ptr     uint64
 	count   int
 	sent    int
 	done    func()
@@ -48,24 +51,17 @@ type outHalf struct {
 
 	// rel is the error-detecting-mode sender state (see reliable.go).
 	rel relSender
-
-	// Per-peer receiver callbacks, built once and reused for every
-	// packet: a busy link sends thousands of frames, and minting fresh
-	// closures per byte is pure allocator load.  cbPeer records which
-	// peer the cached set was built for, so a rewire invalidates it.
-	cbPeer         *inHalf
-	cbDeliverStart func(flow uint64)
-	cbDeliver      func(p packet)
-	cbTxEnd        func()
 }
 
 // inHalf is the receiving side of one channel of a link.
 type inHalf struct {
-	ackWire *wire    // this end's outgoing line, used for acknowledges
-	peerOut *outHalf // the sender our acknowledges go to
+	ackWire *wire // this end's outgoing line, used for acknowledges
 
-	active   bool
-	write    func(i int, b byte)
+	active bool
+	// Where the message lands: buf when non-nil, else count bytes of the
+	// engine's machine memory at ptr.
+	buf      []byte
+	ptr      uint64
 	count    int
 	received int
 	done     func()
@@ -98,15 +94,13 @@ type inHalf struct {
 
 	// rel is the error-detecting-mode receiver state (see reliable.go).
 	rel relReceiver
-
-	// Cached acknowledge-delivery callback (see outHalf's cache).
-	cbAckPeer    *outHalf
-	cbAckArrived func(p packet)
 }
 
-func (o *outHalf) start(read func(i int) byte, count int, done func()) {
+// start begins sending count bytes: buf's when it is non-nil, else the
+// engine's machine memory from ptr.
+func (o *outHalf) start(buf []byte, ptr uint64, count int, done func()) {
 	o.active = true
-	o.read = read
+	o.buf, o.ptr = buf, ptr
 	o.count = count
 	o.sent = 0
 	o.done = done
@@ -120,35 +114,19 @@ func (o *outHalf) start(read func(i int) byte, count int, done func()) {
 }
 
 func (o *outHalf) sendByte() {
-	b := o.read(o.sent)
+	var b byte
+	if o.buf != nil {
+		b = o.buf[o.sent]
+	} else {
+		b = o.eng.m.ByteAt(o.ptr + uint64(o.sent))
+	}
 	o.txEnded = false
 	o.acked = false
 	if o.rel.on {
 		o.sendReliable(b, false)
 		return
 	}
-	o.refreshCallbacks()
-	o.wire.send(packet{
-		kind:         pktData,
-		bits:         DataBits,
-		payload:      b,
-		flow:         o.flow,
-		deliverStart: o.cbDeliverStart,
-		deliver:      o.cbDeliver,
-		onTxEnd:      o.cbTxEnd,
-	})
-}
-
-// refreshCallbacks (re)builds the cached per-peer packet callbacks.
-func (o *outHalf) refreshCallbacks() {
-	if o.cbPeer == o.peer && o.cbTxEnd != nil {
-		return
-	}
-	in := o.peer
-	o.cbPeer = in
-	o.cbDeliverStart = func(fl uint64) { in.dataStart(fl) }
-	o.cbDeliver = func(p packet) { in.dataArrive(p) }
-	o.cbTxEnd = func() { o.txEnd() }
+	o.wire.send(packet{kind: pktData, bits: DataBits, payload: b, flow: o.flow})
 }
 
 func (o *outHalf) txEnd() {
@@ -193,9 +171,11 @@ func (o *outHalf) advance() {
 	o.sendByte()
 }
 
-func (in *inHalf) start(write func(i int, b byte), count int, done func()) {
+// start begins receiving count bytes: into buf when it is non-nil, else
+// into the engine's machine memory from ptr.
+func (in *inHalf) start(buf []byte, ptr uint64, count int, done func()) {
 	in.active = true
-	in.write = write
+	in.buf, in.ptr = buf, ptr
 	in.count = count
 	in.received = 0
 	in.done = done
@@ -272,7 +252,11 @@ func (in *inHalf) dataArrive(p packet) {
 }
 
 func (in *inHalf) store(b byte) {
-	in.write(in.received, b)
+	if in.buf != nil {
+		in.buf[in.received] = b
+	} else {
+		in.eng.m.SetByteAt(in.ptr+uint64(in.received), b)
+	}
 	in.received++
 	if in.received == in.count {
 		in.active = false
@@ -285,15 +269,5 @@ func (in *inHalf) store(b byte) {
 }
 
 func (in *inHalf) sendAck() {
-	if in.cbAckPeer != in.peerOut || in.cbAckArrived == nil {
-		out := in.peerOut
-		in.cbAckPeer = out
-		in.cbAckArrived = func(packet) { out.ackArrived() }
-	}
-	in.ackWire.send(packet{
-		kind:    pktAck,
-		bits:    AckBits,
-		flow:    in.flow,
-		deliver: in.cbAckArrived,
-	})
+	in.ackWire.send(packet{kind: pktAck, bits: AckBits, flow: in.flow})
 }

@@ -14,19 +14,27 @@ import (
 // over one wire — must deliver byte-identical data through the raw
 // protocol, the stop-and-wait ablation, the error-detecting mode, and
 // a virtual-channel multiplexed link; and every configuration must be
-// deterministic across worker counts, completion instant included.
+// deterministic across worker counts and across the partition — the
+// two nodes on a shard each or fused onto one (tnet's -fuse full) —
+// completion instant included.
 
 type xferOutcome struct {
 	got  []byte
 	done sim.Time
 }
 
-// stackPair builds a two-node system wired a.0 <-> b.1.
-func stackPair(t *testing.T, workers int, reliable bool) (*network.System, *network.Node, *network.Node) {
+// stackPair builds a two-node system wired a.0 <-> b.1, the nodes on
+// one shard when fuse is set.
+func stackPair(t *testing.T, workers int, fuse, reliable bool) (*network.System, *network.Node, *network.Node) {
 	t.Helper()
 	s := network.NewSystem()
 	if workers > 0 {
 		s.SetWorkers(workers)
+	}
+	if fuse {
+		if err := s.SetPlacement([][]string{{"a", "b"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c := core.T424().WithMemory(64 * 1024)
 	a := s.MustAddTransputer("a", c)
@@ -39,9 +47,9 @@ func stackPair(t *testing.T, workers int, reliable bool) (*network.System, *netw
 }
 
 // transferRaw streams the payload as one raw byte stream.
-func transferRaw(t *testing.T, workers int, payload []byte, stopwait, reliable bool) xferOutcome {
+func transferRaw(t *testing.T, workers int, fuse bool, payload []byte, stopwait, reliable bool) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, reliable)
+	s, a, b := stackPair(t, workers, fuse, reliable)
 	if stopwait {
 		a.Engine.SetStopAndWait(true)
 		b.Engine.SetStopAndWait(true)
@@ -62,9 +70,9 @@ func transferRaw(t *testing.T, workers int, payload []byte, stopwait, reliable b
 
 // transferVC streams the payload as n equal strips, one per virtual
 // channel, reassembled by vchan index at the receiver.
-func transferVC(t *testing.T, workers int, payload []byte, n int) xferOutcome {
+func transferVC(t *testing.T, workers int, fuse bool, payload []byte, n int) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, false)
+	s, a, b := stackPair(t, workers, fuse, false)
 	if err := s.EnableVChans(a, 0, n); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func transferVC(t *testing.T, workers int, payload []byte, n int) xferOutcome {
 
 // TestProtocolStackConformance is the table: every configuration
 // delivers the identical bytes, at an instant independent of the
-// worker count.
+// worker count and of whether the two nodes share a shard.
 func TestProtocolStackConformance(t *testing.T) {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -104,26 +112,30 @@ func TestProtocolStackConformance(t *testing.T) {
 	}
 	configs := []struct {
 		name string
-		run  func(workers int) xferOutcome
+		run  func(workers int, fuse bool) xferOutcome
 	}{
-		{"raw", func(w int) xferOutcome { return transferRaw(t, w, payload, false, false) }},
-		{"stopwait", func(w int) xferOutcome { return transferRaw(t, w, payload, true, false) }},
-		{"reliable", func(w int) xferOutcome { return transferRaw(t, w, payload, false, true) }},
-		{"vchan8", func(w int) xferOutcome { return transferVC(t, w, payload, 8) }},
+		{"raw", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, false, false) }},
+		{"stopwait", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, true, false) }},
+		{"reliable", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, false, true) }},
+		{"vchan8", func(w int, f bool) xferOutcome { return transferVC(t, w, f, payload, 8) }},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			one := c.run(1)
-			four := c.run(4)
+			one := c.run(1, false)
 			if !bytes.Equal(one.got, payload) {
 				t.Fatalf("delivered %d bytes differ from the sent message", len(one.got))
 			}
 			if one.done == 0 {
 				t.Fatal("transfer never completed")
 			}
-			if !bytes.Equal(one.got, four.got) || one.done != four.done {
-				t.Fatalf("worker count changed the outcome: 1 worker (%d bytes at %v) vs 4 workers (%d bytes at %v)",
-					len(one.got), one.done, len(four.got), four.done)
+			for _, fuse := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					got := c.run(workers, fuse)
+					if !bytes.Equal(one.got, got.got) || one.done != got.done {
+						t.Errorf("fuse=%v workers=%d changed the outcome: %d bytes at %v, want %d bytes at %v",
+							fuse, workers, len(got.got), got.done, len(one.got), one.done)
+					}
+				}
 			}
 		})
 	}

@@ -194,9 +194,9 @@ func (s *System) restartNode(n *Node, restore []int) {
 	s.notifyUp(n)
 	for _, l := range restore {
 		// RestoreLink (above) and the peer recovery both post to the
-		// peer's shard at now+Lookahead, and mailbox order (same
-		// instant, same source) revives the wire before any
-		// retransmission crosses it.
+		// peer's port at now+Lookahead, and post order (same instant,
+		// same source) revives the wire before any retransmission
+		// crosses it.
 		n.Engine.RecoverLink(l)
 		pn, pl, ok := n.Peer(l)
 		if !ok {
@@ -207,10 +207,8 @@ func (s *System) restartNode(n *Node, restore []int) {
 			pn.Engine.RecoverLink(pl)
 		} else {
 			// Distinct peer: the recovery crosses node timelines, so it
-			// travels as a keyed post one Lookahead out — through the
-			// mailbox when the peer is on another shard, as an
-			// intra-kernel delivery when fused — so the revival order is
-			// identical at every partition.
+			// travels as a keyed post one Lookahead out, which makes the
+			// revival order identical at every partition.
 			pe, plnk := pn.Engine, pl
 			n.port.Post(pn.port, now+Lookahead, func() { pe.RecoverLink(plnk) })
 		}

@@ -53,6 +53,19 @@ type Clock interface {
 	Cancel(id EventID)
 }
 
+// Msg is the payload of a typed delivery: two pointer-free words whose
+// meaning belongs to the Receiver.  A message travels by value, so a
+// cross-port post needs neither an allocation nor sender-owned storage
+// that the receiving worker would have to read.
+type Msg struct{ A, B uint64 }
+
+// Receiver is the destination of a typed delivery (see Port.PostMsg):
+// a long-lived object in the destination port's clock domain that
+// knows what the two words of a Msg mean.
+type Receiver interface {
+	Receive(m Msg)
+}
+
 // event is one heap entry.  It is deliberately pointer-free — the
 // callback lives in the slot table — so heap sifts are pure scalar
 // copies with no GC write barriers on the engine's hottest path.
@@ -75,6 +88,11 @@ type slotInfo struct {
 	gen       uint32
 	cancelled bool
 	fn        func() // the event's callback, cleared when the slot retires
+
+	// A typed delivery (ScheduleDelivery) has no fn: it fires as
+	// rcv.Receive(msg).  rcv is cleared with fn when the slot retires.
+	rcv Receiver
+	msg Msg
 }
 
 // Kernel is a time-ordered event queue.  It is not safe for concurrent
@@ -143,8 +161,10 @@ func (k *Kernel) alloc() (uint32, EventID) {
 // every outstanding handle, the callback reference is released, and
 // the slot returns to the freelist.
 func (k *Kernel) reap(slot uint32) {
-	k.slots[slot].gen++
-	k.slots[slot].fn = nil
+	s := &k.slots[slot]
+	s.gen++
+	s.fn = nil
+	s.rcv = nil
 	k.free = append(k.free, slot)
 }
 
@@ -260,17 +280,17 @@ func (k *Kernel) Schedule(at Time, fn func()) EventID {
 	return id
 }
 
-// ScheduleDelivery schedules a cross-shard delivery: it runs before
-// any same-instant local event, ordered among same-instant deliveries
-// by key — the coordinator packs the source shard and its per-source
-// sequence, a total order independent of which window barrier did the
-// injecting (see less).
-func (k *Kernel) ScheduleDelivery(at Time, key uint64, fn func()) EventID {
+// ScheduleDelivery schedules a cross-port delivery of m to r: it runs
+// before any same-instant local event, ordered among same-instant
+// deliveries by key — the coordinator packs the source port and its
+// per-source sequence, a total order independent of which window
+// barrier did the injecting (see less).
+func (k *Kernel) ScheduleDelivery(at Time, key uint64, r Receiver, m Msg) EventID {
 	if at < k.now+k.offset {
 		panic(fmt.Sprintf("sim: delivery at %v before now %v", at, k.now+k.offset))
 	}
 	s, id := k.alloc()
-	k.slots[s].fn = fn
+	k.slots[s].rcv, k.slots[s].msg = r, m
 	k.push(event{at: at, rank: 0, seq: key, slot: s})
 	k.live++
 	k.stamp++
@@ -306,11 +326,16 @@ func (k *Kernel) Step() bool {
 			k.reap(e.slot)
 			continue
 		}
-		fn := k.slots[e.slot].fn
+		s := &k.slots[e.slot]
+		fn, rcv, msg := s.fn, s.rcv, s.msg
 		k.reap(e.slot)
 		k.now = e.at
 		k.live--
-		fn()
+		if fn != nil {
+			fn()
+		} else {
+			rcv.Receive(msg)
+		}
 		return true
 	}
 	return false

@@ -23,8 +23,8 @@ import (
 //	horizon(s) = lookahead + min over r != s of nextEvent(r)
 //
 // (no other shard can cause anything in s before that), then meets all
-// shards at a barrier, releases the cross-shard mailbox in a canonical
-// order, and opens the next window.  Shard execution inside a window
+// shards at a barrier, merges the ports' outboxes into the destination
+// kernels in a canonical order, and opens the next window.  Shard execution inside a window
 // is pure single-threaded event processing, so results are bit-for-bit
 // identical whether windows run on one worker or many.
 //
@@ -34,26 +34,25 @@ import (
 // one-node-per-shard engine.  Fusing several ports onto one shard
 // (see NewPort) keeps their mutual traffic inside the shard: a post
 // between co-resident ports is scheduled straight into the destination
-// port's kernel at its exact timestamp — no mailbox entry, no
+// port's kernel at its exact timestamp — no outbox entry, no
 // coordinator barrier — and the member kernels are interleaved by a
 // barrier-free sequential loop (see Shard.runBefore) applying the same
-// conservative rule locally.  Because both the mailbox path and the
-// fused path deliver at the same instants with the same
-// (origin port, per-port sequence) ordering keys, every port's kernel
-// executes the identical event sequence at any partition, which is
-// what makes observable results byte-identical however nodes are
-// grouped onto shards.
+// conservative rule locally.  Because both routes deliver the same
+// message at the same instant under the same (origin port, per-port
+// sequence) ordering key, every port's kernel executes the identical
+// event sequence at any partition, which is what makes observable
+// results byte-identical however nodes are grouped onto shards.
 
-// crossEvent is one mailbox entry: an event produced by port src
-// while executing a window, due on port dst at time at.  Entries are
-// released at the barrier sorted by (at, src, seq) — a total order
-// that no amount of worker parallelism can perturb.
+// crossEvent is one outbox entry: a message posted by port src while
+// executing a window, due on port dst at time at.  Entries are merged
+// at the barrier in (at, src, seq) order — a total order that no
+// amount of worker parallelism can perturb.
 type crossEvent struct {
-	at  Time
-	src int // origin port rank
-	seq uint64
-	dst int // destination port rank
-	fn  func()
+	at       Time
+	seq      uint64
+	src, dst int32 // origin and destination port ranks
+	rcv      Receiver
+	msg      Msg
 }
 
 // Coordinator advances a set of shards in conservative time windows.
@@ -63,7 +62,13 @@ type Coordinator struct {
 	ports     []*Port
 	workers   int
 
+	// mu guards only the pending-unwire list, the one thing shard
+	// goroutines hand the coordinator mid-window outside their own
+	// port's outbox.
 	mu sync.Mutex
+
+	// xq is the barrier's merge buffer for the ports' outboxes,
+	// truncated and reused every window.
 	xq []crossEvent
 
 	// now is the global low-water mark: the limit of the last bounded
@@ -398,31 +403,40 @@ func (c *Coordinator) Now() Time {
 	return t
 }
 
-// drain releases the cross-shard mailbox into the destination kernels
-// in (at, src, seq) order.  Called between windows only.
+// drain merges the ports' outboxes into the destination kernels in
+// (at, src, seq) order.  Called between windows only: the barrier that
+// ended the window makes every outbox append happen-before this read,
+// so nothing here takes a lock.  Outboxes and the merge buffer are
+// truncated, never dropped, so a steady stream of posts allocates
+// nothing; they grow on demand to the busiest window seen.
 func (c *Coordinator) drain() {
-	c.mu.Lock()
-	q := c.xq
-	c.xq = nil
-	c.mu.Unlock()
+	q := c.xq[:0]
+	for _, p := range c.ports {
+		if len(p.outbox) > 0 {
+			q = append(q, p.outbox...)
+			p.outbox = p.outbox[:0]
+		}
+	}
+	c.xq = q
 	if len(q) == 0 {
 		return
 	}
 	c.stCross += uint64(len(q))
-	// Insertion sort: the mailbox is tiny (a window's worth of link
-	// packets) and often nearly ordered.
+	// Insertion sort: a window's worth of link packets is tiny and
+	// often nearly ordered.
 	for i := 1; i < len(q); i++ {
 		for j := i; j > 0 && crossLess(q[j], q[j-1]); j-- {
 			q[j], q[j-1] = q[j-1], q[j]
 		}
 	}
-	for _, e := range q {
+	for i := range q {
 		// The key extends the (at, src, seq) order into the kernel heap
 		// itself, so a delivery's place among same-instant events never
 		// depends on which barrier injected it (see Kernel.less) — and,
-		// because the fused fast path in Port.Post uses the same key, not
+		// because the fused route in Port.PostMsg uses the same key, not
 		// on whether the origin port shares the destination's shard.
-		c.ports[e.dst].k.ScheduleDelivery(e.at, deliveryKey(e.src, e.seq), e.fn)
+		e := &q[i]
+		c.ports[e.dst].k.ScheduleDelivery(e.at, deliveryKey(int(e.src), e.seq), e.rcv, e.msg)
 	}
 }
 
@@ -449,7 +463,7 @@ func (c *Coordinator) flush(upTo Time, final bool) {
 	}
 }
 
-// Run fires events until every port's queue (and the mailbox) drains,
+// Run fires events until every port's queue (and every outbox) drains,
 // and returns the final time.
 func (c *Coordinator) Run() Time {
 	c.run(MaxTime, false)
@@ -735,16 +749,6 @@ func (c *Coordinator) runWindow(active []*Shard) {
 	c.stBarrierWait += time.Since(t0).Nanoseconds()
 }
 
-// post appends a cross-shard event to the mailbox.  Safe to call from
-// any shard goroutine during a window.
-func (c *Coordinator) post(src, dst *Port, at Time, fn func()) {
-	seq := src.xseq
-	src.xseq++
-	c.mu.Lock()
-	c.xq = append(c.xq, crossEvent{at: at, src: src.rank, seq: seq, dst: dst.rank, fn: fn})
-	c.mu.Unlock()
-}
-
 // EngineStats is a snapshot of what the windowed engine actually did —
 // partition- and worker-dependent diagnostics, deliberately kept out
 // of the partition-invariant observable outputs (traces, stats, flow
@@ -767,7 +771,7 @@ type EngineStats struct {
 	// ran to interleave their member ports (zero with no fusion).
 	LocalWindows uint64
 	// Cross counts deliveries that crossed shards through the barrier
-	// mailbox; Fused counts port-to-port deliveries that stayed inside
+	// merge; Fused counts port-to-port deliveries that stayed inside
 	// one shard (the fusion fast path).
 	Cross uint64
 	Fused uint64
@@ -847,6 +851,13 @@ type Port struct {
 	hzn  Time
 	xseq uint64
 
+	// outbox holds this port's posts to ports on other shards until the
+	// next barrier merges them (see Coordinator.drain).  Only the worker
+	// running the port's shard appends, and only the coordinator, between
+	// windows, reads and truncates — the window barrier orders the two,
+	// so the outbox needs no lock.
+	outbox []crossEvent
+
 	// The current quiet promise (see PromiseQuiet): the pending event
 	// promiseID will not act externally before promiseUntil.  Written
 	// only by the port's own window execution, read only between
@@ -857,7 +868,7 @@ type Port struct {
 
 // NewPort adds a participant to the shard — the fusion primitive:
 // ports of one shard interleave without coordinator barriers, and
-// their mutual traffic needs no mailbox.
+// their mutual traffic never waits for one.
 func (s *Shard) NewPort() *Port { return s.c.newPort(s) }
 
 // Port returns the shard's default port (created with the shard).
@@ -882,8 +893,8 @@ func (s *Shard) Now() Time { return s.p0.k.Now() }
 func (p *Port) Now() Time { return p.k.Now() }
 
 // Pending reports the number of scheduled, uncancelled events across
-// the shard's ports.  It deliberately ignores the coordinator mailbox:
-// the answer must not depend on how far other shards have progressed
+// the shard's ports.  It deliberately ignores undelivered posts: the
+// answer must not depend on how far other shards have progressed
 // inside the current window.
 func (s *Shard) Pending() int {
 	n := 0
@@ -894,7 +905,7 @@ func (s *Shard) Pending() int {
 }
 
 // Pending reports the scheduled, uncancelled events on this port's own
-// kernel (the mailbox is ignored, as in Shard.Pending).
+// kernel (undelivered posts are ignored, as in Shard.Pending).
 func (p *Port) Pending() int { return p.k.Pending() }
 
 // Schedule runs fn at the given time on the default port.
@@ -919,12 +930,11 @@ func (p *Port) After(d Time, fn func()) EventID {
 func (s *Shard) Cancel(id EventID) { s.p0.Cancel(id) }
 
 // Cancel prevents a scheduled event from firing.  An event owned by
-// another port cannot be revoked retroactively: the cancellation takes
-// effect one lookahead ahead — through the mailbox when the owner is
-// on another shard, as a keyed delivery into the owner's kernel when
-// fused onto this one — so the race between a cancel and the event
-// firing resolves identically at every partition.  If the event fires
-// first, the cancel is a no-op, exactly like any cross-node signal.
+// another port cannot be revoked retroactively: the cancellation
+// travels as a post and takes effect one lookahead ahead, so the race
+// between a cancel and the event firing resolves identically at every
+// partition.  If the event fires first, the cancel is a no-op, exactly
+// like any cross-node signal.
 func (p *Port) Cancel(id EventID) {
 	owner := int(id>>portRankShift) - 1
 	raw := id & (1<<portRankShift - 1)
@@ -933,15 +943,18 @@ func (p *Port) Cancel(id EventID) {
 		panic(fmt.Sprintf("sim: cancel of foreign event id %#x", uint64(id)))
 	}
 	op := c.ports[owner]
-	switch {
-	case op == p:
+	if op == p {
 		p.k.Cancel(raw)
-	case op.s == p.s:
-		p.deliverLocal(op, p.Now()+c.lookahead, func() { op.k.Cancel(raw) })
-	default:
-		c.post(p, op, p.Now()+c.lookahead, func() { op.k.Cancel(raw) })
+		return
 	}
+	p.PostMsg(op, p.Now()+c.lookahead, (*portCancel)(op), Msg{A: uint64(raw)})
 }
+
+// portCancel is a port seen as the receiver of a cross-port Cancel:
+// word A of the message is the owner kernel's raw event ID.
+type portCancel Port
+
+func (pc *portCancel) Receive(m Msg) { pc.k.Cancel(EventID(m.A)) }
 
 func (p *Port) tag(id EventID) EventID {
 	return id | EventID(p.rank+1)<<portRankShift
@@ -1043,7 +1056,7 @@ func (p *Port) sendBoundAt(nt Time) Time {
 // and because sendBound(q) is never below the global minimum next
 // event, the earliest member always gets strictly past its own next
 // event — the loop cannot stall.  Port-to-port posts go straight into
-// the destination kernel (see Port.Post), which is sound for exactly
+// the destination kernel (see Port.PostMsg), which is sound for exactly
 // the coordinator's reason: a post from a port executing at T is due
 // at T+lookahead or later, and no co-member has run past that.
 func (s *Shard) runBefore(hzn Time) {
@@ -1199,58 +1212,56 @@ func (s *Shard) Post(dst *Shard, at Time, fn func()) {
 	s.p0.Post(dst.p0, at, fn)
 }
 
-// Post delivers fn into another port's timeline at the given absolute
-// time, at least one lookahead in this port's future.  When the ports
-// share a shard — fusion — the delivery is scheduled directly on the
-// destination kernel at its exact timestamp, skipping mailbox and
-// barrier; the key carries the same (origin rank, per-port sequence)
-// identity a mailbox delivery would, so the destination kernel's event
-// order is identical either way.
+// Post delivers fn into another port's timeline (see PostMsg, whose
+// ordering it shares: closure and typed posts of one port interleave
+// in the order they were made).  The closure is the caller's to
+// allocate; traffic that flows per packet should use PostMsg.
 func (p *Port) Post(dst *Port, at Time, fn func()) {
-	if dst.s == p.s {
-		p.deliverLocal(dst, at, fn)
-		return
-	}
-	p.s.c.post(p, dst, at, fn)
+	p.PostMsg(dst, at, funcReceiver(fn), Msg{})
 }
 
-// deliverLocal schedules a keyed delivery on a co-member's kernel —
-// the fused counterpart of a mailbox post.  Members of one shard never
-// execute concurrently, so the destination kernel is quiescent (its
-// runner offset restored) whenever this runs.
-func (p *Port) deliverLocal(dst *Port, at Time, fn func()) {
+// funcReceiver adapts a closure to the typed post; a func value is
+// pointer-shaped, so the conversion allocates nothing.
+type funcReceiver func()
+
+func (f funcReceiver) Receive(Msg) { f() }
+
+// PostMsg delivers m to r in another port's timeline at the given
+// absolute time, at least one lookahead in this port's future.  When
+// the ports share a shard — fusion — the delivery is scheduled directly
+// on the destination kernel at its exact timestamp (members of one
+// shard never execute concurrently, so that kernel is quiescent);
+// otherwise it waits in this port's outbox for the next barrier.  The
+// key carries the same (origin rank, per-port sequence) identity either
+// way, so the destination kernel's event order does not depend on the
+// partition.  Must be called from the port's own execution (or outside
+// a run): that single writer is what makes the outbox lock-free.
+func (p *Port) PostMsg(dst *Port, at Time, r Receiver, m Msg) {
 	seq := p.xseq
 	p.xseq++
-	p.s.stFused++
-	dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), fn)
+	if dst.s == p.s {
+		p.s.stFused++
+		dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), r, m)
+		return
+	}
+	p.outbox = append(p.outbox, crossEvent{at: at, seq: seq,
+		src: int32(p.rank), dst: int32(dst.rank), rcv: r, msg: m})
 }
 
 // CrossPath reports how scheduled work travels from src's clock domain
-// to dst's.  For the same port (or both plain kernels) it returns a
-// nil post function and zero latency: the caller should schedule
-// directly, today's fast path.  For two distinct ports of one
-// coordinator it returns a post function and the coordinator's
-// lookahead — the wire propagation model every port-to-port delivery
-// respects, whether it crosses shards through the mailbox or stays
-// inside a fused shard.  Using the posted path for fused pairs too is
-// what makes results partition-invariant: timing and ordering match
-// the mailbox path exactly.
-func CrossPath(src, dst Clock) (post func(at Time, fn func()), latency Time) {
-	sp, dp := portOf(src), portOf(dst)
+// to dst's.  For the same port (or both plain kernels) it returns nil
+// ports and zero latency: the caller should schedule directly.  For two
+// distinct ports of one coordinator it returns them, to post between
+// (sp.PostMsg(dp, ...)), and the coordinator's lookahead — the wire
+// propagation model every port-to-port delivery respects, whether it
+// crosses shards or stays inside a fused one.  Using the posted path
+// for fused pairs too is what makes results partition-invariant.
+func CrossPath(src, dst Clock) (sp, dp *Port, latency Time) {
+	sp, dp = portOf(src), portOf(dst)
 	if sp == nil || dp == nil || sp == dp || sp.s.c != dp.s.c {
-		return nil, 0
+		return nil, nil, 0
 	}
-	return func(at Time, fn func()) { sp.Post(dp, at, fn) }, sp.s.c.lookahead
-}
-
-// SameShard reports whether two clocks execute on the same shard — and
-// therefore never concurrently.  Callers use it to decide whether
-// sender-owned state may be read from delivery callbacks: inside one
-// shard the members run sequentially, while distinct shards run on
-// different workers in the same window.
-func SameShard(src, dst Clock) bool {
-	sp, dp := portOf(src), portOf(dst)
-	return sp != nil && dp != nil && sp.s == dp.s
+	return sp, dp, sp.s.c.lookahead
 }
 
 // portOf resolves a Clock to the port identity CrossPath reasons
