@@ -7,8 +7,9 @@ package transputer_test
 // primes locally and the links carry a single word).  The custom
 // metric is simulated machine cycles per wall-clock second — the
 // number the sharded parallel engine and the predecoded block cache
-// exist to raise.  The workload builders live in internal/bench,
-// shared with cmd/tbench.
+// exist to raise.  The workload builders live in internal/bench.  The
+// repo's benchmark is benchmark/; this one stays as the way to profile
+// a workload (go test -bench SystemThroughput -cpuprofile).
 
 import (
 	"fmt"

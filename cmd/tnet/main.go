@@ -15,7 +15,7 @@
 // every transputer-to-transputer connection; a multiplexed wire
 // refuses plain transfers, so the programs (or the routing layer)
 // must address those links through their LINKnVCm channels.  -fuse
-// selects the shard partition (off|topo|greedy|auto|full; results are
+// selects the shard partition (off|topo|auto|full; results are
 // byte-identical at every mode, only simulator speed changes) and
 // -enginestats reports what the windowed engine did.
 package main

@@ -1,7 +1,8 @@
 // Package bench builds the multi-transputer workloads used by the
-// simulator's throughput benchmarks (bench_parallel_test.go and
-// cmd/tbench).  Two communication-heavy topologies — a unidirectional
-// ring and a torus grid with every link streaming tokens — measure
+// simulator's go-test throughput benchmark (bench_parallel_test.go)
+// and by determinism tests.  Two communication-heavy topologies — a
+// unidirectional ring and a torus grid with every link streaming
+// tokens — measure
 // event-engine overhead; a compute-heavy ring — each node trial-
 // dividing its way through a prime count before exchanging a single
 // word — measures raw instruction-execution rate, the case the
@@ -225,7 +226,7 @@ func Ring(nodes int) (*network.System, error) {
 	if err := compile(); err != nil {
 		return nil, err
 	}
-	return buildRing(nodes, images.ring, nil)
+	return buildRing(nodes, images.ring)
 }
 
 // ComputeRing wires `nodes` transputers in a unidirectional ring where
@@ -234,14 +235,11 @@ func ComputeRing(nodes int) (*network.System, error) {
 	if err := compile(); err != nil {
 		return nil, err
 	}
-	return buildRing(nodes, images.compute, nil)
+	return buildRing(nodes, images.compute)
 }
 
-func buildRing(nodes int, img core.Image, groups [][]string) (*network.System, error) {
+func buildRing(nodes int, img core.Image) (*network.System, error) {
 	s := network.NewSystem()
-	if err := place(s, groups); err != nil {
-		return nil, err
-	}
 	ns := make([]*network.Node, nodes)
 	for i := range ns {
 		n, err := s.AddTransputer(fmt.Sprintf("n%d", i), config())
@@ -264,17 +262,10 @@ func buildRing(nodes int, img core.Image, groups [][]string) (*network.System, e
 // Grid wires a side x side torus: link 1 feeds the right neighbour's
 // link 0, link 3 feeds the lower neighbour's link 2.
 func Grid(side int) (*network.System, error) {
-	return grid(side, nil)
-}
-
-func grid(side int, groups [][]string) (*network.System, error) {
 	if err := compile(); err != nil {
 		return nil, err
 	}
 	s := network.NewSystem()
-	if err := place(s, groups); err != nil {
-		return nil, err
-	}
 	ns := make([]*network.Node, side*side)
 	for i := range ns {
 		n, err := s.AddTransputer(fmt.Sprintf("n%d", i), config())
@@ -305,17 +296,10 @@ func grid(side int, groups [][]string) (*network.System, error) {
 // streaming to matching consumers on the other — the many-channels-
 // few-wires shape the multiplexer exists for.
 func VCFan(vchans int) (*network.System, error) {
-	return vcFan(vchans, nil)
-}
-
-func vcFan(vchans int, groups [][]string) (*network.System, error) {
 	if err := compile(); err != nil {
 		return nil, err
 	}
 	s := network.NewSystem()
-	if err := place(s, groups); err != nil {
-		return nil, err
-	}
 	a, err := s.AddTransputer("a", config())
 	if err != nil {
 		return nil, err
@@ -342,74 +326,18 @@ func vcFan(vchans int, groups [][]string) (*network.System, error) {
 // Build constructs a workload by name: "ring8", "grid3x3", "compute8"
 // or "vcfan8".
 func Build(name string) (*network.System, error) {
-	return BuildPlaced(name, nil)
-}
-
-// BuildPlaced constructs a workload with the given shard-fusion
-// placement (nil for one shard per node).  The placement changes only
-// simulator speed; results are byte-identical.
-func BuildPlaced(name string, groups [][]string) (*network.System, error) {
 	switch name {
 	case "ring8":
-		if err := compile(); err != nil {
-			return nil, err
-		}
-		return buildRing(8, images.ring, groups)
+		return Ring(8)
 	case "grid3x3":
-		return grid(3, groups)
+		return Grid(3)
 	case "compute8":
-		if err := compile(); err != nil {
-			return nil, err
-		}
-		return buildRing(8, images.compute, groups)
+		return ComputeRing(8)
 	case "vcfan8":
-		return vcFan(8, groups)
+		return VCFan(8)
 	default:
 		return nil, fmt.Errorf("bench: unknown workload %q (ring8, grid3x3, compute8, vcfan8)", name)
 	}
-}
-
-func place(s *network.System, groups [][]string) error {
-	if len(groups) == 0 {
-		return nil
-	}
-	return s.SetPlacement(groups)
-}
-
-// FuseGroups computes a workload's static fusion placement: the wiring
-// graph greedily contracted to at most maxParts shards (maxParts < 1
-// fuses fully).
-func FuseGroups(name string, maxParts int) ([][]string, error) {
-	s, err := Build(name)
-	if err != nil {
-		return nil, err
-	}
-	return network.GreedyFuse(nodeNames(s), s.WiringEdges(), maxParts, 1), nil
-}
-
-// AutoFuseGroups computes a workload's adaptive fusion placement from
-// a profiling pre-run: the workload runs once unfused, each connection
-// is weighted by observed wire activity, edges too quiet to be worth a
-// shard are dropped, and the rest contract to at most maxParts groups.
-func AutoFuseGroups(name string, maxParts int, limit sim.Time) ([][]string, error) {
-	s, err := Build(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := Run(s, limit); err != nil {
-		return nil, fmt.Errorf("bench: autofuse pre-run: %w", err)
-	}
-	floor := network.FuseTrafficFloor(s.Now())
-	return network.GreedyFuse(nodeNames(s), s.TrafficEdges(), maxParts, floor), nil
-}
-
-func nodeNames(s *network.System) []string {
-	nodes := s.Nodes()
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		names[i] = n.Name
-	}
-	return names
 }
 
 // Workloads lists the available workload names in canonical order.

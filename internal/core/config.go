@@ -5,11 +5,7 @@
 // mechanism — all with the paper's cycle accounting.
 package core
 
-import (
-	"fmt"
-
-	"transputer/internal/sim"
-)
+import "fmt"
 
 // Priority levels.  The paper numbers priority 0 as high and priority 1
 // as low ("a higher priority process always proceeds in preference to a
@@ -107,14 +103,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: cycle time must be positive")
 	}
 	return nil
-}
-
-// Clock is the machine's view of simulated time, provided by the
-// simulation driver.  At schedules a callback; Cancel revokes one.
-type Clock interface {
-	Now() sim.Time
-	At(t sim.Time, fn func()) sim.EventID
-	Cancel(id sim.EventID)
 }
 
 // NumLinks is the number of bidirectional links on the first

@@ -48,7 +48,7 @@ type Machine struct {
 	halted    bool
 	faulted   *MemoryFault
 
-	clock Clock
+	clock sim.Clock
 	ext   External
 
 	// xfers holds the link transfer in progress on each link direction
@@ -233,7 +233,7 @@ func (m *Machine) resetSchedState() {
 }
 
 // Attach provides the simulated clock and, optionally, the link engine.
-func (m *Machine) Attach(clock Clock, ext External) {
+func (m *Machine) Attach(clock sim.Clock, ext External) {
 	m.clock = clock
 	m.ext = ext
 	m.flowExt, _ = ext.(FlowExternal)

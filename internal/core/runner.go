@@ -2,40 +2,16 @@ package core
 
 import "transputer/internal/sim"
 
-// Driver is the scheduling surface a Runner needs from the simulation
-// engine.  A standalone *sim.Kernel and a coordinator *sim.Shard both
-// satisfy it; the batch-stepping extensions (NextTime, Horizon,
-// SetOffset, Stamp, AdvanceTo) let the runner execute many
-// instructions per heap event while observable time stays exactly as
-// if each instruction had been its own event.
-type Driver interface {
-	Now() sim.Time
-	Schedule(at sim.Time, fn func()) sim.EventID
-	Cancel(id sim.EventID)
-	NextTime() (sim.Time, bool)
-	Horizon() sim.Time
-	SetOffset(d sim.Time)
-	Stamp() uint64
-	AdvanceTo(t sim.Time)
-	// PromiseQuiet records that the event id — the runner's pending
-	// continuation — will not start or acknowledge any link transfer
-	// before the given time.  A sharded coordinator uses the promise to
-	// extend neighbouring windows past the per-link lookahead; a
-	// standalone kernel ignores it.  The promise is superseded the
-	// moment id fires (the runner re-promises, or not, at the next
-	// batch end).
-	PromiseQuiet(id sim.EventID, until sim.Time)
-}
-
-// Runner drives a machine from a simulation driver.  Instructions are
+// Runner drives a machine from its scheduling port.  Instructions are
 // executed in batches: one heap event runs a tight loop of Machine.Step
 // calls, advancing a virtual-time offset per instruction, until the
-// next scheduled event, the shard's window horizon, or the machine
-// idling or halting.  The machine's ready callback resumes a stopped
-// runner.
+// next scheduled event, the port's window horizon, or the machine
+// idling or halting — so many instructions share one heap event while
+// observable time stays exactly as if each had been its own.  The
+// machine's ready callback resumes a stopped runner.
 type Runner struct {
 	M      *Machine
-	drv    Driver
+	port   *sim.Port
 	active bool
 	// stepFn is r.step bound once: the runner schedules a continuation
 	// per batch, and a fresh method value each time is an allocation on
@@ -46,23 +22,16 @@ type Runner struct {
 	BusyCycles uint64
 }
 
-// NewRunner attaches a machine to a driver (as its clock) and arranges
-// stepping.  The external engine, if any, must be attached by the
-// caller before or after.
-func NewRunner(d Driver, m *Machine) *Runner {
-	r := &Runner{M: m, drv: d}
+// NewRunner puts a machine on a port: the port becomes the machine's
+// clock and the thing it is stepped from, and ext (nil for a machine
+// with no links) its link engine.
+func NewRunner(p *sim.Port, m *Machine, ext External) *Runner {
+	r := &Runner{M: m, port: p}
 	r.stepFn = r.step
-	m.Attach(driverClock{d}, nil)
+	m.Attach(p, ext)
 	m.OnReady(r.resume)
 	return r
 }
-
-// driverClock adapts a Driver to the machine's Clock interface.
-type driverClock struct{ d Driver }
-
-func (c driverClock) Now() sim.Time                        { return c.d.Now() }
-func (c driverClock) At(t sim.Time, fn func()) sim.EventID { return c.d.Schedule(t, fn) }
-func (c driverClock) Cancel(id sim.EventID)                { c.d.Cancel(id) }
 
 // Start begins stepping the machine if it has work.
 func (r *Runner) Start() { r.resume() }
@@ -72,16 +41,16 @@ func (r *Runner) resume() {
 		return
 	}
 	r.active = true
-	r.drv.Schedule(r.drv.Now(), r.stepFn)
+	r.port.Schedule(r.port.Now(), r.stepFn)
 }
 
 // bound returns the exclusive virtual time the current batch may run
 // to: the earlier of the next scheduled event (which must interleave
-// exactly as it would with one event per instruction) and the driver's
-// horizon (the shard's conservative window).
+// exactly as it would with one event per instruction) and the port's
+// horizon (its conservative window).
 func (r *Runner) bound() sim.Time {
-	b := r.drv.Horizon()
-	if t, ok := r.drv.NextTime(); ok && t < b {
+	b := r.port.Horizon()
+	if t, ok := r.port.NextTime(); ok && t < b {
 		b = t
 	}
 	return b
@@ -99,7 +68,7 @@ func (r *Runner) step() {
 	if m.Halted() {
 		return
 	}
-	d := r.drv
+	d := r.port
 	base := d.Now()
 	cyc := int64(m.cfg.CycleNs)
 	var off, last sim.Time
@@ -155,6 +124,9 @@ func (r *Runner) step() {
 	r.active = true
 	id := d.Schedule(base+off, r.stepFn)
 	if ahead := m.SendLookaheadCycles(); ahead > 0 {
+		// The continuation will not start or acknowledge any link
+		// transfer before then; the coordinator extends neighbouring
+		// windows past the per-link lookahead on the strength of it.
 		d.PromiseQuiet(id, base+off+sim.Time(int64(ahead)*cyc))
 	}
 }
@@ -166,15 +138,15 @@ type RunResult struct {
 }
 
 // Run executes a loaded machine standalone (no links) until it
-// quiesces or the time limit passes.  A zero limit means no limit.
+// quiesces or the time limit passes.  A zero limit means no limit.  The
+// machine runs as a network of one: a coordinator with a single port,
+// the path every networked machine takes.
 func Run(m *Machine, limit sim.Time) RunResult {
-	k := sim.NewKernel()
-	r := NewRunner(k, m)
-	r.Start()
+	c := sim.NewCoordinator(1)
+	NewRunner(c.NewShard().Port(), m, nil).Start()
 	if limit > 0 {
-		settled := k.RunUntil(limit)
-		return RunResult{Time: k.Now(), Settled: settled}
+		settled := c.RunUntil(limit)
+		return RunResult{Time: c.Now(), Settled: settled}
 	}
-	k.Run()
-	return RunResult{Time: k.Now(), Settled: true}
+	return RunResult{Time: c.Run(), Settled: true}
 }

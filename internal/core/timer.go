@@ -147,7 +147,7 @@ func (m *Machine) armTimer() {
 		}
 	}
 	if earliest >= 0 {
-		m.timerEvent = m.clock.At(earliest, m.timerExpired)
+		m.timerEvent = m.clock.Schedule(earliest, m.timerExpired)
 	}
 }
 

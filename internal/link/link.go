@@ -16,7 +16,7 @@
 // withheld until a process inputs it.
 //
 // The package is organised as an explicit protocol stack, one layer per
-// file (see stack.go for the seams):
+// file (see stack.go for the layer diagram):
 //
 //	wire.go      wire scheduler: packet timing, ack priority, fault hooks
 //	xfer.go      byte transfer: the paper's data/acknowledge protocol

@@ -1,100 +1,31 @@
-// The protocol stack's seams, stated as interfaces.
+// The protocol stack.
 //
 // The package is one engine type layered internally, not five objects
-// wired together at run time — layering by file and by interface keeps
-// the hot paths free of indirection while still making each seam
-// explicit, narrow and independently testable.  Every layer below is a
-// view of *Engine; the compile-time assertions at the bottom are the
-// contract that the engine keeps serving all of them.
+// wired together at run time — layering by file keeps the hot paths
+// free of indirection while each layer stays narrow and independently
+// testable.  Every layer below is a group of *Engine methods; the only
+// interfaces are the ones the machine consumes, asserted at the bottom.
 //
 //	┌─────────────────────────────────────────────────────┐
 //	│ core.External / VChanExternal   (machine transfers) │
 //	├─────────────────────────────────────────────────────┤
-//	│ Multiplexer   vchan.go   N logical chans per wire   │
+//	│ multiplexer   vchan.go   N logical chans per wire   │
 //	├─────────────────────────────────────────────────────┤
-//	│ Streamer      stream.go  raw byte streams, resync   │
+//	│ streams       stream.go  raw byte streams, resync   │
 //	├─────────────────────────────────────────────────────┤
-//	│ Liveness      heartbeat.go  beats, per-link verdict │
+//	│ liveness      heartbeat.go  beats, per-link verdict │
 //	├─────────────────────────────────────────────────────┤
-//	│ Reliability   reliable.go  CRC-8/seq/NAK/retransmit │
+//	│ reliability   reliable.go  CRC-8/seq/NAK/retransmit │
 //	├─────────────────────────────────────────────────────┤
-//	│ Transfer      xfer.go    data/ack byte protocol     │
+//	│ transfer      xfer.go    data/ack byte protocol     │
 //	├─────────────────────────────────────────────────────┤
-//	│ Fabric        wire.go    packet timing, faults, cut │
+//	│ fabric        wire.go    packet timing, faults, cut │
 //	└─────────────────────────────────────────────────────┘
 package link
 
-import (
-	"transputer/internal/core"
-	"transputer/internal/sim"
-)
-
-// Fabric is the wire-scheduler seam: per-link traffic counters and the
-// fault surface (hooks, cable cuts and their reversal) of the physical
-// signal lines.
-type Fabric interface {
-	Connected(i int) bool
-	WireStats(i int) WireStats
-	SetFaultHook(i int, h FaultHook)
-	SeverLink(i int)
-	SeverAll()
-	RestoreLink(i int)
-}
-
-// Transfer is the byte-transfer seam: machine-memory messages moved by
-// the paper's data/acknowledge protocol, plus the mode switch for the
-// stop-and-wait ablation.
-type Transfer interface {
-	BeginOutput(link int, ptr uint64, count int, done func())
-	BeginInput(link int, ptr uint64, count int, done func())
-	EnableInput(link int, ready func()) bool
-	DisableInput(link int) bool
-	SetStopAndWait(v bool)
-}
-
-// Reliability is the error-detecting seam: the opt-in CRC/sequence/NAK
-// retransmission mode and its failure verdict.
-type Reliability interface {
-	SetReliable(on bool, timeout sim.Time, maxRetries int)
-	LinkDown(i int) (down bool, retries int)
-}
-
-// Liveness is the heartbeat seam: beats on idle wires and per-link
-// peer-alive verdicts.
-type Liveness interface {
-	SetHeartbeat(interval, timeout sim.Time)
-	OnHeartbeat(fn func(link int, up bool))
-	StartHeartbeat()
-	StopHeartbeat()
-	PeerDown(l int) bool
-}
-
-// Streamer is the raw-stream seam the routing layer drives: byte-slice
-// transfers and the outage resynchronisation/recovery handshake.
-type Streamer interface {
-	SendRaw(l int, data []byte, done func()) bool
-	RecvRaw(l int, n int, done func([]byte)) bool
-	ResyncLink(l int)
-	RecoverLink(l int)
-}
-
-// Multiplexer is the virtual-channel seam: N logical channels framed
-// onto one physical wire with fair interleaving and per-vchan flow
-// control (see vchan.go).
-type Multiplexer interface {
-	EnableVChans(l, n int)
-	VChans(l int) int
-	SendVC(l, vc int, data []byte, done func()) bool
-	RecvVC(l, vc int, n int, done func([]byte)) bool
-}
+import "transputer/internal/core"
 
 var (
-	_ Fabric             = (*Engine)(nil)
-	_ Transfer           = (*Engine)(nil)
-	_ Reliability        = (*Engine)(nil)
-	_ Liveness           = (*Engine)(nil)
-	_ Streamer           = (*Engine)(nil)
-	_ Multiplexer        = (*Engine)(nil)
 	_ core.External      = (*Engine)(nil)
 	_ core.FlowExternal  = (*Engine)(nil)
 	_ core.VChanExternal = (*Engine)(nil)

@@ -10,8 +10,8 @@ package network
 import "transputer/internal/sim"
 
 // FuseEdge is one weighted undirected edge of the fusion graph: two
-// node names and how much their co-location would save (1 for plain
-// wiring, observed wire traffic for adaptive mode).
+// node names and how much their co-location would save (observed wire
+// traffic, see TrafficEdges).
 type FuseEdge struct {
 	A, B   string
 	Weight uint64
@@ -127,32 +127,6 @@ func GreedyFuse(nodes []string, edges []FuseEdge, maxParts int, minWeight uint64
 		}
 	}
 	return groups
-}
-
-// WiringEdges returns the system's physical connections as unit-weight
-// fusion edges (one per wire pair, in wiring order) — the static
-// fusion graph.  Host links and self-connections are not included.
-func (s *System) WiringEdges() []FuseEdge {
-	order := make(map[*Node]int, len(s.nodes))
-	for i, n := range s.nodes {
-		order[n] = i
-	}
-	var edges []FuseEdge
-	for _, n := range s.nodes {
-		for l := 0; l < len(n.peers); l++ {
-			pn, pl, ok := n.Peer(l)
-			if !ok || pn == n {
-				continue
-			}
-			// Count each connection once, from the end added or wired
-			// first.
-			if order[pn] < order[n] || (pn == n && pl < l) {
-				continue
-			}
-			edges = append(edges, FuseEdge{A: n.Name, B: pn.Name, Weight: 1})
-		}
-	}
-	return edges
 }
 
 // TrafficEdges returns the system's connections weighted by observed

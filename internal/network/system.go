@@ -217,10 +217,9 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 			g.shard = sh
 		}
 	}
-	n.runner = core.NewRunner(n.port, m)
 	n.Engine = link.NewEngine(n.port, m)
 	n.Engine.OnSever(func(l int) { s.linkSevered(n, l) })
-	m.Attach(portClock{n.port}, n.Engine)
+	n.runner = core.NewRunner(n.port, m, n.Engine)
 	m.SetFlowOrigin(uint64(len(s.nodes)) + 1)
 	if s.bus != nil {
 		s.attachCollector(n)
@@ -306,13 +305,6 @@ func (s *System) flushProbes(upTo sim.Time, final bool) {
 		}
 	}
 }
-
-// portClock adapts a port to core.Clock.
-type portClock struct{ p *sim.Port }
-
-func (c portClock) Now() sim.Time                        { return c.p.Now() }
-func (c portClock) At(t sim.Time, fn func()) sim.EventID { return c.p.Schedule(t, fn) }
-func (c portClock) Cancel(id sim.EventID)                { c.p.Cancel(id) }
 
 // MustAddTransputer is AddTransputer for known-good configurations.
 func (s *System) MustAddTransputer(name string, cfg core.Config) *Node {

@@ -12,10 +12,10 @@ import (
 
 // SampleClock is what a sampling tick needs from a target's scheduling
 // domain: a way to plant the next tick and a local quiescence test.
-// Both a standalone *sim.Kernel and a coordinator *sim.Shard satisfy
-// it.  Pending deliberately reflects only the target's own shard —
-// consulting global state from inside a window would make sampling
-// depend on how far other shards had progressed.
+// Callers pass the target node's *sim.Port (a bare *sim.Kernel
+// satisfies it too).  Pending deliberately reflects only the target's
+// own port — consulting global state from inside a window would make
+// sampling depend on how far other shards had progressed.
 type SampleClock interface {
 	After(d sim.Time, fn func()) sim.EventID
 	Pending() int

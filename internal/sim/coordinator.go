@@ -1,0 +1,583 @@
+package sim
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+)
+
+// This file implements the sharded parallel engine: per-node event
+// kernels advanced in bounded windows by a coordinator, with
+// conservative Chandy–Misra-style synchronisation and no null
+// messages.
+//
+// Every cross-node interaction has a minimum latency (for transputer
+// links, the shortest packet's wire time), so an event posted by a
+// node while executing at time T cannot be due at another node before
+// T + lookahead.  The coordinator therefore lets each shard run
+// independently up to a per-shard horizon
+//
+//	horizon(s) = min over q of sendBound(q) + dist(q, s)
+//
+// — the earliest instant anything another shard does could reach s
+// along the wiring (see horizonFor; no other shard can cause anything
+// in s before that) — then meets all shards at a barrier, merges the
+// ports' outboxes into the destination kernels in a canonical order,
+// and opens the next window.  Shard execution inside a window is pure
+// single-threaded event processing, so results are bit-for-bit
+// identical whether windows run on one worker or many.
+//
+// A shard hosts one or more Ports — the per-participant handles the
+// nodes of the simulated system schedule and post through.  Each port
+// owns its own kernel; with one port per shard this is exactly the
+// one-node-per-shard engine.  Fusing several ports onto one shard
+// (see NewPort) keeps their mutual traffic inside the shard: a post
+// between co-resident ports is scheduled straight into the destination
+// port's kernel at its exact timestamp — no outbox entry, no
+// coordinator barrier — and the member kernels are interleaved by a
+// barrier-free sequential loop (see Shard.runBefore) applying the same
+// conservative rule locally.  Because both routes deliver the same
+// message at the same instant under the same (origin port, per-port
+// sequence) ordering key, every port's kernel executes the identical
+// event sequence at any partition, which is what makes observable
+// results byte-identical however nodes are grouped onto shards.
+
+// crossEvent is one outbox entry: a message posted by port src while
+// executing a window, due on port dst at time at.  Entries are merged
+// at the barrier in (at, src, seq) order — a total order that no
+// amount of worker parallelism can perturb.
+type crossEvent struct {
+	at       Time
+	seq      uint64
+	src, dst int32 // origin and destination port ranks
+	rcv      Receiver
+	msg      Msg
+}
+
+// Coordinator advances a set of shards in conservative time windows.
+type Coordinator struct {
+	lookahead Time
+	shards    []*Shard
+	ports     []*Port
+	workers   int
+
+	// mu guards only the pending-unwire list, the one thing shard
+	// goroutines hand the coordinator mid-window outside their own
+	// port's outbox.
+	mu sync.Mutex
+
+	// xq is the barrier's merge buffer for the ports' outboxes,
+	// truncated and reused every window.
+	xq []crossEvent
+
+	// now is the global low-water mark: the limit of the last bounded
+	// run, so an empty system still reports time correctly.
+	now Time
+
+	// onFlush, when set, is called at every barrier with the time below
+	// which no further events can occur; observers use it to merge and
+	// release per-shard probe buffers in deterministic order.
+	onFlush func(upTo Time, final bool)
+
+	// Window dispatch state (see runWindow).  claim packs the current
+	// window's epoch, shard count and next-unclaimed index into one
+	// word, so helpers can take work with a single compare-and-swap
+	// and a stale helper can never claim into the wrong window: the
+	// epoch bits make every cross-window CAS fail.
+	claim    atomic.Uint64
+	active   []*Shard
+	tokenCh  chan struct{}
+	sleepers atomic.Int32
+	helpers  int
+	windowWg sync.WaitGroup
+
+	// Per-pair wiring (see horizonFor).  w[a][b] is the direct
+	// lookahead from shard a to shard b (infTime when unwired),
+	// wcount[a][b] counts parallel links so severing one of several
+	// keeps the pair finite, and dist is the all-pairs shortest-path
+	// closure rebuilt lazily after wiring changes.  Until the first
+	// Wire call the matrix holds the complete graph at the global
+	// lookahead: with nothing known about the wiring, any shard may
+	// reach any other in one lookahead.
+	wired      bool
+	w          [][]Time
+	wcount     [][]int
+	dist       [][]Time
+	selfInf    []Time // shortest round trip leaving and re-entering a shard
+	distDirty  bool
+	sendBounds []Time // per-barrier scratch
+	unwires    []unwire
+
+	// byDist[s] holds the sources that can reach s sorted by influence
+	// distance (nearest first), rebuilt with dist; minSendBound is the
+	// per-barrier minimum of sendBounds.  Together they let horizonFor
+	// cut its scan off early: once d + minSendBound cannot beat the
+	// bound found so far, no farther source can either.
+	byDist       [][]distEntry
+	minSendBound Time
+
+	// Per-barrier scratch, reused to keep the barrier loop
+	// allocation-free: each shard's next event time (MaxTime when its
+	// queues are empty) and the active-shard list for the window.
+	nts       []Time
+	activeBuf []*Shard
+
+	// Engine diagnostics (see EngineStats).  All but fused are touched
+	// only by the coordinator thread between windows; fused is bumped by
+	// shard goroutines taking the intra-shard delivery fast path.
+	stBarriers     uint64
+	stWindows      uint64
+	stShardWindows uint64
+	stCross        uint64
+	stSpanSum      Time
+	stBarrierWait  int64
+	lastMin1       Time
+	lastMin1Set    bool
+}
+
+// distEntry is one source in a shard's nearest-first influence list.
+type distEntry struct {
+	d Time
+	q int32
+}
+
+// unwire is a pending wiring removal: it takes effect only at a barrier
+// where every event at or before cut has already executed, so in-flight
+// traffic from before the sever is already in the destination kernels.
+type unwire struct {
+	a, b int
+	cut  Time
+}
+
+// infTime marks an absent path; far enough from MaxTime that sums of
+// two never overflow.
+const infTime = MaxTime / 4
+
+// NewCoordinator builds a coordinator whose conservative lookahead is
+// the given minimum cross-node event latency.
+func NewCoordinator(lookahead Time) *Coordinator {
+	if lookahead <= 0 {
+		panic("sim: coordinator lookahead must be positive")
+	}
+	return &Coordinator{lookahead: lookahead, workers: 1}
+}
+
+// Lookahead returns the coordinator's window lookahead.
+func (c *Coordinator) Lookahead() Time { return c.lookahead }
+
+// SetWorkers sets how many OS goroutines execute shards inside each
+// window.  The result is identical for every value; only wall-clock
+// time changes.  Values below 1 select 1.
+func (c *Coordinator) SetWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	c.workers = n
+}
+
+// Workers returns the configured worker count.
+func (c *Coordinator) Workers() int { return c.workers }
+
+// OnFlush registers the barrier callback (see Coordinator doc).  Only
+// one callback is supported; registering replaces the previous one.
+func (c *Coordinator) OnFlush(fn func(upTo Time, final bool)) { c.onFlush = fn }
+
+// NewShard adds a shard and returns it.  The shard comes with its
+// first port (see Shard.Port); further participants join it through
+// Shard.NewPort.
+func (c *Coordinator) NewShard() *Shard {
+	s := &Shard{c: c, id: len(c.shards)}
+	c.shards = append(c.shards, s)
+	s.p0 = c.newPort(s)
+	return s
+}
+
+// newPort registers a port on the shard.  Rank — the creation ordinal
+// across the whole coordinator — is the port's identity in delivery
+// keys and event IDs, so the canonical order of same-instant
+// deliveries depends only on which ports exist, never on how they are
+// partitioned onto shards.
+func (c *Coordinator) newPort(s *Shard) *Port {
+	if len(c.ports) >= claimMask-1 {
+		panic("sim: too many ports")
+	}
+	p := &Port{s: s, rank: len(c.ports), k: NewKernel()}
+	c.ports = append(c.ports, p)
+	s.ports = append(s.ports, p)
+	return p
+}
+
+// Wire records a direct link from shard a to shard b with the given
+// minimum latency.  The first Wire call replaces the complete-graph
+// default with horizons derived from actual wiring: pairs with no
+// connecting path contribute no bound at all, so disjoint components
+// (and fully severed nodes) synchronise only internally.  Parallel
+// links stack; each is removed by one Unwire.
+func (c *Coordinator) Wire(a, b int, latency Time) {
+	if latency <= 0 {
+		panic("sim: wire latency must be positive")
+	}
+	if !c.wired {
+		// The first link: drop the complete-graph default, so
+		// ensureMatrix rebuilds the matrix unwired.
+		c.wired, c.w = true, nil
+	}
+	c.ensureMatrix()
+	c.wcount[a][b]++
+	if latency < c.w[a][b] {
+		c.w[a][b] = latency
+	}
+	c.distDirty = true
+}
+
+// Unwire schedules the removal of one a→b link, effective once the
+// whole system has executed past cut (the simulated instant the link
+// stopped carrying traffic).  The deferral is what makes removal safe:
+// by then every event that could have used the link has fired and its
+// deliveries sit in the destination kernels, so widening the horizon
+// afterwards cannot lose causality.
+//
+// Unwire may be called from shard goroutines mid-window (a fault
+// schedule severing a link); the pending list is guarded by the
+// coordinator mutex and drained at the next barrier.  An Unwire with
+// no prior Wire (the complete-graph default) removes nothing.
+func (c *Coordinator) Unwire(a, b int, cut Time) {
+	c.mu.Lock()
+	c.unwires = append(c.unwires, unwire{a: a, b: b, cut: cut})
+	c.mu.Unlock()
+}
+
+// ensureMatrix sizes the wiring matrix to the current shard count.
+// New pairs start unwired once Wire has been called, and at the global
+// lookahead — the complete graph — until then.
+func (c *Coordinator) ensureMatrix() {
+	n := len(c.shards)
+	if len(c.w) == n {
+		return
+	}
+	fill := infTime
+	if !c.wired {
+		fill = c.lookahead
+	}
+	w := make([][]Time, n)
+	wc := make([][]int, n)
+	for i := range w {
+		w[i] = make([]Time, n)
+		wc[i] = make([]int, n)
+		for j := range w[i] {
+			w[i][j] = fill
+		}
+		// Copy any earlier, smaller matrix (shards added after wiring
+		// started).
+		if i < len(c.w) {
+			copy(w[i], c.w[i])
+			copy(wc[i], c.wcount[i])
+		}
+	}
+	c.w, c.wcount = w, wc
+	c.distDirty = true
+}
+
+// applyUnwires retires pending link removals whose cut time the whole
+// system has passed.  Called between windows, with min1 the earliest
+// pending event anywhere.
+func (c *Coordinator) applyUnwires(min1 Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kept := c.unwires[:0]
+	for _, u := range c.unwires {
+		if min1 <= u.cut {
+			kept = append(kept, u)
+			continue
+		}
+		if c.wcount[u.a][u.b] > 0 {
+			c.wcount[u.a][u.b]--
+			if c.wcount[u.a][u.b] == 0 {
+				c.w[u.a][u.b] = infTime
+				c.distDirty = true
+			}
+		}
+	}
+	c.unwires = kept
+}
+
+// refreshDist rebuilds the all-pairs shortest-path closure and the
+// per-shard minimum round trip.  Shard counts are small and wiring
+// changes are rare (a sever), so Floyd–Warshall is plenty.
+func (c *Coordinator) refreshDist() {
+	if !c.distDirty {
+		return
+	}
+	c.distDirty = false
+	n := len(c.shards)
+	if len(c.dist) != n {
+		c.dist = make([][]Time, n)
+		for i := range c.dist {
+			c.dist[i] = make([]Time, n)
+		}
+		c.selfInf = make([]Time, n)
+		c.sendBounds = make([]Time, n)
+	}
+	for i := 0; i < n; i++ {
+		copy(c.dist[i], c.w[i])
+		c.dist[i][i] = 0
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			dik := c.dist[i][k]
+			if dik >= infTime {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if d := dik + c.dist[k][j]; d < c.dist[i][j] {
+					c.dist[i][j] = d
+				}
+			}
+		}
+	}
+	for s := 0; s < n; s++ {
+		rt := infTime
+		for r := 0; r < n; r++ {
+			if r == s {
+				continue
+			}
+			if d := c.dist[s][r] + c.dist[r][s]; d < rt {
+				rt = d
+			}
+		}
+		c.selfInf[s] = rt
+	}
+	// byDist[s] lists every source that can influence s, nearest
+	// first, so the per-barrier horizon scan can stop as soon as the
+	// remaining distances cannot beat the minimum found.  Unreachable
+	// sources are left out entirely: they never contribute a bound.
+	if len(c.byDist) != n {
+		c.byDist = make([][]distEntry, n)
+	}
+	for s := 0; s < n; s++ {
+		list := c.byDist[s][:0]
+		for q := 0; q < n; q++ {
+			d := c.dist[q][s]
+			if q == s {
+				d = c.selfInf[s]
+			}
+			if d >= infTime {
+				continue
+			}
+			list = append(list, distEntry{d: d, q: int32(q)})
+		}
+		sort.Slice(list, func(i, j int) bool { return list[i].d < list[j].d })
+		c.byDist[s] = list
+	}
+}
+
+// Dist reports the current influence distance from shard a to shard b
+// (infinite when no path connects them), recomputing the closure if
+// wiring changed.  For tests and diagnostics; the run loop uses the
+// internal matrices directly.
+func (c *Coordinator) Dist(a, b int) (d Time, connected bool) {
+	c.ensureMatrix()
+	c.applyUnwires(MaxTime)
+	c.refreshDist()
+	d = c.dist[a][b]
+	return d, d < infTime
+}
+
+// Now returns the global simulated time: the furthest any port has
+// executed (or the limit of the last bounded run if later).
+func (c *Coordinator) Now() Time {
+	t := c.now
+	for _, p := range c.ports {
+		if n := p.k.Now(); n > t {
+			t = n
+		}
+	}
+	return t
+}
+
+// drain merges the ports' outboxes into the destination kernels in
+// (at, src, seq) order.  Called between windows only: the barrier that
+// ended the window makes every outbox append happen-before this read,
+// so nothing here takes a lock.  Outboxes and the merge buffer are
+// truncated, never dropped, so a steady stream of posts allocates
+// nothing; they grow on demand to the busiest window seen.
+func (c *Coordinator) drain() {
+	q := c.xq[:0]
+	for _, p := range c.ports {
+		if len(p.outbox) > 0 {
+			q = append(q, p.outbox...)
+			p.outbox = p.outbox[:0]
+		}
+	}
+	c.xq = q
+	if len(q) == 0 {
+		return
+	}
+	c.stCross += uint64(len(q))
+	// Insertion sort: a window's worth of link packets is tiny and
+	// often nearly ordered.
+	for i := 1; i < len(q); i++ {
+		for j := i; j > 0 && crossLess(q[j], q[j-1]); j-- {
+			q[j], q[j-1] = q[j-1], q[j]
+		}
+	}
+	for i := range q {
+		// The key extends the (at, src, seq) order into the kernel heap
+		// itself, so a delivery's place among same-instant events never
+		// depends on which barrier injected it (see Kernel.less) — and,
+		// because the fused route in Port.PostMsg uses the same key, not
+		// on whether the origin port shares the destination's shard.
+		e := &q[i]
+		c.ports[e.dst].k.ScheduleDelivery(e.at, deliveryKey(int(e.src), e.seq), e.rcv, e.msg)
+	}
+}
+
+// deliveryKey packs a delivery's canonical identity — origin port rank
+// and per-port sequence — into the kernel ordering key.
+func deliveryKey(rank int, seq uint64) uint64 {
+	return uint64(rank+1)<<portRankShift | seq
+}
+
+func crossLess(a, b crossEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+
+// flush invokes the barrier callback.
+func (c *Coordinator) flush(upTo Time, final bool) {
+	if c.onFlush != nil {
+		c.onFlush(upTo, final)
+	}
+}
+
+// Run fires events until every port's queue (and every outbox) drains,
+// and returns the final time.
+func (c *Coordinator) Run() Time {
+	c.run(MaxTime, false)
+	return c.Now()
+}
+
+// RunUntil fires events with time <= limit.  It returns true if the
+// system drained before the limit; otherwise every port's clock is
+// advanced to the limit (matching Kernel.RunUntil on a lone kernel).
+func (c *Coordinator) RunUntil(limit Time) bool {
+	return c.run(limit, true)
+}
+
+func (c *Coordinator) run(limit Time, bounded bool) bool {
+	stop := c.startPool()
+	defer stop()
+	c.ensureMatrix()
+	if len(c.nts) != len(c.shards) {
+		c.nts = make([]Time, len(c.shards))
+	}
+	for {
+		c.drain()
+		// min1 is the earliest next-event time across shards.  Each
+		// shard's next-event time is cached for the rest of the barrier
+		// (the active-shard scan): peeking costs a cancellation check.
+		min1 := MaxTime
+		for _, s := range c.shards {
+			t, ok := s.NextTime()
+			if !ok {
+				t = MaxTime
+			}
+			c.nts[s.id] = t
+			if t < min1 {
+				min1 = t
+			}
+		}
+		if min1 == MaxTime {
+			c.flush(MaxTime, true)
+			return true
+		}
+		c.flush(min1, false)
+		if bounded && min1 > limit {
+			for _, s := range c.shards {
+				s.advanceTo(limit)
+			}
+			if c.now < limit {
+				c.now = limit
+			}
+			return false
+		}
+		c.stBarriers++
+		if c.lastMin1Set && min1 > c.lastMin1 {
+			c.stSpanSum += min1 - c.lastMin1
+		}
+		c.lastMin1, c.lastMin1Set = min1, true
+		c.applyUnwires(min1)
+		c.refreshDist()
+		minSb := MaxTime
+		for _, q := range c.shards {
+			sb := q.sendBound()
+			c.sendBounds[q.id] = sb
+			if sb < minSb {
+				minSb = sb
+			}
+		}
+		c.minSendBound = minSb
+		active := c.activeBuf[:0]
+		for _, s := range c.shards {
+			// The sound window: a shard may run only to the earliest
+			// instant any cross-shard event could reach it.
+			hzn := c.horizonFor(s)
+			if bounded && hzn > limit+1 {
+				hzn = limit + 1
+			}
+			s.hzn = hzn
+			if c.nts[s.id] < hzn {
+				active = append(active, s)
+			}
+		}
+		c.activeBuf = active
+		if len(active) > 0 {
+			c.stWindows++
+			c.stShardWindows += uint64(len(active))
+		}
+		c.runWindow(active)
+	}
+}
+
+// horizonFor computes a shard's window bound from actual wiring: the
+// earliest instant externally-visible activity anywhere could reach s.
+// Shard q's first possible external action is sendBound(q) — its next
+// event, except that a runner's quiet promise discounts the promised
+// continuation up to the promised time — and the fastest route from q
+// to s adds dist[q][s] (for q = s, the shortest round trip out and
+// back, since a shard's own event can bound it only via an echo).
+// Pairs with no connecting path contribute nothing: a severed or
+// unwired neighbourhood cannot affect s at all, and a lone shard, with
+// no one to hear from, runs unbounded.  On the never-wired default,
+// the complete graph at one lookahead, the rule lets every shard run
+// one lookahead past the earliest event anywhere — and the shard
+// holding that event one lookahead past the next-earliest, or two past
+// its own.
+//
+// Fusion changes none of the arithmetic, only the graph it runs over:
+// the partition's shards replace per-node shards, an inter-shard edge
+// is the minimum latency over member wire pairs (Wire keeps the min),
+// and intra-member traffic does not appear at all — which is the
+// point, since it no longer bounds any window.
+func (c *Coordinator) horizonFor(s *Shard) Time {
+	hzn := MaxTime
+	minSb := c.minSendBound
+	for _, e := range c.byDist[s.id] {
+		if hzn < MaxTime && e.d+minSb >= hzn {
+			break
+		}
+		sb := c.sendBounds[e.q]
+		if sb >= infTime {
+			continue
+		}
+		if h := sb + e.d; h < hzn {
+			hzn = h
+		}
+	}
+	return hzn
+}

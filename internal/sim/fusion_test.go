@@ -151,7 +151,8 @@ func TestFusionPartitionInvariantCancel(t *testing.T) {
 // closure after incremental Unwire and Wire calls must equal a
 // from-scratch Floyd–Warshall over the surviving links — the horizon
 // computation trusts dist, so drift here would silently widen or
-// wrongly narrow windows.
+// wrongly narrow windows.  Before the first Wire call the links are the
+// complete graph at the lookahead.
 func TestDistClosureAfterRewire(t *testing.T) {
 	const L = Time(100)
 	type edge struct {
@@ -163,18 +164,7 @@ func TestDistClosureAfterRewire(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.NewShard()
 	}
-	// A ring with a chord, wired both ways.
 	edges := []edge{}
-	both := func(a, b int, lat Time) {
-		c.Wire(a, b, lat)
-		c.Wire(b, a, lat)
-		edges = append(edges, edge{a, b, lat}, edge{b, a, lat})
-	}
-	for i := 0; i < n; i++ {
-		both(i, (i+1)%n, L)
-	}
-	both(0, 3, 2*L)
-
 	check := func(stage string) {
 		t.Helper()
 		// From-scratch Floyd–Warshall over the current edge set.
@@ -220,6 +210,26 @@ func TestDistClosureAfterRewire(t *testing.T) {
 			}
 		}
 	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b {
+				edges = append(edges, edge{a, b, L})
+			}
+		}
+	}
+	check("never wired")
+
+	// A ring with a chord, wired both ways.
+	edges = edges[:0]
+	both := func(a, b int, lat Time) {
+		c.Wire(a, b, lat)
+		c.Wire(b, a, lat)
+		edges = append(edges, edge{a, b, lat}, edge{b, a, lat})
+	}
+	for i := 0; i < n; i++ {
+		both(i, (i+1)%n, L)
+	}
+	both(0, 3, 2*L)
 	check("initial")
 
 	// Sever the chord and one ring segment (both directions, cut time

@@ -35,17 +35,20 @@ func (t Time) String() string {
 	}
 }
 
-// MaxTime is the latest representable instant; Horizon returns it for a
-// kernel that is not bounded by a coordinator window.
+// MaxTime is the latest representable instant: the horizon of a port
+// no coordinator window bounds, and the next-event time of an empty
+// queue.
 const MaxTime = Time(1<<63 - 1)
 
 // EventID identifies a scheduled event so it can be cancelled.  The zero
 // value is never a valid ID.
 type EventID uint64
 
-// Clock is the scheduling interface shared by a standalone Kernel and a
-// coordinator Shard; machines, link engines and hosts are written
-// against it so the same wiring runs single-queue or sharded.
+// Clock is the scheduling interface machines, link engines and hosts
+// are written against.  A Port implements it — every simulated machine
+// runs on one — and so does a bare Kernel, the plain event queue a
+// port wraps, which is all that host-to-host link experiments and
+// protocol tests need.
 type Clock interface {
 	Now() Time
 	Schedule(at Time, fn func()) EventID
@@ -79,8 +82,8 @@ type event struct {
 // slotInfo is the liveness record of one heap entry.  An EventID packs
 // the slot index with the slot's generation at scheduling time, so a
 // handle held across the event's firing goes stale automatically: the
-// pop bumps the generation, and any later Cancel or IsPending through
-// the old handle mismatches.  This keeps per-event bookkeeping to two
+// pop bumps the generation, and any later Cancel through the old
+// handle mismatches.  This keeps per-event bookkeeping to two
 // array accesses — no map insert on schedule, no map delete on fire —
 // which matters because the kernel executes one of these cycles per
 // instruction batch.
@@ -118,16 +121,11 @@ type Kernel struct {
 	// stamp increments on every Schedule and Cancel, letting a batch
 	// runner cheaply detect that its cached execution bound is stale.
 	stamp uint64
-
-	// horizon is the exclusive execution bound: MaxTime normally, or
-	// limit+1 while RunUntil is in progress so batch runners stop at
-	// the limit instead of free-running past it.
-	horizon Time
 }
 
 // NewKernel returns a kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{horizon: MaxTime}
+	return &Kernel{}
 }
 
 // EventID layout: slot+1 in bits 32..47, generation in bits 0..31.
@@ -205,31 +203,6 @@ func (k *Kernel) NextTime() (Time, bool) {
 		return 0, false
 	}
 	return e.at, true
-}
-
-// Horizon is the exclusive bound events may run to: MaxTime for a
-// free-running kernel, limit+1 during RunUntil.  (A coordinator Shard
-// overrides this with its current window horizon.)
-func (k *Kernel) Horizon() Time { return k.horizon }
-
-// PromiseQuiet is the send-promise hook of the batch-runner driver
-// interface.  A lone kernel has no neighbours to inform, so it ignores
-// promises; a coordinator Shard records them to extend windows.
-func (k *Kernel) PromiseQuiet(id EventID, until Time) {}
-
-// IsPending reports whether an event is still scheduled and not
-// cancelled.
-func (k *Kernel) IsPending(id EventID) bool { return k.lookup(id) >= 0 }
-
-// NextEvent reports the earliest pending event's time and ID — the
-// coordinator's check for whether a quiet promise covers the head of
-// the queue.
-func (k *Kernel) NextEvent() (Time, EventID, bool) {
-	e, ok := k.peek()
-	if !ok {
-		return 0, 0, false
-	}
-	return e.at, EventID(uint64(e.slot+1)<<slotShift | uint64(k.slots[e.slot].gen)), true
 }
 
 // HeadIs reports whether the earliest pending event is the one the
@@ -351,10 +324,6 @@ func (k *Kernel) Run() Time {
 // RunUntil fires events with time <= limit.  It returns true if the
 // queue drained before the limit.
 func (k *Kernel) RunUntil(limit Time) bool {
-	if limit < MaxTime {
-		k.horizon = limit + 1
-		defer func() { k.horizon = MaxTime }()
-	}
 	for {
 		e, ok := k.peek()
 		if !ok {

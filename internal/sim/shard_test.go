@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -41,7 +42,7 @@ func TestShardSameInstantOrder(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b, d := c.NewShard(), c.NewShard(), c.NewShard()
+		a, b, d := c.NewShard().Port(), c.NewShard().Port(), c.NewShard().Port()
 		var trace []string
 		at := 5 * L
 		// Local events scheduled first get the lowest kernel sequence
@@ -72,7 +73,7 @@ func TestShardCrossCancel(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b := c.NewShard(), c.NewShard()
+		a, b := c.NewShard().Port(), c.NewShard().Port()
 		var trace []string
 		// Far event: due 10L out; b cancels at time L, the cancel is
 		// released at 2L, well before the event.  Must not fire.
@@ -102,7 +103,7 @@ func TestShardRunUntilMidWindow(t *testing.T) {
 	withWorkers(t, func(workers int) []string {
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		a, b := c.NewShard(), c.NewShard()
+		a, b := c.NewShard().Port(), c.NewShard().Port()
 		// Each shard records its own firings (shards may execute
 		// concurrently); the traces are merged by time afterwards —
 		// every due time is distinct, so the merge is total.
@@ -144,13 +145,27 @@ func TestShardRunUntilMidWindow(t *testing.T) {
 func TestShardEventAtLimitFires(t *testing.T) {
 	const L = Time(100)
 	c := NewCoordinator(L)
-	a := c.NewShard()
-	b := c.NewShard()
+	a := c.NewShard().Port()
+	b := c.NewShard().Port()
 	fired := false
 	a.Schedule(4*L, func() { fired = true })
 	b.Schedule(5*L, func() {})
 	c.RunUntil(4 * L)
 	if !fired {
 		t.Error("event at the limit did not fire")
+	}
+}
+
+// TestClockImplementers: a port and the bare kernel it wraps are
+// clocks; a shard is not.  Everything schedules through a port, and a
+// Shard that grew the Clock methods back would be a second scheduling
+// surface for the same job.
+func TestClockImplementers(t *testing.T) {
+	clock := reflect.TypeOf((*Clock)(nil)).Elem()
+	if !reflect.TypeOf((*Port)(nil)).Implements(clock) || !reflect.TypeOf((*Kernel)(nil)).Implements(clock) {
+		t.Error("*Port and *Kernel must implement Clock")
+	}
+	if reflect.TypeOf((*Shard)(nil)).Implements(clock) {
+		t.Error("*Shard implements Clock; schedule through its ports instead")
 	}
 }

@@ -15,14 +15,13 @@ import (
 // there.
 
 // FuseModes documents the accepted -fuse values.
-const FuseModes = "off|topo|greedy|auto|full"
+const FuseModes = "off|topo|auto|full"
 
 // ResolveFusion turns a -fuse mode into the topology's final Shards
 // placement.  Modes:
 //
 //	off     ignore any `shard` directives; one node per shard
 //	topo    the file's `shard` directives as written (the default)
-//	greedy  contract the wiring graph to at most maxParts shards
 //	full    every node on one shard
 //	auto    profile a pre-run of the unfused topology, then contract
 //	        the observed traffic graph to at most maxParts shards,
@@ -42,14 +41,7 @@ func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) e
 			topo.Shards = nil
 			return nil
 		}
-		all := make([]string, len(topo.Transputers))
-		for i, t := range topo.Transputers {
-			all[i] = t.Name
-		}
-		topo.Shards = [][]string{all}
-		return nil
-	case "greedy":
-		topo.Shards = network.GreedyFuse(nodeNames(topo), wiringEdges(topo), maxParts, 1)
+		topo.Shards = [][]string{nodeNames(topo)}
 		return nil
 	case "auto":
 		groups, err := AutoFuseGroups(topo, baseDir, maxParts)
@@ -69,19 +61,6 @@ func nodeNames(topo *network.Topology) []string {
 		names[i] = t.Name
 	}
 	return names
-}
-
-// wiringEdges is the static fusion graph: one unit-weight edge per
-// transputer-to-transputer connection (self-connections excluded).
-func wiringEdges(topo *network.Topology) []network.FuseEdge {
-	var edges []network.FuseEdge
-	for _, c := range topo.Connections {
-		if c.A == c.B {
-			continue
-		}
-		edges = append(edges, network.FuseEdge{A: c.A, B: c.B, Weight: 1})
-	}
-	return edges
 }
 
 // AutoFuseGroups profiles the topology unfused and partitions by

@@ -83,7 +83,7 @@ func assertFusionInvariant(t *testing.T, path string) {
 	tlPath := filepath.Join(t.TempDir(), "tl.json")
 	flPath := filepath.Join(t.TempDir(), "flows.json")
 	ref := runFusedNet(t, path, tlPath, flPath, "off", 1, true)
-	for _, fuse := range []string{"off", "topo", "greedy", "auto", "full"} {
+	for _, fuse := range []string{"off", "topo", "auto", "full"} {
 		for _, workers := range []int{1, 4} {
 			for _, bc := range []bool{true, false} {
 				if fuse == "off" && workers == 1 && bc {
@@ -135,4 +135,21 @@ func TestFusionInvariantVChanSieve(t *testing.T) {
 // host protocol.
 func TestFusionInvariantRing(t *testing.T) {
 	assertFusionInvariant(t, filepath.Join("..", "..", "examples", "netdemo", "ring.tnet"))
+}
+
+// TestUnknownFuseModeRejected: a mode outside FuseModes — including
+// greedy, which used to be one — is an error naming the accepted
+// values, and leaves the topology's own placement alone.
+func TestUnknownFuseModeRejected(t *testing.T) {
+	for _, mode := range []string{"greedy", "bogus"} {
+		topo := &network.Topology{Shards: [][]string{{"a", "b"}}}
+		err := ResolveFusion(topo, mode, ".", 4)
+		want := fmt.Sprintf("unknown fuse mode %q (want off|topo|auto|full)", mode)
+		if err == nil || err.Error() != want {
+			t.Errorf("ResolveFusion(%q) = %v, want %q", mode, err, want)
+		}
+		if len(topo.Shards) != 1 {
+			t.Errorf("ResolveFusion(%q) changed the placement: %v", mode, topo.Shards)
+		}
+	}
 }
