@@ -1,10 +1,13 @@
 package probe
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"transputer/internal/sim"
 )
@@ -40,6 +43,7 @@ type FlowTable struct {
 // flowRec accumulates one flow's events.
 type flowRec struct {
 	id        uint64
+	name      string // "<key>#<ordinal>", set by Finish
 	start     sim.Time
 	end       sim.Time
 	startNode string
@@ -254,19 +258,21 @@ type PathSpan struct {
 	Loc     string `json:"loc,omitempty"`
 }
 
-// key returns the grouping identity for naming and histograms.
-func (r *flowRec) key() string {
+// appendKey appends the grouping identity for naming and histograms:
+// "src ch@0xaddr" for a channel, "src.Llink[.vchan]>dst" for a link.
+func (r *flowRec) appendKey(b []byte) []byte {
+	b = append(b, r.src...)
 	if r.isChan {
-		return fmt.Sprintf("%s ch@%#x", r.src, r.addr)
+		return strconv.AppendUint(append(b, " ch@0x"...), r.addr, 16)
 	}
-	dst := r.dst
-	if dst == "" {
-		dst = "ext"
-	}
+	b = strconv.AppendInt(append(b, ".L"...), int64(r.link), 10)
 	if r.vc >= 0 {
-		return fmt.Sprintf("%s.L%d.v%d>%s", r.src, r.link, r.vc, dst)
+		b = strconv.AppendInt(append(b, ".v"...), int64(r.vc), 10)
 	}
-	return fmt.Sprintf("%s.L%d>%s", r.src, r.link, dst)
+	if r.dst == "" {
+		return append(b, ">ext"...)
+	}
+	return append(append(b, '>'), r.dst...)
 }
 
 // Finish freezes the table at the run's end time and builds the
@@ -274,15 +280,33 @@ func (r *flowRec) key() string {
 func (t *FlowTable) Finish(end sim.Time) {
 	doc := &FlowDoc{EndNs: int64(end)}
 
-	// Name flows per key in discovery order, and build their records.
-	ordinals := map[string]int{}
+	// One pass builds each flow's record, names it "<key>#<ordinal>" in
+	// discovery order and files its latency under its key.
+	type group struct {
+		key   string
+		lat   []int64
+		bytes int64
+	}
+	groups := map[string]*group{}
+	var byKey []*group
+	var key []byte
+	if len(t.order) > 0 {
+		doc.Flows = make([]FlowInfo, 0, len(t.order))
+	}
 	for _, r := range t.order {
-		k := r.key()
-		ordinals[k]++
-		name := fmt.Sprintf("%s#%d", k, ordinals[k])
+		key = r.appendKey(key[:0])
+		g := groups[string(key)]
+		if g == nil {
+			g = &group{key: string(key)}
+			groups[g.key] = g
+			byKey = append(byKey, g)
+		}
+		g.lat = append(g.lat, int64(r.end-r.start))
+		g.bytes += int64(r.bytes)
+		r.name = g.key + "#" + strconv.Itoa(len(g.lat))
 		fi := FlowInfo{
 			ID:   r.id,
-			Name: name,
+			Name: r.name,
 			Kind: "link",
 			Src:  r.src,
 			Dst:  r.dst,
@@ -319,33 +343,17 @@ func (t *FlowTable) Finish(end sim.Time) {
 	}
 
 	// Latency histograms per key, sorted by key for stable output.
-	group := map[string][]*flowRec{}
-	var keys []string
-	for _, r := range t.order {
-		k := r.key()
-		if _, ok := group[k]; !ok {
-			keys = append(keys, k)
-		}
-		group[k] = append(group[k], r)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rs := group[k]
-		lat := make([]int64, 0, len(rs))
-		var bytes int64
-		for _, r := range rs {
-			lat = append(lat, int64(r.end-r.start))
-			bytes += int64(r.bytes)
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.SortFunc(byKey, func(a, b *group) int { return strings.Compare(a.key, b.key) })
+	for _, g := range byKey {
+		slices.Sort(g.lat)
 		doc.Histograms = append(doc.Histograms, FlowHistogram{
-			Key:   k,
-			Count: len(rs),
-			Bytes: bytes,
-			P50Ns: rank(lat, 50),
-			P95Ns: rank(lat, 95),
-			P99Ns: rank(lat, 99),
-			MaxNs: lat[len(lat)-1],
+			Key:   g.key,
+			Count: len(g.lat),
+			Bytes: g.bytes,
+			P50Ns: rank(g.lat, 50),
+			P95Ns: rank(g.lat, 95),
+			P99Ns: rank(g.lat, 99),
+			MaxNs: g.lat[len(g.lat)-1],
 		})
 	}
 
@@ -380,14 +388,6 @@ func rank(sorted []int64, pct int) int64 {
 // no gaps or overlaps, so their durations sum exactly to the
 // end-to-end completion time.
 func (t *FlowTable) criticalPath(end sim.Time) []PathSpan {
-	names := map[uint64]string{}
-	ordinals := map[string]int{}
-	for _, r := range t.order {
-		k := r.key()
-		ordinals[k]++
-		names[r.id] = fmt.Sprintf("%s#%d", k, ordinals[k])
-	}
-
 	// Index flows by the node their last event landed on.
 	arrivals := map[string][]*flowRec{}
 	for _, r := range t.order {
@@ -418,7 +418,7 @@ func (t *FlowTable) criticalPath(end sim.Time) []PathSpan {
 			rev = append(rev, PathSpan{Node: node, What: "compute",
 				StartNs: int64(best.end), DurNs: int64(tcur - best.end)})
 		}
-		sp := PathSpan{Node: best.startNode, What: names[best.id], FlowID: best.id,
+		sp := PathSpan{Node: best.startNode, What: best.name, FlowID: best.id,
 			StartNs: int64(best.start), DurNs: int64(best.end - best.start)}
 		if t.Resolve != nil && best.startIP != 0 {
 			sp.Loc = t.Resolve(best.startNode, best.startIP)
@@ -427,21 +427,187 @@ func (t *FlowTable) criticalPath(end sim.Time) []PathSpan {
 		tcur = best.start
 		node = best.startNode
 	}
-	path := make([]PathSpan, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	return path
+	slices.Reverse(rev)
+	return rev
 }
 
 // Doc returns the document built by Finish.
 func (t *FlowTable) Doc() *FlowDoc { return t.doc }
 
-// WriteJSON writes the document built by Finish.
-func (t *FlowTable) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(t.doc)
+// WriteJSON streams the document built by Finish through a bounded
+// buffer and stops at the first write error.
+func (t *FlowTable) WriteJSON(w io.Writer) error { return writeFlowDoc(w, t.doc) }
+
+// writeFlowDoc writes byte for byte what a json.Encoder with
+// SetIndent("", " ") writes for the document (flow_ref_test.go keeps
+// that encoder): members in declaration order, the omitempty ones left
+// out when zero, null for a nil slice.
+func writeFlowDoc(w io.Writer, doc *FlowDoc) error {
+	d := docEnc{out: newOut(w)}
+	if doc == nil {
+		d.b = append(d.b, "null\n"...)
+		return d.flush()
+	}
+	d.open('{')
+	d.int("end_ns", doc.EndNs)
+	docArray(&d, "flows", doc.Flows, func(f *FlowInfo) {
+		d.uint("id", f.ID)
+		d.str("name", f.Name)
+		d.str("kind", f.Kind)
+		d.str("src", f.Src)
+		d.str("dst", f.Dst)
+		d.int("link", int64(f.Link))
+		d.uint("addr", f.Addr)
+		d.int("bytes", int64(f.Bytes))
+		d.int("start_ns", f.StartNs)
+		d.int("end_ns", f.EndNs)
+		d.int("queue_ns", f.QueueNs)
+		d.int("wire_ns", f.WireNs)
+		d.int("retrans_ns", f.RetransNs)
+		d.int("ack_ns", f.AckNs)
+		d.int("ack_stall_ns", f.AckStallNs)
+		d.int("wait_ns", f.WaitNs)
+		d.int("retransmits", int64(f.Retransmits))
+		d.int("naks", int64(f.Naks))
+		d.int("drops", int64(f.Drops))
+		d.int("corrupts", int64(f.Corrupts))
+		d.key("down")
+		d.b = strconv.AppendBool(d.b, f.Down)
+		if f.Loc != "" {
+			d.str("loc", f.Loc)
+		}
+	})
+	docArray(&d, "histograms", doc.Histograms, func(h *FlowHistogram) {
+		d.str("key", h.Key)
+		d.int("count", int64(h.Count))
+		d.int("bytes", h.Bytes)
+		d.int("p50_ns", h.P50Ns)
+		d.int("p95_ns", h.P95Ns)
+		d.int("p99_ns", h.P99Ns)
+		d.int("max_ns", h.MaxNs)
+	})
+	docArray(&d, "critical_path", doc.CriticalPath, func(s *PathSpan) {
+		d.str("node", s.Node)
+		d.str("what", s.What)
+		if s.FlowID != 0 {
+			d.uint("flow_id", s.FlowID)
+		}
+		d.int("start_ns", s.StartNs)
+		d.int("dur_ns", s.DurNs)
+		if s.Loc != "" {
+			d.str("loc", s.Loc)
+		}
+	})
+	d.int("critical_path_ns", doc.CriticalPathNs)
+	d.close('}')
+	d.b = append(d.b, '\n')
+	return d.flush()
+}
+
+// out is the buffer the timeline and flow renderers append to: b goes
+// to w whenever an element leaves it flushLen long, so a render holds
+// 64 KiB whatever it renders.  Nothing is written after a write error.
+type out struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+// flushLen leaves 4 KiB of capacity for the element that crosses it.
+const flushLen = 60 << 10
+
+func newOut(w io.Writer) *out { return &out{w: w, b: make([]byte, 0, 64<<10)} }
+
+// flush writes the buffer out and returns the first write error so far.
+func (o *out) flush() error {
+	if o.err == nil {
+		_, o.err = o.w.Write(o.b)
+	}
+	o.b = o.b[:0]
+	return o.err
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it, with
+// its HTML escaping of <, > and & (a link flow's name has a '>').  A
+// string with a quote, a backslash, a control character or a byte
+// outside ASCII goes through encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	start := len(b)
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '<' || c == '>' || c == '&':
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		case c < ' ' || c >= 0x80 || c == '"' || c == '\\':
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b[:start], q...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
+}
+
+// docEnc appends a document in the layout of a json.Encoder with
+// SetIndent("", " "): every member and element on its own line, one
+// space of indent a level, ": " after a key, "[]" for an empty array.
+type docEnc struct {
+	*out
+	depth int
+	first bool // nothing is written yet inside the innermost bracket
+}
+
+// line starts the line of the next member or element.
+func (d *docEnc) line() {
+	if !d.first {
+		d.b = append(d.b, ',')
+	}
+	d.first = false
+	d.b = append(append(d.b, '\n'), "    "[:d.depth]...)
+}
+
+func (d *docEnc) open(bracket byte) { d.b, d.first = append(d.b, bracket), true; d.depth++ }
+
+func (d *docEnc) close(bracket byte) {
+	d.depth--
+	if !d.first {
+		d.b = append(append(d.b, '\n'), "    "[:d.depth]...)
+	}
+	d.b, d.first = append(d.b, bracket), false
+}
+
+func (d *docEnc) key(k string) {
+	d.line()
+	d.b = append(append(append(d.b, '"'), k...), `": `...)
+}
+
+func (d *docEnc) int(k string, v int64)   { d.key(k); d.b = strconv.AppendInt(d.b, v, 10) }
+func (d *docEnc) uint(k string, v uint64) { d.key(k); d.b = strconv.AppendUint(d.b, v, 10) }
+func (d *docEnc) str(k, v string)         { d.key(k); d.b = appendJSONString(d.b, v) }
+
+// docArray writes member k as an array of objects, members writing
+// each one's, and flushes between elements; nothing after a write error.
+func docArray[T any](d *docEnc, k string, s []T, members func(*T)) {
+	if d.err != nil {
+		return
+	}
+	d.key(k)
+	if s == nil {
+		d.b = append(d.b, "null"...)
+		return
+	}
+	d.open('[')
+	for i := range s {
+		d.line()
+		d.open('{')
+		members(&s[i])
+		d.close('}')
+		if len(d.b) >= flushLen && d.flush() != nil {
+			return
+		}
+	}
+	d.close(']')
 }
 
 // Report prints the summary tables; top bounds the slowest-flows list
@@ -484,15 +650,12 @@ func (d *FlowDoc) Report(w io.Writer, top int) {
 		fmt.Fprintf(w, "    %10v  %-28s %10v%s\n",
 			sim.Time(s.StartNs), what, sim.Time(s.DurNs), loc)
 	}
-	slow := make([]FlowInfo, len(d.Flows))
-	copy(slow, d.Flows)
-	sort.SliceStable(slow, func(i, j int) bool {
-		di := slow[i].EndNs - slow[i].StartNs
-		dj := slow[j].EndNs - slow[j].StartNs
-		if di != dj {
-			return di > dj
-		}
-		return slow[i].ID < slow[j].ID
+	slow := make([]*FlowInfo, len(d.Flows))
+	for i := range d.Flows {
+		slow[i] = &d.Flows[i]
+	}
+	slices.SortStableFunc(slow, func(a, b *FlowInfo) int {
+		return cmp.Or(cmp.Compare(b.EndNs-b.StartNs, a.EndNs-a.StartNs), cmp.Compare(a.ID, b.ID))
 	})
 	if top > 0 && len(slow) > top {
 		slow = slow[:top]

@@ -8,65 +8,63 @@ import (
 	"transputer/internal/sim"
 )
 
-// TestKindExhaustive pins every declared Kind to a String() name and a
-// timeline renderer case: each kind is fed through the timeline with
-// plausible fields and must produce a chrome event with the expected
-// name and phase at its timestamp.  Adding a Kind without extending the
-// table (and the renderer) fails here instead of silently dropping the
-// kind from traces.
-func TestKindExhaustive(t *testing.T) {
-	type want struct {
-		ev   Event
-		name string
-		ph   string
-	}
-	flowChan := PackFlow(1, 1)
-	flowLink := PackFlow(1, 2)
-	table := map[Kind]want{
-		ProcDispatch:   {Event{Proc: 0x101}, "run", "B"},
-		ProcStop:       {Event{}, "run", "E"},
-		ProcReady:      {Event{Pri: 1, Depth: 2}, "runq.pri1", "C"},
-		Preempt:        {Event{Dur: 100}, "preempt", "i"},
-		Timeslice:      {Event{}, "timeslice", "i"},
-		ChanBlock:      {Event{Proc: 0x101, Addr: 0x80, Out: true, Flow: flowChan}, "chan.block", "i"},
-		ChanRendezvous: {Event{Proc: 0x101, Addr: 0x80, Bytes: 4, Flow: flowChan}, "chan.rendezvous", "i"},
-		TimerWait:      {Event{Proc: 0x101, Arg: 99}, "timer.wait", "i"},
-		TimerFire:      {Event{Proc: 0x101}, "timer.fire", "i"},
-		EventPin:       {Event{}, "event.pin", "i"},
-		LinkXferStart:  {Event{Proc: 0x101, Link: 1, Bytes: 4, Out: true, Flow: flowLink}, "link.out", "B"},
-		LinkXferEnd:    {Event{Proc: 0x101, Link: 1, Out: true, Flow: flowLink}, "link.out", "E"},
-		WirePacket:     {Event{Link: 1, Bytes: 1, Dur: 1100}, "data", "X"},
-		AckStall:       {Event{Link: 1}, "ack.stall", "X"},
-		HostCommand:    {Event{Arg: 2}, "host.cmd", "i"},
-		FaultDrop:      {Event{Link: 1}, "fault.drop", "i"},
-		FaultCorrupt:   {Event{Link: 1, Arg: 0xFF}, "fault.corrupt", "i"},
-		FaultDelay:     {Event{Link: 1, Dur: 500}, "fault.delay", "X"},
-		LinkNak:        {Event{Link: 1, Flow: flowLink}, "link.nak", "i"},
-		LinkRetransmit: {Event{Link: 1, Arg: 1, Flow: flowLink}, "link.retransmit", "i"},
-		LinkDown:       {Event{Link: 1, Arg: 32}, "link.down", "i"},
-		LinkSever:      {Event{Link: 1}, "link.sever", "i"},
-		NodeHalt:       {Event{}, "node.halt", "i"},
-		Deadlock:       {Event{Proc: 0x101, Addr: 0x80}, "deadlock", "i"},
-		FlowArrive:     {Event{Link: 1, Flow: flowLink}, "flow.arrive", "i"},
-		Heartbeat:      {Event{Link: 1, Arg: 0, Dur: 5000}, "heartbeat", "i"},
-		RouteChange:    {Event{Arg: 7}, "route.change", "i"},
-		NodeRestart:    {Event{}, "node.restart", "i"},
-		RouteReplay:    {Event{Arg: 2}, "route.replay", "i"},
-		RouteDeliver:   {Event{Arg: 3, Bytes: 16}, "route.deliver", "i"},
-		VChanChunk:     {Event{Link: 1, Arg: 5, Bytes: 16, Flow: flowLink}, "vc5.chunk", "i"},
-		VChanCredit:    {Event{Link: 1, Arg: 5, Bytes: 16}, "vc5.credit", "i"},
-		VChanDeliver:   {Event{Link: 1, Arg: 5, Bytes: 64, Flow: flowLink}, "vc5.deliver", "i"},
-	}
+// kindCase is one Kind's plausible event and the chrome event the
+// timeline has to render for it.
+type kindCase struct {
+	ev   Event
+	name string
+	ph   string
+}
 
-	b := NewBus()
-	tl := NewTimeline(b)
+var (
+	flowChan = PackFlow(1, 1)
+	flowLink = PackFlow(1, 2)
+)
+
+var kindTable = map[Kind]kindCase{
+	ProcDispatch:   {Event{Proc: 0x101}, "run", "B"},
+	ProcStop:       {Event{}, "run", "E"},
+	ProcReady:      {Event{Pri: 1, Depth: 2}, "runq.pri1", "C"},
+	Preempt:        {Event{Dur: 100}, "preempt", "i"},
+	Timeslice:      {Event{}, "timeslice", "i"},
+	ChanBlock:      {Event{Proc: 0x101, Addr: 0x80, Out: true, Flow: flowChan}, "chan.block", "i"},
+	ChanRendezvous: {Event{Proc: 0x101, Addr: 0x80, Bytes: 4, Flow: flowChan}, "chan.rendezvous", "i"},
+	TimerWait:      {Event{Proc: 0x101, Arg: 99}, "timer.wait", "i"},
+	TimerFire:      {Event{Proc: 0x101}, "timer.fire", "i"},
+	EventPin:       {Event{}, "event.pin", "i"},
+	LinkXferStart:  {Event{Proc: 0x101, Link: 1, Bytes: 4, Out: true, Flow: flowLink}, "link.out", "B"},
+	LinkXferEnd:    {Event{Proc: 0x101, Link: 1, Out: true, Flow: flowLink}, "link.out", "E"},
+	WirePacket:     {Event{Link: 1, Bytes: 1, Dur: 1100}, "data", "X"},
+	AckStall:       {Event{Link: 1}, "ack.stall", "X"},
+	HostCommand:    {Event{Arg: 2}, "host.cmd", "i"},
+	FaultDrop:      {Event{Link: 1}, "fault.drop", "i"},
+	FaultCorrupt:   {Event{Link: 1, Arg: 0xFF}, "fault.corrupt", "i"},
+	FaultDelay:     {Event{Link: 1, Dur: 500}, "fault.delay", "X"},
+	LinkNak:        {Event{Link: 1, Flow: flowLink}, "link.nak", "i"},
+	LinkRetransmit: {Event{Link: 1, Arg: 1, Flow: flowLink}, "link.retransmit", "i"},
+	LinkDown:       {Event{Link: 1, Arg: 32}, "link.down", "i"},
+	LinkSever:      {Event{Link: 1}, "link.sever", "i"},
+	NodeHalt:       {Event{}, "node.halt", "i"},
+	Deadlock:       {Event{Proc: 0x101, Addr: 0x80}, "deadlock", "i"},
+	FlowArrive:     {Event{Link: 1, Flow: flowLink}, "flow.arrive", "i"},
+	Heartbeat:      {Event{Link: 1, Arg: 0, Dur: 5000}, "heartbeat", "i"},
+	RouteChange:    {Event{Arg: 7}, "route.change", "i"},
+	NodeRestart:    {Event{}, "node.restart", "i"},
+	RouteReplay:    {Event{Arg: 2}, "route.replay", "i"},
+	RouteDeliver:   {Event{Arg: 3, Bytes: 16}, "route.deliver", "i"},
+	VChanChunk:     {Event{Link: 1, Arg: 5, Bytes: 16, Flow: flowLink}, "vc5.chunk", "i"},
+	VChanCredit:    {Event{Link: 1, Arg: 5, Bytes: 16}, "vc5.credit", "i"},
+	VChanDeliver:   {Event{Link: 1, Arg: 5, Bytes: 64, Flow: flowLink}, "vc5.deliver", "i"},
+}
+
+// kindEvents returns the table's event of every declared Kind, in Kind
+// order on node "n".  A Kind the table lacks fails the test.
+func kindEvents(t *testing.T) []Event {
+	var evs []Event
 	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == "" || k.String() == "unknown" {
-			t.Errorf("kind %d has no String() name", k)
-		}
-		w, ok := table[k]
+		w, ok := kindTable[k]
 		if !ok {
-			t.Fatalf("kind %v (%d) has no renderer expectation — extend the table AND the timeline renderer", k, k)
+			t.Fatalf("kind %v (%d) has no renderer expectation — extend kindTable AND the timeline renderer", k, k)
 		}
 		ev := w.ev
 		ev.Kind = k
@@ -75,6 +73,24 @@ func TestKindExhaustive(t *testing.T) {
 		// (ProcDispatch precedes ProcStop, ChanBlock precedes
 		// ChanRendezvous, LinkXferStart precedes LinkXferEnd).
 		ev.Time = sim.Time(k+1) * sim.Microsecond
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// TestKindExhaustive pins every declared Kind to a String() name and a
+// timeline renderer case: each kind is fed through the timeline with
+// plausible fields and must produce a chrome event with the expected
+// name and phase at its timestamp.  Adding a Kind without extending the
+// table (and the renderer) fails here instead of silently dropping the
+// kind from traces.
+func TestKindExhaustive(t *testing.T) {
+	b := NewBus()
+	tl := NewTimeline(b)
+	for _, ev := range kindEvents(t) {
+		if k := ev.Kind; k.String() == "" || k.String() == "unknown" {
+			t.Errorf("kind %d has no String() name", k)
+		}
 		b.Publish(ev)
 	}
 
@@ -93,7 +109,7 @@ func TestKindExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		w := table[k]
+		w := kindTable[k]
 		ts := float64(k + 1) // microseconds
 		if w.ev.Dur != 0 && w.name == "ack.stall" {
 			ts -= float64(w.ev.Dur) / 1e3

@@ -1,0 +1,112 @@
+package probe_test
+
+import (
+	"bytes"
+	"io"
+	"path/filepath"
+	"testing"
+
+	"transputer/internal/bench"
+	"transputer/internal/network"
+	"transputer/internal/probe"
+	"transputer/internal/sim"
+	"transputer/internal/tool"
+)
+
+// The renderers against their references (see render_test.go) on the
+// events of real runs.  This file is an external test package because
+// the networks it runs import probe.
+
+// renderRun runs the system with a timeline and a flow table attached
+// and compares what each writes with what its reference writes.
+func renderRun(t *testing.T, s *network.System, limit sim.Time, resolve func(string, uint64) string) (*probe.Timeline, *probe.FlowDoc) {
+	t.Helper()
+	bus := probe.NewBus()
+	tl := probe.NewTimeline(bus)
+	ft := probe.NewFlowTable(bus)
+	ft.Resolve = resolve
+	s.AttachProbe(bus)
+	rep := s.Run(limit)
+	if !rep.Settled {
+		t.Fatalf("run did not settle: %+v", rep)
+	}
+
+	var got, want bytes.Buffer
+	if err := tl.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.RefWriteChromeTrace(tl.Events(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("timeline of %d events: %d bytes differ from the reference's %d", tl.Len(), got.Len(), want.Len())
+	}
+
+	ft.Finish(rep.Time)
+	got.Reset()
+	want.Reset()
+	if err := ft.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.RefWriteFlowJSON(ft.Doc(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("flow document of %d flows: %d bytes differ from the reference's %d", len(ft.Doc().Flows), got.Len(), want.Len())
+	}
+	// And the document reads back as what was written.
+	back, err := probe.ReadFlowDoc(&got)
+	if err != nil {
+		t.Fatalf("the flow document does not parse: %v", err)
+	}
+	if len(back.Flows) != len(ft.Doc().Flows) || back.CriticalPathNs != int64(rep.Time) {
+		t.Errorf("read back %d flows and a %d ns critical path, wrote %d and %d",
+			len(back.Flows), back.CriticalPathNs, len(ft.Doc().Flows), rep.Time)
+	}
+	return tl, ft.Doc()
+}
+
+// TestRingMatchesReference: the benchmark's observed workload in small,
+// every link of an 8-node ring streaming, no source locations.
+func TestRingMatchesReference(t *testing.T) {
+	s, err := bench.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, doc := renderRun(t, s, 10*sim.Second, nil)
+	if tl.Len() < 10000 || len(doc.Flows) < 8*256 {
+		t.Errorf("ring recorded %d events and %d flows: too few to be the streaming ring", tl.Len(), len(doc.Flows))
+	}
+}
+
+// TestLossyLinkMatchesReference: the shipped lossy link, whose run has
+// the fault, NAK and retransmit kinds, flows with retry tails, a host
+// far end and occam source locations.
+func TestLossyLinkMatchesReference(t *testing.T) {
+	net, err := tool.LoadNetworkFile(filepath.Join("..", "..", "examples", "faults", "lossy-link.tnet"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, doc := renderRun(t, net.System, net.Limit, tool.LineResolver(net.Programs))
+	kinds := map[probe.Kind]int{}
+	for _, e := range tl.Events() {
+		kinds[e.Kind]++
+	}
+	for _, k := range []probe.Kind{probe.FaultDrop, probe.FaultCorrupt, probe.LinkNak, probe.LinkRetransmit, probe.HostCommand} {
+		if kinds[k] == 0 {
+			t.Errorf("the lossy run published no %v event", k)
+		}
+	}
+	var located, retried int
+	for _, f := range doc.Flows {
+		if f.Loc != "" {
+			located++
+		}
+		if f.Retransmits > 0 {
+			retried++
+		}
+	}
+	if located == 0 || retried == 0 {
+		t.Errorf("%d flows with a source location, %d with retransmits: want some of each", located, retried)
+	}
+}

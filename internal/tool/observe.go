@@ -150,7 +150,7 @@ func (o *Observer) Finish(end sim.Time, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "timeline: %d events -> %s (load in chrome://tracing or ui.perfetto.dev)\n",
-			len(o.timeline.Events()), o.timelinePath)
+			o.timeline.Len(), o.timelinePath)
 	}
 	if o.metrics != nil {
 		o.metrics.Finish(end)
