@@ -21,6 +21,13 @@ import "transputer/internal/isa"
 // promise the simulation coordinator a quiet horizon (see
 // SendLookaheadCycles).
 //
+// Blocks are chained: a block remembers the block that followed it by
+// falling through and the one that followed it any other way, so a loop
+// moves from block to block without consulting the lookup map (see
+// find).  An edge is a hint, trusted only while the block it names is
+// still valid and starts at the instruction pointer, which is why
+// invalidating a block never has to find the edges that point at it.
+//
 // Self-modifying code still works: every memory write is filtered
 // against the cached code range and overlapping blocks are invalidated
 // before the write's effect can be observed, including a store that
@@ -51,6 +58,11 @@ type block struct {
 	// records i.. up to and including a trailing j/cj/call, and up to but
 	// excluding a terminating opr.
 	quiet []int32
+	// succ are the chain edges, filled on first transit: succ[0] is the
+	// block entered by running off the end of this one, succ[1] the
+	// block last entered any other way (a taken branch, a call, a
+	// return, a process switch).
+	succ  [2]*block
 	valid bool
 }
 
@@ -89,6 +101,9 @@ func (m *Machine) bcache() *blockCache {
 }
 
 // flushBlocks drops every cached block: program load or cache overflow.
+// The dropped blocks stay marked valid but can never run again: chain
+// edges are reachable only from the map and the cursor, both cleared
+// here, and are only ever filled with blocks of the current map.
 func (m *Machine) flushBlocks() {
 	m.bc = nil
 	m.curBlock = nil
@@ -179,9 +194,10 @@ func pureOp(op isa.Op, wordBits int) (minCycles int, pure bool) {
 }
 
 // decodeBlock translates the straight-line byte sequence starting at
-// iptr.  It returns nil when nothing could be decoded (the first
-// instruction runs off memory or has a pathological prefix chain); the
-// interpreted path then reproduces the fault exactly.
+// iptr, where the cache holds no block.  It returns nil when nothing
+// could be decoded (the first instruction runs off memory or has a
+// pathological prefix chain); the interpreted path then reproduces the
+// fault exactly.
 func (m *Machine) decodeBlock(iptr uint64) *block {
 	bc := m.bcache()
 	if len(bc.blocks) >= maxBlocks {
@@ -195,10 +211,15 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		// an extra memory cycle (charged per instruction, like execOne).
 		fetchPenalty = 1
 	}
-	b := &block{startAddr: iptr, startOff: m.offset(iptr), valid: true}
+	// Decode into a scratch array and keep an exact-size copy: a ring
+	// node's whole cache is a few KB, and append's doubling would leave
+	// up to half of it unused.
+	var recs [maxBlockRecs]blockRec
+	n := 0
+	startOff := m.offset(iptr)
 	addr := iptr
-	prevOff := b.startOff
-	for len(b.recs) < maxBlockRecs {
+	prevOff := startOff
+	for n < maxBlockRecs {
 		rec, ok := m.decodeRec(addr, memLen, fetchPenalty)
 		if !ok {
 			break
@@ -208,17 +229,18 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 			break // wrapped around the address space; not cacheable
 		}
 		prevOff = endOff
-		b.recs = append(b.recs, rec)
+		recs[n] = rec
+		n++
 		addr = rec.end
 		if rec.term {
 			break
 		}
 	}
-	if len(b.recs) == 0 {
+	if n == 0 {
 		return nil
 	}
-	b.endOff = prevOff
-	b.quiet = make([]int32, len(b.recs))
+	b := &block{startAddr: iptr, startOff: startOff, endOff: prevOff, valid: true,
+		recs: append([]blockRec(nil), recs[:n]...), quiet: make([]int32, n)}
 	quiet := int32(0)
 	for i := len(b.recs) - 1; i >= 0; i-- {
 		r := &b.recs[i]
@@ -237,10 +259,6 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 			quiet += int32(r.cycles)
 		}
 		b.quiet[i] = quiet
-	}
-	if old := bc.blocks[iptr]; old != nil {
-		old.valid = false
-		bc.remove(old)
 	}
 	bc.blocks[iptr] = b
 	last := (b.endOff - 1) >> blockPageShift
@@ -320,15 +338,44 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 	return blockRec{}, false
 }
 
-// lookupBlock returns the cached (or freshly decoded) block starting at
-// iptr.
-func (m *Machine) lookupBlock(iptr uint64) *block {
-	if m.bc != nil {
-		if b := m.bc.blocks[iptr]; b != nil && b.valid {
-			return b
+// find returns the predecoded record at the instruction pointer: the
+// cursor's own when execution ran straight on, else the first record of
+// the block that starts there, reached over a chain edge when the
+// cursor stands at the end of a block and through the lookup map
+// otherwise (a cold edge, a return to a new caller, a process switch, a
+// block invalidated under the cursor).  With decode set a missing block
+// is translated and the edge taken is recorded; without it find only
+// reports what is already cached.  A nil block means the instruction
+// must take the interpreted path.
+func (m *Machine) find(decode bool) (*block, int) {
+	b, idx := m.curBlock, m.curIdx
+	var edge **block
+	if b != nil {
+		if idx < len(b.recs) {
+			if b.valid && b.recs[idx].addr == m.Iptr {
+				return b, idx
+			}
+		} else {
+			edge = &b.succ[0]
+			if m.Iptr != b.recs[len(b.recs)-1].end {
+				edge = &b.succ[1]
+			}
+			if s := *edge; s != nil && s.valid && s.startAddr == m.Iptr {
+				return s, 0
+			}
 		}
 	}
-	return m.decodeBlock(iptr)
+	var s *block
+	if m.bc != nil {
+		s = m.bc.blocks[m.Iptr] // holds valid blocks only
+	}
+	if s == nil && decode {
+		s = m.decodeBlock(m.Iptr)
+	}
+	if s != nil && decode && edge != nil {
+		*edge = s
+	}
+	return s, 0
 }
 
 // execRec dispatches one predecoded record, reproducing the interpreted
@@ -346,13 +393,8 @@ func (m *Machine) execRec(b *block, idx int) int {
 			Fn: rec.fn, Operand: rec.operand, Cycles: m.stats.Cycles,
 		})
 	}
-	cycles := int(rec.pre) + m.execFunction(rec.fn, rec.operand)
-	if b.valid && idx+1 < len(b.recs) {
-		m.curBlock, m.curIdx = b, idx+1
-	} else {
-		m.curBlock = nil
-	}
-	return cycles
+	m.curBlock, m.curIdx = b, idx+1
+	return int(rec.pre) + m.execFunction(rec.fn, rec.operand)
 }
 
 // SendLookaheadCycles returns a lower bound on the processor cycles
@@ -360,50 +402,52 @@ func (m *Machine) execRec(b *block, idx int) int {
 // activity (start or acknowledge a link transfer), or 0 when no bound
 // is known.  The bound is read off the predecoded block at the current
 // instruction pointer: the fixed minimum costs of the instructions
-// before the next opr.  The parallel engine turns it into a send
-// promise that extends neighbouring shards' windows (see internal/sim).
+// before the next opr.  Nothing is decoded to answer it, so the answer
+// depends only on what has executed.  The parallel engine turns it into
+// a send promise that extends neighbouring shards' windows (see
+// internal/sim).
 func (m *Machine) SendLookaheadCycles() int {
 	if m.cfg.NoBlockCache || m.halted || m.longOp != nil || m.preemptPending ||
 		m.pendingSwitchCycles != 0 || m.Oreg != 0 || m.Wdesc == m.notProcess() {
 		return 0
 	}
-	b, idx := m.curBlock, m.curIdx
-	if b == nil || !b.valid || idx >= len(b.recs) || b.recs[idx].addr != m.Iptr {
-		if m.bc == nil {
-			return 0
-		}
-		b = m.bc.blocks[m.Iptr]
-		if b == nil || !b.valid {
-			return 0
-		}
-		idx = 0
+	b, idx := m.find(false)
+	if b == nil {
+		return 0
 	}
 	return int(b.quiet[idx])
 }
 
-// StepRun executes a run of consecutive pure predecoded records as one
-// batch, bounded so that every record after the first starts strictly
-// before maxNs of simulated time has elapsed — exactly the instructions
-// Step-by-Step execution would have run against the same bound.  It
-// returns the total cycles consumed and the cycles of the last record
-// (so a caller can reconstruct the last instruction's start time); a
-// zero total means the fast path does not apply and the caller must use
-// Step.  Pure records cannot schedule, deschedule, communicate or
-// observe time, so executing them without touching the clock is
-// invisible; cycle accounting still happens per record.
+// StepRun executes consecutive predecoded records as one batch, bounded
+// so that every record after the first starts strictly before maxNs of
+// simulated time has elapsed — exactly the instructions Step-by-Step
+// execution would have run against the same bound.  It returns the
+// total cycles consumed and the cycles of the last record (so a caller
+// can reconstruct the last instruction's start time); a zero total
+// means the fast path does not apply and the caller must use Step.
+//
+// The batch runs pure records, cj, and j while no timeslice is due, and
+// follows them from block to block.  None of these can schedule,
+// deschedule, communicate or observe time, so executing them without
+// touching the clock is invisible; cycle accounting still happens per
+// record.  A j that could end a timeslice, call and every impure opr
+// are left to Step.  The next record is looked up (and its block
+// decoded) only once the bound has let it start, so the set of decoded
+// blocks — which SendLookaheadCycles reads — is the one stepwise
+// execution builds.
 func (m *Machine) StepRun(maxNs int64) (total, last int) {
-	if m.curBlock == nil || m.halted || m.trace != nil ||
+	if m.cfg.NoBlockCache || m.halted || m.trace != nil ||
 		m.pendingSwitchCycles != 0 || m.preemptPending || m.longOp != nil ||
 		m.Oreg != 0 || m.Wdesc == m.notProcess() {
 		return 0, 0
 	}
-	b, idx := m.curBlock, m.curIdx
-	if !b.valid || idx >= len(b.recs) || b.recs[idx].addr != m.Iptr || !b.recs[idx].pure {
-		return 0, 0
-	}
 	cycleNs := int64(m.cfg.CycleNs)
-	for {
+	b, idx := m.find(true)
+	for b != nil {
 		rec := &b.recs[idx]
+		if !rec.pure && rec.fn != isa.FnCj && (rec.fn != isa.FnJ || m.sliceDue()) {
+			break
+		}
 		m.Iptr = rec.end
 		m.countInstr(int(rec.bytes), int(rec.fn))
 		c := int(rec.pre) + m.execFunction(rec.fn, rec.operand)
@@ -411,20 +455,15 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 		total += c
 		last = c
 		idx++
-		if m.halted || !b.valid {
-			break // memory fault, halt-on-error, or self-modified block
+		if m.halted || int64(total)*cycleNs >= maxNs {
+			break // memory fault, halt-on-error, or out of time
 		}
-		if idx >= len(b.recs) || !b.recs[idx].pure {
-			break
-		}
-		if int64(total)*cycleNs >= maxNs {
-			break
+		if idx == len(b.recs) || !b.valid {
+			// End of the block, or a store rewrote it: move on.
+			m.curBlock, m.curIdx = b, idx
+			b, idx = m.find(true)
 		}
 	}
-	if !m.halted && b.valid && idx < len(b.recs) {
-		m.curBlock, m.curIdx = b, idx
-	} else {
-		m.curBlock = nil
-	}
+	m.curBlock, m.curIdx = b, idx
 	return total, last
 }

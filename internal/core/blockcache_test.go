@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"transputer/internal/core"
+	"transputer/internal/isa"
+	"transputer/internal/probe"
 	"transputer/internal/sim"
 )
 
@@ -141,6 +144,247 @@ func TestBlockCacheTraceEquivalence(t *testing.T) {
 			if on[i] != off[i] {
 				t.Fatalf("trace event %d differs:\non:  %+v\noff: %+v", i, on[i], off[i])
 			}
+		}
+	}
+}
+
+// retSharedSource calls one function from two places, so the block
+// that ends in its ret leaves by the same chain edge towards two
+// different successors: an edge may be followed only to a block that
+// starts at the instruction pointer.
+const retSharedSource = `
+	ldc 0
+	stl 1
+	call f
+	ldl 1
+	adc 10
+	stl 1
+	call f
+	ldl 1
+	adc 100
+	stl 1
+	stopp
+f:
+	ldl 5          -- the caller's local 1, seen from the call frame
+	adc 1
+	stl 5
+	ret
+`
+
+// patchedSuccessorSource runs a loop three times whose head falls
+// through to the block at site, and each pass rewrites site's first
+// byte (ldc 1, then ldc 2, ldc 1, ldc 0) after the fall-through edge
+// to it was made: x = 1 + 2 + 1 only if every pass decodes it afresh.
+const patchedSuccessorSource = `
+	ldc 0
+	stl 1
+	ldc 3
+	stl 2
+loop:
+	ldl 2
+	cj done
+site:
+	ldc 1
+	ldl 1
+	add
+	stl 1
+	ldl 2
+	adc -1
+	stl 2
+	ldl 2
+	ldc #40
+	or
+	ldpi site
+	sb
+	j loop
+done:
+	stopp
+`
+
+// TestChainEdgesAreOnlyHints: a successor rewritten after the edge to
+// it was made is decoded again, and an edge is not followed to a block
+// at another address.
+func TestChainEdgesAreOnlyHints(t *testing.T) {
+	for _, cache := range []bool{true, false} {
+		if m, _ := runSrcCache(t, patchedSuccessorSource, cache); m.Local(1) != 4 {
+			t.Errorf("cache=%v: patched successor: x = %d, want 4", cache, m.Local(1))
+		}
+		if m, _ := runSrcCache(t, retSharedSource, cache); m.Local(1) != 112 {
+			t.Errorf("cache=%v: shared ret: x = %d, want 112", cache, m.Local(1))
+		}
+	}
+}
+
+// overflowSource runs twice over more one-instruction blocks than the
+// cache may hold, so the cache is flushed wholesale while execution
+// stands at the end of a chained block; between the passes it rewrites
+// the instruction at site, whose block the flush dropped without
+// marking.  Nothing decoded before a flush may run after it.
+func overflowSource() string {
+	return `
+	ldc 0
+	stl 3
+top:
+site:
+	ldc 1
+	stl 1
+` + strings.Repeat("\tj 0\n", 4200) + `
+	ldl 3
+	cj first
+	stopp
+first:
+	ldc 1
+	stl 3
+	ldc 73
+	ldpi site
+	sb
+	j top
+`
+}
+
+func TestBlockCacheOverflowFlush(t *testing.T) {
+	mOn, resOn := runSrcCache(t, overflowSource(), true)
+	mOff, resOff := runSrcCache(t, overflowSource(), false)
+	if mOn.Local(1) != 9 || mOff.Local(1) != 9 {
+		t.Errorf("x = %d (cache on), %d (off), want 9", mOn.Local(1), mOff.Local(1))
+	}
+	if resOn.Time != resOff.Time || !reflect.DeepEqual(mOn.Stats(), mOff.Stats()) {
+		t.Errorf("runs differ: %v vs %v\non:  %+v\noff: %+v", resOn.Time, resOff.Time, mOn.Stats(), mOff.Stats())
+	}
+}
+
+// TestSetBlockCacheMidLoop switches the cache off, and on again, while
+// a loop is running out of chained blocks: the machine carries on from
+// the same state by the other path.
+func TestSetBlockCacheMidLoop(t *testing.T) {
+	img := assemble(t, loopSource)
+	ref := core.MustNew(core.T424().WithMemory(64 * 1024))
+	ref.SetBlockCache(false)
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	for _, mc := range []*core.Machine{ref, m} {
+		if err := mc.Load(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ref.Step() != 0 {
+	}
+	for batch := 0; !m.Idle(); batch++ {
+		if batch%7 == 3 {
+			m.SetBlockCache(batch%2 == 0)
+		}
+		if n, _ := m.StepRun(500); n == 0 && m.Step() == 0 {
+			break
+		}
+	}
+	compareMachines(t, 0, m, ref)
+}
+
+// spinSource runs two low-priority processes that only count down and
+// jump, so every timeslice falls due at a j reached over a chain edge.
+const spinSource = `
+	ldc 2
+	stl 1
+	ldpi cont
+	stl 0
+	ldc child-after
+	ldlp -40
+	startp
+after:
+	ajw -20
+	ldc 200
+	stl 1
+ploop:
+	ldl 1
+	adc -1
+	stl 1
+	ldl 1
+	cj pdone
+	j ploop
+pdone:
+	ldlp 20
+	endp
+child:
+	ldc 200
+	stl 1
+cloop:
+	ldl 1
+	adc -1
+	stl 1
+	ldl 1
+	cj cdone
+	j cloop
+cdone:
+	ldlp 40
+	endp
+cont:
+	stopp
+`
+
+// TestTimesliceAtChainedJump: StepRun executes a j only while no
+// timeslice is due; the j that ends a slice goes through Step, so the
+// switch happens at the same cycle and the same simulated instant as
+// without the cache, and as before blocks were chained (the pinned
+// numbers are the parent commit's).
+func TestTimesliceAtChainedJump(t *testing.T) {
+	type slice struct {
+		at     sim.Time
+		cycles uint64
+		proc   uint64
+	}
+	run := func(cache bool) (core.Stats, sim.Time, []slice) {
+		cfg := core.T424().WithMemory(64 * 1024)
+		cfg.TimesliceCycles = 97
+		cfg.NoBlockCache = !cache
+		m := core.MustNew(cfg)
+		if err := m.Load(assemble(t, spinSource)); err != nil {
+			t.Fatal(err)
+		}
+		bus := probe.NewBus()
+		var slices []slice
+		bus.Subscribe(func(e probe.Event) {
+			if e.Kind == probe.Timeslice {
+				slices = append(slices, slice{e.Time, e.Cycles, e.Proc})
+			}
+		})
+		m.AttachProbe(bus)
+		res := core.Run(m, 100*sim.Millisecond)
+		if !res.Settled || m.Fault() != nil {
+			t.Fatalf("cache=%v: settled=%v fault=%v", cache, res.Settled, m.Fault())
+		}
+		return m.Stats(), res.Time, slices
+	}
+	stOn, endOn, slOn := run(true)
+	stOff, endOff, slOff := run(false)
+	if !reflect.DeepEqual(stOn, stOff) || endOn != endOff || !reflect.DeepEqual(slOn, slOff) {
+		t.Errorf("cache on/off differ:\non:  %+v end %v %v\noff: %+v end %v %v",
+			stOn, endOn, slOn, stOff, endOff, slOff)
+	}
+	first, last := slOn[0], slOn[len(slOn)-1]
+	if stOn.Timeslices != 49 || stOn.Deschedules != 50 || endOn != 262900 ||
+		first.at != 5150 || first.cycles != 103 || last.at != 254900 || last.cycles != 5098 {
+		t.Errorf("timeslices=%d deschedules=%d end=%d first=%+v last=%+v, want 49, 50, 262900, {5150 103}, {254900 5098}",
+			stOn.Timeslices, stOn.Deschedules, endOn, first, last)
+	}
+}
+
+// TestUndefinedOperationCounted: operation codes beyond the dense
+// table are still counted, each under its own key.
+func TestUndefinedOperationCounted(t *testing.T) {
+	for _, cache := range []bool{true, false} {
+		cfg := core.T424().WithMemory(64 * 1024)
+		cfg.NoBlockCache = !cache
+		m := core.MustNew(cfg)
+		// add; pfix 1, pfix 2, opr 3 = opr #123, which faults.
+		if err := m.Load(assemble(t, "\tadd\n\tbyte #21, #22, #F3\n")); err != nil {
+			t.Fatal(err)
+		}
+		core.Run(m, sim.Millisecond)
+		want := map[uint16]uint64{uint16(isa.OpAdd): 1, 0x123: 1}
+		if got := m.Stats().OpCounts; !reflect.DeepEqual(got, want) {
+			t.Errorf("cache=%v: OpCounts = %v, want %v", cache, got, want)
+		}
+		if m.Fault() == nil {
+			t.Errorf("cache=%v: undefined operation did not fault", cache)
 		}
 	}
 }

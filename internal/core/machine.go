@@ -125,8 +125,9 @@ type Machine struct {
 	vcExt  VChanExternal
 
 	// bc caches predecoded straight-line instruction blocks; curBlock
-	// and curIdx form the execution cursor into the block containing
-	// the current instruction pointer (see blockcache.go).
+	// and curIdx form the execution cursor: the record after the last
+	// one executed from the cache, or, with curIdx past the last record,
+	// the block whose chain edges lead on (see find in blockcache.go).
 	bc       *blockCache
 	curBlock *block
 	curIdx   int
@@ -134,7 +135,12 @@ type Machine struct {
 	// probe events.
 	qlen [2]int
 
-	stats Stats
+	// stats holds every counter but the per-operation tallies, which
+	// live in opCounts (defined codes) and rareOps (anything else) and
+	// are folded into Stats.OpCounts on demand; stats.OpCounts stays nil.
+	stats    Stats
+	opCounts [denseOps]uint64
+	rareOps  map[uint16]uint64
 }
 
 // longOpState is an in-progress interruptible long operation: either a
@@ -362,9 +368,6 @@ func (m *Machine) ClearForcedHalt() bool {
 // Idle reports whether no process is executing.  An idle machine may
 // still be waiting on timers or links.
 func (m *Machine) Idle() bool { return m.Wdesc == m.notProcess() || m.halted }
-
-// Stats returns a copy of the machine's counters.
-func (m *Machine) Stats() Stats { return m.stats }
 
 // now returns the current simulated time, or zero when no clock is
 // attached (pure cycle-counting runs).

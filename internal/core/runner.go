@@ -76,12 +76,12 @@ func (r *Runner) step() {
 	bound := r.bound()
 	for {
 		last = base + off
-		// Fast path: a run of pure predecoded records executes in one
-		// call, with the same per-instruction accounting and the same
-		// bound semantics as the stepwise loop below.  Pure records
-		// cannot schedule or cancel events, so the cached bound stays
-		// valid; they cannot deschedule, so only a halt can park the
-		// machine.
+		// Fast path: a run of predecoded records — pure ones, and the
+		// branches between their blocks — executes in one call, with the
+		// same per-instruction accounting and the same bound semantics
+		// as the stepwise loop below.  These records cannot schedule or
+		// cancel events, so the cached bound stays valid; they cannot
+		// deschedule, so only a halt can park the machine.
 		if n, lastC := m.StepRun(int64(bound - (base + off))); n > 0 {
 			r.BusyCycles += uint64(n)
 			off += sim.Time(int64(n) * cyc)

@@ -247,16 +247,21 @@ func (m *Machine) wake(wdesc uint64) {
 // deadlocked.
 func (m *Machine) WaitingProcesses() int { return m.waiting }
 
+// sliceDue reports whether the executing process is a low-priority one
+// that has used up its timeslice: whether timesliceCheck would act.
+// StepRun executes a jump itself only while it would not.
+func (m *Machine) sliceDue() bool {
+	return priorityOf(m.Wdesc) == PriorityLow && m.cfg.TimesliceCycles > 0 &&
+		m.timesliceCount >= m.cfg.TimesliceCycles
+}
+
 // timesliceCheck is applied at descheduling points (jump and loop end):
 // a low-priority process that has exceeded its timeslice moves to the
 // back of its list.  High-priority processes are never timesliced
 // ("a high priority process proceeds until it terminates or has to
 // wait for a communication").
 func (m *Machine) timesliceCheck() {
-	if m.CurrentPriority() != PriorityLow {
-		return
-	}
-	if m.cfg.TimesliceCycles <= 0 || m.timesliceCount < m.cfg.TimesliceCycles {
+	if !m.sliceDue() {
 		return
 	}
 	if m.Fptr[PriorityLow] == m.notProcess() {

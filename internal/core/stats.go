@@ -1,5 +1,7 @@
 package core
 
+import "transputer/internal/isa"
+
 // Stats aggregates the execution counters the paper's performance
 // discussion rests on: instruction and cycle counts (MIPS), instruction
 // length distribution (the "typically 80% single byte" claim), and
@@ -100,9 +102,52 @@ func (m *Machine) countInstr(bytes int, fn int) {
 	m.stats.FunctionCounts[fn&0xF]++
 }
 
+// denseOps sizes the per-machine table of operation counts: every
+// defined operation code indexes it directly.
+const denseOps = int(isa.OpTesthalterr) + 1
+
+// countOp tallies one executed indirect operation.  It runs once per
+// opr, so defined codes are a plain array increment; an undefined code
+// (a hostile or corrupt image) is counted under its own key in a map
+// that ordinary programs never allocate.
 func (m *Machine) countOp(op uint16) {
-	if m.stats.OpCounts == nil {
-		m.stats.OpCounts = make(map[uint16]uint64)
+	if int(op) < denseOps {
+		m.opCounts[op]++
+		return
 	}
-	m.stats.OpCounts[op]++
+	if m.rareOps == nil {
+		m.rareOps = make(map[uint16]uint64)
+	}
+	m.rareOps[op]++
 }
+
+// Stats returns a snapshot of the machine's counters.  OpCounts is a
+// fresh map of the non-zero tallies (nil when no operation has run):
+// the snapshot does not change as the machine runs on, and writing to
+// it does not reach the machine.
+func (m *Machine) Stats() Stats {
+	s := m.stats
+	n := len(m.rareOps)
+	for _, c := range m.opCounts {
+		if c != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return s
+	}
+	s.OpCounts = make(map[uint16]uint64, n)
+	for op, c := range m.opCounts {
+		if c != 0 {
+			s.OpCounts[uint16(op)] = c
+		}
+	}
+	for op, c := range m.rareOps {
+		s.OpCounts[op] = c
+	}
+	return s
+}
+
+// Cycles returns the total processor cycles consumed so far — the one
+// counter event stamping needs, without the cost of a Stats snapshot.
+func (m *Machine) Cycles() uint64 { return m.stats.Cycles }

@@ -143,3 +143,39 @@ func TestStatsAdd(t *testing.T) {
 		t.Error("Add aliased the source OpCounts map")
 	}
 }
+
+// TestStatsIsASnapshot: Stats hands out the machine's counters by
+// value, the per-operation map included — it does not move as the
+// machine runs on, and writing to it does not reach the machine.
+func TestStatsIsASnapshot(t *testing.T) {
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	if err := m.Load(assemble(t, "loop:\n\tldc 1\n\tldc 2\n\tadd\n\tstl 1\n\tj loop\n")); err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if m.Step() == 0 {
+				t.Fatal("machine stopped")
+			}
+		}
+	}
+	step(100)
+	snap := m.Stats()
+	adds := snap.OpCounts[uint16(isa.OpAdd)]
+	if adds != 20 {
+		t.Fatalf("add count after 100 instructions = %d, want 20", adds)
+	}
+	step(1000)
+	if got := snap.OpCounts[uint16(isa.OpAdd)]; got != adds {
+		t.Errorf("snapshot moved with the machine: add count %d -> %d", adds, got)
+	}
+	later := m.Stats()
+	later.OpCounts[uint16(isa.OpAdd)] = 7
+	later.OpCounts[0x777] = 1
+	if got := m.Stats().OpCounts; len(got) != 1 || got[uint16(isa.OpAdd)] != 220 {
+		t.Errorf("writing to a snapshot reached the machine: OpCounts = %v, want add: 220", got)
+	}
+	if fresh := core.MustNew(core.T424()).Stats(); fresh.OpCounts != nil {
+		t.Errorf("OpCounts of a machine that ran nothing = %v, want nil", fresh.OpCounts)
+	}
+}

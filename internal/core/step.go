@@ -74,12 +74,8 @@ func (m *Machine) wptr() uint64 { return wptrOf(m.Wdesc) }
 // the interpreted fetch/decode path otherwise.
 func (m *Machine) execOne() int {
 	if !m.cfg.NoBlockCache && m.Oreg == 0 {
-		if b := m.curBlock; b != nil && b.valid &&
-			m.curIdx < len(b.recs) && b.recs[m.curIdx].addr == m.Iptr {
-			return m.execRec(b, m.curIdx)
-		}
-		if b := m.lookupBlock(m.Iptr); b != nil {
-			return m.execRec(b, 0)
+		if b, idx := m.find(true); b != nil {
+			return m.execRec(b, idx)
 		}
 	}
 	return m.execOneSlow()

@@ -88,7 +88,7 @@ func (e *Engine) TransferFlow(link int, out bool) uint64 {
 func (e *Engine) emit(ev probe.Event) {
 	ev.Time = e.k.Now()
 	ev.Node = e.m.Name()
-	ev.Cycles = e.m.Stats().Cycles
+	ev.Cycles = e.m.Cycles()
 	e.bus.Publish(ev)
 }
 
