@@ -44,7 +44,7 @@ func main() {
 	vchan := flag.Int("vchan", 0, "multiplex this many virtual channels over every transputer-to-transputer connection (overrides the topology's vchan directives)")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
 	fuse := flag.String("fuse", "topo", "shard fusion mode: "+tool.FuseModes+" (purely a simulator speed switch; output is identical at every partition)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries); these vary with -fuse/-workers, unlike all other output")
+	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, batches run ahead of their window); these vary with -fuse/-workers, unlike all other output")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tnet [flags] network.tnet")
@@ -140,6 +140,7 @@ func main() {
 	}
 	if *engineStats {
 		tool.PrintEngineStats(os.Stderr, s.EngineStats())
+		tool.PrintAheadStats(os.Stderr, s.AheadStats())
 	}
 	os.Exit(tool.Verdict(wd, undelivered))
 }

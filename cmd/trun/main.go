@@ -39,7 +39,7 @@ func main() {
 	input := flag.String("in", "", "comma-separated words queued for host input")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential; output is identical at any count)")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries)")
+	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, batches run ahead of their window)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: trun [flags] program.{occ,tasm,tix}")
@@ -129,6 +129,7 @@ func main() {
 	}
 	if *engineStats {
 		tool.PrintEngineStats(os.Stderr, s.EngineStats())
+		tool.PrintAheadStats(os.Stderr, s.AheadStats())
 	}
 	if n.M.ErrorFlag() {
 		fmt.Fprintln(os.Stderr, "trun: machine error flag set")

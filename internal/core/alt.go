@@ -39,6 +39,8 @@ func (m *Machine) enableChannel() {
 				wdesc := m.Wdesc
 				if m.ext.EnableInput(link, func() { m.altChannelReady(wdesc) }) {
 					m.setWordIndex(w, wsState, m.altReady())
+				} else {
+					m.altLinks |= 1 << uint(link)
 				}
 			}
 		} else {
@@ -106,6 +108,7 @@ func (m *Machine) disableChannel() {
 		} else if link, isOut, ok := m.externalChannel(ch); ok {
 			if !isOut && m.ext != nil {
 				fired = m.ext.DisableInput(link)
+				m.altLinks &^= 1 << uint(link)
 			}
 		} else {
 			chWord := m.word(ch)

@@ -43,9 +43,28 @@ type blockRec struct {
 	cycles  uint16 // pre + the instruction's minimum base cost
 	bytes   uint8
 	fn      isa.Function
-	pure    bool // pure compute: no control flow, scheduler or clock
-	term    bool // ends its block (j, cj, call, or a non-pure opr)
+	kind    uint8 // what a batch may do with the record (recPure...)
+	touch   uint8 // the data memory it reads or writes (touchNone...)
 }
+
+// How StepRun treats a record.  Everything but recPure ends its block.
+const (
+	recPure   uint8 = iota // pure compute: no control flow, scheduler or clock
+	recBranch              // cj: moves the instruction pointer and nothing else
+	recJump                // j, lend: a branch that is also a descheduling point
+	recImpure              // call and every other opr: left to Step
+)
+
+// What a record in StepRun's set touches in data memory, so that a
+// batch running ahead of its window can work out the address before the
+// record executes (see aheadClear).
+const (
+	touchNone     uint8 = iota
+	touchLocal          // ldl, stl: one word at Wptr+operand
+	touchNonlocal       // ldnl, stnl: one word at A+operand
+	touchByte           // lb, sb: the byte at A
+	touchLoop           // lend: the two-word control block at B
+)
 
 // block is a decoded straight-line run.
 type block struct {
@@ -131,7 +150,11 @@ func (m *Machine) noteCodeWrite(off, n uint64) {
 	for p := off >> blockPageShift; p <= last; p++ {
 		for _, b := range bc.pages[p] {
 			if b.valid && b.startOff < off+n && off < b.endOff {
+				// A dead block is never executed again, so its edges only
+				// keep its successors — and theirs, once they die too —
+				// reachable from whatever stale edge still names it.
 				b.valid = false
+				b.succ = [2]*block{}
 				victims = append(victims, b)
 			}
 		}
@@ -232,7 +255,7 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		recs[n] = rec
 		n++
 		addr = rec.end
-		if rec.term {
+		if rec.kind != recPure {
 			break
 		}
 	}
@@ -245,7 +268,7 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	for i := len(b.recs) - 1; i >= 0; i-- {
 		r := &b.recs[i]
 		switch {
-		case r.fn == isa.FnOpr && !r.pure:
+		case r.fn == isa.FnOpr && r.kind != recPure:
 			// A communication/scheduling operation could act externally
 			// the moment it starts.
 			quiet = 0
@@ -312,15 +335,29 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 			operand := (oreg | data) & m.mask
 			preTotal := pre + nbytes*fetchPenalty
 			minC := isa.FunctionCycles(fn)
-			var pure, term bool
+			kind, touch := recPure, touchNone // ldlp ldc ldnlp adc ajw eqc
 			switch fn {
-			case isa.FnJ, isa.FnCj, isa.FnCall:
-				term = true
+			case isa.FnJ:
+				kind = recJump
+			case isa.FnCj:
+				kind = recBranch
+			case isa.FnCall:
+				kind = recImpure
 			case isa.FnOpr:
-				minC, pure = pureOp(isa.Op(operand), m.wordBits)
-				term = !pure
-			default:
-				pure = true // ldlp ldnl ldc ldnlp ldl adc ajw eqc stl stnl
+				var pure bool
+				if minC, pure = pureOp(isa.Op(operand), m.wordBits); !pure {
+					kind = recImpure
+				}
+				switch isa.Op(operand) {
+				case isa.OpLb, isa.OpSb:
+					touch = touchByte
+				case isa.OpLend:
+					kind, touch = recJump, touchLoop
+				}
+			case isa.FnLdl, isa.FnStl:
+				touch = touchLocal
+			case isa.FnLdnl, isa.FnStnl:
+				touch = touchNonlocal
 			}
 			return blockRec{
 				addr:    addr,
@@ -330,8 +367,8 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 				cycles:  uint16(preTotal + minC),
 				bytes:   uint8(nbytes),
 				fn:      fn,
-				pure:    pure,
-				term:    term,
+				kind:    kind,
+				touch:   touch,
 			}, true
 		}
 	}
@@ -426,27 +463,67 @@ func (m *Machine) SendLookaheadCycles() int {
 // can reconstruct the last instruction's start time); a zero total
 // means the fast path does not apply and the caller must use Step.
 //
-// The batch runs pure records, cj, and j while no timeslice is due, and
-// follows them from block to block.  None of these can schedule,
-// deschedule, communicate or observe time, so executing them without
-// touching the clock is invisible; cycle accounting still happens per
-// record.  A j that could end a timeslice, call and every impure opr
-// are left to Step.  The next record is looked up (and its block
-// decoded) only once the bound has let it start, so the set of decoded
-// blocks — which SendLookaheadCycles reads — is the one stepwise
-// execution builds.
+// The batch runs pure records, cj, and j and lend while no timeslice is
+// due, and follows them from block to block.  None of these can
+// schedule, deschedule, communicate or observe time, so executing them
+// without touching the clock is invisible; cycle accounting still
+// happens per record.  A j or lend that could end a timeslice, call and
+// every other impure opr are left to Step.  The next record is looked
+// up (and its block decoded) only once the bound has let it start, so
+// the set of decoded blocks — which SendLookaheadCycles reads — is the
+// one stepwise execution builds.
 func (m *Machine) StepRun(maxNs int64) (total, last int) {
-	if m.cfg.NoBlockCache || m.halted || m.trace != nil ||
-		m.pendingSwitchCycles != 0 || m.preemptPending || m.longOp != nil ||
+	total, last, _ = m.stepRun(maxNs, false)
+	return total, last
+}
+
+// stepRun is StepRun's loop, and RunAhead's: with ahead set every
+// record must also be delivery-independent (see ahead.go), and exit
+// says what ended the batch.
+func (m *Machine) stepRun(maxNs int64, ahead bool) (total, last int, exit AheadExit) {
+	if m.cfg.NoBlockCache || m.halted || m.trace != nil {
+		return 0, 0, AheadOff
+	}
+	if m.pendingSwitchCycles != 0 || m.preemptPending || m.longOp != nil ||
 		m.Oreg != 0 || m.Wdesc == m.notProcess() {
-		return 0, 0
+		return 0, 0, AheadImpure
 	}
 	cycleNs := int64(m.cfg.CycleNs)
 	b, idx := m.find(true)
+	exit = AheadImpure // unless something else ends the batch: a record for Step, or none at all
+	// Running ahead, hazards says the hazard list has been built (only
+	// once a first record is there to use it) and clear names the block
+	// whose code bytes are known to miss it.
+	hazards, clear := false, (*block)(nil)
 	for b != nil {
 		rec := &b.recs[idx]
-		if !rec.pure && rec.fn != isa.FnCj && (rec.fn != isa.FnJ || m.sliceDue()) {
-			break
+		if rec.kind >= recJump {
+			if rec.kind == recImpure {
+				break
+			}
+			if m.sliceDue() {
+				exit = AheadSliceDue
+				break
+			}
+		}
+		if ahead {
+			if !hazards {
+				why, ok := m.aheadHazards()
+				if !ok {
+					exit = why
+					break
+				}
+				hazards = true
+			}
+			if b != clear && !m.hazardFree(b.startOff, b.endOff-b.startOff) {
+				exit = AheadHazard // a delivery could rewrite this code
+				break
+			}
+			clear = b
+			if rec.touch != touchNone && !m.aheadClear(rec) {
+				exit = AheadHazard
+				break
+			}
 		}
 		m.Iptr = rec.end
 		m.countInstr(int(rec.bytes), int(rec.fn))
@@ -455,8 +532,12 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 		total += c
 		last = c
 		idx++
-		if m.halted || int64(total)*cycleNs >= maxNs {
-			break // memory fault, halt-on-error, or out of time
+		if m.halted {
+			break // memory fault or halt-on-error
+		}
+		if int64(total)*cycleNs >= maxNs {
+			exit = AheadBound
+			break
 		}
 		if idx == len(b.recs) || !b.valid {
 			// End of the block, or a store rewrote it: move on.
@@ -465,5 +546,5 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 		}
 	}
 	m.curBlock, m.curIdx = b, idx
-	return total, last
+	return total, last, exit
 }

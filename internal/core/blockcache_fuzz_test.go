@@ -86,6 +86,227 @@ func runDifferential(t *testing.T, img core.Image, seed int64) {
 	}
 }
 
+// The run-ahead checker adds a link engine the test controls.  Both
+// machines get a fakeLinks; the cached one is driven the way the runner
+// drives it — StepRun or Step up to a random horizon or the next
+// injection already known, whichever is first, then RunAhead past the
+// horizon — and only afterwards learns of injections at or past that
+// horizon, which may lie in what it has already executed.  The stepwise
+// machine takes every injection at the first instruction boundary at or
+// after its instant.  If RunAhead ever executes an instruction a
+// delivery could have changed, or that changes a delivery, the two part.
+
+// fakeLinks is a core.External whose transfers move only when told to.
+type fakeLinks struct {
+	m     *core.Machine
+	xf    [core.NumLinks][2]fakeXfer // [link][0] input, [link][1] output
+	armed [core.NumLinks]func()
+	fired [core.NumLinks]bool
+	sent  []byte // every byte read from an output buffer, in order
+}
+
+type fakeXfer struct {
+	open         bool
+	gen          int // which transfer of this direction: injections name it
+	ptr          uint64
+	count, moved int
+	done         func()
+}
+
+func (f *fakeLinks) begin(link, dir int, ptr uint64, count int, done func()) {
+	x := &f.xf[link][dir]
+	switch {
+	case x.open: // a channel end already in use never completes
+	case count == 0:
+		done()
+	default:
+		*x = fakeXfer{open: true, gen: x.gen + 1, ptr: ptr, count: count, done: done}
+	}
+}
+
+func (f *fakeLinks) BeginOutput(link int, ptr uint64, count int, done func()) {
+	f.begin(link, 1, ptr, count, done)
+}
+
+func (f *fakeLinks) BeginInput(link int, ptr uint64, count int, done func()) {
+	f.begin(link, 0, ptr, count, done)
+}
+
+func (f *fakeLinks) EnableInput(link int, ready func()) bool {
+	if f.fired[link] {
+		return true
+	}
+	f.armed[link] = ready
+	return false
+}
+
+func (f *fakeLinks) DisableInput(link int) bool {
+	fired := f.fired[link]
+	f.armed[link], f.fired[link] = nil, false
+	return fired
+}
+
+// injection is one thing the link engine does to the machine at time
+// at: move the next byte of a transfer (completing it with the last),
+// or signal an armed alternative.
+type injection struct {
+	at        int64 // in cycles
+	link, dir int
+	gen       int // 0: the alternative signal
+	v         byte
+}
+
+func (f *fakeLinks) apply(in injection) {
+	if in.gen == 0 {
+		f.fired[in.link] = true
+		if ready := f.armed[in.link]; ready != nil {
+			f.armed[in.link] = nil
+			ready()
+		}
+		return
+	}
+	x := &f.xf[in.link][in.dir]
+	if !x.open || x.gen != in.gen {
+		return
+	}
+	if in.dir == 0 {
+		f.m.SetByteAt(x.ptr+uint64(x.moved), in.v)
+	} else {
+		f.sent = append(f.sent, f.m.ByteAt(x.ptr+uint64(x.moved)))
+	}
+	if x.moved++; x.moved == x.count {
+		x.open = false
+		x.done()
+	}
+}
+
+// side is one machine of the pair with its link engine and the number
+// of injections it has taken.
+type side struct {
+	m     *core.Machine
+	links *fakeLinks
+	taken int
+}
+
+// take applies the injections due at the machine's next instruction
+// boundary.
+func (s *side) take(pending []injection, skew int64) {
+	for s.taken < len(pending) && pending[s.taken].at <= int64(s.m.Cycles())+skew {
+		s.links.apply(pending[s.taken])
+		s.taken++
+	}
+}
+
+// runAheadDifferential drives the image on a cached machine that runs
+// ahead of random horizons and on a stepwise one, both under the same
+// injections, for at most 1500 batches.
+func runAheadDifferential(t *testing.T, img core.Image, seed int64) {
+	t.Helper()
+	cfg := diffConfig()
+	var on, off side
+	for _, s := range []*side{&on, &off} {
+		s.m = core.MustNew(cfg)
+		s.links = &fakeLinks{m: s.m}
+		s.m.Attach(nil, s.links)
+		if err := s.m.Load(img); err != nil {
+			t.Skipf("image does not load: %v", err)
+		}
+		cfg.NoBlockCache = true
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cyc := int64(cfg.CycleNs)
+	// pending holds every injection made, ordered by time; skew is the
+	// time that passed with both machines idle.
+	var pending []injection
+	var skew int64
+	inject := func(at int64) bool {
+		// Something the engine could do now: the state is the cached
+		// machine's, which opens and closes transfers only inside its
+		// horizon, where the two agree.
+		var can []injection
+		for l := range on.links.xf {
+			for d, x := range on.links.xf[l] {
+				if x.open {
+					can = append(can, injection{link: l, dir: d, gen: x.gen})
+				}
+			}
+			if on.links.armed[l] != nil {
+				can = append(can, injection{link: l})
+			}
+		}
+		if len(can) == 0 {
+			return false
+		}
+		in := can[rng.Intn(len(can))]
+		in.at, in.v = at, byte(0x40|rng.Intn(16)) // a load constant, should it land in code
+		i := len(pending)
+		pending = append(pending, in)
+		for ; i > on.taken && pending[i-1].at > at; i-- {
+			pending[i-1], pending[i] = pending[i], pending[i-1]
+		}
+		return true
+	}
+	for batch := 0; batch < 1500; batch++ {
+		now := int64(on.m.Cycles()) + skew
+		on.take(pending, skew)
+		off.take(pending, skew)
+		known := int64(1) << 40
+		if on.taken < len(pending) {
+			known = pending[on.taken].at
+		}
+		horizon := now + int64(1+rng.Intn(48))
+		bound := min(horizon, known)
+		ran := 0
+		if rng.Intn(5) != 0 {
+			total, last := on.m.StepRun((bound - now) * cyc)
+			if total > 0 && int64(total-last) >= bound-now {
+				t.Fatalf("batch %d: StepRun started its last record %d cycles in, bound %d",
+					batch, total-last, bound-now)
+			}
+			ran = total
+		}
+		if ran == 0 {
+			ran = on.m.Step()
+		}
+		if ran == 0 {
+			// Halted, or idle until the engine does something.
+			off.m.Step()
+			compareMachines(t, batch, on.m, off.m)
+			if on.m.Halted() || (on.taken == len(pending) && !inject(now+int64(rng.Intn(64)))) {
+				break
+			}
+			if at := pending[on.taken].at; at > now {
+				skew += at - now
+			}
+			continue
+		}
+		if at := now + int64(ran); at >= horizon && at < known {
+			// The horizon ended the batch: go on past it.
+			limit := min(known, at+int64(1+rng.Intn(400)))
+			total, last, _ := on.m.RunAhead((limit - at) * cyc)
+			if total > 0 && int64(total-last) >= limit-at {
+				t.Fatalf("batch %d: RunAhead started its last record %d cycles in, bound %d",
+					batch, total-last, limit-at)
+			}
+		}
+		// What the engine does next is at or past the horizon, but not
+		// necessarily past what has run.
+		for n := rng.Intn(3); n > 0; n-- {
+			inject(horizon + int64(rng.Intn(96)))
+		}
+		on.take(pending, skew)
+		for off.take(pending, skew); off.m.Cycles() < on.m.Cycles() && off.m.Step() != 0; off.take(pending, skew) {
+		}
+		compareMachines(t, batch, on.m, off.m)
+		if !bytes.Equal(on.links.sent, off.links.sent) {
+			t.Fatalf("batch %d: bytes sent differ\non:  %x\noff: %x", batch, on.links.sent, off.links.sent)
+		}
+		if on.taken != off.taken {
+			t.Fatalf("batch %d: injections taken differ: %d and %d", batch, on.taken, off.taken)
+		}
+	}
+}
+
 // compareMachines fails unless the two machines are in the same state.
 func compareMachines(t *testing.T, batch int, on, off *core.Machine) {
 	t.Helper()
@@ -122,15 +343,20 @@ func compareMachines(t *testing.T, batch int, on, off *core.Machine) {
 
 // progGen turns fuzz bytes into a tasm program built from the shapes
 // the block cache cares about: direct functions whose operands need
-// prefix chains of every length, pure operations, counted cj/j loops,
-// forward branches, calls, and stores into code — a byte or a word of
-// one of the program's patch sites, which may lie later in the block
-// executing the store, in a block already decoded and chained (the
-// store sits in a loop), or at a block's first byte (sites follow
+// prefix chains of every length, pure operations, counted cj/j and lend
+// loops, forward branches, calls, and stores into code — a byte or a
+// word of one of the program's patch sites, which may lie later in the
+// block executing the store, in a block already decoded and chained
+// (the store sits in a loop), or at a block's first byte (sites follow
 // labels and branches).  Every patch writes load-constant bytes, so the
 // program stays well formed; exhausted data reads as zero, so every
-// input terminates.
+// input terminates.  With links set the program also starts up to three
+// more processes, at either priority, each of which inputs and outputs
+// on a link of its own a few times — into and out of its own workspace,
+// the main process's locals, or a patch site — while the rest computes.
 type progGen struct {
+	links   bool
+	procs   []string // the link processes' code, emitted after the main program
 	data    []byte
 	pos     int
 	lines   []string
@@ -220,10 +446,60 @@ func (g *progGen) body() {
 	g.depth--
 }
 
+// childWs is the workspace of link process k, in words below the main
+// process's: under its deepest call frame.
+func childWs(k int) int { return 96 + 16*k }
+
+// buffer emits a load of a message buffer's address for link process k:
+// its own workspace, a main-process local, or a patch site.
+func (g *progGen) buffer(k int) string {
+	switch pick := g.next(); pick % 4 {
+	case 0, 2:
+		return fmt.Sprintf("\tldlp %d", childWs(k)+g.local())
+	case 1:
+		return fmt.Sprintf("\tldpi %c0", "pw"[pick/4%2])
+	}
+	return "\tldlp 1"
+}
+
+// spawn starts link process k: its code address goes into its
+// workspace, and a run process on its descriptor queues it — or, at
+// high priority, preempts.
+func (g *progGen) spawn() {
+	k := len(g.procs)
+	if k == core.NumLinks-1 {
+		return
+	}
+	g.emit("\tldpi c%d", k)
+	g.emit("\tldlp %d", -childWs(k))
+	g.emit("\tstnl -1")
+	g.emit("\tldlp %d", -childWs(k))
+	if g.next()%3 != 0 {
+		g.emit("\tadc 1") // low priority
+	}
+	g.emit("\trunp")
+	p := []string{
+		fmt.Sprintf("c%d:\tldc %d", k, 1+g.next()%3), "\tstl 3",
+		fmt.Sprintf("r%d:", k),
+		g.buffer(k), "\tmint", fmt.Sprintf("\tldnlp %d", 4+k), fmt.Sprintf("\tldc %d", 1+g.next()%8), "\tin",
+		g.buffer(k), "\tmint", fmt.Sprintf("\tldnlp %d", k), fmt.Sprintf("\tldc %d", 1+g.next()%8), "\tout",
+		"\tldl 3", "\tadc -1", "\tstl 3", "\tldl 3", fmt.Sprintf("\tcj e%d", k), fmt.Sprintf("\tj r%d", k),
+		fmt.Sprintf("e%d:\tstopp", k),
+	}
+	g.procs = append(g.procs, strings.Join(p, "\n"))
+}
+
 func (g *progGen) stmt() {
-	kind := g.next() % 13
-	if g.depth >= 3 && kind >= 6 && kind <= 8 {
+	kinds := 14
+	if g.links {
+		kinds = 15
+	}
+	kind := g.next() % kinds
+	switch {
+	case g.depth >= 3 && kind >= 6 && kind <= 8:
 		kind -= 6
+	case g.depth >= 3 && kind == 13:
+		kind = 0
 	}
 	switch kind {
 	case 0:
@@ -287,9 +563,9 @@ func (g *progGen) stmt() {
 		g.emit("\tcall %s", fn)
 		g.emit("\tj %s", over)
 		g.emit("%s:", fn)
-		g.emit("\tajw -16") // keep the body's locals clear of the caller's frame
+		g.emit("\tajw -24") // keep the body's locals clear of the caller's frame
 		g.body()
-		g.emit("\tajw 16")
+		g.emit("\tajw 24")
 		g.emit("\tret")
 		g.emit("%s:", over)
 		g.funcs = append(g.funcs, fn) // callable once complete: no recursion
@@ -302,18 +578,33 @@ func (g *progGen) stmt() {
 	case 12: // a store into the block executing it: the site comes next
 		g.patch(0, g.local(), g.sites[0])
 		g.site(0)
+	case 13: // replicated loop: a two-word control block and lend
+		blk, head, end := 16+2*g.depth, g.label(), g.label()
+		g.emit("\tldc 0")
+		g.emit("\tstl %d", blk)
+		g.emit("\tldc %d", 1+g.next()%4)
+		g.emit("\tstl %d", blk+1)
+		g.emit("%s:", head)
+		g.body()
+		g.emit("\tldlp %d", blk)
+		g.emit("\tldc %s-%s", end, head)
+		g.emit("\tlend")
+		g.emit("%s:", end)
+	case 14:
+		g.spawn()
 	}
 }
 
-func genProgram(data []byte) string {
-	g := &progGen{data: data}
-	g.emit("\tws 96 64")
+func genProgram(data []byte, links bool) string {
+	g := &progGen{data: data, links: links}
+	g.emit("\tws 160 64")
 	g.site(0)
 	g.site(1)
 	for g.pos < len(g.data) {
 		g.stmt()
 	}
 	g.emit("\tstopp")
+	g.lines = append(g.lines, g.procs...)
 	for _, p := range g.patches {
 		g.lines[p.line] = fmt.Sprintf("\tldpi %c%d", "pw"[p.word], p.pick%g.sites[p.word])
 	}
@@ -375,14 +666,9 @@ func exampleImages(tb testing.TB) []core.Image {
 	return imgs
 }
 
-// FuzzBlockCacheDifferential: with raw unset, data is fed to progGen;
-// with it set, data is a code image entered at entry, which is how the
-// corpus carries real programs (the benchmark's loops and the compiled
-// examples — their link traffic faults at once with no link engine
-// attached, identically on both machines, but their images also mutate
-// into arbitrary byte streams, every one of which is a valid I1
-// program).
-func FuzzBlockCacheDifferential(f *testing.F) {
+// diffSeeds adds the shared seed corpus: the benchmark's loops and the
+// compiled examples as raw images, and random generator input.
+func diffSeeds(f *testing.F) {
 	for _, src := range benchmarkLoops(f) {
 		a, err := asm.Assemble(src, 4)
 		if err != nil {
@@ -399,21 +685,69 @@ func FuzzBlockCacheDifferential(f *testing.F) {
 		rng.Read(data)
 		f.Add(data, false, uint16(0), int64(i))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
-		var img core.Image
-		if raw {
-			if len(data) == 0 {
-				t.Skip()
-			}
-			img = core.Image{Code: data, Entry: int(entry) % len(data),
-				DataBytes: 1024, WsBelow: 256, WsAbove: 256}
-		} else {
-			a, err := asm.Assemble(genProgram(data), 4)
-			if err != nil {
-				t.Fatalf("generated program does not assemble: %v\n%s", err, genProgram(data))
-			}
-			img = a.Image
+}
+
+// diffImage turns fuzz input into a program: with raw unset, data is
+// fed to progGen; with it set, data is a code image entered at entry,
+// which is how the corpus carries real programs — and their images
+// mutate into arbitrary byte streams, every one of which is a valid I1
+// program.
+func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool) core.Image {
+	if raw {
+		if len(data) == 0 {
+			t.Skip()
 		}
-		runDifferential(t, img, seed)
+		return core.Image{Code: data, Entry: int(entry) % len(data),
+			DataBytes: 1024, WsBelow: 256, WsAbove: 256}
+	}
+	src := genProgram(data, links)
+	a, err := asm.Assemble(src, 4)
+	if err != nil {
+		t.Fatalf("generated program does not assemble: %v\n%s", err, src)
+	}
+	return a.Image
+}
+
+// FuzzBlockCacheDifferential checks the cached machine against the
+// interpreter with no link engine attached: the real programs' link
+// traffic faults at once, identically on both machines.
+func FuzzBlockCacheDifferential(f *testing.F) {
+	diffSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
+		runDifferential(t, diffImage(t, data, raw, entry, false), seed)
+	})
+}
+
+// FuzzRunAheadDifferential is the same check with the cached machine
+// running ahead of its horizon while a link engine the test controls
+// writes into open buffers and wakes their processes: here the real
+// programs' link traffic goes through, a byte at a time.
+func FuzzRunAheadDifferential(f *testing.F) {
+	diffSeeds(f)
+	// Generator input that starts its link processes first — one to
+	// three, low priority or high, with buffers of every kind — and then
+	// computes in loops.
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 48; i++ {
+		data := []byte{1, 2} // the two leading sites' locals
+		for k := 0; k <= i%3; k++ {
+			data = append(data, 14, byte(i%4), 2) // spawn, priority, rounds
+			for buf := 0; buf < 2; buf++ {
+				pick := byte(rng.Intn(8))
+				if data = append(data, pick); pick%2 == 0 {
+					data = append(data, byte(rng.Intn(12)))
+				}
+				data = append(data, byte(rng.Intn(8)))
+			}
+		}
+		rest := make([]byte, 64+8*i)
+		rng.Read(rest)
+		for j := 0; j < len(rest); j += 9 {
+			rest[j] = []byte{6, 13}[j%2] // a counted loop, a replicated one
+		}
+		f.Add(append(data, rest...), false, uint16(0), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
+		runAheadDifferential(t, diffImage(t, data, raw, entry, true), seed)
 	})
 }

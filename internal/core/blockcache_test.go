@@ -388,3 +388,45 @@ func TestUndefinedOperationCounted(t *testing.T) {
 		}
 	}
 }
+
+// pingPongSource is two blocks that each rewrite a byte of the other
+// (with the value it already has) and jump to it, for ever.  Every
+// block is entered over an edge from the block that is about to be
+// invalidated by it, so the dead blocks form one chain, oldest first —
+// and the opening jump, which never runs again, keeps an edge to the
+// oldest.
+const pingPongSource = `
+	j r0
+r0:	ldc 1
+	stl 2
+	ldc #41
+	ldpi r1
+	sb
+	j r1
+r1:	ldc 1
+	stl 2
+	ldc #41
+	ldpi r0
+	sb
+	j r0
+`
+
+// TestInvalidatedBlocksAreReleased: a block that a store invalidates
+// drops its chain edges, so a program that keeps rewriting itself keeps
+// only its live blocks (and at most one dead one per stale edge), not
+// every block it ever decoded.
+func TestInvalidatedBlocksAreReleased(t *testing.T) {
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	if err := m.Load(assemble(t, pingPongSource)); err != nil {
+		t.Fatal(err)
+	}
+	const rewrites = 4096
+	for i := 0; i < 7*rewrites; i++ { // seven instructions a block
+		if m.Step() == 0 {
+			t.Fatalf("stopped after %d steps: %v", i, m.Fault())
+		}
+	}
+	if n := core.ReachableBlocks(m); n > 8 {
+		t.Errorf("%d blocks reachable after %d rewrites, want a handful", n, rewrites)
+	}
+}

@@ -181,7 +181,9 @@ func (m *Machine) completeTransfer(partner uint64, count int) int {
 type extXfer struct {
 	busy   bool
 	output bool
+	extra  bool // not a direction's own record: counted in extraXfers
 	link   int
+	ptr    uint64
 	count  int
 	wdesc  uint64
 	ip     uint64
@@ -208,12 +210,13 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 		// transfer — or a transfer aborted by a link resync.  Either way
 		// the direction's record still describes the earlier message, so
 		// this one gets a record of its own.
-		x = new(extXfer)
+		x = &extXfer{extra: true}
+		m.extraXfers++
 	}
 	if x.done == nil {
 		x.done = func() { m.finishExternal(x) }
 	}
-	x.busy, x.output, x.link, x.count = true, output, link, count
+	x.busy, x.output, x.link, x.ptr, x.count = true, output, link, ptr, count
 	x.wdesc, x.ip, x.flow = m.Wdesc, m.Iptr, 0
 	if m.bus != nil {
 		// Outputs mint the flow here and hand it to the engine so every
@@ -253,6 +256,9 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 // records: publish its end and reschedule the process.
 func (m *Machine) finishExternal(x *extXfer) {
 	x.busy = false
+	if x.extra {
+		m.extraXfers--
+	}
 	if m.bus != nil {
 		f := x.flow
 		if !x.output && m.flowExt != nil {
@@ -298,9 +304,11 @@ func (m *Machine) moveMessage() int {
 }
 
 // copyBytes copies count bytes within machine memory, wrapping in the
-// address space.
+// address space.  A copy that runs off memory halts the machine at the
+// first such byte and stops there: the count is the program's, and a
+// hostile one is the whole address space.
 func (m *Machine) copyBytes(dst, src uint64, count int) {
-	for i := 0; i < count; i++ {
+	for i := 0; i < count && !m.halted; i++ {
 		m.setByte((dst+uint64(i))&m.mask, m.byteAt((src+uint64(i))&m.mask))
 	}
 }

@@ -52,8 +52,18 @@ type Machine struct {
 	ext   External
 
 	// xfers holds the link transfer in progress on each link direction
-	// ([link][0] input, [link][1] output; see externalTransfer).
-	xfers [NumLinks][2]extXfer
+	// ([link][0] input, [link][1] output; see externalTransfer);
+	// extraXfers counts the open transfers that needed a record of their
+	// own, and altLinks has a bit per link an alternative has armed for
+	// input.  Together with the event and vchan state they are every way
+	// a delivery can reach the machine, which is what running ahead of
+	// the window has to know (see ahead.go); haz is its scratch list of
+	// the memory those deliveries touch, hazLo and hazHi its envelope.
+	xfers        [NumLinks][2]extXfer
+	extraXfers   int
+	altLinks     uint8
+	haz          []hazard
+	hazLo, hazHi uint64
 
 	// onReady is invoked when the machine transitions from idle (no
 	// current process) to having work; the driver uses it to resume
@@ -230,6 +240,7 @@ func (m *Machine) resetSchedState() {
 	m.eventPending = false
 	m.eventWaiter = np
 	m.eventArmed = nil
+	m.altLinks = 0
 	m.waiting = 0
 	m.blocked = m.blocked[:0]
 	m.forcedHalt = ""

@@ -7,8 +7,10 @@ import "transputer/internal/sim"
 // calls, advancing a virtual-time offset per instruction, until the
 // next scheduled event, the port's window horizon, or the machine
 // idling or halting — so many instructions share one heap event while
-// observable time stays exactly as if each had been its own.  The
-// machine's ready callback resumes a stopped runner.
+// observable time stays exactly as if each had been its own.  A batch
+// the horizon stopped goes on past it for as long as its instructions
+// are delivery-independent (see ahead.go).  The machine's ready
+// callback resumes a stopped runner.
 type Runner struct {
 	M      *Machine
 	port   *sim.Port
@@ -20,7 +22,20 @@ type Runner struct {
 	// BusyCycles counts cycles the processor spent executing; the
 	// difference from elapsed time is idle time.
 	BusyCycles uint64
+	// Ahead counts what ran past the port's horizon, and what ended it.
+	Ahead AheadStats
 }
+
+// aheadCapCycles bounds one run past the horizon, so that a loop no
+// delivery can reach still returns to the kernel now and then.  It is
+// above the default timeslice, which ends a low-priority run-ahead at
+// the next j anyway.
+const aheadCapCycles = 1 << 16
+
+// park is the event a machine that halted past its horizon leaves at
+// its last instruction, so the port's clock ends there once the window
+// reaches it.
+func park() {}
 
 // NewRunner puts a machine on a port: the port becomes the machine's
 // clock and the thing it is stepped from, and ext (nil for a machine
@@ -86,9 +101,8 @@ func (r *Runner) step() {
 			r.BusyCycles += uint64(n)
 			off += sim.Time(int64(n) * cyc)
 			if m.Halted() {
-				last = base + off - sim.Time(int64(lastC)*cyc)
 				d.SetOffset(0)
-				d.AdvanceTo(last)
+				d.AdvanceTo(base + off - sim.Time(int64(lastC)*cyc))
 				return
 			}
 			if base+off >= bound {
@@ -121,6 +135,17 @@ func (r *Runner) step() {
 		d.SetOffset(off)
 	}
 	d.SetOffset(0)
+	if base+off >= d.Horizon() {
+		// The window, not an event of this port's own, ended the batch.
+		n, lastC := r.runAhead(base + off)
+		off += sim.Time(int64(n) * cyc)
+		if m.Halted() {
+			// Deliveries may still be due before the halt, so the clock
+			// cannot be moved there now; an event takes it there.
+			d.Schedule(base+off-sim.Time(int64(lastC)*cyc), park)
+			return
+		}
+	}
 	r.active = true
 	id := d.Schedule(base+off, r.stepFn)
 	if ahead := m.SendLookaheadCycles(); ahead > 0 {
@@ -129,6 +154,40 @@ func (r *Runner) step() {
 		// windows past the per-link lookahead on the strength of it.
 		d.PromiseQuiet(id, base+off+sim.Time(int64(ahead)*cyc))
 	}
+}
+
+// runAhead executes delivery-independent instructions from virtual time
+// at, which is at or past the port's horizon, up to the port's next own
+// event, the run's limit or the cap, and returns the cycles consumed
+// and those of the last instruction.  The clock is not touched: nothing
+// that runs here can read it.
+func (r *Runner) runAhead(at sim.Time) (total, last int) {
+	if r.M.aheadOff() {
+		return 0, 0
+	}
+	d := r.port
+	cyc := sim.Time(r.M.cfg.CycleNs)
+	hard, why := at+aheadCapCycles*cyc, AheadCap
+	if l := d.Limit(); l <= hard {
+		hard, why = l, AheadLimit
+	}
+	if t, ok := d.NextTime(); ok && t <= hard {
+		hard, why = t, AheadOwnEvent
+	}
+	exit := AheadBound
+	if at < hard {
+		total, last, exit = r.M.RunAhead(int64(hard - at))
+	}
+	if exit == AheadBound {
+		exit = why
+	}
+	r.Ahead.Exits[exit]++
+	if total > 0 {
+		r.BusyCycles += uint64(total)
+		r.Ahead.Batches++
+		r.Ahead.Cycles += uint64(total)
+	}
+	return total, last
 }
 
 // RunResult describes why a standalone run stopped.

@@ -158,6 +158,17 @@ func (s *System) Now() sim.Time { return s.coord.Now() }
 // with partition and workers, unlike every observable output.
 func (s *System) EngineStats() sim.EngineStats { return s.coord.EngineStats() }
 
+// AheadStats sums what every node's runner executed past its window's
+// horizon, and what stopped it (see core.AheadStats).  Engine
+// diagnostics like EngineStats: they say how the simulator ran.
+func (s *System) AheadStats() core.AheadStats {
+	var total core.AheadStats
+	for _, n := range s.nodes {
+		total.Add(n.runner.Ahead)
+	}
+	return total
+}
+
 // SetPlacement declares fusion groups before nodes are added: the
 // members of each group share one event-queue shard, so their mutual
 // link traffic is delivered as ordinary intra-kernel events with no

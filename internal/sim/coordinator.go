@@ -476,6 +476,13 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 	if len(c.nts) != len(c.shards) {
 		c.nts = make([]Time, len(c.shards))
 	}
+	hard := MaxTime
+	if bounded {
+		hard = limit + 1
+	}
+	for _, p := range c.ports {
+		p.limit = hard
+	}
 	for {
 		c.drain()
 		// min1 is the earliest next-event time across shards.  Each
@@ -524,11 +531,16 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 		c.minSendBound = minSb
 		active := c.activeBuf[:0]
 		for _, s := range c.shards {
+			if c.nts[s.id] == MaxTime {
+				// Nothing pending: the shard cannot be active whatever
+				// its horizon, so the influence scan is skipped.
+				continue
+			}
 			// The sound window: a shard may run only to the earliest
 			// instant any cross-shard event could reach it.
 			hzn := c.horizonFor(s)
-			if bounded && hzn > limit+1 {
-				hzn = limit + 1
+			if hzn > hard {
+				hzn = hard
 			}
 			s.hzn = hzn
 			if c.nts[s.id] < hzn {

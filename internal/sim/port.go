@@ -39,13 +39,20 @@ type Shard struct {
 // delivery order identical however ports are grouped.  A Port
 // implements the Clock interface machines, link engines and hosts are
 // written against, plus the batch-stepping surface (NextTime, Horizon,
-// SetOffset, Stamp, AdvanceTo, PromiseQuiet) instruction runners drive.
+// Limit, SetOffset, Stamp, AdvanceTo, PromiseQuiet) instruction runners
+// drive.
 type Port struct {
 	s    *Shard
 	rank int
 	k    *Kernel
-	hzn  Time
-	xseq uint64
+	// hzn is the causal horizon of the current window: no delivery from
+	// another port can be due before it.  limit is the hard bound of the
+	// current run (RunUntil's limit+1, MaxTime for an unbounded run):
+	// nothing at all may execute at or past it, because the caller will
+	// look at the system there.
+	hzn   Time
+	limit Time
+	xseq  uint64
 
 	// outbox holds this port's posts to ports on other shards until the
 	// next barrier merges them (see Coordinator.drain).  Only the worker
@@ -341,10 +348,18 @@ func (s *Shard) advanceTo(t Time) {
 	}
 }
 
-// Horizon is the exclusive bound of the port's current execution
-// window: the coordinator window for a lone port, the tighter member
-// bound inside a fused shard.
+// Horizon is the exclusive causal bound of the port's current
+// execution window: the coordinator window for a lone port, the tighter
+// member bound inside a fused shard.  Deliveries from other ports may
+// still land at or past it, so only work no delivery can affect (and
+// that affects no delivery) may cross it — see core.Runner.
 func (p *Port) Horizon() Time { return p.hzn }
+
+// Limit is the exclusive hard bound of the current run: unlike the
+// horizon it is not a statement about causality but about the caller,
+// who inspects the system at RunUntil's limit.  No instruction may
+// start at or past it, however independent of deliveries it is.
+func (p *Port) Limit() Time { return p.limit }
 
 // SetOffset sets the port kernel's virtual-time displacement.  Each
 // port owns its kernel, so fused runners' displacements never

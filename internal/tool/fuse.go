@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"transputer/internal/core"
 	"transputer/internal/network"
 	"transputer/internal/sim"
 )
@@ -103,4 +104,21 @@ func PrintEngineStats(w io.Writer, es sim.EngineStats) {
 		fmt.Fprintf(w, "engine: %v wall-clock waiting at window barriers\n",
 			(sim.Time)(es.BarrierWaitNs))
 	}
+}
+
+// PrintAheadStats reports, beside PrintEngineStats, what the runners
+// executed past their windows' horizons and what stopped each attempt
+// (core.AheadStats).  Engine diagnostics too: they vary with -fuse and
+// -blockcache, and say nothing about the simulated system.
+func PrintAheadStats(w io.Writer, a core.AheadStats) {
+	fmt.Fprintf(w, "engine: %d batches ran ahead of their window, %d cycles in all; stopped by",
+		a.Batches, a.Cycles)
+	for e, n := range a.Exits {
+		sep := ","
+		if e == 0 {
+			sep = ""
+		}
+		fmt.Fprintf(w, "%s %s %d", sep, core.AheadExit(e), n)
+	}
+	fmt.Fprintln(w)
 }
