@@ -38,11 +38,11 @@ func runThroughput(b *testing.B, workers int, workload string) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }
 
-// BenchmarkSystemThroughput drives every workload once sequentially
-// and once on four workers (identical simulation, different wall
-// clock).
+// BenchmarkSystemThroughput drives every workload once sequentially —
+// on the one shard one worker gets — and on two and four workers, a
+// shard a node (identical simulation, different wall clock).
 func BenchmarkSystemThroughput(b *testing.B) {
-	for _, w := range []int{1, 4} {
+	for _, w := range []int{1, 2, 4} {
 		for _, name := range bench.Workloads() {
 			name, w := name, w
 			b.Run(fmt.Sprintf("%s/workers=%d", name, w), func(b *testing.B) {

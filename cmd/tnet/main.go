@@ -16,8 +16,12 @@
 // refuses plain transfers, so the programs (or the routing layer)
 // must address those links through their LINKnVCm channels.  -fuse
 // selects the shard partition (off|topo|auto|full; results are
-// byte-identical at every mode, only simulator speed changes) and
-// -enginestats reports what the windowed engine did.
+// byte-identical at every mode, only simulator speed changes).  With
+// no -fuse and no shard directive in the file, the partition follows
+// -workers: one worker runs every node on one shard, more than one
+// gives each node its own; -fuse off asks for one shard a node at any
+// worker count.  -enginestats reports what the windowed engine did,
+// starting with where the partition came from.
 package main
 
 import (
@@ -34,7 +38,7 @@ import (
 
 func main() {
 	stats := flag.Bool("stats", false, "print per-node statistics")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential; output is identical at any count)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential, and with no explicit -fuse placement one shard for the whole network; more than one = a shard a node; output is identical at any count)")
 	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
 	metrics := flag.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
 	flows := flag.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")
@@ -43,8 +47,8 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the topology's fault-plan seed")
 	vchan := flag.Int("vchan", 0, "multiplex this many virtual channels over every transputer-to-transputer connection (overrides the topology's vchan directives)")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
-	fuse := flag.String("fuse", "topo", "shard fusion mode: "+tool.FuseModes+" (purely a simulator speed switch; output is identical at every partition)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, batches run ahead of their window); these vary with -fuse/-workers, unlike all other output")
+	fuse := flag.String("fuse", "topo", "shard fusion mode: "+tool.FuseModes+" (topo: the file's shard directives, and with none the partition follows -workers; off: one shard a node even at one worker; purely a simulator speed switch, output is identical at every partition)")
+	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (where the partition came from, windows, barriers, fused vs mailbox deliveries, batches run ahead of their window); these vary with -fuse/-workers, unlike all other output")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tnet [flags] network.tnet")
@@ -139,7 +143,11 @@ func main() {
 		}
 	}
 	if *engineStats {
-		tool.PrintEngineStats(os.Stderr, s.EngineStats())
+		explicit := ""
+		if len(topo.Shards) > 0 {
+			explicit = *fuse
+		}
+		tool.PrintEngineStats(os.Stderr, s.EngineStats(), tool.PartitionOrigin(explicit, s.Workers()))
 		tool.PrintAheadStats(os.Stderr, s.AheadStats())
 	}
 	os.Exit(tool.Verdict(wd, undelivered))

@@ -128,7 +128,7 @@ func main() {
 		}
 	}
 	if *engineStats {
-		tool.PrintEngineStats(os.Stderr, s.EngineStats())
+		tool.PrintEngineStats(os.Stderr, s.EngineStats(), tool.PartitionOrigin("", s.Workers()))
 		tool.PrintAheadStats(os.Stderr, s.AheadStats())
 	}
 	if n.M.ErrorFlag() {

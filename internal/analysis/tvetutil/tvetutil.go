@@ -62,6 +62,18 @@ var detPackages = map[string]bool{
 	"transputer/internal/link":    true,
 	"transputer/internal/route":   true,
 	"transputer/internal/occam":   true,
+	// Packages that render what CI compares byte for byte: texp's tables
+	// and the applications they run, the tools' reports, probe documents,
+	// fault plans, chaos artifacts.
+	"transputer/internal/exp":              true,
+	"transputer/internal/tool":             true,
+	"transputer/internal/probe":            true,
+	"transputer/internal/fault":            true,
+	"transputer/internal/chaos":            true,
+	"transputer/internal/apps/dbsearch":    true,
+	"transputer/internal/apps/sieve":       true,
+	"transputer/internal/apps/systolic":    true,
+	"transputer/internal/apps/workstation": true,
 }
 
 // IsDetPackage reports whether the import path names a deterministic

@@ -268,9 +268,11 @@ func check(sc Scenario, o *outcome) []string {
 	for _, d := range o.deliveries {
 		count[key{d.Origin, d.Dest, d.Seq}]++
 	}
-	for k, n := range count {
-		if n > 1 {
+	for _, d := range o.deliveries { // in delivery order, so the list reads the same every run
+		k := key{d.Origin, d.Dest, d.Seq}
+		if n := count[k]; n > 1 {
 			fails = append(fails, fmt.Sprintf("message %s->%s seq %d delivered %d times", k.from, k.to, k.seq, n))
+			delete(count, k)
 		}
 	}
 	// In order: per (origin, dest) stream, sequences must be delivered

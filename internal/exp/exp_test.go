@@ -92,3 +92,30 @@ func TestResultFormatting(t *testing.T) {
 		t.Error("within helper wrong")
 	}
 }
+
+// TestRenderingsByteEqual: texp's whole output — every table, rendered
+// as cmd/texp renders it — is the same bytes from one run to the next,
+// so CI can cmp it unsorted.  E12 used to range over a map of its two
+// programs and print them in either order; it is cheap, so it is
+// rendered a few more times than the rest to make a coin flip show.
+func TestRenderingsByteEqual(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment twice")
+	}
+	render := func(results []Result) string {
+		var sb strings.Builder
+		for _, r := range results {
+			r.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	if a, b := render(All()), render(All()); a != b {
+		t.Errorf("two renderings of every table differ:\n%s\n---\n%s", a, b)
+	}
+	want := render([]Result{E12SingleByteFraction()})
+	for i := 0; i < 8; i++ {
+		if got := render([]Result{E12SingleByteFraction()}); got != want {
+			t.Fatalf("E12 rendering %d differs:\n%s\n---\n%s", i, got, want)
+		}
+	}
+}

@@ -202,12 +202,15 @@ func PingLatency() (sim.Time, error) {
 	}
 	sendSrc := "CHAN out:\nPLACE out AT LINK0OUT:\nout ! 42\n"
 	recvSrc := "CHAN in:\nPLACE in AT LINK0IN:\nVAR v:\nin ? v\n"
-	for node, src := range map[*network.Node]string{a: sendSrc, b: recvSrc} {
-		comp, cerr := occam.Compile(src, occam.Options{})
+	for _, p := range []struct {
+		node *network.Node
+		src  string
+	}{{a, sendSrc}, {b, recvSrc}} {
+		comp, cerr := occam.Compile(p.src, occam.Options{})
 		if cerr != nil {
 			return 0, cerr
 		}
-		if lerr := node.Load(comp.Image); lerr != nil {
+		if lerr := p.node.Load(comp.Image); lerr != nil {
 			return 0, lerr
 		}
 	}

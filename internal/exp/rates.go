@@ -63,8 +63,8 @@ func E12SingleByteFraction() Result {
 		ID:    "E12",
 		Title: "single-byte instruction fraction (paper 3.2.3)",
 	}
-	progs := map[string]string{
-		"squares producer/consumer": `CHAN screen:
+	progs := []struct{ label, src string }{
+		{"squares producer/consumer", `CHAN screen:
 PLACE screen AT LINK0OUT:
 DEF n = 20:
 CHAN c:
@@ -82,8 +82,8 @@ SEQ
   screen ! 2
   screen ! sum
   screen ! 4
-`,
-		"array sort (insertion)": `CHAN screen:
+`},
+		{"array sort (insertion)", `CHAN screen:
 PLACE screen AT LINK0OUT:
 DEF n = 24:
 VAR a[n], v, j, going:
@@ -107,16 +107,16 @@ SEQ
   screen ! 2
   screen ! a[0]
   screen ! 4
-`,
+`},
 	}
-	for label, src := range progs {
-		frac, err := singleByteFraction(src)
+	for _, p := range progs {
+		frac, err := singleByteFraction(p.src)
 		if err != nil {
-			r.Rows = append(r.Rows, Row{Label: label, Measured: "error: " + err.Error()})
+			r.Rows = append(r.Rows, Row{Label: p.label, Measured: "error: " + err.Error()})
 			continue
 		}
 		r.Rows = append(r.Rows, Row{
-			Label:    label,
+			Label:    p.label,
 			Paper:    "typically 80%",
 			Measured: fmt.Sprintf("%.1f%% single byte", 100*frac),
 			OK:       frac > 0.50,

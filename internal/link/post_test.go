@@ -19,13 +19,11 @@ import (
 func portPair(workers int, fused bool) (c *sim.Coordinator, ma, mb *core.Machine, ea, eb *Engine) {
 	c = sim.NewCoordinator(sim.Time(AckBits * BitNs))
 	c.SetWorkers(workers)
-	sa := c.NewShard()
-	pa, pb := sa.Port(), (*sim.Port)(nil)
+	pa, pb := c.NewPort(), c.NewPort()
 	if fused {
-		pb = sa.NewPort()
+		c.NewShard(pa, pb)
 	} else {
-		sb := c.NewShard()
-		pb = sb.Port()
+		sa, sb := c.NewShard(pa), c.NewShard(pb)
 		c.Wire(sa.ID(), sb.ID(), c.Lookahead())
 		c.Wire(sb.ID(), sa.ID(), c.Lookahead())
 	}

@@ -32,9 +32,19 @@ PAR
   sink(in, rounds)
 `
 
-// ringAlloc builds an 8-node ring, one shard a node, runs it to
-// settlement and returns the bytes the build and the run allocated.
-func ringAlloc(t *testing.T, img core.Image, rounds int) uint64 {
+func ringImage(t testing.TB, rounds int) core.Image {
+	t.Helper()
+	r, err := occam.Compile(fmt.Sprintf(ringProgram, rounds), occam.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Image
+}
+
+// ringAlloc builds an 8-node ring — one shard a node when pinned, one
+// shard in all when not — runs it to settlement and returns the bytes
+// the build and the run allocated.
+func ringAlloc(t *testing.T, img core.Image, rounds int, pinned bool) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -50,6 +60,9 @@ func ringAlloc(t *testing.T, img core.Image, rounds int) uint64 {
 	for i, n := range nodes {
 		s.MustConnect(n, 1, nodes[(i+1)%len(nodes)], 0)
 	}
+	if pinned {
+		pinPrivate(t, s)
+	}
 	rep := s.Run(sim.Second)
 	runtime.ReadMemStats(&after)
 	if !rep.Settled || len(rep.Blocked) > 0 {
@@ -58,30 +71,30 @@ func ringAlloc(t *testing.T, img core.Image, rounds int) uint64 {
 	if got := s.TotalStats().BytesOut; got != uint64(8*4*rounds) {
 		t.Fatalf("rounds=%d: %d bytes sent, want %d", rounds, got, 8*4*rounds)
 	}
+	if got, want := s.EngineStats().Shards, map[bool]int{true: 8, false: 1}[pinned]; got != want {
+		t.Fatalf("pinned=%v: ring ran on %d shards, want %d", pinned, got, want)
+	}
 	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestRingAllocGuard: an 8-node streaming ring allocates the same
 // whether every link carries 256 words or 1024 — messages, frames,
 // windows and barriers cost no allocation, only building the network
-// does.
+// does — on one shard a node (outboxes, the barrier merge) and on the
+// one shard a sequential run gets by default (direct deliveries, the
+// member loop).
 func TestRingAllocGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	image := func(rounds int) core.Image {
-		r, err := occam.Compile(fmt.Sprintf(ringProgram, rounds), occam.Options{})
-		if err != nil {
-			t.Fatal(err)
+	short, long := ringImage(t, 256), ringImage(t, 1024)
+	for _, pinned := range []bool{true, false} {
+		ringAlloc(t, short, 256, pinned) // warm-up: one-time initialisation anywhere below
+		a, b := ringAlloc(t, short, 256, pinned), ringAlloc(t, long, 1024, pinned)
+		t.Logf("pinned=%v: 256 rounds: %d bytes, 1024 rounds: %d bytes", pinned, a, b)
+		const slack = 8 << 10
+		if b > a+slack {
+			t.Errorf("pinned=%v: 1024 rounds allocate %d bytes, 256 rounds %d: allocation grows with traffic", pinned, b, a)
 		}
-		return r.Image
-	}
-	short, long := image(256), image(1024)
-	ringAlloc(t, short, 256) // warm-up: one-time initialisation anywhere below
-	a, b := ringAlloc(t, short, 256), ringAlloc(t, long, 1024)
-	t.Logf("256 rounds: %d bytes, 1024 rounds: %d bytes", a, b)
-	const slack = 8 << 10
-	if b > a+slack {
-		t.Errorf("1024 rounds allocate %d bytes, 256 rounds %d: allocation grows with traffic", b, a)
 	}
 }

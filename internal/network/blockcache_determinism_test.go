@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,12 +16,14 @@ import (
 // pure simulator-performance machinery: these tests pin that neither
 // is visible in any observable output — probe timelines, per-node
 // statistics down to the opcode histograms, or settle times — at any
-// worker count.
+// worker count, on the partition the worker count gives (one shard at
+// one worker) or pinned one shard a node, the path every delivery
+// crosses a barrier on.
 
 // sieveObservables runs the sieve pipeline with the given worker
-// count and cache setting, capturing every probe event and every
-// node's full statistics.
-func sieveObservables(t *testing.T, workers int, cache bool) (sim.Time, []probe.Event, []core.Stats) {
+// count, cache setting and placement, capturing every probe event and
+// every node's full statistics.
+func sieveObservables(t *testing.T, workers int, cache, pinned bool) (sim.Time, []probe.Event, []core.Stats) {
 	t.Helper()
 	s, err := sieve.Build(sieve.Params{Limit: 30, Stages: 10})
 	if err != nil {
@@ -28,6 +31,9 @@ func sieveObservables(t *testing.T, workers int, cache bool) (sim.Time, []probe.
 	}
 	s.Net.SetWorkers(workers)
 	s.Net.SetBlockCache(cache)
+	if pinned {
+		pinPrivate(t, s.Net)
+	}
 	bus := probe.NewBus()
 	var evs []probe.Event
 	bus.Subscribe(func(e probe.Event) { evs = append(evs, e) })
@@ -48,8 +54,8 @@ func sieveObservables(t *testing.T, workers int, cache bool) (sim.Time, []probe.
 // per-node statistics (function and operation histograms included)
 // and the settle time must be identical.
 func TestBlockCacheInvisibleInTimeline(t *testing.T) {
-	tOn, evOn, stOn := sieveObservables(t, 1, true)
-	tOff, evOff, stOff := sieveObservables(t, 1, false)
+	tOn, evOn, stOn := sieveObservables(t, 1, true, true)
+	tOff, evOff, stOff := sieveObservables(t, 1, false, true)
 	if tOn != tOff {
 		t.Errorf("settle times differ: %v vs %v", tOn, tOff)
 	}
@@ -67,24 +73,26 @@ func TestBlockCacheInvisibleInTimeline(t *testing.T) {
 }
 
 // TestBlockCacheDeterministicAcrossWorkers crosses worker counts with
-// cache settings: all four combinations must yield one observable
-// history.
+// cache settings and placements: every combination must yield one
+// observable history.
 func TestBlockCacheDeterministicAcrossWorkers(t *testing.T) {
-	tRef, evRef, stRef := sieveObservables(t, 1, true)
+	tRef, evRef, stRef := sieveObservables(t, 1, true, true)
 	for _, workers := range []int{1, 4} {
 		for _, cache := range []bool{true, false} {
-			if workers == 1 && cache {
-				continue
-			}
-			tt, ev, st := sieveObservables(t, workers, cache)
-			if tt != tRef {
-				t.Errorf("workers=%d cache=%v: settle time %v, want %v", workers, cache, tt, tRef)
-			}
-			if !reflect.DeepEqual(ev, evRef) {
-				t.Errorf("workers=%d cache=%v: timeline differs", workers, cache)
-			}
-			if !reflect.DeepEqual(st, stRef) {
-				t.Errorf("workers=%d cache=%v: stats differ", workers, cache)
+			for _, pinned := range []bool{true, false} {
+				if pinned && (workers == 4 || cache) {
+					continue // the reference itself, or the partition four workers derive anyway
+				}
+				tt, ev, st := sieveObservables(t, workers, cache, pinned)
+				if tt != tRef {
+					t.Errorf("workers=%d cache=%v pinned=%v: settle time %v, want %v", workers, cache, pinned, tt, tRef)
+				}
+				if !reflect.DeepEqual(ev, evRef) {
+					t.Errorf("workers=%d cache=%v pinned=%v: timeline differs", workers, cache, pinned)
+				}
+				if !reflect.DeepEqual(st, stRef) {
+					t.Errorf("workers=%d cache=%v pinned=%v: stats differ", workers, cache, pinned)
+				}
 			}
 		}
 	}
@@ -92,19 +100,24 @@ func TestBlockCacheDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSparseTrafficDeterministicAcrossWorkers runs the compute-heavy
 // ring — links idle for almost the whole run, so windows are extended
-// by quiet promises and topology distances — at one and four workers.
-// The extended horizons must not change a single observable.
+// by quiet promises and topology distances — at one and four workers,
+// pinned one shard a node (where those horizons are the coordinator's)
+// and on the partition the worker count gives.  The extended horizons
+// must not change a single observable.
 func TestSparseTrafficDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int, cache bool) (sim.Time, uint64, []core.Stats) {
+	run := func(workers int, cache, pinned bool) (sim.Time, uint64, []core.Stats) {
 		s, err := bench.ComputeRing(4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.SetWorkers(workers)
 		s.SetBlockCache(cache)
+		if pinned {
+			pinPrivate(t, s)
+		}
 		rep := s.Run(10 * sim.Second)
 		if !rep.Settled || len(rep.Blocked) > 0 || len(rep.Halted) > 0 {
-			t.Fatalf("workers=%d cache=%v: bad finish: %+v", workers, cache, rep)
+			t.Fatalf("workers=%d cache=%v pinned=%v: bad finish: %+v", workers, cache, pinned, rep)
 		}
 		var stats []core.Stats
 		for _, n := range s.Nodes() {
@@ -112,19 +125,21 @@ func TestSparseTrafficDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return rep.Time, s.TotalStats().Cycles, stats
 	}
-	tRef, cRef, stRef := run(1, true)
+	tRef, cRef, stRef := run(1, true, true)
 	for _, workers := range []int{1, 4} {
 		for _, cache := range []bool{true, false} {
-			if workers == 1 && cache {
-				continue
-			}
-			tt, cc, st := run(workers, cache)
-			if tt != tRef || cc != cRef {
-				t.Errorf("workers=%d cache=%v: time/cycles %v/%d, want %v/%d",
-					workers, cache, tt, cc, tRef, cRef)
-			}
-			if !reflect.DeepEqual(st, stRef) {
-				t.Errorf("workers=%d cache=%v: per-node stats differ", workers, cache)
+			for _, pinned := range []bool{true, false} {
+				if pinned && (workers == 4 || cache) {
+					continue // the reference itself, or the partition four workers derive anyway
+				}
+				tt, cc, st := run(workers, cache, pinned)
+				if tt != tRef || cc != cRef {
+					t.Errorf("workers=%d cache=%v pinned=%v: time/cycles %v/%d, want %v/%d",
+						workers, cache, pinned, tt, cc, tRef, cRef)
+				}
+				if !reflect.DeepEqual(st, stRef) {
+					t.Errorf("workers=%d cache=%v pinned=%v: per-node stats differ", workers, cache, pinned)
+				}
 			}
 		}
 	}
@@ -132,19 +147,22 @@ func TestSparseTrafficDeterministicAcrossWorkers(t *testing.T) {
 
 // TestVChanBlockCacheInvisible runs the virtual-channel fan — eight
 // producer streams multiplexed over one wire — across the worker ×
-// cache grid, capturing the full probe timeline.  Cross-shard chunk
+// cache × placement grid, capturing the full probe timeline.  Cross-shard chunk
 // deliveries here routinely land at the same instant as the
 // destination's own instruction stream, the collision that exposed
 // the barrier-dependent delivery ordering the kernel's delivery rank
 // now pins (see sim.Kernel's less).
 func TestVChanBlockCacheInvisible(t *testing.T) {
-	run := func(workers int, cache bool) (sim.Time, []probe.Event, []core.Stats) {
+	run := func(workers int, cache, pinned bool) (sim.Time, []probe.Event, []core.Stats) {
 		s, err := bench.VCFan(8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.SetWorkers(workers)
 		s.SetBlockCache(cache)
+		if pinned {
+			pinPrivate(t, s)
+		}
 		bus := probe.NewBus()
 		var evs []probe.Event
 		bus.Subscribe(func(e probe.Event) { evs = append(evs, e) })
@@ -159,28 +177,29 @@ func TestVChanBlockCacheInvisible(t *testing.T) {
 		}
 		return rep.Time, evs, stats
 	}
-	tRef, evRef, stRef := run(1, true)
+	tRef, evRef, stRef := run(1, true, true)
 	for _, workers := range []int{1, 4} {
 		for _, cache := range []bool{true, false} {
-			if workers == 1 && cache {
-				continue
-			}
-			tt, ev, st := run(workers, cache)
-			if tt != tRef {
-				t.Errorf("workers=%d cache=%v: settle time %v, want %v", workers, cache, tt, tRef)
-			}
-			if len(ev) != len(evRef) {
-				t.Fatalf("workers=%d cache=%v: timeline lengths differ: %d vs %d",
-					workers, cache, len(ev), len(evRef))
-			}
-			for i := range ev {
-				if ev[i] != evRef[i] {
-					t.Fatalf("workers=%d cache=%v: timeline event %d differs:\ngot:  %+v\nwant: %+v",
-						workers, cache, i, ev[i], evRef[i])
+			for _, pinned := range []bool{true, false} {
+				if pinned && (workers == 4 || cache) {
+					continue // the reference itself, or the partition four workers derive anyway
 				}
-			}
-			if !reflect.DeepEqual(st, stRef) {
-				t.Errorf("workers=%d cache=%v: per-node stats differ", workers, cache)
+				what := fmt.Sprintf("workers=%d cache=%v pinned=%v", workers, cache, pinned)
+				tt, ev, st := run(workers, cache, pinned)
+				if tt != tRef {
+					t.Errorf("%s: settle time %v, want %v", what, tt, tRef)
+				}
+				if len(ev) != len(evRef) {
+					t.Fatalf("%s: timeline lengths differ: %d vs %d", what, len(ev), len(evRef))
+				}
+				for i := range ev {
+					if ev[i] != evRef[i] {
+						t.Fatalf("%s: timeline event %d differs:\ngot:  %+v\nwant: %+v", what, i, ev[i], evRef[i])
+					}
+				}
+				if !reflect.DeepEqual(st, stRef) {
+					t.Errorf("%s: per-node stats differ", what)
+				}
 			}
 		}
 	}

@@ -52,7 +52,10 @@ import (
 //	vchan app.1 count=8
 //
 // Shard fusion co-locates chattering nodes on one simulation shard
-// (results are identical; only simulator speed changes):
+// (results are identical; only simulator speed changes).  One `shard`
+// line makes the whole placement explicit: nodes no line names, and a
+// node named alone, each get a shard of their own, whatever the worker
+// count (see System.SetPlacement for what a file with none gets):
 //
 //	shard app gfx disk
 type Topology struct {
@@ -79,7 +82,8 @@ type Topology struct {
 	VChans []VChanSpec
 	// Shards lists explicit fusion groups (`shard a b c`): the named
 	// nodes share one event-queue shard.  Purely a simulator-performance
-	// placement; results are byte-identical at any partition.
+	// placement; results are byte-identical at any partition.  Empty
+	// leaves the partition to the worker count.
 	Shards [][]string
 }
 
@@ -338,8 +342,8 @@ func ParseTopology(src string) (*Topology, error) {
 			topo.VChans = append(topo.VChans, VChanSpec{Node: n, Link: l, Count: cnt})
 			vchanLine = append(vchanLine, no)
 		case "shard":
-			if len(fields) < 3 {
-				return nil, fail("shard needs at least two node names")
+			if len(fields) < 2 {
+				return nil, fail("shard needs at least one node name")
 			}
 			group := fields[1:]
 			seen := make(map[string]bool, len(group))

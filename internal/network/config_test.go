@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -370,5 +371,24 @@ func TestParseFaultValidation(t *testing.T) {
 	ok := base + "fault sever a.0 at=1ms\nfault halt a at=1ms\nfault restart a at=2ms\n"
 	if _, err := ParseTopology(ok); err != nil {
 		t.Errorf("valid campaign rejected: %v", err)
+	}
+}
+
+// TestParseShard: `shard` lines make the placement explicit, a group a
+// line; a node may be named alone, which pins it to a shard of its own
+// at any worker count.
+func TestParseShard(t *testing.T) {
+	const nodes = "transputer a t424\ntransputer b t424\ntransputer c t424\n"
+	topo, err := ParseTopology(nodes + "shard a b\nshard c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{"a", "b"}, {"c"}}; !reflect.DeepEqual(topo.Shards, want) {
+		t.Errorf("Shards = %v, want %v", topo.Shards, want)
+	}
+	for _, bad := range []string{"shard", "shard a a", "shard a b\nshard b", "shard ghost"} {
+		if _, err := ParseTopology(nodes + bad + "\n"); err == nil {
+			t.Errorf("%q should be rejected", bad)
+		}
 	}
 }

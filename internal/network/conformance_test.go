@@ -15,24 +15,31 @@ import (
 // protocol, the stop-and-wait ablation, the error-detecting mode, and
 // a virtual-channel multiplexed link; and every configuration must be
 // deterministic across worker counts and across the partition — the
-// two nodes on a shard each or fused onto one (tnet's -fuse full) —
-// completion instant included.
+// two nodes pinned on a shard each (tnet's -fuse off), fused onto one
+// (-fuse full), or wherever the worker count puts them — completion
+// instant included.
 
 type xferOutcome struct {
 	got  []byte
 	done sim.Time
 }
 
-// stackPair builds a two-node system wired a.0 <-> b.1, the nodes on
-// one shard when fuse is set.
-func stackPair(t *testing.T, workers int, fuse, reliable bool) (*network.System, *network.Node, *network.Node) {
+// stackPlacements are the partitions of the pair: nil leaves it to the
+// worker count.
+var stackPlacements = map[string][][]string{
+	"private": {{"a"}, {"b"}},
+	"fused":   {{"a", "b"}},
+	"derived": nil,
+}
+
+// stackPair builds a two-node system wired a.0 <-> b.1 under one of
+// stackPlacements.
+func stackPair(t *testing.T, workers int, place string, reliable bool) (*network.System, *network.Node, *network.Node) {
 	t.Helper()
 	s := network.NewSystem()
-	if workers > 0 {
-		s.SetWorkers(workers)
-	}
-	if fuse {
-		if err := s.SetPlacement([][]string{{"a", "b"}}); err != nil {
+	s.SetWorkers(workers)
+	if groups := stackPlacements[place]; groups != nil {
+		if err := s.SetPlacement(groups); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,9 +54,9 @@ func stackPair(t *testing.T, workers int, fuse, reliable bool) (*network.System,
 }
 
 // transferRaw streams the payload as one raw byte stream.
-func transferRaw(t *testing.T, workers int, fuse bool, payload []byte, stopwait, reliable bool) xferOutcome {
+func transferRaw(t *testing.T, workers int, place string, payload []byte, stopwait, reliable bool) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, fuse, reliable)
+	s, a, b := stackPair(t, workers, place, reliable)
 	if stopwait {
 		a.Engine.SetStopAndWait(true)
 		b.Engine.SetStopAndWait(true)
@@ -70,9 +77,9 @@ func transferRaw(t *testing.T, workers int, fuse bool, payload []byte, stopwait,
 
 // transferVC streams the payload as n equal strips, one per virtual
 // channel, reassembled by vchan index at the receiver.
-func transferVC(t *testing.T, workers int, fuse bool, payload []byte, n int) xferOutcome {
+func transferVC(t *testing.T, workers int, place string, payload []byte, n int) xferOutcome {
 	t.Helper()
-	s, a, b := stackPair(t, workers, fuse, false)
+	s, a, b := stackPair(t, workers, place, false)
 	if err := s.EnableVChans(a, 0, n); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,8 @@ func transferVC(t *testing.T, workers int, fuse bool, payload []byte, n int) xfe
 
 // TestProtocolStackConformance is the table: every configuration
 // delivers the identical bytes, at an instant independent of the
-// worker count and of whether the two nodes share a shard.
+// worker count and of whether the two nodes share a shard, by
+// placement or by default.
 func TestProtocolStackConformance(t *testing.T) {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -112,28 +120,28 @@ func TestProtocolStackConformance(t *testing.T) {
 	}
 	configs := []struct {
 		name string
-		run  func(workers int, fuse bool) xferOutcome
+		run  func(workers int, place string) xferOutcome
 	}{
-		{"raw", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, false, false) }},
-		{"stopwait", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, true, false) }},
-		{"reliable", func(w int, f bool) xferOutcome { return transferRaw(t, w, f, payload, false, true) }},
-		{"vchan8", func(w int, f bool) xferOutcome { return transferVC(t, w, f, payload, 8) }},
+		{"raw", func(w int, p string) xferOutcome { return transferRaw(t, w, p, payload, false, false) }},
+		{"stopwait", func(w int, p string) xferOutcome { return transferRaw(t, w, p, payload, true, false) }},
+		{"reliable", func(w int, p string) xferOutcome { return transferRaw(t, w, p, payload, false, true) }},
+		{"vchan8", func(w int, p string) xferOutcome { return transferVC(t, w, p, payload, 8) }},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			one := c.run(1, false)
+			one := c.run(1, "private")
 			if !bytes.Equal(one.got, payload) {
 				t.Fatalf("delivered %d bytes differ from the sent message", len(one.got))
 			}
 			if one.done == 0 {
 				t.Fatal("transfer never completed")
 			}
-			for _, fuse := range []bool{false, true} {
+			for _, place := range []string{"private", "fused", "derived"} {
 				for _, workers := range []int{1, 4} {
-					got := c.run(workers, fuse)
+					got := c.run(workers, place)
 					if !bytes.Equal(one.got, got.got) || one.done != got.done {
-						t.Errorf("fuse=%v workers=%d changed the outcome: %d bytes at %v, want %d bytes at %v",
-							fuse, workers, len(got.got), got.done, len(one.got), one.done)
+						t.Errorf("placement=%s workers=%d changed the outcome: %d bytes at %v, want %d bytes at %v",
+							place, workers, len(got.got), got.done, len(one.got), one.done)
 					}
 				}
 			}

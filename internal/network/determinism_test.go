@@ -59,33 +59,39 @@ func TestDeterministicSieve(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers runs the database-search grid at one
-// and four workers: the worker count must be invisible in the settle
-// time, the answers, and every aggregate counter including the
-// per-opcode histogram.
+// and four workers, each on the partition its worker count gives,
+// against one worker pinned one shard a node: worker count and
+// partition must be invisible in the settle time, the answers, and
+// every aggregate counter including the per-opcode histogram.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (sim.Time, []int64, interface{}) {
+	run := func(workers int, pinned bool) (sim.Time, []int64, interface{}) {
 		p := dbsearch.Params{Rows: 3, Cols: 3, RecordsPerNode: 60, KeySpace: 16, MemBytes: 64 * 1024}
 		s, err := dbsearch.Build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Net.SetWorkers(workers)
+		if pinned {
+			pinPrivate(t, s.Net)
+		}
 		counts, rep := s.RunSearches([]int64{4, 9}, sim.Second)
 		if !rep.Settled {
-			t.Fatalf("workers=%d: did not settle", workers)
+			t.Fatalf("workers=%d pinned=%v: did not settle", workers, pinned)
 		}
 		return rep.Time, counts, s.Net.TotalStats()
 	}
-	t1, c1, st1 := run(1)
-	t4, c4, st4 := run(4)
-	if t1 != t4 {
-		t.Errorf("simulated times differ: %v vs %v", t1, t4)
-	}
-	if !reflect.DeepEqual(c1, c4) {
-		t.Errorf("answers differ: %v vs %v", c1, c4)
-	}
-	if !reflect.DeepEqual(st1, st4) {
-		t.Errorf("total stats differ:\nworkers=1: %+v\nworkers=4: %+v", st1, st4)
+	t1, c1, st1 := run(1, true)
+	for _, workers := range []int{1, 4} {
+		tt, c, st := run(workers, false)
+		if tt != t1 {
+			t.Errorf("workers=%d: simulated time %v, want %v", workers, tt, t1)
+		}
+		if !reflect.DeepEqual(c, c1) {
+			t.Errorf("workers=%d: answers %v, want %v", workers, c, c1)
+		}
+		if !reflect.DeepEqual(st, st1) {
+			t.Errorf("workers=%d: total stats differ:\n%+v\nwant: %+v", workers, st, st1)
+		}
 	}
 }
 

@@ -62,9 +62,10 @@ done:
 }
 
 // lossyCampaign runs a 50-word transfer over a lossy wire in reliable
-// mode under the given seed, returning the probe event stream and the
-// metrics aggregator.
-func lossyCampaign(t *testing.T, seed uint64) ([]string, *probe.Metrics) {
+// mode under the given seed — the two nodes on a shard each when
+// pinned, on the one shard a sequential run gets when not — returning
+// the probe event stream and the metrics aggregator.
+func lossyCampaign(t *testing.T, seed uint64, pinned bool) ([]string, *probe.Metrics) {
 	t.Helper()
 	s := network.NewSystem()
 	bus := probe.NewBus()
@@ -86,6 +87,9 @@ func lossyCampaign(t *testing.T, seed uint64) ([]string, *probe.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pinned {
+		pinPrivate(t, s)
+	}
 	rep := s.Run(100 * sim.Millisecond)
 	if !rep.Settled {
 		t.Fatalf("lossy campaign did not settle: %+v", rep)
@@ -100,17 +104,19 @@ func lossyCampaign(t *testing.T, seed uint64) ([]string, *probe.Metrics) {
 }
 
 // TestLossyCampaignDeterminism: the same topology, program and seed
-// produce an identical probe event stream, run after run; a different
-// seed produces a different one.
+// produce an identical probe event stream, run after run and on either
+// partition; a different seed produces a different one.
 func TestLossyCampaignDeterminism(t *testing.T) {
-	e1, m1 := lossyCampaign(t, 42)
-	e2, _ := lossyCampaign(t, 42)
-	if len(e1) != len(e2) {
-		t.Fatalf("event counts differ between identical runs: %d vs %d", len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("event %d differs between identical runs:\n  %s\n  %s", i, e1[i], e2[i])
+	e1, m1 := lossyCampaign(t, 42, true)
+	for _, pinned := range []bool{true, false} {
+		e2, _ := lossyCampaign(t, 42, pinned)
+		if len(e1) != len(e2) {
+			t.Fatalf("pinned=%v: event counts differ between identical runs: %d vs %d", pinned, len(e1), len(e2))
+		}
+		for i := range e1 {
+			if e1[i] != e2[i] {
+				t.Fatalf("pinned=%v: event %d differs between identical runs:\n  %s\n  %s", pinned, i, e1[i], e2[i])
+			}
 		}
 	}
 	if m1.Retransmits("a", 1) == 0 {
@@ -120,7 +126,7 @@ func TestLossyCampaignDeterminism(t *testing.T) {
 	if drops == 0 || corrupts == 0 {
 		t.Errorf("fault counters: %d drops, %d corrupts, want both > 0", drops, corrupts)
 	}
-	e3, _ := lossyCampaign(t, 7)
+	e3, _ := lossyCampaign(t, 7, true)
 	same := len(e3) == len(e1)
 	if same {
 		for i := range e1 {
@@ -191,6 +197,14 @@ func TestJitterRetransmitRace(t *testing.T) {
 // receiver; the settled system's watchdog names both processes, their
 // block kinds and the severed link.
 func TestSeverWatchdog(t *testing.T) {
+	for _, pinned := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) { severWatchdog(t, pinned) })
+	}
+}
+
+// severWatchdog cuts the wire with the ends on a shard each (the cut
+// retires the pair from the coordinator's wiring matrix) or on one.
+func severWatchdog(t *testing.T, pinned bool) {
 	s := network.NewSystem()
 	bus := probe.NewBus()
 	var deadlocks []probe.Event
@@ -210,6 +224,9 @@ func TestSeverWatchdog(t *testing.T) {
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pinned {
+		pinPrivate(t, s)
 	}
 	rep := s.Run(10 * sim.Millisecond)
 	if !rep.Settled {
@@ -246,6 +263,12 @@ func TestSeverWatchdog(t *testing.T) {
 // TestHaltFault: a halted node is reported as halted, not deadlocked,
 // and its stranded peer shows up in the watchdog.
 func TestHaltFault(t *testing.T) {
+	for _, pinned := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pinned=%v", pinned), func(t *testing.T) { haltFault(t, pinned) })
+	}
+}
+
+func haltFault(t *testing.T, pinned bool) {
 	s := network.NewSystem()
 	a := s.MustAddTransputer("a", cfg())
 	b := s.MustAddTransputer("b", cfg())
@@ -257,6 +280,9 @@ func TestHaltFault(t *testing.T) {
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pinned {
+		pinPrivate(t, s)
 	}
 	rep := s.Run(10 * sim.Millisecond)
 	if !rep.Settled {

@@ -47,9 +47,10 @@ func FuseTrafficFloor(span sim.Time) uint64 {
 //
 // nodes must be in creation order; ties (equal weights) break toward
 // the earliest-created parts, so the partition is deterministic.  The
-// returned groups list every part with two or more members, each
+// returned groups list every part, one-node parts included, each
 // group's members in creation order, groups ordered by their earliest
-// member — directly the SetPlacement input.
+// member — directly the SetPlacement input, and a complete one: what
+// the planner decided holds at any worker count.
 func GreedyFuse(nodes []string, edges []FuseEdge, maxParts int, minWeight uint64) [][]string {
 	if maxParts < 1 {
 		maxParts = 1
@@ -120,11 +121,9 @@ func GreedyFuse(nodes []string, edges []FuseEdge, maxParts int, minWeight uint64
 		}
 		members[l] = append(members[l], n)
 	}
-	var groups [][]string
-	for _, l := range leaders { // leaders appear in creation order already
-		if g := members[l]; len(g) >= 2 {
-			groups = append(groups, g)
-		}
+	groups := make([][]string, len(leaders))
+	for i, l := range leaders { // leaders appear in creation order already
+		groups[i] = members[l]
 	}
 	return groups
 }

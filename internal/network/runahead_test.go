@@ -18,10 +18,11 @@ import (
 // scenario here is built to make an instant show in memory — how far a
 // loop had counted when a byte landed, when a process was preempted,
 // when a timeslice ended — and is run at workers {1, 4} × block cache
-// {on, off} × fusion {none, all on one shard}.  Every run must leave
-// the machines exactly as the stepwise reference does (one worker, no
-// cache, no fusion: nothing batches, nothing runs ahead): registers,
-// queues, whole memories, statistics, wire counters, the report.
+// {on, off} × placement {derived from the worker count, one shard a
+// node, all on one shard}.  Every run must leave the machines exactly
+// as the stepwise reference does (one worker, no cache, one shard a
+// node: nothing batches, nothing runs ahead): registers, queues, whole
+// memories, statistics, wire counters, the report.
 
 // aheadScenario is a ring of nodes (link 1 of each to link 0 of the
 // next) run to a limit, and optionally continued to a second.
@@ -37,12 +38,13 @@ type aheadScenario struct {
 }
 
 type aheadConfig struct {
-	workers      int
-	cache, fused bool
+	workers int
+	cache   bool
+	place   string // "derived", "private" (pinned one shard a node) or "fused"
 }
 
 func (c aheadConfig) String() string {
-	return fmt.Sprintf("workers=%d cache=%v fused=%v", c.workers, c.cache, c.fused)
+	return fmt.Sprintf("workers=%d cache=%v placement=%s", c.workers, c.cache, c.place)
 }
 
 // nodeState is everything a node shows once the run has stopped.
@@ -89,7 +91,7 @@ func (sc aheadScenario) build(t *testing.T, imgs []core.Image, c aheadConfig) *n
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
 	}
-	if c.fused && len(names) > 1 {
+	if c.place == "fused" {
 		if err := s.SetPlacement([][]string{names}); err != nil {
 			t.Fatal(err)
 		}
@@ -107,6 +109,9 @@ func (sc aheadScenario) build(t *testing.T, imgs []core.Image, c aheadConfig) *n
 		for i, n := range ns {
 			s.MustConnect(n, 1, ns[(i+1)%len(ns)], 0)
 		}
+	}
+	if c.place == "private" {
+		pinPrivate(t, s)
 	}
 	s.SetWorkers(c.workers)
 	s.SetBlockCache(c.cache)
@@ -164,20 +169,23 @@ func (sc aheadScenario) run(t *testing.T) {
 		}
 		return first, second, s.AheadStats()
 	}
-	ref1, ref2, none := exec(aheadConfig{workers: 1})
+	ref1, ref2, none := exec(aheadConfig{workers: 1, place: "private"})
 	if none.Batches != 0 || none.Exits != [core.NumAheadExits]uint64{} {
 		t.Errorf("the stepwise reference ran ahead: %+v", none)
 	}
 	for _, workers := range []int{1, 4} {
 		for _, cache := range []bool{true, false} {
-			for _, fused := range []bool{false, true} {
-				c := aheadConfig{workers, cache, fused}
+			for _, place := range []string{"derived", "private", "fused"} {
+				if place == "derived" && !cache {
+					continue // the same two partitions again, and nothing runs ahead uncached
+				}
+				c := aheadConfig{workers, cache, place}
 				got1, got2, ahead := exec(c)
 				diffOutcome(t, c.String(), got1, ref1)
 				if sc.then > 0 {
 					diffOutcome(t, c.String()+" continued", got2, ref2)
 				}
-				if cache && !fused && workers == 1 && sc.check != nil {
+				if cache && place == "private" && workers == 1 && sc.check != nil {
 					sc.check(t, ahead)
 				}
 			}
@@ -543,7 +551,7 @@ func TestRunAheadInvisible(t *testing.T) {
 // block.
 func TestRunAheadLengthensWindows(t *testing.T) {
 	sc := aheadScenarios[0]
-	s := sc.build(t, sc.images(t), aheadConfig{workers: 1, cache: true})
+	s := sc.build(t, sc.images(t), aheadConfig{workers: 1, cache: true, place: "private"})
 	if rep := s.Run(sc.limit); !rep.Settled || len(rep.Blocked)+len(rep.Halted) > 0 {
 		t.Fatalf("bad finish: %+v", rep)
 	}

@@ -3,9 +3,10 @@
 // concurrently and communicate through the standard links" (paper,
 // 2.1).  It wires machines together with link engines and host
 // devices, and drives everything from a sharded deterministic
-// simulation engine: one event-queue shard per transputer, advanced in
-// conservative time windows by a coordinator (see internal/sim).  The
-// result is bit-for-bit identical for any worker count.
+// simulation engine: event-queue shards advanced in conservative time
+// windows by a coordinator (see internal/sim), with the nodes
+// partitioned onto shards when the run starts (see System.seal).  The
+// result is bit-for-bit identical for any worker count and partition.
 package network
 
 import (
@@ -30,8 +31,8 @@ import (
 const Lookahead = sim.Time(link.AckBits * link.BitNs)
 
 // Node is one transputer in a system: a machine, its link engine, its
-// scheduling port (on a private shard, or on a shard shared with fused
-// neighbours), and a probe collector.
+// scheduling port (placed on a shard when the run starts: a private
+// one, or one shared with fused neighbours), and a probe collector.
 type Node struct {
 	Name   string
 	M      *core.Machine
@@ -46,16 +47,19 @@ type Node struct {
 	// need the topology back out of the wiring.
 	peers    [core.NumLinks]*Node
 	peerLink [core.NumLinks]int
-	// severs maps each cross-shard link to the shared per-connection
-	// sever marker (nil for host links and same-shard wiring).
+	// severs maps each transputer-to-transputer link to the marker it
+	// shares with the other end (nil for host links).
 	severs [core.NumLinks]*severMark
 }
 
-// severMark is shared by the two ends of one cross-shard connection so
-// that a sever — whichever end's fault schedule triggers it, or both —
-// retires the pair from the coordinator's wiring matrix exactly once.
+// severMark is shared by the two ends of one connection, from Connect
+// on, so that a sever — whichever end's fault schedule triggers it, or
+// both — retires the pair from the coordinator's wiring matrix exactly
+// once.  It names nodes, not shards: which shards the ends live on,
+// and so whether the pair is in the matrix at all, is decided when the
+// run starts (see System.seal), after fault plans have set keep.
 type severMark struct {
-	a, b int // shard IDs of the two ends
+	a, b *Node
 	done bool
 	// keep pins the pair in the wiring matrix even when severed: a
 	// scheduled Restart will restore this link, and re-adding a retired
@@ -111,28 +115,23 @@ type System struct {
 	// affected node's shard; subscribe before Run.
 	downSubs []func(*Node)
 	upSubs   []func(*Node)
-	// placement maps node names to fusion groups (see SetPlacement);
-	// members of one group share a shard.  Nodes not named get private
-	// shards, the default.
-	placement map[string]*fuseGroup
-}
-
-// fuseGroup is one fused shard-to-be: its shard is created when the
-// first member node is added.
-type fuseGroup struct {
-	shard *sim.Shard
+	// placement maps node names to one of groups explicit shard groups
+	// (see SetPlacement); nil means the partition is derived from the
+	// worker count.  sealed is set once the partition is fixed.
+	placement map[string]int
+	groups    int
+	sealed    bool
 }
 
 // NewSystem returns an empty system.
 func NewSystem() *System {
-	s := &System{coord: sim.NewCoordinator(Lookahead), byName: make(map[string]*Node)}
-	s.coord.OnFlush(s.flushProbes)
-	return s
+	return &System{coord: sim.NewCoordinator(Lookahead), byName: make(map[string]*Node)}
 }
 
 // SetWorkers sets how many OS threads execute shards inside each
 // simulation window.  Every value produces identical results; 1 (the
-// default) is fully sequential.
+// default) is fully sequential, and with no explicit placement it also
+// means one shard (see SetPlacement).
 func (s *System) SetWorkers(n int) { s.coord.SetWorkers(n) }
 
 // Workers reports the configured worker count.
@@ -169,42 +168,98 @@ func (s *System) AheadStats() core.AheadStats {
 	return total
 }
 
-// SetPlacement declares fusion groups before nodes are added: the
-// members of each group share one event-queue shard, so their mutual
-// link traffic is delivered as ordinary intra-kernel events with no
-// coordinator barrier in between.  Results are byte-identical at any
-// placement; only simulator performance changes.  Each group must have
-// at least two members, no name may appear twice, and every named node
-// must be added after this call.
+// SetPlacement makes the partition explicit: the members of each group
+// share one event-queue shard, so their mutual link traffic is
+// delivered as ordinary intra-kernel events with no coordinator barrier
+// in between, and every node no group names gets a shard of its own (a
+// one-member group says the same of the node it names).  Results are
+// byte-identical at any placement; only simulator performance changes.
+//
+// This is the whole placement rule.  The partition is fixed when the
+// first Run or Continue starts, from what the system then knows: an
+// explicit placement is honoured as given; with none, one worker means
+// one shard — a run that can never execute two shards at once has no
+// use for a barrier or a mailbox between them — and more than one
+// worker means one shard a node.  So the order of SetPlacement,
+// SetWorkers, AddTransputer and Connect does not matter, only that
+// they come before the run.  No name may appear twice.
 func (s *System) SetPlacement(groups [][]string) error {
-	for _, g := range groups {
-		if len(g) < 2 {
-			return fmt.Errorf("network: fusion group needs at least 2 members, got %v", g)
-		}
-		for _, name := range g {
-			if _, dup := s.byName[name]; dup {
-				return fmt.Errorf("network: node %q already added before placement", name)
-			}
-		}
+	if s.sealed {
+		return fmt.Errorf("network: placement after the run has started")
 	}
 	if s.placement == nil {
-		s.placement = make(map[string]*fuseGroup)
+		s.placement = make(map[string]int)
 	}
 	for _, g := range groups {
-		fg := &fuseGroup{}
 		for _, name := range g {
 			if _, dup := s.placement[name]; dup {
 				return fmt.Errorf("network: node %q named in two fusion groups", name)
 			}
-			s.placement[name] = fg
+			s.placement[name] = s.groups
 		}
+		s.groups++
 	}
 	return nil
 }
 
-// AddTransputer creates a node on its own shard.  The configuration's
-// Name is replaced by the node name.
+// seal fixes the partition by the rule SetPlacement states, and enters
+// every connection between two shards into the coordinator's wiring
+// matrix.  Shards are numbered by their earliest member and hold their
+// members in creation order, as when AddTransputer placed each node as
+// it came.
+func (s *System) seal() {
+	if s.sealed {
+		return
+	}
+	s.sealed = true
+	oneShard := s.placement == nil && s.Workers() == 1
+	groupOf := func(n *Node) (int, bool) {
+		if oneShard {
+			return 0, true
+		}
+		g, ok := s.placement[n.Name]
+		return g, ok
+	}
+	members := make([][]*sim.Port, max(s.groups, 1))
+	for _, n := range s.nodes {
+		if g, ok := groupOf(n); ok {
+			members[g] = append(members[g], n.port)
+		}
+	}
+	for _, n := range s.nodes {
+		if n.port.Shard() != nil {
+			continue // placed with an earlier member of its group
+		}
+		if g, ok := groupOf(n); ok {
+			s.coord.NewShard(members[g]...)
+		} else {
+			s.coord.NewShard(n.port)
+		}
+	}
+	// Window horizons follow the actual topology (shortest influence
+	// paths) instead of assuming every shard can reach every other in
+	// one Lookahead.  A connection between fused nodes never reaches the
+	// matrix: its traffic is intra-kernel and bounds no window.
+	for _, n := range s.nodes {
+		for _, mark := range n.severs {
+			if mark == nil || mark.a != n {
+				continue // host link, or the peer end registers it
+			}
+			if as, bs := mark.a.port.Shard(), mark.b.port.Shard(); as != bs {
+				s.coord.Wire(as.ID(), bs.ID(), Lookahead)
+				s.coord.Wire(bs.ID(), as.ID(), Lookahead)
+			}
+		}
+	}
+}
+
+// AddTransputer creates a node; which shard it runs on is decided when
+// the run starts (see SetPlacement).  The configuration's Name is
+// replaced by the node name.
 func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
+	if s.sealed {
+		return nil, fmt.Errorf("network: transputer %q added after the run has started", name)
+	}
 	if _, dup := s.byName[name]; dup {
 		return nil, fmt.Errorf("network: duplicate transputer name %q", name)
 	}
@@ -213,21 +268,11 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Name: name, M: m}
-	// Placement decides the node's shard; its port rank is the node
-	// creation ordinal either way (every node allocates exactly one
-	// port, in AddTransputer order), so event identities and delivery
-	// keys — and with them all observable output — are independent of
-	// the partition.
-	if g, ok := s.placement[name]; ok && g.shard != nil {
-		n.port = g.shard.NewPort()
-	} else {
-		sh := s.coord.NewShard()
-		n.port = sh.Port()
-		if ok {
-			g.shard = sh
-		}
-	}
+	// The port's rank is the node creation ordinal (every node allocates
+	// exactly one port, in AddTransputer order), so event identities and
+	// delivery keys — and with them all observable output — are
+	// independent of the partition.
+	n := &Node{Name: name, M: m, port: s.coord.NewPort()}
 	n.Engine = link.NewEngine(n.port, m)
 	n.Engine.OnSever(func(l int) { s.linkSevered(n, l) })
 	n.runner = core.NewRunner(n.port, m, n.Engine)
@@ -251,11 +296,14 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 
 // AttachProbe connects every machine, link engine and host in the
 // system — present and future — to a probe bus.  Each node emits into
-// a private per-shard buffer; events reach the given bus merged in
-// (time, node) order at window barriers.  With no bus attached (the
-// default) the instrumented code paths reduce to one nil check.
+// a private per-node buffer; events reach the given bus merged in
+// (time, node) order at window barriers — or, when the whole system is
+// one shard, at every pass of its member loop.  With no bus attached
+// (the default) the instrumented code paths reduce to one nil check
+// and the engine makes no flush call at all.
 func (s *System) AttachProbe(b *probe.Bus) {
 	s.bus = b
+	s.coord.OnFlush(s.flushProbes)
 	for _, n := range s.nodes {
 		s.attachCollector(n)
 	}
@@ -279,11 +327,14 @@ func (s *System) attachCollector(n *Node) {
 	}
 }
 
-// flushProbes is the coordinator's barrier callback: it merges every
+// flushProbes is the coordinator's flush callback: it merges every
 // node's buffered events with time below upTo (everything, on the
 // final flush) and publishes them to the system bus.  Ties are broken
 // by node creation order, a rule independent of execution
-// interleaving.
+// interleaving — and the merged stream is independent of when flushes
+// happen too: upTo is always a time below which no node will emit
+// again, so each call publishes the next stretch of one fixed
+// (time, node)-ordered sequence, however the stretches are cut.
 func (s *System) flushProbes(upTo sim.Time, final bool) {
 	if s.bus == nil {
 		return
@@ -349,24 +400,17 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 	if a == b && la == lb {
 		return fmt.Errorf("network: cannot connect a link to itself")
 	}
+	if s.sealed {
+		return fmt.Errorf("network: %s link %d connected after the run has started", a.Name, la)
+	}
 	link.Connect(a.Engine, la, b.Engine, lb)
 	a.wired[la] = true
 	b.wired[lb] = true
 	a.peers[la], a.peerLink[la] = b, lb
 	b.peers[lb], b.peerLink[lb] = a, la
-	if as, bs := a.port.Shard(), b.port.Shard(); as != bs {
-		// Register the pair in the coordinator's wiring matrix: window
-		// horizons then follow the actual topology (shortest influence
-		// paths) instead of assuming every shard can reach every other
-		// in one Lookahead.  A connection between fused nodes (same
-		// shard) never reaches the matrix: its traffic is intra-kernel
-		// and bounds no window.
-		s.coord.Wire(as.ID(), bs.ID(), Lookahead)
-		s.coord.Wire(bs.ID(), as.ID(), Lookahead)
-		mark := &severMark{a: as.ID(), b: bs.ID()}
-		a.severs[la] = mark
-		b.severs[lb] = mark
-	}
+	mark := &severMark{a: a, b: b}
+	a.severs[la] = mark
+	b.severs[lb] = mark
 	return nil
 }
 
@@ -381,6 +425,10 @@ func (s *System) linkSevered(n *Node, l int) {
 	if mark == nil || mark.keep {
 		return
 	}
+	as, bs := mark.a.port.Shard(), mark.b.port.Shard()
+	if as == bs {
+		return // fused (or cut before any run): the pair is not in the matrix
+	}
 	s.severMu.Lock()
 	done := mark.done
 	mark.done = true
@@ -389,8 +437,8 @@ func (s *System) linkSevered(n *Node, l int) {
 		return
 	}
 	cut := n.port.Now() + Lookahead
-	s.coord.Unwire(mark.a, mark.b, cut)
-	s.coord.Unwire(mark.b, mark.a, cut)
+	s.coord.Unwire(as.ID(), bs.ID(), cut)
+	s.coord.Unwire(bs.ID(), as.ID(), cut)
 }
 
 // Peer reports what link l of the node is wired to: the node at the
@@ -545,6 +593,7 @@ type Report struct {
 // deadlocked, which the caller can detect from its own completion
 // signal (e.g. the host exit command).
 func (s *System) Run(limit sim.Time) Report {
+	s.seal()
 	for _, n := range s.nodes {
 		n.runner.Start()
 		if s.hb.set {
@@ -583,6 +632,7 @@ func (s *System) TotalStats() core.Stats {
 
 // Continue resumes a previously run system for another bounded slice.
 func (s *System) Continue(until sim.Time) Report {
+	s.seal()
 	var rep Report
 	rep.Settled = s.coord.RunUntil(until)
 	rep.Time = s.Now()

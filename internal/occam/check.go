@@ -1,6 +1,10 @@
 package occam
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Semantic analysis: scopes, symbol binding, constant evaluation, and
 // structural checks.  The checker also creates the workspace frames:
@@ -96,6 +100,10 @@ type scope struct {
 	names        map[string]*symbol
 	frame        *frame
 	procBoundary bool
+	// wordBytes is set on the outermost scope only, which holds the
+	// predefined constants: lookup declares one there the first time a
+	// program names it (see builtinConst).
+	wordBytes int
 }
 
 func (s *scope) child(f *frame, boundary bool) *scope {
@@ -123,6 +131,13 @@ func (s *scope) lookup(name string) (*symbol, bool) {
 				return nil, false
 			}
 			return sym, true
+		}
+		if sc.wordBytes != 0 {
+			if v, ok := builtinConst(name, sc.wordBytes); ok {
+				sym := &symbol{kind: symConst, name: name, value: v}
+				sc.names[name] = sym
+				return sym, true
+			}
 		}
 		if sc.procBoundary {
 			crossed = true
@@ -171,44 +186,65 @@ func (c *checker) newFrame() *frame {
 	return &frame{id: c.nextFrame, nLocal: frameReserved}
 }
 
-// builtinScope declares the predefined constants: TRUE/FALSE are
-// keywords; link channel addresses and integer bounds are DEFs.
-func (c *checker) builtinScope() *scope {
-	s := &scope{names: make(map[string]*symbol)}
-	bpw := int64(c.wordBytes)
-	bits := uint(c.wordBytes * 8)
-	mostneg := -(int64(1) << (bits - 1))
-	def := func(name string, v int64) {
-		s.names[name] = &symbol{kind: symConst, name: name, value: v}
-	}
-	for i := int64(0); i < 4; i++ {
-		def(fmt.Sprintf("LINK%dOUT", i), mostneg+i*bpw)
-		def(fmt.Sprintf("LINK%dIN", i), mostneg+(4+i)*bpw)
-	}
-	def("EVENT", mostneg+8*bpw)
-	def("MOSTNEG", mostneg)
-	def("MOSTPOS", (int64(1)<<(bits-1))-1)
-	// Virtual-channel words: PLACE a channel at LINK<l>VC<v>OUT/IN to
-	// speak on virtual channel v of a multiplexed link l.  The block
-	// sits at the most positive addresses (mirroring core's
-	// VChanOutAddr/VChanInAddr), far above any realistic memory size;
-	// like the link words, the addresses are pure names and are never
-	// dereferenced.
+// builtinConst resolves a predefined constant by name for a word
+// length (TRUE/FALSE are keywords, not constants): the integer bounds
+// MOSTNEG and MOSTPOS, the link channel words LINK<l>OUT/IN and EVENT
+// at the bottom of the address space, and the virtual-channel words
+// LINK<l>VC<v>OUT/IN — PLACE a channel there to speak on virtual
+// channel v of a multiplexed link l.  That block sits at the most
+// positive addresses (mirroring core's VChanOutAddr/VChanInAddr), far
+// above any realistic memory size; like the link words, the addresses
+// are pure names and are never dereferenced.
+//
+// There are 267 such names and a program uses a handful, so they are
+// worked out from the spelling when a lookup reaches the outermost
+// scope (see scope.lookup) instead of being declared into a table per
+// compile — which was a third of compile time — or kept in a shared
+// one, which would sit in every importing program's heap for good.
+func builtinConst(name string, wordBytes int) (int64, bool) {
 	const maxVC = 32 // core.VChanMax
-	vcbase := (int64(1) << (bits - 1)) - 4*maxVC*2*bpw
-	for l := int64(0); l < 4; l++ {
-		for v := int64(0); v < maxVC; v++ {
-			def(fmt.Sprintf("LINK%dVC%dOUT", l, v), vcbase+(l*maxVC+v)*bpw)
-			def(fmt.Sprintf("LINK%dVC%dIN", l, v), vcbase+((4+l)*maxVC+v)*bpw)
-		}
+	bpw := int64(wordBytes)
+	mostpos := int64(1)<<(uint(wordBytes)*8-1) - 1
+	mostneg := -mostpos - 1
+	switch name {
+	case "EVENT":
+		return mostneg + 8*bpw, true
+	case "MOSTNEG":
+		return mostneg, true
+	case "MOSTPOS":
+		return mostpos, true
 	}
-	return s
+	rest, ok := strings.CutPrefix(name, "LINK")
+	if !ok || rest == "" || rest[0] < '0' || rest[0] > '3' {
+		return 0, false
+	}
+	// word is the link's place in an eight-word row: outputs 0..3, then
+	// inputs 4..7.
+	word := int64(rest[0] - '0')
+	rest = rest[1:]
+	if vc, ok := strings.CutSuffix(rest, "OUT"); ok {
+		rest = vc
+	} else if vc, ok := strings.CutSuffix(rest, "IN"); ok {
+		rest, word = vc, word+4
+	} else {
+		return 0, false
+	}
+	if rest == "" {
+		return mostneg + word*bpw, true
+	}
+	digits, ok := strings.CutPrefix(rest, "VC")
+	v, err := strconv.Atoi(digits)
+	if !ok || err != nil || v < 0 || v >= maxVC || strconv.Itoa(v) != digits {
+		return 0, false // only the canonical spelling is a name: LINK0VC7OUT, not LINK0VC07OUT
+	}
+	vcbase := mostpos + 1 - 4*maxVC*2*bpw
+	return vcbase + (word*maxVC+int64(v))*bpw, true
 }
 
 // run resolves the whole program, returning the root frame.
 func (c *checker) run(prog process) (*frame, *Err) {
 	root := c.newFrame()
-	sc := c.builtinScope().child(root, false)
+	sc := (&scope{names: make(map[string]*symbol), wordBytes: c.wordBytes}).child(root, false)
 	if err := c.process(prog, sc); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package occam
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,50 @@ SEQ
 	}
 	if string(c16.Image.Code) == string(c32.Image.Code) {
 		t.Error("MOSTPOS should differ between word lengths")
+	}
+}
+
+// TestBuiltinConstTable: resolving a predefined constant from its
+// spelling gives exactly the table the checker used to declare up front
+// — rebuilt here the way it was, fmt.Sprintf and all — for both word
+// lengths, and nothing that is not in the table is a name.
+func TestBuiltinConstTable(t *testing.T) {
+	for _, wordBytes := range []int{2, 4} {
+		bpw := int64(wordBytes)
+		bits := uint(wordBytes * 8)
+		mostneg := -(int64(1) << (bits - 1))
+		table := map[string]int64{
+			"EVENT":   mostneg + 8*bpw,
+			"MOSTNEG": mostneg,
+			"MOSTPOS": (int64(1) << (bits - 1)) - 1,
+		}
+		for i := int64(0); i < 4; i++ {
+			table[fmt.Sprintf("LINK%dOUT", i)] = mostneg + i*bpw
+			table[fmt.Sprintf("LINK%dIN", i)] = mostneg + (4+i)*bpw
+		}
+		const maxVC = 32
+		vcbase := (int64(1) << (bits - 1)) - 4*maxVC*2*bpw
+		for l := int64(0); l < 4; l++ {
+			for v := int64(0); v < maxVC; v++ {
+				table[fmt.Sprintf("LINK%dVC%dOUT", l, v)] = vcbase + (l*maxVC+v)*bpw
+				table[fmt.Sprintf("LINK%dVC%dIN", l, v)] = vcbase + ((4+l)*maxVC+v)*bpw
+			}
+		}
+		if len(table) != 267 {
+			t.Fatalf("reference table has %d names, want 267", len(table))
+		}
+		for name, want := range table {
+			if got, ok := builtinConst(name, wordBytes); !ok || got != want {
+				t.Errorf("%d-byte words: %s = %d (found %v), want %d", wordBytes, name, got, ok, want)
+			}
+		}
+		for _, name := range []string{"", "LINK", "LINK0", "LINKOUT", "LINK4OUT", "LINK0OUTX", "LINK00OUT",
+			"LINK0VC32OUT", "LINK0VC07OUT", "LINK0VC-1IN", "LINK0VC+1IN", "LINK0VCOUT", "LINK0VC1", "LINK0XC1IN",
+			"link0out", "Event", "MOSTNEGS", "TRUE"} {
+			if v, ok := builtinConst(name, wordBytes); ok {
+				t.Errorf("%d-byte words: %q resolved to %d; it is not a predefined name", wordBytes, name, v)
+			}
+		}
 	}
 }
 

@@ -895,6 +895,38 @@ SEQ
 	}
 }
 
+// TestBuiltinConstantsPerWordLength: the predefined constants depend
+// on the word length, and a compile for one length must never see the
+// other's, whichever order the two come in.  The program reports them
+// through the host (which it reaches only if LINK0OUT itself resolved
+// to the right address).
+func TestBuiltinConstantsPerWordLength(t *testing.T) {
+	const src = report + `SEQ
+  screen ! 2; MOSTNEG
+  screen ! 2; MOSTPOS
+  screen ! 2; LINK0OUT - MOSTNEG
+  screen ! 2; LINK3OUT - MOSTNEG
+  screen ! 2; LINK0IN - MOSTNEG
+  screen ! 2; LINK3IN - MOSTNEG
+  screen ! 2; EVENT - MOSTNEG
+  screen ! 2; MOSTPOS - LINK3VC31IN
+`
+	on16 := func() {
+		t.Helper()
+		got := runOccamOn(t, src, core.T222().WithMemory(32*1024), 2)
+		wantValues(t, got, -1<<15, 1<<15-1, 0, 3*2, 4*2, 7*2, 8*2, 2-1)
+	}
+	on32 := func() {
+		t.Helper()
+		got := runOccamOn(t, src, core.T424().WithMemory(32*1024), 4)
+		wantValues(t, got, -1<<31, 1<<31-1, 0, 3*4, 4*4, 7*4, 8*4, 4-1)
+	}
+	on16()
+	on32()
+	on16()
+	on32()
+}
+
 // TestByteSubscription exercises occam's a[BYTE i] addressing: the
 // array's storage accessed byte by byte (little-endian words).
 func TestByteSubscription(t *testing.T) {

@@ -174,7 +174,8 @@ func (m *Metrics) Finish(end sim.Time) {
 	if end > m.end {
 		m.end = end
 	}
-	for _, n := range m.nodes {
+	for _, name := range m.order {
+		n := m.nodes[name]
 		if n.running {
 			n.busy += m.end - n.runningFrom
 			n.running = false

@@ -154,6 +154,7 @@ func Resolve(t *Target, opt ResolveOptions) TargetProfile {
 	}
 	rows := map[key]uint64{}
 	var attributed uint64
+	//tvet:ignore detrange sums samples into per-line rows; addition commutes, so the rows do not depend on the order
 	for addr, count := range t.Counts {
 		off := int(addr - opt.CodeStart)
 		if addr >= opt.CodeStart && off < opt.CodeLen {
@@ -166,6 +167,7 @@ func Resolve(t *Target, opt ResolveOptions) TargetProfile {
 		rows[key{off: off, line: -1}] += count
 	}
 	tp := TargetProfile{Name: t.Name, Total: t.Running, Idle: t.Idle, Attributed: attributed}
+	//tvet:ignore detrange the buckets are sorted below by (samples, Where), and Where is unique per row: a total order
 	for k, count := range rows {
 		b := Bucket{Samples: count}
 		if k.line > 0 {

@@ -31,7 +31,7 @@ import (
 // nodes of the simulated system schedule and post through.  Each port
 // owns its own kernel; with one port per shard this is exactly the
 // one-node-per-shard engine.  Fusing several ports onto one shard
-// (see NewPort) keeps their mutual traffic inside the shard: a post
+// (see NewShard) keeps their mutual traffic inside the shard: a post
 // between co-resident ports is scheduled straight into the destination
 // port's kernel at its exact timestamp — no outbox entry, no
 // coordinator barrier — and the member kernels are interleaved by a
@@ -74,9 +74,10 @@ type Coordinator struct {
 	// run, so an empty system still reports time correctly.
 	now Time
 
-	// onFlush, when set, is called at every barrier with the time below
-	// which no further events can occur; observers use it to merge and
-	// release per-shard probe buffers in deterministic order.
+	// onFlush, when set, is called at every barrier — and, when one
+	// shard holds every port, at every pass of its member loop — with the
+	// time below which no further events can occur; observers use it to
+	// merge and release per-node probe buffers in deterministic order.
 	onFlush func(upTo Time, final bool)
 
 	// Window dispatch state (see runWindow).  claim packs the current
@@ -122,9 +123,9 @@ type Coordinator struct {
 	nts       []Time
 	activeBuf []*Shard
 
-	// Engine diagnostics (see EngineStats).  All but fused are touched
-	// only by the coordinator thread between windows; fused is bumped by
-	// shard goroutines taking the intra-shard delivery fast path.
+	// Engine diagnostics (see EngineStats), touched only by the
+	// coordinator thread between windows; shards and ports count their
+	// own local windows and direct deliveries.
 	stBarriers     uint64
 	stWindows      uint64
 	stShardWindows uint64
@@ -178,33 +179,50 @@ func (c *Coordinator) SetWorkers(n int) {
 // Workers returns the configured worker count.
 func (c *Coordinator) Workers() int { return c.workers }
 
-// OnFlush registers the barrier callback (see Coordinator doc).  Only
+// OnFlush registers the flush callback (see the onFlush field).  Only
 // one callback is supported; registering replaces the previous one.
+// Register none and a run makes no flush calls at all.
 func (c *Coordinator) OnFlush(fn func(upTo Time, final bool)) { c.onFlush = fn }
 
-// NewShard adds a shard and returns it.  The shard comes with its
-// first port (see Shard.Port); further participants join it through
-// Shard.NewPort.
-func (c *Coordinator) NewShard() *Shard {
-	s := &Shard{c: c, id: len(c.shards)}
-	c.shards = append(c.shards, s)
-	s.p0 = c.newPort(s)
-	return s
-}
-
-// newPort registers a port on the shard.  Rank — the creation ordinal
-// across the whole coordinator — is the port's identity in delivery
-// keys and event IDs, so the canonical order of same-instant
-// deliveries depends only on which ports exist, never on how they are
-// partitioned onto shards.
-func (c *Coordinator) newPort(s *Shard) *Port {
+// NewPort registers a participant that is not on any shard yet.  Rank
+// — the creation ordinal across the whole coordinator — is the port's
+// identity in delivery keys and event IDs, so the canonical order of
+// same-instant deliveries depends only on which ports exist, never on
+// how they are partitioned onto shards.  That is what lets the
+// partition wait: a port schedules, cancels and posts from the moment
+// it exists (outside a run a post goes straight into the destination
+// kernel, under the key the mailbox would have given it), and NewShard
+// places it any time before the run that first executes it.  A port
+// still unplaced when a run starts gets a shard of its own.
+func (c *Coordinator) NewPort() *Port {
 	if len(c.ports) >= claimMask-1 {
 		panic("sim: too many ports")
 	}
-	p := &Port{s: s, rank: len(c.ports), k: NewKernel()}
+	p := &Port{c: c, rank: len(c.ports), k: NewKernel()}
 	c.ports = append(c.ports, p)
-	s.ports = append(s.ports, p)
 	return p
+}
+
+// NewShard adds a shard holding the given unplaced ports, in the order
+// given, and returns it — the fusion primitive: ports of one shard
+// interleave without coordinator barriers, and their mutual traffic
+// never waits for one.  With no ports it creates the shard's first
+// (and only) port itself (see Shard.Port).
+func (c *Coordinator) NewShard(ports ...*Port) *Shard {
+	s := &Shard{c: c, id: len(c.shards)}
+	c.shards = append(c.shards, s)
+	if len(ports) == 0 {
+		ports = []*Port{c.NewPort()}
+	}
+	for _, p := range ports {
+		if p.c != c || p.s != nil {
+			panic("sim: port is already on a shard")
+		}
+		p.s = s
+	}
+	s.ports = append(s.ports, ports...)
+	s.p0 = s.ports[0]
+	return s
 }
 
 // Wire records a direct link from shard a to shard b with the given
@@ -470,6 +488,11 @@ func (c *Coordinator) RunUntil(limit Time) bool {
 }
 
 func (c *Coordinator) run(limit Time, bounded bool) bool {
+	for _, p := range c.ports {
+		if p.s == nil {
+			c.NewShard(p)
+		}
+	}
 	stop := c.startPool()
 	defer stop()
 	c.ensureMatrix()

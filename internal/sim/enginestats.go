@@ -40,7 +40,9 @@ func (c *Coordinator) EngineStats() EngineStats {
 	var local, fused uint64
 	for _, s := range c.shards {
 		local += s.stLocal
-		fused += s.stFused
+	}
+	for _, p := range c.ports {
+		fused += p.stFused
 	}
 	return EngineStats{
 		Shards:        len(c.shards),

@@ -18,47 +18,37 @@ var fourWays = [][][]int{
 	{{0, 1}, {2, 3}},     // two pairs
 	{{0, 2}, {1}, {3}},   // an uneven mix
 	{{0}, {1, 2, 3}},     // one loner
-}
-
-// buildPorts realises a partition: one shard per group, one port per
-// actor, returned indexed by actor.  Ports are created in actor order
-// — the way the network layer places nodes — so each actor's port rank
-// (the delivery-key origin) is the same at every partition.
-func buildPorts(c *Coordinator, groups [][]int) []*Port {
-	n := 0
-	shardOf := map[int]int{}
-	for gi, g := range groups {
-		n += len(g)
-		for _, actor := range g {
-			shardOf[actor] = gi
-		}
-	}
-	ports := make([]*Port, n)
-	shards := make([]*Shard, len(groups))
-	for actor := 0; actor < n; actor++ {
-		gi := shardOf[actor]
-		if shards[gi] == nil {
-			shards[gi] = c.NewShard()
-			ports[actor] = shards[gi].Port()
-		} else {
-			ports[actor] = shards[gi].NewPort()
-		}
-	}
-	return ports
+	{{3, 1}},             // members out of rank order; 0 and 2 left for the run to place
 }
 
 // withPartitions runs the scenario once per partition and worker count
 // and checks every run produces the trace of the one-shard-per-actor
-// workers=1 run.
+// workers=1 run.  It works the way the network layer does: one port
+// per actor, created in actor order, so each actor's port rank (the
+// delivery-key origin) is the same at every partition; the scenario is
+// set up on the ports while they are still on no shard; and only then
+// is the partition made, one shard per group.
 func withPartitions(t *testing.T, build func(ports []*Port, c *Coordinator) *[]string) {
 	t.Helper()
 	run := func(groups [][]int, workers int) []string {
 		const L = Time(100)
 		c := NewCoordinator(L)
 		c.SetWorkers(workers)
-		ports := buildPorts(c, groups)
+		ports := []*Port{c.NewPort(), c.NewPort(), c.NewPort(), c.NewPort()}
 		trace := build(ports, c)
+		for _, g := range groups {
+			members := make([]*Port, len(g))
+			for i, actor := range g {
+				members[i] = ports[actor]
+			}
+			c.NewShard(members...)
+		}
 		c.Run()
+		for actor, p := range ports {
+			if p.Shard() == nil {
+				t.Errorf("partition %v: actor %d still on no shard after the run", groups, actor)
+			}
+		}
 		return *trace
 	}
 	want := run(fourWays[0], 1)
@@ -145,6 +135,62 @@ func TestFusionPartitionInvariantCancel(t *testing.T) {
 		ports[2].Schedule(3*L, func() { *trace = append(*trace, "tick") })
 		return trace
 	})
+}
+
+// TestLoneShardFlushesEveryPass: when one shard holds every port the
+// run crosses a single barrier, so the member loop itself tells the
+// flush callback how far the whole system has got — often, with a
+// low-water mark that never goes back and that no later event
+// undercuts.  With a second shard the barriers do the flushing and the
+// loop stays out of it.
+func TestLoneShardFlushesEveryPass(t *testing.T) {
+	const L = Time(100)
+	run := func(groups ...[]int) (flushes int, barriers uint64) {
+		c := NewCoordinator(L)
+		ports := []*Port{c.NewPort(), c.NewPort(), c.NewPort()}
+		for _, g := range groups {
+			members := make([]*Port, len(g))
+			for i, actor := range g {
+				members[i] = ports[actor]
+			}
+			c.NewShard(members...)
+		}
+		upTo, finals := Time(0), 0
+		c.OnFlush(func(t1 Time, final bool) {
+			if t1 < upTo {
+				t.Errorf("partition %v: flush at %v after one at %v", groups, t1, upTo)
+			}
+			upTo = t1
+			flushes++
+			if final {
+				finals++
+			}
+		})
+		var volley func(to, n int) func()
+		volley = func(to, n int) func() {
+			return func() {
+				if now := ports[to].Now(); now < upTo {
+					t.Errorf("partition %v: event at %v after a flush up to %v", groups, now, upTo)
+				}
+				if n > 0 {
+					next := (to + 1) % len(ports)
+					ports[to].Post(ports[next], ports[to].Now()+L, volley(next, n-1))
+				}
+			}
+		}
+		ports[0].Schedule(L, volley(0, 30))
+		c.Run()
+		if finals != 1 {
+			t.Errorf("partition %v: %d final flushes, want 1", groups, finals)
+		}
+		return flushes, c.EngineStats().Barriers
+	}
+	if flushes, barriers := run([]int{0, 1, 2}); barriers != 1 || flushes < 30 {
+		t.Errorf("one shard: %d flushes over %d barriers, want one barrier and a flush a pass", flushes, barriers)
+	}
+	if flushes, barriers := run([]int{0, 1}, []int{2}); uint64(flushes) != barriers+1 {
+		t.Errorf("two shards: %d flushes for %d barriers, want one a barrier and the final one", flushes, barriers)
+	}
 }
 
 // TestDistClosureAfterRewire: the coordinator's influence-distance

@@ -21,13 +21,12 @@ type Shard struct {
 
 	// Scratch for the fused member loop (cached per-member next-event
 	// times and send bounds with the kernel stamps that validate them),
-	// and the shard's diagnostic counters — plain fields, since a
+	// and the shard's diagnostic counter — a plain field, since a
 	// shard's work is single-threaded within a window.
 	nts     []Time
 	sbs     []Time
 	stamps  []uint64
 	stLocal uint64
-	stFused uint64
 }
 
 // Port is one participant's handle on a shard: an event kernel of its
@@ -42,7 +41,8 @@ type Shard struct {
 // Limit, SetOffset, Stamp, AdvanceTo, PromiseQuiet) instruction runners
 // drive.
 type Port struct {
-	s    *Shard
+	c    *Coordinator
+	s    *Shard // nil until NewShard places the port
 	rank int
 	k    *Kernel
 	// hzn is the causal horizon of the current window: no delivery from
@@ -67,20 +67,19 @@ type Port struct {
 	// member turns and at barriers.
 	promiseID    EventID
 	promiseUntil Time
+
+	// stFused counts this port's posts that took the direct route (see
+	// PostMsg); written only by the port's own execution.
+	stFused uint64
 }
 
-// NewPort adds a participant to the shard — the fusion primitive:
-// ports of one shard interleave without coordinator barriers, and
-// their mutual traffic never waits for one.
-func (s *Shard) NewPort() *Port { return s.c.newPort(s) }
-
-// Port returns the shard's first port (created with the shard).
+// Port returns the shard's first port.
 func (s *Shard) Port() *Port { return s.p0 }
 
 // ID returns the shard's index within its coordinator.
 func (s *Shard) ID() int { return s.id }
 
-// Shard returns the shard the port lives on.
+// Shard returns the shard the port lives on, nil while it is unplaced.
 func (p *Port) Shard() *Shard { return p.s }
 
 // Now returns the port's current (virtual) time.
@@ -117,7 +116,7 @@ func (p *Port) After(d Time, fn func()) EventID {
 func (p *Port) Cancel(id EventID) {
 	owner := int(id>>portRankShift) - 1
 	raw := id & (1<<portRankShift - 1)
-	c := p.s.c
+	c := p.c
 	if owner < 0 || owner >= len(c.ports) {
 		panic(fmt.Sprintf("sim: cancel of foreign event id %#x", uint64(id)))
 	}
@@ -242,6 +241,17 @@ func (s *Shard) runBefore(hzn Time) {
 		return
 	}
 	L := s.c.lookahead
+	// When this is the coordinator's only shard there is one barrier a
+	// run, so the loop hands observers its own low-water mark instead:
+	// m1 below is the earliest pending event anywhere, which is what a
+	// barrier passes onFlush as upTo, and final for the same reason —
+	// every kernel's clock is at or past it, so nothing can be stamped
+	// earlier any more.  (Records a runner executes ahead of its window
+	// are stamped later, not earlier, and none are with a bus attached.)
+	var flush func(upTo Time, final bool)
+	if len(s.c.shards) == 1 {
+		flush = s.c.onFlush
+	}
 	if len(s.nts) != len(s.ports) {
 		s.nts = make([]Time, len(s.ports))
 		s.sbs = make([]Time, len(s.ports))
@@ -288,6 +298,9 @@ func (s *Shard) runBefore(hzn Time) {
 		if m1 >= hzn {
 			return
 		}
+		if flush != nil {
+			flush(m1, false)
+		}
 		// Run every member that has work inside its bound, all from the
 		// bounds cached at the top of the pass (a mini-barrier, so one
 		// scan is amortised over up to len(ports) member runs).  The
@@ -315,7 +328,14 @@ func (s *Shard) runBefore(hzn Time) {
 		// sendBound(q) >= nextTime(q) >= m1 for every member, so the m1
 		// holder always clears its own next event and the loop
 		// progresses.
+		most := hzn
+		if sb2 < infTime && sb2+L < most {
+			most = sb2 + L
+		}
 		for i, q := range s.ports {
+			if s.nts[i] >= most {
+				continue
+			}
 			sb := sb1
 			if i == sb1i {
 				sb = sb2
@@ -395,7 +415,8 @@ func (f funcReceiver) Receive(Msg) { f() }
 // conservative contract the whole engine rests on.  When
 // the ports share a shard — fusion — the delivery is scheduled directly
 // on the destination kernel at its exact timestamp (members of one
-// shard never execute concurrently, so that kernel is quiescent);
+// shard never execute concurrently, so that kernel is quiescent; two
+// unplaced ports are outside any run, so it is then too);
 // otherwise it waits in this port's outbox for the next barrier.  The
 // key carries the same (origin rank, per-port sequence) identity either
 // way, so the destination kernel's event order does not depend on the
@@ -405,7 +426,7 @@ func (p *Port) PostMsg(dst *Port, at Time, r Receiver, m Msg) {
 	seq := p.xseq
 	p.xseq++
 	if dst.s == p.s {
-		p.s.stFused++
+		p.stFused++
 		dst.k.ScheduleDelivery(at, deliveryKey(p.rank, seq), r, m)
 		return
 	}
@@ -424,8 +445,8 @@ func (p *Port) PostMsg(dst *Port, at Time, r Receiver, m Msg) {
 func CrossPath(src, dst Clock) (sp, dp *Port, latency Time) {
 	sp, _ = src.(*Port)
 	dp, _ = dst.(*Port)
-	if sp == nil || dp == nil || sp == dp || sp.s.c != dp.s.c {
+	if sp == nil || dp == nil || sp == dp || sp.c != dp.c {
 		return nil, nil, 0
 	}
-	return sp, dp, sp.s.c.lookahead
+	return sp, dp, sp.c.lookahead
 }

@@ -21,27 +21,33 @@ const FuseModes = "off|topo|auto|full"
 // ResolveFusion turns a -fuse mode into the topology's final Shards
 // placement.  Modes:
 //
-//	off     ignore any `shard` directives; one node per shard
-//	topo    the file's `shard` directives as written (the default)
+//	topo    the file's `shard` directives as written (the default); a
+//	        file with none leaves the placement to the worker count:
+//	        one worker runs everything on one shard, more than one
+//	        gives every node its own (network.System.SetPlacement)
+//	off     ignore any `shard` directives; one node per shard, at any
+//	        worker count — the mailbox-and-barrier path, kept sayable
+//	        as the sequential reference
 //	full    every node on one shard
-//	auto    profile a pre-run of the unfused topology, then contract
-//	        the observed traffic graph to at most maxParts shards,
+//	auto    profile a pre-run of the topology, then contract the
+//	        observed traffic graph to at most maxParts shards,
 //	        ignoring edges too quiet to be worth a shard
 //
-// For auto, baseDir resolves the topology's program paths (the pre-run
+// Every mode but a directive-free topo leaves an explicit placement
+// that names every node, so the worker count no longer has a say.  For
+// auto, baseDir resolves the topology's program paths (the pre-run
 // loads and runs the real programs; its host output is discarded).
 func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) error {
 	switch mode {
 	case "topo", "":
 		return nil
 	case "off":
-		topo.Shards = nil
+		topo.Shards = make([][]string, len(topo.Transputers))
+		for i, t := range topo.Transputers {
+			topo.Shards[i] = []string{t.Name}
+		}
 		return nil
 	case "full":
-		if len(topo.Transputers) < 2 {
-			topo.Shards = nil
-			return nil
-		}
 		topo.Shards = [][]string{nodeNames(topo)}
 		return nil
 	case "auto":
@@ -64,13 +70,14 @@ func nodeNames(topo *network.Topology) []string {
 	return names
 }
 
-// AutoFuseGroups profiles the topology unfused and partitions by
-// observed wire traffic: a fresh copy of the network runs to
-// quiescence with host output discarded, each connection is weighted
-// by its wire activity, edges below a density floor are dropped (quiet
-// wires are not worth losing a parallel shard over), and the rest are
-// greedily contracted to at most maxParts groups.  The pre-run is
-// deterministic, so the resulting placement — and with it the measured
+// AutoFuseGroups profiles the topology and partitions it by observed
+// wire traffic: a fresh copy of the network, without the file's own
+// placement, runs to quiescence with host output discarded, each
+// connection is weighted by its wire activity, edges below a density
+// floor are dropped (quiet wires are not worth losing a parallel shard
+// over), and the rest are greedily contracted to at most maxParts
+// groups.  The pre-run is deterministic and its traffic is the same at
+// any partition, so the resulting placement — and with it the measured
 // run's wall-clock, though never its results — is reproducible.
 func AutoFuseGroups(topo *network.Topology, baseDir string, maxParts int) ([][]string, error) {
 	pre := *topo
@@ -85,15 +92,30 @@ func AutoFuseGroups(topo *network.Topology, baseDir string, maxParts int) ([][]s
 	return network.GreedyFuse(nodeNames(topo), edges, maxParts, floor), nil
 }
 
+// PartitionOrigin says where a run's partition came from, for
+// PrintEngineStats: fuse is the -fuse mode when the placement it
+// resolved to is explicit (a topology's Shards are non-empty), and
+// empty when the placement was left to the worker count.
+func PartitionOrigin(fuse string, workers int) string {
+	switch {
+	case fuse != "":
+		return "explicit: " + fuse
+	case workers == 1:
+		return "derived: 1 worker"
+	default:
+		return fmt.Sprintf("derived: %d workers", workers)
+	}
+}
+
 // PrintEngineStats reports windowed-engine diagnostics for a finished
-// run: the partition, window and barrier counts, mean window span, and
-// how deliveries split between the barrier mailbox and the fused
-// intra-kernel fast path.  These numbers describe the simulator, not
-// the simulated system — they vary with -fuse and -workers, unlike
-// every other output.
-func PrintEngineStats(w io.Writer, es sim.EngineStats) {
-	fmt.Fprintf(w, "engine: %d nodes on %d shards, %d windows (%d barriers, %d shard-windows)\n",
-		es.Ports, es.Shards, es.Windows, es.Barriers, es.ShardWindows)
+// run: the partition and where it came from (see PartitionOrigin),
+// window and barrier counts, mean window span, and how deliveries split
+// between the barrier mailbox and the fused intra-kernel fast path.
+// These numbers describe the simulator, not the simulated system —
+// they vary with -fuse and -workers, unlike every other output.
+func PrintEngineStats(w io.Writer, es sim.EngineStats, origin string) {
+	fmt.Fprintf(w, "engine: %d nodes on %d shards (%s), %d windows (%d barriers, %d shard-windows)\n",
+		es.Ports, es.Shards, origin, es.Windows, es.Barriers, es.ShardWindows)
 	if es.Windows > 0 {
 		fmt.Fprintf(w, "engine: mean window span %v, mean active shards %.2f\n",
 			es.SpanSum/sim.Time(es.Windows), float64(es.ShardWindows)/float64(es.Windows))

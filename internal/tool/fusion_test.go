@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"transputer/internal/network"
+	"transputer/internal/sim"
 )
 
 // Shard fusion's contract is the parallel engine's, one level up: the
@@ -70,19 +72,26 @@ func runFusedNet(t *testing.T, path, tlPath, flPath, fuse string, workers int, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return netOutput{time: rep.Time, timeline: tl, flows: fl, text: text.String()}
+	return netOutput{time: rep.Time, timeline: tl, flows: fl, text: text.String(),
+		nodes: len(s.Nodes()), shards: s.EngineStats().Shards}
 }
 
 // assertFusionInvariant runs one topology across the partition ×
 // workers × blockcache grid and requires every output byte-identical
-// to the unfused workers=1 reference.  Every run writes the timeline
-// and flow trace to the same files (read back between runs), so the
-// paths Finish prints into the compared text are identical too.
+// to the unfused workers=1 reference — `-fuse off`, one shard a node
+// on one goroutine: the sequential mailbox-and-barrier run.  The
+// shipped examples carry no `shard` directives, so `topo` is the leg
+// where the worker count picks the partition.  Every run writes the
+// timeline and flow trace to the same files (read back between runs),
+// so the paths Finish prints into the compared text are identical too.
 func assertFusionInvariant(t *testing.T, path string) {
 	t.Helper()
 	tlPath := filepath.Join(t.TempDir(), "tl.json")
 	flPath := filepath.Join(t.TempDir(), "flows.json")
 	ref := runFusedNet(t, path, tlPath, flPath, "off", 1, true)
+	if ref.shards != ref.nodes {
+		t.Fatalf("-fuse off: %d nodes on %d shards", ref.nodes, ref.shards)
+	}
 	for _, fuse := range []string{"off", "topo", "auto", "full"} {
 		for _, workers := range []int{1, 4} {
 			for _, bc := range []bool{true, false} {
@@ -91,6 +100,11 @@ func assertFusionInvariant(t *testing.T, path string) {
 				}
 				got := runFusedNet(t, path, tlPath, flPath, fuse, workers, bc)
 				label := fmt.Sprintf("fuse=%s workers=%d blockcache=%v", fuse, workers, bc)
+				// What auto picks is the planner's business; the rest is fixed.
+				if want, fixed := map[string]int{"off": got.nodes, "full": 1,
+					"topo": map[int]int{1: 1, 4: got.nodes}[workers]}[fuse]; fixed && got.shards != want {
+					t.Errorf("%s: %d nodes on %d shards, want %d", label, got.nodes, got.shards, want)
+				}
 				if got.time != ref.time {
 					t.Errorf("%s: settle time %v, want %v", label, got.time, ref.time)
 				}
@@ -135,6 +149,55 @@ func TestFusionInvariantVChanSieve(t *testing.T) {
 // host protocol.
 func TestFusionInvariantRing(t *testing.T) {
 	assertFusionInvariant(t, filepath.Join("..", "..", "examples", "netdemo", "ring.tnet"))
+}
+
+// TestEngineStatsNamesThePartitionsOrigin: the first line -enginestats
+// prints says whether the partition was derived from the worker count
+// or made explicit, and by which mode.
+func TestEngineStatsNamesThePartitionsOrigin(t *testing.T) {
+	for _, c := range []struct {
+		fuse    string
+		workers int
+		want    string
+	}{
+		{"", 1, "engine: 4 nodes on 1 shards (derived: 1 worker), "},
+		{"", 4, "engine: 4 nodes on 1 shards (derived: 4 workers), "},
+		{"off", 1, "engine: 4 nodes on 1 shards (explicit: off), "},
+		{"topo", 4, "engine: 4 nodes on 1 shards (explicit: topo), "},
+	} {
+		var out bytes.Buffer
+		PrintEngineStats(&out, sim.EngineStats{Ports: 4, Shards: 1}, PartitionOrigin(c.fuse, c.workers))
+		if !bytes.HasPrefix(out.Bytes(), []byte(c.want)) {
+			t.Errorf("fuse=%q workers=%d: %q, want it to start %q", c.fuse, c.workers, out.String(), c.want)
+		}
+	}
+}
+
+// TestResolveFusionIsExplicit: every mode but a directive-free topo
+// names every node, so the worker count has no say in the partition.
+func TestResolveFusionIsExplicit(t *testing.T) {
+	fresh := func() *network.Topology {
+		return &network.Topology{Transputers: []network.TransputerSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
+	}
+	for mode, want := range map[string][][]string{
+		"off":  {{"a"}, {"b"}, {"c"}},
+		"full": {{"a", "b", "c"}},
+		"topo": nil,
+	} {
+		topo := fresh()
+		if err := ResolveFusion(topo, mode, ".", 4); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(topo.Shards, want) {
+			t.Errorf("-fuse %s: placement %v, want %v", mode, topo.Shards, want)
+		}
+	}
+	// The planner's answer is a whole partition too, one-node parts
+	// included: what it declined to fuse stays apart at one worker.
+	got := network.GreedyFuse([]string{"a", "b", "c"}, []network.FuseEdge{{A: "a", B: "c", Weight: 9}, {A: "b", B: "c", Weight: 1}}, 1, 5)
+	if want := [][]string{{"a", "c"}, {"b"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("GreedyFuse = %v, want %v", got, want)
+	}
 }
 
 // TestUnknownFuseModeRejected: a mode outside FuseModes — including

@@ -16,10 +16,14 @@ import (
 
 // The parallel engine's contract is that worker count is invisible:
 // the same build produces byte-identical observable output whether
-// windows run on one goroutine or many.  These tests pin that for the
-// shipped examples — the sieve pipeline (examples/pipeline), the
-// seeded lossy-link fault campaign, and the severed-ring deadlock
-// campaign with its watchdog report.
+// windows run on one goroutine or many — and, since the worker count
+// now picks the partition when nothing else does, whether the nodes
+// share the one shard a sequential run gets or have one each.  These
+// tests pin that for the shipped examples — the sieve pipeline
+// (examples/pipeline), the seeded lossy-link fault campaign, and the
+// severed-ring deadlock campaign with its watchdog report; the
+// sequential run on one shard a node is fusion_test.go's `-fuse off`
+// reference for the same files.
 
 // netOutput is everything observable from one run: the exported
 // timeline and flow-trace bytes, the stats/metrics/watchdog text, and
@@ -29,6 +33,9 @@ type netOutput struct {
 	timeline []byte
 	flows    []byte
 	text     string
+	// nodes on shards is the partition the run used — not an output, and
+	// not compared: the one thing here that -fuse and -workers change.
+	nodes, shards int
 }
 
 // runExampleNet loads a topology file, runs it with the given worker
@@ -71,7 +78,8 @@ func runExampleNet(t *testing.T, path, tlPath, flPath string, workers int) netOu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return netOutput{time: rep.Time, timeline: tl, flows: fl, text: text.String()}
+	return netOutput{time: rep.Time, timeline: tl, flows: fl, text: text.String(),
+		nodes: len(s.Nodes()), shards: s.EngineStats().Shards}
 }
 
 func assertIdenticalRuns(t *testing.T, path string) {
@@ -83,6 +91,10 @@ func assertIdenticalRuns(t *testing.T, path string) {
 	flPath := filepath.Join(t.TempDir(), "flows.json")
 	want := runExampleNet(t, path, tlPath, flPath, 1)
 	got := runExampleNet(t, path, tlPath, flPath, 4)
+	if want.shards != 1 || got.shards != got.nodes {
+		t.Errorf("%d nodes ran on %d shards at one worker and %d at four, want 1 and one a node",
+			got.nodes, want.shards, got.shards)
+	}
 	if got.time != want.time {
 		t.Errorf("settle times differ: workers=1 %v, workers=4 %v", want.time, got.time)
 	}
@@ -135,17 +147,27 @@ func TestParallelDeterminismSeveredRing(t *testing.T) {
 }
 
 // TestParallelDeterminismPipeline runs the multi-stage sieve pipeline
-// (the examples/pipeline program) at one and four workers and compares
-// the answers, the settle time, and the aggregate statistics down to
-// the per-opcode counts.
+// (the examples/pipeline program) at one and four workers — and at one
+// worker pinned one shard a node, the sequential mailbox path — and
+// compares the answers, the settle time, and the aggregate statistics
+// down to the per-opcode counts.
 func TestParallelDeterminismPipeline(t *testing.T) {
 	flPath := filepath.Join(t.TempDir(), "flows.json")
-	run := func(workers int) ([]int64, sim.Time, interface{}, []byte) {
+	run := func(workers int, pinned bool) ([]int64, sim.Time, interface{}, []byte) {
 		s, err := sieve.Build(sieve.Params{Limit: 60, Stages: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Net.SetWorkers(workers)
+		if pinned {
+			var alone [][]string
+			for _, n := range s.Net.Nodes() {
+				alone = append(alone, []string{n.Name})
+			}
+			if err := s.Net.SetPlacement(alone); err != nil {
+				t.Fatal(err)
+			}
+		}
 		obs := NewObserver(s.Net)
 		obs.EnableFlows(flPath, nil)
 		obs.Start()
@@ -162,19 +184,23 @@ func TestParallelDeterminismPipeline(t *testing.T) {
 		}
 		return primes, rep.Time, s.Net.TotalStats(), fl
 	}
-	p1, t1, st1, f1 := run(1)
-	p4, t4, st4, f4 := run(4)
-	if !reflect.DeepEqual(p1, p4) {
-		t.Errorf("answers differ: %v vs %v", p1, p4)
-	}
-	if t1 != t4 {
-		t.Errorf("settle times differ: %v vs %v", t1, t4)
-	}
-	if !reflect.DeepEqual(st1, st4) {
-		t.Errorf("total stats differ:\nworkers=1: %+v\nworkers=4: %+v", st1, st4)
-	}
-	if !bytes.Equal(f1, f4) {
-		t.Errorf("flow traces differ: workers=1 %d bytes, workers=4 %d bytes", len(f1), len(f4))
+	p1, t1, st1, f1 := run(1, true)
+	var f4 []byte
+	for _, workers := range []int{1, 4} {
+		p, tt, st, f := run(workers, false)
+		if !reflect.DeepEqual(p1, p) {
+			t.Errorf("workers=%d: answers differ: %v vs %v", workers, p1, p)
+		}
+		if t1 != tt {
+			t.Errorf("workers=%d: settle times differ: %v vs %v", workers, t1, tt)
+		}
+		if !reflect.DeepEqual(st1, st) {
+			t.Errorf("workers=%d: total stats differ:\npinned: %+v\ngot: %+v", workers, st1, st)
+		}
+		if !bytes.Equal(f1, f) {
+			t.Errorf("workers=%d: flow traces differ: pinned %d bytes, got %d bytes", workers, len(f1), len(f))
+		}
+		f4 = f
 	}
 	doc, err := probe.ReadFlowDoc(bytes.NewReader(f4))
 	if err != nil {
