@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"transputer/internal/chaos"
 )
@@ -29,7 +28,7 @@ func main() {
 	topo := flag.String("topo", "all", "topology to torture: ring8, grid3x3 or all")
 	seeds := flag.Int("seeds", 25, "run seeds 1..n")
 	seed := flag.Uint64("seed", 0, "run exactly this seed (overrides -seeds)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker count for the determinism cross-check (1 skips it)")
+	workers := flag.Int("workers", 4, "worker count for the determinism cross-check against one worker (a shard a node, whatever the host's CPU count; 1 skips the check)")
 	artifacts := flag.String("artifacts", "", "write shrunken failing plans as .tnet files into this directory")
 	verbose := flag.Bool("v", false, "log every scenario, not just failures")
 	flag.Parse()

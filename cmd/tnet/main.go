@@ -18,9 +18,9 @@
 // selects the shard partition (off|topo|auto|full; results are
 // byte-identical at every mode, only simulator speed changes).  With
 // no -fuse and no shard directive in the file, the partition follows
-// -workers: one worker runs every node on one shard, more than one
-// gives each node its own; -fuse off asks for one shard a node at any
-// worker count.  -enginestats reports what the windowed engine did,
+// -workers: one worker (the default) runs every node on one shard, more
+// than one gives each node its own; -fuse off asks for one shard a node
+// at any worker count.  -enginestats reports what the windowed engine did,
 // starting with where the partition came from.
 package main
 
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"transputer/internal/network"
 	"transputer/internal/sim"
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	stats := flag.Bool("stats", false, "print per-node statistics")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential, and with no explicit -fuse placement one shard for the whole network; more than one = a shard a node; output is identical at any count)")
+	workers := flag.Int("workers", 1, "worker threads for the parallel engine (1 = sequential, and with no explicit -fuse placement one shard for the whole network; more than one = a shard a node, which streaming networks lose by and only compute-bound ones gain from; output is identical at any count)")
 	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
 	metrics := flag.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
 	flows := flag.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")

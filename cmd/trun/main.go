@@ -7,15 +7,14 @@
 //
 //	trun [-model t424|t222] [-mem bytes] [-limit dur] [-stats]
 //	     [-timeline out.json] [-metrics] [-flows out.json] [-prof out.prof]
-//	     [-profperiod us] [-in w,w,...] [-workers n] [-blockcache=false]
-//	     [-enginestats] program.{occ,tasm,tix}
+//	     [-profperiod us] [-in w,w,...] [-blockcache=false] [-enginestats]
+//	     program.{occ,tasm,tix}
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -37,7 +36,6 @@ func main() {
 	prof := flag.String("prof", "", "sample the instruction pointer and write a profile to this file")
 	profPeriod := flag.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
 	input := flag.String("in", "", "comma-separated words queued for host input")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads for the parallel engine (1 = sequential; output is identical at any count)")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
 	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, batches run ahead of their window)")
 	flag.Parse()
@@ -56,7 +54,6 @@ func main() {
 	}
 
 	s := network.NewSystem()
-	s.SetWorkers(*workers)
 	s.SetBlockCache(*blockcache)
 	n, err := s.AddTransputer("main", cfg)
 	if err != nil {

@@ -1,10 +1,10 @@
-// Package atest is a self-contained analysistest replacement: it loads
+// Package atest is the fixture harness of the tvet analyzers: it loads
 // GOPATH-style fixture packages from an analyzer's testdata/src tree,
 // type-checks them with the stdlib source importer (no network, no
-// go/packages), runs the analyzer, and matches diagnostics against
+// export data), runs the analyzer, and matches diagnostics against
 // "// want" comments.
 //
-// Fixture layout mirrors analysistest:
+// Fixture layout:
 //
 //	<analyzer>/testdata/src/<import/path>/*.go
 //
@@ -32,12 +32,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"transputer/internal/analysis/tvetutil"
 )
 
 // TestData returns the absolute path of the calling test's testdata
@@ -53,68 +52,18 @@ func TestData(t *testing.T) string {
 
 // Run loads each fixture package, applies the analyzer, and checks the
 // diagnostics against the fixtures' want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
+func Run(t *testing.T, testdata string, a *tvetutil.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld := newLoader(testdata)
 	for _, path := range pkgpaths {
 		t.Run(path, func(t *testing.T) {
-			runPkg(t, ld, a, path)
+			pkg, err := ld.load(path)
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", path, err)
+			}
+			checkWants(t, ld.fset, pkg, tvetutil.Run(a, ld.fset, pkg.files, pkg.types, pkg.info))
 		})
 	}
-}
-
-func runPkg(t *testing.T, ld *loader, a *analysis.Analyzer, path string) {
-	t.Helper()
-	pkg, err := ld.load(path)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", path, err)
-	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       ld.fset,
-		Files:      pkg.files,
-		Pkg:        pkg.types,
-		TypesInfo:  pkg.info,
-		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-		ResultOf:   map[*analysis.Analyzer]interface{}{},
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	// Run required analyzers first (none of the tvet suite has any, but
-	// keep the harness honest for future ones).
-	for _, req := range a.Requires {
-		res, err := runRequired(ld, pkg, req)
-		if err != nil {
-			t.Fatalf("running required analyzer %s: %v", req.Name, err)
-		}
-		pass.ResultOf[req] = res
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
-	}
-	checkWants(t, ld.fset, pkg, diags)
-}
-
-func runRequired(ld *loader, pkg *fixturePkg, req *analysis.Analyzer) (interface{}, error) {
-	sub := &analysis.Pass{
-		Analyzer:   req,
-		Fset:       ld.fset,
-		Files:      pkg.files,
-		Pkg:        pkg.types,
-		TypesInfo:  pkg.info,
-		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-		ResultOf:   map[*analysis.Analyzer]interface{}{},
-		Report:     func(analysis.Diagnostic) {},
-	}
-	for _, r := range req.Requires {
-		res, err := runRequired(ld, pkg, r)
-		if err != nil {
-			return nil, err
-		}
-		sub.ResultOf[r] = res
-	}
-	return req.Run(sub)
 }
 
 // want is one expected diagnostic.
@@ -132,7 +81,7 @@ type want struct {
 var wantRE = regexp.MustCompile("// want(-1)?((?: `[^`]*`)+)")
 var backquoted = regexp.MustCompile("`([^`]*)`")
 
-func checkWants(t *testing.T, fset *token.FileSet, pkg *fixturePkg, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, pkg *fixturePkg, diags []tvetutil.Diagnostic) {
 	t.Helper()
 	var wants []*want
 	for fname, src := range pkg.sources {
@@ -255,16 +204,7 @@ func (ld *loader) load(path string) (*fixturePkg, error) {
 		pkg.sources[fname] = string(src)
 	}
 
-	pkg.info = &types.Info{
-		Types:        map[ast.Expr]types.TypeAndValue{},
-		Defs:         map[*ast.Ident]types.Object{},
-		Uses:         map[*ast.Ident]types.Object{},
-		Implicits:    map[ast.Node]types.Object{},
-		Selections:   map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:       map[ast.Node]*types.Scope{},
-		Instances:    map[*ast.Ident]types.Instance{},
-		FileVersions: map[*ast.File]string{},
-	}
+	pkg.info = tvetutil.NewInfo()
 	conf := types.Config{Importer: ld}
 	tpkg, err := conf.Check(path, ld.fset, pkg.files, pkg.info)
 	if err != nil {

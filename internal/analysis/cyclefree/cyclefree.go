@@ -16,9 +16,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"transputer/internal/analysis/tvetutil"
 )
 
@@ -31,7 +28,7 @@ Cycles field and must be passed directly to (*probe.Bus).Publish, not
 to a wrapper that stamps Cycles (link.Engine.emit).`
 
 // Analyzer is the cyclefree analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &tvetutil.Analyzer{
 	Name: "cyclefree",
 	Doc:  doc,
 	Run:  run,
@@ -47,7 +44,7 @@ var family = map[string]bool{
 	"VChanDeliver": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *tvetutil.Pass) {
 	ig := tvetutil.NewIgnorer(pass)
 	tvetutil.WalkFiles(pass, func(n ast.Node, stack []ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
@@ -80,12 +77,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // literalKind returns the name of the probe.Kind constant assigned to
 // the literal's Kind field, or "" when absent or not a named constant.
-func literalKind(pass *analysis.Pass, lit *ast.CompositeLit) (string, ast.Expr) {
+func literalKind(pass *tvetutil.Pass, lit *ast.CompositeLit) (string, ast.Expr) {
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
@@ -132,8 +128,8 @@ func enclosingCall(stack []ast.Node, lit *ast.CompositeLit) (*ast.CallExpr, bool
 	return nil, false
 }
 
-func isBusPublish(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := typeutil.Callee(pass.TypesInfo, call)
+func isBusPublish(pass *tvetutil.Pass, call *ast.CallExpr) bool {
+	fn := tvetutil.Callee(pass.TypesInfo, call)
 	if fn == nil || fn.Name() != "Publish" {
 		return false
 	}

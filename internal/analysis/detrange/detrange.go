@@ -17,29 +17,28 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-
 	"transputer/internal/analysis/tvetutil"
 )
 
 const doc = `flag range over maps and multi-way selects in deterministic packages
 
 Map iteration order and multi-channel select order are runtime-random.
-In the deterministic packages (core, sim, network, link, route, occam)
-they leak nondeterminism into outputs that are pinned byte-identical
+In the deterministic packages (the engine and everything that renders
+compared output; tvetutil.IsDetPackage) they leak nondeterminism into
+outputs that are pinned byte-identical
 across worker counts, partitions and the block cache.  Sort the keys
 first, restructure, or suppress with //tvet:ignore detrange <reason>.`
 
 // Analyzer is the detrange analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &tvetutil.Analyzer{
 	Name: "detrange",
 	Doc:  doc,
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *tvetutil.Pass) {
 	if !tvetutil.IsDetPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	ig := tvetutil.NewIgnorer(pass)
 	tvetutil.WalkFiles(pass, func(n ast.Node, stack []ast.Node) bool {
@@ -71,14 +70,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // orderInsensitive reports whether the range body cannot observe the
 // iteration order: every statement is commutative accumulation, a
 // map/set write, or an append whose slice a later statement of the
 // same function sorts.
-func orderInsensitive(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
+func orderInsensitive(pass *tvetutil.Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
 	var appended []*ast.Ident
 	if !insensitiveStmts(pass, rs.Body.List, &appended) {
 		return false
@@ -101,7 +99,7 @@ func orderInsensitive(pass *analysis.Pass, rs *ast.RangeStmt, stack []ast.Node) 
 	return true
 }
 
-func insensitiveStmts(pass *analysis.Pass, stmts []ast.Stmt, appended *[]*ast.Ident) bool {
+func insensitiveStmts(pass *tvetutil.Pass, stmts []ast.Stmt, appended *[]*ast.Ident) bool {
 	for _, s := range stmts {
 		if !insensitiveStmt(pass, s, appended) {
 			return false
@@ -110,7 +108,7 @@ func insensitiveStmts(pass *analysis.Pass, stmts []ast.Stmt, appended *[]*ast.Id
 	return true
 }
 
-func insensitiveStmt(pass *analysis.Pass, s ast.Stmt, appended *[]*ast.Ident) bool {
+func insensitiveStmt(pass *tvetutil.Pass, s ast.Stmt, appended *[]*ast.Ident) bool {
 	switch v := s.(type) {
 	case *ast.IncDecStmt:
 		return true
@@ -197,7 +195,7 @@ func insensitiveStmt(pass *analysis.Pass, s ast.Stmt, appended *[]*ast.Ident) bo
 // sortedAfter reports whether some statement after pos in the function
 // body passes the identifier to a sort: sort.X(id...), slices.SortX(id,
 // ...), or a method/function call whose name contains "sort"/"Sort".
-func sortedAfter(pass *analysis.Pass, body *ast.BlockStmt, id *ast.Ident, pos token.Pos) bool {
+func sortedAfter(pass *tvetutil.Pass, body *ast.BlockStmt, id *ast.Ident, pos token.Pos) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found || n == nil || n.End() <= pos {
@@ -220,7 +218,7 @@ func sortedAfter(pass *analysis.Pass, body *ast.BlockStmt, id *ast.Ident, pos to
 	return found
 }
 
-func isBuiltin(pass *analysis.Pass, id *ast.Ident) bool {
+func isBuiltin(pass *tvetutil.Pass, id *ast.Ident) bool {
 	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
 	return ok
 }

@@ -11,8 +11,6 @@ package ignorecheck
 import (
 	"go/ast"
 
-	"golang.org/x/tools/go/analysis"
-
 	"transputer/internal/analysis/tvetutil"
 )
 
@@ -24,13 +22,13 @@ analyzer part of the tvet suite ("all" matches any) and a non-empty
 reason.  Malformed suppressions silence nothing and are flagged here.`
 
 // Analyzer is the ignorecheck analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &tvetutil.Analyzer{
 	Name: "ignorecheck",
 	Doc:  doc,
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *tvetutil.Pass) {
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -38,10 +36,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	return nil, nil
 }
 
-func check(pass *analysis.Pass, c *ast.Comment) {
+func check(pass *tvetutil.Pass, c *ast.Comment) {
 	ig := tvetutil.ParseIgnore(c)
 	if ig == nil {
 		return

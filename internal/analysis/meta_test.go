@@ -10,8 +10,8 @@ import (
 
 // TestRegistry asserts the suite's own hygiene: every registered
 // analyzer has a non-empty Doc, a name registered with tvetutil (so
-// ignorecheck accepts suppressions naming it), and analysistest-style
-// fixtures under <name>/testdata/src.
+// ignorecheck accepts suppressions naming it), and fixtures for atest
+// under <name>/testdata/src.
 func TestRegistry(t *testing.T) {
 	if len(All) < 5 {
 		t.Fatalf("tvet suite has %d analyzers, want at least 5", len(All))

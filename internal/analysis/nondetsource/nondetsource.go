@@ -15,9 +15,6 @@ import (
 	"go/ast"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"transputer/internal/analysis/tvetutil"
 )
 
@@ -30,7 +27,7 @@ Use sim virtual clocks and the seeded splitmix64 plans instead, or
 suppress a diagnostics-only use with //tvet:ignore nondetsource <reason>.`
 
 // Analyzer is the nondetsource analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &tvetutil.Analyzer{
 	Name: "nondetsource",
 	Doc:  doc,
 	Run:  run,
@@ -66,9 +63,9 @@ var randAllowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *tvetutil.Pass) {
 	if !tvetutil.IsDetPackage(pass.Pkg.Path()) {
-		return nil, nil
+		return
 	}
 	ig := tvetutil.NewIgnorer(pass)
 	tvetutil.WalkFiles(pass, func(n ast.Node, stack []ast.Node) bool {
@@ -76,7 +73,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !ok {
 			return true
 		}
-		fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
+		fn, ok := tvetutil.Callee(pass.TypesInfo, call).(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return true
 		}
@@ -97,5 +94,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		return true
 	})
-	return nil, nil
 }

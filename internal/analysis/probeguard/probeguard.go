@@ -16,9 +16,6 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"transputer/internal/analysis/tvetutil"
 )
 
@@ -31,15 +28,15 @@ instrumentation (PR 1).  Wrappers whose callers hold the check carry
 //tvet:ignore probeguard <reason>.`
 
 // Analyzer is the probeguard analyzer.
-var Analyzer = &analysis.Analyzer{
+var Analyzer = &tvetutil.Analyzer{
 	Name: "probeguard",
 	Doc:  doc,
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *tvetutil.Pass) {
 	if pass.Pkg.Path() == tvetutil.ProbePath {
-		return nil, nil // the bus implementation itself
+		return // the bus implementation itself
 	}
 	ig := tvetutil.NewIgnorer(pass)
 	tvetutil.WalkFiles(pass, func(n ast.Node, stack []ast.Node) bool {
@@ -47,7 +44,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !ok {
 			return true
 		}
-		fn := typeutil.Callee(pass.TypesInfo, call)
+		fn := tvetutil.Callee(pass.TypesInfo, call)
 		if fn == nil || fn.Name() != "Publish" {
 			return true
 		}
@@ -62,14 +59,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			"probe Publish without a nil-bus guard: wrap in `if bus != nil` or return early on `bus == nil` (zero-overhead contract; //tvet:ignore probeguard <reason> if callers hold the check)")
 		return true
 	})
-	return nil, nil
 }
 
 // guarded reports whether the call is dominated by a nil-bus check:
 // an enclosing if whose condition proves some *probe.Bus non-nil on
 // the branch holding the call, or an earlier early-return on a nil
 // bus in the same function.
-func guarded(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
+func guarded(pass *tvetutil.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 	var fnBody *ast.BlockStmt
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch v := stack[i].(type) {
@@ -123,7 +119,7 @@ func guarded(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 // For NEQ the comparison may sit anywhere in an && chain; for EQL
 // anywhere in an || chain — both preserve the guarantee on the branch
 // the caller asked about.
-func condChecksBus(pass *analysis.Pass, cond ast.Expr, op token.Token) bool {
+func condChecksBus(pass *tvetutil.Pass, cond ast.Expr, op token.Token) bool {
 	found := false
 	ast.Inspect(cond, func(n ast.Node) bool {
 		if found {

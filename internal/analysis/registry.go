@@ -1,5 +1,5 @@
-// Package analysis assembles the tvet suite: custom go/analysis
-// analyzers that mechanize the simulator's determinism and protocol
+// Package analysis assembles the tvet suite: analyzers over go/ast and
+// go/types that mechanize the simulator's determinism and protocol
 // invariants (see DESIGN.md §15).
 //
 // The suite runs as a vet tool:
@@ -14,17 +14,16 @@
 package analysis
 
 import (
-	goanalysis "golang.org/x/tools/go/analysis"
-
 	"transputer/internal/analysis/cyclefree"
 	"transputer/internal/analysis/detrange"
 	"transputer/internal/analysis/ignorecheck"
 	"transputer/internal/analysis/nondetsource"
 	"transputer/internal/analysis/probeguard"
+	"transputer/internal/analysis/tvetutil"
 )
 
 // All is every analyzer of the tvet suite, in name order.
-var All = []*goanalysis.Analyzer{
+var All = []*tvetutil.Analyzer{
 	cyclefree.Analyzer,
 	detrange.Analyzer,
 	ignorecheck.Analyzer,

@@ -1,6 +1,7 @@
 // Package tvetutil carries the machinery shared by the tvet analyzers:
-// the set of deterministic packages, the //tvet:ignore suppression
-// convention, and small AST helpers.
+// the Analyzer and Pass types they are written against, the set of
+// deterministic packages, the //tvet:ignore suppression convention, and
+// small AST helpers.
 //
 // Deterministic packages are the ones whose observable outputs (traces,
 // stats, flow tables, tool output) are pinned byte-identical across
@@ -25,8 +26,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // IgnoreMarker is the comment prefix that silences a tvet finding.
@@ -153,7 +152,7 @@ type Ignorer struct {
 // NewIgnorer scans the files of a pass for suppression comments.  A
 // line comment covers its own line and the next; a comment inside a
 // function declaration's doc group covers the whole function.
-func NewIgnorer(pass *analysis.Pass) *Ignorer {
+func NewIgnorer(pass *Pass) *Ignorer {
 	in := &Ignorer{fset: pass.Fset, byLine: map[string][]*Ignore{}}
 	for _, f := range pass.Files {
 		fname := pass.Fset.Position(f.Pos()).Filename
@@ -229,7 +228,7 @@ func (in *Ignorer) Suppressed(name string, pos token.Pos) bool {
 
 // Report emits a diagnostic unless it is suppressed or sits in a test
 // file.
-func Report(pass *analysis.Pass, in *Ignorer, pos token.Pos, format string, args ...interface{}) {
+func Report(pass *Pass, in *Ignorer, pos token.Pos, format string, args ...interface{}) {
 	if InTestFile(pass.Fset, pos) || in.Suppressed(pass.Analyzer.Name, pos) {
 		return
 	}
@@ -268,7 +267,7 @@ func IsNamed(t types.Type, pkgpath, name string) bool {
 // WalkFiles runs fn over every non-test syntax tree of the pass with a
 // stack of enclosing nodes: stack[0] is the file, stack[len-1] the node
 // itself.  Return false from fn to skip the node's children.
-func WalkFiles(pass *analysis.Pass, fn func(n ast.Node, stack []ast.Node) bool) {
+func WalkFiles(pass *Pass, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
