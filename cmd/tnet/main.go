@@ -30,8 +30,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"transputer/internal/network"
-	"transputer/internal/sim"
 	"transputer/internal/tool"
 )
 
@@ -55,104 +53,12 @@ func main() {
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "tnet:", err)
+		os.Exit(1)
 	}
-	topo, err := network.ParseTopology(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
-	if seedSet {
-		topo.Seed = *seed
-	}
-	if *vchan > 0 {
-		// The parse-time cross-checks (no faults on multiplexed wires)
-		// ran against the file's own directives; re-check the override.
-		if len(topo.Faults) > 0 {
-			fatal(fmt.Errorf("-vchan cannot be combined with a fault campaign"))
-		}
-		topo.VChans = topo.VChans[:0]
-		for _, c := range topo.Connections {
-			topo.VChans = append(topo.VChans, network.VChanSpec{Node: c.A, Link: c.ALink, Count: *vchan})
-		}
-	}
-	if err := tool.ResolveFusion(topo, *fuse, filepath.Dir(flag.Arg(0)), *workers); err != nil {
-		fatal(err)
-	}
-	net, err := tool.BuildNetwork(topo, filepath.Dir(flag.Arg(0)), os.Stdout)
-	if err != nil {
-		fatal(err)
-	}
-	s := net.System
-	s.SetWorkers(*workers)
-	s.SetBlockCache(*blockcache)
-
-	obs := tool.NewObserver(s)
-	if *timeline != "" {
-		obs.EnableTimeline(*timeline)
-	}
-	if *metrics {
-		obs.EnableMetrics()
-	}
-	if *flows != "" {
-		obs.EnableFlows(*flows, tool.LineResolver(net.Programs))
-	}
-	if *prof != "" {
-		obs.EnableProfile(*prof, sim.Time(*profPeriod)*sim.Microsecond)
-		for _, p := range net.Programs {
-			obs.AddProfileTarget(p.Node, p.Image, p.Path)
-		}
-	}
-	obs.Start()
-
-	rep := tool.RunToQuiescence(net)
-	if !rep.Settled {
-		fmt.Fprintf(os.Stderr, "tnet: time limit reached at %v (still running: %v)\n",
-			rep.Time, rep.Running)
-	}
-	for _, name := range rep.Halted {
-		n, _ := s.Node(name)
-		fmt.Fprintf(os.Stderr, "tnet: %s halted: %v\n", name, n.M.Fault())
-	}
-	var wd *network.WatchdogReport
-	if rep.Settled {
-		if wd = s.Watchdog(); wd != nil {
-			tool.PrintWatchdog(os.Stderr, wd, tool.LineResolver(net.Programs))
-		}
-	}
-	undelivered := 0
-	if net.Router != nil {
-		undelivered = net.Router.Undelivered()
-		tool.PrintRouteSummary(os.Stderr, net.Router)
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "simulated time: %v\n", rep.Time)
-		for _, n := range s.Nodes() {
-			tool.PrintStats(os.Stderr, n.Name, n.M.Stats(), n.M.Config().CycleNs)
-			tool.PrintLinkStats(os.Stderr, n)
-		}
-		for i, h := range net.Hosts {
-			fmt.Fprintf(os.Stderr, "host %d: exit=%v values=%v\n", i, h.Done, h.Values)
-		}
-	}
-	if obs.Active() {
-		if err := obs.Finish(rep.Time, os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if *engineStats {
-		explicit := ""
-		if len(topo.Shards) > 0 {
-			explicit = *fuse
-		}
-		tool.PrintEngineStats(os.Stderr, s.EngineStats(), tool.PartitionOrigin(explicit, s.Workers()))
-		tool.PrintAheadStats(os.Stderr, s.AheadStats())
-	}
-	os.Exit(tool.Verdict(wd, undelivered))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tnet:", err)
-	os.Exit(1)
+	f := tool.NetFlags{Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Workers: *workers,
+		Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod,
+		Seed: *seed, VChan: *vchan, BlockCache: *blockcache, Fuse: *fuse}
+	flag.Visit(func(fl *flag.Flag) { f.SeedSet = f.SeedSet || fl.Name == "seed" })
+	os.Exit(tool.RunNet(f, string(src), filepath.Dir(flag.Arg(0)), os.Stdout, os.Stderr))
 }

@@ -1,8 +1,9 @@
-// Package bench builds the multi-transputer workloads used by the
-// simulator's go-test throughput benchmark (bench_parallel_test.go)
-// and by determinism tests.  Two communication-heavy topologies — a
-// unidirectional ring and a torus grid with every link streaming
-// tokens — measure
+// Package bench is the fixture home: the multi-transputer workloads
+// the determinism matrix (internal/matrix) runs on every leg, the probe
+// oracle (internal/probe/oracle_test.go) replays, the nil-bus guard
+// (guard_test.go) times and the root BenchmarkSystemThroughput
+// profiles.  Two communication-heavy topologies — a unidirectional ring
+// and a torus grid with every link streaming tokens — measure
 // event-engine overhead; a compute-heavy ring — each node trial-
 // dividing its way through a prime count before exchanging a single
 // word — measures raw instruction-execution rate, the case the

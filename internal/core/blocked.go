@@ -78,9 +78,6 @@ type BlockedProcess struct {
 // Wptr returns the workspace pointer without the priority bit.
 func (b BlockedProcess) Wptr() uint64 { return b.Wdesc &^ 1 }
 
-// Priority returns the process priority (0 high, 1 low).
-func (b BlockedProcess) Priority() int { return int(b.Wdesc & 1) }
-
 // String renders a one-line description for watchdog reports.
 func (b BlockedProcess) String() string {
 	switch b.Kind {

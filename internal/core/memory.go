@@ -65,11 +65,6 @@ func (m *Machine) MemStart() uint64 {
 	return m.addrOf(uint64(reservedWords * m.bpw))
 }
 
-// MemTop returns the first address beyond implemented memory.
-func (m *Machine) MemTop() uint64 {
-	return m.addrOf(uint64(len(m.mem))) // may wrap; callers compare offsets
-}
-
 // LinkOutAddr returns the channel address of link i's output channel.
 func (m *Machine) LinkOutAddr(i int) uint64 {
 	return m.addrOf(uint64((wordLink0Out + i) * m.bpw))

@@ -93,14 +93,6 @@ func (e *Engine) StopHeartbeat() {
 	e.k.Cancel(e.hb.timer)
 }
 
-// PeerDown reports the current liveness verdict for link l's peer.
-func (e *Engine) PeerDown(l int) bool {
-	if l < 0 || l >= core.NumLinks {
-		return false
-	}
-	return e.hb.peerDown[l]
-}
-
 // heard records that something arrived on link l just now.
 func (e *Engine) heard(l int) {
 	e.hb.lastHeard[l] = e.k.Now()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"transputer/internal/core"
+	"transputer/internal/matrix"
 	"transputer/internal/network"
 	"transputer/internal/occam"
 	"transputer/internal/raceflag"
@@ -61,7 +62,9 @@ func ringAlloc(t *testing.T, img core.Image, rounds int, pinned bool) uint64 {
 		s.MustConnect(n, 1, nodes[(i+1)%len(nodes)], 0)
 	}
 	if pinned {
-		pinPrivate(t, s)
+		if err := s.SetPlacement(matrix.PrivateShards(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep := s.Run(sim.Second)
 	runtime.ReadMemStats(&after)

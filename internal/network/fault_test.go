@@ -7,6 +7,7 @@ import (
 
 	"transputer/internal/core"
 	"transputer/internal/fault"
+	"transputer/internal/matrix"
 	"transputer/internal/network"
 	"transputer/internal/probe"
 	"transputer/internal/sim"
@@ -88,7 +89,9 @@ func lossyCampaign(t *testing.T, seed uint64, pinned bool) ([]string, *probe.Met
 		t.Fatal(err)
 	}
 	if pinned {
-		pinPrivate(t, s)
+		if err := s.SetPlacement(matrix.PrivateShards(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep := s.Run(100 * sim.Millisecond)
 	if !rep.Settled {
@@ -226,7 +229,9 @@ func severWatchdog(t *testing.T, pinned bool) {
 		t.Fatal(err)
 	}
 	if pinned {
-		pinPrivate(t, s)
+		if err := s.SetPlacement(matrix.PrivateShards(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep := s.Run(10 * sim.Millisecond)
 	if !rep.Settled {
@@ -282,7 +287,9 @@ func haltFault(t *testing.T, pinned bool) {
 		t.Fatal(err)
 	}
 	if pinned {
-		pinPrivate(t, s)
+		if err := s.SetPlacement(matrix.PrivateShards(s)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep := s.Run(10 * sim.Millisecond)
 	if !rep.Settled {

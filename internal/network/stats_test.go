@@ -3,6 +3,7 @@ package network_test
 import (
 	"testing"
 
+	"transputer/internal/apps/sieve"
 	"transputer/internal/link"
 	"transputer/internal/network"
 	"transputer/internal/probe"
@@ -95,5 +96,31 @@ func TestSystemProbeEvents(t *testing.T) {
 	}
 	if byNodeKind["b"][probe.WirePacket] != 4 {
 		t.Errorf("b wire packets = %d, want 4 acks", byNodeKind["b"][probe.WirePacket])
+	}
+}
+
+// TestTotalStats: the system-wide totals are the per-node counters
+// folded together.
+func TestTotalStats(t *testing.T) {
+	s, err := sieve.Build(sieve.Params{Limit: 20, Stages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Net.Run(sim.Second)
+	total := s.Net.TotalStats()
+	if total.Instructions == 0 || total.Cycles == 0 {
+		t.Error("aggregate stats empty")
+	}
+	// Messages out across the system must equal messages in: every
+	// communication has two ends.
+	if total.ExternalOut == 0 {
+		t.Error("no external traffic counted")
+	}
+	var sum uint64
+	for _, n := range s.Net.Nodes() {
+		sum += n.M.Stats().Instructions
+	}
+	if sum != total.Instructions {
+		t.Errorf("aggregate %d != per-node sum %d", total.Instructions, sum)
 	}
 }

@@ -165,3 +165,118 @@ func LoadNetworkFile(path string, out io.Writer) (*Network, error) {
 	}
 	return BuildNetwork(topo, filepath.Dir(path), out)
 }
+
+// NetFlags are tnet's flags once parsed.
+type NetFlags struct {
+	Stats, Metrics, EngineStats bool
+	Workers                     int
+	Timeline, Flows, Prof       string
+	ProfPeriod                  int // simulated microseconds
+	Seed                        uint64
+	SeedSet                     bool // -seed was given: Seed replaces the file's
+	VChan                       int
+	BlockCache                  bool
+	Fuse                        string
+}
+
+// RunNet is tnet — the command is flag parsing around this call, so a
+// test that drives it runs what the tool runs: the topology source src
+// (program paths relative to baseDir) under the flags, host output to
+// stdout, everything else to stderr; it returns the exit code.
+func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "tnet:", err)
+		return 1
+	}
+	topo, err := network.ParseTopology(src)
+	if err != nil {
+		return fatal(err)
+	}
+	if f.SeedSet {
+		topo.Seed = f.Seed
+	}
+	if f.VChan > 0 {
+		// The parse-time cross-checks (no faults on multiplexed wires)
+		// ran against the file's own directives; re-check the override.
+		if len(topo.Faults) > 0 {
+			return fatal(fmt.Errorf("-vchan cannot be combined with a fault campaign"))
+		}
+		topo.VChans = topo.VChans[:0]
+		for _, c := range topo.Connections {
+			topo.VChans = append(topo.VChans, network.VChanSpec{Node: c.A, Link: c.ALink, Count: f.VChan})
+		}
+	}
+	if err := ResolveFusion(topo, f.Fuse, baseDir, f.Workers); err != nil {
+		return fatal(err)
+	}
+	net, err := BuildNetwork(topo, baseDir, stdout)
+	if err != nil {
+		return fatal(err)
+	}
+	s := net.System
+	s.SetWorkers(f.Workers)
+	s.SetBlockCache(f.BlockCache)
+
+	obs := NewObserver(s)
+	if f.Timeline != "" {
+		obs.EnableTimeline(f.Timeline)
+	}
+	if f.Metrics {
+		obs.EnableMetrics()
+	}
+	if f.Flows != "" {
+		obs.EnableFlows(f.Flows, LineResolver(net.Programs))
+	}
+	if f.Prof != "" {
+		obs.EnableProfile(f.Prof, sim.Time(f.ProfPeriod)*sim.Microsecond)
+		for _, p := range net.Programs {
+			obs.AddProfileTarget(p.Node, p.Image, p.Path)
+		}
+	}
+	obs.Start()
+
+	rep := RunToQuiescence(net)
+	if !rep.Settled {
+		fmt.Fprintf(stderr, "tnet: time limit reached at %v (still running: %v)\n",
+			rep.Time, rep.Running)
+	}
+	for _, name := range rep.Halted {
+		n, _ := s.Node(name)
+		fmt.Fprintf(stderr, "tnet: %s halted: %v\n", name, n.M.Fault())
+	}
+	var wd *network.WatchdogReport
+	if rep.Settled {
+		if wd = s.Watchdog(); wd != nil {
+			PrintWatchdog(stderr, wd, LineResolver(net.Programs))
+		}
+	}
+	undelivered := 0
+	if net.Router != nil {
+		undelivered = net.Router.Undelivered()
+		PrintRouteSummary(stderr, net.Router)
+	}
+	if f.Stats {
+		fmt.Fprintf(stderr, "simulated time: %v\n", rep.Time)
+		for _, n := range s.Nodes() {
+			PrintStats(stderr, n.Name, n.M.Stats(), n.M.Config().CycleNs)
+			PrintLinkStats(stderr, n)
+		}
+		for i, h := range net.Hosts {
+			fmt.Fprintf(stderr, "host %d: exit=%v values=%v\n", i, h.Done, h.Values)
+		}
+	}
+	if obs.Active() {
+		if err := obs.Finish(rep.Time, stderr); err != nil {
+			return fatal(err)
+		}
+	}
+	if f.EngineStats {
+		explicit := ""
+		if len(topo.Shards) > 0 {
+			explicit = f.Fuse
+		}
+		PrintEngineStats(stderr, s.EngineStats(), PartitionOrigin(explicit, s.Workers()))
+		PrintAheadStats(stderr, s.AheadStats())
+	}
+	return Verdict(wd, undelivered)
+}
