@@ -6,22 +6,19 @@
 //
 //	tnet [-stats] [-timeline out.json] [-metrics] [-flows out.json]
 //	     [-prof out.prof] [-profperiod us] [-seed n] [-workers n]
-//	     [-vchan n] [-blockcache=false] [-fuse mode] [-enginestats]
+//	     [-blockcache=false] [-fuse off|topo] [-enginestats]
 //	     network.tnet
 //
 // -seed overrides the topology file's seed directive, so one fault
-// campaign file can be replayed under many seeds.  -vchan overrides
-// the file's vchan directives, multiplexing n virtual channels over
-// every transputer-to-transputer connection; a multiplexed wire
-// refuses plain transfers, so the programs (or the routing layer)
-// must address those links through their LINKnVCm channels.  -fuse
-// selects the shard partition (off|topo|auto|full; results are
-// byte-identical at every mode, only simulator speed changes).  With
-// no -fuse and no shard directive in the file, the partition follows
-// -workers: one worker (the default) runs every node on one shard, more
-// than one gives each node its own; -fuse off asks for one shard a node
-// at any worker count.  -enginestats reports what the windowed engine did,
-// starting with where the partition came from.
+// campaign file can be replayed under many seeds.  -fuse selects the
+// shard partition, which is fixed when the run starts (results are
+// byte-identical at either mode, only simulator speed changes): topo,
+// the default, takes the file's shard directives, and with none the
+// partition follows -workers — one worker (the default) runs every node
+// on one shard, more than one gives each node its own; off asks for one
+// shard a node at any worker count, the stepwise reference.
+// -enginestats reports what the windowed engine did, starting with
+// where the partition came from.
 package main
 
 import (
@@ -42,9 +39,8 @@ func main() {
 	prof := flag.String("prof", "", "sample every node's instruction pointer and write a profile to this file")
 	profPeriod := flag.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
 	seed := flag.Uint64("seed", 0, "override the topology's fault-plan seed")
-	vchan := flag.Int("vchan", 0, "multiplex this many virtual channels over every transputer-to-transputer connection (overrides the topology's vchan directives)")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
-	fuse := flag.String("fuse", "topo", "shard fusion mode: "+tool.FuseModes+" (topo: the file's shard directives, and with none the partition follows -workers; off: one shard a node even at one worker; purely a simulator speed switch, output is identical at every partition)")
+	fuse := flag.String("fuse", "topo", "shard partition: "+tool.FuseModes+" (topo: the file's shard directives, and with none the partition follows -workers; off: one shard a node even at one worker; purely a simulator speed switch, output is identical at every partition)")
 	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (where the partition came from, windows, barriers, fused vs mailbox deliveries, batches run ahead of their window); these vary with -fuse/-workers, unlike all other output")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -58,7 +54,7 @@ func main() {
 	}
 	f := tool.NetFlags{Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Workers: *workers,
 		Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod,
-		Seed: *seed, VChan: *vchan, BlockCache: *blockcache, Fuse: *fuse}
+		Seed: *seed, BlockCache: *blockcache, Fuse: *fuse}
 	flag.Visit(func(fl *flag.Flag) { f.SeedSet = f.SeedSet || fl.Name == "seed" })
 	os.Exit(tool.RunNet(f, string(src), filepath.Dir(flag.Arg(0)), os.Stdout, os.Stderr))
 }

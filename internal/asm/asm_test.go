@@ -174,6 +174,10 @@ func TestErrors(t *testing.T) {
 		"a:\n a:\n\tldc 1",
 		"\tentry missing\n\tldc 1",
 		"\tws 1",
+		// These two used to end the process: the assembler allocated
+		// what the directive named (FuzzAssemble's hand-written seeds).
+		"\tspace 99999999999999",
+		"\tspace 9000000\n\tspace 9000000",
 	}
 	for _, src := range cases {
 		if _, err := Assemble(src, 4); err == nil {

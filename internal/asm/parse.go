@@ -41,7 +41,7 @@ func Assemble(src string, wordBytes int) (*Assembled, error) {
 	b := NewBuilder(wordBytes)
 	var entry string
 	img := core.Image{WsBelow: 64, WsAbove: 64}
-	seenWs := false
+	space := maxSpace
 
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := stripComment(raw)
@@ -71,7 +71,7 @@ func Assemble(src string, wordBytes int) (*Assembled, error) {
 		if len(fields) == 2 {
 			rest = strings.TrimSpace(fields[1])
 		}
-		if err := assembleLine(b, &img, &entry, &seenWs, mnem, rest, lineNo+1); err != nil {
+		if err := assembleLine(b, &img, &entry, &space, mnem, rest, lineNo+1); err != nil {
 			return nil, err
 		}
 	}
@@ -92,7 +92,16 @@ func Assemble(src string, wordBytes int) (*Assembled, error) {
 	return &Assembled{Image: img, Labels: res.Labels}, nil
 }
 
-func assembleLine(b *Builder, img *core.Image, entry *string, seenWs *bool, mnem, rest string, line int) error {
+// maxSpace is how many bytes the space directives of one source may
+// reserve between them.  They are zeros the image carries, so a typo
+// (or a hostile source) would otherwise have the assembler allocate
+// whatever it names; a buffer this size belongs in the data directive,
+// which reserves without filling.
+const maxSpace = 16 << 20
+
+// assembleLine assembles one directive or instruction; space is what
+// the source's space directives may still reserve.
+func assembleLine(b *Builder, img *core.Image, entry *string, space *int, mnem, rest string, line int) error {
 	switch mnem {
 	case "entry":
 		*entry = rest
@@ -108,7 +117,6 @@ func assembleLine(b *Builder, img *core.Image, entry *string, seenWs *bool, mnem
 			return fmt.Errorf("line %d: bad ws operands", line)
 		}
 		img.WsBelow, img.WsAbove = below, above
-		*seenWs = true
 		return nil
 	case "data":
 		n, err := strconv.Atoi(rest)
@@ -138,6 +146,10 @@ func assembleLine(b *Builder, img *core.Image, entry *string, seenWs *bool, mnem
 		if err != nil || n < 0 {
 			return fmt.Errorf("line %d: bad space size", line)
 		}
+		if n > *space {
+			return fmt.Errorf("line %d: space directives reserve more than %d bytes in all", line, maxSpace)
+		}
+		*space -= n
 		b.Bytes(make([]byte, n))
 		return nil
 	case "ldpi":

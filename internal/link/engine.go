@@ -29,12 +29,6 @@ type Engine struct {
 	// told every verdict change.
 	hb     heartbeat
 	onBeat func(link int, up bool)
-
-	// onSever, when set, is told the first time each link of this engine
-	// is cut; the network layer uses it to retire the pair from the
-	// coordinator's wiring matrix so severed neighbourhoods stop
-	// constraining each other's windows.
-	onSever func(link int)
 }
 
 // NewEngine builds a link engine for a machine and attaches it.  The
@@ -51,9 +45,6 @@ func NewEngine(k sim.Clock, m *core.Machine) *Engine {
 
 // AttachProbe connects the engine's wires and senders to a probe bus.
 func (e *Engine) AttachProbe(b *probe.Bus) { e.bus = b }
-
-// OnSever registers the link-cut callback (see Engine.onSever).
-func (e *Engine) OnSever(fn func(link int)) { e.onSever = fn }
 
 // HandoffFlow implements core.FlowExternal: the machine tells the
 // engine which flow the transfer about to begin on a link belongs to.
@@ -205,17 +196,12 @@ func (e *Engine) SeverLink(i int) {
 	if w.severed {
 		// Already cut (e.g. a halt's SeverAll after a sever of the same
 		// link, or both ends halting): the first cut killed both
-		// directions.  Going through the motions again would post
-		// across a coordinator wiring edge the first cut may have
-		// retired, into a peer shard that has since drifted ahead.
+		// directions, and the probe stream shows one sever a cut.
 		return
 	}
 	w.setCut(true)
 	if e.bus != nil {
 		e.emit(probe.Event{Kind: probe.LinkSever, Link: i})
-	}
-	if e.onSever != nil {
-		e.onSever(i)
 	}
 }
 
@@ -230,8 +216,6 @@ func (e *Engine) SeverAll() {
 // RestoreLink reconnects both signal lines of link i, reversing
 // SeverLink with the same propagation discipline: this end's wire and
 // inbound gate revive now, the peer's revive one propagation later.
-// Only sound for links the network layer kept in the coordinator's
-// wiring matrix across the cut (see the restart fault rules).
 func (e *Engine) RestoreLink(i int) {
 	if !e.Connected(i) {
 		return

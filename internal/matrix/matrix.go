@@ -70,11 +70,10 @@ type Placement int
 const (
 	Derived  Placement = iota // from the worker count: -fuse topo on a file with no shard lines
 	Private                   // SetPlacement, one shard a node: -fuse off
-	OneShard                  // SetPlacement, every node on one shard: -fuse full
-	Auto                      // the planner's partition, files only: -fuse auto
+	OneShard                  // SetPlacement, every node on one shard: -fuse topo and a shard line naming them all
 )
 
-var fuseModes = [...]string{Derived: "topo", Private: "off", OneShard: "full", Auto: "auto"}
+var placements = [...]string{Derived: "derived", Private: "private", OneShard: "one shard"}
 
 // A Leg is one column setting of every engine knob.
 type Leg struct {
@@ -85,7 +84,7 @@ type Leg struct {
 }
 
 func (l Leg) String() string {
-	return fmt.Sprintf("workers=%d blockcache=%v fuse=%s bus=%v", l.Workers, l.Cache, fuseModes[l.Place], l.Bus)
+	return fmt.Sprintf("workers=%d blockcache=%v partition=%s bus=%v", l.Workers, l.Cache, placements[l.Place], l.Bus)
 }
 
 // Reference is the stepwise leg every other is compared with: one
@@ -94,12 +93,9 @@ func (l Leg) String() string {
 func Reference(bus bool) Leg { return Leg{Workers: 1, Place: Private, Bus: bus} }
 
 // shards is the shard count the leg's partition resolves to on a
-// system of the given size, 0 when the planner decides.
+// system of the given size.
 func (l Leg) shards(nodes int) int {
-	switch {
-	case l.Place == Auto:
-		return 0
-	case l.Place == OneShard, l.Place == Derived && l.Workers == 1:
+	if l.Place == OneShard || l.Place == Derived && l.Workers == 1 {
 		return 1
 	}
 	return nodes
@@ -111,12 +107,11 @@ func (l Leg) shards(nodes int) int {
 // pool runs min(workers, shards)), cache, bus — and its partition has
 // already been reached the same way, by derivation or by SetPlacement.
 // So every engine configuration runs once, and each partition is
-// reached both ways at least once.  Two columns are not crossed with
-// the cache: threads (the cache is a machine's own, a machine belongs
-// to one shard and a shard runs on one thread at a time, so the
-// uncached legs are single-threaded) and the planner, whose legs
-// resolve to nothing known in advance and always run.
-func Legs(nodes int, file bool) []Leg {
+// reached both ways at least once.  One column is not crossed with the
+// cache: threads (the cache is a machine's own, a machine belongs to
+// one shard and a shard runs on one thread at a time, so the uncached
+// legs are single-threaded).
+func Legs(nodes int) []Leg {
 	type engine struct {
 		shards, threads int
 		cache, bus      bool
@@ -130,7 +125,7 @@ func Legs(nodes int, file bool) []Leg {
 	add := func(l Leg) {
 		n := l.shards(nodes)
 		e, r := engine{n, min(l.Workers, n), l.Cache, l.Bus}, reach{n, l.Place != Derived}
-		if n != 0 && ran[e] && reached[r] || !l.Cache && e.threads > 1 {
+		if ran[e] && reached[r] || !l.Cache && e.threads > 1 {
 			return
 		}
 		ran[e], reached[r] = true, true
@@ -145,9 +140,6 @@ func Legs(nodes int, file bool) []Leg {
 					add(Leg{workers, cache, place, bus})
 				}
 			}
-		}
-		if file {
-			add(Leg{4, true, Auto, bus})
 		}
 	}
 	return legs
@@ -298,8 +290,23 @@ func (sc *Scenario) observeFile(l Leg) (*Observation, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	f := tool.NetFlags{Stats: true, EngineStats: true, Workers: l.Workers, BlockCache: l.Cache,
-		Fuse: fuseModes[l.Place]}
+	f := tool.NetFlags{Stats: true, EngineStats: true, Workers: l.Workers, BlockCache: l.Cache, Fuse: "topo"}
+	switch l.Place {
+	case Private:
+		f.Fuse = "off"
+	case OneShard:
+		// No shipped file has a shard line, so the leg writes the one
+		// that names every node.
+		topo, err := network.ParseTopology(src)
+		if err != nil {
+			return nil, err
+		}
+		src += "\nshard"
+		for _, t := range topo.Transputers {
+			src += " " + t.Name
+		}
+		src += "\n"
+	}
 	if l.Bus {
 		f.Metrics, f.Timeline, f.Flows = true, filepath.Join(dir, "timeline.json"), filepath.Join(dir, "flows.json")
 	}
@@ -482,7 +489,7 @@ func (sc *Scenario) check(c *checked) {
 		return
 	}
 	ref := map[bool]*Observation{} // by bus mode
-	for i, l := range Legs(first.nodes, sc.Source != nil) {
+	for i, l := range Legs(first.nodes) {
 		o := first
 		if i > 0 {
 			if o, err = sc.Observe(l); err != nil {
@@ -490,7 +497,7 @@ func (sc *Scenario) check(c *checked) {
 				return
 			}
 		}
-		if want := l.shards(o.nodes); want != 0 && o.shards != want {
+		if want := l.shards(o.nodes); o.shards != want {
 			c.failf("%v: %d nodes ran on %d shards, want %d", l, o.nodes, o.shards, want)
 		}
 		if l == Reference(l.Bus) {

@@ -28,12 +28,9 @@ func TestChaosPlansReplay(t *testing.T) {
 // two engines and one partition.
 func TestLegs(t *testing.T) {
 	for nodes, want := range map[int]struct{ legs, engines, reached int }{1: {4, 4, 2}, 2: {11, 10, 4}, 9: {11, 10, 4}} {
-		legs := Legs(nodes, false)
+		legs := Legs(nodes)
 		if legs[0] != Reference(false) || legs[1] != Reference(true) {
 			t.Errorf("%d nodes: the references do not come first: %v", nodes, legs[:2])
-		}
-		if file := Legs(nodes, true); len(file) != len(legs)+2 {
-			t.Errorf("%d nodes: %d legs with the planner's, want two more than %d", nodes, len(file), len(legs))
 		}
 		engines, reached := map[string]int{}, map[string]bool{}
 		for _, l := range legs {

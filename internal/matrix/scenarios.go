@@ -129,10 +129,9 @@ func sieved(name string, p sieve.Params, limit sim.Time) Scenario {
 }
 
 // severedAndRestoredRing has a wire cut for good and a node that loses
-// power and comes back: the cut retires a pair from the wiring matrix
-// mid-run, the restart needs its pairs kept there — both decided from
-// the fault plan before the partition exists — with heartbeats and the
-// routing layer on every node, a bounded Run and a Continue.
+// power and comes back — cuts and revivals that cross shards wherever
+// the partition puts a boundary — with heartbeats and the routing layer
+// on every node, a bounded Run and a Continue.
 func severedAndRestoredRing() (*Running, error) {
 	s := network.NewSystem()
 	nodes := make([]*network.Node, 5)

@@ -203,6 +203,9 @@ func ParseTopology(src string) (*Topology, error) {
 			if spec.Model != "t424" && spec.Model != "t222" {
 				return nil, fail("unknown model %q", fields[2])
 			}
+			if len(topo.Transputers) >= sim.MaxPorts {
+				return nil, fail("too many transputers: a system holds at most %d", sim.MaxPorts)
+			}
 			for _, opt := range fields[3:] {
 				k, v, ok := strings.Cut(opt, "=")
 				if !ok {

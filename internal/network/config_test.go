@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,6 +112,21 @@ func TestParseTopologyErrorLines(t *testing.T) {
 	_, err = ParseTopology("transputer x t424\n\ntransputer x t222\n")
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("duplicate-name error %v should name both lines", err)
+	}
+}
+
+// TestParseTooManyTransputers: a topology with more transputers than a
+// coordinator has ports (tnet used to panic in NewPort on one) is
+// refused at the line that declares one too many.
+func TestParseTooManyTransputers(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 66000; i++ {
+		fmt.Fprintf(&src, "transputer n%d t424 mem=4K\n", i)
+	}
+	_, err := ParseTopology(src.String())
+	want := fmt.Sprintf("topology line %d: too many transputers: a system holds at most %d", sim.MaxPorts+1, sim.MaxPorts)
+	if err == nil || err.Error() != want {
+		t.Errorf("ParseTopology of 66000 transputers = %v, want %q", err, want)
 	}
 }
 

@@ -102,14 +102,8 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 			// gets back: every wired link except those a Sever cut for
 			// good and those whose peer is itself down at the restart
 			// instant (the peer's own later restart restores the shared
-			// link).  Cross-shard pairs that will be restored must stay
-			// in the coordinator's wiring matrix across the outage.
+			// link).
 			restore := restorableLinks(n, plan, r.At)
-			for _, l := range restore {
-				if mark := n.severs[l]; mark != nil {
-					mark.keep = true
-				}
-			}
 			n.port.Schedule(r.At, func() { s.restartNode(n, restore) })
 		}
 	}

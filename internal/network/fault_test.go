@@ -206,7 +206,7 @@ func TestSeverWatchdog(t *testing.T) {
 }
 
 // severWatchdog cuts the wire with the ends on a shard each (the cut
-// retires the pair from the coordinator's wiring matrix) or on one.
+// crosses a barrier to reach the far end) or on one.
 func severWatchdog(t *testing.T, pinned bool) {
 	s := network.NewSystem()
 	bus := probe.NewBus()

@@ -12,7 +12,6 @@ package network
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"transputer/internal/core"
 	"transputer/internal/link"
@@ -47,26 +46,6 @@ type Node struct {
 	// need the topology back out of the wiring.
 	peers    [core.NumLinks]*Node
 	peerLink [core.NumLinks]int
-	// severs maps each transputer-to-transputer link to the marker it
-	// shares with the other end (nil for host links).
-	severs [core.NumLinks]*severMark
-}
-
-// severMark is shared by the two ends of one connection, from Connect
-// on, so that a sever — whichever end's fault schedule triggers it, or
-// both — retires the pair from the coordinator's wiring matrix exactly
-// once.  It names nodes, not shards: which shards the ends live on,
-// and so whether the pair is in the matrix at all, is decided when the
-// run starts (see System.seal), after fault plans have set keep.
-type severMark struct {
-	a, b *Node
-	done bool
-	// keep pins the pair in the wiring matrix even when severed: a
-	// scheduled Restart will restore this link, and re-adding a retired
-	// matrix edge later would be unsound (a shard may already have run
-	// past the instant a restored wire would deliver into).  Keeping
-	// the edge merely keeps windows conservative.
-	keep bool
 }
 
 // Clock returns the node's scheduling port, for code that needs to
@@ -99,10 +78,6 @@ type System struct {
 	// blockCacheOff is applied to every machine, present and future
 	// (see SetBlockCache).
 	blockCacheOff bool
-	// severMu guards severMark.done; sever callbacks run on shard
-	// goroutines, and both ends of a connection may fire in the same
-	// window.
-	severMu sync.Mutex
 	// hb is the system-wide heartbeat configuration, applied to every
 	// engine present and future; monitors start when Run does.
 	hb struct {
@@ -239,15 +214,18 @@ func (s *System) seal() {
 	// Window horizons follow the actual topology (shortest influence
 	// paths) instead of assuming every shard can reach every other in
 	// one Lookahead.  A connection between fused nodes never reaches the
-	// matrix: its traffic is intra-kernel and bounds no window.
+	// matrix: its traffic is intra-kernel and bounds no window.  One that
+	// does stays there for the whole run, whatever a fault plan does to
+	// the link: a severed wire keeps its ends' windows conservative, and
+	// a restart may restore it.
 	for _, n := range s.nodes {
-		for _, mark := range n.severs {
-			if mark == nil || mark.a != n {
-				continue // host link, or the peer end registers it
+		for _, peer := range n.peers {
+			if peer == nil {
+				continue // unwired, or a host link
 			}
-			if as, bs := mark.a.port.Shard(), mark.b.port.Shard(); as != bs {
-				s.coord.Wire(as.ID(), bs.ID(), Lookahead)
-				s.coord.Wire(bs.ID(), as.ID(), Lookahead)
+			// Each end enters its own direction.
+			if from, to := n.port.Shard(), peer.port.Shard(); from != to {
+				s.coord.Wire(from.ID(), to.ID(), Lookahead)
 			}
 		}
 	}
@@ -263,6 +241,10 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 	if _, dup := s.byName[name]; dup {
 		return nil, fmt.Errorf("network: duplicate transputer name %q", name)
 	}
+	if len(s.nodes) >= sim.MaxPorts {
+		// Every node takes one of the coordinator's ports.
+		return nil, fmt.Errorf("network: transputer %q is one too many: a system holds at most %d", name, sim.MaxPorts)
+	}
 	cfg.Name = name
 	m, err := core.New(cfg)
 	if err != nil {
@@ -274,7 +256,6 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 	// independent of the partition.
 	n := &Node{Name: name, M: m, port: s.coord.NewPort()}
 	n.Engine = link.NewEngine(n.port, m)
-	n.Engine.OnSever(func(l int) { s.linkSevered(n, l) })
 	n.runner = core.NewRunner(n.port, m, n.Engine)
 	m.SetFlowOrigin(uint64(len(s.nodes)) + 1)
 	if s.bus != nil {
@@ -408,37 +389,7 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 	b.wired[lb] = true
 	a.peers[la], a.peerLink[la] = b, lb
 	b.peers[lb], b.peerLink[lb] = a, la
-	mark := &severMark{a: a, b: b}
-	a.severs[la] = mark
-	b.severs[lb] = mark
 	return nil
-}
-
-// linkSevered retires a severed cross-shard connection from the
-// coordinator's wiring matrix.  The cut takes effect at now+Lookahead:
-// the far end's wire dies exactly one propagation delay after the
-// near end's, so nothing sent after that instant can cross in either
-// direction, and the coordinator defers the actual matrix update until
-// the whole system has executed past the cut.
-func (s *System) linkSevered(n *Node, l int) {
-	mark := n.severs[l]
-	if mark == nil || mark.keep {
-		return
-	}
-	as, bs := mark.a.port.Shard(), mark.b.port.Shard()
-	if as == bs {
-		return // fused (or cut before any run): the pair is not in the matrix
-	}
-	s.severMu.Lock()
-	done := mark.done
-	mark.done = true
-	s.severMu.Unlock()
-	if done {
-		return
-	}
-	cut := n.port.Now() + Lookahead
-	s.coord.Unwire(as.ID(), bs.ID(), cut)
-	s.coord.Unwire(bs.ID(), as.ID(), cut)
 }
 
 // Peer reports what link l of the node is wired to: the node at the

@@ -13,13 +13,6 @@ type Options struct {
 	// WordBytes is the target word length in bytes: 4 (T424) or 2
 	// (T222).  Defaults to 4.
 	WordBytes int
-	// ExtraWsBelow adds headroom words below the initial workspace
-	// pointer, for programs loaded alongside hand-patched data.
-	ExtraWsBelow int
-	// NoUsageCheck disables the PAR disjointness rules (paper 2.2.1);
-	// programs relying on priority-ordered access to shared state can
-	// opt out, forfeiting occam's correctness guarantees.
-	NoUsageCheck bool
 }
 
 // Compiled is the result of compiling an occam program.
@@ -131,10 +124,8 @@ func compileProgram(prog process, opt Options) (*Compiled, error) {
 	if cerr != nil {
 		return nil, cerr
 	}
-	if !opt.NoUsageCheck {
-		if uerr := c.checkUsage(prog); uerr != nil {
-			return nil, uerr
-		}
+	if uerr := c.checkUsage(prog); uerr != nil {
+		return nil, uerr
 	}
 	c.sizeProgram(prog, root)
 
@@ -184,7 +175,7 @@ func compileProgram(prog process, opt Options) (*Compiled, error) {
 		Image: core.Image{
 			Code:    res.Code,
 			Entry:   0,
-			WsBelow: root.below + opt.ExtraWsBelow,
+			WsBelow: root.below,
 			WsAbove: root.above,
 			Marks:   res.Marks,
 		},

@@ -412,10 +412,6 @@ SEQ
 	if _, err := occam.Compile(src, occam.Options{}); err == nil {
 		t.Fatal("shared assignment across PRI PAR should be rejected")
 	}
-	// The escape hatch compiles it anyway.
-	if _, err := occam.Compile(src, occam.Options{NoUsageCheck: true}); err != nil {
-		t.Fatalf("NoUsageCheck: %v", err)
-	}
 }
 
 func TestStopDeadlocks(t *testing.T) {

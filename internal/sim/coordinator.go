@@ -61,11 +61,6 @@ type Coordinator struct {
 	ports     []*Port
 	workers   int
 
-	// mu guards only the pending-unwire list, the one thing shard
-	// goroutines hand the coordinator mid-window outside their own
-	// port's outbox.
-	mu sync.Mutex
-
 	// xq is the barrier's merge buffer for the ports' outboxes,
 	// truncated and reused every window.
 	xq []crossEvent
@@ -93,21 +88,19 @@ type Coordinator struct {
 	windowWg sync.WaitGroup
 
 	// Per-pair wiring (see horizonFor).  w[a][b] is the direct
-	// lookahead from shard a to shard b (infTime when unwired),
-	// wcount[a][b] counts parallel links so severing one of several
-	// keeps the pair finite, and dist is the all-pairs shortest-path
-	// closure rebuilt lazily after wiring changes.  Until the first
-	// Wire call the matrix holds the complete graph at the global
-	// lookahead: with nothing known about the wiring, any shard may
-	// reach any other in one lookahead.
+	// lookahead from shard a to shard b (infTime when unwired) and dist
+	// is the all-pairs shortest-path closure, rebuilt lazily after a Wire
+	// call; nothing removes an edge, so once a run has started the
+	// distances are the run's.  Until the first Wire call the matrix
+	// holds the complete graph at the global lookahead: with nothing
+	// known about the wiring, any shard may reach any other in one
+	// lookahead.
 	wired      bool
 	w          [][]Time
-	wcount     [][]int
 	dist       [][]Time
 	selfInf    []Time // shortest round trip leaving and re-entering a shard
 	distDirty  bool
 	sendBounds []Time // per-barrier scratch
-	unwires    []unwire
 
 	// byDist[s] holds the sources that can reach s sorted by influence
 	// distance (nearest first), rebuilt with dist; minSendBound is the
@@ -142,13 +135,11 @@ type distEntry struct {
 	q int32
 }
 
-// unwire is a pending wiring removal: it takes effect only at a barrier
-// where every event at or before cut has already executed, so in-flight
-// traffic from before the sever is already in the destination kernels.
-type unwire struct {
-	a, b int
-	cut  Time
-}
+// MaxPorts is how many ports one coordinator holds: a window's shards,
+// at most one a port, are counted in sixteen bits of the claim word
+// (see runWindow).  NewPort panics past it, so a caller building from
+// outside input checks first.
+const MaxPorts = claimMask - 1
 
 // infTime marks an absent path; far enough from MaxTime that sums of
 // two never overflow.
@@ -195,7 +186,7 @@ func (c *Coordinator) OnFlush(fn func(upTo Time, final bool)) { c.onFlush = fn }
 // places it any time before the run that first executes it.  A port
 // still unplaced when a run starts gets a shard of its own.
 func (c *Coordinator) NewPort() *Port {
-	if len(c.ports) >= claimMask-1 {
+	if len(c.ports) >= MaxPorts {
 		panic("sim: too many ports")
 	}
 	p := &Port{c: c, rank: len(c.ports), k: NewKernel()}
@@ -229,8 +220,9 @@ func (c *Coordinator) NewShard(ports ...*Port) *Shard {
 // minimum latency.  The first Wire call replaces the complete-graph
 // default with horizons derived from actual wiring: pairs with no
 // connecting path contribute no bound at all, so disjoint components
-// (and fully severed nodes) synchronise only internally.  Parallel
-// links stack; each is removed by one Unwire.
+// synchronise only internally.  Parallel links keep the smallest
+// latency.  A wire stays for good: a link severed mid-run keeps bounding
+// its ends' windows, which costs barriers and nothing else.
 func (c *Coordinator) Wire(a, b int, latency Time) {
 	if latency <= 0 {
 		panic("sim: wire latency must be positive")
@@ -241,28 +233,10 @@ func (c *Coordinator) Wire(a, b int, latency Time) {
 		c.wired, c.w = true, nil
 	}
 	c.ensureMatrix()
-	c.wcount[a][b]++
 	if latency < c.w[a][b] {
 		c.w[a][b] = latency
 	}
 	c.distDirty = true
-}
-
-// Unwire schedules the removal of one a→b link, effective once the
-// whole system has executed past cut (the simulated instant the link
-// stopped carrying traffic).  The deferral is what makes removal safe:
-// by then every event that could have used the link has fired and its
-// deliveries sit in the destination kernels, so widening the horizon
-// afterwards cannot lose causality.
-//
-// Unwire may be called from shard goroutines mid-window (a fault
-// schedule severing a link); the pending list is guarded by the
-// coordinator mutex and drained at the next barrier.  An Unwire with
-// no prior Wire (the complete-graph default) removes nothing.
-func (c *Coordinator) Unwire(a, b int, cut Time) {
-	c.mu.Lock()
-	c.unwires = append(c.unwires, unwire{a: a, b: b, cut: cut})
-	c.mu.Unlock()
 }
 
 // ensureMatrix sizes the wiring matrix to the current shard count.
@@ -278,10 +252,8 @@ func (c *Coordinator) ensureMatrix() {
 		fill = c.lookahead
 	}
 	w := make([][]Time, n)
-	wc := make([][]int, n)
 	for i := range w {
 		w[i] = make([]Time, n)
-		wc[i] = make([]int, n)
 		for j := range w[i] {
 			w[i][j] = fill
 		}
@@ -289,39 +261,15 @@ func (c *Coordinator) ensureMatrix() {
 		// started).
 		if i < len(c.w) {
 			copy(w[i], c.w[i])
-			copy(wc[i], c.wcount[i])
 		}
 	}
-	c.w, c.wcount = w, wc
+	c.w = w
 	c.distDirty = true
 }
 
-// applyUnwires retires pending link removals whose cut time the whole
-// system has passed.  Called between windows, with min1 the earliest
-// pending event anywhere.
-func (c *Coordinator) applyUnwires(min1 Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.unwires[:0]
-	for _, u := range c.unwires {
-		if min1 <= u.cut {
-			kept = append(kept, u)
-			continue
-		}
-		if c.wcount[u.a][u.b] > 0 {
-			c.wcount[u.a][u.b]--
-			if c.wcount[u.a][u.b] == 0 {
-				c.w[u.a][u.b] = infTime
-				c.distDirty = true
-			}
-		}
-	}
-	c.unwires = kept
-}
-
 // refreshDist rebuilds the all-pairs shortest-path closure and the
-// per-shard minimum round trip.  Shard counts are small and wiring
-// changes are rare (a sever), so Floyd–Warshall is plenty.
+// per-shard minimum round trip.  Shard counts are small and the closure
+// is built once a run, so Floyd–Warshall is plenty.
 func (c *Coordinator) refreshDist() {
 	if !c.distDirty {
 		return
@@ -389,13 +337,12 @@ func (c *Coordinator) refreshDist() {
 	}
 }
 
-// Dist reports the current influence distance from shard a to shard b
+// Dist reports the influence distance from shard a to shard b
 // (infinite when no path connects them), recomputing the closure if
-// wiring changed.  For tests and diagnostics; the run loop uses the
+// wires were added.  For tests and diagnostics; the run loop uses the
 // internal matrices directly.
 func (c *Coordinator) Dist(a, b int) (d Time, connected bool) {
 	c.ensureMatrix()
-	c.applyUnwires(MaxTime)
 	c.refreshDist()
 	d = c.dist[a][b]
 	return d, d < infTime
@@ -495,7 +442,10 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 	}
 	stop := c.startPool()
 	defer stop()
+	// The wiring is complete when a run starts, so the distances every
+	// barrier of the run reads are computed here, once.
 	c.ensureMatrix()
+	c.refreshDist()
 	if len(c.nts) != len(c.shards) {
 		c.nts = make([]Time, len(c.shards))
 	}
@@ -541,8 +491,6 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 			c.stSpanSum += min1 - c.lastMin1
 		}
 		c.lastMin1, c.lastMin1Set = min1, true
-		c.applyUnwires(min1)
-		c.refreshDist()
 		minSb := MaxTime
 		for _, q := range c.shards {
 			sb := q.sendBound()
@@ -586,9 +534,9 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 // continuation up to the promised time — and the fastest route from q
 // to s adds dist[q][s] (for q = s, the shortest round trip out and
 // back, since a shard's own event can bound it only via an echo).
-// Pairs with no connecting path contribute nothing: a severed or
-// unwired neighbourhood cannot affect s at all, and a lone shard, with
-// no one to hear from, runs unbounded.  On the never-wired default,
+// Pairs with no connecting path contribute nothing: a neighbourhood no
+// wire leads out of cannot affect s at all, and a lone shard, with no
+// one to hear from, runs unbounded.  On the never-wired default,
 // the complete graph at one lookahead, the rule lets every shard run
 // one lookahead past the earliest event anywhere — and the shard
 // holding that event one lookahead past the next-earliest, or two past

@@ -194,11 +194,11 @@ func TestLoneShardFlushesEveryPass(t *testing.T) {
 }
 
 // TestDistClosureAfterRewire: the coordinator's influence-distance
-// closure after incremental Unwire and Wire calls must equal a
-// from-scratch Floyd–Warshall over the surviving links — the horizon
-// computation trusts dist, so drift here would silently widen or
-// wrongly narrow windows.  Before the first Wire call the links are the
-// complete graph at the lookahead.
+// closure after incremental Wire calls must equal a from-scratch
+// Floyd–Warshall over the links wired so far — the horizon computation
+// trusts dist, so drift here would silently widen or wrongly narrow
+// windows.  Before the first Wire call the links are the complete graph
+// at the lookahead.
 func TestDistClosureAfterRewire(t *testing.T) {
 	const L = Time(100)
 	type edge struct {
@@ -265,46 +265,25 @@ func TestDistClosureAfterRewire(t *testing.T) {
 	}
 	check("never wired")
 
-	// A ring with a chord, wired both ways.
+	// A chain with a chord, wired both ways; shard 5 is left out, so
+	// nothing reaches it and it reaches nothing.
 	edges = edges[:0]
 	both := func(a, b int, lat Time) {
 		c.Wire(a, b, lat)
 		c.Wire(b, a, lat)
 		edges = append(edges, edge{a, b, lat}, edge{b, a, lat})
 	}
-	for i := 0; i < n; i++ {
-		both(i, (i+1)%n, L)
+	for i := 0; i+1 < n-1; i++ {
+		both(i, i+1, 3*L)
 	}
 	both(0, 3, 2*L)
 	check("initial")
 
-	// Sever the chord and one ring segment (both directions, cut time
-	// already passed — Dist applies pending unwires).
-	drop := func(a, b int) {
-		c.Unwire(a, b, 0)
-		c.Unwire(b, a, 0)
-		kept := edges[:0]
-		for _, e := range edges {
-			if (e.a == a && e.b == b) || (e.a == b && e.b == a) {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		edges = kept
-	}
-	drop(0, 3)
-	drop(2, 3)
-	check("after severs")
-
-	// Re-wire the severed segment with a different latency and add a
-	// new shortcut; the closure must pick the new paths up.
-	both(2, 3, 3*L)
+	// A faster parallel link on one segment, a new shortcut, and shard 5
+	// closing the ring: the closure must pick the new paths up.
+	both(2, 3, L)
 	both(1, 4, L)
+	both(4, 5, L)
+	both(5, 0, L)
 	check("after rewires")
-
-	// Sever node 5 completely: 4<->5 and 5<->0 go away, disconnecting
-	// it from the rest.
-	drop(4, 5)
-	drop(5, 0)
-	check("after isolating a shard")
 }

@@ -9,14 +9,13 @@ import (
 	"transputer/internal/sim"
 )
 
-// Fusion mode resolution shared by the network tools: how a `-fuse`
-// flag and a topology's own `shard` directives combine into the
-// placement BuildNetwork applies.  Whatever the mode, results are
-// byte-identical; fusion only changes how fast the simulator gets
-// there.
+// How a `-fuse` flag and a topology's own `shard` directives combine
+// into the placement BuildNetwork applies.  Whatever the mode, results
+// are byte-identical; the partition only changes how fast the simulator
+// gets there.
 
 // FuseModes documents the accepted -fuse values.
-const FuseModes = "off|topo|auto|full"
+const FuseModes = "off|topo"
 
 // ResolveFusion turns a -fuse mode into the topology's final Shards
 // placement.  Modes:
@@ -28,16 +27,10 @@ const FuseModes = "off|topo|auto|full"
 //	off     ignore any `shard` directives; one node per shard, at any
 //	        worker count — the mailbox-and-barrier path, kept sayable
 //	        as the sequential reference
-//	full    every node on one shard
-//	auto    profile a pre-run of the topology, then contract the
-//	        observed traffic graph to at most maxParts shards,
-//	        ignoring edges too quiet to be worth a shard
 //
-// Every mode but a directive-free topo leaves an explicit placement
-// that names every node, so the worker count no longer has a say.  For
-// auto, baseDir resolves the topology's program paths (the pre-run
-// loads and runs the real programs; its host output is discarded).
-func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) error {
+// off leaves an explicit placement that names every node, so the worker
+// count no longer has a say.
+func ResolveFusion(topo *network.Topology, mode string) error {
 	switch mode {
 	case "topo", "":
 		return nil
@@ -47,49 +40,9 @@ func ResolveFusion(topo *network.Topology, mode, baseDir string, maxParts int) e
 			topo.Shards[i] = []string{t.Name}
 		}
 		return nil
-	case "full":
-		topo.Shards = [][]string{nodeNames(topo)}
-		return nil
-	case "auto":
-		groups, err := AutoFuseGroups(topo, baseDir, maxParts)
-		if err != nil {
-			return err
-		}
-		topo.Shards = groups
-		return nil
 	default:
 		return fmt.Errorf("unknown fuse mode %q (want %s)", mode, FuseModes)
 	}
-}
-
-func nodeNames(topo *network.Topology) []string {
-	names := make([]string, len(topo.Transputers))
-	for i, t := range topo.Transputers {
-		names[i] = t.Name
-	}
-	return names
-}
-
-// AutoFuseGroups profiles the topology and partitions it by observed
-// wire traffic: a fresh copy of the network, without the file's own
-// placement, runs to quiescence with host output discarded, each
-// connection is weighted by its wire activity, edges below a density
-// floor are dropped (quiet wires are not worth losing a parallel shard
-// over), and the rest are greedily contracted to at most maxParts
-// groups.  The pre-run is deterministic and its traffic is the same at
-// any partition, so the resulting placement — and with it the measured
-// run's wall-clock, though never its results — is reproducible.
-func AutoFuseGroups(topo *network.Topology, baseDir string, maxParts int) ([][]string, error) {
-	pre := *topo
-	pre.Shards = nil
-	net, err := BuildNetwork(&pre, baseDir, io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("autofuse pre-run: %w", err)
-	}
-	rep := RunToQuiescence(net)
-	edges := net.System.TrafficEdges()
-	floor := network.FuseTrafficFloor(rep.Time)
-	return network.GreedyFuse(nodeNames(topo), edges, maxParts, floor), nil
 }
 
 // PartitionOrigin says where a run's partition came from, for

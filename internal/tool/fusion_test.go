@@ -37,46 +37,43 @@ func TestEngineStatsNamesThePartitionsOrigin(t *testing.T) {
 	}
 }
 
-// TestResolveFusionIsExplicit: every mode but a directive-free topo
-// names every node, so the worker count has no say in the partition.
+// TestResolveFusionIsExplicit: off names every node, so the worker
+// count has no say in the partition; a directive-free topo leaves it
+// one.
 func TestResolveFusionIsExplicit(t *testing.T) {
-	fresh := func() *network.Topology {
-		return &network.Topology{Transputers: []network.TransputerSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
-	}
 	for mode, want := range map[string][][]string{
 		"off":  {{"a"}, {"b"}, {"c"}},
-		"full": {{"a", "b", "c"}},
 		"topo": nil,
 	} {
-		topo := fresh()
-		if err := ResolveFusion(topo, mode, ".", 4); err != nil {
+		topo := &network.Topology{Transputers: []network.TransputerSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
+		if err := ResolveFusion(topo, mode); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(topo.Shards, want) {
 			t.Errorf("-fuse %s: placement %v, want %v", mode, topo.Shards, want)
 		}
 	}
-	// The planner's answer is a whole partition too, one-node parts
-	// included: what it declined to fuse stays apart at one worker.
-	got := network.GreedyFuse([]string{"a", "b", "c"}, []network.FuseEdge{{A: "a", B: "c", Weight: 9}, {A: "b", B: "c", Weight: 1}}, 1, 5)
-	if want := [][]string{{"a", "c"}, {"b"}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("GreedyFuse = %v, want %v", got, want)
-	}
 }
 
 // TestUnknownFuseModeRejected: a mode outside FuseModes — including
-// greedy, which used to be one — is an error naming the accepted
-// values, and leaves the topology's own placement alone.
+// greedy, auto and full, which used to be modes — is an error naming
+// the accepted values, from ResolveFusion and from tnet (exit 1), and
+// leaves the topology's own placement alone.
 func TestUnknownFuseModeRejected(t *testing.T) {
-	for _, mode := range []string{"greedy", "bogus"} {
+	for _, mode := range []string{"greedy", "auto", "full", "bogus"} {
 		topo := &network.Topology{Shards: [][]string{{"a", "b"}}}
-		err := ResolveFusion(topo, mode, ".", 4)
-		want := fmt.Sprintf("unknown fuse mode %q (want off|topo|auto|full)", mode)
+		err := ResolveFusion(topo, mode)
+		want := fmt.Sprintf("unknown fuse mode %q (want off|topo)", mode)
 		if err == nil || err.Error() != want {
 			t.Errorf("ResolveFusion(%q) = %v, want %q", mode, err, want)
 		}
 		if len(topo.Shards) != 1 {
 			t.Errorf("ResolveFusion(%q) changed the placement: %v", mode, topo.Shards)
+		}
+		var stdout, stderr bytes.Buffer
+		exit := RunNet(NetFlags{Workers: 1, BlockCache: true, Fuse: mode}, "transputer a t424\n", "", &stdout, &stderr)
+		if exit != 1 || stderr.String() != "tnet: "+want+"\n" {
+			t.Errorf("tnet -fuse %s exited %d saying %q, want 1 and %q", mode, exit, stderr.String(), want)
 		}
 	}
 }

@@ -174,7 +174,6 @@ type NetFlags struct {
 	ProfPeriod                  int // simulated microseconds
 	Seed                        uint64
 	SeedSet                     bool // -seed was given: Seed replaces the file's
-	VChan                       int
 	BlockCache                  bool
 	Fuse                        string
 }
@@ -195,18 +194,7 @@ func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
 	if f.SeedSet {
 		topo.Seed = f.Seed
 	}
-	if f.VChan > 0 {
-		// The parse-time cross-checks (no faults on multiplexed wires)
-		// ran against the file's own directives; re-check the override.
-		if len(topo.Faults) > 0 {
-			return fatal(fmt.Errorf("-vchan cannot be combined with a fault campaign"))
-		}
-		topo.VChans = topo.VChans[:0]
-		for _, c := range topo.Connections {
-			topo.VChans = append(topo.VChans, network.VChanSpec{Node: c.A, Link: c.ALink, Count: f.VChan})
-		}
-	}
-	if err := ResolveFusion(topo, f.Fuse, baseDir, f.Workers); err != nil {
+	if err := ResolveFusion(topo, f.Fuse); err != nil {
 		return fatal(err)
 	}
 	net, err := BuildNetwork(topo, baseDir, stdout)
