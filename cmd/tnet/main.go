@@ -18,7 +18,8 @@
 // on one shard, more than one gives each node its own; off asks for one
 // shard a node at any worker count, the stepwise reference.
 // -enginestats reports what the windowed engine did, starting with
-// where the partition came from.
+// where the partition came from, and what the link layer did on
+// acknowledge credit (the one line of it no partition changes).
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override the topology's fault-plan seed")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
 	fuse := flag.String("fuse", "topo", "shard partition: "+tool.FuseModes+" (topo: the file's shard directives, and with none the partition follows -workers; off: one shard a node even at one worker; purely a simulator speed switch, output is identical at every partition)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (where the partition came from, windows, barriers, fused vs mailbox deliveries, batches run ahead of their window); these vary with -fuse/-workers, unlike all other output")
+	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (where the partition came from, windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window); all but the credit line vary with -fuse/-workers, unlike all other output")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tnet [flags] network.tnet")

@@ -37,7 +37,7 @@ func main() {
 	profPeriod := flag.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
 	input := flag.String("in", "", "comma-separated words queued for host input")
 	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, batches run ahead of their window)")
+	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: trun [flags] program.{occ,tasm,tix}")
@@ -126,6 +126,7 @@ func main() {
 	}
 	if *engineStats {
 		tool.PrintEngineStats(os.Stderr, s.EngineStats(), tool.PartitionOrigin("", s.Workers()))
+		tool.PrintCreditStats(os.Stderr, s.CreditStats())
 		tool.PrintAheadStats(os.Stderr, s.AheadStats())
 	}
 	if n.M.ErrorFlag() {

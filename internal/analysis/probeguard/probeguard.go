@@ -1,5 +1,6 @@
 // Package probeguard enforces the probe bus's zero-overhead contract:
-// every (*probe.Bus).Publish call site must sit behind a nil-bus check.
+// every (*probe.Bus).Publish call site, and every call handed a
+// probe.Event literal, must sit behind a nil-bus check.
 //
 // PR 1's contract is that a simulation with no bus attached pays
 // nothing for instrumentation: publishers check `bus != nil` before
@@ -9,6 +10,13 @@
 // body) or quietly taxes the hot path.  Helper methods that rely on a
 // documented caller-side check (core.Machine.emit, link.Engine.emit)
 // carry a //tvet:ignore with that rationale.
+//
+// A wrapper that checks the bus itself is no way round the contract: its
+// caller has already built the event — well over a hundred bytes — and
+// copied it into the call before the wrapper can decline it, on every
+// frame of a detached run (link's wire did exactly this).  So an Event
+// literal passed to any function is held to the same rule as Publish:
+// the guard goes where the event is built.
 package probeguard
 
 import (
@@ -19,11 +27,13 @@ import (
 	"transputer/internal/analysis/tvetutil"
 )
 
-const doc = `require a nil-bus check in front of every probe Publish call
+const doc = `require a nil-bus check in front of every probe Publish call and every probe.Event literal passed to a call
 
 A probe.Bus publish site must be unreachable when no bus is attached:
 wrap it in "if bus != nil { ... }" or return early on "bus == nil"
-before it.  This keeps the detached simulator paying zero cost for
+before it.  The same holds for any call handed a probe.Event literal: a
+callee that checks the bus itself does so after the event has been built
+and copied.  This keeps the detached simulator paying zero cost for
 instrumentation (PR 1).  Wrappers whose callers hold the check carry
 //tvet:ignore probeguard <reason>.`
 
@@ -44,21 +54,43 @@ func run(pass *tvetutil.Pass) {
 		if !ok {
 			return true
 		}
-		fn := tvetutil.Callee(pass.TypesInfo, call)
-		if fn == nil || fn.Name() != "Publish" {
-			return true
+		switch {
+		case isPublish(pass, call):
+			if !guarded(pass, call, stack) {
+				tvetutil.Report(pass, ig, call.Pos(),
+					"probe Publish without a nil-bus guard: wrap in `if bus != nil` or return early on `bus == nil` (zero-overhead contract; //tvet:ignore probeguard <reason> if callers hold the check)")
+			}
+		case passesEventLiteral(pass, call):
+			if !guarded(pass, call, stack) {
+				tvetutil.Report(pass, ig, call.Pos(),
+					"probe.Event built and passed without a nil-bus guard: the callee's own check comes after the copy; wrap the call in `if bus != nil` (zero-overhead contract)")
+			}
 		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil || !tvetutil.IsPtrToNamed(sig.Recv().Type(), tvetutil.ProbePath, "Bus") {
-			return true
-		}
-		if guarded(pass, call, stack) {
-			return true
-		}
-		tvetutil.Report(pass, ig, call.Pos(),
-			"probe Publish without a nil-bus guard: wrap in `if bus != nil` or return early on `bus == nil` (zero-overhead contract; //tvet:ignore probeguard <reason> if callers hold the check)")
 		return true
 	})
+}
+
+// isPublish reports whether the call is (*probe.Bus).Publish.
+func isPublish(pass *tvetutil.Pass, call *ast.CallExpr) bool {
+	fn := tvetutil.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Name() != "Publish" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && tvetutil.IsPtrToNamed(sig.Recv().Type(), tvetutil.ProbePath, "Bus")
+}
+
+// passesEventLiteral reports whether an argument of the call is a
+// probe.Event composite literal: an event built for this call alone.
+func passesEventLiteral(pass *tvetutil.Pass, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.CompositeLit); ok {
+			if t := pass.TypesInfo.TypeOf(lit); t != nil && tvetutil.IsNamed(t, tvetutil.ProbePath, "Event") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // guarded reports whether the call is dominated by a nil-bus check:

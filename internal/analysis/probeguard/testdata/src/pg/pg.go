@@ -46,3 +46,26 @@ func (m *machine) badWrongGuard(on bool) {
 func (m *machine) emit(e probe.Event) {
 	m.bus.Publish(e)
 }
+
+// A wrapper that checks the bus itself: sound, but its callers pay for
+// the literal before the check, so the guard belongs at the call.
+func (m *machine) checkedEmit(e probe.Event) {
+	if m.bus != nil {
+		m.bus.Publish(e)
+	}
+}
+
+func (m *machine) badViaWrapper() {
+	m.checkedEmit(probe.Event{Kind: probe.Heartbeat}) // want `probe.Event built and passed without a nil-bus guard`
+}
+
+func (m *machine) guardedViaWrapper() {
+	if m.bus != nil {
+		m.checkedEmit(probe.Event{Kind: probe.Heartbeat})
+		m.emit(probe.Event{})
+	}
+}
+
+func (m *machine) passesVariable(e probe.Event) {
+	m.checkedEmit(e) // not built here: whoever built it answers for the guard
+}

@@ -29,7 +29,36 @@ type Engine struct {
 	// told every verdict change.
 	hb     heartbeat
 	onBeat func(link int, up bool)
+
+	// credit counts what acknowledge credit (see xfer.go) did at this
+	// engine's ends of its links.
+	credit CreditStats
 }
+
+// CreditStats counts acknowledge-credit events at one engine (or, summed,
+// a system): diagnostics of the simulator, not of the simulated machine,
+// but deterministic and the same at every partition and worker count.
+type CreditStats struct {
+	Granted         uint64 // acknowledges sent carrying a grant
+	Credited        uint64 // acknowledges booked on credit instead of sent
+	Revoked         uint64 // grants withdrawn because this end began sending
+	UnackedAtRevoke uint64 // bytes in flight a revocation un-acknowledged
+	UnackedAtCut    uint64 // bytes in flight a cut un-acknowledged
+	LateCompletions uint64 // credited acknowledges that delayed a frame
+}
+
+// Add accumulates another engine's counters.
+func (c *CreditStats) Add(o CreditStats) {
+	c.Granted += o.Granted
+	c.Credited += o.Credited
+	c.Revoked += o.Revoked
+	c.UnackedAtRevoke += o.UnackedAtRevoke
+	c.UnackedAtCut += o.UnackedAtCut
+	c.LateCompletions += o.LateCompletions
+}
+
+// CreditStats returns the engine's acknowledge-credit counters.
+func (e *Engine) CreditStats() CreditStats { return e.credit }
 
 // NewEngine builds a link engine for a machine and attaches it.  The
 // clock is the machine's own scheduling domain — a standalone kernel

@@ -93,9 +93,13 @@ func (e *Engine) StopHeartbeat() {
 	e.k.Cancel(e.hb.timer)
 }
 
-// heard records that something arrived on link l just now.
+// heard records that something arrived on link l just now.  Without a
+// monitor configured nobody reads the stamp — StartHeartbeat resets
+// every one — and this runs on every data byte and acknowledge.
 func (e *Engine) heard(l int) {
-	e.hb.lastHeard[l] = e.k.Now()
+	if e.hb.configured {
+		e.hb.lastHeard[l] = e.k.Now()
+	}
 }
 
 func (o *outHalf) heard() {

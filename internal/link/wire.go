@@ -36,14 +36,16 @@ const (
 // receiving end sees nothing of a packet a fault drops or a cut
 // overtakes.
 type packet struct {
-	kind    packetKind
-	rel     bool   // error-detecting-mode framing (see reliable.go)
-	retrans bool   // a resend of a byte already counted as goodput
-	bits    uint8  // frame length in bit times
-	payload byte   // data byte (pktData)
-	seq     byte   // sequence bit (error-detecting mode)
-	crc     byte   // check trailer (error-detecting mode)
-	flow    uint64 // probe flow identity carried across the wire; 0 untraced
+	kind     packetKind
+	rel      bool   // error-detecting-mode framing (see reliable.go)
+	retrans  bool   // a resend of a byte already counted as goodput
+	credited bool   // data byte sent on acknowledge credit (see xfer.go)
+	bits     uint8  // frame length in bit times
+	payload  byte   // data byte (pktData)
+	seq      byte   // sequence bit (error-detecting mode)
+	crc      byte   // check trailer (error-detecting mode)
+	grant    uint32 // acknowledge credit granted with this ack (see xfer.go)
+	flow     uint64 // probe flow identity carried across the wire; 0 untraced
 }
 
 // What a posted message asks of the receiving end (low byte of word A).
@@ -52,15 +54,28 @@ const (
 	rxStart          // a plain data packet has begun arriving
 	rxSever          // the far end cut the link one propagation ago
 	rxRestore        // the far end reconnected it
+	rxRevoke         // the far end withdrew its acknowledge credit; word B is what it still owed
+)
+
+// Word A's bits above the packed packet: the credited flag, and above
+// it the grant, which bounds the credit one acknowledge can carry.
+const (
+	creditedFlag = 1 << 41
+	grantShift   = 42
+	maxGrant     = 1<<(64-grantShift) - 1
 )
 
 // msg packs the fields a receiver reads into a post's two words: word A
-// is op | kind<<8 | payload<<16 | seq<<24 | crc<<32 | rel<<40, word B
-// the flow identity.
+// is op | kind<<8 | payload<<16 | seq<<24 | crc<<32 | rel<<40 |
+// creditedFlag | grant<<grantShift, word B the flow identity.
 func (p packet) msg(op uint64) sim.Msg {
-	a := op | uint64(p.kind)<<8 | uint64(p.payload)<<16 | uint64(p.seq)<<24 | uint64(p.crc)<<32
+	a := op | uint64(p.kind)<<8 | uint64(p.payload)<<16 | uint64(p.seq)<<24 | uint64(p.crc)<<32 |
+		uint64(p.grant)<<grantShift
 	if p.rel {
 		a |= 1 << 40
+	}
+	if p.credited {
+		a |= creditedFlag
 	}
 	return sim.Msg{A: a, B: p.flow}
 }
@@ -68,7 +83,8 @@ func (p packet) msg(op uint64) sim.Msg {
 // unpack reverses msg.
 func unpack(m sim.Msg) packet {
 	return packet{kind: packetKind(m.A >> 8), payload: byte(m.A >> 16), seq: byte(m.A >> 24),
-		crc: byte(m.A >> 32), rel: m.A>>40&1 != 0, flow: m.B}
+		crc: byte(m.A >> 32), rel: m.A>>40&1 != 0, credited: m.A&creditedFlag != 0,
+		grant: uint32(m.A >> grantShift), flow: m.B}
 }
 
 // FaultAction describes what an injected fault does to one packet.
@@ -109,9 +125,17 @@ func (rx *rxEnd) Receive(m sim.Msg) {
 		// receive gate and its own transmitter on the reverse line follow.
 		rx.severed = op == rxSever
 		rx.out.wire.severed = rx.severed
+		if rx.severed {
+			rx.out.cutCredit()
+			rx.in.granted = 0
+		}
 	case rxStart:
 		if !rx.severed {
-			rx.in.dataStart(m.B)
+			rx.in.dataStart(m.B, m.A&creditedFlag != 0)
+		}
+	case rxRevoke:
+		if !rx.severed {
+			rx.out.creditRevoked(int(m.B))
 		}
 	default:
 		if !rx.severed {
@@ -134,6 +158,13 @@ func (w *wire) setCut(cut bool) {
 	// immediately; the peer's transmitter and its receive gate for our
 	// wire follow when the change has propagated (see rxEnd.Receive).
 	inbound.rx.severed = cut
+	if cut {
+		// Acknowledge credit dies with the cable at both ends (the far
+		// end's when it hears): an acknowledge that would have landed
+		// after this instant is lost with the rest.
+		w.tx.cutCredit()
+		inbound.rx.in.granted = 0
+	}
 	op := uint64(rxRestore)
 	if cut {
 		op = rxSever
@@ -151,7 +182,7 @@ func (rx *rxEnd) arrive(p packet) {
 	case p.kind == pktAck && p.rel:
 		rx.out.relAckArrived(p.seq)
 	case p.kind == pktAck:
-		rx.out.ackArrived()
+		rx.out.ackArrived(int(p.grant))
 	case p.rel:
 		rx.in.relDataArrive(p)
 	default:
@@ -200,6 +231,12 @@ type wire struct {
 	curDropped bool
 	txDone     func()
 
+	// creditUntil is the end of the latest acknowledge this line carried
+	// on credit (see inHalf.dataStart): the books say the line is busy
+	// until then, but no completion event exists unless a frame is sent
+	// inside the interval (see send).
+	creditUntil sim.Time
+
 	// hook, when non-nil, injects faults into this wire's traffic.
 	hook FaultHook
 	// severed marks a cut wire: nothing queued or in flight is ever
@@ -241,18 +278,24 @@ func (w *wire) send(p packet) {
 		}
 		w.data = append(w.data, p)
 	}
-	if !w.busy {
-		w.transmitNext()
+	if w.busy {
+		return
 	}
-}
-
-// emit publishes a probe event attributed to this wire's owning engine,
-// if any.
-func (w *wire) emit(ev probe.Event) {
-	if e := w.tx.eng; e != nil && e.bus != nil {
-		ev.Link = w.tx.link
-		e.emit(ev)
+	// (creditUntil is zero on a line that never carried a credited
+	// acknowledge, which then costs no look at the clock.)
+	if w.creditUntil != 0 && w.creditUntil > w.k.Now() {
+		// A credited acknowledge is still on the line.  Only now does
+		// its completion need to be an event: the frame just queued
+		// starts when it fires.  That the event is scheduled late, and
+		// so sequenced after local events it would have preceded, cannot
+		// show (DESIGN.md §13, "lazy completion").
+		w.busy = true
+		w.cur, w.curDropped = packet{kind: pktAck}, true
+		w.k.Schedule(w.creditUntil, w.txDone)
+		w.tx.eng.credit.LateCompletions++
+		return
 	}
+	w.transmitNext()
 }
 
 func (w *wire) transmitNext() {
@@ -288,18 +331,27 @@ func (w *wire) transmitNext() {
 	default:
 		w.stats.DataBytes++
 	}
-	w.emit(probe.Event{Kind: probe.WirePacket,
-		Ack: isCtl, Bytes: boolByte(!isCtl), Dur: sim.Time(dur), Flow: p.flow})
-	if act.Delay > 0 {
-		w.emit(probe.Event{Kind: probe.FaultDelay, Ack: isCtl, Dur: act.Delay, Flow: p.flow})
-	}
-	if act.Corrupt != 0 && p.kind == pktData {
+	corrupt := act.Corrupt != 0 && p.kind == pktData
+	if corrupt {
 		p.payload ^= act.Corrupt
-		w.emit(probe.Event{Kind: probe.FaultCorrupt, Arg: int64(act.Corrupt), Flow: p.flow})
 	}
 	dropped := act.Drop || w.severed
-	if act.Drop && !w.severed {
-		w.emit(probe.Event{Kind: probe.FaultDrop, Ack: isCtl, Flow: p.flow})
+	// The wire's probe events are attributed to the engine whose sending
+	// half it serves (host ends have none and publish nothing); no event
+	// is built unless a bus is there to hear it.
+	if e := w.tx.eng; e != nil && e.bus != nil {
+		link := w.tx.link
+		e.emit(probe.Event{Kind: probe.WirePacket, Link: link,
+			Ack: isCtl, Bytes: boolByte(!isCtl), Dur: sim.Time(dur), Flow: p.flow})
+		if act.Delay > 0 {
+			e.emit(probe.Event{Kind: probe.FaultDelay, Link: link, Ack: isCtl, Dur: act.Delay, Flow: p.flow})
+		}
+		if corrupt {
+			e.emit(probe.Event{Kind: probe.FaultCorrupt, Link: link, Arg: int64(act.Corrupt), Flow: p.flow})
+		}
+		if act.Drop && !w.severed {
+			e.emit(probe.Event{Kind: probe.FaultDrop, Link: link, Ack: isCtl, Flow: p.flow})
+		}
 	}
 	// Reception start — which fires the overlapped acknowledge — exists
 	// only for the paper's plain data frame; an error-detecting receiver
@@ -318,12 +370,17 @@ func (w *wire) transmitNext() {
 		// Only the reception-start signal is deferred by the propagation
 		// delay.  Sender-side bookkeeping stays local.
 		start := w.k.Now()
+		if p.credited {
+			// The acknowledge this byte travels on would land one
+			// propagation and one acknowledge frame from now.
+			w.tx.ackAt = start + w.prop + sim.Time(AckBits*w.bitNs)
+		}
 		if starts {
 			w.from.PostMsg(w.to, start+w.prop, w.rx, p.msg(rxStart))
 		}
 		w.from.PostMsg(w.to, start+sim.Time(dur), w.rx, p.msg(rxArrive))
 	case starts:
-		w.rx.in.dataStart(p.flow)
+		w.rx.in.dataStart(p.flow, p.credited)
 	}
 	w.cur = p
 	w.curDropped = dropped

@@ -25,25 +25,7 @@ import (
 // each running one of the sources — tasm, or occam when it starts with
 // "--occam" — to a limit, and optionally continued to a second.
 func aheadRing(name string, sources []string, cfg func(*core.Config), limit, then sim.Time, check func(a core.AheadStats) bool) Scenario {
-	images := sync.OnceValues(func() ([]core.Image, error) {
-		imgs := make([]core.Image, len(sources))
-		for i, src := range sources {
-			if len(src) > 7 && src[:7] == "--occam" {
-				c, err := occam.Compile(src, occam.Options{})
-				if err != nil {
-					return nil, fmt.Errorf("node %d: %v", i, err)
-				}
-				imgs[i] = c.Image
-				continue
-			}
-			a, err := asm.Assemble(src, 4)
-			if err != nil {
-				return nil, fmt.Errorf("node %d: %v", i, err)
-			}
-			imgs[i] = a.Image
-		}
-		return imgs, nil
-	})
+	images := nodeImages(sources)
 	sc := Scenario{Name: name, Build: func() (*Running, error) {
 		imgs, err := images()
 		if err != nil {
@@ -79,6 +61,30 @@ func aheadRing(name string, sources []string, cfg func(*core.Config), limit, the
 		}
 	}
 	return sc
+}
+
+// nodeImages builds each node's program, once however many legs run it:
+// tasm, or occam when the source starts with "--occam".
+func nodeImages(sources []string) func() ([]core.Image, error) {
+	return sync.OnceValues(func() ([]core.Image, error) {
+		imgs := make([]core.Image, len(sources))
+		for i, src := range sources {
+			if len(src) > 7 && src[:7] == "--occam" {
+				c, err := occam.Compile(src, occam.Options{})
+				if err != nil {
+					return nil, fmt.Errorf("node %d: %v", i, err)
+				}
+				imgs[i] = c.Image
+				continue
+			}
+			a, err := asm.Assemble(src, 4)
+			if err != nil {
+				return nil, fmt.Errorf("node %d: %v", i, err)
+			}
+			imgs[i] = a.Image
+		}
+		return imgs, nil
+	})
 }
 
 var aheadScenarios = []Scenario{

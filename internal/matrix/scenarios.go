@@ -42,6 +42,23 @@ var Scenarios = slices.Concat([]Scenario{
 	sieved("sieve 30/10", sieve.Params{Limit: 30, Stages: 10}, sim.Second),
 	tracesFlows(sieved("sieve pipeline", sieve.Params{Limit: 60, Stages: 17}, 10*sim.Second)),
 	{Name: "severed and restored ring", Build: severedAndRestoredRing},
+	// Acknowledge credit (link/xfer.go) at its edges; detached legs use
+	// it, attached ones cannot, and the references must agree.  The pair
+	// streams both ways over one wire in messages of 3 bytes against
+	// inputs of 7 and 5 against 15, so each direction's acknowledges share
+	// a line with the other's data and every grant is soon revoked; the
+	// ring's sinks input 64 bytes while its sources output words, so one
+	// grant outlives sixteen of the sender's transfers.
+	streaming("credit revoked both ways", []string{
+		Streamer(1, 3, 35, 0, 1, 15, 7, 0), Streamer(1, 5, 21, 0, 1, 7, 15, 0),
+	}, func(s *network.System, ns []*network.Node) { s.MustConnect(ns[0], 1, ns[1], 1) }),
+	streaming("credit across transfers", []string{
+		wordsInto64, wordsInto64, wordsInto64, wordsInto64,
+	}, func(s *network.System, ns []*network.Node) {
+		for i, n := range ns {
+			s.MustConnect(n, 1, ns[(i+1)%len(ns)], 0)
+		}
+	}),
 	transfer("raw", false, false, 0),
 	transfer("stopwait", true, false, 0),
 	transfer("reliable", false, true, 0),
@@ -236,6 +253,94 @@ func transfer(name string, stopwait, reliable bool, vchans int) Scenario {
 			return fmt.Errorf("delivered %s, want the %d bytes sent and a completion instant", o.Extra, len(payload))
 		}
 		return nil
+	}}
+}
+
+// wordsInto64 outputs 64 words on link 1 and inputs four messages of 64
+// bytes from link 0.
+var wordsInto64 = Streamer(1, 4, 64, 0, 0, 64, 4, 0)
+
+// Streamer is a tasm node of two processes, each spinning for its delay
+// (loop turns) first: one outputs outCount messages of outBytes (up to
+// 64) on link out, each stamped with how many are left to send; the
+// other inputs inCount messages of inBytes (up to 64) from link in.
+// Nothing says the two ends of a wire must agree on either number.
+func Streamer(out, outBytes, outCount, outDelay, in, inBytes, inCount, inDelay int) string {
+	return fmt.Sprintf(`
+	ws 96 32
+	ldc receiver-after
+	ldlp -40
+	startp
+after:	ldc %d
+	stl 2
+wait1:	ldl 2
+	cj go1
+	ldl 2
+	adc -1
+	stl 2
+	j wait1
+go1:	ldc %d
+	stl 1
+send:	ldl 1
+	cj sent
+	ldl 1
+	stl 8
+	ldl 1
+	stl 9
+	ldlp 8
+	mint
+	ldnlp %d
+	ldc %d
+	out
+	ldl 1
+	adc -1
+	stl 1
+	j send
+sent:	stopp
+receiver:
+	ldc %d
+	stl 2
+wait2:	ldl 2
+	cj go2
+	ldl 2
+	adc -1
+	stl 2
+	j wait2
+go2:	ldc %d
+	stl 1
+recv:	ldl 1
+	cj received
+	ldlp 8
+	mint
+	ldnlp %d
+	ldc %d
+	in
+	ldl 1
+	adc -1
+	stl 1
+	j recv
+received:
+	stopp
+`, outDelay, outCount, out, outBytes, inDelay, inCount, 4+in, inBytes)
+}
+
+// streaming runs one program a node (see nodeImages), wired by wire, to
+// quiescence.
+func streaming(name string, sources []string, wire func(s *network.System, ns []*network.Node)) Scenario {
+	images := nodeImages(sources)
+	return Scenario{Name: name, Post: settled, Build: func() (*Running, error) {
+		imgs, err := images()
+		if err != nil {
+			return nil, err
+		}
+		s := network.NewSystem()
+		for i, img := range imgs {
+			if err := s.MustAddTransputer(fmt.Sprintf("n%d", i), core.T424().WithMemory(16*1024)).Load(img); err != nil {
+				return nil, err
+			}
+		}
+		wire(s, s.Nodes())
+		return &Running{Net: s, Run: func() (network.Report, string) { return s.Run(sim.Second), "" }}, nil
 	}}
 }
 

@@ -50,6 +50,13 @@ func TestRunAheadInvisible(t *testing.T) {
 		"overflow in the batch that arms error halting")
 }
 
+// Acknowledge credit is invisible: a detached run promises the
+// acknowledges an attached run transmits, through revocations in both
+// directions and through grants that outlive the sender's transfers.
+func TestAckCreditInvisible(t *testing.T) {
+	matrix.Run(t, "credit revoked both ways", "credit across transfers")
+}
+
 // Every protocol stack delivers the bytes sent, at one instant.
 func TestProtocolStackConformance(t *testing.T) {
 	matrix.Run(t, "raw", "stopwait", "reliable", "vchan8")

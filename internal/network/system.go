@@ -143,6 +143,18 @@ func (s *System) AheadStats() core.AheadStats {
 	return total
 }
 
+// CreditStats sums what acknowledge credit did on every node's links
+// (see link.CreditStats).  A diagnostic of the simulator like the two
+// above, but unlike them the same at every partition and worker count —
+// and all zero in any run with a probe bus attached.
+func (s *System) CreditStats() link.CreditStats {
+	var total link.CreditStats
+	for _, n := range s.nodes {
+		total.Add(n.Engine.CreditStats())
+	}
+	return total
+}
+
 // SetPlacement makes the partition explicit: the members of each group
 // share one event-queue shard, so their mutual link traffic is
 // delivered as ordinary intra-kernel events with no coordinator barrier
@@ -400,6 +412,16 @@ func (n *Node) Peer(l int) (peer *Node, peerLink int, ok bool) {
 		return nil, 0, false
 	}
 	return n.peers[l], n.peerLink[l], true
+}
+
+// ProbeBus returns the bus the node's publishers emit into, nil while no
+// probe is attached: the check that goes in front of building an event
+// for Publish.
+func (n *Node) ProbeBus() *probe.Bus {
+	if n.col == nil {
+		return nil
+	}
+	return n.col.bus
 }
 
 // Publish emits a probe event through the node's collector, stamped

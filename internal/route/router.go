@@ -357,7 +357,9 @@ func (nd *rnode) armReplay(to int, seq uint32, msg *pendingMsg) {
 			return
 		}
 		msg.attempts++
-		nd.nn.Publish(probe.Event{Kind: probe.RouteReplay, Arg: int64(msg.attempts)})
+		if nd.nn.ProbeBus() != nil {
+			nd.nn.Publish(probe.Event{Kind: probe.RouteReplay, Arg: int64(msg.attempts)})
+		}
 		nd.route(nd.dataFrame(to, seq, msg.payload))
 		nd.armReplay(to, seq, msg)
 	})
@@ -701,7 +703,9 @@ func (nd *rnode) recompute() {
 	if !changed {
 		return
 	}
-	nd.nn.Publish(probe.Event{Kind: probe.RouteChange, Arg: int64(reach)})
+	if nd.nn.ProbeBus() != nil {
+		nd.nn.Publish(probe.Event{Kind: probe.RouteChange, Arg: int64(reach)})
+	}
 	parked := nd.parked
 	nd.parked = nil
 	for _, f := range parked {
@@ -849,8 +853,10 @@ func (nd *rnode) deliverLocal(f frame) {
 			Origin: nd.r.nodes[o].nn.Name, Dest: nd.nn.Name,
 			Seq: nd.expect[o], At: nd.clock().Now(), Payload: p,
 		})
-		nd.nn.Publish(probe.Event{Kind: probe.RouteDeliver,
-			Arg: int64(nd.expect[o]), Bytes: len(p)})
+		if nd.nn.ProbeBus() != nil {
+			nd.nn.Publish(probe.Event{Kind: probe.RouteDeliver,
+				Arg: int64(nd.expect[o]), Bytes: len(p)})
+		}
 		nd.expect[o]++
 	}
 }

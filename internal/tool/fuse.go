@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"transputer/internal/core"
+	"transputer/internal/link"
 	"transputer/internal/network"
 	"transputer/internal/sim"
 )
@@ -79,6 +80,16 @@ func PrintEngineStats(w io.Writer, es sim.EngineStats, origin string) {
 		fmt.Fprintf(w, "engine: %v wall-clock waiting at window barriers\n",
 			(sim.Time)(es.BarrierWaitNs))
 	}
+}
+
+// PrintCreditStats reports, beside PrintEngineStats, what the link layer
+// did not have to simulate: acknowledges booked on credit instead of
+// sent (link.CreditStats), and how often a promise ended early.  An
+// engine diagnostic, but one no -fuse or -workers setting moves; a run
+// with a probe bus attached (-timeline, -metrics, -flows) shows zeros.
+func PrintCreditStats(w io.Writer, c link.CreditStats) {
+	fmt.Fprintf(w, "engine: credit %d grants, %d acknowledges credited, %d revoked (%d bytes un-acknowledged), %d bytes un-acknowledged by cuts, %d late completions\n",
+		c.Granted, c.Credited, c.Revoked, c.UnackedAtRevoke, c.UnackedAtCut, c.LateCompletions)
 }
 
 // PrintAheadStats reports, beside PrintEngineStats, what the runners

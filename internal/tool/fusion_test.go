@@ -3,7 +3,9 @@ package tool
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"transputer/internal/network"
@@ -34,6 +36,47 @@ func TestEngineStatsNamesThePartitionsOrigin(t *testing.T) {
 		if !bytes.HasPrefix(out.Bytes(), []byte(c.want)) {
 			t.Errorf("fuse=%q workers=%d: %q, want it to start %q", c.fuse, c.workers, out.String(), c.want)
 		}
+	}
+}
+
+// TestEngineStatsCreditLineIgnoresThePartition: of everything
+// -enginestats prints, the acknowledge-credit line alone describes what
+// the links did rather than how the nodes were grouped, so the shipped
+// ring reports the same counts on one shard at one worker, a shard a
+// node at four, and the explicit reference partition: every message is
+// one word, whose first byte draws the real acknowledge carrying the
+// grant for the other three.  A run that is watched takes the
+// per-packet path.
+func TestEngineStatsCreditLineIgnoresThePartition(t *testing.T) {
+	src, err := os.ReadFile("../../examples/netdemo/ring.tnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	creditLine := func(f NetFlags) string {
+		f.EngineStats, f.BlockCache = true, true
+		var stdout, stderr bytes.Buffer
+		if exit := RunNet(f, string(src), "../../examples/netdemo", &stdout, &stderr); exit != 0 {
+			t.Fatalf("%+v: exit %d: %s", f, exit, stderr.String())
+		}
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "engine: credit ") {
+				return line
+			}
+		}
+		t.Fatalf("%+v: no credit line in %q", f, stderr.String())
+		return ""
+	}
+	const want = "engine: credit 16 grants, 48 acknowledges credited, 0 revoked (0 bytes un-acknowledged), " +
+		"0 bytes un-acknowledged by cuts, 0 late completions"
+	for _, f := range []NetFlags{{Workers: 1, Fuse: "topo"}, {Workers: 4, Fuse: "topo"}, {Workers: 1, Fuse: "off"}} {
+		if got := creditLine(f); got != want {
+			t.Errorf("workers=%d fuse=%s:\n got %s\nwant %s", f.Workers, f.Fuse, got, want)
+		}
+	}
+	const none = "engine: credit 0 grants, 0 acknowledges credited, 0 revoked (0 bytes un-acknowledged), " +
+		"0 bytes un-acknowledged by cuts, 0 late completions"
+	if got := creditLine(NetFlags{Workers: 1, Fuse: "topo", Metrics: true}); got != none {
+		t.Errorf("-metrics:\n got %s\nwant %s", got, none)
 	}
 }
 

@@ -264,6 +264,7 @@ func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
 			explicit = f.Fuse
 		}
 		PrintEngineStats(stderr, s.EngineStats(), PartitionOrigin(explicit, s.Workers()))
+		PrintCreditStats(stderr, s.CreditStats())
 		PrintAheadStats(stderr, s.AheadStats())
 	}
 	return Verdict(wd, undelivered)
