@@ -143,7 +143,7 @@ func Build(p Params) (*System, error) {
 	}
 	for r := 0; r < p.Rows; r++ {
 		for c := 0; c < p.Cols; c++ {
-			src := nodeSource(p, r, c)
+			src := NodeSource(p, r, c)
 			comp, cerr := occam.Compile(src, occam.Options{})
 			if cerr != nil {
 				return nil, fmt.Errorf("node %d.%d: %w\n%s", r, c, cerr, src)
@@ -166,11 +166,11 @@ func (s *System) RunSearches(keys []int64, limit sim.Time) ([]int64, network.Rep
 	return s.Results.Values, rep
 }
 
-// nodeSource generates the occam program for node (r,c).  Every node
+// NodeSource generates the occam program for node (r,c).  Every node
 // runs the same two-process algorithm; only link placement and the
 // record seed differ — "a small program in each transputer does the
 // search".
-func nodeSource(p Params, r, c int) string {
+func NodeSource(p Params, r, c int) string {
 	var sb strings.Builder
 	seed := r*p.Cols + c + 1
 	root := r == 0 && c == 0

@@ -105,7 +105,7 @@ type hazard struct{ lo, hi uint64 }
 // the delivery that touched them would fault and halt the machine.
 func (m *Machine) addHazard(addr, n uint64, word bool) bool {
 	off := m.offset(addr)
-	if n > uint64(len(m.mem)) || off > uint64(len(m.mem))-n || (word && off%uint64(m.bpw) != 0) {
+	if n > uint64(len(m.mem)) || off > uint64(len(m.mem))-n || (word && off&uint64(m.bpw-1) != 0) {
 		return false
 	}
 	m.haz = append(m.haz, hazard{off, off + n})
@@ -184,16 +184,16 @@ func (m *Machine) aheadClear(rec *blockRec) bool {
 	n := uint64(m.bpw)
 	switch rec.touch {
 	case touchLocal:
-		addr = m.index(m.wptr(), int(m.signed(rec.operand)))
+		addr = (m.wptr() + rec.disp) & m.mask
 	case touchNonlocal:
-		addr = m.index(m.Areg, int(m.signed(rec.operand)))
+		addr = (m.Areg + rec.disp) & m.mask
 	case touchByte:
 		addr, n = m.Areg, 1
 	case touchLoop:
 		addr, n = m.Breg, 2*n
 	}
 	off := m.offset(addr)
-	if off > uint64(len(m.mem))-n || (n > 1 && off%uint64(m.bpw) != 0) {
+	if off > uint64(len(m.mem))-n || (n > 1 && off&uint64(m.bpw-1) != 0) {
 		return false
 	}
 	return m.hazardFree(off, n)

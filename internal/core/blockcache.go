@@ -7,7 +7,8 @@ import "transputer/internal/isa"
 // I1 instructions are position independent and compiler output is
 // static straight-line code (paper, 3.2), so the result of fetching and
 // decoding a byte sequence — the final function, its accumulated prefix
-// operand, its length and its fixed cycle cost — never changes unless
+// operand (and that operand as a word displacement), its length and its
+// fixed cycle cost — never changes unless
 // the bytes themselves are overwritten.  The cache translates
 // straight-line runs at first execution into arrays of records keyed by
 // the instruction pointer; the hot path then dispatches on records
@@ -34,25 +35,37 @@ import "transputer/internal/isa"
 // rewrites a later instruction of the block currently executing.
 
 // blockRec is one predecoded instruction: the final function with its
-// fully accumulated prefix operand.
+// fully accumulated prefix operand, and what execution would otherwise
+// derive from them every time it runs the record.  It is 32 bytes and
+// must stay so (TestBlockRecSize): every decoded instruction of every
+// machine is one, and a larger record shows in the benchmark's
+// allocation bound.
 type blockRec struct {
 	addr    uint64 // address of the first byte, prefixes included
-	end     uint64 // address of the next instruction
 	operand uint64
-	pre     uint16 // prefix cycles, plus the no-fetch-buffer penalty
-	cycles  uint16 // pre + the instruction's minimum base cost
-	bytes   uint8
-	fn      isa.Function
-	kind    uint8 // what a batch may do with the record (recPure...)
-	touch   uint8 // the data memory it reads or writes (touchNone...)
+	// disp is the operand as a word displacement in bytes, signed(operand)
+	// times the bytes per word in two's complement: what ldl, stl, ldlp,
+	// ldnl, stnl, ldnlp and ajw add to a pointer.
+	disp   uint64
+	pre    uint16 // prefix cycles, plus the no-fetch-buffer penalty
+	cycles uint16 // pre + the minimum base cost: exact but for cj and an opr not recFixedOp
+	bytes  uint8
+	fn     isa.Function
+	kind   uint8 // what a batch may do with the record (recPure...)
+	touch  uint8 // the data memory it reads or writes (touchNone...)
 }
 
-// How StepRun treats a record.  Everything but recPure ends its block.
+// next is the address of the instruction after the record.
+func (r *blockRec) next(mask uint64) uint64 { return (r.addr + uint64(r.bytes)) & mask }
+
+// How StepRun treats a record, in this order: the kinds before
+// recBranch are pure, and every other kind ends its block.
 const (
-	recPure   uint8 = iota // pure compute: no control flow, scheduler or clock
-	recBranch              // cj: moves the instruction pointer and nothing else
-	recJump                // j, lend: a branch that is also a descheduling point
-	recImpure              // call and every other opr: left to Step
+	recPure    uint8 = iota // pure compute: no control flow, scheduler or clock
+	recFixedOp              // a pure opr of fixed cost, which is cycles
+	recBranch               // cj: moves the instruction pointer and nothing else
+	recJump                 // j, lend: a branch that is also a descheduling point
+	recImpure               // call and every other opr: left to Step
 )
 
 // What a record in StepRun's set touches in data memory, so that a
@@ -182,16 +195,17 @@ func (bc *blockCache) remove(b *block) {
 	}
 }
 
-// pureOp reports whether an indirect operation is pure compute — no
-// control transfer, no scheduler, channel, timer or clock interaction,
-// registers and ordinary memory only — and its minimum cycle cost
-// (data-dependent operations report their floor; it is used for quiet
-// bounds, never for accounting, which always charges the executed
-// cost).  Everything communication- or scheduling-shaped is impure and
-// terminates its block, as do the rare scheduler-register and
-// workspace-switch operations, excluded out of caution: exclusion only
-// costs block length, inclusion would risk correctness.
-func pureOp(op isa.Op, wordBits int) (minCycles int, pure bool) {
+// pureOp classifies an indirect operation.  A pure one — no control
+// transfer, no scheduler, channel, timer or clock interaction, registers
+// and ordinary memory only — is recFixedOp when its cost is a constant,
+// which minCycles then is, and recPure when its cost depends on its
+// operands, minCycles then being the floor (used for quiet bounds, never
+// for accounting, which charges the executed cost).  Everything
+// communication- or scheduling-shaped is recImpure and terminates its
+// block, as do the rare scheduler-register and workspace-switch
+// operations, excluded out of caution: exclusion only costs block
+// length, inclusion would risk correctness.
+func pureOp(op isa.Op, wordBits int) (minCycles int, kind uint8) {
 	switch op {
 	case isa.OpRev, isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem,
 		isa.OpSum, isa.OpDiff, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpNot,
@@ -203,17 +217,17 @@ func pureOp(op isa.Op, wordBits int) (minCycles int, pure bool) {
 		isa.OpSeterr, isa.OpTesterr, isa.OpClrhalterr, isa.OpSethalterr,
 		isa.OpTesthalterr:
 		c, _ := isa.OpCycles(op, wordBits)
-		return c, true
+		return c, recFixedOp
 	case isa.OpShl, isa.OpShr:
-		return isa.ShiftCycles(0), true
+		return isa.ShiftCycles(0), recPure
 	case isa.OpLshl, isa.OpLshr:
-		return isa.LongShiftCycles(0), true
+		return isa.LongShiftCycles(0), recPure
 	case isa.OpProd:
-		return isa.ProdCycles(0), true
+		return isa.ProdCycles(0), recPure
 	case isa.OpNorm:
-		return isa.NormCycles(0), true
+		return isa.NormCycles(0), recPure
 	}
-	return 0, false
+	return 0, recImpure
 }
 
 // decodeBlock translates the straight-line byte sequence starting at
@@ -247,15 +261,15 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		if !ok {
 			break
 		}
-		endOff := m.offset(rec.end)
+		addr = rec.next(m.mask)
+		endOff := m.offset(addr)
 		if endOff <= prevOff {
 			break // wrapped around the address space; not cacheable
 		}
 		prevOff = endOff
 		recs[n] = rec
 		n++
-		addr = rec.end
-		if rec.kind != recPure {
+		if rec.kind >= recBranch {
 			break
 		}
 	}
@@ -268,7 +282,7 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	for i := len(b.recs) - 1; i >= 0; i-- {
 		r := &b.recs[i]
 		switch {
-		case r.fn == isa.FnOpr && r.kind != recPure:
+		case r.fn == isa.FnOpr && r.kind >= recBranch:
 			// A communication/scheduling operation could act externally
 			// the moment it starts.
 			quiet = 0
@@ -344,10 +358,7 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 			case isa.FnCall:
 				kind = recImpure
 			case isa.FnOpr:
-				var pure bool
-				if minC, pure = pureOp(isa.Op(operand), m.wordBits); !pure {
-					kind = recImpure
-				}
+				minC, kind = pureOp(isa.Op(operand), m.wordBits)
 				switch isa.Op(operand) {
 				case isa.OpLb, isa.OpSb:
 					touch = touchByte
@@ -361,8 +372,8 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 			}
 			return blockRec{
 				addr:    addr,
-				end:     a,
 				operand: operand,
+				disp:    uint64(m.signed(operand) * int64(m.bpw)),
 				pre:     uint16(preTotal),
 				cycles:  uint16(preTotal + minC),
 				bytes:   uint8(nbytes),
@@ -394,7 +405,7 @@ func (m *Machine) find(decode bool) (*block, int) {
 			}
 		} else {
 			edge = &b.succ[0]
-			if m.Iptr != b.recs[len(b.recs)-1].end {
+			if m.Iptr != b.recs[len(b.recs)-1].next(m.mask) {
 				edge = &b.succ[1]
 			}
 			if s := *edge; s != nil && s.valid && s.startAddr == m.Iptr {
@@ -420,7 +431,7 @@ func (m *Machine) find(decode bool) (*block, int) {
 // ablation charge and the cycle total are all identical.
 func (m *Machine) execRec(b *block, idx int) int {
 	rec := &b.recs[idx]
-	m.Iptr = rec.end
+	m.Iptr = rec.next(m.mask)
 	m.countInstr(int(rec.bytes), int(rec.fn))
 	if m.trace != nil {
 		m.trace(TraceEvent{
@@ -431,7 +442,57 @@ func (m *Machine) execRec(b *block, idx int) int {
 		})
 	}
 	m.curBlock, m.curIdx = b, idx+1
-	return int(rec.pre) + m.execFunction(rec.fn, rec.operand)
+	return m.exec(rec)
+}
+
+// exec executes a predecoded record, the instruction pointer already
+// past it, and returns its cycles, prefixes included.  It is the cached
+// twin of execFunction: the direct functions a compute loop is made of
+// run here on the record's displacement and cost, a fixed-cost pure opr
+// goes straight to its operation, and everything else — call, lend, an
+// impure or variable-cost opr — to execFunction.  The interpreter stays
+// the reference: the differential fuzz targets and the determinism
+// matrix hold this copy to it.
+func (m *Machine) exec(rec *blockRec) int {
+	switch rec.fn {
+	case isa.FnLdl:
+		m.push(m.word((m.wptr() + rec.disp) & m.mask))
+	case isa.FnStl:
+		m.setWord((m.wptr()+rec.disp)&m.mask, m.pop())
+	case isa.FnLdc:
+		m.push(rec.operand)
+	case isa.FnLdlp:
+		m.push(m.wptr() + rec.disp)
+	case isa.FnLdnl:
+		m.Areg = m.word((m.Areg + rec.disp) & m.mask)
+	case isa.FnStnl:
+		addr := m.pop()
+		m.setWord((addr+rec.disp)&m.mask, m.pop())
+	case isa.FnLdnlp:
+		m.Areg = (m.Areg + rec.disp) & m.mask
+	case isa.FnAdc:
+		m.Areg = m.checkedAdd(m.Areg, rec.operand)
+	case isa.FnEqc:
+		m.Areg = boolWord(m.Areg == rec.operand)
+	case isa.FnCj:
+		if m.Areg == 0 {
+			m.Iptr = (m.Iptr + rec.operand) & m.mask
+			return int(rec.cycles) + isa.CjTakenExtra
+		}
+		m.pop()
+	case isa.FnJ:
+		m.Iptr = (m.Iptr + rec.operand) & m.mask
+		m.timesliceCheck()
+	case isa.FnAjw:
+		m.Wdesc = (m.wptr()+rec.disp)&m.mask | uint64(m.CurrentPriority())
+	default:
+		if rec.kind != recFixedOp {
+			return int(rec.pre) + m.execFunction(rec.fn, rec.operand)
+		}
+		m.countOp(uint16(rec.operand))
+		m.execFixedOp(isa.Op(rec.operand))
+	}
+	return int(rec.cycles)
 }
 
 // SendLookaheadCycles returns a lower bound on the processor cycles
@@ -525,9 +586,9 @@ func (m *Machine) stepRun(maxNs int64, ahead bool) (total, last int, exit AheadE
 				break
 			}
 		}
-		m.Iptr = rec.end
+		m.Iptr = rec.next(m.mask)
 		m.countInstr(int(rec.bytes), int(rec.fn))
-		c := int(rec.pre) + m.execFunction(rec.fn, rec.operand)
+		c := m.exec(rec)
 		m.account(c)
 		total += c
 		last = c

@@ -28,26 +28,43 @@ import (
 // total.  Whatever the program does — loops, calls, rewriting its own
 // code, faulting — the two must be indistinguishable.
 
+// diffWordBytes are the word sizes every input runs at: the 32-bit T424
+// and the 16-bit T222, where operands wrap, and word displacements
+// sign-extend, at 16 bits.
+var diffWordBytes = []int{4, 2}
+
 // diffConfig is small enough to compare whole memories per batch and
 // slices time finely enough that a timeslice falls due every few
 // batches.
-func diffConfig() core.Config {
-	cfg := core.T424().WithMemory(16 * 1024)
+func diffConfig(wordBytes int) core.Config {
+	cfg := core.T424()
+	if wordBytes == 2 {
+		cfg = core.T222()
+	}
+	cfg = cfg.WithMemory(16 * 1024)
 	cfg.TimesliceCycles = 97
 	return cfg
 }
 
+// logModel names the machine a failed run was on.
+func logModel(t *testing.T, cfg core.Config) {
+	if t.Failed() {
+		t.Logf("on the %s", cfg.Name)
+	}
+}
+
 // runDifferential drives the image on both machines until it stops or
 // for 1500 batches (the seed programs finish inside a few hundred), with
-// bounds drawn from seed.
-func runDifferential(t *testing.T, img core.Image, seed int64) {
+// bounds drawn from seed.  An image that does not load is no test.
+func runDifferential(t *testing.T, img core.Image, wordBytes int, seed int64) {
 	t.Helper()
-	cfg := diffConfig()
+	cfg := diffConfig(wordBytes)
+	defer logModel(t, cfg)
 	on := core.MustNew(cfg)
 	cfg.NoBlockCache = true
 	off := core.MustNew(cfg)
 	if err := on.Load(img); err != nil {
-		t.Skipf("image does not load: %v", err)
+		return
 	}
 	if err := off.Load(img); err != nil {
 		t.Fatalf("image loads with the cache on but not off: %v", err)
@@ -200,16 +217,17 @@ func (s *side) take(pending []injection, skew int64) {
 // runAheadDifferential drives the image on a cached machine that runs
 // ahead of random horizons and on a stepwise one, both under the same
 // injections, for at most 1500 batches.
-func runAheadDifferential(t *testing.T, img core.Image, seed int64) {
+func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, seed int64) {
 	t.Helper()
-	cfg := diffConfig()
+	cfg := diffConfig(wordBytes)
+	defer logModel(t, cfg)
 	var on, off side
 	for _, s := range []*side{&on, &off} {
 		s.m = core.MustNew(cfg)
 		s.links = &fakeLinks{m: s.m}
 		s.m.Attach(nil, s.links)
 		if err := s.m.Load(img); err != nil {
-			t.Skipf("image does not load: %v", err)
+			return // no test
 		}
 		cfg.NoBlockCache = true
 	}
@@ -644,8 +662,9 @@ func benchmarkLoops(tb testing.TB) []string {
 	return loops
 }
 
-// exampleImages compiles every shipped occam example.
-func exampleImages(tb testing.TB) []core.Image {
+// exampleImages compiles every shipped occam example at the given word
+// size.
+func exampleImages(tb testing.TB, wordBytes int) []core.Image {
 	tb.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.occ"))
 	if err != nil || len(paths) == 0 {
@@ -657,7 +676,7 @@ func exampleImages(tb testing.TB) []core.Image {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		c, err := occam.Compile(string(src), occam.Options{})
+		c, err := occam.Compile(string(src), occam.Options{WordBytes: wordBytes})
 		if err != nil {
 			tb.Fatalf("%s: %v", p, err)
 		}
@@ -667,17 +686,20 @@ func exampleImages(tb testing.TB) []core.Image {
 }
 
 // diffSeeds adds the shared seed corpus: the benchmark's loops and the
-// compiled examples as raw images, and random generator input.
+// compiled examples as raw images, built for each word size (every
+// image runs at both), and random generator input.
 func diffSeeds(f *testing.F) {
-	for _, src := range benchmarkLoops(f) {
-		a, err := asm.Assemble(src, 4)
-		if err != nil {
-			f.Fatal(err)
+	for _, wb := range diffWordBytes {
+		for _, src := range benchmarkLoops(f) {
+			a, err := asm.Assemble(src, wb)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(a.Image.Code, true, uint16(a.Image.Entry), int64(1))
 		}
-		f.Add(a.Image.Code, true, uint16(a.Image.Entry), int64(1))
-	}
-	for _, img := range exampleImages(f) {
-		f.Add(img.Code, true, uint16(img.Entry), int64(2))
+		for _, img := range exampleImages(f, wb) {
+			f.Add(img.Code, true, uint16(img.Entry), int64(2))
+		}
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 8; i++ {
@@ -687,12 +709,13 @@ func diffSeeds(f *testing.F) {
 	}
 }
 
-// diffImage turns fuzz input into a program: with raw unset, data is
-// fed to progGen; with it set, data is a code image entered at entry,
-// which is how the corpus carries real programs — and their images
-// mutate into arbitrary byte streams, every one of which is a valid I1
-// program.
-func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool) core.Image {
+// diffImage turns fuzz input into a program for a machine of the given
+// word size: with raw unset, data is fed to progGen and assembled at
+// that size; with it set, data is a code image entered at entry, which
+// is how the corpus carries real programs — and their images mutate
+// into arbitrary byte streams, every one of which is a valid I1 program
+// at either size.
+func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool, wordBytes int) core.Image {
 	if raw {
 		if len(data) == 0 {
 			t.Skip()
@@ -701,9 +724,9 @@ func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool) co
 			DataBytes: 1024, WsBelow: 256, WsAbove: 256}
 	}
 	src := genProgram(data, links)
-	a, err := asm.Assemble(src, 4)
+	a, err := asm.Assemble(src, wordBytes)
 	if err != nil {
-		t.Fatalf("generated program does not assemble: %v\n%s", err, src)
+		t.Fatalf("generated program does not assemble at %d bytes a word: %v\n%s", wordBytes, err, src)
 	}
 	return a.Image
 }
@@ -714,7 +737,9 @@ func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool) co
 func FuzzBlockCacheDifferential(f *testing.F) {
 	diffSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
-		runDifferential(t, diffImage(t, data, raw, entry, false), seed)
+		for _, wb := range diffWordBytes {
+			runDifferential(t, diffImage(t, data, raw, entry, false, wb), wb, seed)
+		}
 	})
 }
 
@@ -748,6 +773,8 @@ func FuzzRunAheadDifferential(f *testing.F) {
 		f.Add(append(data, rest...), false, uint16(0), int64(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
-		runAheadDifferential(t, diffImage(t, data, raw, entry, true), seed)
+		for _, wb := range diffWordBytes {
+			runAheadDifferential(t, diffImage(t, data, raw, entry, true, wb), wb, seed)
+		}
 	})
 }

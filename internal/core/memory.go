@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // The memory address space comprises a signed linear address space
 // (paper, 3.2.2).  A pointer is a word address plus a byte selector in
@@ -84,10 +87,10 @@ func (m *Machine) EventAddr() uint64 {
 // link and direction it selects.
 func (m *Machine) externalChannel(addr uint64) (link int, output bool, ok bool) {
 	off := m.offset(addr)
-	w := int(off) / m.bpw
-	if off%uint64(m.bpw) != 0 || w >= wordEvent {
+	if off&uint64(m.bpw-1) != 0 || off >= uint64(wordEvent*m.bpw) {
 		return 0, false, false
 	}
+	w := int(off >> m.byteSelectorBits())
 	if w >= wordLink0In {
 		return w - wordLink0In, false, true
 	}
@@ -102,33 +105,35 @@ func (m *Machine) fault(op string, addr uint64) {
 	m.halted = true
 }
 
-// word reads the word at a word-aligned address.
+// word reads the word at a word-aligned address.  Words are little
+// endian, and a word is 2 or 4 bytes (Config.validate), so alignment is
+// a mask test.
 func (m *Machine) word(addr uint64) uint64 {
 	off := m.offset(addr)
-	if off%uint64(m.bpw) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
+	if off&uint64(m.bpw-1) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
 		m.fault("read word", addr)
 		return 0
 	}
-	var v uint64
-	for i := m.bpw - 1; i >= 0; i-- {
-		v = v<<8 | uint64(m.mem[off+uint64(i)])
+	if m.bpw == 4 {
+		return uint64(binary.LittleEndian.Uint32(m.mem[off:]))
 	}
-	return v
+	return uint64(binary.LittleEndian.Uint16(m.mem[off:]))
 }
 
 // setWord writes the word at a word-aligned address.
 func (m *Machine) setWord(addr, v uint64) {
 	off := m.offset(addr)
-	if off%uint64(m.bpw) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
+	if off&uint64(m.bpw-1) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
 		m.fault("write word", addr)
 		return
 	}
 	if m.bc != nil && off < m.bc.hi && off+uint64(m.bpw) > m.bc.lo {
 		m.noteCodeWrite(off, uint64(m.bpw))
 	}
-	for i := 0; i < m.bpw; i++ {
-		m.mem[off+uint64(i)] = byte(v)
-		v >>= 8
+	if m.bpw == 4 {
+		binary.LittleEndian.PutUint32(m.mem[off:], uint32(v))
+	} else {
+		binary.LittleEndian.PutUint16(m.mem[off:], uint16(v))
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // each running one of the sources — tasm, or occam when it starts with
 // "--occam" — to a limit, and optionally continued to a second.
 func aheadRing(name string, sources []string, cfg func(*core.Config), limit, then sim.Time, check func(a core.AheadStats) bool) Scenario {
-	images := nodeImages(sources)
+	images := nodeImages(sources, 4)
 	sc := Scenario{Name: name, Build: func() (*Running, error) {
 		imgs, err := images()
 		if err != nil {
@@ -42,9 +42,7 @@ func aheadRing(name string, sources []string, cfg func(*core.Config), limit, the
 			}
 		}
 		if ns := s.Nodes(); len(ns) > 1 {
-			for i, n := range ns {
-				s.MustConnect(n, 1, ns[(i+1)%len(ns)], 0)
-			}
+			ring(s, ns)
 		}
 		r := &Running{Net: s, Run: func() (network.Report, string) { return s.Run(limit), "" }}
 		if then > 0 {
@@ -63,21 +61,22 @@ func aheadRing(name string, sources []string, cfg func(*core.Config), limit, the
 	return sc
 }
 
-// nodeImages builds each node's program, once however many legs run it:
-// tasm, or occam when the source starts with "--occam".
-func nodeImages(sources []string) func() ([]core.Image, error) {
+// nodeImages builds each node's program for the given word size, once
+// however many legs run it: tasm, or occam when the source starts with
+// "--occam".
+func nodeImages(sources []string, wordBytes int) func() ([]core.Image, error) {
 	return sync.OnceValues(func() ([]core.Image, error) {
 		imgs := make([]core.Image, len(sources))
 		for i, src := range sources {
 			if len(src) > 7 && src[:7] == "--occam" {
-				c, err := occam.Compile(src, occam.Options{})
+				c, err := occam.Compile(src, occam.Options{WordBytes: wordBytes})
 				if err != nil {
 					return nil, fmt.Errorf("node %d: %v", i, err)
 				}
 				imgs[i] = c.Image
 				continue
 			}
-			a, err := asm.Assemble(src, 4)
+			a, err := asm.Assemble(src, wordBytes)
 			if err != nil {
 				return nil, fmt.Errorf("node %d: %v", i, err)
 			}

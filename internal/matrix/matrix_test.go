@@ -13,6 +13,10 @@ func TestSelfHealingTopologies(t *testing.T) { Run(t, "healed-ring.tnet", "resta
 
 func TestQuickstartAsANetworkOfOne(t *testing.T) { Run(t, "squares.occ") }
 
+// The 16-bit T222 streams as the T424 does: two-byte words through the
+// link layer, the same on every leg.
+func TestSixteenBitStreamingRing(t *testing.T) { Run(t, "16-bit streaming ring") }
+
 func TestChaosPlansReplay(t *testing.T) {
 	var plans []string
 	for _, sc := range chaosPlans() {

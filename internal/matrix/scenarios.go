@@ -49,16 +49,20 @@ var Scenarios = slices.Concat([]Scenario{
 	// a line with the other's data and every grant is soon revoked; the
 	// ring's sinks input 64 bytes while its sources output words, so one
 	// grant outlives sixteen of the sender's transfers.
-	streaming("credit revoked both ways", []string{
+	streaming("credit revoked both ways", core.T424(), []string{
 		Streamer(1, 3, 35, 0, 1, 15, 7, 0), Streamer(1, 5, 21, 0, 1, 7, 15, 0),
 	}, func(s *network.System, ns []*network.Node) { s.MustConnect(ns[0], 1, ns[1], 1) }),
-	streaming("credit across transfers", []string{
+	streaming("credit across transfers", core.T424(), []string{
 		wordsInto64, wordsInto64, wordsInto64, wordsInto64,
-	}, func(s *network.System, ns []*network.Node) {
-		for i, n := range ns {
-			s.MustConnect(n, 1, ns[(i+1)%len(ns)], 0)
-		}
-	}),
+	}, ring),
+	// A streaming ring of 16-bit T222s, each node spinning for a length
+	// of its own before it sends or receives: every word is two bytes,
+	// and the stamps, displacements and workspace offsets the nodes
+	// compute wrap and sign-extend at 16 bits.
+	streaming("16-bit streaming ring", core.T222(), []string{
+		Streamer(1, 2, 48, 0, 0, 24, 4, 5), Streamer(1, 2, 48, 17, 0, 24, 4, 0),
+		Streamer(1, 2, 48, 40, 0, 24, 4, 9), Streamer(1, 2, 48, 3, 0, 24, 4, 30),
+	}, ring),
 	transfer("raw", false, false, 0),
 	transfer("stopwait", true, false, 0),
 	transfer("reliable", false, true, 0),
@@ -324,10 +328,17 @@ received:
 `, outDelay, outCount, out, outBytes, inDelay, inCount, 4+in, inBytes)
 }
 
-// streaming runs one program a node (see nodeImages), wired by wire, to
-// quiescence.
-func streaming(name string, sources []string, wire func(s *network.System, ns []*network.Node)) Scenario {
-	images := nodeImages(sources)
+// ring wires link 1 of each node to link 0 of the next.
+func ring(s *network.System, ns []*network.Node) {
+	for i, n := range ns {
+		s.MustConnect(n, 1, ns[(i+1)%len(ns)], 0)
+	}
+}
+
+// streaming runs one program a node (see nodeImages) on transputers of
+// the given model with 16 KiB, wired by wire, to quiescence.
+func streaming(name string, model core.Config, sources []string, wire func(s *network.System, ns []*network.Node)) Scenario {
+	images := nodeImages(sources, model.WordBits/8)
 	return Scenario{Name: name, Post: settled, Build: func() (*Running, error) {
 		imgs, err := images()
 		if err != nil {
@@ -335,7 +346,7 @@ func streaming(name string, sources []string, wire func(s *network.System, ns []
 		}
 		s := network.NewSystem()
 		for i, img := range imgs {
-			if err := s.MustAddTransputer(fmt.Sprintf("n%d", i), core.T424().WithMemory(16*1024)).Load(img); err != nil {
+			if err := s.MustAddTransputer(fmt.Sprintf("n%d", i), model.WithMemory(16*1024)).Load(img); err != nil {
 				return nil, err
 			}
 		}

@@ -14,17 +14,31 @@ import (
 // TestRunAheadWakeOrder is a known gap, kept as its reproducer: two
 // nodes over one wire, found by FuzzAckCreditDifferential while its
 // plain leg still ran cached.  On a, the sender's first output
-// completes between 175 and 180 µs — b's receiver spins before it
-// inputs — which is also when a's receiver comes out of its 208-turn
-// spin; a stepwise run, and a cached one with a bus attached, wake the
-// sender into the queue (Enqueues and Deschedules 2), while a cached
-// detached run — the only kind that runs ahead of its window — counts 1
-// and 1.  Instructions, cycles, memory, wires and the final clock agree.
-// The parent of the PR that added this test shows the same, so
-// acknowledge credit is not in it; the fix belongs to internal/core's
-// run-ahead rule.
+// completes at 175 350 ns — b's receiver spins before it inputs — which
+// is also when a's receiver comes out of its 208-turn spin; a stepwise
+// run, and a cached one with a bus attached, wake the sender into the
+// queue (Enqueues and Deschedules 2), while a cached detached run — the
+// only kind that runs ahead of its window — counts 1 and 1.
+// Instructions, cycles, memory, wire totals and the final clock agree.
+// Acknowledge credit is not in it: the engine before credit shows the
+// same.
+//
+// The cause is same-instant FIFO order in a's kernel.  Local events at
+// one instant fire in the order they were scheduled, and a run-ahead
+// schedules its continuation early: the runner's event for 175 350 is
+// scheduled at kernel time 39 100, after a run-ahead of 136 µs, while
+// the data frame's completion for that instant is scheduled at 174 250,
+// so the runner fires first.  Stepwise execution schedules its runner
+// event for 175 350 at 175 050, after the completion.  So the cached
+// receiver executes in before the sender is woken; the wake then finds
+// the processor idle and dispatches without enqueueing, and a's later
+// timeline moves — its wire events 1 150–1 200 ns earlier — not just its
+// counts.  A likely fix orders same-instant local events by the instant
+// stepwise execution would have scheduled them: a key of (at, rank,
+// scheduled-at, seq), with a continuation carrying its last
+// instruction's virtual start.  That key is internal/sim's.
 func TestRunAheadWakeOrder(t *testing.T) {
-	t.Skip("ROADMAP item 5: a cached detached run counts one enqueue fewer than the stepwise reference")
+	t.Skip("ROADMAP item 5: a run-ahead continuation, scheduled early, fires before a same-instant link completion scheduled later, so a cached detached run wakes a sender one enqueue short of the stepwise reference")
 	stats := func(cache bool) core.Stats {
 		s := network.NewSystem()
 		for _, src := range []string{
