@@ -149,6 +149,7 @@ const infTime = MaxTime / 4
 // the given minimum cross-node event latency.
 func NewCoordinator(lookahead Time) *Coordinator {
 	if lookahead <= 0 {
+		// Unreachable from input: network.System passes the constant Lookahead, one acknowledge time.
 		panic("sim: coordinator lookahead must be positive")
 	}
 	return &Coordinator{lookahead: lookahead, workers: 1}
@@ -187,6 +188,7 @@ func (c *Coordinator) OnFlush(fn func(upTo Time, final bool)) { c.onFlush = fn }
 // still unplaced when a run starts gets a shard of its own.
 func (c *Coordinator) NewPort() *Port {
 	if len(c.ports) >= MaxPorts {
+		// Unreachable from input: AddTransputer and the topology parser refuse the port past MaxPorts first.
 		panic("sim: too many ports")
 	}
 	p := &Port{c: c, rank: len(c.ports), k: NewKernel()}
@@ -207,6 +209,7 @@ func (c *Coordinator) NewShard(ports ...*Port) *Shard {
 	}
 	for _, p := range ports {
 		if p.c != c || p.s != nil {
+			// Unreachable from input: System.seal places each node once, and SetPlacement refuses a name in two groups.
 			panic("sim: port is already on a shard")
 		}
 		p.s = s
@@ -225,6 +228,7 @@ func (c *Coordinator) NewShard(ports ...*Port) *Shard {
 // its ends' windows, which costs barriers and nothing else.
 func (c *Coordinator) Wire(a, b int, latency Time) {
 	if latency <= 0 {
+		// Unreachable from input: System.seal wires every cross-shard connection at the constant Lookahead.
 		panic("sim: wire latency must be positive")
 	}
 	if !c.wired {
@@ -398,10 +402,18 @@ func (c *Coordinator) drain() {
 }
 
 // deliveryKey packs a delivery's canonical identity — origin port rank
-// and per-port sequence — into the kernel ordering key.
+// and per-port sequence — into the kernel ordering key: rank+1, at most
+// MaxPorts and so under 2^16, from bit deliveryRankShift up, and the
+// sequence below it.  The key stays under the class bit every local
+// event's key carries (see Kernel.less), so a delivery fires before
+// any same-instant local event.
 func deliveryKey(rank int, seq uint64) uint64 {
-	return uint64(rank+1)<<portRankShift | seq
+	return uint64(rank+1)<<deliveryRankShift | seq
 }
+
+// deliveryRankShift leaves a port 2^47 posts before its sequence would
+// reach the rank bits.
+const deliveryRankShift = 63 - 16
 
 func crossLess(a, b crossEvent) bool {
 	if a.at != b.at {

@@ -287,3 +287,61 @@ func TestDistClosureAfterRewire(t *testing.T) {
 	both(5, 0, L)
 	check("after rewires")
 }
+
+// streamer is one member of BenchmarkFusedMemberLoop's ring: each
+// token it receives costs a local event half a lookahead later (the
+// runner wake) that posts the token on to the next member one
+// lookahead out, the shape of a streamed link byte.
+type streamer struct {
+	self  *Port
+	next  *streamer
+	send  func()
+	fired *int
+}
+
+func (s *streamer) Receive(Msg) {
+	*s.fired++
+	s.self.After(s.self.c.lookahead/2, s.send)
+}
+
+func (s *streamer) forward() {
+	*s.fired++
+	s.self.PostMsg(s.next.self, s.self.Now()+s.self.c.lookahead, s.next, Msg{})
+}
+
+// BenchmarkFusedMemberLoop prices the fused member loop and the kernel
+// under it without the coordinator, the machines or the links: eight
+// ports on one shard, three tokens each circulating as deliveries and
+// local events, run one lookahead of horizon per iteration through
+// Shard.runBefore.  It reports ns per fired event.
+func BenchmarkFusedMemberLoop(b *testing.B) {
+	const L = 100
+	c := NewCoordinator(L)
+	ports := make([]*Port, 8)
+	ring := make([]*streamer, len(ports))
+	fired := 0
+	for i := range ports {
+		ports[i] = c.NewPort()
+		ring[i] = &streamer{self: ports[i], fired: &fired}
+		ring[i].send = ring[i].forward
+	}
+	for i, s := range ring {
+		s.next = ring[(i+1)%len(ring)]
+		for j := 0; j < 3; j++ {
+			s.self.Schedule(Time(j*L/3), s.send)
+		}
+	}
+	sh := c.NewShard(ports...)
+	hzn := Time(0)
+	for i := 0; i < 64; i++ { // warm-up: grows the heaps and slot tables
+		hzn += L
+		sh.runBefore(hzn)
+	}
+	fired = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hzn += L
+		sh.runBefore(hzn)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+}

@@ -71,13 +71,18 @@ type Receiver interface {
 
 // event is one heap entry.  It is deliberately pointer-free — the
 // callback lives in the slot table — so heap sifts are pure scalar
-// copies with no GC write barriers on the engine's hottest path.
+// copies with no GC write barriers on the engine's hottest path — and
+// 24 bytes, because the order is one (at, key) pair (see less).
 type event struct {
 	at   Time
-	rank uint8  // same-instant class: deliveries (0) before local events (1)
-	seq  uint64 // tie-break within a rank: FIFO for locals, (src, xseq) for deliveries
+	key  uint64 // same-instant order: localClass|seq for locals, deliveryKey for deliveries
 	slot uint32 // index into the kernel's slot table
 }
+
+// localClass is the class bit of a local event's key.  Every delivery
+// key is below it (see deliveryKey), so at one instant deliveries fire
+// before local events, and locals fire in scheduling order.
+const localClass = 1 << 63
 
 // slotInfo is the liveness record of one heap entry.  An EventID packs
 // the slot index with the slot's generation at scheduling time, so a
@@ -147,6 +152,7 @@ func (k *Kernel) alloc() (uint32, EventID) {
 		k.free = k.free[:n-1]
 	} else {
 		if len(k.slots) >= slotLimit {
+			// Unreachable from input: a machine keeps a fixed handful of events pending (runner, timer, link engines).
 			panic("sim: too many concurrent events")
 		}
 		k.slots = append(k.slots, slotInfo{})
@@ -164,6 +170,21 @@ func (k *Kernel) reap(slot uint32) {
 	s.fn = nil
 	s.rcv = nil
 	k.free = append(k.free, slot)
+}
+
+// fire runs a live entry that has just left the heap: the slot retires
+// before the callback, so the callback may reuse it.
+func (k *Kernel) fire(e event) {
+	s := &k.slots[e.slot]
+	fn, rcv, msg := s.fn, s.rcv, s.msg
+	k.reap(e.slot)
+	k.now = e.at
+	k.live--
+	if fn != nil {
+		fn()
+	} else {
+		rcv.Receive(msg)
+	}
 }
 
 // lookup resolves an ID to its live slot, or -1 if the handle is
@@ -196,23 +217,37 @@ func (k *Kernel) Stamp() uint64 { return k.stamp }
 // Pending reports the number of scheduled, uncancelled events.
 func (k *Kernel) Pending() int { return k.live }
 
-// NextTime reports the time of the earliest pending event.
+// NextTime reports the time of the earliest pending event.  Once it
+// reports true, heap[0] is that event.  It is small enough to inline
+// into the fused member loop's scan; reaping cancelled tops is the rare
+// case and stays out of line.
 func (k *Kernel) NextTime() (Time, bool) {
-	e, ok := k.peek()
-	if !ok {
+	if k.ncancel > 0 {
+		k.reapCancelledTops()
+	}
+	if len(k.heap) == 0 {
 		return 0, false
 	}
-	return e.at, true
+	return k.heap[0].at, true
+}
+
+func (k *Kernel) reapCancelledTops() {
+	for len(k.heap) > 0 && k.slots[k.heap[0].slot].cancelled {
+		slot := k.pop().slot
+		k.slots[slot].cancelled = false
+		k.ncancel--
+		k.reap(slot)
+	}
 }
 
 // HeadIs reports whether the earliest pending event is the one the
 // handle names — the coordinator's check for whether a quiet promise
 // covers the head of the queue, without materialising the head's ID.
 func (k *Kernel) HeadIs(id EventID) bool {
-	e, ok := k.peek()
-	if !ok {
+	if _, ok := k.NextTime(); !ok {
 		return false
 	}
+	e := k.heap[0]
 	s := int(id>>slotShift) - 1
 	return s == int(e.slot) && k.slots[e.slot].gen == uint32(id&genMask)
 }
@@ -242,29 +277,32 @@ func (k *Kernel) NextTimeExcluding(id EventID) (Time, bool) {
 // past.  It returns an ID that can be passed to Cancel.
 func (k *Kernel) Schedule(at Time, fn func()) EventID {
 	if at < k.now+k.offset {
+		// Unreachable from input: machines, link engines and hosts schedule at Now() plus a non-negative delay.
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now+k.offset))
 	}
 	s, id := k.alloc()
 	k.slots[s].fn = fn
-	k.push(event{at: at, rank: 1, seq: k.nextSeq, slot: s})
+	k.push(event{at: at, key: localClass | k.nextSeq, slot: s})
 	k.nextSeq++
 	k.live++
 	k.stamp++
 	return id
 }
 
-// ScheduleDelivery schedules a cross-port delivery of m to r: it runs
-// before any same-instant local event, ordered among same-instant
-// deliveries by key — the coordinator packs the source port and its
-// per-source sequence, a total order independent of which window
-// barrier did the injecting (see less).
+// ScheduleDelivery schedules a cross-port delivery of m to r, ordered
+// among same-instant events by key — the coordinator's deliveryKey,
+// which packs the source port and its per-source sequence below the
+// class bit, so the delivery runs before any same-instant local event
+// and the order is independent of which window barrier did the
+// injecting (see less).
 func (k *Kernel) ScheduleDelivery(at Time, key uint64, r Receiver, m Msg) EventID {
 	if at < k.now+k.offset {
+		// Unreachable from input: every post is due at least one lookahead out, past anything the window lets run.
 		panic(fmt.Sprintf("sim: delivery at %v before now %v", at, k.now+k.offset))
 	}
 	s, id := k.alloc()
 	k.slots[s].rcv, k.slots[s].msg = r, m
-	k.push(event{at: at, rank: 0, seq: key, slot: s})
+	k.push(event{at: at, key: key, slot: s})
 	k.live++
 	k.stamp++
 	return id
@@ -291,27 +329,11 @@ func (k *Kernel) Cancel(id EventID) {
 
 // Step fires the next event.  It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.pop()
-		if k.ncancel > 0 && k.slots[e.slot].cancelled {
-			k.slots[e.slot].cancelled = false
-			k.ncancel--
-			k.reap(e.slot)
-			continue
-		}
-		s := &k.slots[e.slot]
-		fn, rcv, msg := s.fn, s.rcv, s.msg
-		k.reap(e.slot)
-		k.now = e.at
-		k.live--
-		if fn != nil {
-			fn()
-		} else {
-			rcv.Receive(msg)
-		}
-		return true
+	if _, ok := k.NextTime(); !ok {
+		return false
 	}
-	return false
+	k.fire(k.pop())
+	return true
 }
 
 // Run fires events until the queue is empty and returns the final time.
@@ -325,17 +347,17 @@ func (k *Kernel) Run() Time {
 // queue drained before the limit.
 func (k *Kernel) RunUntil(limit Time) bool {
 	for {
-		e, ok := k.peek()
+		at, ok := k.NextTime()
 		if !ok {
 			return true
 		}
-		if e.at > limit {
+		if at > limit {
 			if k.now < limit {
 				k.now = limit
 			}
 			return false
 		}
-		k.Step()
+		k.fire(k.pop())
 	}
 }
 
@@ -343,13 +365,16 @@ func (k *Kernel) RunUntil(limit Time) bool {
 // one coordinator window.  Unlike RunUntil it does not advance the
 // clock to the bound: the kernel stays at its last-fired event so the
 // next window can begin wherever this shard's activity actually is.
+// Each turn reads the top once (NextTime, inlined, reaps a cancelled
+// top): a top at or past the horizon ends the window, and anything
+// else is popped once and fired.
 func (k *Kernel) RunBefore(horizon Time) {
 	for {
-		e, ok := k.peek()
-		if !ok || e.at >= horizon {
+		at, ok := k.NextTime()
+		if !ok || at >= horizon {
 			return
 		}
-		k.Step()
+		k.fire(k.pop())
 	}
 }
 
@@ -358,80 +383,70 @@ func (k *Kernel) RunBefore(horizon Time) {
 // bounded run, mirroring RunUntil's behaviour on a lone kernel.  It
 // panics if an event earlier than t is still pending.
 func (k *Kernel) AdvanceTo(t Time) {
-	if e, ok := k.peek(); ok && e.at < t {
-		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", t, e.at))
+	if at, ok := k.NextTime(); ok && at < t {
+		// Unreachable from input: runners and the coordinator advance only to bounds no pending event precedes.
+		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", t, at))
 	}
 	if k.now < t {
 		k.now = t
 	}
 }
 
-func (k *Kernel) peek() (event, bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if k.ncancel > 0 && k.slots[e.slot].cancelled {
-			k.pop()
-			k.slots[e.slot].cancelled = false
-			k.ncancel--
-			k.reap(e.slot)
-			continue
-		}
-		return e, true
-	}
-	return event{}, false
-}
-
-// less orders by time, then rank, then sequence.  The rank makes the
+// less orders by time, then key.  The key's class bit makes the
 // position of a cross-shard delivery among same-instant local events
-// canonical: a delivery's FIFO seq would depend on which window
+// canonical: a delivery's FIFO position would depend on which window
 // barrier injected it, and barrier placement shifts with runner quiet
-// promises (which the block cache informs) — so without the rank,
+// promises (which the block cache informs) — so without the class bit,
 // turning the cache on or off could reorder same-instant events.
-// Deliveries run first, ordered among themselves by their
-// mode-independent (source shard, source sequence) key.
+// Deliveries (class bit clear) run first, ordered among themselves by
+// their mode-independent (source port, source sequence) key; locals
+// (class bit set) follow in scheduling order.  One comparison of the
+// key gives the three-field (at, class, seq) order.
 func less(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.key < b.key
 }
 
 func (k *Kernel) push(e event) {
-	k.heap = append(k.heap, e)
-	i := len(k.heap) - 1
+	h := append(k.heap, e)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(k.heap[i], k.heap[parent]) {
+		if !less(e, h[parent]) {
 			break
 		}
-		k.heap[i], k.heap[parent] = k.heap[parent], k.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
+	k.heap = h
 }
 
+// pop removes and returns the top.  It sifts a hole down from the root
+// and drops the last entry into it once, instead of swapping per level.
 func (k *Kernel) pop() event {
-	top := k.heap[0]
-	last := len(k.heap) - 1
-	k.heap[0] = k.heap[last]
-	k.heap = k.heap[:last]
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	k.heap = h
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(k.heap) && less(k.heap[l], k.heap[smallest]) {
-			smallest = l
-		}
-		if r < len(k.heap) && less(k.heap[r], k.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		k.heap[i], k.heap[smallest] = k.heap[smallest], k.heap[i]
-		i = smallest
+		if r := c + 1; r < n && less(h[r], h[c]) {
+			c = r
+		}
+		if !less(h[c], last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
 	}
 	return top
 }

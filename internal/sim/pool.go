@@ -116,6 +116,7 @@ func (c *Coordinator) runWindow(active []*Shard) {
 		return
 	}
 	if len(active) > claimMask {
+		// Unreachable from input: a window holds at most one shard a port, and ports stop at MaxPorts, under claimMask.
 		panic("sim: too many shards in one window")
 	}
 	// Publish the window.  The WaitGroup is armed before the claim

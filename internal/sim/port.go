@@ -4,8 +4,8 @@ import "fmt"
 
 // portRankShift places the owning port's rank (plus one) in the top
 // bits of an EventID, so a handle can be routed back to the kernel
-// that issued it even when it crosses shards — and in delivery keys,
-// where it makes same-instant ordering partition-invariant.
+// that issued it even when it crosses shards.  Delivery keys carry the
+// rank one bit lower (see deliveryKey).
 const portRankShift = 48
 
 // Shard is one unit of coordinator scheduling: a group of ports whose
@@ -118,6 +118,7 @@ func (p *Port) Cancel(id EventID) {
 	raw := id & (1<<portRankShift - 1)
 	c := p.c
 	if owner < 0 || owner >= len(c.ports) {
+		// Unreachable from input: every EventID a caller holds was tagged by one of this coordinator's ports.
 		panic(fmt.Sprintf("sim: cancel of foreign event id %#x", uint64(id)))
 	}
 	op := c.ports[owner]
