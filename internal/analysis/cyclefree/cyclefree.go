@@ -14,7 +14,6 @@ package cyclefree
 
 import (
 	"go/ast"
-	"go/types"
 
 	"transputer/internal/analysis/tvetutil"
 )
@@ -71,7 +70,7 @@ func run(pass *tvetutil.Pass) {
 		}
 		// The literal must flow straight into (*probe.Bus).Publish; any
 		// other call may stamp Cycles behind our back (Engine.emit does).
-		if call, argOf := enclosingCall(stack, lit); call != nil && argOf && !isBusPublish(pass, call) {
+		if call, argOf := enclosingCall(stack, lit); call != nil && argOf && !tvetutil.IsBusPublish(pass.TypesInfo, call) {
 			tvetutil.Report(pass, ig, lit.Pos(),
 				"%s is link-clocked and must be published directly via (*probe.Bus).Publish, not through a wrapper that may stamp Cycles", kind)
 		}
@@ -126,13 +125,4 @@ func enclosingCall(stack []ast.Node, lit *ast.CompositeLit) (*ast.CallExpr, bool
 		return nil, false
 	}
 	return nil, false
-}
-
-func isBusPublish(pass *tvetutil.Pass, call *ast.CallExpr) bool {
-	fn := tvetutil.Callee(pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "Publish" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && tvetutil.IsPtrToNamed(sig.Recv().Type(), tvetutil.ProbePath, "Bus")
 }

@@ -18,6 +18,12 @@ func (e *eng) goodDirect() {
 	}
 }
 
+func (e *eng) goodDirectRef() {
+	if e.bus != nil {
+		e.bus.PublishRef(&probe.Event{Kind: probe.FlowArrive, Time: 3})
+	}
+}
+
 func (e *eng) badCyclesField() {
 	if e.bus != nil {
 		e.bus.Publish(probe.Event{Kind: probe.FlowArrive, Cycles: 9}) // want `FlowArrive is link-clocked: its Cycles stamp is a block-cache artifact`

@@ -1,6 +1,6 @@
 // Package probeguard enforces the probe bus's zero-overhead contract:
-// every (*probe.Bus).Publish call site, and every call handed a
-// probe.Event literal, must sit behind a nil-bus check.
+// every (*probe.Bus).Publish or PublishRef call site, and every call
+// handed a probe.Event literal, must sit behind a nil-bus check.
 //
 // PR 1's contract is that a simulation with no bus attached pays
 // nothing for instrumentation: publishers check `bus != nil` before
@@ -22,7 +22,6 @@ package probeguard
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"transputer/internal/analysis/tvetutil"
 )
@@ -55,7 +54,7 @@ func run(pass *tvetutil.Pass) {
 			return true
 		}
 		switch {
-		case isPublish(pass, call):
+		case tvetutil.IsBusPublish(pass.TypesInfo, call):
 			if !guarded(pass, call, stack) {
 				tvetutil.Report(pass, ig, call.Pos(),
 					"probe Publish without a nil-bus guard: wrap in `if bus != nil` or return early on `bus == nil` (zero-overhead contract; //tvet:ignore probeguard <reason> if callers hold the check)")
@@ -68,16 +67,6 @@ func run(pass *tvetutil.Pass) {
 		}
 		return true
 	})
-}
-
-// isPublish reports whether the call is (*probe.Bus).Publish.
-func isPublish(pass *tvetutil.Pass, call *ast.CallExpr) bool {
-	fn := tvetutil.Callee(pass.TypesInfo, call)
-	if fn == nil || fn.Name() != "Publish" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && tvetutil.IsPtrToNamed(sig.Recv().Type(), tvetutil.ProbePath, "Bus")
 }
 
 // passesEventLiteral reports whether an argument of the call is a

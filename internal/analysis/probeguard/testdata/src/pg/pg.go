@@ -36,6 +36,16 @@ func (m *machine) bad() {
 	m.bus.Publish(probe.Event{}) // want `probe Publish without a nil-bus guard`
 }
 
+func (m *machine) guardedRef(e *probe.Event) {
+	if m.bus != nil {
+		m.bus.PublishRef(e)
+	}
+}
+
+func (m *machine) badRef(e *probe.Event) {
+	m.bus.PublishRef(e) // want `probe Publish without a nil-bus guard`
+}
+
 func (m *machine) badWrongGuard(on bool) {
 	if on {
 		m.bus.Publish(probe.Event{}) // want `probe Publish without a nil-bus guard`

@@ -27,3 +27,10 @@ func (b *Bus) Publish(e Event) {
 		fn(e)
 	}
 }
+
+// PublishRef hands the event to every subscriber by reference.
+func (b *Bus) PublishRef(e *Event) {
+	for _, fn := range b.subs {
+		fn(*e)
+	}
+}

@@ -286,6 +286,17 @@ func WalkFiles(pass *Pass, fn func(n ast.Node, stack []ast.Node) bool) {
 	}
 }
 
+// IsBusPublish reports whether the call publishes on a probe bus:
+// (*probe.Bus).Publish or its by-reference twin PublishRef.
+func IsBusPublish(info *types.Info, call *ast.CallExpr) bool {
+	fn := Callee(info, call)
+	if fn == nil || fn.Name() != "Publish" && fn.Name() != "PublishRef" {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && IsPtrToNamed(sig.Recv().Type(), ProbePath, "Bus")
+}
+
 // ProbePath is the import path of the probe package whose Bus the
 // probeguard and cyclefree analyzers reason about.
 const ProbePath = "transputer/internal/probe"

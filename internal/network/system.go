@@ -309,7 +309,7 @@ func (s *System) attachCollector(n *Node) {
 		return
 	}
 	col := &collector{bus: probe.NewBus()}
-	col.bus.Subscribe(func(ev probe.Event) { col.buf = append(col.buf, ev) })
+	col.bus.SubscribeRef(func(ev *probe.Event) { col.buf = append(col.buf, *ev) })
 	n.col = col
 	n.M.AttachProbe(col.bus)
 	n.Engine.AttachProbe(col.bus)
@@ -328,29 +328,35 @@ func (s *System) attachCollector(n *Node) {
 // happen too: upTo is always a time below which no node will emit
 // again, so each call publishes the next stretch of one fixed
 // (time, node)-ordered sequence, however the stretches are cut.
+//
+// Events go to the bus by reference, straight out of the collectors'
+// buffers.  A one-shard run calls this on every pass of its member loop,
+// mostly with nothing buffered, so that case returns after one look at
+// each collector.
 func (s *System) flushProbes(upTo sim.Time, final bool) {
-	if s.bus == nil {
+	if s.bus == nil || !s.probesBuffered() {
 		return
 	}
 	for {
 		var best *collector
+		var bestAt sim.Time
 		for _, n := range s.nodes {
 			c := n.col
 			if c == nil || c.next >= len(c.buf) {
 				continue
 			}
-			ev := c.buf[c.next]
-			if !final && ev.Time >= upTo {
+			at := c.buf[c.next].Time
+			if !final && at >= upTo {
 				continue
 			}
-			if best == nil || ev.Time < best.buf[best.next].Time {
-				best = c
+			if best == nil || at < bestAt {
+				best, bestAt = c, at
 			}
 		}
 		if best == nil {
 			break
 		}
-		s.bus.Publish(best.buf[best.next])
+		s.bus.PublishRef(&best.buf[best.next])
 		best.next++
 	}
 	for _, n := range s.nodes {
@@ -359,6 +365,17 @@ func (s *System) flushProbes(upTo sim.Time, final bool) {
 			c.next = 0
 		}
 	}
+}
+
+// probesBuffered reports whether any collector holds an event: a
+// collector the last flush emptied is reset to length zero.
+func (s *System) probesBuffered() bool {
+	for _, n := range s.nodes {
+		if n.col != nil && len(n.col.buf) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // MustAddTransputer is AddTransputer for known-good configurations.

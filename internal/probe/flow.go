@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -25,8 +26,12 @@ import (
 // The table consumes the deterministically merged bus stream, so its
 // output is byte-identical at any worker count.
 type FlowTable struct {
-	byID  map[uint64]*flowRec
-	order []*flowRec
+	// A flow is found by its identity in dense[origin][seq] when the
+	// network minted it (origin a node's ordinal, seq counting up from
+	// one), and in sparse when the identity has any other shape.
+	dense  [][]*flowRec
+	sparse map[uint64]*flowRec
+	order  []*flowRec
 
 	// lastNode/lastTime track the globally latest event of the run —
 	// the critical path is walked backward from there.
@@ -79,12 +84,52 @@ type flowRec struct {
 
 // NewFlowTable subscribes a fresh flow table to the bus.
 func NewFlowTable(b *Bus) *FlowTable {
-	t := &FlowTable{byID: make(map[uint64]*flowRec)}
-	b.Subscribe(t.consume)
+	t := &FlowTable{sparse: make(map[uint64]*flowRec)}
+	b.SubscribeRef(t.consume)
 	return t
 }
 
-func (t *FlowTable) consume(e Event) {
+// The dense index's bounds: origins below denseOrigins, and a sequence
+// number at most denseGap past the end of its origin's row (the rows
+// grow as a node mints flows).  They keep a hostile identity from
+// sizing it.
+const (
+	denseOrigins = 1 << 12
+	denseGap     = 64
+)
+
+// find returns the flow with the identity, nil if there is none yet.
+func (t *FlowTable) find(id uint64) *flowRec {
+	o, s := FlowOrigin(id), FlowSeq(id)
+	if o < uint64(len(t.dense)) && s < uint64(len(t.dense[o])) {
+		if r := t.dense[o][s]; r != nil {
+			return r
+		}
+	}
+	return t.sparse[id]
+}
+
+// add files a flow find does not know yet.
+func (t *FlowTable) add(r *flowRec) {
+	t.order = append(t.order, r)
+	o, s := FlowOrigin(r.id), FlowSeq(r.id)
+	if o < denseOrigins {
+		for uint64(len(t.dense)) <= o {
+			t.dense = append(t.dense, nil)
+		}
+		if row := t.dense[o]; s < uint64(len(row))+denseGap {
+			for uint64(len(row)) <= s {
+				row = append(row, nil)
+			}
+			row[s] = r
+			t.dense[o] = row
+			return
+		}
+	}
+	t.sparse[r.id] = r
+}
+
+func (t *FlowTable) consume(e *Event) {
 	if e.Node != "" && e.Time >= t.lastTime {
 		t.lastTime = e.Time
 		t.lastNode = e.Node
@@ -92,11 +137,10 @@ func (t *FlowTable) consume(e Event) {
 	if e.Flow == 0 {
 		return
 	}
-	r, ok := t.byID[e.Flow]
-	if !ok {
+	r := t.find(e.Flow)
+	if r == nil {
 		r = &flowRec{id: e.Flow, start: e.Time, startNode: e.Node, link: -1, vc: -1}
-		t.byID[e.Flow] = r
-		t.order = append(t.order, r)
+		t.add(r)
 	}
 	r.end = e.Time
 	r.endNode = e.Node
@@ -388,9 +432,16 @@ func rank(sorted []int64, pct int) int64 {
 // no gaps or overlaps, so their durations sum exactly to the
 // end-to-end completion time.
 func (t *FlowTable) criticalPath(end sim.Time) []PathSpan {
-	// Index flows by the node their last event landed on.
+	// Index flows by the node their last event landed on, each node's in
+	// the order a step ranks them: by end, then start, then identity
+	// descending.  The flow a step takes is then the last one that ended
+	// by the current instant and started before it.
+	byEnd := slices.Clone(t.order)
+	slices.SortFunc(byEnd, func(a, b *flowRec) int {
+		return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.start, b.start), cmp.Compare(b.id, a.id))
+	})
 	arrivals := map[string][]*flowRec{}
-	for _, r := range t.order {
+	for _, r := range byEnd {
 		arrivals[r.endNode] = append(arrivals[r.endNode], r)
 	}
 
@@ -399,14 +450,11 @@ func (t *FlowTable) criticalPath(end sim.Time) []PathSpan {
 	tcur := end
 	for {
 		var best *flowRec
-		for _, r := range arrivals[node] {
-			if r.end > tcur || r.start >= tcur {
-				continue
-			}
-			if best == nil || r.end > best.end ||
-				(r.end == best.end && (r.start > best.start ||
-					(r.start == best.start && r.id < best.id))) {
-				best = r
+		rs := arrivals[node]
+		for i := sort.Search(len(rs), func(i int) bool { return rs[i].end > tcur }) - 1; i >= 0; i-- {
+			if rs[i].start < tcur {
+				best = rs[i]
+				break
 			}
 		}
 		if best == nil {
@@ -650,17 +698,7 @@ func (d *FlowDoc) Report(w io.Writer, top int) {
 		fmt.Fprintf(w, "    %10v  %-28s %10v%s\n",
 			sim.Time(s.StartNs), what, sim.Time(s.DurNs), loc)
 	}
-	slow := make([]*FlowInfo, len(d.Flows))
-	for i := range d.Flows {
-		slow[i] = &d.Flows[i]
-	}
-	slices.SortStableFunc(slow, func(a, b *FlowInfo) int {
-		return cmp.Or(cmp.Compare(b.EndNs-b.StartNs, a.EndNs-a.StartNs), cmp.Compare(a.ID, b.ID))
-	})
-	if top > 0 && len(slow) > top {
-		slow = slow[:top]
-	}
-	if len(slow) > 0 {
+	if slow := d.slowest(top); len(slow) > 0 {
 		fmt.Fprintf(w, "  slowest flows (latency bytes wire retrans ack-stall):\n")
 		for _, f := range slow {
 			tail := ""
@@ -680,4 +718,38 @@ func (d *FlowDoc) Report(w io.Writer, top int) {
 				sim.Time(f.WireNs), sim.Time(f.RetransNs), sim.Time(f.AckStallNs), loc, tail)
 		}
 	}
+}
+
+// slowerFlow orders flows slowest first, ties by ascending ID.
+func slowerFlow(a, b *FlowInfo) int {
+	return cmp.Or(cmp.Compare(b.EndNs-b.StartNs, a.EndNs-a.StartNs), cmp.Compare(a.ID, b.ID))
+}
+
+// slowest returns the top slowest flows in slowerFlow order, flows that
+// tie in document order (top 0 or past the count: every flow).  A short
+// list is picked in one pass: each flow is inserted after every kept one
+// it does not precede, and drops off the end once top are kept.
+func (d *FlowDoc) slowest(top int) []*FlowInfo {
+	if top <= 0 || top >= len(d.Flows) {
+		slow := make([]*FlowInfo, len(d.Flows))
+		for i := range d.Flows {
+			slow[i] = &d.Flows[i]
+		}
+		slices.SortStableFunc(slow, slowerFlow)
+		return slow
+	}
+	slow := make([]*FlowInfo, 0, top)
+	for i := range d.Flows {
+		f := &d.Flows[i]
+		if len(slow) == top && slowerFlow(f, slow[top-1]) >= 0 {
+			continue
+		}
+		j := sort.Search(len(slow), func(j int) bool { return slowerFlow(f, slow[j]) < 0 })
+		if len(slow) < top {
+			slow = append(slow, nil)
+		}
+		copy(slow[j+1:], slow[j:])
+		slow[j] = f
+	}
+	return slow
 }

@@ -2,6 +2,9 @@ package probe
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"transputer/internal/sim"
@@ -214,6 +217,95 @@ func TestFlowRank(t *testing.T) {
 	}
 	if got := rank(nil, 50); got != 0 {
 		t.Errorf("p50 of empty = %d", got)
+	}
+}
+
+// TestCriticalPathMatchesReference: the walk over arrivals sorted by end
+// time against the rescanning walk it replaced, on random streams over
+// four nodes — equal instants, zero-length flows, flows whose events
+// arrive out of time order, and in time order as a merged run's do.
+func TestCriticalPathMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	nodes := []string{"a", "b", "c", "d"}
+	resolve := func(node string, iptr uint64) string { return fmt.Sprintf("%s:%d", node, iptr) }
+	for trial := 0; trial < 2000; trial++ {
+		flows := 1 + rng.Intn(40)
+		evs := make([]Event, 3*flows)
+		for i := range evs {
+			evs[i] = Event{Kind: LinkXferStart, Node: nodes[rng.Intn(len(nodes))], Time: sim.Time(rng.Intn(60)),
+				Out: true, IP: uint64(rng.Intn(3)), Flow: PackFlow(uint64(1+rng.Intn(3)), uint64(1+rng.Intn(flows)))}
+		}
+		if trial%2 == 0 {
+			slices.SortStableFunc(evs, func(a, b Event) int { return int(a.Time - b.Time) })
+		}
+		b := NewBus()
+		ft := NewFlowTable(b)
+		if trial%3 == 0 {
+			ft.Resolve = resolve
+		}
+		for _, e := range evs {
+			b.Publish(e)
+		}
+		end := sim.Time(60 + rng.Intn(3))
+		ft.Finish(end)
+		if got, want := ft.Doc().CriticalPath, refCriticalPath(ft, end); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: critical path\n%+v\nreference\n%+v", trial, got, want)
+		}
+	}
+}
+
+// TestFlowTableIdentities: a flow is found again by its identity
+// whatever its shape — sequence numbers in order, with gaps and far
+// ahead of their origin's, origins past the dense index, hostile words.
+func TestFlowTableIdentities(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ids []uint64
+	for seq := uint64(1); seq <= 300; seq++ {
+		ids = append(ids, PackFlow(1, seq), PackFlow(2, 2*seq), PackFlow(3, 1+seq*seq))
+	}
+	ids = append(ids, PackFlow(denseOrigins-1, 1), PackFlow(denseOrigins, 1), PackFlow(1<<23, 5),
+		PackFlow(4, 1<<39), PackFlow(4, 1), ^uint64(0), 1)
+	for i := 0; i < 200; i++ {
+		ids = append(ids, rng.Uint64()|1)
+	}
+	b := NewBus()
+	ft := NewFlowTable(b)
+	for i, id := range ids {
+		b.Publish(Event{Kind: ChanBlock, Node: "n", Time: sim.Time(i), Flow: id})
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		b.Publish(Event{Kind: ChanRendezvous, Node: "n", Time: sim.Time(2*len(ids) - i), Flow: ids[i]})
+	}
+	ft.Finish(sim.Time(2 * len(ids)))
+	flows := ft.Doc().Flows
+	if len(flows) != len(ids) {
+		t.Fatalf("%d identities made %d flows", len(ids), len(flows))
+	}
+	for i, f := range flows {
+		if f.ID != ids[i] || f.StartNs != int64(i) || f.EndNs != int64(2*len(ids)-i) {
+			t.Fatalf("flow %d is %#x over [%d, %d], want %#x over [%d, %d]",
+				i, f.ID, f.StartNs, f.EndNs, ids[i], i, 2*len(ids)-i)
+		}
+	}
+}
+
+// TestSlowestMatchesFullSort: the slowest-flows list Report prints,
+// picked in one pass, against the stable sort of every flow it
+// replaced, on random documents full of equal latencies and IDs, at
+// every list length from none to past the end.
+func TestSlowestMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		doc := &FlowDoc{}
+		for i := rng.Intn(50); i > 0; i-- {
+			start := int64(rng.Intn(4))
+			doc.Flows = append(doc.Flows, FlowInfo{ID: uint64(rng.Intn(6)), StartNs: start, EndNs: start + int64(rng.Intn(5))})
+		}
+		for top := -1; top <= len(doc.Flows)+2; top++ {
+			if got, want := doc.slowest(top), refSlowest(doc, top); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, top %d of %d flows: picked %v, the full sort %v", trial, top, len(doc.Flows), got, want)
+			}
+		}
 	}
 }
 

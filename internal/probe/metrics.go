@@ -15,6 +15,10 @@ type Metrics struct {
 	nodes map[string]*nodeMetrics
 	order []string
 	end   sim.Time
+
+	// last is the previous event's node, named lastName.
+	last     *nodeMetrics
+	lastName string
 }
 
 type nodeMetrics struct {
@@ -25,7 +29,10 @@ type nodeMetrics struct {
 	lastSeen    sim.Time
 
 	queues [2]queueMetrics
-	links  map[int]*linkMetrics
+	// links holds every link the node's events named; fast repeats
+	// links 0..numLinks-1 for the per-event lookup.
+	links map[int]*linkMetrics
+	fast  [numLinks]*linkMetrics
 
 	dispatches, preempts, timeslices uint64
 	rendezvous                       uint64
@@ -71,33 +78,46 @@ type linkMetrics struct {
 	severed     bool
 }
 
+// numLinks is a transputer's link count (core.NumLinks).
+const numLinks = 4
+
 // NewMetrics subscribes a fresh aggregator to the bus.
 func NewMetrics(b *Bus) *Metrics {
 	m := &Metrics{nodes: map[string]*nodeMetrics{}}
-	b.Subscribe(m.consume)
+	b.SubscribeRef(m.consume)
 	return m
 }
 
 func (m *Metrics) node(name string) *nodeMetrics {
+	if m.last != nil && m.lastName == name {
+		return m.last
+	}
 	n, ok := m.nodes[name]
 	if !ok {
 		n = &nodeMetrics{links: map[int]*linkMetrics{}}
 		m.nodes[name] = n
 		m.order = append(m.order, name)
 	}
+	m.last, m.lastName = n, name
 	return n
 }
 
 func (n *nodeMetrics) link(i int) *linkMetrics {
+	if uint(i) < numLinks && n.fast[i] != nil {
+		return n.fast[i]
+	}
 	l, ok := n.links[i]
 	if !ok {
 		l = &linkMetrics{}
 		n.links[i] = l
 	}
+	if uint(i) < numLinks {
+		n.fast[i] = l
+	}
 	return l
 }
 
-func (m *Metrics) consume(e Event) {
+func (m *Metrics) consume(e *Event) {
 	n := m.node(e.Node)
 	n.lastSeen = e.Time
 	if e.Time > m.end {

@@ -241,19 +241,40 @@ func FlowSeq(flow uint64) uint64 { return flow & (1<<flowSeqBits - 1) }
 
 // Bus fans events out to its subscribers.  It is used from the single
 // simulation goroutine only.
+//
+// An event reaches every subscriber by reference: Publish copies it
+// once into the bus's one slot, PublishRef not at all, and each
+// subscriber is handed the same *Event.  The contract that makes this
+// safe: a subscriber reads the event during its call and neither keeps
+// the pointer (it copies what it keeps) nor publishes on the bus it is
+// handling (that would overwrite the slot under the subscribers still
+// to come).
 type Bus struct {
-	subs []func(Event)
+	subs []func(*Event)
+	slot Event
 }
 
 // NewBus returns an empty bus.
 func NewBus() *Bus { return &Bus{} }
 
-// Subscribe registers a consumer.  Subscribers are invoked in
-// subscription order, synchronously with the publisher.
-func (b *Bus) Subscribe(fn func(Event)) { b.subs = append(b.subs, fn) }
+// Subscribe registers a consumer that takes its own copy of each event.
+// Subscribers are invoked in subscription order, synchronously with the
+// publisher.
+func (b *Bus) Subscribe(fn func(Event)) { b.SubscribeRef(func(e *Event) { fn(*e) }) }
+
+// SubscribeRef registers a consumer that reads each event in place; see
+// Bus for what it may do with the pointer.
+func (b *Bus) SubscribeRef(fn func(*Event)) { b.subs = append(b.subs, fn) }
 
 // Publish delivers an event to every subscriber.
 func (b *Bus) Publish(e Event) {
+	b.slot = e
+	b.PublishRef(&b.slot)
+}
+
+// PublishRef delivers the event e points to to every subscriber without
+// copying it; *e must not change until PublishRef returns.
+func (b *Bus) PublishRef(e *Event) {
 	for _, fn := range b.subs {
 		fn(e)
 	}

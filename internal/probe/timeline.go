@@ -3,8 +3,10 @@ package probe
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"transputer/internal/sim"
 )
@@ -15,47 +17,152 @@ import (
 // own track, as do the node's links (wire occupancy, transfers and ack
 // stalls), the scheduler and the host protocol.
 type Timeline struct {
-	// Events are kept in fixed-size pages: recording never copies or
-	// re-clears what it already holds, and at most one page of slack
-	// stays reachable (a doubling slice leaves up to as much again).
-	pages []*[pageEvents]Event
+	// Events are kept as records in fixed-size pages: recording never
+	// copies or re-clears what it already holds, and at most one page of
+	// slack stays reachable (a doubling slice leaves up to as much again).
+	pages []*[pageEvents]rec
 	n     int
+
+	// names holds each node name once, in order of first appearance, and
+	// a record holds its node's index; last is the previous event's.
+	names []string
+	index map[string]int
+	last  int
+
+	// wide keeps whole the events a record cannot hold.
+	wide []wideEvent
 }
 
-// pageEvents events fill one 64 KiB page.
-const pageEvents = 512
+// pageEvents records fill one 64 KiB page.
+const pageEvents = 1024
+
+// rec is one recorded event in 64 bytes that hold no pointer, so the
+// pages cost the garbage collector nothing to scan.  The node is an
+// index into Timeline.names, and the fields a transputer fills with a
+// word (process descriptor, channel address, instruction pointer) take
+// 32 bits.  An event with a value out of its field's range is kept
+// whole in Timeline.wide instead: its record has flagWide set and holds
+// the event's index there in arg, nothing else.
+type rec struct {
+	time   sim.Time
+	cycles uint64
+	flow   uint64
+	dur    sim.Time
+	arg    int64
+	proc   uint32
+	addr   uint32
+	ip     uint32
+	bytes  int32
+	depth  int16
+	node   uint16
+	link   int8
+	pri    int8
+	kind   Kind
+	flags  uint8
+}
+
+// rec flags.
+const (
+	flagAck uint8 = 1 << iota
+	flagOut
+	flagWide
+)
+
+// wideEvent is an event kept whole, with its node's index.
+type wideEvent struct {
+	Event
+	node int
+}
 
 // NewTimeline subscribes a fresh timeline recorder to the bus.
 func NewTimeline(b *Bus) *Timeline {
-	t := &Timeline{}
-	b.Subscribe(t.record)
+	t := &Timeline{index: map[string]int{}}
+	b.SubscribeRef(t.record)
 	return t
 }
 
-func (t *Timeline) record(e Event) {
+func (t *Timeline) record(e *Event) {
 	i := t.n % pageEvents
 	if i == 0 {
-		t.pages = append(t.pages, new([pageEvents]Event))
+		t.pages = append(t.pages, new([pageEvents]rec))
 	}
-	t.pages[len(t.pages)-1][i] = e
+	r := &t.pages[len(t.pages)-1][i]
 	t.n++
+	node := t.nodeIndex(e.Node)
+	if node > math.MaxUint16 || e.Proc|e.Addr|e.IP > math.MaxUint32 ||
+		e.Bytes != int(int32(e.Bytes)) || e.Depth != int(int16(e.Depth)) ||
+		e.Link != int(int8(e.Link)) || e.Pri != int(int8(e.Pri)) {
+		*r = rec{flags: flagWide, arg: int64(len(t.wide))}
+		t.wide = append(t.wide, wideEvent{*e, node})
+		return
+	}
+	var flags uint8
+	if e.Ack {
+		flags |= flagAck
+	}
+	if e.Out {
+		flags |= flagOut
+	}
+	*r = rec{
+		time: e.Time, cycles: e.Cycles, flow: e.Flow, dur: e.Dur, arg: e.Arg,
+		proc: uint32(e.Proc), addr: uint32(e.Addr), ip: uint32(e.IP),
+		bytes: int32(e.Bytes), depth: int16(e.Depth), node: uint16(node),
+		link: int8(e.Link), pri: int8(e.Pri), kind: e.Kind, flags: flags,
+	}
+}
+
+// nodeIndex returns the index of a node name, adding it at first sight.
+func (t *Timeline) nodeIndex(name string) int {
+	if i := t.last; i < len(t.names) && t.names[i] == name {
+		return i
+	}
+	i, ok := t.index[name]
+	if !ok {
+		i = len(t.names)
+		t.names = append(t.names, name)
+		t.index[name] = i
+	}
+	t.last = i
+	return i
+}
+
+// event returns the event r records and its node's index.  A record
+// that is not wide is decoded into *scratch.
+func (t *Timeline) event(r *rec, scratch *Event) (*Event, int) {
+	if r.flags&flagWide != 0 {
+		w := &t.wide[r.arg]
+		return &w.Event, w.node
+	}
+	*scratch = Event{
+		Time: r.time, Cycles: r.cycles, Node: t.names[r.node], Kind: r.kind,
+		Proc: uint64(r.proc), Pri: int(r.pri), Addr: uint64(r.addr), Link: int(r.link),
+		Bytes: int(r.bytes), Dur: r.dur, Depth: int(r.depth),
+		Ack: r.flags&flagAck != 0, Out: r.flags&flagOut != 0,
+		Arg: r.arg, Flow: r.flow, IP: uint64(r.ip),
+	}
+	return scratch, int(r.node)
 }
 
 // Len returns the number of recorded events.
 func (t *Timeline) Len() int { return t.n }
 
-// Events returns the recorded events in publication order, copied into
+// Events returns the recorded events in publication order, decoded into
 // one slice the caller owns; the timeline keeps no reference to it.
 func (t *Timeline) Events() []Event {
 	out := make([]Event, 0, t.n)
+	var scratch Event
 	for i := range t.pages {
-		out = append(out, t.page(i)...)
+		page := t.page(i)
+		for j := range page {
+			e, _ := t.event(&page[j], &scratch)
+			out = append(out, *e)
+		}
 	}
 	return out
 }
 
 // page returns the recorded part of page i.
-func (t *Timeline) page(i int) []Event {
+func (t *Timeline) page(i int) []rec {
 	return t.pages[i][:min(pageEvents, t.n-i*pageEvents)]
 }
 
@@ -82,8 +189,9 @@ type traceEnc struct {
 	args bool // the open event has an args object
 }
 
-// traceNode is one node's trace process: its pid, its process tracks
-// and the "run" slice open on its one CPU.
+// traceNode is one node's trace process: its pid (zero until the node's
+// first event), its process tracks and the "run" slice open on its one
+// CPU.
 type traceNode struct {
 	pid     int
 	procTid map[uint64]int
@@ -213,17 +321,20 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	}
 	enc.b = append(enc.b, '[')
 
-	nodes := map[string]*traceNode{}
+	// Per-node trace state, by the records' node index.
+	nodes := make([]traceNode, len(t.names))
+	pids := 0
 	var end sim.Time
+	var scratch Event
 	for i := range t.pages {
 		page := t.page(i)
 		for j := range page {
-			e := &page[j]
+			e, node := t.event(&page[j], &scratch)
 			end = max(end, e.Time)
-			ns := nodes[e.Node]
-			if ns == nil {
-				ns = &traceNode{pid: len(nodes) + 1, procTid: map[uint64]int{}}
-				nodes[e.Node] = ns
+			ns := &nodes[node]
+			if ns.pid == 0 {
+				pids++
+				*ns = traceNode{pid: pids, procTid: map[uint64]int{}}
 				enc.begin("process_name", "M", 0, 0, ns.pid, 0, "", "")
 				enc.str("name", e.Node)
 				enc.end()
@@ -234,16 +345,17 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			}
 		}
 	}
-	// Close any slice still open at the end of the run.
-	var open []string
-	for name, ns := range nodes {
-		if ns.open {
-			open = append(open, name)
+	// Close any slice still open at the end of the run, in node-name
+	// order.
+	var open []int
+	for i := range nodes {
+		if nodes[i].open {
+			open = append(open, i)
 		}
 	}
-	slices.Sort(open)
-	for _, name := range open {
-		enc.closeSlice(nodes[name], end)
+	slices.SortFunc(open, func(a, b int) int { return strings.Compare(t.names[a], t.names[b]) })
+	for _, i := range open {
+		enc.closeSlice(&nodes[i], end)
 	}
 	enc.b = append(enc.b, "]}\n"...)
 	return enc.flush()
