@@ -224,16 +224,17 @@ func itoa64(v int64) string {
 
 func TestBuilderDiff(t *testing.T) {
 	b := NewBuilder(4)
-	b.MustLabel("start")
+	start, end := b.NewLabel(), b.NewLabel()
+	b.Define(start)
 	b.Fn(isa.FnLdc, 1)
 	b.Fn(isa.FnLdc, 2)
-	b.MustLabel("end")
-	b.Diff(isa.FnLdc, "end", "start")
+	b.Define(end)
+	b.Diff(isa.FnLdc, end, start)
 	res, err := b.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, _ := isa.Decode(res.Code, res.Labels["end"])
+	instr, _ := isa.Decode(res.Code, b.Offset(end))
 	if instr.Operand != 2 {
 		t.Errorf("diff operand = %d, want 2", instr.Operand)
 	}

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -39,6 +40,7 @@ type Assembled struct {
 // given bytes per word.
 func Assemble(src string, wordBytes int) (*Assembled, error) {
 	b := NewBuilder(wordBytes)
+	names := newLabelNames(b)
 	var entry string
 	img := core.Image{WsBelow: 64, WsAbove: 64}
 	space := maxSpace
@@ -57,7 +59,7 @@ func Assemble(src string, wordBytes int) (*Assembled, error) {
 			if !isIdent(name) {
 				break
 			}
-			if err := b.Label(name); err != nil {
+			if err := names.define(name); err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo+1, err)
 			}
 			line = strings.TrimSpace(line[idx+1:])
@@ -71,25 +73,94 @@ func Assemble(src string, wordBytes int) (*Assembled, error) {
 		if len(fields) == 2 {
 			rest = strings.TrimSpace(fields[1])
 		}
-		if err := assembleLine(b, &img, &entry, &space, mnem, rest, lineNo+1); err != nil {
+		if err := assembleLine(names, &img, &entry, &space, mnem, rest, lineNo+1); err != nil {
 			return nil, err
 		}
 	}
 
-	res, err := b.Assemble()
+	res, labels, err := names.assemble()
 	if err != nil {
 		return nil, err
 	}
 	img.Code = res.Code
 	img.Marks = res.Marks
 	if entry != "" {
-		off, ok := res.Labels[entry]
+		off, ok := labels[entry]
 		if !ok {
 			return nil, fmt.Errorf("asm: undefined entry label %q", entry)
 		}
 		img.Entry = off
 	}
-	return &Assembled{Image: img, Labels: res.Labels}, nil
+	return &Assembled{Image: img, Labels: labels}, nil
+}
+
+// labelNames gives a builder's labels the names a source spells them
+// with: the builder itself knows labels only by number.
+type labelNames struct {
+	b   *Builder
+	ids map[string]Label
+	// By label: its name, whether the source has defined it, and the
+	// source line of its first reference.
+	names   []string
+	defined []bool
+	refLine []int
+}
+
+func newLabelNames(b *Builder) *labelNames {
+	return &labelNames{b: b, ids: make(map[string]Label)}
+}
+
+func (n *labelNames) label(name string) Label {
+	if l, ok := n.ids[name]; ok {
+		return l
+	}
+	l := n.b.NewLabel()
+	n.ids[name] = l
+	n.names = append(n.names, name)
+	n.defined = append(n.defined, false)
+	n.refLine = append(n.refLine, 0)
+	return l
+}
+
+// define places the named label at the current position.
+func (n *labelNames) define(name string) error {
+	l := n.label(name)
+	if n.defined[l] {
+		return fmt.Errorf("asm: duplicate label %q", name)
+	}
+	n.defined[l] = true
+	n.b.Define(l)
+	return nil
+}
+
+// ref is the named label as an operand on the given source line.
+func (n *labelNames) ref(name string, line int) Label {
+	l := n.label(name)
+	if n.refLine[l] == 0 {
+		n.refLine[l] = line
+	}
+	return l
+}
+
+// assemble assembles the program and returns its labels' offsets by
+// name.  A label used but never defined is named in the error with the
+// line that first used it.
+func (n *labelNames) assemble() (*Result, map[string]int, error) {
+	res, err := n.b.Assemble()
+	var undef *undefinedLabelError
+	if errors.As(err, &undef) {
+		return nil, nil, fmt.Errorf("asm: undefined label %q (line %d)", n.names[undef.label], n.refLine[undef.label])
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make(map[string]int, len(n.names))
+	for l, name := range n.names {
+		if n.defined[l] {
+			labels[name] = n.b.Offset(Label(l))
+		}
+	}
+	return res, labels, nil
 }
 
 // maxSpace is how many bytes the space directives of one source may
@@ -101,7 +172,8 @@ const maxSpace = 16 << 20
 
 // assembleLine assembles one directive or instruction; space is what
 // the source's space directives may still reserve.
-func assembleLine(b *Builder, img *core.Image, entry *string, space *int, mnem, rest string, line int) error {
+func assembleLine(names *labelNames, img *core.Image, entry *string, space *int, mnem, rest string, line int) error {
+	b := names.b
 	switch mnem {
 	case "entry":
 		*entry = rest
@@ -155,7 +227,7 @@ func assembleLine(b *Builder, img *core.Image, entry *string, space *int, mnem, 
 	case "ldpi":
 		b.Mark(line)
 		if rest != "" && isIdent(rest) {
-			b.Ldpi(rest)
+			b.Ldpi(names.ref(rest, line))
 			return nil
 		}
 		b.Op(isa.OpLdpi)
@@ -164,7 +236,7 @@ func assembleLine(b *Builder, img *core.Image, entry *string, space *int, mnem, 
 
 	if fn, ok := isa.FunctionByMnemonic(mnem); ok && fn != isa.FnOpr {
 		b.Mark(line)
-		return assembleOperand(b, fn, rest, line)
+		return assembleOperand(names, fn, rest, line)
 	}
 	if op, ok := isa.OpByMnemonic(mnem); ok {
 		if rest != "" {
@@ -177,18 +249,19 @@ func assembleLine(b *Builder, img *core.Image, entry *string, space *int, mnem, 
 	return fmt.Errorf("line %d: unknown mnemonic %q", line, mnem)
 }
 
-func assembleOperand(b *Builder, fn isa.Function, rest string, line int) error {
+func assembleOperand(names *labelNames, fn isa.Function, rest string, line int) error {
+	b := names.b
 	if rest == "" {
 		return fmt.Errorf("line %d: %s needs an operand", line, fn.Mnemonic())
 	}
 	if isIdent(rest) {
-		b.Branch(fn, rest)
+		b.Branch(fn, names.ref(rest, line))
 		return nil
 	}
 	if i := strings.Index(rest, "-"); i > 0 {
 		a, c := strings.TrimSpace(rest[:i]), strings.TrimSpace(rest[i+1:])
 		if isIdent(a) && isIdent(c) {
-			b.Diff(fn, a, c)
+			b.Diff(fn, names.ref(a, line), names.ref(c, line))
 			return nil
 		}
 	}

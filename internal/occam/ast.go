@@ -117,6 +117,7 @@ type parProc struct {
 	pri   bool
 	rep   *replicator
 	procs []process
+	info  *parInfo // set by the checker
 }
 
 // altProc is ALT or PRI ALT.  A replicated ALT (rep != nil) has exactly
@@ -125,6 +126,7 @@ type parProc struct {
 type altProc struct {
 	pos
 	pri      bool
+	timed    bool // has a timer guard; set by the checker
 	rep      *replicator
 	branches []altBranch
 }
@@ -243,7 +245,7 @@ type procDecl struct {
 	sym    *symbol
 }
 
-type paramKind int
+type paramKind uint8
 
 const (
 	paramValue paramKind = iota // VALUE v: word by value

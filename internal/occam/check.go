@@ -1,16 +1,17 @@
 package occam
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
+
+	"transputer/internal/asm"
 )
 
 // Semantic analysis: scopes, symbol binding, constant evaluation, and
 // structural checks.  The checker also creates the workspace frames:
 // one for the program, one per PROC body, and one per PAR component.
 
-type symbolKind int
+type symbolKind uint8
 
 const (
 	symConst symbolKind = iota
@@ -22,9 +23,19 @@ const (
 	symTable // DEF name = "string": a read-only byte table in code space
 )
 
-// symbol is a named entity bound by the checker.
+// symbol is a named entity bound by the checker.  The one-byte fields
+// lead, so that a symbol packs into 128 bytes.
 type symbol struct {
-	kind  symbolKind
+	kind symbolKind
+	// array is set for arrays, channel arrays, string tables and array
+	// parameters.
+	array bool
+	// placed marks a channel PLACEd at placeAddr.
+	placed bool
+	// paramKind, paramIndex and nParams: a parameter's kind, its place
+	// among its PROC's parameters and their number.
+	paramKind paramKind
+
 	name  string
 	pos   pos
 	frame *frame
@@ -32,11 +43,8 @@ type symbol struct {
 	// Variables, channels, replicators: workspace slot (word offset
 	// from the frame base).
 	offset int
-	array  bool
 	size   int // array length in words
 
-	// Channels: placement.
-	placed    bool
 	placeAddr int64
 
 	// Constants.
@@ -49,10 +57,8 @@ type symbol struct {
 	// Procedures.
 	proc *procInfo
 
-	// Parameters.
-	paramKind  paramKind
 	paramIndex int
-	procParams []*symbol // all parameters of the owning PROC
+	nParams    int
 }
 
 // procInfo carries everything the code generator needs about a PROC.
@@ -60,11 +66,15 @@ type procInfo struct {
 	decl   *procDecl
 	frame  *frame
 	params []*symbol
-	label  string
+	label  asm.Label // set when the generator queues the body
 	// sized is set once workspace requirements are known.
 	sized bool
 	// emitted is set once the body has been queued for generation.
 	queued bool
+	// effects is the body's use of each parameter, once summarised
+	// (usage.go).
+	effects    []paramEffects
+	summarised bool
 }
 
 // frame is one workspace: slots 0 and 1 are reserved (scratch /
@@ -95,9 +105,12 @@ func (f *frame) allocWords(n int) int {
 // scope is a lexical scope; procBoundary scopes hide outer variables
 // (occam PROCs here may reference only their parameters and global
 // constants — a documented subset restriction).
+//
+// Most scopes declare a name or two, and none more than one declaration
+// group of the program, so a scope keeps its names in a slice.
 type scope struct {
 	parent       *scope
-	names        map[string]*symbol
+	names        []*symbol
 	frame        *frame
 	procBoundary bool
 	// wordBytes is set on the outermost scope only, which holds the
@@ -110,14 +123,24 @@ func (s *scope) child(f *frame, boundary bool) *scope {
 	if f == nil {
 		f = s.frame
 	}
-	return &scope{parent: s, names: make(map[string]*symbol), frame: f, procBoundary: boundary}
+	return &scope{parent: s, frame: f, procBoundary: boundary}
+}
+
+// find returns the symbol the scope itself binds to a name.
+func (s *scope) find(name string) *symbol {
+	for _, sym := range s.names {
+		if sym.name == name {
+			return sym
+		}
+	}
+	return nil
 }
 
 func (s *scope) declare(sym *symbol) *Err {
-	if _, dup := s.names[sym.name]; dup {
+	if s.find(sym.name) != nil {
 		return errf(sym.pos.line, sym.pos.col, "%q already declared in this scope", sym.name)
 	}
-	s.names[sym.name] = sym
+	s.names = append(s.names, sym)
 	return nil
 }
 
@@ -126,7 +149,7 @@ func (s *scope) declare(sym *symbol) *Err {
 func (s *scope) lookup(name string) (*symbol, bool) {
 	crossed := false
 	for sc := s; sc != nil; sc = sc.parent {
-		if sym, ok := sc.names[name]; ok {
+		if sym := sc.find(name); sym != nil {
 			if crossed && sym.kind != symConst && sym.kind != symProc {
 				return nil, false
 			}
@@ -135,7 +158,7 @@ func (s *scope) lookup(name string) (*symbol, bool) {
 		if sc.wordBytes != 0 {
 			if v, ok := builtinConst(name, sc.wordBytes); ok {
 				sym := &symbol{kind: symConst, name: name, value: v}
-				sc.names[name] = sym
+				sc.names = append(sc.names, sym)
 				return sym, true
 			}
 		}
@@ -148,14 +171,9 @@ func (s *scope) lookup(name string) (*symbol, bool) {
 
 // checker drives resolution.
 type checker struct {
-	wordBytes  int
-	nextFrame  int
-	procs      []*procInfo // all PROCs, in declaration order
-	parsInfo   map[*parProc]*parInfo
-	repCounts  map[*replicator]int64 // constant counts for replicated PAR
-	timeGuards map[*altProc]bool
-	// procEffects holds per-parameter usage summaries (usage.go).
-	procEffects map[*procInfo][]paramEffects
+	wordBytes int
+	nextFrame int
+	procs     []*procInfo // all PROCs, in declaration order
 }
 
 // parInfo is the checker/sizer annotation for a PAR construct.
@@ -173,12 +191,7 @@ type parInfo struct {
 }
 
 func newChecker(wordBytes int) *checker {
-	return &checker{
-		wordBytes:  wordBytes,
-		parsInfo:   make(map[*parProc]*parInfo),
-		repCounts:  make(map[*replicator]int64),
-		timeGuards: make(map[*altProc]bool),
-	}
+	return &checker{wordBytes: wordBytes}
 }
 
 func (c *checker) newFrame() *frame {
@@ -244,7 +257,7 @@ func builtinConst(name string, wordBytes int) (int64, bool) {
 // run resolves the whole program, returning the root frame.
 func (c *checker) run(prog process) (*frame, *Err) {
 	root := c.newFrame()
-	sc := (&scope{names: make(map[string]*symbol), wordBytes: c.wordBytes}).child(root, false)
+	sc := (&scope{wordBytes: c.wordBytes}).child(root, false)
 	if err := c.process(prog, sc); err != nil {
 		return nil, err
 	}
@@ -257,16 +270,8 @@ func (c *checker) process(p process, sc *scope) *Err {
 		return nil
 	case *declProc:
 		inner := sc.child(nil, false)
-		// Channels that a later PLACE in the same group pins to a link
-		// address need no workspace slot.
-		placed := map[string]bool{}
 		for _, d := range v.decls {
-			if pd, ok := d.(*placeDecl); ok {
-				placed[pd.name] = true
-			}
-		}
-		for _, d := range v.decls {
-			if err := c.declare(d, inner, placed); err != nil {
+			if err := c.declare(d, inner, v.decls); err != nil {
 				return err
 			}
 		}
@@ -360,12 +365,14 @@ func (c *checker) process(p process, sc *scope) *Err {
 	return errf(0, 0, "checker: unhandled process %T", p)
 }
 
-func (c *checker) declare(d decl, sc *scope, placed map[string]bool) *Err {
+// declare binds one declaration of a group; the group's PLACEs say
+// which channels are pinned to link addresses.
+func (c *checker) declare(d decl, sc *scope, group []decl) *Err {
 	switch v := d.(type) {
 	case *varDecl:
 		return c.declareItems(v.items, symVar, sc, nil)
 	case *chanDecl:
-		return c.declareItems(v.items, symChan, sc, placed)
+		return c.declareItems(v.items, symChan, sc, group)
 	case *defDecl:
 		if v.strVal != nil {
 			s := *v.strVal
@@ -409,12 +416,26 @@ func (c *checker) declare(d decl, sc *scope, placed map[string]bool) *Err {
 	return errf(0, 0, "checker: unhandled declaration %T", d)
 }
 
-func (c *checker) declareItems(items []declItem, kind symbolKind, sc *scope, placed map[string]bool) *Err {
+// placedIn reports whether a declaration group PLACEs the named
+// channel.
+func placedIn(group []decl, name string) bool {
+	for _, d := range group {
+		if pd, ok := d.(*placeDecl); ok && pd.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// declareItems binds the names of a VAR or CHAN declaration.  Channels
+// that a PLACE in the same group pins to a link address need no
+// workspace slot.
+func (c *checker) declareItems(items []declItem, kind symbolKind, sc *scope, group []decl) *Err {
 	for i := range items {
 		item := &items[i]
 		sym := &symbol{kind: kind, name: item.name, pos: item.pos, frame: sc.frame}
 		switch {
-		case placed[item.name]:
+		case kind == symChan && placedIn(group, item.name):
 			// A link-placed channel occupies no workspace; PLACE fills
 			// in the address.
 			if item.size != nil {
@@ -484,12 +505,13 @@ func (c *checker) declareProc(d *procDecl, sc *scope) *Err {
 			"PAR inside PROC %q is not supported: a PROC body runs on its caller's thread; spawn the PAR at the call site instead", d.name)
 	}
 	f := c.newFrame()
-	info := &procInfo{decl: d, frame: f, label: fmt.Sprintf("proc.%s.%d", d.name, f.id)}
+	info := &procInfo{decl: d, frame: f}
 	sym := &symbol{kind: symProc, name: d.name, pos: d.pos, proc: info}
 	d.sym = sym
 
 	// The body scope sees parameters but not enclosing variables.
 	body := sc.child(f, true)
+	info.params = make([]*symbol, 0, len(d.params))
 	for i := range d.params {
 		pm := &d.params[i]
 		psym := &symbol{
@@ -506,7 +528,7 @@ func (c *checker) declareProc(d *procDecl, sc *scope) *Err {
 		return err
 	}
 	for _, psym := range info.params {
-		psym.procParams = info.params
+		psym.nParams = len(info.params)
 	}
 	// Parameters beyond the third occupy slots at the very top of the
 	// frame (see the calling convention in gen.go).
@@ -539,7 +561,7 @@ func (c *checker) replicator(rep *replicator, sc *scope) (*scope, *Err) {
 
 func (c *checker) par(v *parProc, sc *scope) *Err {
 	info := &parInfo{}
-	c.parsInfo[v] = info
+	v.info = info
 	if v.rep != nil {
 		// Replicated PAR needs a compile-time count: the compiler
 		// performs all workspace allocation (paper, 3.2.4).
@@ -553,7 +575,6 @@ func (c *checker) par(v *parProc, sc *scope) *Err {
 		if err2 := c.expr(v.rep.base, sc); err2 != nil {
 			return err2
 		}
-		c.repCounts[v.rep] = n
 		info.count = int(n)
 		f := c.newFrame()
 		info.frames = []*frame{f}
@@ -567,6 +588,7 @@ func (c *checker) par(v *parProc, sc *scope) *Err {
 		}
 		return c.process(v.procs[0], comp)
 	}
+	info.frames = make([]*frame, 0, len(v.procs))
 	for _, sub := range v.procs {
 		f := c.newFrame()
 		info.frames = append(info.frames, f)
@@ -618,7 +640,7 @@ func (c *checker) alt(v *altProc, sc *scope) *Err {
 			if err := c.expr(in.after, sc); err != nil {
 				return err
 			}
-			c.timeGuards[v] = true
+			v.timed = true
 		case *skipProc:
 			if br.cond == nil {
 				return errf(br.line, br.col, "a SKIP guard needs a boolean (use TRUE & SKIP)")

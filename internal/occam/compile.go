@@ -17,8 +17,7 @@ type Options struct {
 
 // Compiled is the result of compiling an occam program.
 type Compiled struct {
-	Image  core.Image
-	Labels map[string]int
+	Image core.Image
 	// Above and Below are the main frame's workspace requirements, in
 	// words.
 	Above, Below int
@@ -32,11 +31,11 @@ func Compile(src string, opt Options) (*Compiled, error) {
 	if err := checkOptions(&opt); err != nil {
 		return nil, err
 	}
-	prog, perr := parse(src)
+	prog, tokens, perr := parse(src)
 	if perr != nil {
 		return nil, perr
 	}
-	return compileProgram(prog, opt)
+	return compileProgram(prog, tokens, opt)
 }
 
 func checkOptions(opt *Options) error {
@@ -68,7 +67,7 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 	if err := checkOptions(&opt); err != nil {
 		return nil, err
 	}
-	prog, perr := parse(src)
+	prog, tokens, perr := parse(src)
 	if perr != nil {
 		return nil, perr
 	}
@@ -85,7 +84,7 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 	}
 	pp, ok := body.(*placedPar)
 	if !ok {
-		comp, err := compileProgram(prog, opt)
+		comp, err := compileProgram(prog, tokens, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +100,9 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 		idDecl := &defDecl{pos: comp.pos, name: "configured.processor.number", value: comp.processor}
 		decls := append(append([]decl{}, shared...), idDecl)
 		synth := &declProc{pos: comp.pos, decls: decls, body: comp.body}
-		compiled, err := compileProgram(synth, opt)
+		// A component's share of the source is not known, so its
+		// compilation sizes its buffers as it goes.
+		compiled, err := compileProgram(synth, 0, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +119,19 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 	return out, nil
 }
 
-func compileProgram(prog process, opt Options) (*Compiled, error) {
+// Generated code runs to about three builder items (instructions and
+// source marks) for every five tokens of source and a label for every
+// twelve to sixteen.  compileProgram sizes the builder a little above
+// these ratios: a buffer that has to grow once costs more than a few
+// spare places.
+const (
+	itemsPer8Tokens = 5
+	tokensPerLabel  = 12
+)
+
+// compileProgram checks and generates a parsed program; tokens is the
+// length of its source in tokens, or 0 when that is not known.
+func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 	c := newChecker(opt.WordBytes)
 	root, cerr := c.run(prog)
 	if cerr != nil {
@@ -134,16 +147,21 @@ func compileProgram(prog process, opt Options) (*Compiled, error) {
 		b:         asm.NewBuilder(opt.WordBytes),
 		wordBytes: opt.WordBytes,
 		cur:       root,
-		paths:     map[*frame]accessPath{root: {}},
+		entered:   []frameEntry{{f: root, kind: entryRoot}},
 	}
+	g.b.Grow(tokens*itemsPer8Tokens/8, tokens/tokensPerLabel)
 	var genErr *Err
 	func() {
 		defer func() {
+			// The recover that bounds gen.fail: its *Err is the
+			// diagnostic.
 			if r := recover(); r != nil {
 				if e, ok := r.(*Err); ok {
 					genErr = e
 					return
 				}
+				// Not a diagnostic but a compiler bug: no recover in this
+				// package bounds it, and it reaches the caller as it is.
 				panic(r)
 			}
 		}()
@@ -157,9 +175,9 @@ func compileProgram(prog process, opt Options) (*Compiled, error) {
 			g.emitProc(info)
 		}
 		// String tables, word aligned after the code.
-		for _, sym := range g.tableOrder {
+		for i, sym := range g.tables {
 			g.b.Align()
-			g.b.MustLabel(g.tableLabels[sym])
+			g.b.Define(g.tableLabels[i])
 			g.b.Bytes(sym.tableData)
 		}
 	}()
@@ -179,8 +197,7 @@ func compileProgram(prog process, opt Options) (*Compiled, error) {
 			WsAbove: root.above,
 			Marks:   res.Marks,
 		},
-		Labels: res.Labels,
-		Above:  root.above,
-		Below:  root.below,
+		Above: root.above,
+		Below: root.below,
 	}, nil
 }

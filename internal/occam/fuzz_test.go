@@ -2,12 +2,32 @@ package occam
 
 import (
 	"os"
+	"reflect"
 	"testing"
 )
 
+// lex collects the whole token stream of src, up to and including the
+// tokEOF, or returns the first error.
+func lex(src string) ([]token, *Err) {
+	l := newLexer(src)
+	var toks []token
+	for {
+		t := l.token()
+		if l.err != nil {
+			return toks, l.err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 // FuzzLexer throws arbitrary source at the indentation-sensitive lexer
 // and checks its structural guarantees: no panic, a tokEOF terminator,
-// and balanced indent/dedent pairs (the parser leans on both).
+// and balanced indent/dedent pairs (the parser leans on both).  It also
+// holds the lexer to refLex, the whole-source scanner it replaced: the
+// same tokens, and the same error after the same tokens.
 func FuzzLexer(f *testing.F) {
 	f.Add("SEQ\n  SKIP\n  SKIP\n")
 	f.Add("VAR x:\nPAR\n  x := 1\n  SKIP\n")
@@ -31,6 +51,13 @@ func FuzzLexer(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, err := lex(src)
+		wantToks, wantErr := refLex(src)
+		if !reflect.DeepEqual(err, wantErr) {
+			t.Fatalf("lex of %q fails with %v, the reference with %v", src, err, wantErr)
+		}
+		if !reflect.DeepEqual(toks, wantToks) {
+			t.Fatalf("lex of %q gives\n%v\nthe reference\n%v", src, toks, wantToks)
+		}
 		if err != nil {
 			return
 		}

@@ -1,8 +1,6 @@
 package occam
 
 import (
-	"fmt"
-
 	"transputer/internal/asm"
 	"transputer/internal/isa"
 )
@@ -32,42 +30,38 @@ type gen struct {
 	b         *asm.Builder
 	wordBytes int
 
-	cur      *frame
-	paths    map[*frame]accessPath
+	cur *frame
+	// entered is the chain of frames generation has entered, outermost
+	// first; the last is cur.  pathOf walks it to reach a frame.
+	entered  []frameEntry
 	tempNext int
 
-	labelN int
-	queue  []*procInfo
+	queue []*procInfo
 
-	// String tables referenced by the program, emitted after the code.
-	tableLabels map[*symbol]string
-	tableOrder  []*symbol
-
-	err *Err
+	// String tables referenced by the program, emitted after the code,
+	// and their labels.
+	tables      []*symbol
+	tableLabels []asm.Label
 }
 
 // tableLabel registers a string table for emission and returns its
 // label.
-func (g *gen) tableLabel(sym *symbol) string {
-	if g.tableLabels == nil {
-		g.tableLabels = make(map[*symbol]string)
+func (g *gen) tableLabel(sym *symbol) asm.Label {
+	for i, t := range g.tables {
+		if t == sym {
+			return g.tableLabels[i]
+		}
 	}
-	if l, ok := g.tableLabels[sym]; ok {
-		return l
-	}
-	l := g.label("table." + sym.name)
-	g.tableLabels[sym] = l
-	g.tableOrder = append(g.tableOrder, sym)
+	l := g.b.NewLabel()
+	g.tables = append(g.tables, sym)
+	g.tableLabels = append(g.tableLabels, l)
 	return l
 }
 
+// fail aborts generation with a diagnostic; compileProgram's recover
+// turns the panic back into the *Err that Compile returns.
 func (g *gen) fail(p pos, format string, args ...interface{}) {
 	panic(errf(p.line, p.col, format, args...))
-}
-
-func (g *gen) label(prefix string) string {
-	g.labelN++
-	return fmt.Sprintf("%s.%d", prefix, g.labelN)
 }
 
 // ---- temporaries ----------------------------------------------------
@@ -85,50 +79,80 @@ func (g *gen) freeTemp() { g.tempNext-- }
 
 // ---- frame entry ----------------------------------------------------
 
-// enterStatic switches generation into a frame at a static delta (in
-// words) from the current frame base; restore reverses it.
-func (g *gen) enterStatic(f *frame, delta int) (restore func()) {
-	oldCur, oldPaths, oldTemp := g.cur, g.paths, g.tempNext
-	np := make(map[*frame]accessPath, len(oldPaths)+1)
-	for fr, p := range oldPaths {
-		if p.indirect {
-			np[fr] = accessPath{indirect: true, linkSlot: p.linkSlot - delta, delta: p.delta}
-		} else {
-			np[fr] = accessPath{delta: p.delta - delta}
-		}
-	}
-	np[f] = accessPath{}
-	g.cur, g.paths, g.tempNext = f, np, 0
-	return func() { g.cur, g.paths, g.tempNext = oldCur, oldPaths, oldTemp }
+// entryKind says how generation entered a frame from the one before it
+// in gen.entered.
+type entryKind uint8
+
+const (
+	entryRoot   entryKind = iota // the program's frame
+	entryStatic                  // at a static word delta from the frame before
+	entryLinked                  // a replicated-PAR copy: a slot holds the frame before's base
+	entryProc                    // a PROC body: the frames before are out of reach
+)
+
+type frameEntry struct {
+	f    *frame
+	kind entryKind
+	// arg is the delta (entryStatic) or the link slot (entryLinked).
+	arg int
+	// tempNext is the temporaries in use in the frame before, which
+	// leave restores.
+	tempNext int
 }
+
+func (g *gen) enter(f *frame, kind entryKind, arg int) {
+	g.entered = append(g.entered, frameEntry{f: f, kind: kind, arg: arg, tempNext: g.tempNext})
+	g.cur, g.tempNext = f, 0
+}
+
+// enterStatic switches generation into a frame at a static delta (in
+// words) from the current frame base; leave reverses it.
+func (g *gen) enterStatic(f *frame, delta int) { g.enter(f, entryStatic, delta) }
 
 // enterLinked switches into a replicated-PAR component frame whose
 // linkSlot holds the enclosing frame's base address.
-func (g *gen) enterLinked(f *frame, linkSlot int) (restore func()) {
-	oldCur, oldPaths, oldTemp := g.cur, g.paths, g.tempNext
-	np := make(map[*frame]accessPath, len(oldPaths)+1)
-	for fr, p := range oldPaths {
-		if p.indirect {
-			// Reaching this frame would need double indirection.
-			continue
-		}
-		np[fr] = accessPath{indirect: true, linkSlot: linkSlot, delta: p.delta}
-	}
-	np[f] = accessPath{}
-	g.cur, g.paths, g.tempNext = f, np, 0
-	return func() { g.cur, g.paths, g.tempNext = oldCur, oldPaths, oldTemp }
-}
+func (g *gen) enterLinked(f *frame, linkSlot int) { g.enter(f, entryLinked, linkSlot) }
 
 // enterProc switches into a PROC frame (no outer variable access).
-func (g *gen) enterProc(f *frame) (restore func()) {
-	oldCur, oldPaths, oldTemp := g.cur, g.paths, g.tempNext
-	g.cur, g.paths, g.tempNext = f, map[*frame]accessPath{f: {}}, 0
-	return func() { g.cur, g.paths, g.tempNext = oldCur, oldPaths, oldTemp }
+func (g *gen) enterProc(f *frame) { g.enter(f, entryProc, 0) }
+
+// leave returns to the frame the last enter left.
+func (g *gen) leave() {
+	top := g.entered[len(g.entered)-1]
+	g.entered = g.entered[:len(g.entered)-1]
+	g.cur, g.tempNext = g.entered[len(g.entered)-1].f, top.tempNext
 }
 
+// pathOf says how the current code reaches a symbol's frame.  Starting
+// at the frame's own entry, each later entry moves the current frame
+// base by a static delta or hops through a link slot.  No frame is
+// reached through two link slots, nor from inside a PROC body one
+// entered outside it.
 func (g *gen) pathOf(sym *symbol, p pos) accessPath {
-	path, ok := g.paths[sym.frame]
-	if !ok {
+	i := len(g.entered) - 1
+	for i >= 0 && g.entered[i].f != sym.frame {
+		i--
+	}
+	reachable := i >= 0
+	var path accessPath
+	for _, e := range g.entered[i+1:] {
+		switch e.kind {
+		case entryStatic:
+			if path.indirect {
+				path.linkSlot -= e.arg
+			} else {
+				path.delta -= e.arg
+			}
+		case entryLinked:
+			if path.indirect {
+				reachable = false
+			}
+			path = accessPath{indirect: true, linkSlot: e.arg, delta: path.delta}
+		case entryProc:
+			reachable = false
+		}
+	}
+	if !reachable {
 		g.fail(p, "%q is not reachable here (too deeply nested across replicated PAR)", sym.name)
 	}
 	return path
@@ -142,7 +166,7 @@ func (g *gen) pathOf(sym *symbol, p pos) accessPath {
 // later arguments sit at the top of the local area.
 func paramOffset(sym *symbol) int {
 	f := sym.frame
-	k := len(sym.procParams)
+	k := sym.nParams
 	if k > 3 {
 		k = 3
 	}
@@ -394,14 +418,14 @@ func (g *gen) process(p process) {
 	case *seqProc:
 		g.seq(v)
 	case *whileProc:
-		start := g.label("while")
-		end := g.label("wend")
-		g.b.MustLabel(start)
+		start := g.b.NewLabel()
+		end := g.b.NewLabel()
+		g.b.Define(start)
 		g.evalExpr(v.cond)
 		g.b.Branch(isa.FnCj, end)
 		g.process(v.body)
 		g.b.Branch(isa.FnJ, start)
-		g.b.MustLabel(end)
+		g.b.Define(end)
 	case *ifProc:
 		g.ifProcess(v)
 	case *parProc:
@@ -433,9 +457,12 @@ func (g *gen) declaration(d decl) {
 			}
 		}
 	case *procDecl:
-		if !v.sym.proc.queued {
-			v.sym.proc.queued = true
-			g.queue = append(g.queue, v.sym.proc)
+		if info := v.sym.proc; !info.queued {
+			// Declarations precede their calls, here as in the source,
+			// so every call finds its PROC labelled.
+			info.queued = true
+			info.label = g.b.NewLabel()
+			g.queue = append(g.queue, info)
 		}
 	case *varDecl, *defDecl, *placeDecl:
 		// No code.
@@ -565,31 +592,31 @@ func (g *gen) seq(v *seqProc) {
 	g.b.Fn(isa.FnStl, idx)
 	g.evalExpr(v.rep.count)
 	g.b.Fn(isa.FnStl, idx+1)
-	start := g.label("rep")
-	after := g.label("repend")
+	start := g.b.NewLabel()
+	after := g.b.NewLabel()
 	g.b.Fn(isa.FnLdl, idx+1)
 	g.b.Branch(isa.FnCj, after)
-	g.b.MustLabel(start)
+	g.b.Define(start)
 	g.process(v.procs[0])
 	g.b.Fn(isa.FnLdlp, idx)
 	g.b.Diff(isa.FnLdc, after, start)
 	g.b.Op(isa.OpLend)
-	g.b.MustLabel(after)
+	g.b.Define(after)
 }
 
 func (g *gen) ifProcess(v *ifProc) {
-	end := g.label("fi")
+	end := g.b.NewLabel()
 	for _, br := range v.branches {
-		next := g.label("ifnext")
+		next := g.b.NewLabel()
 		g.evalExpr(br.cond)
 		g.b.Branch(isa.FnCj, next)
 		g.process(br.body)
 		g.b.Branch(isa.FnJ, end)
-		g.b.MustLabel(next)
+		g.b.Define(next)
 	}
 	// No condition true: IF behaves like STOP.
 	g.b.Op(isa.OpStopp)
-	g.b.MustLabel(end)
+	g.b.Define(end)
 }
 
 // ---- PAR ------------------------------------------------------------
@@ -599,26 +626,26 @@ func (g *gen) par(v *parProc) {
 		g.replicatedPar(v)
 		return
 	}
-	info := g.c.parsInfo[v]
+	info := v.info
 	n := len(v.procs)
 	if n == 0 {
 		return
 	}
 	if n == 1 && !v.pri {
 		// Degenerate PAR: run the single component in its frame.
-		restore := g.enterStatic(info.frames[0], info.deltas[0])
+		g.enterStatic(info.frames[0], info.deltas[0])
 		delta := info.deltas[0]
 		g.b.Fn(isa.FnAjw, int64(delta))
 		g.process(v.procs[0])
 		g.b.Fn(isa.FnAjw, int64(-delta))
-		restore()
+		g.leave()
 		return
 	}
 
-	cont := g.label("parcont")
-	compLabels := make([]string, n)
+	cont := g.b.NewLabel()
+	compLabels := make([]asm.Label, n)
 	for i := range compLabels {
-		compLabels[i] = g.label("parcomp")
+		compLabels[i] = g.b.NewLabel()
 	}
 
 	// Join block: continuation address at slot 0, count at slot 1.
@@ -643,40 +670,40 @@ func (g *gen) par(v *parProc) {
 		if v.pri && i == 0 {
 			continue // already started
 		}
-		afterStartp := g.label("parsp")
+		afterStartp := g.b.NewLabel()
 		g.b.Diff(isa.FnLdc, compLabels[i], afterStartp)
 		g.b.Fn(isa.FnLdlp, int64(info.deltas[i]))
 		g.b.Op(isa.OpStartp)
-		g.b.MustLabel(afterStartp)
+		g.b.Define(afterStartp)
 	}
 
 	// Become the inline component.
 	g.b.Fn(isa.FnAjw, int64(info.deltas[inline]))
-	restore := g.enterStatic(info.frames[inline], info.deltas[inline])
+	g.enterStatic(info.frames[inline], info.deltas[inline])
 	g.process(v.procs[inline])
 	g.b.Fn(isa.FnLdlp, int64(-info.deltas[inline]))
 	g.b.Op(isa.OpEndp)
-	restore()
+	g.leave()
 
 	// Out-of-line components.
 	for i := 0; i < n; i++ {
 		if i == inline {
 			continue
 		}
-		g.b.MustLabel(compLabels[i])
-		restore := g.enterStatic(info.frames[i], info.deltas[i])
+		g.b.Define(compLabels[i])
+		g.enterStatic(info.frames[i], info.deltas[i])
 		g.process(v.procs[i])
 		g.b.Fn(isa.FnLdlp, int64(-info.deltas[i]))
 		g.b.Op(isa.OpEndp)
-		restore()
+		g.leave()
 	}
 
-	g.b.MustLabel(cont)
+	g.b.Define(cont)
 }
 
 // startHigh starts a component at priority 0 (PRI PAR: "a parallel
 // construct may be configured to prioritize its components").
-func (g *gen) startHigh(label string, delta int) {
+func (g *gen) startHigh(label asm.Label, delta int) {
 	g.b.Ldpi(label)
 	g.b.Fn(isa.FnLdlp, int64(delta))
 	g.b.Fn(isa.FnStnl, -1) // new process's saved Iptr
@@ -685,13 +712,13 @@ func (g *gen) startHigh(label string, delta int) {
 }
 
 func (g *gen) replicatedPar(v *parProc) {
-	info := g.c.parsInfo[v]
+	info := v.info
 	comp := info.frames[0]
 	n := info.count
 	rep := v.rep.sym
 
-	cont := g.label("parcont")
-	body := g.label("parbody")
+	cont := g.b.NewLabel()
+	body := g.b.NewLabel()
 
 	g.b.Ldpi(cont)
 	g.b.Fn(isa.FnStl, 0)
@@ -708,11 +735,11 @@ func (g *gen) replicatedPar(v *parProc) {
 		g.b.Fn(isa.FnStl, int64(delta+rep.offset))
 		g.b.Fn(isa.FnLdlp, 0)
 		g.b.Fn(isa.FnStl, int64(delta+info.linkSlot))
-		afterStartp := g.label("parsp")
+		afterStartp := g.b.NewLabel()
 		g.b.Diff(isa.FnLdc, body, afterStartp)
 		g.b.Fn(isa.FnLdlp, int64(delta))
 		g.b.Op(isa.OpStartp)
-		g.b.MustLabel(afterStartp)
+		g.b.Define(afterStartp)
 	}
 	// The current process contributes the (n+1)th completion.
 	g.b.Fn(isa.FnLdlp, 0)
@@ -720,15 +747,15 @@ func (g *gen) replicatedPar(v *parProc) {
 
 	// Shared body: all copies execute the same code, reaching outer
 	// frames through the static link.
-	g.b.MustLabel(body)
-	restore := g.enterLinked(comp, info.linkSlot)
+	g.b.Define(body)
+	g.enterLinked(comp, info.linkSlot)
 	g.process(v.procs[0])
 	// Rejoin: the parent frame base is in the link slot.
 	g.b.Fn(isa.FnLdl, int64(info.linkSlot))
 	g.b.Op(isa.OpEndp)
-	restore()
+	g.leave()
 
-	g.b.MustLabel(cont)
+	g.b.Define(cont)
 }
 
 // ---- ALT ------------------------------------------------------------
@@ -800,12 +827,12 @@ func (g *gen) alt(v *altProc) {
 		g.replicatedAlt(v)
 		return
 	}
-	timed := g.c.timeGuards[v]
-	end := g.label("altdisp")
-	done := g.label("altdone")
-	branchLabels := make([]string, len(v.branches))
+	timed := v.timed
+	end := g.b.NewLabel()
+	done := g.b.NewLabel()
+	branchLabels := make([]asm.Label, len(v.branches))
 	for i := range branchLabels {
-		branchLabels[i] = g.label("altbr")
+		branchLabels[i] = g.b.NewLabel()
 	}
 
 	if timed {
@@ -876,18 +903,18 @@ func (g *gen) alt(v *altProc) {
 		}
 	}
 	g.b.Op(isa.OpAltend)
-	g.b.MustLabel(end)
+	g.b.Define(end)
 
 	for i := range v.branches {
 		br := &v.branches[i]
-		g.b.MustLabel(branchLabels[i])
+		g.b.Define(branchLabels[i])
 		if in, ok := br.input.(*inputProc); ok {
 			g.input(in)
 		}
 		g.process(br.body)
 		g.b.Branch(isa.FnJ, done)
 	}
-	g.b.MustLabel(done)
+	g.b.Define(done)
 }
 
 func (g *gen) guardCond(br *altBranch) {
@@ -932,10 +959,10 @@ func (g *gen) replicatedAlt(v *altProc) {
 	g.b.Op(isa.OpAlt)
 
 	// Enable loop.
-	enTop := g.label("raen")
-	enDone := g.label("raend")
+	enTop := g.b.NewLabel()
+	enDone := g.b.NewLabel()
 	initLoop()
-	g.b.MustLabel(enTop)
+	g.b.Define(enTop)
 	g.b.Fn(isa.FnLdl, cnt)
 	g.b.Branch(isa.FnCj, enDone)
 	chp := g.planChanAddr(in, 2)
@@ -945,7 +972,7 @@ func (g *gen) replicatedAlt(v *altProc) {
 	g.releaseOperand(chp)
 	advance()
 	g.b.Branch(isa.FnJ, enTop)
-	g.b.MustLabel(enDone)
+	g.b.Define(enDone)
 
 	g.b.Op(isa.OpAltwt)
 
@@ -955,10 +982,10 @@ func (g *gen) replicatedAlt(v *altProc) {
 	tBase := g.allocTemp(v.rep.pos)
 	g.evalExpr(v.rep.base)
 	g.b.Fn(isa.FnStl, int64(tBase))
-	disTop := g.label("radis")
-	disDone := g.label("radisd")
+	disTop := g.b.NewLabel()
+	disDone := g.b.NewLabel()
 	initLoop()
-	g.b.MustLabel(disTop)
+	g.b.Define(disTop)
 	g.b.Fn(isa.FnLdl, cnt)
 	g.b.Branch(isa.FnCj, disDone)
 	chp = g.planChanAddr(in, 1)
@@ -973,7 +1000,7 @@ func (g *gen) replicatedAlt(v *altProc) {
 	g.releaseOperand(chp)
 	advance()
 	g.b.Branch(isa.FnJ, disTop)
-	g.b.MustLabel(disDone)
+	g.b.Define(disDone)
 
 	// Selected index: slot 0 holds (i - base); restore i and run the
 	// input and body.  (No alt end: the offset is data, not a jump.)
@@ -990,6 +1017,9 @@ func (g *gen) replicatedAlt(v *altProc) {
 
 func (g *gen) call(v *callProc) {
 	info := v.sym.proc
+	if !info.queued {
+		g.fail(v.pos, "internal: PROC %q called before its declaration was generated", v.name)
+	}
 	params := info.params
 	n := len(v.args)
 	nReg := n
@@ -1093,11 +1123,11 @@ func (g *gen) evalArg(a expr, formal *symbol) {
 // emitProc generates one PROC body as a subroutine.
 func (g *gen) emitProc(info *procInfo) {
 	f := info.frame
-	g.b.MustLabel(info.label)
+	g.b.Define(info.label)
 	g.b.Fn(isa.FnAjw, int64(-f.above))
-	restore := g.enterProc(f)
+	g.enterProc(f)
 	g.process(info.decl.body)
-	restore()
+	g.leave()
 	g.b.Fn(isa.FnAjw, int64(f.above))
 	g.b.Op(isa.OpRet)
 }

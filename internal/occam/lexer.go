@@ -2,70 +2,99 @@ package occam
 
 import "strings"
 
-// lexer scans occam source into tokens.  Occam structures programs by
-// indentation: each level is two spaces, and the lexer emits
-// indent/dedent tokens at line starts, Python-style.
+// lexer scans occam source into tokens, one at a time as the parser
+// asks for them.  Occam structures programs by indentation: each level
+// is two spaces, and the lexer emits indent/dedent tokens at line
+// starts, Python-style.
 type lexer struct {
-	src    string
-	pos    int
-	line   int
-	col    int
-	tokens []token
+	src  string
+	next int // offset in src of the first line not yet read
+	line int // number of the line being scanned
+	// depth is the indentation level of the last line read; pending
+	// is the indent (positive) or dedent (negative) tokens owed before
+	// its body.
+	depth   int
+	pending int
+	// body is the line being scanned, from its first non-space byte;
+	// i is the scan position within it and base the column of body[0]
+	// less one.
+	body   string
+	i      int
+	base   int
+	inLine bool
 	err    *Err
+	// tokens counts the tokens returned, a measure of the program's
+	// size the code generator sizes its buffers by.
+	tokens int
 }
 
-// lex scans the whole source.  It returns the token stream or the
-// first error.
-func lex(src string) ([]token, *Err) {
-	l := &lexer{src: src, line: 1}
-	l.run()
-	return l.tokens, l.err
+func newLexer(src string) *lexer { return &lexer{src: src} }
+
+// token returns the next token.  After the end of the source, or after
+// an error (which l.err then holds), it returns tokEOF.
+func (l *lexer) token() token {
+	l.tokens++
+	for {
+		switch {
+		case l.err != nil:
+			return token{kind: tokEOF, line: l.line + 1, col: 1}
+		case l.pending > 0:
+			l.pending--
+			return token{kind: tokIndent, line: l.line, col: 1}
+		case l.pending < 0:
+			l.pending++
+			return token{kind: tokDedent, line: l.line, col: 1}
+		case l.inLine:
+			if t, ok := l.scan(); ok {
+				return t
+			}
+			if l.err == nil {
+				l.inLine = false
+				return token{kind: tokNewline, line: l.line, col: l.base + len(l.body) + 1}
+			}
+		case l.next <= len(l.src):
+			l.readLine()
+		case l.depth > 0:
+			l.depth--
+			return token{kind: tokDedent, line: l.line + 1, col: 1}
+		default:
+			return token{kind: tokEOF, line: l.line + 1, col: 1}
+		}
+	}
 }
 
-func (l *lexer) run() {
-	depth := 0
-	lines := strings.Split(l.src, "\n")
-	for i, raw := range lines {
-		l.line = i + 1
-		text := raw
-		// Strip comments: "--" to end of line, outside quotes.
-		text = stripOccamComment(text)
-		trimmed := strings.TrimRight(text, " \t")
-		if strings.TrimSpace(trimmed) == "" {
-			continue // blank or comment-only line
-		}
-		indent := 0
-		for indent < len(trimmed) && trimmed[indent] == ' ' {
-			indent++
-		}
-		if strings.HasPrefix(trimmed[indent:], "\t") || strings.Contains(trimmed[:indent], "\t") {
-			l.fail(indent+1, "tabs are not allowed in occam indentation")
-			return
-		}
-		if indent%2 != 0 {
-			l.fail(indent+1, "indentation must be a multiple of two spaces")
-			return
-		}
-		level := indent / 2
-		for depth < level {
-			depth++
-			l.emit(token{kind: tokIndent, line: l.line, col: 1})
-		}
-		for depth > level {
-			depth--
-			l.emit(token{kind: tokDedent, line: l.line, col: 1})
-		}
-		l.scanLine(trimmed[indent:], indent)
-		if l.err != nil {
-			return
-		}
-		l.emit(token{kind: tokNewline, line: l.line, col: len(trimmed) + 1})
+// readLine reads the next source line: a blank or comment-only one is
+// skipped; any other owes the tokens that move the indentation to its
+// level, then its body's.
+func (l *lexer) readLine() {
+	raw := l.src[l.next:]
+	if j := strings.IndexByte(raw, '\n'); j >= 0 {
+		raw = raw[:j]
 	}
-	for depth > 0 {
-		depth--
-		l.emit(token{kind: tokDedent, line: l.line + 1, col: 1})
+	l.next += len(raw) + 1
+	l.line++
+	// Strip comments: "--" to end of line, outside quotes.
+	trimmed := strings.TrimRight(stripOccamComment(raw), " \t")
+	if strings.TrimSpace(trimmed) == "" {
+		return // blank or comment-only line
 	}
-	l.emit(token{kind: tokEOF, line: l.line + 1, col: 1})
+	indent := 0
+	for indent < len(trimmed) && trimmed[indent] == ' ' {
+		indent++
+	}
+	if trimmed[indent] == '\t' {
+		l.fail(indent+1, "tabs are not allowed in occam indentation")
+		return
+	}
+	if indent%2 != 0 {
+		l.fail(indent+1, "indentation must be a multiple of two spaces")
+		return
+	}
+	level := indent / 2
+	l.pending = level - l.depth
+	l.depth = level
+	l.body, l.i, l.base = trimmed[indent:], 0, indent
+	l.inLine = true
 }
 
 func stripOccamComment(s string) string {
@@ -92,119 +121,122 @@ func stripOccamComment(s string) string {
 	return s
 }
 
-func (l *lexer) emit(t token) { l.tokens = append(l.tokens, t) }
-
 func (l *lexer) fail(col int, msg string) {
 	if l.err == nil {
 		l.err = errf(l.line, col, "%s", msg)
 	}
 }
 
-// scanLine tokenizes the body of one line (indentation already
-// consumed).
-func (l *lexer) scanLine(s string, baseCol int) {
-	i := 0
-	col := func() int { return baseCol + i + 1 }
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ':
+// scan returns the next token of the line body, or false at its end
+// or at an error.
+func (l *lexer) scan() (token, bool) {
+	s, i := l.body, l.i
+	for i < len(s) && s[i] == ' ' {
+		i++
+	}
+	if i == len(s) {
+		l.i = i
+		return token{}, false
+	}
+	start := i
+	col := l.base + start + 1
+	t := token{line: l.line, col: col}
+	c := s[i]
+	switch {
+	case isLetter(c):
+		for i < len(s) && (isLetter(s[i]) || isDigit(s[i]) || s[i] == '.') {
 			i++
-		case isLetter(c):
-			start := i
-			for i < len(s) && (isLetter(s[i]) || isDigit(s[i]) || s[i] == '.') {
-				i++
-			}
-			word := s[start:i]
-			kind := tokIdent
-			if keywords[word] {
-				kind = tokKeyword
-			}
-			l.emit(token{kind: kind, text: word, line: l.line, col: baseCol + start + 1})
-		case isDigit(c):
-			start := i
-			v := int64(0)
-			for i < len(s) && isDigit(s[i]) {
-				v = v*10 + int64(s[i]-'0')
-				i++
-			}
-			l.emit(token{kind: tokNumber, text: s[start:i], val: v, line: l.line, col: baseCol + start + 1})
-		case c == '#':
-			start := i
+		}
+		t.kind, t.text = tokIdent, s[start:i]
+		if isKeyword(t.text) {
+			t.kind = tokKeyword
+		}
+	case isDigit(c):
+		v := int64(0)
+		for i < len(s) && isDigit(s[i]) {
+			v = v*10 + int64(s[i]-'0')
 			i++
-			v := int64(0)
-			n := 0
-			for i < len(s) && isHex(s[i]) {
-				v = v*16 + int64(hexVal(s[i]))
-				i++
-				n++
+		}
+		t.kind, t.text, t.val = tokNumber, s[start:i], v
+	case c == '#':
+		i++
+		v := int64(0)
+		for i < len(s) && isHex(s[i]) {
+			v = v*16 + int64(hexVal(s[i]))
+			i++
+		}
+		if i == start+1 {
+			l.fail(l.base+i+1, "malformed hex literal")
+			return token{}, false
+		}
+		t.kind, t.text, t.val = tokNumber, s[start:i], v
+	case c == '\'':
+		if i+2 < len(s) && s[i+2] == '\'' {
+			t.kind, t.val = tokChar, int64(s[i+1])
+			i += 3
+		} else if i+3 < len(s) && s[i+1] == '*' && s[i+3] == '\'' {
+			// occam escapes: *c carriage return, *n newline, *t tab,
+			// *s space, *' quote, ** asterisk.
+			v, ok := occamEscape(s[i+2])
+			if !ok {
+				l.fail(col, "unknown character escape")
+				return token{}, false
 			}
-			if n == 0 {
-				l.fail(col(), "malformed hex literal")
-				return
-			}
-			l.emit(token{kind: tokNumber, text: s[start:i], val: v, line: l.line, col: baseCol + start + 1})
-		case c == '\'':
-			if i+2 < len(s) && s[i+2] == '\'' {
-				l.emit(token{kind: tokChar, val: int64(s[i+1]), line: l.line, col: col()})
-				i += 3
-			} else if i+3 < len(s) && s[i+1] == '*' && s[i+3] == '\'' {
-				// occam escapes: *c carriage return, *n newline, *t tab,
-				// *s space, *' quote, ** asterisk.
-				v, ok := occamEscape(s[i+2])
+			t.kind, t.val = tokChar, int64(v)
+			i += 4
+		} else {
+			l.fail(col, "malformed character literal")
+			return token{}, false
+		}
+	case c == '"':
+		i++
+		var sb strings.Builder
+		for i < len(s) && s[i] != '"' {
+			if s[i] == '*' && i+1 < len(s) {
+				v, ok := occamEscape(s[i+1])
 				if !ok {
-					l.fail(col(), "unknown character escape")
-					return
+					l.fail(l.base+i+1, "unknown string escape")
+					return token{}, false
 				}
-				l.emit(token{kind: tokChar, val: int64(v), line: l.line, col: col()})
-				i += 4
-			} else {
-				l.fail(col(), "malformed character literal")
-				return
+				sb.WriteByte(v)
+				i += 2
+				continue
 			}
-		case c == '"':
-			start := i
+			sb.WriteByte(s[i])
 			i++
-			var sb strings.Builder
-			for i < len(s) && s[i] != '"' {
-				if s[i] == '*' && i+1 < len(s) {
-					v, ok := occamEscape(s[i+1])
-					if !ok {
-						l.fail(col(), "unknown string escape")
-						return
-					}
-					sb.WriteByte(v)
-					i += 2
-					continue
-				}
-				sb.WriteByte(s[i])
-				i++
-			}
-			if i >= len(s) {
-				l.fail(baseCol+start+1, "unterminated string")
-				return
-			}
-			i++
-			l.emit(token{kind: tokString, text: sb.String(), line: l.line, col: baseCol + start + 1})
-		default:
-			// Symbols, longest first.
-			rest := s[i:]
-			sym := ""
-			for _, cand := range []string{":=", "<=", ">=", "<>", "<<", ">>", "/\\", "\\/", "><",
-				"(", ")", "[", "]", ",", ":", "=", "<", ">", "+", "-", "*", "/", "\\", "!", "?", "&", ";"} {
-				if strings.HasPrefix(rest, cand) {
-					sym = cand
-					break
-				}
-			}
-			if sym == "" {
-				l.fail(col(), "unexpected character "+string(c))
-				return
-			}
-			l.emit(token{kind: tokSymbol, text: sym, line: l.line, col: col()})
-			i += len(sym)
+		}
+		if i >= len(s) {
+			l.fail(col, "unterminated string")
+			return token{}, false
+		}
+		i++
+		t.kind, t.text = tokString, sb.String()
+	default:
+		sym := symbolAt(s[i:])
+		if sym == "" {
+			l.fail(col, "unexpected character "+string(c))
+			return token{}, false
+		}
+		t.kind, t.text = tokSymbol, sym
+		i += len(sym)
+	}
+	l.i = i
+	return t, true
+}
+
+// symbolAt returns the symbol s starts with, longest first, or "".
+func symbolAt(s string) string {
+	if len(s) >= 2 {
+		switch s[:2] {
+		case ":=", "<=", ">=", "<>", "<<", ">>", "/\\", "\\/", "><":
+			return s[:2]
 		}
 	}
+	switch s[0] {
+	case '(', ')', '[', ']', ',', ':', '=', '<', '>', '+', '-', '*', '/', '\\', '!', '?', '&', ';':
+		return s[:1]
+	}
+	return ""
 }
 
 func occamEscape(c byte) (byte, bool) {

@@ -1,42 +1,55 @@
 package occam
 
 // Recursive-descent parser over the indentation-structured token
-// stream.
+// stream, which it pulls from the lexer with one token of lookahead.
 
 type parser struct {
-	toks []token
-	pos  int
+	lx  *lexer
+	tok token // the next token
 }
 
-func parse(src string) (process, *Err) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+// parse parses a program; tokens is the number of tokens it read.
+func parse(src string) (prog process, tokens int, err *Err) {
+	p := &parser{lx: newLexer(src)}
+	p.tok = p.lx.token()
 	var e *Err
 	var proc process
 	func() {
 		defer func() {
+			// The recover that bounds parser.fail: its *Err is the
+			// diagnostic.
 			if r := recover(); r != nil {
 				if pe, ok := r.(*Err); ok {
 					e = pe
 					return
 				}
+				// Not a diagnostic but a compiler bug: no recover in this
+				// package bounds it, and it reaches the caller as it is.
 				panic(r)
 			}
 		}()
 		proc = p.parseProcess()
 		p.expect(tokEOF, "")
 	}()
-	return proc, e
+	// A lexical error anywhere in the source is the one reported, even
+	// past a syntax error: read on to the end to find one.
+	for e != nil && p.lx.err == nil && p.tok.kind != tokEOF {
+		p.tok = p.lx.token()
+	}
+	if p.lx.err != nil {
+		return nil, 0, p.lx.err
+	}
+	return proc, p.lx.tokens, e
 }
 
 // ---- token plumbing -------------------------------------------------
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) back()       { p.pos-- }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token {
+	t := p.tok
+	p.tok = p.lx.token()
+	return t
+}
 
 func (p *parser) at(kind tokenKind, text string) bool {
 	t := p.peek()
@@ -48,7 +61,7 @@ func (p *parser) at(kind tokenKind, text string) bool {
 
 func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -66,6 +79,8 @@ func (p *parser) expect(kind tokenKind, text string) token {
 	return p.next()
 }
 
+// fail aborts parsing with a diagnostic at t; parse's recover turns the
+// panic back into the *Err it returns.
 func (p *parser) fail(t token, format string, args ...interface{}) {
 	panic(errf(t.line, t.col, format, args...))
 }
@@ -515,11 +530,16 @@ func (p *parser) parseSimple() process {
 
 // ---- expressions ----------------------------------------------------
 
-var binaryOps = map[string]bool{
-	"+": true, "-": true, "*": true, "/": true, "\\": true,
-	"/\\": true, "\\/": true, "><": true, "<<": true, ">>": true,
-	"=": true, "<>": true, "<": true, ">": true, "<=": true, ">=": true,
-	"AND": true, "OR": true, "AFTER": true,
+// isBinaryOp reports whether a symbol or keyword is a binary operator.
+func isBinaryOp(text string) bool {
+	switch text {
+	case "+", "-", "*", "/", "\\",
+		"/\\", "\\/", "><", "<<", ">>",
+		"=", "<>", "<", ">", "<=", ">=",
+		"AND", "OR", "AFTER":
+		return true
+	}
+	return false
 }
 
 // parseExpr parses an operand sequence.  Occam operators have no
@@ -531,10 +551,7 @@ func (p *parser) parseExpr() expr {
 	for {
 		t := p.peek()
 		op := ""
-		if t.kind == tokSymbol && binaryOps[t.text] {
-			op = t.text
-		}
-		if t.kind == tokKeyword && binaryOps[t.text] {
+		if (t.kind == tokSymbol || t.kind == tokKeyword) && isBinaryOp(t.text) {
 			op = t.text
 		}
 		if op == "" {

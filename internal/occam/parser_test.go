@@ -7,7 +7,7 @@ import (
 
 func parseOK(t *testing.T, src string) process {
 	t.Helper()
-	p, err := parse(src)
+	p, _, err := parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestParsePlace(t *testing.T) {
 }
 
 func TestParseMixedOperatorsRejected(t *testing.T) {
-	_, err := parse("x := 1 + 2 * 3\n")
+	_, _, err := parse("x := 1 + 2 * 3\n")
 	if err == nil {
 		t.Fatal("mixed operators without parentheses should be rejected")
 	}
@@ -208,7 +208,7 @@ func TestParseErrors(t *testing.T) {
 		"x + 1\n",              // expression is not a process
 	}
 	for _, src := range cases {
-		if _, err := parse(src); err == nil {
+		if _, _, err := parse(src); err == nil {
 			t.Errorf("parse(%q) should fail", src)
 		}
 	}

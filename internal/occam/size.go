@@ -171,7 +171,7 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 // par sizes a PAR: components are stacked downward from the frame
 // base; each consumes above+below words.
 func (s *sizer) par(v *parProc, f *frame) (temps, depth int) {
-	info := s.c.parsInfo[v]
+	info := v.info
 	t := 0
 	if v.rep != nil {
 		comp := info.frames[0]

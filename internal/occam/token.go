@@ -59,14 +59,18 @@ func (t token) String() string {
 	}
 }
 
-// keywords of the subset.
-var keywords = map[string]bool{
-	"SEQ": true, "PAR": true, "ALT": true, "IF": true, "WHILE": true,
-	"PRI": true, "SKIP": true, "STOP": true, "VAR": true, "CHAN": true,
-	"DEF": true, "PROC": true, "VALUE": true, "TRUE": true, "FALSE": true,
-	"NOT": true, "AND": true, "OR": true, "AFTER": true, "FOR": true,
-	"TIME": true, "PLACE": true, "AT": true, "ANY": true,
-	"PLACED": true, "PROCESSOR": true, "BYTE": true,
+// isKeyword reports whether a word is a keyword of the subset.
+func isKeyword(word string) bool {
+	switch word {
+	case "SEQ", "PAR", "ALT", "IF", "WHILE",
+		"PRI", "SKIP", "STOP", "VAR", "CHAN",
+		"DEF", "PROC", "VALUE", "TRUE", "FALSE",
+		"NOT", "AND", "OR", "AFTER", "FOR",
+		"TIME", "PLACE", "AT", "ANY",
+		"PLACED", "PROCESSOR", "BYTE":
+		return true
+	}
+	return false
 }
 
 // Err is a compile-time diagnostic with position.

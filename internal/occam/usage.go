@@ -1,7 +1,5 @@
 package occam
 
-import "sort"
-
 // Usage checking — the static discipline behind the paper's design
 // correctness story (section 2.2.1): occam's parallel components must
 // be disjoint.  A variable assigned in one component of a PAR may not
@@ -36,36 +34,69 @@ func (a entity) overlaps(b entity) bool {
 	return true // a whole-array use overlaps every element
 }
 
-// effects records what a process does to each entity.
-type effects struct {
-	read    map[entity]bool
-	written map[entity]bool
-	input   map[entity]bool
-	output  map[entity]bool
+// entityBefore is the order effect sets keep: by the declaring
+// symbol's position and then name, then the whole array before its
+// elements, then by element index.  Distinct symbols never share a
+// declaration position and name, so no two distinct entities tie.
+func entityBefore(a, b entity) bool {
+	if a.sym != b.sym {
+		if a.sym.pos.line != b.sym.pos.line {
+			return a.sym.pos.line < b.sym.pos.line
+		}
+		if a.sym.pos.col != b.sym.pos.col {
+			return a.sym.pos.col < b.sym.pos.col
+		}
+		return a.sym.name < b.sym.name
+	}
+	if a.indexed != b.indexed {
+		return !a.indexed
+	}
+	return a.idx < b.idx
 }
 
-func newEffects() *effects {
-	return &effects{
-		read:    make(map[entity]bool),
-		written: make(map[entity]bool),
-		input:   make(map[entity]bool),
-		output:  make(map[entity]bool),
+// entitySet is a set of entities, kept in entityBefore order.  The sets
+// of a process are small, so a sorted slice beats a map both to fill
+// and to scan in order.
+type entitySet []entity
+
+// add puts an entity in the set.
+func (s *entitySet) add(e entity) {
+	set := *s
+	lo, hi := 0, len(set)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if entityBefore(set[mid], e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	if lo < len(set) && set[lo] == e {
+		return
+	}
+	set = append(set, entity{})
+	copy(set[lo+1:], set[lo:])
+	set[lo] = e
+	*s = set
+}
+
+// addAll puts every entity of o in the set.
+func (s *entitySet) addAll(o entitySet) {
+	for _, e := range o {
+		s.add(e)
+	}
+}
+
+// effects records what a process does to each entity.
+type effects struct {
+	read, written, input, output entitySet
 }
 
 func (e *effects) merge(o *effects) {
-	for s := range o.read {
-		e.read[s] = true
-	}
-	for s := range o.written {
-		e.written[s] = true
-	}
-	for s := range o.input {
-		e.input[s] = true
-	}
-	for s := range o.output {
-		e.output[s] = true
-	}
+	e.read.addAll(o.read)
+	e.written.addAll(o.written)
+	e.input.addAll(o.input)
+	e.output.addAll(o.output)
 }
 
 // entityOf resolves a symbol with an optional subscript expression to
@@ -88,44 +119,39 @@ type paramEffects struct {
 // checkUsage walks the program, validating every PAR and computing
 // PROC summaries along the way.
 func (c *checker) checkUsage(prog process) *Err {
-	c.procEffects = make(map[*procInfo][]paramEffects)
-	_, err := c.usage(prog)
-	return err
+	return c.usage(prog, &effects{})
 }
 
-// usage returns the effects of a process, checking nested PARs.
-func (c *checker) usage(p process) (*effects, *Err) {
-	e := newEffects()
+// usage adds the effects of a process to e, checking nested PARs.  A
+// process's effects are those of its parts, so only a PAR's components
+// and a PROC's body collect theirs apart.
+func (c *checker) usage(p process, e *effects) *Err {
 	switch v := p.(type) {
 	case *skipProc, *stopProc:
 	case *placedPar:
 		// Components run on different transputers; nothing shared.
 		for i := range v.components {
-			if _, err := c.usage(v.components[i].body); err != nil {
-				return nil, err
+			if err := c.usage(v.components[i].body, &effects{}); err != nil {
+				return err
 			}
 		}
 	case *declProc:
 		for _, d := range v.decls {
 			if pd, ok := d.(*procDecl); ok {
 				if err := c.summariseProc(pd); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
-		sub, err := c.usage(v.body)
-		if err != nil {
-			return nil, err
-		}
-		e.merge(sub)
+		return c.usage(v.body, e)
 	case *assignProc:
 		c.exprReads(e, v.value)
 		if v.index != nil {
 			c.exprReads(e, v.index)
 		}
-		e.written[entityOf(v.target.sym, v.index)] = true
+		e.written.add(entityOf(v.target.sym, v.index))
 	case *outputProc:
-		e.output[entityOf(v.ch.sym, v.chIdx)] = true
+		e.output.add(entityOf(v.ch.sym, v.chIdx))
 		if v.chIdx != nil {
 			c.exprReads(e, v.chIdx)
 		}
@@ -133,13 +159,13 @@ func (c *checker) usage(p process) (*effects, *Err) {
 			c.exprReads(e, val)
 		}
 	case *inputProc:
-		e.input[entityOf(v.ch.sym, v.chIdx)] = true
+		e.input.add(entityOf(v.ch.sym, v.chIdx))
 		if v.chIdx != nil {
 			c.exprReads(e, v.chIdx)
 		}
 		for _, tgt := range v.targets {
 			if tgt.name != nil {
-				e.written[entityOf(tgt.name.sym, tgt.index)] = true
+				e.written.add(entityOf(tgt.name.sym, tgt.index))
 				if tgt.index != nil {
 					c.exprReads(e, tgt.index)
 				}
@@ -149,7 +175,7 @@ func (c *checker) usage(p process) (*effects, *Err) {
 		if v.after != nil {
 			c.exprReads(e, v.after)
 		} else {
-			e.written[entityOf(v.target.sym, v.index)] = true
+			e.written.add(entityOf(v.target.sym, v.index))
 			if v.index != nil {
 				c.exprReads(e, v.index)
 			}
@@ -160,27 +186,19 @@ func (c *checker) usage(p process) (*effects, *Err) {
 			c.exprReads(e, v.rep.count)
 		}
 		for _, sub := range v.procs {
-			se, err := c.usage(sub)
-			if err != nil {
-				return nil, err
+			if err := c.usage(sub, e); err != nil {
+				return err
 			}
-			e.merge(se)
 		}
 	case *whileProc:
 		c.exprReads(e, v.cond)
-		se, err := c.usage(v.body)
-		if err != nil {
-			return nil, err
-		}
-		e.merge(se)
+		return c.usage(v.body, e)
 	case *ifProc:
 		for _, br := range v.branches {
 			c.exprReads(e, br.cond)
-			se, err := c.usage(br.body)
-			if err != nil {
-				return nil, err
+			if err := c.usage(br.body, e); err != nil {
+				return err
 			}
-			e.merge(se)
 		}
 	case *altProc:
 		for i := range v.branches {
@@ -188,16 +206,12 @@ func (c *checker) usage(p process) (*effects, *Err) {
 			if br.cond != nil {
 				c.exprReads(e, br.cond)
 			}
-			ge, err := c.usage(br.input)
-			if err != nil {
-				return nil, err
+			if err := c.usage(br.input, e); err != nil {
+				return err
 			}
-			e.merge(ge)
-			be, err := c.usage(br.body)
-			if err != nil {
-				return nil, err
+			if err := c.usage(br.body, e); err != nil {
+				return err
 			}
-			e.merge(be)
 		}
 		if v.rep != nil {
 			c.exprReads(e, v.rep.base)
@@ -208,27 +222,22 @@ func (c *checker) usage(p process) (*effects, *Err) {
 			// Replicated PAR: collect effects but do not pairwise
 			// check (see the package comment).
 			c.exprReads(e, v.rep.base)
-			se, err := c.usage(v.procs[0])
-			if err != nil {
-				return nil, err
-			}
-			e.merge(se)
-			return e, nil
+			return c.usage(v.procs[0], e)
 		}
-		comps := make([]*effects, len(v.procs))
+		comps := make([]effects, len(v.procs))
 		for i, sub := range v.procs {
-			se, err := c.usage(sub)
-			if err != nil {
-				return nil, err
+			if err := c.usage(sub, &comps[i]); err != nil {
+				return err
 			}
-			comps[i] = se
-			e.merge(se)
 		}
 		if err := checkDisjoint(v.pos, comps); err != nil {
-			return nil, err
+			return err
+		}
+		for i := range comps {
+			e.merge(&comps[i])
 		}
 	case *callProc:
-		summary := c.procEffects[v.sym.proc]
+		summary := v.sym.proc.effects
 		for i, arg := range v.args {
 			pe := paramEffects{read: true}
 			if i < len(summary) {
@@ -237,7 +246,7 @@ func (c *checker) usage(p process) (*effects, *Err) {
 			c.argEffects(e, arg, v.sym.proc.params[i], pe)
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // exprReads marks every variable an expression reads.
@@ -247,14 +256,14 @@ func (c *checker) exprReads(e *effects, ex expr) {
 		if v.sym != nil {
 			switch v.sym.kind {
 			case symVar, symRep, symParam:
-				e.read[entity{sym: v.sym}] = true
+				e.read.add(entity{sym: v.sym})
 			}
 		}
 	case *indexExpr:
 		if v.base.sym != nil {
 			switch v.base.sym.kind {
 			case symVar, symRep, symParam:
-				e.read[entityOf(v.base.sym, v.index)] = true
+				e.read.add(entityOf(v.base.sym, v.index))
 			}
 		}
 		c.exprReads(e, v.index)
@@ -291,17 +300,17 @@ func (c *checker) argEffects(e *effects, arg expr, formal *symbol, pe paramEffec
 		c.exprReads(e, arg)
 	case paramVar:
 		if pe.read {
-			e.read[ent] = true
+			e.read.add(ent)
 		}
 		if pe.written {
-			e.written[ent] = true
+			e.written.add(ent)
 		}
 	case paramChan:
 		if pe.input {
-			e.input[ent] = true
+			e.input.add(ent)
 		}
 		if pe.output {
-			e.output[ent] = true
+			e.output.add(ent)
 		}
 	}
 }
@@ -309,31 +318,29 @@ func (c *checker) argEffects(e *effects, arg expr, formal *symbol, pe paramEffec
 // summariseProc computes (once) the per-parameter effects of a PROC.
 func (c *checker) summariseProc(pd *procDecl) *Err {
 	info := pd.sym.proc
-	if _, done := c.procEffects[info]; done {
+	if info.summarised {
 		return nil
 	}
-	body, err := c.usage(pd.body)
-	if err != nil {
+	var body effects
+	if err := c.usage(pd.body, &body); err != nil {
 		return err
 	}
 	summary := make([]paramEffects, len(info.params))
 	for i, psym := range info.params {
 		summary[i] = paramEffects{
-			read:    body.touches(psym, body.read),
-			written: body.touches(psym, body.written),
-			input:   body.touches(psym, body.input),
-			output:  body.touches(psym, body.output),
+			read:    body.read.touches(psym),
+			written: body.written.touches(psym),
+			input:   body.input.touches(psym),
+			output:  body.output.touches(psym),
 		}
 	}
-	c.procEffects[info] = summary
+	info.effects, info.summarised = summary, true
 	return nil
 }
 
-// touches reports whether any entity of the given symbol appears in
-// the set.
-func (e *effects) touches(sym *symbol, set map[entity]bool) bool {
-	//tvet:ignore detrange existence scan returning a constant; the result is iteration-order-invisible
-	for ent := range set {
+// touches reports whether any entity of the given symbol is in the set.
+func (s entitySet) touches(sym *symbol) bool {
+	for _, ent := range s {
 		if ent.sym == sym {
 			return true
 		}
@@ -342,13 +349,11 @@ func (e *effects) touches(sym *symbol, set map[entity]bool) bool {
 }
 
 // anyOverlap finds an entity in a that overlaps one in b.  Both sets
-// are scanned in source order so that when several entities conflict,
-// the one named in the compile error does not depend on map iteration
-// order.
-func anyOverlap(a, b map[entity]bool) (entity, bool) {
-	as, bs := sortedEntities(a), sortedEntities(b)
-	for _, ea := range as {
-		for _, eb := range bs {
+// are scanned in order, so that when several entities conflict, the
+// one named in the compile error is the first by declaration.
+func anyOverlap(a, b entitySet) (entity, bool) {
+	for _, ea := range a {
+		for _, eb := range b {
 			if ea.overlaps(eb) {
 				return ea, true
 			}
@@ -357,37 +362,11 @@ func anyOverlap(a, b map[entity]bool) (entity, bool) {
 	return entity{}, false
 }
 
-// sortedEntities flattens a usage set into a slice ordered by the
-// declaring symbol's position, then by element index.
-func sortedEntities(set map[entity]bool) []entity {
-	out := make([]entity, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.sym != b.sym {
-			if a.sym.pos.line != b.sym.pos.line {
-				return a.sym.pos.line < b.sym.pos.line
-			}
-			if a.sym.pos.col != b.sym.pos.col {
-				return a.sym.pos.col < b.sym.pos.col
-			}
-			return a.sym.name < b.sym.name
-		}
-		if a.indexed != b.indexed {
-			return !a.indexed
-		}
-		return a.idx < b.idx
-	})
-	return out
-}
-
 // checkDisjoint enforces the PAR rules across component effects.
-func checkDisjoint(at pos, comps []*effects) *Err {
+func checkDisjoint(at pos, comps []effects) *Err {
 	for i := 0; i < len(comps); i++ {
 		for j := i + 1; j < len(comps); j++ {
-			a, b := comps[i], comps[j]
+			a, b := &comps[i], &comps[j]
 			if ent, bad := anyOverlap(a.written, b.written); bad {
 				return usageErr(at, ent, "assigned in one component of a PAR and used in another")
 			}
