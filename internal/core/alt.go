@@ -23,24 +23,15 @@ func (m *Machine) enableChannel() {
 			if m.eventEnable(func() { m.altChannelReady(wdesc) }) {
 				m.setWordIndex(w, wsState, m.altReady())
 			}
-		} else if e, ok := m.vchanChannel(ch); ok {
-			if e.out {
-				m.fault("alternative on output vchan channel", ch)
-			} else if m.vcExt != nil {
-				wdesc := m.Wdesc
-				if m.vcExt.EnableInputVC(e.link, e.vc, func() { m.altChannelReady(wdesc) }) {
-					m.setWordIndex(w, wsState, m.altReady())
-				}
-			}
-		} else if link, isOut, ok := m.externalChannel(ch); ok {
-			if isOut {
-				m.fault("alternative on output link channel", ch)
+		} else if x := m.externalEnd(ch); x != nil {
+			if x.output {
+				m.fault("alternative on output "+x.end.noun()+" channel", ch)
 			} else if m.ext != nil {
 				wdesc := m.Wdesc
-				if m.ext.EnableInput(link, func() { m.altChannelReady(wdesc) }) {
+				if m.ext.EnableInput(x.end, func() { m.altChannelReady(wdesc) }) {
 					m.setWordIndex(w, wsState, m.altReady())
 				} else {
-					m.altLinks |= 1 << uint(link)
+					m.altLinks |= 1 << uint(x.end.Link())
 				}
 			}
 		} else {
@@ -101,14 +92,10 @@ func (m *Machine) disableChannel() {
 	if guard != 0 {
 		if m.isEventChannel(ch) {
 			fired = m.eventDisable()
-		} else if e, ok := m.vchanChannel(ch); ok {
-			if !e.out && m.vcExt != nil {
-				fired = m.vcExt.DisableInputVC(e.link, e.vc)
-			}
-		} else if link, isOut, ok := m.externalChannel(ch); ok {
-			if !isOut && m.ext != nil {
-				fired = m.ext.DisableInput(link)
-				m.altLinks &^= 1 << uint(link)
+		} else if x := m.externalEnd(ch); x != nil {
+			if !x.output && m.ext != nil {
+				fired = m.ext.DisableInput(x.end)
+				m.altLinks &^= 1 << uint(x.end.Link())
 			}
 		} else {
 			chWord := m.word(ch)

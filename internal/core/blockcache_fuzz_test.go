@@ -141,27 +141,30 @@ func (f *fakeLinks) begin(link, dir int, ptr uint64, count int, done func()) {
 	}
 }
 
-func (f *fakeLinks) BeginOutput(link int, ptr uint64, count int, done func()) {
-	f.begin(link, 1, ptr, count, done)
+func (f *fakeLinks) BeginOutput(c core.End, ptr uint64, count int, done func()) {
+	f.begin(c.Link(), 1, ptr, count, done)
 }
 
-func (f *fakeLinks) BeginInput(link int, ptr uint64, count int, done func()) {
-	f.begin(link, 0, ptr, count, done)
+func (f *fakeLinks) BeginInput(c core.End, ptr uint64, count int, done func()) {
+	f.begin(c.Link(), 0, ptr, count, done)
 }
 
-func (f *fakeLinks) EnableInput(link int, ready func()) bool {
-	if f.fired[link] {
+func (f *fakeLinks) EnableInput(c core.End, ready func()) bool {
+	if f.fired[c.Link()] {
 		return true
 	}
-	f.armed[link] = ready
+	f.armed[c.Link()] = ready
 	return false
 }
 
-func (f *fakeLinks) DisableInput(link int) bool {
-	fired := f.fired[link]
-	f.armed[link], f.fired[link] = nil, false
+func (f *fakeLinks) DisableInput(c core.End) bool {
+	fired := f.fired[c.Link()]
+	f.armed[c.Link()], f.fired[c.Link()] = nil, false
 	return fired
 }
+
+func (f *fakeLinks) HandoffFlow(c core.End, flow uint64) {}
+func (f *fakeLinks) TransferFlow(c core.End) uint64      { return 0 }
 
 // injection is one thing the link engine does to the machine at time
 // at: move the next byte of a transfer (completing it with the last),

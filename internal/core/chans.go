@@ -36,19 +36,12 @@ func (m *Machine) outputMessage() int {
 		m.fault("output on the event channel", chAddr)
 		return 1
 	}
-	if e, ok := m.vchanChannel(chAddr); ok {
-		if !e.out {
-			m.fault("output on input vchan channel", chAddr)
+	if x := m.externalEnd(chAddr); x != nil {
+		if !x.output {
+			m.fault("output on input "+x.end.noun()+" channel", chAddr)
 			return 1
 		}
-		return m.vchanTransfer(e, chAddr, ptr, count, true)
-	}
-	if link, isOut, ok := m.externalChannel(chAddr); ok {
-		if !isOut {
-			m.fault("output on input link channel", chAddr)
-			return 1
-		}
-		return m.externalTransfer(link, chAddr, ptr, count, true)
+		return m.externalTransfer(x, chAddr, ptr, count)
 	}
 
 	chWord := m.word(chAddr)
@@ -116,19 +109,12 @@ func (m *Machine) inputMessage() int {
 	if m.isEventChannel(chAddr) {
 		return m.eventInput()
 	}
-	if e, ok := m.vchanChannel(chAddr); ok {
-		if e.out {
-			m.fault("input on output vchan channel", chAddr)
+	if x := m.externalEnd(chAddr); x != nil {
+		if x.output {
+			m.fault("input on output "+x.end.noun()+" channel", chAddr)
 			return 1
 		}
-		return m.vchanTransfer(e, chAddr, ptr, count, false)
-	}
-	if link, isOut, ok := m.externalChannel(chAddr); ok {
-		if isOut {
-			m.fault("input on output link channel", chAddr)
-			return 1
-		}
-		return m.externalTransfer(link, chAddr, ptr, count, false)
+		return m.externalTransfer(x, chAddr, ptr, count)
 	}
 
 	chWord := m.word(chAddr)
@@ -173,16 +159,17 @@ func (m *Machine) completeTransfer(partner uint64, count int) int {
 	return commInlineCycleLimit
 }
 
-// extXfer is the machine's record of one link transfer between the
+// extXfer is the machine's record of one external transfer between the
 // message instruction that starts it and the engine's completion call.
-// A link direction carries one transfer at a time, so the record (and
-// the completion callback bound to it, built on first use) belongs to
-// the direction and starting a message allocates nothing.
+// An external channel end — a link direction, or a mapped vchan word —
+// carries one transfer at a time, so the record (and the completion
+// callback bound to it, built on first use) belongs to the end and
+// starting a message allocates nothing.
 type extXfer struct {
-	busy   bool
+	end    End
 	output bool
-	extra  bool // not a direction's own record: counted in extraXfers
-	link   int
+	busy   bool
+	extra  bool // not an end's own record: counted in extraXfers
 	ptr    uint64
 	count  int
 	wdesc  uint64
@@ -191,32 +178,27 @@ type extXfer struct {
 	done   func() // m.finishExternal(x), built once per record
 }
 
-// externalTransfer hands a message over to the link engine and
-// deschedules the process; the engine reschedules it when the last
-// byte is acknowledged.
-func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, output bool) int {
+// externalTransfer hands a message on the end whose record is x over to
+// the link engine and deschedules the process; the engine reschedules
+// it when the last byte is acknowledged (out) or delivered (in).
+func (m *Machine) externalTransfer(x *extXfer, chAddr, ptr uint64, count int) int {
 	if m.ext == nil {
-		m.fault("no link engine attached", uint64(link))
+		m.fault("no link engine attached", uint64(x.end.Link()))
 		return 1
 	}
-	dir := 0
-	if output {
-		dir = 1
-	}
-	x := &m.xfers[link][dir]
 	if x.busy {
 		// A second process on a channel end already in use — an occam
 		// program error the engine answers by never completing the
 		// transfer — or a transfer aborted by a link resync.  Either way
-		// the direction's record still describes the earlier message, so
-		// this one gets a record of its own.
-		x = &extXfer{extra: true}
+		// the end's record still describes the earlier message, so this
+		// one gets a record of its own.
+		x = &extXfer{end: x.end, output: x.output, extra: true}
 		m.extraXfers++
 	}
 	if x.done == nil {
 		x.done = func() { m.finishExternal(x) }
 	}
-	x.busy, x.output, x.link, x.ptr, x.count = true, output, link, ptr, count
+	x.busy, x.ptr, x.count = true, ptr, count
 	x.wdesc, x.ip, x.flow = m.Wdesc, m.Iptr, 0
 	if m.bus != nil {
 		// Outputs mint the flow here and hand it to the engine so every
@@ -224,30 +206,25 @@ func (m *Machine) externalTransfer(link int, chAddr, ptr uint64, count int, outp
 		// carries it across the wire; inputs learn their flow from the
 		// first packet that lands, so ask the engine — twice, since at
 		// start nothing may have arrived yet.
-		if output {
+		if x.output {
 			x.flow = m.newFlow()
-			if m.flowExt != nil {
-				m.flowExt.HandoffFlow(link, true, x.flow)
-			}
-		} else if m.flowExt != nil {
-			x.flow = m.flowExt.TransferFlow(link, false)
+			m.ext.HandoffFlow(x.end, x.flow)
+		} else {
+			x.flow = m.ext.TransferFlow(x.end)
 		}
-		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: x.wdesc, Link: link,
-			Bytes: count, Out: output, Flow: x.flow, IP: x.ip})
+		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: x.wdesc, Link: x.end.Link(),
+			Bytes: count, Out: x.output, Arg: x.end.arg(), Flow: x.flow, IP: x.ip})
 	}
-	kind := BlockLinkIn
-	if output {
-		kind = BlockLinkOut
-	}
-	m.blockOnComm(kind, chAddr, link)
-	if output {
+	if x.output {
+		m.blockOnComm(BlockLinkOut, chAddr, x.end.Link())
 		m.stats.ExternalOut++
 		m.stats.BytesOut += uint64(count)
-		m.ext.BeginOutput(link, ptr, count, x.done)
+		m.ext.BeginOutput(x.end, ptr, count, x.done)
 	} else {
+		m.blockOnComm(BlockLinkIn, chAddr, x.end.Link())
 		m.stats.ExternalIn++
 		m.stats.BytesIn += uint64(count)
-		m.ext.BeginInput(link, ptr, count, x.done)
+		m.ext.BeginInput(x.end, ptr, count, x.done)
 	}
 	return isa.CommunicationCycles(0, m.wordBits)
 }
@@ -261,11 +238,11 @@ func (m *Machine) finishExternal(x *extXfer) {
 	}
 	if m.bus != nil {
 		f := x.flow
-		if !x.output && m.flowExt != nil {
-			f = m.flowExt.TransferFlow(x.link, false)
+		if !x.output {
+			f = m.ext.TransferFlow(x.end)
 		}
-		m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: x.wdesc, Link: x.link,
-			Bytes: x.count, Out: x.output, Flow: f, IP: x.ip})
+		m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: x.wdesc, Link: x.end.Link(),
+			Bytes: x.count, Out: x.output, Arg: x.end.arg(), Flow: f, IP: x.ip})
 	}
 	m.wake(x.wdesc)
 }

@@ -109,32 +109,51 @@ func (c Config) validate() error {
 // transputers.
 const NumLinks = 4
 
-// External is implemented by the link engine.  BeginOutput/BeginInput
-// are called when a process executes a message instruction on an
-// external channel; the process has already been descheduled, and the
-// engine must call done exactly once when the transfer completes.
-type External interface {
-	BeginOutput(link int, ptr uint64, count int, done func())
-	BeginInput(link int, ptr uint64, count int, done func())
-	// EnableInput arms alternative-input signalling on a link: ready is
-	// called once when input data becomes available.  It returns true
-	// if data is already buffered (the guard is immediately ready).
-	EnableInput(link int, ready func()) bool
-	// DisableInput disarms signalling and reports whether input data is
-	// available.
-	DisableInput(link int) bool
+// End names an external channel end: one of the links, or one virtual
+// channel of a multiplexed link (see vchan.go).  A link's own end is its
+// index, so End(l) and the constants 0 to 3 name the links.
+type End int
+
+// VChanEnd returns the end naming virtual channel vc of link l.
+func VChanEnd(l, vc int) End { return End((vc+1)<<8 | l) }
+
+// Link returns the link the end is on.
+func (c End) Link() int { return int(c) & 0xff }
+
+// VC returns the end's virtual channel, -1 for a link's own end.
+func (c End) VC() int { return int(c>>8) - 1 }
+
+// arg is the end's Arg in probe events: its vchan, 0 for a link's own.
+func (c End) arg() int64 { return int64(max(c.VC(), 0)) }
+
+// noun names the kind of channel word the end decodes from, for faults.
+func (c End) noun() string {
+	if c.VC() >= 0 {
+		return "vchan"
+	}
+	return "link"
 }
 
-// FlowExternal is optionally implemented by an External to carry probe
-// flow identities across link transfers (see probe.FlowTable).  The
-// machine only calls these when a probe bus is attached, so an engine
-// may treat them as trace-only plumbing.
-type FlowExternal interface {
-	// HandoffFlow tells the engine which flow the transfer about to
-	// begin on the given link direction belongs to.
-	HandoffFlow(link int, out bool, flow uint64)
-	// TransferFlow reports the flow currently associated with a link
-	// direction: for inputs, the flow carried by the packets that have
-	// arrived (zero until the first packet lands).
-	TransferFlow(link int, out bool) uint64
+// External is implemented by the link engine.  BeginOutput/BeginInput
+// are called when a process executes a message instruction on an
+// external channel end; the process has already been descheduled, and
+// the engine must call done exactly once when the transfer completes.
+type External interface {
+	BeginOutput(c End, ptr uint64, count int, done func())
+	BeginInput(c End, ptr uint64, count int, done func())
+	// EnableInput arms alternative-input signalling on an input end:
+	// ready is called once when input data becomes available.  It
+	// returns true if data is already buffered (the guard is
+	// immediately ready).
+	EnableInput(c End, ready func()) bool
+	// DisableInput disarms signalling and reports whether input data is
+	// available.
+	DisableInput(c End) bool
+	// HandoffFlow tells the engine which probe flow (see
+	// probe.FlowTable) the output about to begin on c belongs to;
+	// TransferFlow reports the flow carried by the packets that have
+	// arrived on input end c, zero until the first lands.  The machine
+	// calls them only when a probe bus is attached.
+	HandoffFlow(c End, flow uint64)
+	TransferFlow(c End) uint64
 }

@@ -52,13 +52,14 @@ type Machine struct {
 	ext   External
 
 	// xfers holds the link transfer in progress on each link direction
-	// ([link][0] input, [link][1] output; see externalTransfer);
-	// extraXfers counts the open transfers that needed a record of their
-	// own, and altLinks has a bit per link an alternative has armed for
-	// input.  Together with the event and vchan state they are every way
-	// a delivery can reach the machine, which is what running ahead of
-	// the window has to know (see ahead.go); haz is its scratch list of
-	// the memory those deliveries touch, hazLo and hazHi its envelope.
+	// ([link][0] input, [link][1] output; see externalTransfer), as
+	// vchans does a mapped vchan word's; extraXfers counts the open
+	// transfers that needed a record of their own, and altLinks has a
+	// bit per link an alternative has armed for input.  Together with
+	// the event and vchan state they are every way a delivery can reach
+	// the machine, which is what running ahead of the window has to know
+	// (see ahead.go); haz is its scratch list of the memory those
+	// deliveries touch, hazLo and hazHi its envelope.
 	xfers        [NumLinks][2]extXfer
 	extraXfers   int
 	altLinks     uint8
@@ -118,21 +119,16 @@ type Machine struct {
 	bus *probe.Bus
 
 	// Flow-tracing state, only touched when a bus is attached: flows
-	// allocated here are packed (flowOrigin, sequence) pairs, chanFlows
-	// holds the flow offered on each internal channel word between
-	// ChanBlock and ChanRendezvous, and flowExt is the cached
-	// FlowExternal view of ext (nil when the engine doesn't carry
-	// flows).
+	// allocated here are packed (flowOrigin, sequence) pairs, and
+	// chanFlows holds the flow offered on each internal channel word
+	// between ChanBlock and ChanRendezvous.
 	flowOrigin uint64
 	flowSeq    uint64
 	chanFlows  map[uint64]uint64
-	flowExt    FlowExternal
 
-	// Virtual-channel state, nil until the network layer maps a placed
-	// channel word onto a (link, vchan) endpoint: vchans keys masked
-	// channel addresses, vcExt is the cached VChanExternal view of ext.
-	vchans map[uint64]vchanEnd
-	vcExt  VChanExternal
+	// vchans is nil until the network layer maps a placed channel word
+	// onto a vchan end (MapVChan); it keys masked channel addresses.
+	vchans map[uint64]*extXfer
 
 	// bc caches predecoded straight-line instruction blocks; curBlock
 	// and curIdx form the execution cursor: the record after the last
@@ -204,6 +200,10 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.mask = (uint64(1) << uint(cfg.WordBits)) - 1
 	m.signBit = uint64(1) << uint(cfg.WordBits-1)
+	for l := range m.xfers {
+		m.xfers[l][0].end, m.xfers[l][1].end = End(l), End(l)
+		m.xfers[l][1].output = true
+	}
 	m.resetSchedState()
 	return m, nil
 }
@@ -253,8 +253,6 @@ func (m *Machine) resetSchedState() {
 func (m *Machine) Attach(clock sim.Clock, ext External) {
 	m.clock = clock
 	m.ext = ext
-	m.flowExt, _ = ext.(FlowExternal)
-	m.vcExt, _ = ext.(VChanExternal)
 }
 
 // OnReady registers the idle-to-ready callback used by the driver.

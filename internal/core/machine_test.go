@@ -328,19 +328,28 @@ func TestQueueFIFOProperty(t *testing.T) {
 
 func TestLinkChannelAddresses(t *testing.T) {
 	m := testMachine(t)
+	m.MapVChan(m.VChanOutAddr(2, 5), 2, 5, true)
+	type want struct {
+		addr uint64
+		end  End
+		out  bool
+	}
+	var cases []want
 	for i := 0; i < NumLinks; i++ {
-		if link, out, ok := m.externalChannel(m.LinkOutAddr(i)); !ok || !out || link != i {
-			t.Errorf("LinkOutAddr(%d) misclassified: %d %v %v", i, link, out, ok)
-		}
-		if link, out, ok := m.externalChannel(m.LinkInAddr(i)); !ok || out || link != i {
-			t.Errorf("LinkInAddr(%d) misclassified: %d %v %v", i, link, out, ok)
+		cases = append(cases,
+			want{m.LinkOutAddr(i), End(i), true},
+			want{m.LinkInAddr(i), End(i), false})
+	}
+	cases = append(cases, want{m.VChanOutAddr(2, 5), VChanEnd(2, 5), true})
+	for _, c := range cases {
+		if x := m.externalEnd(c.addr); x == nil || x.end != c.end || x.output != c.out {
+			t.Errorf("%#x decodes to %+v, want end %d (link %d vchan %d) out=%v", c.addr, x, c.end, c.end.Link(), c.end.VC(), c.out)
 		}
 	}
-	if _, _, ok := m.externalChannel(m.MemStart()); ok {
-		t.Error("MemStart should not be an external channel")
-	}
-	if _, _, ok := m.externalChannel(m.EventAddr()); ok {
-		t.Error("event channel is not a link channel")
+	for _, addr := range []uint64{m.MemStart(), m.EventAddr(), m.VChanInAddr(2, 5)} {
+		if x := m.externalEnd(addr); x != nil {
+			t.Errorf("%#x is not an external channel end, decodes to %+v", addr, x)
+		}
 	}
 }
 

@@ -83,18 +83,25 @@ func (m *Machine) EventAddr() uint64 {
 	return m.addrOf(uint64(wordEvent * m.bpw))
 }
 
-// externalChannel reports whether addr is a link channel word, and which
-// link and direction it selects.
-func (m *Machine) externalChannel(addr uint64) (link int, output bool, ok bool) {
+// externalEnd decodes a channel word naming an external channel end —
+// a mapped vchan word, else one of the eight link words — to the record
+// of the transfer on that end, which names the end and its direction;
+// nil for any other word.
+func (m *Machine) externalEnd(addr uint64) *extXfer {
+	if m.vchans != nil {
+		if x, ok := m.vchans[addr&m.mask]; ok {
+			return x
+		}
+	}
 	off := m.offset(addr)
 	if off&uint64(m.bpw-1) != 0 || off >= uint64(wordEvent*m.bpw) {
-		return 0, false, false
+		return nil
 	}
 	w := int(off >> m.byteSelectorBits())
 	if w >= wordLink0In {
-		return w - wordLink0In, false, true
+		return &m.xfers[w-wordLink0In][0]
 	}
-	return w, true, true
+	return &m.xfers[w][1]
 }
 
 func (m *Machine) fault(op string, addr uint64) {

@@ -1,21 +1,17 @@
 package core
 
-import (
-	"transputer/internal/isa"
-	"transputer/internal/probe"
-)
-
 // Virtual channels (see internal/link/vchan.go).
 //
 // The paper's channel-address decode gives each link exactly one
 // channel word per direction.  Virtual channels extend the decode: the
 // network layer maps additional channel words — placed by occam
 // programs at the VC%dOUT/VC%dIN convention addresses, or anywhere
-// else outside implemented memory — onto (link, vchan) endpoints of a
+// else outside implemented memory — onto the ends (VChanEnd) of a
 // multiplexed link.  "A process may be written and compiled without
 // knowledge of where its channels are connected" holds unchanged: the
 // same input/output message instructions work on an internal word, a
-// link word or a vchan word.
+// link word or a vchan word, and one transfer path serves the last two
+// (externalTransfer).
 //
 // The mapping lives in a nil-until-used map keyed on the masked
 // channel address, so machines without vchans pay one nil check per
@@ -24,34 +20,6 @@ import (
 // VChanMax bounds the vchan words addressable per direction by the
 // convention layout (matching link.MaxVChans).
 const VChanMax = 32
-
-// vchanEnd is one mapped endpoint: a virtual channel of a link, in one
-// direction.
-type vchanEnd struct {
-	link int
-	vc   int
-	out  bool
-}
-
-// VChanExternal is optionally implemented by an External that can
-// multiplex virtual channels over its links.  The machine calls these
-// only for channel words registered with MapVChan.
-type VChanExternal interface {
-	// BeginOutputVC and BeginInputVC move machine memory over a virtual
-	// channel; done must be called exactly once when the transfer
-	// completes (the process has already been descheduled).
-	BeginOutputVC(link, vc int, ptr uint64, count int, done func())
-	BeginInputVC(link, vc int, ptr uint64, count int, done func())
-	// EnableInputVC arms alternative-input signalling on a virtual
-	// channel; DisableInputVC disarms it and reports data availability.
-	EnableInputVC(link, vc int, ready func()) bool
-	DisableInputVC(link, vc int) bool
-	// HandoffFlowVC and VCFlow carry probe flow identities across vchan
-	// transfers, the vchan analogue of FlowExternal.  Only called when
-	// a probe bus is attached.
-	HandoffFlowVC(link, vc int, flow uint64)
-	VCFlow(link, vc int) uint64
-}
 
 // vchanWords is the word offset of the convention vchan channel-word
 // block from the top of the address space: 4 links × VChanMax vchans ×
@@ -77,74 +45,13 @@ func (m *Machine) VChanInAddr(l, vc int) uint64 {
 	return m.addrOf(m.vchanBase() + uint64(((NumLinks+l)*VChanMax+vc)*m.bpw))
 }
 
-// MapVChan maps the channel word at addr onto the given endpoint.  The
-// network layer calls this for each vchan of a multiplexed link; any
-// address may be used as long as the program treats it purely as a
-// channel name.
-func (m *Machine) MapVChan(addr uint64, link, vc int, out bool) {
+// MapVChan maps the channel word at addr onto virtual channel vc of
+// link l, in the given direction.  The network layer calls this for
+// each vchan of a multiplexed link; any address may be used as long as
+// the program treats it purely as a channel name.
+func (m *Machine) MapVChan(addr uint64, l, vc int, out bool) {
 	if m.vchans == nil {
-		m.vchans = make(map[uint64]vchanEnd)
+		m.vchans = make(map[uint64]*extXfer)
 	}
-	m.vchans[addr&m.mask] = vchanEnd{link: link, vc: vc, out: out}
-}
-
-// vchanChannel reports whether addr is a mapped vchan channel word.
-func (m *Machine) vchanChannel(addr uint64) (vchanEnd, bool) {
-	if m.vchans == nil {
-		return vchanEnd{}, false
-	}
-	e, ok := m.vchans[addr&m.mask]
-	return e, ok
-}
-
-// vchanTransfer hands a message over to the multiplexer and
-// deschedules the process, mirroring externalTransfer: the engine
-// reschedules it when the message's final chunk is acknowledged (out)
-// or fully delivered (in).
-func (m *Machine) vchanTransfer(e vchanEnd, chAddr, ptr uint64, count int, output bool) int {
-	if m.vcExt == nil {
-		m.fault("no vchan multiplexer attached", chAddr)
-		return 1
-	}
-	wdesc := m.Wdesc
-	ip := m.Iptr
-	var fl uint64
-	if m.bus != nil {
-		if output {
-			fl = m.newFlow()
-			m.vcExt.HandoffFlowVC(e.link, e.vc, fl)
-		} else {
-			fl = m.vcExt.VCFlow(e.link, e.vc)
-		}
-	}
-	done := func() {
-		if m.bus != nil {
-			f := fl
-			if !output {
-				f = m.vcExt.VCFlow(e.link, e.vc)
-			}
-			m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: wdesc, Link: e.link,
-				Bytes: count, Out: output, Arg: int64(e.vc), Flow: f, IP: ip})
-		}
-		m.wake(wdesc)
-	}
-	if m.bus != nil {
-		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: wdesc, Link: e.link,
-			Bytes: count, Out: output, Arg: int64(e.vc), Flow: fl, IP: ip})
-	}
-	kind := BlockLinkIn
-	if output {
-		kind = BlockLinkOut
-	}
-	m.blockOnComm(kind, chAddr, e.link)
-	if output {
-		m.stats.ExternalOut++
-		m.stats.BytesOut += uint64(count)
-		m.vcExt.BeginOutputVC(e.link, e.vc, ptr, count, done)
-	} else {
-		m.stats.ExternalIn++
-		m.stats.BytesIn += uint64(count)
-		m.vcExt.BeginInputVC(e.link, e.vc, ptr, count, done)
-	}
-	return isa.CommunicationCycles(0, m.wordBits)
+	m.vchans[addr&m.mask] = &extXfer{end: VChanEnd(l, vc), output: out}
 }

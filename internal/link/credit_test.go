@@ -150,8 +150,8 @@ func TestCreditDisqualifiers(t *testing.T) {
 	ea.EnableVChans(1, 2)
 	eb.EnableVChans(0, 2)
 	got := false
-	eb.RecvVC(0, 1, 8, func([]byte) { got = true })
-	ea.SendVC(1, 1, make([]byte, 8), nil)
+	eb.Recv(core.VChanEnd(0, 1), 8, func([]byte) { got = true })
+	ea.Send(core.VChanEnd(1, 1), make([]byte, 8), nil)
 	c.Run()
 	if cs := eb.CreditStats(); !got || cs != (CreditStats{}) {
 		t.Errorf("mux: delivered=%v, credit used: %+v", got, cs)

@@ -75,30 +75,47 @@ func NewEngine(k sim.Clock, m *core.Machine) *Engine {
 // AttachProbe connects the engine's wires and senders to a probe bus.
 func (e *Engine) AttachProbe(b *probe.Bus) { e.bus = b }
 
-// HandoffFlow implements core.FlowExternal: the machine tells the
-// engine which flow the transfer about to begin on a link belongs to.
-func (e *Engine) HandoffFlow(link int, out bool, flow uint64) {
-	if link < 0 || link >= core.NumLinks {
-		return
+// resolve finds the link an external channel end is on and, when the
+// link is multiplexed, its mux.  ok is false when c names no end this
+// engine has: a link out of range, a vchan of a plain link, the link's
+// own end on a multiplexed one (the mux owns that byte stream), or a
+// vchan past the mux's count.  Every entry point below dispatches on
+// what it returns, so a plain link and a vchan share one method each.
+func (e *Engine) resolve(c core.End) (l int, m *Mux, ok bool) {
+	l = c.Link()
+	if c < 0 || l >= core.NumLinks {
+		return 0, nil, false
 	}
-	if out {
-		e.outs[link].flow = flow
-	} else {
-		e.ins[link].flow = flow
+	vc := c.VC()
+	if m = e.mux[l]; m == nil {
+		return l, nil, vc < 0
+	}
+	return l, m, vc >= 0 && vc < m.n
+}
+
+// HandoffFlow implements core.External: the machine tells the engine
+// which flow the output about to begin on end c belongs to.
+func (e *Engine) HandoffFlow(c core.End, flow uint64) {
+	switch l, m, ok := e.resolve(c); {
+	case !ok:
+	case m != nil:
+		m.out[c.VC()].flow = flow
+	default:
+		e.outs[l].flow = flow
 	}
 }
 
-// TransferFlow implements core.FlowExternal: the flow currently
-// associated with a link direction.  For inputs this is the flow
-// carried by arrived packets, zero until the first one lands.
-func (e *Engine) TransferFlow(link int, out bool) uint64 {
-	if link < 0 || link >= core.NumLinks {
+// TransferFlow implements core.External: the flow carried by the last
+// packet (on a vchan, the last chunk) that arrived on input end c.
+func (e *Engine) TransferFlow(c core.End) uint64 {
+	switch l, m, ok := e.resolve(c); {
+	case !ok:
 		return 0
+	case m != nil:
+		return m.in[c.VC()].flow
+	default:
+		return e.ins[l].flow
 	}
-	if out {
-		return e.outs[link].flow
-	}
-	return e.ins[link].flow
 }
 
 // emit stamps and publishes a probe event under the engine's machine.
@@ -137,18 +154,22 @@ func (e *Engine) WireStats(i int) WireStats {
 	return e.outs[i].wire.stats
 }
 
-// BeginOutput starts transmitting count bytes from machine memory.
-func (e *Engine) BeginOutput(link int, ptr uint64, count int, done func()) {
-	if e.mux[link] != nil {
-		// The multiplexer owns this link's byte stream; a plain output
-		// on the link word would corrupt its framing.  Hang, like any
-		// other occam channel misuse, for the watchdog to report.
+// BeginOutput starts transmitting count bytes from machine memory on
+// end c.  A sender already busy means two processes share one channel
+// end, and an end the engine does not have is a misplaced channel —
+// occam program errors both; mirror hardware by corrupting nothing and
+// hanging, for the watchdog to report.
+func (e *Engine) BeginOutput(c core.End, ptr uint64, count int, done func()) {
+	l, m, ok := e.resolve(c)
+	if !ok {
 		return
 	}
-	o := e.outs[link]
+	if m != nil {
+		m.send(c.VC(), e.m.ReadBytes(ptr, count), done)
+		return
+	}
+	o := e.outs[l]
 	if o.active {
-		// Two processes using one channel end is an occam program
-		// error; mirror hardware by corrupting nothing and hanging.
 		return
 	}
 	if count == 0 {
@@ -158,12 +179,21 @@ func (e *Engine) BeginOutput(link int, ptr uint64, count int, done func()) {
 	o.start(nil, ptr, count, done)
 }
 
-// BeginInput starts receiving count bytes into machine memory.
-func (e *Engine) BeginInput(link int, ptr uint64, count int, done func()) {
-	if e.mux[link] != nil {
+// BeginInput starts receiving count bytes into machine memory on end c.
+func (e *Engine) BeginInput(c core.End, ptr uint64, count int, done func()) {
+	l, m, ok := e.resolve(c)
+	if !ok {
 		return
 	}
-	in := e.ins[link]
+	if m != nil {
+		mem := e.m
+		m.recv(c.VC(), count, func(buf []byte) {
+			mem.WriteBytes(ptr, buf)
+			done()
+		})
+		return
+	}
+	in := e.ins[l]
 	if in.active {
 		return
 	}
@@ -252,12 +282,16 @@ func (e *Engine) RestoreLink(i int) {
 	e.outs[i].wire.setCut(false)
 }
 
-// EnableInput arms alternative-input readiness signalling.
-func (e *Engine) EnableInput(link int, ready func()) bool {
-	if e.mux[link] != nil {
+// EnableInput arms alternative-input readiness signalling on end c.
+func (e *Engine) EnableInput(c core.End, ready func()) bool {
+	l, m, ok := e.resolve(c)
+	switch {
+	case !ok:
 		return false
+	case m != nil:
+		return m.enable(c.VC(), ready)
 	}
-	in := e.ins[link]
+	in := e.ins[l]
 	if in.bufferValid {
 		return true
 	}
@@ -265,12 +299,17 @@ func (e *Engine) EnableInput(link int, ready func()) bool {
 	return false
 }
 
-// DisableInput disarms signalling and reports data availability.
-func (e *Engine) DisableInput(link int) bool {
-	if e.mux[link] != nil {
+// DisableInput disarms signalling on end c and reports data
+// availability.
+func (e *Engine) DisableInput(c core.End) bool {
+	l, m, ok := e.resolve(c)
+	switch {
+	case !ok:
 		return false
+	case m != nil:
+		return m.disable(c.VC())
 	}
-	in := e.ins[link]
+	in := e.ins[l]
 	in.armed = nil
 	return in.bufferValid
 }

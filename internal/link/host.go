@@ -67,30 +67,34 @@ func ConnectHosts(a, b *HostEnd) {
 }
 
 // Send transmits data to the transputer, calling done when the final
-// byte has been acknowledged.
-func (h *HostEnd) Send(data []byte, done func()) {
+// byte has been acknowledged.  Like the engine's Send, it returns false
+// and does nothing when the end is already sending.
+func (h *HostEnd) Send(data []byte, done func()) bool {
 	if h.out.active {
-		panic("link: host end already sending")
+		return false
 	}
 	if len(data) == 0 {
 		if done != nil {
 			done()
 		}
-		return
+		return true
 	}
 	h.out.start(append([]byte(nil), data...), 0, len(data), done)
+	return true
 }
 
 // Recv receives exactly n bytes from the transputer, then calls fn with
-// them.
-func (h *HostEnd) Recv(n int, fn func([]byte)) {
+// them.  It returns false and does nothing when the end is already
+// receiving.
+func (h *HostEnd) Recv(n int, fn func([]byte)) bool {
 	if h.in.active {
-		panic("link: host end already receiving")
+		return false
 	}
 	if n == 0 {
 		fn(nil)
-		return
+		return true
 	}
 	buf := make([]byte, n)
 	h.in.start(buf, 0, n, func() { fn(buf) })
+	return true
 }

@@ -198,3 +198,23 @@ func TestZeroLengthTransfer(t *testing.T) {
 		t.Error("zero-length transfers should complete")
 	}
 }
+
+// TestHostEndBusy: a host end carries one message each way at a time,
+// and asking for a second reports false and leaves the first alone.
+func TestHostEndBusy(t *testing.T) {
+	k, a, b := hostPair()
+	var got []byte
+	if !b.Recv(2, func(d []byte) { got = d }) || b.Recv(2, func([]byte) { t.Error("second receive ran") }) {
+		t.Fatal("want the first receive taken and the second refused")
+	}
+	if !a.Send([]byte{1, 2}, nil) || a.Send([]byte{3, 4}, nil) {
+		t.Fatal("want the first send taken and the second refused")
+	}
+	k.Run()
+	if !bytes.Equal(got, []byte{1, 2}) {
+		t.Errorf("received %v, want the first message", got)
+	}
+	if !a.Send([]byte{5}, nil) || !b.Recv(1, func([]byte) {}) {
+		t.Error("ends still busy after their transfers completed")
+	}
+}

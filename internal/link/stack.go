@@ -4,10 +4,14 @@
 // wired together at run time — layering by file keeps the hot paths
 // free of indirection while each layer stays narrow and independently
 // testable.  Every layer below is a group of *Engine methods; the only
-// interfaces are the ones the machine consumes, asserted at the bottom.
+// interface is the one the machine consumes, asserted at the bottom.
+// Its methods, and the stream layer's Send and Recv, take a core.End —
+// a link, or one vchan of a multiplexed link — and dispatch on whether
+// the link is multiplexed, so a plain link and a vchan share one entry
+// point per operation.
 //
 //	┌─────────────────────────────────────────────────────┐
-//	│ core.External / VChanExternal   (machine transfers) │
+//	│ core.External engine.go  machine transfers, by End  │
 //	├─────────────────────────────────────────────────────┤
 //	│ multiplexer   vchan.go   N logical chans per wire   │
 //	├─────────────────────────────────────────────────────┤
@@ -25,8 +29,4 @@ package link
 
 import "transputer/internal/core"
 
-var (
-	_ core.External      = (*Engine)(nil)
-	_ core.FlowExternal  = (*Engine)(nil)
-	_ core.VChanExternal = (*Engine)(nil)
-)
+var _ core.External = (*Engine)(nil)

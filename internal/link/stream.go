@@ -1,11 +1,11 @@
 // Stream API — raw byte streams over the transfer layer.
 //
 // The routing layer (internal/route) drives link engines directly,
-// from the node's own shard, without involving the machine: SendRaw
-// and RecvRaw move byte slices where BeginOutput/BeginInput move
-// machine memory.  The resynchronisation and recovery entry points
-// live here too: they are what the self-healing layer calls when a
-// link comes back after an outage.
+// from the node's own shard, without involving the machine: Send and
+// Recv move byte slices where BeginOutput/BeginInput move machine
+// memory, over the same ends.  The resynchronisation and recovery
+// entry points live here too: they are what the self-healing layer
+// calls when a link comes back after an outage.
 package link
 
 import "transputer/internal/core"
@@ -19,12 +19,19 @@ func (e *Engine) LinkDown(i int) (down bool, retries int) {
 	return e.outs[i].rel.failed, e.outs[i].rel.retries
 }
 
-// SendRaw transmits the given bytes down link l without involving the
-// machine.  The data is copied.  Returns false when the link is
-// unwired or its sender is already busy; done fires when the final
-// byte has been acknowledged.
-func (e *Engine) SendRaw(l int, data []byte, done func()) bool {
-	if l < 0 || l >= core.NumLinks || !e.Connected(l) || e.mux[l] != nil {
+// Send transmits the given bytes on end c without involving the
+// machine: down the whole link, or over one vchan of a multiplexed one.
+// The data is copied.  Returns false when the end is not this engine's
+// (see resolve), the link is unwired, or the end's sender is already
+// busy; done fires when the final byte has been acknowledged.
+func (e *Engine) Send(c core.End, data []byte, done func()) bool {
+	l, m, ok := e.resolve(c)
+	switch {
+	case !ok:
+		return false
+	case m != nil:
+		return m.send(c.VC(), append([]byte(nil), data...), done)
+	case !e.Connected(l):
 		return false
 	}
 	o := e.outs[l]
@@ -41,11 +48,19 @@ func (e *Engine) SendRaw(l int, data []byte, done func()) bool {
 	return true
 }
 
-// RecvRaw receives n bytes from link l without involving the machine,
-// handing the filled buffer to done.  Returns false when the link is
-// unwired or its receiver is already busy.
-func (e *Engine) RecvRaw(l int, n int, done func([]byte)) bool {
-	if l < 0 || l >= core.NumLinks || !e.Connected(l) || e.mux[l] != nil {
+// Recv receives n bytes from end c without involving the machine,
+// handing the filled buffer to done.  Returns false when the end is not
+// this engine's, the link is unwired, or the end's receiver is already
+// busy.  On a vchan, done may fire synchronously when staged bytes
+// already satisfy the request.
+func (e *Engine) Recv(c core.End, n int, done func([]byte)) bool {
+	l, m, ok := e.resolve(c)
+	switch {
+	case !ok:
+		return false
+	case m != nil:
+		return m.recv(c.VC(), n, done)
+	case !e.Connected(l):
 		return false
 	}
 	in := e.ins[l]

@@ -109,16 +109,11 @@ type Mux struct {
 
 // EnableVChans multiplexes n virtual channels over link l, claiming
 // the link's byte streams.  Both ends must enable the same count
-// before any traffic flows.  n is clamped to [2, MaxVChans].
+// before any traffic flows.  The caller passes n in [2, MaxVChans];
+// network.System.EnableVChans checks it.
 func (e *Engine) EnableVChans(l, n int) {
 	if l < 0 || l >= core.NumLinks {
 		return
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n > MaxVChans {
-		n = MaxVChans
 	}
 	m := &Mux{e: e, link: l, n: n,
 		out:  make([]vcOut, n),
@@ -149,18 +144,11 @@ func (e *Engine) VChanStats(l int) (MuxStats, bool) {
 	return e.mux[l].stats, true
 }
 
-// SendVC transmits data on virtual channel vc of link l; done fires
-// when the final chunk's last byte has been acknowledged.  One message
-// per vchan at a time: returns false when that vchan's sender is busy,
-// the link has no mux, or vc is out of range.
-func (e *Engine) SendVC(l, vc int, data []byte, done func()) bool {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return false
-	}
-	m := e.mux[l]
-	if vc < 0 || vc >= m.n {
-		return false
-	}
+// send starts a message of data, which the mux keeps, on vchan vc;
+// done fires when the final chunk's last byte has been acknowledged.
+// One message per vchan at a time: false when that vchan's sender is
+// busy.
+func (m *Mux) send(vc int, data []byte, done func()) bool {
 	s := &m.out[vc]
 	if s.active {
 		return false
@@ -172,7 +160,7 @@ func (e *Engine) SendVC(l, vc int, data []byte, done func()) bool {
 		return true
 	}
 	s.active = true
-	s.buf = append([]byte(nil), data...)
+	s.buf = data
 	s.queued = 0
 	s.acked = 0
 	s.done = done
@@ -180,62 +168,11 @@ func (e *Engine) SendVC(l, vc int, data []byte, done func()) bool {
 	return true
 }
 
-// BeginOutputVC implements core.VChanExternal: transmit count bytes of
-// machine memory on virtual channel vc of link l.  A busy vchan sender
-// means two processes share one channel end — an occam program error;
-// mirror hardware by hanging for the watchdog to report.
-func (e *Engine) BeginOutputVC(l, vc int, ptr uint64, count int, done func()) {
-	e.SendVC(l, vc, e.m.ReadBytes(ptr, count), done)
-}
-
-// BeginInputVC implements core.VChanExternal: receive count bytes from
-// virtual channel vc of link l into machine memory.
-func (e *Engine) BeginInputVC(l, vc int, ptr uint64, count int, done func()) {
-	m := e.m
-	e.RecvVC(l, vc, count, func(buf []byte) {
-		m.WriteBytes(ptr, buf)
-		done()
-	})
-}
-
-// HandoffFlowVC associates a probe flow with the next message on
-// virtual channel vc of link l (the vchan analogue of HandoffFlow).
-func (e *Engine) HandoffFlowVC(l, vc int, flow uint64) {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return
-	}
-	m := e.mux[l]
-	if vc >= 0 && vc < m.n {
-		m.out[vc].flow = flow
-	}
-}
-
-// VCFlow reports the flow carried by the last chunk delivered on
-// virtual channel vc of link l (the vchan analogue of TransferFlow).
-func (e *Engine) VCFlow(l, vc int) uint64 {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return 0
-	}
-	m := e.mux[l]
-	if vc < 0 || vc >= m.n {
-		return 0
-	}
-	return m.in[vc].flow
-}
-
-// RecvVC receives exactly n bytes from virtual channel vc of link l,
-// handing the filled buffer to done.  One outstanding receive per
-// vchan: returns false when that vchan's receiver is busy, the link
-// has no mux, or vc is out of range.  done may fire synchronously when
-// staged bytes already satisfy the request.
-func (e *Engine) RecvVC(l, vc, n int, done func([]byte)) bool {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return false
-	}
-	m := e.mux[l]
-	if vc < 0 || vc >= m.n {
-		return false
-	}
+// recv receives exactly n bytes from vchan vc, handing the filled
+// buffer to done, which may fire synchronously when staged bytes
+// already satisfy the request.  One outstanding receive per vchan:
+// false when that vchan's receiver is busy.
+func (m *Mux) recv(vc, n int, done func([]byte)) bool {
 	r := &m.in[vc]
 	if r.active {
 		return false
@@ -254,17 +191,10 @@ func (e *Engine) RecvVC(l, vc, n int, done func([]byte)) bool {
 	return true
 }
 
-// EnableInputVC arms alternative-input readiness signalling on a
-// virtual channel: ready fires (once) when staged bytes appear.
-// Returns true immediately when bytes are already staged.
-func (e *Engine) EnableInputVC(l, vc int, ready func()) bool {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return false
-	}
-	m := e.mux[l]
-	if vc < 0 || vc >= m.n {
-		return false
-	}
+// enable arms alternative-input readiness signalling on vchan vc: ready
+// fires (once) when staged bytes appear.  Returns true at once when
+// bytes are already staged.
+func (m *Mux) enable(vc int, ready func()) bool {
 	r := &m.in[vc]
 	if len(r.pending) > 0 {
 		return true
@@ -273,15 +203,8 @@ func (e *Engine) EnableInputVC(l, vc int, ready func()) bool {
 	return false
 }
 
-// DisableInputVC disarms signalling and reports staged data.
-func (e *Engine) DisableInputVC(l, vc int) bool {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
-		return false
-	}
-	m := e.mux[l]
-	if vc < 0 || vc >= m.n {
-		return false
-	}
+// disable disarms signalling on vchan vc and reports staged data.
+func (m *Mux) disable(vc int) bool {
 	r := &m.in[vc]
 	r.armed = nil
 	return len(r.pending) > 0

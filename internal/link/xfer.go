@@ -65,8 +65,8 @@ type outHalf struct {
 	ackAt  sim.Time
 
 	// flow is the probe flow identity of the transfer in progress,
-	// handed over by the machine (core.FlowExternal); every packet of
-	// the transfer carries it.  Zero when untraced.
+	// handed over by the machine (core.External's HandoffFlow); every
+	// packet of the transfer carries it.  Zero when untraced.
 	flow uint64
 
 	// rel is the error-detecting-mode sender state (see reliable.go).

@@ -17,6 +17,10 @@ func TestQuickstartAsANetworkOfOne(t *testing.T) { Run(t, "squares.occ") }
 // link layer, the same on every leg.
 func TestSixteenBitStreamingRing(t *testing.T) { Run(t, "16-bit streaming ring") }
 
+// The router keeps a pump and a send slot on every vchan of a
+// multiplexed wire (route.Router over link.Engine's vchans).
+func TestRoutedVChanRing(t *testing.T) { Run(t, "routed vchan ring") }
+
 func TestChaosPlansReplay(t *testing.T) {
 	var plans []string
 	for _, sc := range chaosPlans() {

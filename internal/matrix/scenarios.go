@@ -42,6 +42,12 @@ var Scenarios = slices.Concat([]Scenario{
 	sieved("sieve 30/10", sieve.Params{Limit: 30, Stages: 10}, sim.Second),
 	tracesFlows(sieved("sieve pipeline", sieve.Params{Limit: 60, Stages: 17}, 10*sim.Second)),
 	{Name: "severed and restored ring", Build: severedAndRestoredRing},
+	{Name: "routed vchan ring", Build: routedVChanRing, Post: func(o *Observation) error {
+		if !strings.HasPrefix(o.Extra, "undelivered 0\n") || strings.Count(o.Extra, "\n") != 21 {
+			return fmt.Errorf("want 20 deliveries and none outstanding, got:\n%s", o.Extra)
+		}
+		return nil
+	}},
 	// Acknowledge credit (link/xfer.go) at its edges; detached legs use
 	// it, attached ones cannot, and the references must agree.  The pair
 	// streams both ways over one wire in messages of 3 bytes against
@@ -198,6 +204,53 @@ func severedAndRestoredRing() (*Running, error) {
 		}}, nil
 }
 
+// routedVChanRing routes twenty frames around a ring of four whose
+// every wire is multiplexed four ways, so the router keeps a receive
+// pump and a send slot on each vchan, and frames for two hops away
+// cross a node's vchans in both directions.
+func routedVChanRing() (*Running, error) {
+	s := network.NewSystem()
+	nodes := make([]*network.Node, 4)
+	for i := range nodes {
+		nodes[i] = s.MustAddTransputer(fmt.Sprintf("n%d", i), core.T424().WithMemory(64*1024))
+	}
+	for i, n := range nodes {
+		s.MustConnect(n, 0, nodes[(i+1)%len(nodes)], 1)
+		if err := s.EnableVChans(n, 0, 4); err != nil {
+			return nil, err
+		}
+	}
+	s.SetLinkMode(network.LinkMode{Reliable: true})
+	s.SetHeartbeat(0, 0)
+	r, err := route.Attach(s, route.Config{})
+	if err != nil {
+		return nil, err
+	}
+	k := 0
+	for _, pair := range [][2]string{{"n0", "n1"}, {"n1", "n0"}, {"n0", "n2"}, {"n3", "n1"}} {
+		for i := 0; i < 5; i++ {
+			at := sim.Time(20+5*k) * sim.Microsecond
+			k++
+			if _, err := r.SendAt(at, pair[0], pair[1], []byte(fmt.Sprintf("%s->%s #%d", pair[0], pair[1], i))); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return &Running{Net: s,
+		Run: func() (network.Report, string) { return s.Run(4 * sim.Millisecond), "" },
+		Then: func() (network.Report, string) {
+			r.Stop()
+			s.StopHeartbeats()
+			rep := s.Continue(s.Now() + 2*sim.Millisecond)
+			var extra bytes.Buffer
+			fmt.Fprintf(&extra, "undelivered %d\n", r.Undelivered())
+			for _, d := range r.AllDeliveries() {
+				fmt.Fprintf(&extra, "%s %s %d %d %q\n", d.Origin, d.Dest, d.Seq, d.At, d.Payload)
+			}
+			return rep, extra.String()
+		}}, nil
+}
+
 // transfer streams one known message from a to b over a single wire
 // (a.0 <-> b.1) through one configuration of the protocol stack: the
 // raw protocol, the stop-and-wait ablation, the error-detecting mode,
@@ -221,34 +274,37 @@ func transfer(name string, stopwait, reliable bool, vchans int) Scenario {
 			a.Engine.SetStopAndWait(true)
 			b.Engine.SetStopAndWait(true)
 		}
-		got := make([]byte, len(payload))
-		var done sim.Time
-		if vchans == 0 {
-			b.Clock().Schedule(sim.Microsecond, func() {
-				b.Engine.RecvRaw(1, len(payload), func(d []byte) { copy(got, d); done = b.Clock().Now() })
-			})
-			a.Clock().Schedule(2*sim.Microsecond, func() { a.Engine.SendRaw(0, payload, nil) })
-		} else {
+		if vchans > 0 {
 			if err := s.EnableVChans(a, 0, vchans); err != nil {
 				return nil, err
 			}
-			strip, left := len(payload)/vchans, vchans
-			b.Clock().Schedule(sim.Microsecond, func() {
-				for vc := 0; vc < vchans; vc++ {
-					b.Engine.RecvVC(1, vc, strip, func(d []byte) {
-						copy(got[vc*strip:], d)
-						if left--; left == 0 {
-							done = b.Clock().Now()
-						}
-					})
-				}
-			})
-			a.Clock().Schedule(2*sim.Microsecond, func() {
-				for vc := 0; vc < vchans; vc++ {
-					a.Engine.SendVC(0, vc, payload[vc*strip:(vc+1)*strip], nil)
-				}
-			})
 		}
+		// One strip on the link's own end, or one a vchan.
+		end := func(l, i int) core.End {
+			if vchans == 0 {
+				return core.End(l)
+			}
+			return core.VChanEnd(l, i)
+		}
+		strips := max(vchans, 1)
+		strip, left := len(payload)/strips, strips
+		got := make([]byte, len(payload))
+		var done sim.Time
+		b.Clock().Schedule(sim.Microsecond, func() {
+			for i := 0; i < strips; i++ {
+				b.Engine.Recv(end(1, i), strip, func(d []byte) {
+					copy(got[i*strip:], d)
+					if left--; left == 0 {
+						done = b.Clock().Now()
+					}
+				})
+			}
+		})
+		a.Clock().Schedule(2*sim.Microsecond, func() {
+			for i := 0; i < strips; i++ {
+				a.Engine.Send(end(0, i), payload[i*strip:(i+1)*strip], nil)
+			}
+		})
 		return &Running{Net: s, Run: func() (network.Report, string) {
 			return s.Run(0), fmt.Sprintf("%x at %d", got, done)
 		}}, nil

@@ -44,6 +44,10 @@ type Host struct {
 	k     sim.Clock
 	input []int64 // words queued for HostCmdGetWord
 	bus   *probe.Bus
+
+	// replies holds the HostCmdGetWord answers not yet taken, the first
+	// on the wire: a program may ask again before it reads the last one.
+	replies [][]byte
 }
 
 // emit publishes a host-command probe event attributed to the node the
@@ -120,7 +124,7 @@ func (h *Host) readCommand() {
 				h.input = h.input[1:]
 			}
 			h.emit(HostCmdGetWord, v)
-			h.end.Send(encodeWord(v, h.wordBytes), nil)
+			h.reply(encodeWord(v, h.wordBytes))
 			h.readCommand()
 		default:
 			// Unknown command: emit as raw bytes to stay debuggable.
@@ -128,6 +132,23 @@ func (h *Host) readCommand() {
 			h.readCommand()
 		}
 	})
+}
+
+// reply sends a word to the program once the replies before it have
+// been taken.
+func (h *Host) reply(w []byte) {
+	h.replies = append(h.replies, w)
+	if len(h.replies) == 1 {
+		h.end.Send(w, h.sendNext)
+	}
+}
+
+// sendNext is the completion of the reply on the wire: send the next.
+func (h *Host) sendNext() {
+	h.replies = h.replies[1:]
+	if len(h.replies) > 0 {
+		h.end.Send(h.replies[0], h.sendNext)
+	}
 }
 
 func (h *Host) write(b []byte) {

@@ -512,15 +512,23 @@ func (s *System) notifyUp(n *Node) {
 // both machines get the convention channel words mapped so occam
 // programs reach the logical channels through the LINKnVCmOUT/IN
 // addresses (see core.MapVChan).  The link must already be connected
-// to another transputer; host links cannot be multiplexed.
+// to another transputer (host links cannot be multiplexed) and not yet
+// multiplexed, count must be 2 to link.MaxVChans, and the run must not
+// have started.
 func (s *System) EnableVChans(n *Node, l, count int) error {
 	peer, pl, ok := n.Peer(l)
-	if !ok {
+	switch {
+	case s.sealed:
+		return fmt.Errorf("network: vchans on %s link %d enabled after the run has started", n.Name, l)
+	case !ok:
 		return fmt.Errorf("network: %s link %d is not connected to a transputer", n.Name, l)
+	case count < 2 || count > link.MaxVChans:
+		return fmt.Errorf("network: %d vchans on %s link %d, want 2..%d", count, n.Name, l, link.MaxVChans)
+	case n.Engine.VChans(l) > 0 || peer.Engine.VChans(pl) > 0:
+		return fmt.Errorf("network: %s link %d is already multiplexed", n.Name, l)
 	}
 	n.Engine.EnableVChans(l, count)
 	peer.Engine.EnableVChans(pl, count)
-	count = n.Engine.VChans(l) // after clamping
 	for vc := 0; vc < count; vc++ {
 		n.M.MapVChan(n.M.VChanOutAddr(l, vc), l, vc, true)
 		n.M.MapVChan(n.M.VChanInAddr(l, vc), l, vc, false)

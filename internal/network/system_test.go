@@ -448,3 +448,57 @@ func TestNoFalseDeadlockReport(t *testing.T) {
 		t.Errorf("Blocked = %v, want none", rep.Blocked)
 	}
 }
+
+// TestHostQueuesReplies: a program may ask the host for a second word
+// before it reads the first; the host sends the replies in order, each
+// once the one before has been taken.
+func TestHostQueuesReplies(t *testing.T) {
+	s := network.NewSystem()
+	n := s.MustAddTransputer("app", cfg())
+	host, err := s.AttachHost(n, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.QueueInput(7, 8)
+	load(t, n, `
+	ldc 5          -- get word, twice
+	mint
+	outword
+	ldc 5
+	mint
+	outword
+	ldlp 1
+	mint
+	ldnlp 4
+	ldc 4
+	in
+	ldlp 2
+	mint
+	ldnlp 4
+	ldc 4
+	in
+	ldc 2          -- put word: the second reply, then the first
+	mint
+	outword
+	ldl 2
+	mint
+	outword
+	ldc 2
+	mint
+	outword
+	ldl 1
+	mint
+	outword
+	ldc 4          -- exit
+	mint
+	outword
+	stopp
+`)
+	rep := s.Run(sim.Millisecond)
+	if !rep.Settled || !host.Done || len(host.Values) != 2 || host.Values[0] != 8 || host.Values[1] != 7 {
+		t.Fatalf("settled=%v done=%v values=%v, want 8 then 7", rep.Settled, host.Done, host.Values)
+	}
+	if wd := s.Watchdog(); wd != nil {
+		t.Errorf("watchdog: %v", wd)
+	}
+}

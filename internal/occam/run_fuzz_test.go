@@ -14,6 +14,7 @@ import (
 
 	"transputer/internal/apps/dbsearch"
 	"transputer/internal/core"
+	"transputer/internal/network"
 	"transputer/internal/occam"
 	"transputer/internal/sim"
 )
@@ -36,11 +37,11 @@ type openLinks struct {
 	next byte
 }
 
-func (l *openLinks) BeginOutput(link int, ptr uint64, count int, done func()) {
+func (l *openLinks) BeginOutput(c core.End, ptr uint64, count int, done func()) {
 	l.port.After(sim.Time(count)*sim.Microsecond, done)
 }
 
-func (l *openLinks) BeginInput(link int, ptr uint64, count int, done func()) {
+func (l *openLinks) BeginInput(c core.End, ptr uint64, count int, done func()) {
 	l.port.After(sim.Time(count)*sim.Microsecond, func() {
 		for i := 0; i < count; i++ {
 			l.next++
@@ -50,8 +51,10 @@ func (l *openLinks) BeginInput(link int, ptr uint64, count int, done func()) {
 	})
 }
 
-func (l *openLinks) EnableInput(link int, ready func()) bool { return true }
-func (l *openLinks) DisableInput(link int) bool              { return true }
+func (l *openLinks) EnableInput(c core.End, ready func()) bool { return true }
+func (l *openLinks) DisableInput(c core.End) bool              { return true }
+func (l *openLinks) HandoffFlow(c core.End, flow uint64)       {}
+func (l *openLinks) TransferFlow(c core.End) uint64            { return 0 }
 
 // ranOccam is what a machine shows once its run has stopped.
 type ranOccam struct {
@@ -66,7 +69,7 @@ type ranOccam struct {
 // runCompiled loads an image into a 64 KiB T424 and runs it standalone,
 // its links on openLinks, for occamFuzzCycles; ok is false when the
 // image does not load.
-func runCompiled(img core.Image, cache bool) (r ranOccam, ok bool) {
+func runCompiled(img core.Image, cache bool) (ranOccam, bool) {
 	cfg := core.T424().WithMemory(64 * 1024)
 	cfg.NoBlockCache = !cache
 	m := core.MustNew(cfg)
@@ -77,12 +80,54 @@ func runCompiled(img core.Image, cache bool) (r ranOccam, ok bool) {
 	p := c.NewShard().Port()
 	core.NewRunner(p, m, &openLinks{port: p, m: m}).Start()
 	c.RunUntil(sim.Time(occamFuzzCycles * cfg.CycleNs))
-	r = ranOccam{Iptr: m.Iptr, Wdesc: m.Wdesc, A: m.Areg, B: m.Breg, C: m.Creg, Fptr: m.Fptr, Bptr: m.Bptr,
+	return ranOf(m), true
+}
+
+// ranOf snapshots a machine whose run has stopped.
+func ranOf(m *core.Machine) ranOccam {
+	r := ranOccam{Iptr: m.Iptr, Wdesc: m.Wdesc, A: m.Areg, B: m.Breg, C: m.Creg, Fptr: m.Fptr, Bptr: m.Bptr,
 		Halted: m.Halted(), Error: m.ErrorFlag(), Idle: m.Idle(), Stats: m.Stats(),
-		Mem: m.ReadBytes(m.LinkOutAddr(0), cfg.MemBytes)}
+		Mem: m.ReadBytes(m.LinkOutAddr(0), m.Config().MemBytes)}
 	if err := m.Fault(); err != nil {
 		r.Fault = err.Error()
 	}
+	return r
+}
+
+// hostedOccam is what a run built as trun builds it shows: the machine,
+// what the host printed and took, and the watchdog's verdict.
+type hostedOccam struct {
+	ranOccam
+	Out      string
+	Values   []int64
+	Done     bool
+	Report   network.Report
+	Watchdog string
+}
+
+// runHosted runs an image as trun does — one node, "main", a 64 KiB
+// T424 with a network.Host on link 0 holding a few input words — for
+// occamFuzzCycles; ok is false when the image does not load.
+func runHosted(img core.Image, cache bool) (r hostedOccam, ok bool) {
+	s := network.NewSystem()
+	s.SetBlockCache(cache)
+	cfg := core.T424().WithMemory(64 * 1024)
+	n := s.MustAddTransputer("main", cfg)
+	var out bytes.Buffer
+	host, err := s.AttachHost(n, 0, &out)
+	if err != nil {
+		panic(err)
+	}
+	host.QueueInput(3, -1, 1<<20)
+	if err := n.Load(img); err != nil {
+		return hostedOccam{}, false
+	}
+	r.Report = s.Run(sim.Time(occamFuzzCycles * cfg.CycleNs))
+	if wd := s.Watchdog(); r.Report.Settled && wd != nil {
+		r.Watchdog = wd.String()
+	}
+	r.ranOccam = ranOf(n.M)
+	r.Out, r.Values, r.Done = out.String(), host.Values, host.Done
 	return r, true
 }
 
@@ -128,19 +173,25 @@ func occamSeeds(tb testing.TB) []string {
 // FuzzOccamDifferential runs what compiles (ROADMAP item 5: "fuzzed
 // occam that compiles must run under a cycle cap with cache on and off
 // agreeing").  Compiled occam is the traffic the block cache serves, so
-// any source the compiler accepts runs standalone for occamFuzzCycles
-// with the block cache on and again with it off, and the two must end
-// in the same registers, queues, flags, fault, statistics and memory.
-// A source the compiler refuses is no test; a Go panic is the fuzzer's
-// to report, and an input that spins the host fails here, by the clock.
+// any source the compiler accepts runs for occamFuzzCycles with the
+// block cache on and again with it off, on two legs: standalone, its
+// links on openLinks, and as trun builds it, with a real host on link
+// 0.  The two runs of a leg must end in the same registers, queues,
+// flags, fault, statistics and memory, and the hosted ones in the same
+// host output, report and watchdog verdict.  A source the compiler
+// refuses is no test; a Go panic is the fuzzer's to report, and an
+// input that spins the host fails here, by the clock.
 func FuzzOccamDifferential(f *testing.F) {
 	for _, src := range occamSeeds(f) {
 		f.Add(src)
 	}
+	// Asks the host for a word twice and reads neither answer.
+	f.Add("CHAN out, in:\nPLACE out AT LINK0OUT:\nPLACE in AT LINK0IN:\nSEQ\n  out ! 5\n  out ! 5\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		type outcome struct {
-			on, off     ranOccam
-			onOK, offOK bool
+			on, off             ranOccam
+			hostOn, hostOff     hostedOccam
+			onOK, offOK, hostOK bool
 		}
 		done := make(chan outcome, 1)
 		go func() {
@@ -148,6 +199,10 @@ func FuzzOccamDifferential(f *testing.F) {
 			if c, err := occam.Compile(src, occam.Options{}); err == nil {
 				o.on, o.onOK = runCompiled(c.Image, true)
 				o.off, o.offOK = runCompiled(c.Image, false)
+				if o.onOK {
+					o.hostOn, o.hostOK = runHosted(c.Image, true)
+					o.hostOff, _ = runHosted(c.Image, false)
+				}
 			}
 			done <- o
 		}()
@@ -155,21 +210,34 @@ func FuzzOccamDifferential(f *testing.F) {
 		select {
 		case o = <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("compiling and running %d simulated cycles twice took over ten seconds", occamFuzzCycles)
+			t.Fatalf("compiling and running %d simulated cycles four times took over ten seconds", occamFuzzCycles)
 		}
 		if o.onOK != o.offOK {
 			t.Fatalf("the image loads with the block cache on: %v, off: %v", o.onOK, o.offOK)
 		}
-		if !bytes.Equal(o.on.Mem, o.off.Mem) {
-			for i := range o.on.Mem {
-				if o.on.Mem[i] != o.off.Mem[i] {
-					t.Fatalf("memory differs at offset %#x: cache on %#02x, off %#02x", i, o.on.Mem[i], o.off.Mem[i])
-				}
+		sameRun(t, "standalone", o.on, o.off)
+		if o.hostOK {
+			sameRun(t, "with a host", o.hostOn.ranOccam, o.hostOff.ranOccam)
+			o.hostOn.ranOccam, o.hostOff.ranOccam = ranOccam{}, ranOccam{}
+			if !reflect.DeepEqual(o.hostOn, o.hostOff) {
+				t.Fatalf("the run with a host shows differently\ncache on:  %+v\ncache off: %+v", o.hostOn, o.hostOff)
 			}
 		}
-		o.on.Mem, o.off.Mem = nil, nil
-		if !reflect.DeepEqual(o.on, o.off) {
-			t.Fatalf("the run ends differently\ncache on:  %+v\ncache off: %+v", o.on, o.off)
-		}
 	})
+}
+
+// sameRun fails the test unless two runs of one leg ended alike.
+func sameRun(t *testing.T, leg string, on, off ranOccam) {
+	t.Helper()
+	if !bytes.Equal(on.Mem, off.Mem) {
+		for i := range on.Mem {
+			if on.Mem[i] != off.Mem[i] {
+				t.Fatalf("%s: memory differs at offset %#x: cache on %#02x, off %#02x", leg, i, on.Mem[i], off.Mem[i])
+			}
+		}
+	}
+	on.Mem, off.Mem = nil, nil
+	if !reflect.DeepEqual(on, off) {
+		t.Fatalf("%s: the run ends differently\ncache on:  %+v\ncache off: %+v", leg, on, off)
+	}
 }

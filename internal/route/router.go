@@ -12,7 +12,7 @@
 // Mechanisms, bottom up:
 //
 //   - Hop custody: a frame queued on a link is "in custody" until the
-//     link engine acknowledges its final byte (SendRaw's completion).
+//     link engine acknowledges its final byte (Engine.Send's completion).
 //     A custody timer with exponential backoff catches links that die
 //     mid-frame; a dead link's frames are resynchronised away and
 //     rerouted.
@@ -127,11 +127,11 @@ type oooKey struct {
 }
 
 // sendSlot is one unit of send concurrency on a link: the whole wire
-// for plain links (vc -1), or one virtual channel of a multiplexed
-// link.  A frame in a slot is "in custody" until the engine confirms
-// its final byte, watched by the slot's hop timer.
+// for plain links, or one virtual channel of a multiplexed link.  A
+// frame in a slot is "in custody" until the engine confirms its final
+// byte, watched by the slot's hop timer.
 type sendSlot struct {
-	vc       int // -1: SendRaw on the whole link; >=0: SendVC on this vchan
+	end      core.End // the link, or one of its vchans
 	inFlight *frame
 	sending  bool
 	hopTimer sim.EventID
@@ -396,10 +396,10 @@ func (nd *rnode) initSlots(l int) {
 	if n := nd.nn.Engine.VChans(l); n > 0 {
 		ls.slots = make([]sendSlot, n)
 		for vc := range ls.slots {
-			ls.slots[vc].vc = vc
+			ls.slots[vc].end = core.VChanEnd(l, vc)
 		}
 	} else {
-		ls.slots = []sendSlot{{vc: -1}}
+		ls.slots = []sendSlot{{end: core.End(l)}}
 	}
 }
 
@@ -439,13 +439,7 @@ func (nd *rnode) sendOn(l, si int) {
 		sl.inFlight = nil
 		nd.trySend(l)
 	}
-	var ok bool
-	if sl.vc >= 0 {
-		ok = nd.nn.Engine.SendVC(l, sl.vc, f.encode(), done)
-	} else {
-		ok = nd.nn.Engine.SendRaw(l, f.encode(), done)
-	}
-	if !ok {
+	if !nd.nn.Engine.Send(sl.end, f.encode(), done) {
 		// The engine's sender is busy with a transfer the router does
 		// not own — should not happen, but never wedge: back off and
 		// retry.
@@ -713,76 +707,45 @@ func (nd *rnode) recompute() {
 	}
 }
 
-// armRecv (re)starts the receive pumps on link l: read a header, then
-// the payload, dispatch, repeat.  A frame that fails validation is
-// dropped; the pump realigns at the next header boundary, and the
-// end-to-end replay layer absorbs whatever was lost.  A multiplexed
-// link runs one such pump per virtual channel — each vchan carries an
-// independent frame stream.
+// armRecv (re)starts the receive pumps on link l, one on each end its
+// send slots use — the whole wire, or each virtual channel of a
+// multiplexed link, every vchan carrying an independent frame stream.
 func (nd *rnode) armRecv(l int) {
-	if n := nd.nn.Engine.VChans(l); n > 0 {
-		for vc := 0; vc < n; vc++ {
-			nd.armRecvVC(l, vc)
-		}
-		return
+	for _, sl := range nd.links[l].slots {
+		nd.recvFrame(l, sl.end)
 	}
-	gen := nd.gen
-	nd.nn.Engine.RecvRaw(l, headerLen, func(hdr []byte) {
-		if nd.gen != gen {
-			return
-		}
-		f, plen, err := parseHeader(hdr, len(nd.r.nodes))
-		if err != nil {
-			nd.armRecv(l)
-			return
-		}
-		if plen == 0 {
-			nd.handleFrame(l, f)
-			if nd.gen == gen {
-				nd.armRecv(l)
-			}
-			return
-		}
-		nd.nn.Engine.RecvRaw(l, plen, func(payload []byte) {
-			if nd.gen != gen {
-				return
-			}
-			f.payload = payload
-			nd.handleFrame(l, f)
-			if nd.gen == gen {
-				nd.armRecv(l)
-			}
-		})
-	})
 }
 
-// armRecvVC is armRecv's per-vchan pump on a multiplexed link.
-func (nd *rnode) armRecvVC(l, vc int) {
+// recvFrame is one end's receive pump: read a header, then the payload,
+// dispatch, repeat.  A frame that fails validation is dropped; the pump
+// realigns at the next header boundary, and the end-to-end replay layer
+// absorbs whatever was lost.
+func (nd *rnode) recvFrame(l int, c core.End) {
 	gen := nd.gen
-	nd.nn.Engine.RecvVC(l, vc, headerLen, func(hdr []byte) {
+	nd.nn.Engine.Recv(c, headerLen, func(hdr []byte) {
 		if nd.gen != gen {
 			return
 		}
 		f, plen, err := parseHeader(hdr, len(nd.r.nodes))
 		if err != nil {
-			nd.armRecvVC(l, vc)
+			nd.recvFrame(l, c)
 			return
 		}
 		if plen == 0 {
 			nd.handleFrame(l, f)
 			if nd.gen == gen {
-				nd.armRecvVC(l, vc)
+				nd.recvFrame(l, c)
 			}
 			return
 		}
-		nd.nn.Engine.RecvVC(l, vc, plen, func(payload []byte) {
+		nd.nn.Engine.Recv(c, plen, func(payload []byte) {
 			if nd.gen != gen {
 				return
 			}
 			f.payload = payload
 			nd.handleFrame(l, f)
 			if nd.gen == gen {
-				nd.armRecvVC(l, vc)
+				nd.recvFrame(l, c)
 			}
 		})
 	})
