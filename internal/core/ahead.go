@@ -105,7 +105,7 @@ type hazard struct{ lo, hi uint64 }
 // the delivery that touched them would fault and halt the machine.
 func (m *Machine) addHazard(addr, n uint64, word bool) bool {
 	off := m.offset(addr)
-	if n > uint64(len(m.mem)) || off > uint64(len(m.mem))-n || (word && off&uint64(m.bpw-1) != 0) {
+	if n > uint64(m.cfg.MemBytes) || off > uint64(m.cfg.MemBytes)-n || (word && off&uint64(m.bpw-1) != 0) {
 		return false
 	}
 	m.haz = append(m.haz, hazard{off, off + n})
@@ -193,7 +193,7 @@ func (m *Machine) aheadClear(rec *blockRec) bool {
 		addr, n = m.Breg, 2*n
 	}
 	off := m.offset(addr)
-	if off > uint64(len(m.mem))-n || (n > 1 && off&uint64(m.bpw-1) != 0) {
+	if off > uint64(m.cfg.MemBytes)-n || (n > 1 && off&uint64(m.bpw-1) != 0) {
 		return false
 	}
 	return m.hazardFree(off, n)

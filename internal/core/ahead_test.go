@@ -80,6 +80,11 @@ var runAheadCases = []struct {
 		src: waitLow(inputLocal5, "go:\tldc 1\n\tstl 1\nstop:\tldtimer\n\tstl 2\n\tj go\n")},
 	{name: "nothing in the way", exit: core.AheadBound, ran: true,
 		src: waitLow(inputLocal5, "go:\tldc 1\n\tstl 1\n\tldl 44\n\tstl 46\n\tj go\nstop:\n")},
+	{name: "nothing in the way, in memory not yet backed", exit: core.AheadBound, ran: true,
+		// The buffer and the loop's load and store lie far above the
+		// program, in memory the host has not backed: all inside memory.
+		src: waitLow("\tmint\n\tldnlp 3000\n\tmint\n\tldnlp 4\n\tldc 4\n\tin\n",
+			"go:\tmint\n\tldnlp 2000\n\tldnl 0\n\tmint\n\tstnl 2500\n\tj go\nstop:\n")},
 	{name: "error halting armed", exit: core.AheadImpure, haltOnErr: true,
 		src: waitLow(inputLocal5, spin)},
 	{name: "a wait on the event channel", exit: core.AheadWait,

@@ -232,9 +232,9 @@ func pureOp(op isa.Op, wordBits int) (minCycles int, kind uint8) {
 
 // decodeBlock translates the straight-line byte sequence starting at
 // iptr, where the cache holds no block.  It returns nil when nothing
-// could be decoded (the first instruction runs off memory or has a
-// pathological prefix chain); the interpreted path then reproduces the
-// fault exactly.
+// could be decoded (the first instruction runs off the memory backing
+// or has a pathological prefix chain); the interpreted path then runs
+// it, reproducing a fault exactly.
 func (m *Machine) decodeBlock(iptr uint64) *block {
 	bc := m.bcache()
 	if len(bc.blocks) >= maxBlocks {
@@ -320,9 +320,9 @@ func storeRec(r *blockRec) bool {
 }
 
 // decodeRec decodes a single instruction (prefix chain plus final byte)
-// at addr without side effects.  ok is false when the bytes run off
-// implemented memory — execution must take the interpreted path so the
-// fetch fault fires exactly as before.
+// at addr without side effects.  ok is false when the bytes run off the
+// memory backing (memLen) — execution must take the interpreted path,
+// which reads unbacked memory as zero and faults past MemBytes.
 func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bool) {
 	var oreg uint64
 	pre := 0

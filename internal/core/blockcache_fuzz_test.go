@@ -26,7 +26,10 @@ import (
 // outright so the two entry points hand the cursor to each other); the
 // uncached machine steps one instruction at a time up to the same cycle
 // total.  Whatever the program does — loops, calls, rewriting its own
-// code, faulting — the two must be indistinguishable.
+// code, faulting — the two must be indistinguishable.  The cached
+// machine's memory is backed lazily, as every machine's is, and the
+// uncached one's fully, as New allocated it before (core.BackFully), so
+// the same comparison holds growing the backing to nothing.
 
 // diffWordBytes are the word sizes every input runs at: the 32-bit T424
 // and the 16-bit T222, where operands wrap, and word displacements
@@ -35,13 +38,18 @@ var diffWordBytes = []int{4, 2}
 
 // diffConfig is small enough to compare whole memories per batch and
 // slices time finely enough that a timeslice falls due every few
-// batches.
-func diffConfig(wordBytes int) core.Config {
+// batches.  With small set memory is 1 KiB, which a generated program
+// nearly fills on the T222 (and overfills on the T424), while a raw
+// image leaves most of it unbacked (see climbLoop).
+func diffConfig(wordBytes int, small bool) core.Config {
 	cfg := core.T424()
 	if wordBytes == 2 {
 		cfg = core.T222()
 	}
 	cfg = cfg.WithMemory(16 * 1024)
+	if small {
+		cfg = cfg.WithMemory(1024)
+	}
 	cfg.TimesliceCycles = 97
 	return cfg
 }
@@ -56,13 +64,14 @@ func logModel(t *testing.T, cfg core.Config) {
 // runDifferential drives the image on both machines until it stops or
 // for 1500 batches (the seed programs finish inside a few hundred), with
 // bounds drawn from seed.  An image that does not load is no test.
-func runDifferential(t *testing.T, img core.Image, wordBytes int, seed int64) {
+func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, seed int64) {
 	t.Helper()
-	cfg := diffConfig(wordBytes)
+	cfg := diffConfig(wordBytes, small)
 	defer logModel(t, cfg)
 	on := core.MustNew(cfg)
 	cfg.NoBlockCache = true
 	off := core.MustNew(cfg)
+	core.BackFully(off)
 	if err := on.Load(img); err != nil {
 		return
 	}
@@ -219,14 +228,18 @@ func (s *side) take(pending []injection, skew int64) {
 
 // runAheadDifferential drives the image on a cached machine that runs
 // ahead of random horizons and on a stepwise one, both under the same
-// injections, for at most 1500 batches.
-func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, seed int64) {
+// injections, for at most 1500 batches.  As in runDifferential the
+// stepwise machine's memory is fully backed.
+func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small bool, seed int64) {
 	t.Helper()
-	cfg := diffConfig(wordBytes)
+	cfg := diffConfig(wordBytes, small)
 	defer logModel(t, cfg)
 	var on, off side
 	for _, s := range []*side{&on, &off} {
 		s.m = core.MustNew(cfg)
+		if s == &off {
+			core.BackFully(s.m)
+		}
 		s.links = &fakeLinks{m: s.m}
 		s.m.Attach(nil, s.links)
 		if err := s.m.Load(img); err != nil {
@@ -688,9 +701,32 @@ func exampleImages(tb testing.TB, wordBytes int) []core.Image {
 	return imgs
 }
 
+// climbLoop reads, then writes, each word from its workspace up, and a
+// byte of each, growing the memory backing until it reads past the end
+// of memory and faults.
+const climbLoop = `	ldlp 2
+	stl 0
+loop:
+	ldl 0
+	ldnl 0
+	adc 1
+	ldl 0
+	stnl 0
+	ldl 0
+	ldnl 0
+	ldl 0
+	adc 1
+	sb
+	ldl 0
+	ldnlp 1
+	stl 0
+	j loop
+`
+
 // diffSeeds adds the shared seed corpus: the benchmark's loops and the
 // compiled examples as raw images, built for each word size (every
-// image runs at both), and random generator input.
+// image runs at both), a program that climbs off the end of 1 KiB of
+// memory, and random generator input, some of it run in 1 KiB.
 func diffSeeds(f *testing.F) {
 	for _, wb := range diffWordBytes {
 		for _, src := range benchmarkLoops(f) {
@@ -698,17 +734,25 @@ func diffSeeds(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(a.Image.Code, true, uint16(a.Image.Entry), int64(1))
+			f.Add(a.Image.Code, true, uint16(a.Image.Entry), false, int64(1))
 		}
 		for _, img := range exampleImages(f, wb) {
-			f.Add(img.Code, true, uint16(img.Entry), int64(2))
+			f.Add(img.Code, true, uint16(img.Entry), false, int64(2))
 		}
+		a, err := asm.Assemble(climbLoop, wb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(a.Image.Code, true, uint16(a.Image.Entry), true, int64(3))
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 8; i++ {
 		data := make([]byte, 48+16*i)
 		rng.Read(data)
-		f.Add(data, false, uint16(0), int64(i))
+		f.Add(data, false, uint16(0), false, int64(i))
+		if i%2 == 1 {
+			f.Add(data, false, uint16(0), true, int64(i))
+		}
 	}
 }
 
@@ -717,14 +761,19 @@ func diffSeeds(f *testing.F) {
 // that size; with it set, data is a code image entered at entry, which
 // is how the corpus carries real programs — and their images mutate
 // into arbitrary byte streams, every one of which is a valid I1 program
-// at either size.
-func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool, wordBytes int) core.Image {
+// at either size.  A raw image reserves less in small memory, leaving
+// most of it above the image for the program to read and write.
+func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links, small bool, wordBytes int) core.Image {
 	if raw {
 		if len(data) == 0 {
 			t.Skip()
 		}
+		dataBytes, ws := 1024, 256
+		if small {
+			dataBytes, ws = 64, 16
+		}
 		return core.Image{Code: data, Entry: int(entry) % len(data),
-			DataBytes: 1024, WsBelow: 256, WsAbove: 256}
+			DataBytes: dataBytes, WsBelow: ws, WsAbove: ws}
 	}
 	src := genProgram(data, links)
 	a, err := asm.Assemble(src, wordBytes)
@@ -739,9 +788,9 @@ func diffImage(t *testing.T, data []byte, raw bool, entry uint16, links bool, wo
 // traffic faults at once, identically on both machines.
 func FuzzBlockCacheDifferential(f *testing.F) {
 	diffSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
+	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, small bool, seed int64) {
 		for _, wb := range diffWordBytes {
-			runDifferential(t, diffImage(t, data, raw, entry, false, wb), wb, seed)
+			runDifferential(t, diffImage(t, data, raw, entry, false, small, wb), wb, small, seed)
 		}
 	})
 }
@@ -773,11 +822,15 @@ func FuzzRunAheadDifferential(f *testing.F) {
 		for j := 0; j < len(rest); j += 9 {
 			rest[j] = []byte{6, 13}[j%2] // a counted loop, a replicated one
 		}
-		f.Add(append(data, rest...), false, uint16(0), int64(i))
+		data = append(data, rest...)
+		f.Add(data, false, uint16(0), false, int64(i))
+		if i%4 == 3 {
+			f.Add(data, false, uint16(0), true, int64(i))
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, seed int64) {
+	f.Fuzz(func(t *testing.T, data []byte, raw bool, entry uint16, small bool, seed int64) {
 		for _, wb := range diffWordBytes {
-			runAheadDifferential(t, diffImage(t, data, raw, entry, true, wb), wb, seed)
+			runAheadDifferential(t, diffImage(t, data, raw, entry, true, small, wb), wb, small, seed)
 		}
 	})
 }

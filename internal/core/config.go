@@ -23,7 +23,9 @@ type Config struct {
 	// the T222.
 	WordBits int
 	// MemBytes is the total directly addressable memory, on-chip plus
-	// external.  The T424 has 4 KiB on chip.
+	// external.  The T424 has 4 KiB on chip.  It is the address limit,
+	// not an allocation: the host backs only the prefix a program
+	// covers or writes (see memory.go).
 	MemBytes int
 	// CycleNs is the processor cycle time in nanoseconds (50 ns for a
 	// 20 MHz part).

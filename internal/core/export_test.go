@@ -1,9 +1,22 @@
 package core
 
-// MemOf exposes a machine's memory array to the external tests: the
-// differential checker compares two whole memories after every batch,
-// which byte-at-a-time reads would make the cost of the test.
-func MemOf(m *Machine) []byte { return m.mem }
+// MemOf returns a machine's whole memory, all MemBytes of it, zero past
+// the backing, for the external tests: the differential checker
+// compares two whole memories after every batch, which byte-at-a-time
+// reads would make the cost of the test.
+func MemOf(m *Machine) []byte {
+	mem := make([]byte, m.cfg.MemBytes)
+	copy(mem, m.mem)
+	return mem
+}
+
+// BackFully grows a machine's backing over all of MemBytes, as New
+// allocated it before memory was backed lazily: the differential
+// checkers run their reference machine so.
+func BackFully(m *Machine) { m.resize(uint64(m.cfg.MemBytes)) }
+
+// BackedBytes is the length of a machine's backing.
+func BackedBytes(m *Machine) int { return len(m.mem) }
 
 // ReachableBlocks counts the decoded blocks the machine keeps alive:
 // everything reachable from the lookup map and the cursor over chain

@@ -16,6 +16,10 @@ type Machine struct {
 	mask     uint64 // word mask
 	signBit  uint64 // MOSTNEG as an unsigned word
 
+	// mem backs the memory from offset 0 up to its length, a prefix of
+	// the cfg.MemBytes the address space runs to: the reserved words
+	// until Load, then the loaded program's footprint, grown by any
+	// write beyond it (see memory.go).
 	mem []byte
 
 	// The six registers used in the execution of a sequential process
@@ -196,7 +200,7 @@ func New(cfg Config) (*Machine, error) {
 		cfg:      cfg,
 		wordBits: cfg.WordBits,
 		bpw:      cfg.WordBits / 8,
-		mem:      make([]byte, cfg.MemBytes),
+		mem:      make([]byte, reservedWords*(cfg.WordBits/8)),
 	}
 	m.mask = (uint64(1) << uint(cfg.WordBits)) - 1
 	m.signBit = uint64(1) << uint(cfg.WordBits-1)
@@ -212,6 +216,7 @@ func New(cfg Config) (*Machine, error) {
 func MustNew(cfg Config) *Machine {
 	m, err := New(cfg)
 	if err != nil {
+		// Unreachable from input: every caller passes a constant T424 or T222 configuration; trun, tnet and the loaders go through New.
 		panic(err)
 	}
 	return m
@@ -465,9 +470,14 @@ func (m *Machine) Load(img Image) error {
 	wsBase := int(m.offset(codeStart))/m.bpw + codeWords + dataWords
 	wptrWord := wsBase + img.WsBelow + 5 // room for scheduler slots below
 	topWord := wptrWord + img.WsAbove
-	if topWord*m.bpw > len(m.mem) {
+	if topWord*m.bpw > m.cfg.MemBytes {
 		return fmt.Errorf("%w: need %d words, have %d",
-			errNoRoom, topWord, len(m.mem)/m.bpw)
+			errNoRoom, topWord, m.cfg.MemBytes/m.bpw)
+	}
+	if top := topWord * m.bpw; top > len(m.mem) {
+		// Code, data and workspaces lie below top, so the backing
+		// covers what the program touches before it is loaded.
+		m.resize(uint64(top))
 	}
 	m.loadedCodeBytes = len(img.Code)
 	m.WriteBytes(codeStart, img.Code)

@@ -95,7 +95,7 @@ func TestMemoryFaults(t *testing.T) {
 	}
 
 	m2 := testMachine(t)
-	m2.byteAt(m2.addrOf(uint64(len(m2.mem)))) // out of range
+	m2.byteAt(m2.addrOf(uint64(m2.cfg.MemBytes))) // out of range
 	if m2.Fault() == nil {
 		t.Error("out-of-range byte read should fault")
 	}
@@ -300,7 +300,7 @@ func TestQueueFIFOProperty(t *testing.T) {
 			if isEnq {
 				w := m.MemStart() + 64*4*(next+1)
 				next++
-				if int(m.offset(w))+64 >= len(m.mem) {
+				if int(m.offset(w))+64 >= m.cfg.MemBytes {
 					continue
 				}
 				m.enqueue(w | PriorityLow)

@@ -16,6 +16,13 @@ import (
 // channel word; the remainder of the reserved area is the register save
 // space used on priority switches.  MemStart is the first word available
 // to programs.
+//
+// Config.MemBytes is the address limit; the host backs only a prefix of
+// it (Machine.mem): what the loaded program covers, and whatever is
+// written above that.  The accessors test an address against the
+// backing alone, and only an access that fails that test asks whether
+// it lies in unbacked memory — zero to a read, grown into by a write —
+// or faults (see unbacked).
 
 // Reserved word indices from MOSTNEG.
 const (
@@ -118,7 +125,9 @@ func (m *Machine) fault(op string, addr uint64) {
 func (m *Machine) word(addr uint64) uint64 {
 	off := m.offset(addr)
 	if off&uint64(m.bpw-1) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
-		m.fault("read word", addr)
+		if !m.unbacked(off, uint64(m.bpw)) {
+			m.fault("read word", addr)
+		}
 		return 0
 	}
 	if m.bpw == 4 {
@@ -131,7 +140,7 @@ func (m *Machine) word(addr uint64) uint64 {
 func (m *Machine) setWord(addr, v uint64) {
 	off := m.offset(addr)
 	if off&uint64(m.bpw-1) != 0 || off+uint64(m.bpw) > uint64(len(m.mem)) {
-		m.fault("write word", addr)
+		m.writeOutside(addr, v, uint64(m.bpw))
 		return
 	}
 	if m.bc != nil && off < m.bc.hi && off+uint64(m.bpw) > m.bc.lo {
@@ -148,7 +157,9 @@ func (m *Machine) setWord(addr, v uint64) {
 func (m *Machine) byteAt(addr uint64) byte {
 	off := m.offset(addr)
 	if off >= uint64(len(m.mem)) {
-		m.fault("read byte", addr)
+		if off >= uint64(m.cfg.MemBytes) {
+			m.fault("read byte", addr)
+		}
 		return 0
 	}
 	return m.mem[off]
@@ -158,13 +169,58 @@ func (m *Machine) byteAt(addr uint64) byte {
 func (m *Machine) setByte(addr uint64, v byte) {
 	off := m.offset(addr)
 	if off >= uint64(len(m.mem)) {
-		m.fault("write byte", addr)
+		m.writeOutside(addr, uint64(v), 1)
 		return
 	}
 	if m.bc != nil && off < m.bc.hi && off >= m.bc.lo {
 		m.noteCodeWrite(off, 1)
 	}
 	m.mem[off] = v
+}
+
+// unbacked reports whether an access of n bytes at offset off, refused
+// by the backing's bounds or alignment test, is an aligned one below
+// MemBytes: to memory the backing does not cover yet, which reads as
+// zero and which a write first grows the backing over.  Anything else
+// faults.
+func (m *Machine) unbacked(off, n uint64) bool {
+	return off&(n-1) == 0 && off+n <= uint64(m.cfg.MemBytes)
+}
+
+// writeOutside takes a write of n bytes at addr that setWord or setByte
+// refused: into unbacked memory it grows the backing and writes again,
+// and anything else faults.  Writing again keeps the writers' fast
+// paths free of values saved for after the growth.  The backing
+// doubles, capped at MemBytes, so a program writing its way up memory
+// copies each byte a bounded number of times.
+func (m *Machine) writeOutside(addr, v, n uint64) {
+	off := m.offset(addr)
+	if !m.unbacked(off, n) {
+		op := "write word"
+		if n == 1 {
+			op = "write byte"
+		}
+		m.fault(op, addr)
+		return
+	}
+	size := uint64(len(m.mem))
+	for size < off+n {
+		size *= 2
+	}
+	m.resize(min(size, uint64(m.cfg.MemBytes)))
+	if n == 1 {
+		m.setByte(addr, byte(v))
+	} else {
+		m.setWord(addr, v)
+	}
+}
+
+// resize replaces the backing with a zeroed one of n bytes holding the
+// old contents; n is never less than the old length.
+func (m *Machine) resize(n uint64) {
+	mem := make([]byte, n)
+	copy(mem, m.mem)
+	m.mem = mem
 }
 
 // wordIndex reads the word at base + i words.

@@ -382,6 +382,7 @@ func (s *System) probesBuffered() bool {
 func (s *System) MustAddTransputer(name string, cfg core.Config) *Node {
 	n, err := s.AddTransputer(name, cfg)
 	if err != nil {
+		// Unreachable from input: callers are examples, experiments and test scenarios adding constant models under distinct constant names before the run; trun and tnet call AddTransputer.
 		panic(err)
 	}
 	return n
@@ -541,6 +542,7 @@ func (s *System) EnableVChans(n *Node, l, count int) error {
 // MustConnect is Connect that panics on bad topology.
 func (s *System) MustConnect(a *Node, la int, b *Node, lb int) {
 	if err := s.Connect(a, la, b, lb); err != nil {
+		// Unreachable from input: callers are examples and test scenarios wiring constant, free links before the run; tnet's topology loader calls Connect.
 		panic(err)
 	}
 }
