@@ -2,9 +2,10 @@
 // stack: random fault plans over fixed topologies, checked for the
 // invariants the stack promises (exactly-once in-order delivery while
 // a path survives, a clean watchdog after quiesce, byte-identical
-// outcomes at any worker count).  A failing plan is shrunk to a
-// minimal reproducing rule set and written as a .tnet file that
-// replays the violation under tnet.
+// outcomes at any worker count).  Every scenario runs from the .tnet
+// file it renders, on tnet's build and run path, so a failing plan —
+// shrunk to a minimal reproducing rule set and written out with
+// -artifacts — replays the violation under tnet by construction.
 //
 // Usage:
 //

@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"transputer/internal/network"
 	"transputer/internal/tool"
 )
 
@@ -49,13 +50,20 @@ func main() {
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
+	var topo *network.Topology
+	if err == nil {
+		topo, err = network.ParseTopology(string(src))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tnet:", err)
 		os.Exit(1)
 	}
-	f := tool.NetFlags{Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Workers: *workers,
-		Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod,
-		Seed: *seed, BlockCache: *blockcache, Fuse: *fuse}
-	flag.Visit(func(fl *flag.Flag) { f.SeedSet = f.SeedSet || fl.Name == "seed" })
-	os.Exit(tool.RunNet(f, string(src), filepath.Dir(flag.Arg(0)), os.Stdout, os.Stderr))
+	flag.Visit(func(fl *flag.Flag) {
+		if fl.Name == "seed" {
+			topo.Seed = *seed
+		}
+	})
+	f := tool.NetFlags{Tool: "tnet", Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Workers: *workers,
+		Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod, BlockCache: *blockcache, Fuse: *fuse}
+	os.Exit(tool.RunNet(f, topo, filepath.Dir(flag.Arg(0)), os.Stdout, os.Stderr))
 }

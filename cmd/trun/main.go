@@ -9,133 +9,70 @@
 //	     [-timeline out.json] [-metrics] [-flows out.json] [-prof out.prof]
 //	     [-profperiod us] [-in w,w,...] [-blockcache=false] [-enginestats]
 //	     program.{occ,tasm,tix}
+//
+// The run is tnet's on a network of one (tool.OneNode): the same
+// output, observers and exit codes (tool.Verdict).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"transputer/internal/core"
-	"transputer/internal/network"
 	"transputer/internal/sim"
 	"transputer/internal/tool"
 )
 
-func main() {
-	model := flag.String("model", "t424", "transputer model (t424 or t222)")
-	mem := flag.Int("mem", 64*1024, "memory size in bytes")
-	limitMs := flag.Int("limit", 1000, "simulated time limit in milliseconds (0 = no limit)")
-	stats := flag.Bool("stats", false, "print execution statistics")
-	trace := flag.Bool("trace", false, "trace every instruction to standard error")
-	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
-	metrics := flag.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
-	flows := flag.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")
-	prof := flag.String("prof", "", "sample the instruction pointer and write a profile to this file")
-	profPeriod := flag.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
-	input := flag.String("in", "", "comma-separated words queued for host input")
-	blockcache := flag.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
-	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: trun [flags] program.{occ,tasm,tix}")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is trun on the command-line arguments args; it returns the exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "t424", "transputer model (t424 or t222)")
+	mem := fs.Int("mem", 64*1024, "memory size in bytes")
+	limitMs := fs.Int("limit", 1000, "simulated time limit in milliseconds (0 = no limit)")
+	stats := fs.Bool("stats", false, "print execution statistics")
+	trace := fs.Bool("trace", false, "trace every instruction to standard error")
+	timeline := fs.String("timeline", "", "write a Chrome trace-event timeline to this file")
+	metrics := fs.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
+	flows := fs.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")
+	prof := fs.String("prof", "", "sample the instruction pointer and write a profile to this file")
+	profPeriod := fs.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
+	input := fs.String("in", "", "comma-separated words queued for host input")
+	blockcache := fs.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
+	engineStats := fs.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: trun [flags] program.{occ,tasm,tix}")
+		return 2
 	}
 
-	cfg, err := tool.ModelConfig(*model, *mem)
-	if err != nil {
-		fatal(err)
-	}
-	img, err := tool.LoadAny(flag.Arg(0), cfg.WordBits/8)
-	if err != nil {
-		fatal(err)
-	}
-
-	s := network.NewSystem()
-	s.SetBlockCache(*blockcache)
-	n, err := s.AddTransputer("main", cfg)
-	if err != nil {
-		fatal(err)
-	}
-	host, err := s.AttachHost(n, 0, os.Stdout)
-	if err != nil {
-		fatal(err)
-	}
+	topo := tool.OneNode(*model, *mem, fs.Arg(0))
+	topo.RunLimit = sim.Time(*limitMs) * sim.Millisecond
 	if *input != "" {
-		for _, f := range strings.Split(*input, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+		var words []int64
+		for _, w := range strings.Split(*input, ",") {
+			v, err := strconv.ParseInt(strings.TrimSpace(w), 10, 64)
 			if err != nil {
-				fatal(fmt.Errorf("bad input word %q", f))
+				fmt.Fprintf(stderr, "trun: bad input word %q\n", w)
+				return 1
 			}
-			host.QueueInput(v)
+			words = append(words, v)
 		}
+		topo.Inputs = map[string][]int64{"main": words}
 	}
-	if err := n.Load(img); err != nil {
-		fatal(err)
-	}
-	var flushTrace func() error
-	if *trace {
-		tw, flush := core.TraceWriter(os.Stderr)
-		n.M.SetTrace(tw)
-		flushTrace = flush
-	}
-
-	obs := tool.NewObserver(s)
-	if *timeline != "" {
-		obs.EnableTimeline(*timeline)
-	}
-	if *metrics {
-		obs.EnableMetrics()
-	}
-	if *flows != "" {
-		progs := []tool.Program{{Node: n, Image: img, Path: flag.Arg(0)}}
-		obs.EnableFlows(*flows, tool.LineResolver(progs))
-	}
-	if *prof != "" {
-		obs.EnableProfile(*prof, sim.Time(*profPeriod)*sim.Microsecond)
-		obs.AddProfileTarget(n, img, flag.Arg(0))
-	}
-	obs.Start()
-
-	rep := s.Run(sim.Time(*limitMs) * sim.Millisecond)
-	if flushTrace != nil {
-		flushTrace()
-	}
-	if err := n.M.Fault(); err != nil {
-		fatal(err)
-	}
-	if !rep.Settled {
-		fmt.Fprintf(os.Stderr, "trun: time limit reached at %v\n", rep.Time)
-	}
-	if rep.Settled {
-		if wd := s.Watchdog(); wd != nil {
-			progs := []tool.Program{{Node: n, Image: img, Path: flag.Arg(0)}}
-			tool.PrintWatchdog(os.Stderr, wd, tool.LineResolver(progs))
-		}
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "simulated time: %v (host exit: %v)\n", rep.Time, host.Done)
-		tool.PrintStats(os.Stderr, n.Name, n.M.Stats(), n.M.Config().CycleNs)
-	}
-	if obs.Active() {
-		if err := obs.Finish(rep.Time, os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if *engineStats {
-		tool.PrintEngineStats(os.Stderr, s.EngineStats(), tool.PartitionOrigin("", s.Workers()))
-		tool.PrintCreditStats(os.Stderr, s.CreditStats())
-		tool.PrintAheadStats(os.Stderr, s.AheadStats())
-	}
-	if n.M.ErrorFlag() {
-		fmt.Fprintln(os.Stderr, "trun: machine error flag set")
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "trun:", err)
-	os.Exit(1)
+	f := tool.NetFlags{Tool: "trun", Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Trace: *trace,
+		Workers: 1, Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod, BlockCache: *blockcache, Fuse: "topo"}
+	return tool.RunNet(f, topo, "", stdout, stderr)
 }

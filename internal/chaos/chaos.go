@@ -3,9 +3,11 @@
 // runs them against the routing layer, and checks the invariants the
 // stack promises — no lost, duplicated or misordered end-to-end
 // message while a path survives, a clean watchdog after quiesce, and
-// byte-identical outcomes at any worker count.  A failing plan is
-// automatically shrunk to a minimal reproducing rule set and rendered
-// as a topology file that replays under tnet.
+// byte-identical outcomes at any worker count.  Every scenario runs
+// from the topology file it renders (Scenario.TopologyFile) through
+// tnet's build and run path, so a failing plan — automatically shrunk
+// to a minimal reproducing rule set — replays under tnet by
+// construction.
 //
 // Everything derives from one seed, so a campaign verdict is a fact
 // about the code, not about the weather: `tchaos -seed 17` fails
@@ -14,14 +16,15 @@ package chaos
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
-	"transputer/internal/core"
 	"transputer/internal/fault"
 	"transputer/internal/network"
 	"transputer/internal/route"
 	"transputer/internal/sim"
+	"transputer/internal/tool"
 )
 
 // Topologies returns the names the harness knows how to build.
@@ -204,51 +207,26 @@ type outcome struct {
 	settled     bool
 }
 
-// execute builds a fresh system for the scenario and runs it to
-// quiescence with the given worker count.
+// execute runs the scenario as tnet replays it: the topology file it
+// renders, built by tool.BuildNetwork and run to quiescence at the
+// given worker count.
 func execute(sc Scenario, workers int) (*outcome, error) {
-	t, err := shape(sc.Topo)
+	topo, err := network.ParseTopology(sc.TopologyFile())
 	if err != nil {
 		return nil, err
 	}
-	s := network.NewSystem()
-	s.SetWorkers(workers)
-	byName := make(map[string]*network.Node)
-	for _, name := range t.nodes {
-		n, err := s.AddTransputer(name, core.T424().WithMemory(64*1024))
-		if err != nil {
-			return nil, err
-		}
-		byName[name] = n
-	}
-	for _, c := range t.conns {
-		if err := s.Connect(byName[c.A], c.ALink, byName[c.B], c.BLink); err != nil {
-			return nil, err
-		}
-	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat(0, 0)
-	r, err := route.Attach(s, route.Config{})
+	net, err := tool.BuildNetwork(topo, "", io.Discard)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ApplyFaults(fault.Plan{Seed: sc.Seed, Rules: sc.Rules}); err != nil {
-		return nil, err
-	}
-	for _, m := range sc.Messages {
-		if _, err := r.SendAt(m.At, m.From, m.To, []byte(m.Data)); err != nil {
-			return nil, err
-		}
-	}
-	rep := s.Run(sc.RunLimit)
-	r.Stop()
-	s.StopHeartbeats()
-	rep = s.Continue(rep.Time + 4*sim.Millisecond)
+	net.System.SetWorkers(workers)
+	rep := tool.RunToQuiescence(net)
+	r := net.Router
 	return &outcome{
 		deliveries:  r.AllDeliveries(),
 		injected:    r.Injected(),
 		undelivered: r.Undelivered(),
-		watchdog:    s.Watchdog(),
+		watchdog:    net.System.Watchdog(),
 		settled:     rep.Settled,
 	}, nil
 }
@@ -471,10 +449,11 @@ func dropRule(rules []fault.Rule, i int) []fault.Rule {
 	return out
 }
 
-// TopologyFile renders the scenario as a tnet topology file, so a
-// failing plan replays outside the harness:
+// TopologyFile renders the scenario as a tnet topology file.  It is
+// what execute runs, so a failing plan replays outside the harness on
+// the same path:
 //
-//	tnet shrunk.tnet   # exits nonzero with the same violation
+//	tnet shrunk.tnet   # a lost message exits 4 (tool.ExitPartition)
 func (sc Scenario) TopologyFile() string {
 	t, _ := shape(sc.Topo)
 	var b strings.Builder

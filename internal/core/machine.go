@@ -216,7 +216,7 @@ func New(cfg Config) (*Machine, error) {
 func MustNew(cfg Config) *Machine {
 	m, err := New(cfg)
 	if err != nil {
-		// Unreachable from input: every caller passes a constant T424 or T222 configuration; trun, tnet and the loaders go through New.
+		// Unreachable from input: every caller passes a constant T424 or T222 configuration; trun and tnet (both through tool.BuildNetwork) and the loaders go through New.
 		panic(err)
 	}
 	return m

@@ -6,7 +6,8 @@
 // own, internal/network's and internal/tool's.
 //
 // A Scenario is a system built in Go or a topology source run through
-// tool.RunNet, the function cmd/tnet is a flag parser around.  Every
+// tool.RunNet, the function cmd/tnet and cmd/trun are flag parsers
+// around.  Every
 // scenario runs on every leg Legs gives, each leg is compared with the
 // stepwise reference on everything an Observation holds, and the
 // reference observation's digest is held against golden.txt.  DESIGN.md,
@@ -290,28 +291,28 @@ func (sc *Scenario) observeFile(l Leg) (*Observation, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	f := tool.NetFlags{Stats: true, EngineStats: true, Workers: l.Workers, BlockCache: l.Cache, Fuse: "topo"}
+	topo, err := network.ParseTopology(src)
+	if err != nil {
+		return nil, err
+	}
+	f := tool.NetFlags{Tool: "tnet", Stats: true, EngineStats: true, Workers: l.Workers, BlockCache: l.Cache, Fuse: "topo"}
 	switch l.Place {
 	case Private:
 		f.Fuse = "off"
 	case OneShard:
-		// No shipped file has a shard line, so the leg writes the one
+		// No shipped file has a shard line, so the leg adds the one
 		// that names every node.
-		topo, err := network.ParseTopology(src)
-		if err != nil {
-			return nil, err
-		}
-		src += "\nshard"
+		var all []string
 		for _, t := range topo.Transputers {
-			src += " " + t.Name
+			all = append(all, t.Name)
 		}
-		src += "\n"
+		topo.Shards = [][]string{all}
 	}
 	if l.Bus {
 		f.Metrics, f.Timeline, f.Flows = true, filepath.Join(dir, "timeline.json"), filepath.Join(dir, "flows.json")
 	}
 	var stdout, stderr bytes.Buffer
-	o := &Observation{Exit: tool.RunNet(f, src, base, &stdout, &stderr), Stdout: stdout.String()}
+	o := &Observation{Exit: tool.RunNet(f, topo, base, &stdout, &stderr), Stdout: stdout.String()}
 	// The temporary directory is in the "written to" lines.
 	text, engine, ran := strings.Cut(strings.ReplaceAll(stderr.String(), dir, "$TMP"), "engine: ")
 	if !ran {

@@ -63,7 +63,10 @@ type Topology struct {
 	Connections []Connection
 	Hosts       []HostSpec
 	Inputs      map[string][]int64
-	RunLimit    sim.Time
+	// RunLimit bounds the simulated run: a `run` line's positive
+	// duration, one second when the file has none.  Zero, possible only
+	// in a topology built in code, runs to quiescence.
+	RunLimit sim.Time
 
 	// Seed drives every random decision of the fault plan.
 	Seed uint64
@@ -157,7 +160,7 @@ type HostSpec struct {
 // line it came from; duplicate node names, double-wired link ends and
 // references to undeclared nodes are rejected.
 func ParseTopology(src string) (*Topology, error) {
-	topo := &Topology{Inputs: make(map[string][]int64)}
+	topo := &Topology{Inputs: make(map[string][]int64), RunLimit: sim.Second}
 	nodeLine := make(map[string]int)  // node name -> declaring line
 	wiredLine := make(map[string]int) // "node.link" -> wiring line
 	var faultLine []int               // line of each rule in topo.Faults
@@ -278,7 +281,7 @@ func ParseTopology(src string) (*Topology, error) {
 				return nil, fail("run needs a duration")
 			}
 			d, err := parseDuration(fields[1])
-			if err != nil {
+			if err != nil || d <= 0 {
 				return nil, fail("bad duration %q", fields[1])
 			}
 			topo.RunLimit = d

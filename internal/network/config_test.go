@@ -66,6 +66,9 @@ func TestParseTopologyErrors(t *testing.T) {
 		"input a",
 		"input a xyz",
 		"run forever",
+		"transputer x t424\nheartbeat\nrun -1ms", // ran forever: the monitor never lets the system quiesce
+		"run -5",                                 // ran unbounded
+		"run 0",
 		"banana split",
 		// hardening: duplicates, double wiring, bad references
 		"transputer x t424\ntransputer x t424",
@@ -112,6 +115,10 @@ func TestParseTopologyErrorLines(t *testing.T) {
 	_, err = ParseTopology("transputer x t424\n\ntransputer x t222\n")
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("duplicate-name error %v should name both lines", err)
+	}
+	_, err = ParseTopology("transputer x t424\nheartbeat\nrun -1ms\n")
+	if want := `topology line 3: bad duration "-1ms"`; err == nil || err.Error() != want {
+		t.Errorf("negative run limit: %v, want %q", err, want)
 	}
 }
 

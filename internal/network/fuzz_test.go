@@ -21,6 +21,7 @@ func FuzzParseTopology(f *testing.F) {
 	f.Add("# comment\n\ntransputer n t424\ninput n 1 2 3\n")
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nvchan a.0 4\nroute on\n")
 	f.Add("seed 42\nlinkmode detect\nheartbeat 1ms 5ms\n")
+	f.Add("transputer a t424\nheartbeat\nrun -1ms\n")
 	for _, ex := range []string{
 		"../../examples/netdemo/ring.tnet",
 		"../../examples/vchan/sieve.tnet",
@@ -84,9 +85,7 @@ func runsTheSame(topo *network.Topology) []string {
 		topo.Transputers[i].MemBytes = min(topo.Transputers[i].MemBytes, 64*1024)
 	}
 	topo.Shards = nil
-	if topo.RunLimit == 0 || topo.RunLimit > sim.Millisecond {
-		topo.RunLimit = sim.Millisecond
-	}
+	topo.RunLimit = min(topo.RunLimit, sim.Millisecond)
 	sc := matrix.Scenario{Build: func() (*matrix.Running, error) {
 		var host bytes.Buffer
 		net, err := tool.BuildNetwork(topo, "", &host)

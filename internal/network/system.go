@@ -382,7 +382,7 @@ func (s *System) probesBuffered() bool {
 func (s *System) MustAddTransputer(name string, cfg core.Config) *Node {
 	n, err := s.AddTransputer(name, cfg)
 	if err != nil {
-		// Unreachable from input: callers are examples, experiments and test scenarios adding constant models under distinct constant names before the run; trun and tnet call AddTransputer.
+		// Unreachable from input: callers are examples, experiments and test scenarios adding constant models under distinct constant names before the run; trun and tnet build through tool.BuildNetwork, which calls AddTransputer.
 		panic(err)
 	}
 	return n

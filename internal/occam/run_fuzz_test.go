@@ -17,6 +17,7 @@ import (
 	"transputer/internal/network"
 	"transputer/internal/occam"
 	"transputer/internal/sim"
+	"transputer/internal/tool"
 )
 
 // occamFuzzCycles caps one run: long enough for the seed programs to
@@ -94,7 +95,7 @@ func ranOf(m *core.Machine) ranOccam {
 	return r
 }
 
-// hostedOccam is what a run built as trun builds it shows: the machine,
+// hostedOccam is what a run on trun's topology shows: the machine,
 // what the host printed and took, and the watchdog's verdict.
 type hostedOccam struct {
 	ranOccam
@@ -105,27 +106,30 @@ type hostedOccam struct {
 	Watchdog string
 }
 
-// runHosted runs an image as trun does — one node, "main", a 64 KiB
-// T424 with a network.Host on link 0 holding a few input words — for
-// occamFuzzCycles; ok is false when the image does not load.
+// runHosted runs an image on trun's topology (tool.OneNode: one node,
+// "main", a 64 KiB T424 with a host on link 0), its host holding a few
+// input words, built and run by the tools' own tool.BuildNetwork and
+// tool.RunToQuiescence, for occamFuzzCycles; ok is false when the image
+// does not load.
 func runHosted(img core.Image, cache bool) (r hostedOccam, ok bool) {
-	s := network.NewSystem()
-	s.SetBlockCache(cache)
-	cfg := core.T424().WithMemory(64 * 1024)
-	n := s.MustAddTransputer("main", cfg)
+	topo := tool.OneNode("t424", 64*1024, "")
+	topo.Inputs = map[string][]int64{"main": {3, -1, 1 << 20}}
+	topo.RunLimit = sim.Time(occamFuzzCycles * core.T424().CycleNs)
 	var out bytes.Buffer
-	host, err := s.AttachHost(n, 0, &out)
+	net, err := tool.BuildNetwork(topo, "", &out)
 	if err != nil {
 		panic(err)
 	}
-	host.QueueInput(3, -1, 1<<20)
+	net.System.SetBlockCache(cache)
+	n, _ := net.System.Node("main")
 	if err := n.Load(img); err != nil {
 		return hostedOccam{}, false
 	}
-	r.Report = s.Run(sim.Time(occamFuzzCycles * cfg.CycleNs))
-	if wd := s.Watchdog(); r.Report.Settled && wd != nil {
+	r.Report = tool.RunToQuiescence(net)
+	if wd := net.System.Watchdog(); r.Report.Settled && wd != nil {
 		r.Watchdog = wd.String()
 	}
+	host := net.Hosts[0]
 	r.ranOccam = ranOf(n.M)
 	r.Out, r.Values, r.Done = out.String(), host.Values, host.Done
 	return r, true
@@ -175,8 +179,8 @@ func occamSeeds(tb testing.TB) []string {
 // agreeing").  Compiled occam is the traffic the block cache serves, so
 // any source the compiler accepts runs for occamFuzzCycles with the
 // block cache on and again with it off, on two legs: standalone, its
-// links on openLinks, and as trun builds it, with a real host on link
-// 0.  The two runs of a leg must end in the same registers, queues,
+// links on openLinks, and on trun's one-node topology, with a real host
+// on link 0.  The two runs of a leg must end in the same registers, queues,
 // flags, fault, statistics and memory, and the hosted ones in the same
 // host output, report and watchdog verdict.  A source the compiler
 // refuses is no test; a Go panic is the fuzzer's to report, and an

@@ -55,7 +55,11 @@ func TestEngineStatsCreditLineIgnoresThePartition(t *testing.T) {
 	creditLine := func(f NetFlags) string {
 		f.EngineStats, f.BlockCache = true, true
 		var stdout, stderr bytes.Buffer
-		if exit := RunNet(f, string(src), "../../examples/netdemo", &stdout, &stderr); exit != 0 {
+		topo, err := network.ParseTopology(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exit := RunNet(f, topo, "../../examples/netdemo", &stdout, &stderr); exit != 0 {
 			t.Fatalf("%+v: exit %d: %s", f, exit, stderr.String())
 		}
 		for _, line := range strings.Split(stderr.String(), "\n") {
@@ -114,7 +118,8 @@ func TestUnknownFuseModeRejected(t *testing.T) {
 			t.Errorf("ResolveFusion(%q) changed the placement: %v", mode, topo.Shards)
 		}
 		var stdout, stderr bytes.Buffer
-		exit := RunNet(NetFlags{Workers: 1, BlockCache: true, Fuse: mode}, "transputer a t424\n", "", &stdout, &stderr)
+		one := &network.Topology{Transputers: []network.TransputerSpec{{Name: "a", Model: "t424"}}}
+		exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, BlockCache: true, Fuse: mode}, one, "", &stdout, &stderr)
 		if exit != 1 || stderr.String() != "tnet: "+want+"\n" {
 			t.Errorf("tnet -fuse %s exited %d saying %q, want 1 and %q", mode, exit, stderr.String(), want)
 		}

@@ -19,8 +19,8 @@ func TestHostUnreadReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	exit := RunNet(NetFlags{Workers: 1, BlockCache: true, Fuse: "topo"},
-		"transputer main t424 program=twice.occ\nhost main.0\n", dir, &stdout, &stderr)
+	exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, BlockCache: true, Fuse: "topo"},
+		OneNode("t424", 0, "twice.occ"), dir, &stdout, &stderr)
 	if exit != ExitHostStall || !strings.Contains(stderr.String(), "deadlock watchdog") ||
 		!strings.Contains(stderr.String(), "stalled sending: 0 of 4 bytes") {
 		t.Fatalf("exit %d, stderr:\n%s", exit, stderr.String())

@@ -7,7 +7,7 @@ import (
 )
 
 // The tools' rows of the determinism matrix (internal/matrix): shipped
-// topology files run through RunNet — what tnet runs — on every leg
+// topology files run through RunNet — what tnet and trun run — on every leg
 // (-workers, -blockcache, -fuse off|topo|full|auto, with and without
 // -timeline -flows -metrics), stdout, stderr, exit code, timeline and
 // flow document compared with the -fuse off, -blockcache=false

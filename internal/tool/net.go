@@ -28,7 +28,7 @@ type Network struct {
 	Programs []Program
 	// Router is the routing layer, when the topology enables it.
 	Router *route.Router
-	// Limit is the topology's run limit (defaulted to one second).
+	// Limit is the topology's run limit; zero runs to quiescence.
 	Limit sim.Time
 }
 
@@ -124,9 +124,6 @@ func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Netwo
 		}
 	}
 	net.Limit = topo.RunLimit
-	if net.Limit == 0 {
-		net.Limit = sim.Second
-	}
 	return net, nil
 }
 
@@ -166,33 +163,37 @@ func LoadNetworkFile(path string, out io.Writer) (*Network, error) {
 	return BuildNetwork(topo, filepath.Dir(path), out)
 }
 
-// NetFlags are tnet's flags once parsed.
+// OneNode is trun's topology: one transputer, main, running program
+// with a host on its link 0 — a system of one, configured as a system
+// of many is.
+func OneNode(model string, memBytes int, program string) *network.Topology {
+	return &network.Topology{
+		Transputers: []network.TransputerSpec{{Name: "main", Model: model, MemBytes: memBytes, Program: program}},
+		Hosts:       []network.HostSpec{{Node: "main", Link: 0}},
+	}
+}
+
+// NetFlags are the run flags tnet and trun share, once parsed.
 type NetFlags struct {
+	Tool                        string // the command, prefixing its messages ("tnet", "trun")
 	Stats, Metrics, EngineStats bool
+	Trace                       bool // every instruction to stderr, through one writer: a one-worker run's (trun's -trace)
 	Workers                     int
 	Timeline, Flows, Prof       string
 	ProfPeriod                  int // simulated microseconds
-	Seed                        uint64
-	SeedSet                     bool // -seed was given: Seed replaces the file's
 	BlockCache                  bool
 	Fuse                        string
 }
 
-// RunNet is tnet — the command is flag parsing around this call, so a
-// test that drives it runs what the tool runs: the topology source src
-// (program paths relative to baseDir) under the flags, host output to
-// stdout, everything else to stderr; it returns the exit code.
-func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
+// RunNet is tnet and trun — each command is flag parsing around this
+// call, so a test that drives it runs what the tools run: the parsed
+// topology (program paths relative to baseDir) under the flags, host
+// output to stdout, everything else to stderr; it returns the exit
+// code (see Verdict).
+func RunNet(f NetFlags, topo *network.Topology, baseDir string, stdout, stderr io.Writer) int {
 	fatal := func(err error) int {
-		fmt.Fprintln(stderr, "tnet:", err)
+		fmt.Fprintf(stderr, "%s: %v\n", f.Tool, err)
 		return 1
-	}
-	topo, err := network.ParseTopology(src)
-	if err != nil {
-		return fatal(err)
-	}
-	if f.SeedSet {
-		topo.Seed = f.Seed
 	}
 	if err := ResolveFusion(topo, f.Fuse); err != nil {
 		return fatal(err)
@@ -204,6 +205,14 @@ func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
 	s := net.System
 	s.SetWorkers(f.Workers)
 	s.SetBlockCache(f.BlockCache)
+	flushTrace := func() error { return nil }
+	if f.Trace {
+		var tw core.Trace
+		tw, flushTrace = core.TraceWriter(stderr)
+		for _, p := range net.Programs {
+			p.Node.M.SetTrace(tw)
+		}
+	}
 
 	obs := NewObserver(s)
 	if f.Timeline != "" {
@@ -224,13 +233,23 @@ func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
 	obs.Start()
 
 	rep := RunToQuiescence(net)
+	if err := flushTrace(); err != nil {
+		return fatal(err)
+	}
 	if !rep.Settled {
-		fmt.Fprintf(stderr, "tnet: time limit reached at %v (still running: %v)\n",
-			rep.Time, rep.Running)
+		fmt.Fprintf(stderr, "%s: time limit reached at %v (still running: %v)\n",
+			f.Tool, rep.Time, rep.Running)
 	}
 	for _, name := range rep.Halted {
 		n, _ := s.Node(name)
-		fmt.Fprintf(stderr, "tnet: %s halted: %v\n", name, n.M.Fault())
+		fmt.Fprintf(stderr, "%s: %s halted: %v\n", f.Tool, name, n.M.Fault())
+	}
+	failed := false
+	for _, n := range s.Nodes() {
+		if n.M.ErrorFlag() {
+			fmt.Fprintf(stderr, "%s: %s error flag set\n", f.Tool, n.Name)
+		}
+		failed = failed || programFailed(n.M)
 	}
 	var wd *network.WatchdogReport
 	if rep.Settled {
@@ -267,5 +286,5 @@ func RunNet(f NetFlags, src, baseDir string, stdout, stderr io.Writer) int {
 		PrintCreditStats(stderr, s.CreditStats())
 		PrintAheadStats(stderr, s.AheadStats())
 	}
-	return Verdict(wd, undelivered)
+	return Verdict(failed, wd, undelivered)
 }

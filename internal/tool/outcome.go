@@ -1,15 +1,17 @@
 package tool
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
+	"transputer/internal/core"
 	"transputer/internal/network"
 	"transputer/internal/route"
 	"transputer/internal/sim"
 )
 
-// Exit codes of the network tools.  Scripted campaigns (CI, the chaos
+// Exit codes of trun and tnet.  Scripted campaigns (CI, the chaos
 // harness) branch on these, so the values are part of the tool
 // contract: 0 is a clean completion, 1 a tool error, 2 a usage error,
 // and the codes below name the distinct failure verdicts a finished
@@ -25,14 +27,22 @@ const (
 	ExitPartition = 4
 	// ExitHostStall: a host transfer was abandoned mid-message.
 	ExitHostStall = 5
+	// ExitProgramError: a node's program failed — it set the error
+	// flag or faulted on a memory access.  A planned `fault halt` is
+	// not a program error.
+	ExitProgramError = 6
 )
 
-// Verdict classifies a finished run into an exit code.  The most
-// specific diagnosis wins: a stalled host transfer names the culprit
-// link directly, an unrecovered partition explains the lost traffic,
-// and a bare deadlock report is the residual case.
-func Verdict(wd *network.WatchdogReport, undelivered int) int {
+// Verdict classifies a finished run into an exit code; failed says a
+// node's program failed (see ExitProgramError).  The root cause wins: a
+// failed program explains whatever deadlock, stall or lost traffic
+// follows it, a stalled host transfer names the culprit link directly,
+// an unrecovered partition explains the lost traffic, and a bare
+// deadlock report is the residual case.
+func Verdict(failed bool, wd *network.WatchdogReport, undelivered int) int {
 	switch {
+	case failed:
+		return ExitProgramError
 	case wd != nil && len(wd.HostStalls) > 0:
 		return ExitHostStall
 	case undelivered > 0:
@@ -43,11 +53,20 @@ func Verdict(wd *network.WatchdogReport, undelivered int) int {
 	return ExitOK
 }
 
+// programFailed reports whether a machine's program failed: its error
+// flag is set or it stopped on a memory fault.  A forced halt is not
+// the program's doing.
+func programFailed(m *core.Machine) bool {
+	var mf *core.MemoryFault
+	return m.ErrorFlag() || errors.As(m.Fault(), &mf)
+}
+
 // RunToQuiescence drives a built network to a settled state.  A system
 // with liveness monitoring never quiesces on its own — the heartbeat
 // tickers and replay timers are perpetual — so the run is phased:
 // bounded run, stop the perpetual timers, then drain in-flight
-// traffic.  Plain systems run to quiescence directly.  The returned
+// traffic for 2 ms.  Plain systems run to quiescence directly, or to
+// the limit when there is one.  The returned
 // report reflects the final settled state.
 func RunToQuiescence(net *Network) network.Report {
 	s := net.System

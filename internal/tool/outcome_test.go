@@ -1,7 +1,10 @@
 package tool
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,20 +15,59 @@ func TestVerdictPrecedence(t *testing.T) {
 	stall := &network.WatchdogReport{HostStalls: []network.HostStall{{Node: "a", Link: 0}}}
 	dead := &network.WatchdogReport{DownLinks: []network.DownLink{{Node: "a", Link: 0}}}
 	cases := []struct {
+		failed      bool
 		wd          *network.WatchdogReport
 		undelivered int
 		want        int
 	}{
-		{nil, 0, ExitOK},
-		{dead, 0, ExitDeadlock},
-		{nil, 3, ExitPartition},
-		{dead, 3, ExitPartition},  // lost traffic explains the dead links
-		{stall, 0, ExitHostStall}, // a stalled host names the culprit directly
-		{stall, 3, ExitHostStall},
+		{false, nil, 0, ExitOK},
+		{false, dead, 0, ExitDeadlock},
+		{false, nil, 3, ExitPartition},
+		{false, dead, 3, ExitPartition},  // lost traffic explains the dead links
+		{false, stall, 0, ExitHostStall}, // a stalled host names the culprit directly
+		{false, stall, 3, ExitHostStall},
+		{true, nil, 0, ExitProgramError},
+		{true, dead, 0, ExitProgramError}, // the failed program is why the rest blocked
+		{true, stall, 3, ExitProgramError},
 	}
 	for i, c := range cases {
-		if got := Verdict(c.wd, c.undelivered); got != c.want {
+		if got := Verdict(c.failed, c.wd, c.undelivered); got != c.want {
 			t.Errorf("case %d: Verdict = %d, want %d", i, got, c.want)
+		}
+	}
+}
+
+// TestRunNetProgramError: a node whose program sets its error flag
+// fails the run with ExitProgramError, named on stderr, while a node
+// the topology halts on purpose leaves the verdict as it was.
+func TestRunNetProgramError(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"overflow.occ": "VAR x:\nSEQ\n  x := 2147483647\n  x := x + 1\n",
+		"squares.occ":  "CHAN out:\nPLACE out AT LINK0OUT:\nSEQ i = [1 FOR 3]\n  SEQ\n    out ! 2\n    out ! i * i\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		src, stderr string
+		exit        int
+	}{
+		{"transputer a t424 program=overflow.occ\ntransputer b t424\nconnect a.0 b.0\n",
+			"tnet: a error flag set\n", ExitProgramError},
+		{"transputer main t424 program=squares.occ\nhost main.0\nfault halt main at=20us\n",
+			"tnet: main halted: core: halted: fault injection\n", ExitOK},
+	}
+	for _, c := range cases {
+		topo, err := network.ParseTopology(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, BlockCache: true, Fuse: "topo"}, topo, dir, &stdout, &stderr)
+		if exit != c.exit || stderr.String() != c.stderr {
+			t.Errorf("%q: exit %d, stderr %q; want %d, %q", c.src, exit, stderr.String(), c.exit, c.stderr)
 		}
 	}
 }
@@ -68,7 +110,7 @@ run 8ms
 		t.Fatalf("run did not settle: %+v", rep)
 	}
 	wd := net.System.Watchdog()
-	if code := Verdict(wd, net.Router.Undelivered()); code != ExitOK {
+	if code := Verdict(false, wd, net.Router.Undelivered()); code != ExitOK {
 		t.Fatalf("verdict = %d, want 0 (watchdog: %v, undelivered: %d)",
 			code, wd, net.Router.Undelivered())
 	}
@@ -108,7 +150,7 @@ run 4ms
 	if !rep.Settled {
 		t.Fatalf("run did not settle: %+v", rep)
 	}
-	if code := Verdict(net.System.Watchdog(), net.Router.Undelivered()); code != ExitPartition {
+	if code := Verdict(false, net.System.Watchdog(), net.Router.Undelivered()); code != ExitPartition {
 		t.Fatalf("verdict = %d, want %d", code, ExitPartition)
 	}
 	var sb strings.Builder
