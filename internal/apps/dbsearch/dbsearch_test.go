@@ -1,8 +1,11 @@
 package dbsearch
 
 import (
+	"reflect"
 	"testing"
 
+	"transputer/internal/core"
+	"transputer/internal/network"
 	"transputer/internal/sim"
 )
 
@@ -81,5 +84,38 @@ func TestReferenceDistribution(t *testing.T) {
 	}
 	if Defaults128().LongestPathLinks() != 22 {
 		t.Errorf("128-board longest path = %d", Defaults128().LongestPathLinks())
+	}
+}
+
+// TestSharedCodeAcrossWorkers runs the 4x4 array on one worker and on
+// four, where the sixteen nodes' first decodes of their common program
+// reach the system's code store from four goroutines at once: under the
+// race detector this is the test of the store's publication.  Answers,
+// report and every node's statistics must agree.
+func TestSharedCodeAcrossWorkers(t *testing.T) {
+	type run struct {
+		answers []int64
+		rep     network.Report
+		stats   []core.Stats
+	}
+	search := func(workers int) run {
+		s, err := Build(Defaults16())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Net.SetWorkers(workers)
+		got, rep := s.RunSearches([]int64{11, 42, 7}, 500*sim.Millisecond)
+		r := run{answers: got, rep: rep}
+		for _, n := range s.Net.Nodes() {
+			r.stats = append(r.stats, n.M.Stats())
+		}
+		return r
+	}
+	one, four := search(1), search(4)
+	if !one.rep.Settled || len(one.answers) != 3 {
+		t.Fatalf("one worker: settled=%v answers=%v", one.rep.Settled, one.answers)
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("one worker and four differ:\none:  %+v %+v\nfour: %+v %+v", one.answers, one.rep, four.answers, four.rep)
 	}
 }

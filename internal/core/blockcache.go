@@ -12,7 +12,10 @@ import "transputer/internal/isa"
 // the bytes themselves are overwritten.  The cache translates
 // straight-line runs at first execution into arrays of records keyed by
 // the instruction pointer; the hot path then dispatches on records
-// instead of re-fetching bytes and re-walking pfix/nfix chains.
+// instead of re-fetching bytes and re-walking pfix/nfix chains.  The
+// records are the same for every machine that decodes the same bytes at
+// the same address, so a machine's block is only its handle on code
+// that machines share (see codestore.go).
 //
 // A block terminates at anything that can transfer control or touch the
 // scheduler: j, cj, call, and every opr.  The records before the
@@ -37,8 +40,8 @@ import "transputer/internal/isa"
 // blockRec is one predecoded instruction: the final function with its
 // fully accumulated prefix operand, and what execution would otherwise
 // derive from them every time it runs the record.  It is 32 bytes and
-// must stay so (TestBlockRecSize): every decoded instruction of every
-// machine is one, and a larger record shows in the benchmark's
+// must stay so (TestBlockRecSize): every decoded instruction a store
+// holds is one, and a larger record shows in the benchmark's
 // allocation bound.
 type blockRec struct {
 	addr    uint64 // address of the first byte, prefixes included
@@ -79,9 +82,10 @@ const (
 	touchLoop           // lend: the two-word control block at B
 )
 
-// block is a decoded straight-line run.
-type block struct {
-	startAddr        uint64 // machine address of recs[0]
+// code is a decoded straight-line run: immutable once built, and shared
+// by every machine of a CodeStore that decodes the same bytes at the
+// same address (see CodeStore).
+type code struct {
 	startOff, endOff uint64 // memory offsets covered: [startOff, endOff)
 	recs             []blockRec
 	// quiet[i] is a lower bound on the cycles from the start of record i
@@ -90,6 +94,19 @@ type block struct {
 	// records i.. up to and including a trailing j/cj/call, and up to but
 	// excluding a terminating opr.
 	quiet []int32
+	// The rest of the content key, the address being recs[0].addr: the
+	// bytes decoded, the word size and the fetch-buffer ablation, which
+	// is everything decodeRec reads.
+	src      string
+	wordBits uint8
+	noFetch  bool
+	next     *code // the store bucket's chain, set before publication
+}
+
+// block is one machine's handle on decoded code: the chain edges and
+// the validity are the machine's own, the code may be every machine's.
+type block struct {
+	*code
 	// succ are the chain edges, filled on first transit: succ[0] is the
 	// block entered by running off the end of this one, succ[1] the
 	// block last entered any other way (a taken branch, a call, a
@@ -104,7 +121,7 @@ const (
 	blockPageShift = 8
 	// maxBlockRecs bounds one block.
 	maxBlockRecs = 64
-	// maxBlockBytes bounds one record's prefix chain; longer chains
+	// maxRecBytes bounds one record's prefix chain; longer chains
 	// (never emitted by the assembler or compiler) fall back to the
 	// interpreted path.
 	maxRecBytes = 16
@@ -180,8 +197,8 @@ func (m *Machine) noteCodeWrite(off, n uint64) {
 // remove unlinks an invalidated block from the lookup map and the page
 // lists.
 func (bc *blockCache) remove(b *block) {
-	if bc.blocks[b.startAddr] == b {
-		delete(bc.blocks, b.startAddr)
+	if start := b.recs[0].addr; bc.blocks[start] == b {
+		delete(bc.blocks, start)
 	}
 	last := (b.endOff - 1) >> blockPageShift
 	for p := b.startOff >> blockPageShift; p <= last; p++ {
@@ -248,9 +265,8 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		// an extra memory cycle (charged per instruction, like execOne).
 		fetchPenalty = 1
 	}
-	// Decode into a scratch array and keep an exact-size copy: a ring
-	// node's whole cache is a few KB, and append's doubling would leave
-	// up to half of it unused.
+	// Decode into a scratch array: the store keeps an exact-size copy,
+	// and only when it holds none of the same bytes already.
 	var recs [maxBlockRecs]blockRec
 	n := 0
 	startOff := m.offset(iptr)
@@ -276,11 +292,34 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	if n == 0 {
 		return nil
 	}
-	b := &block{startAddr: iptr, startOff: startOff, endOff: prevOff, valid: true,
-		recs: append([]blockRec(nil), recs[:n]...), quiet: make([]int32, n)}
+	if m.store == nil {
+		m.store = NewCodeStore()
+	}
+	b := &block{code: m.store.intern(recs[:n], m.mem[startOff:prevOff], startOff,
+		uint8(m.wordBits), m.cfg.NoFetchBuffer), valid: true}
+	bc.blocks[iptr] = b
+	last := (b.endOff - 1) >> blockPageShift
+	for p := b.startOff >> blockPageShift; p <= last; p++ {
+		bc.pages[p] = append(bc.pages[p], b)
+	}
+	if b.startOff < bc.lo {
+		bc.lo = b.startOff
+	}
+	if b.endOff > bc.hi {
+		bc.hi = b.endOff
+	}
+	return b
+}
+
+// newCode builds the code for the records recs decoded from src, which
+// lies at offset startOff.
+func newCode(recs []blockRec, src []byte, startOff uint64, wordBits uint8, noFetch bool) *code {
+	c := &code{startOff: startOff, endOff: startOff + uint64(len(src)),
+		recs: append([]blockRec(nil), recs...), quiet: make([]int32, len(recs)),
+		src: string(src), wordBits: wordBits, noFetch: noFetch}
 	quiet := int32(0)
-	for i := len(b.recs) - 1; i >= 0; i-- {
-		r := &b.recs[i]
+	for i := len(c.recs) - 1; i >= 0; i-- {
+		r := &c.recs[i]
 		switch {
 		case r.fn == isa.FnOpr && r.kind >= recBranch:
 			// A communication/scheduling operation could act externally
@@ -295,20 +334,9 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		default:
 			quiet += int32(r.cycles)
 		}
-		b.quiet[i] = quiet
+		c.quiet[i] = quiet
 	}
-	bc.blocks[iptr] = b
-	last := (b.endOff - 1) >> blockPageShift
-	for p := b.startOff >> blockPageShift; p <= last; p++ {
-		bc.pages[p] = append(bc.pages[p], b)
-	}
-	if b.startOff < bc.lo {
-		bc.lo = b.startOff
-	}
-	if b.endOff > bc.hi {
-		bc.hi = b.endOff
-	}
-	return b
+	return c
 }
 
 // storeRec reports whether a record writes data memory.  Call also
@@ -408,7 +436,7 @@ func (m *Machine) find(decode bool) (*block, int) {
 			if m.Iptr != b.recs[len(b.recs)-1].next(m.mask) {
 				edge = &b.succ[1]
 			}
-			if s := *edge; s != nil && s.valid && s.startAddr == m.Iptr {
+			if s := *edge; s != nil && s.valid && s.recs[0].addr == m.Iptr {
 				return s, 0
 			}
 		}

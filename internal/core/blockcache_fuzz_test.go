@@ -63,17 +63,33 @@ func logModel(t *testing.T, cfg core.Config) {
 
 // runDifferential drives the image on both machines until it stops or
 // for 1500 batches (the seed programs finish inside a few hundred), with
-// bounds drawn from seed.  An image that does not load is no test.
+// bounds drawn from seed.  The cached machine shares its code store
+// with a twin given the same image and the same batches, the two taking
+// turns to go first, so each decodes half its blocks and finds the
+// other half decoded by its twin, and every invalidation leaves the
+// other holding the code.  The twin is held to the interpreter too.  An
+// image that does not load is no test.
 func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, seed int64) {
 	t.Helper()
 	cfg := diffConfig(wordBytes, small)
 	defer logModel(t, cfg)
-	on := core.MustNew(cfg)
+	st := core.NewCodeStore()
+	on, err := core.NewShared(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.NewShared(cfg, st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.NoBlockCache = true
 	off := core.MustNew(cfg)
 	core.BackFully(off)
 	if err := on.Load(img); err != nil {
 		return
+	}
+	if err := twin.Load(img); err != nil {
+		t.Fatalf("image loads on one sharer but not the other: %v", err)
 	}
 	if err := off.Load(img); err != nil {
 		t.Fatalf("image loads with the cache on but not off: %v", err)
@@ -88,17 +104,29 @@ func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, se
 		if total, last := off.StepRun(maxNs); total != 0 || last != 0 {
 			t.Fatalf("batch %d: StepRun ran %d cycles with the cache off", batch, total)
 		}
-		ran := 0
-		if rng.Intn(5) != 0 {
-			total, last := on.StepRun(maxNs)
-			if total > 0 && int64(total-last)*cyc >= maxNs {
-				t.Fatalf("batch %d: StepRun(%d ns) started its last record at %d ns",
-					batch, maxNs, int64(total-last)*cyc)
+		stepRun := rng.Intn(5) != 0
+		run := func(m *core.Machine) int {
+			ran := 0
+			if stepRun {
+				total, last := m.StepRun(maxNs)
+				if total > 0 && int64(total-last)*cyc >= maxNs {
+					t.Fatalf("batch %d: StepRun(%d ns) started its last record at %d ns",
+						batch, maxNs, int64(total-last)*cyc)
+				}
+				ran = total
 			}
-			ran = total
+			if ran == 0 {
+				ran = m.Step()
+			}
+			return ran
 		}
-		if ran == 0 {
-			ran = on.Step()
+		var ran int
+		if batch%2 == 0 {
+			ran = run(on)
+			run(twin)
+		} else {
+			run(twin)
+			ran = run(on)
 		}
 		if ran == 0 {
 			off.Step() // a step that cost nothing: a fetch fault, or nothing to run
@@ -106,6 +134,7 @@ func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, se
 		for off.Cycles() < on.Cycles() && off.Step() != 0 {
 		}
 		compareMachines(t, batch, on, off)
+		compareMachines(t, batch, twin, off)
 		if ran == 0 || on.Halted() || on.Idle() {
 			break
 		}

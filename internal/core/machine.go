@@ -8,7 +8,10 @@ import (
 )
 
 // Machine is one transputer: processor state, memory and scheduler.
-// All methods must be called from the single simulation goroutine.
+// All methods must be called from the single simulation goroutine that
+// runs the machine.  The one structure machines share is the CodeStore
+// their decoded code lives in, which any number of goroutines may use
+// at once.
 type Machine struct {
 	cfg      Config
 	wordBits int
@@ -151,6 +154,12 @@ type Machine struct {
 	stats    Stats
 	opCounts [denseOps]uint64
 	rareOps  map[uint16]uint64
+
+	// store holds the code bc's blocks are handles on, shared with every
+	// machine built with the same store (see CodeStore).  A cold field,
+	// it stays last, so the fields the instruction loop touches keep
+	// their offsets.
+	store *CodeStore
 }
 
 // longOpState is an in-progress interruptible long operation: either a
@@ -191,8 +200,13 @@ func (m *Machine) noneSelected() uint64 { return m.mask } // -1
 
 // New builds a machine from a configuration.  The machine has no clock
 // or link engine attached; Attach must be called before Run when timers
-// or links are used.
-func New(cfg Config) (*Machine, error) {
+// or links are used.  The code it decodes is its own.
+func New(cfg Config) (*Machine, error) { return NewShared(cfg, nil) }
+
+// NewShared is New for a machine that shares the code it decodes with
+// every other machine built with store (see CodeStore).  A nil store
+// gives the machine one of its own at its first decode.
+func NewShared(cfg Config, store *CodeStore) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -201,6 +215,7 @@ func New(cfg Config) (*Machine, error) {
 		wordBits: cfg.WordBits,
 		bpw:      cfg.WordBits / 8,
 		mem:      make([]byte, reservedWords*(cfg.WordBits/8)),
+		store:    store,
 	}
 	m.mask = (uint64(1) << uint(cfg.WordBits)) - 1
 	m.signBit = uint64(1) << uint(cfg.WordBits-1)

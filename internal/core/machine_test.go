@@ -37,16 +37,27 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestBlockRecSize pins the predecoded record at 32 bytes.  Every
-// decoded instruction of every machine is one, so the record's size is
-// most of the block cache's: a 48-byte record read about +1 % on the
-// benchmark's allocation per run, whose bound is 2 %, and +4 % on its
-// live heap.  decodeBlock copies each block out at its exact size for
-// the same reason (append's doubling left up to half of a cache
-// unused); a field added here has to fit, or be derived instead, as
-// the next address is from addr and bytes.
+// decoded instruction is one, held once per code store (see
+// CodeStore), so the record's size is most of the store's: a 48-byte
+// record read about +1 % on the benchmark's allocation per run, whose
+// bound is 2 %, and +4 % on its live heap before machines shared their
+// code.  newCode copies each run out at its exact size for the same
+// reason (append's doubling left up to half of a cache unused); a field
+// added here has to fit, or be derived instead, as the next address is
+// from addr and bytes.
 func TestBlockRecSize(t *testing.T) {
 	if n := unsafe.Sizeof(blockRec{}); n != 32 {
 		t.Errorf("blockRec is %d bytes, want 32", n)
+	}
+}
+
+// TestBlockSize pins a machine's handle on decoded code at 32 bytes:
+// the code pointer, the two chain edges and the validity.  Every block
+// of every machine is one; the handle it replaced, which held the code
+// itself, was 96.
+func TestBlockSize(t *testing.T) {
+	if n := unsafe.Sizeof(block{}); n != 32 {
+		t.Errorf("block is %d bytes, want 32", n)
 	}
 }
 

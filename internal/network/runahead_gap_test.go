@@ -38,7 +38,7 @@ import (
 // scheduled-at, seq), with a continuation carrying its last
 // instruction's virtual start.  That key is internal/sim's.
 func TestRunAheadWakeOrder(t *testing.T) {
-	t.Skip("ROADMAP item 5: a run-ahead continuation, scheduled early, fires before a same-instant link completion scheduled later, so a cached detached run wakes a sender one enqueue short of the stepwise reference")
+	t.Skip("ROADMAP item 1: a run-ahead continuation, scheduled early, fires before a same-instant link completion scheduled later, so a cached detached run wakes a sender one enqueue short of the stepwise reference")
 	stats := func(cache bool) core.Stats {
 		s := network.NewSystem()
 		for _, src := range []string{

@@ -78,6 +78,8 @@ type System struct {
 	// blockCacheOff is applied to every machine, present and future
 	// (see SetBlockCache).
 	blockCacheOff bool
+	// code is the decoded code every machine shares (see core.CodeStore).
+	code *core.CodeStore
 	// hb is the system-wide heartbeat configuration, applied to every
 	// engine present and future; monitors start when Run does.
 	hb struct {
@@ -100,7 +102,8 @@ type System struct {
 
 // NewSystem returns an empty system.
 func NewSystem() *System {
-	return &System{coord: sim.NewCoordinator(Lookahead), byName: make(map[string]*Node)}
+	return &System{coord: sim.NewCoordinator(Lookahead), byName: make(map[string]*Node),
+		code: core.NewCodeStore()}
 }
 
 // SetWorkers sets how many OS threads execute shards inside each
@@ -258,7 +261,7 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 		return nil, fmt.Errorf("network: transputer %q is one too many: a system holds at most %d", name, sim.MaxPorts)
 	}
 	cfg.Name = name
-	m, err := core.New(cfg)
+	m, err := core.NewShared(cfg, s.code)
 	if err != nil {
 		return nil, err
 	}
