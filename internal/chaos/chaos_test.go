@@ -107,7 +107,7 @@ func TestTopologyFileReplays(t *testing.T) {
 	if len(topo.Messages) != len(sc.Messages) {
 		t.Errorf("rendered %d messages, scenario has %d", len(topo.Messages), len(sc.Messages))
 	}
-	if !topo.Route.Enabled || !topo.Heartbeat.Set || !topo.LinkMode.Reliable {
+	if !topo.Route || !topo.Heartbeat || !topo.LinkMode.Reliable {
 		t.Error("rendered topology is missing the self-healing directives")
 	}
 	if topo.Seed != sc.Seed || topo.RunLimit != sc.RunLimit {

@@ -125,8 +125,8 @@ func TestCreditDisqualifiers(t *testing.T) {
 	}{
 		{"bus at the receiver", func(r *creditRig) { r.eb.AttachProbe(probe.NewBus()) }},
 		{"bus at the sender", func(r *creditRig) { r.ea.AttachProbe(probe.NewBus()) }},
-		{"heartbeat at the receiver", func(r *creditRig) { r.eb.SetHeartbeat(0, 0) }},
-		{"heartbeat at the sender", func(r *creditRig) { r.ea.SetHeartbeat(0, 0) }},
+		{"heartbeat at the receiver", func(r *creditRig) { r.eb.SetHeartbeat() }},
+		{"heartbeat at the sender", func(r *creditRig) { r.ea.SetHeartbeat() }},
 		{"error-detecting mode", func(r *creditRig) {
 			r.ea.SetReliable(true, 0, 0)
 			r.eb.SetReliable(true, 0, 0)

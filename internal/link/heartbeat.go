@@ -24,18 +24,19 @@ import (
 	"transputer/internal/sim"
 )
 
-// Defaults for SetHeartbeat: a beat every 20 µs and a verdict after
-// 100 µs of silence — five missed beats, comfortably above the
-// error-detecting mode's per-byte retransmission timeout.
+// The monitor's timing is fixed, like the rest of the link protocol:
+// a beat every 20 µs and a verdict after 100 µs of silence — five
+// missed beats, comfortably above the error-detecting mode's per-byte
+// retransmission timeout.
 const (
-	DefaultBeatInterval = 20 * sim.Microsecond
-	DefaultBeatTimeout  = 100 * sim.Microsecond
+	beatInterval = 20 * sim.Microsecond
+	// BeatTimeout is the silence after which a link's peer is declared
+	// unresponsive.
+	BeatTimeout = 100 * sim.Microsecond
 )
 
 // heartbeat is one engine's liveness-monitor state.
 type heartbeat struct {
-	interval   sim.Time
-	timeout    sim.Time
 	configured bool
 	running    bool
 	timer      sim.EventID
@@ -44,20 +45,9 @@ type heartbeat struct {
 	peerDown   [core.NumLinks]bool
 }
 
-// SetHeartbeat configures the liveness monitor.  Zero or negative
-// values select the defaults.  The monitor does not run until
+// SetHeartbeat enables the liveness monitor.  It does not run until
 // StartHeartbeat is called.
-func (e *Engine) SetHeartbeat(interval, timeout sim.Time) {
-	if interval <= 0 {
-		interval = DefaultBeatInterval
-	}
-	if timeout <= 0 {
-		timeout = DefaultBeatTimeout
-	}
-	e.hb.interval = interval
-	e.hb.timeout = timeout
-	e.hb.configured = true
-}
+func (e *Engine) SetHeartbeat() { e.hb.configured = true }
 
 // OnHeartbeat registers the verdict-change callback: up reports
 // whether the link's peer was just declared alive (true) or
@@ -80,7 +70,7 @@ func (e *Engine) StartHeartbeat() {
 	if e.hb.tick == nil {
 		e.hb.tick = e.hbTick
 	}
-	e.hb.timer = e.k.After(e.hb.interval, e.hb.tick)
+	e.hb.timer = e.k.After(beatInterval, e.hb.tick)
 }
 
 // StopHeartbeat cancels the monitor's recurring timer so the
@@ -139,7 +129,7 @@ func (e *Engine) hbTick() {
 		}
 		silence := now - e.hb.lastHeard[l]
 		switch {
-		case !e.hb.peerDown[l] && silence > e.hb.timeout:
+		case !e.hb.peerDown[l] && silence > BeatTimeout:
 			e.hb.peerDown[l] = true
 			if e.bus != nil {
 				// Published directly, not via emit: heartbeat events are
@@ -150,7 +140,7 @@ func (e *Engine) hbTick() {
 			if e.onBeat != nil {
 				e.onBeat(l, false)
 			}
-		case e.hb.peerDown[l] && silence <= e.hb.timeout:
+		case e.hb.peerDown[l] && silence <= BeatTimeout:
 			e.hb.peerDown[l] = false
 			if e.bus != nil {
 				e.bus.Publish(probe.Event{Kind: probe.Heartbeat, Time: now, Node: e.m.Name(), Link: l, Arg: 1, Dur: silence})
@@ -166,7 +156,7 @@ func (e *Engine) hbTick() {
 			e.sendBeat(l)
 		}
 	}
-	e.hb.timer = e.k.After(e.hb.interval, e.hb.tick)
+	e.hb.timer = e.k.After(beatInterval, e.hb.tick)
 }
 
 func (e *Engine) sendBeat(l int) {

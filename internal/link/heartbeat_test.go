@@ -10,7 +10,7 @@ func TestHeartbeatStartedAfterTraffic(t *testing.T) {
 	c, ma, mb, ea, eb := portPair(1, false)
 	eb.BeginInput(0, mb.MemStart()+4096, 64, nil)
 	ea.BeginOutput(1, ma.MemStart(), 64, nil)
-	lateStart := 4 * DefaultBeatTimeout
+	lateStart := 4 * BeatTimeout
 	if !c.RunUntil(lateStart) {
 		t.Fatal("the stream should have drained long before the monitor starts")
 	}
@@ -20,7 +20,7 @@ func TestHeartbeatStartedAfterTraffic(t *testing.T) {
 
 	var verdicts []string
 	for name, e := range map[string]*Engine{"a": ea, "b": eb} {
-		e.SetHeartbeat(0, 0)
+		e.SetHeartbeat()
 		e.OnHeartbeat(func(l int, up bool) {
 			if !up {
 				verdicts = append(verdicts, name)
@@ -28,7 +28,7 @@ func TestHeartbeatStartedAfterTraffic(t *testing.T) {
 		})
 		e.StartHeartbeat()
 	}
-	c.RunUntil(lateStart + 3*DefaultBeatTimeout)
+	c.RunUntil(lateStart + 3*BeatTimeout)
 	ea.StopHeartbeat()
 	eb.StopHeartbeat()
 	c.Run()

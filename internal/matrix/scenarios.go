@@ -169,8 +169,8 @@ func severedAndRestoredRing() (*Running, error) {
 		s.MustConnect(n, 0, nodes[(i+1)%len(nodes)], 1)
 	}
 	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat(0, 0)
-	r, err := route.Attach(s, route.Config{})
+	s.SetHeartbeat()
+	r, err := route.Attach(s)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +221,8 @@ func routedVChanRing() (*Running, error) {
 		}
 	}
 	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat(0, 0)
-	r, err := route.Attach(s, route.Config{})
+	s.SetHeartbeat()
+	r, err := route.Attach(s)
 	if err != nil {
 		return nil, err
 	}

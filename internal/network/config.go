@@ -39,11 +39,13 @@ import (
 //	fault restart gfx at=2ms
 //
 // Self-healing topologies enable liveness monitoring and the routing
-// layer, and inject end-to-end messages instead of running programs:
+// layer, and inject end-to-end messages instead of running programs.
+// Both are bare switches: their timing is fixed (link.BeatTimeout and
+// the route package's constants), and an option is an error:
 //
 //	linkmode reliable
-//	heartbeat interval=20us timeout=100us
-//	route ttl=32
+//	heartbeat
+//	route
 //	message app gfx at=100us data=hello
 //
 // Virtual channels multiplex several logical channels over one
@@ -75,10 +77,10 @@ type Topology struct {
 	LinkMode LinkMode
 	// Faults is the scripted fault plan (empty when none).
 	Faults []fault.Rule
-	// Heartbeat configures link liveness monitoring.
-	Heartbeat HeartbeatSpec
+	// Heartbeat enables link liveness monitoring.
+	Heartbeat bool
 	// Route enables the store-and-forward routing layer.
-	Route RouteSpec
+	Route bool
 	// Messages are end-to-end injections for routed topologies.
 	Messages []MessageSpec
 	// VChans multiplexes virtual channels over physical links.
@@ -96,23 +98,6 @@ type VChanSpec struct {
 	Node  string
 	Link  int
 	Count int
-}
-
-// HeartbeatSpec configures the link liveness monitor; zero Interval or
-// Timeout select the link package defaults.
-type HeartbeatSpec struct {
-	Set      bool
-	Interval sim.Time
-	Timeout  sim.Time
-}
-
-// RouteSpec enables and tunes the routing layer; zero values select
-// the route package defaults.
-type RouteSpec struct {
-	Enabled bool
-	Hop     sim.Time // per-hop custody timeout
-	Replay  sim.Time // end-to-end replay backoff base
-	TTL     int      // hop budget
 }
 
 // MessageSpec is one scripted end-to-end message.
@@ -157,8 +142,9 @@ type HostSpec struct {
 }
 
 // ParseTopology reads the text format above.  Every error names the
-// line it came from; duplicate node names, double-wired link ends and
-// references to undeclared nodes are rejected.
+// line it came from; duplicate node names, double-wired link ends,
+// repeated singleton directives and references to undeclared nodes are
+// rejected.
 func ParseTopology(src string) (*Topology, error) {
 	topo := &Topology{Inputs: make(map[string][]int64), RunLimit: sim.Second}
 	nodeLine := make(map[string]int)  // node name -> declaring line
@@ -166,7 +152,8 @@ func ParseTopology(src string) (*Topology, error) {
 	var faultLine []int               // line of each rule in topo.Faults
 	var vchanLine []int               // line of each spec in topo.VChans
 	shardOf := make(map[string]int)   // node name -> line of its shard group
-	heartbeatAt, routeAt := 0, 0      // lines of the singleton directives
+	onceAt := make(map[string]int)    // singleton directive -> its line
+	messageAt := 0                    // line of the first message
 	// refs records node-name uses to validate after all declarations.
 	type ref struct {
 		name string
@@ -193,6 +180,13 @@ func ParseTopology(src string) (*Topology, error) {
 			}
 			wiredLine[end] = no
 			return nil
+		}
+		switch fields[0] {
+		case "run", "seed", "linkmode", "heartbeat", "route":
+			if prev, dup := onceAt[fields[0]]; dup {
+				return nil, fail("duplicate %s directive (first at line %d)", fields[0], prev)
+			}
+			onceAt[fields[0]] = no
 		}
 		switch fields[0] {
 		case "transputer":
@@ -309,25 +303,15 @@ func ParseTopology(src string) (*Topology, error) {
 			topo.Faults = append(topo.Faults, rule)
 			faultLine = append(faultLine, no)
 		case "heartbeat":
-			if heartbeatAt != 0 {
-				return nil, fail("duplicate heartbeat directive (first at line %d)", heartbeatAt)
+			if len(fields) > 1 {
+				return nil, fail("heartbeat takes no options")
 			}
-			heartbeatAt = no
-			hb, err := parseHeartbeat(fields[1:])
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			topo.Heartbeat = hb
+			topo.Heartbeat = true
 		case "route":
-			if routeAt != 0 {
-				return nil, fail("duplicate route directive (first at line %d)", routeAt)
+			if len(fields) > 1 {
+				return nil, fail("route takes no options")
 			}
-			routeAt = no
-			rt, err := parseRoute(fields[1:])
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			topo.Route = rt
+			topo.Route = true
 		case "vchan":
 			if len(fields) != 3 {
 				return nil, fail("vchan needs a link end and count=N")
@@ -372,6 +356,9 @@ func ParseTopology(src string) (*Topology, error) {
 			}
 			refs = append(refs, ref{msg.From, no}, ref{msg.To, no})
 			topo.Messages = append(topo.Messages, msg)
+			if messageAt == 0 {
+				messageAt = no
+			}
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
@@ -387,16 +374,16 @@ func ParseTopology(src string) (*Topology, error) {
 	if err := validateVChans(topo, vchanLine, faultLine, wiredLine); err != nil {
 		return nil, err
 	}
-	if topo.Route.Enabled {
+	if topo.Route {
 		if !topo.LinkMode.Reliable {
-			return nil, fmt.Errorf("topology: route requires linkmode reliable")
+			return nil, fmt.Errorf("topology line %d: route requires linkmode reliable", onceAt["route"])
 		}
-		if !topo.Heartbeat.Set {
-			return nil, fmt.Errorf("topology: route requires a heartbeat directive")
+		if !topo.Heartbeat {
+			return nil, fmt.Errorf("topology line %d: route requires a heartbeat directive", onceAt["route"])
 		}
 	}
-	if len(topo.Messages) > 0 && !topo.Route.Enabled {
-		return nil, fmt.Errorf("topology: message directives require a route directive")
+	if messageAt != 0 && !topo.Route {
+		return nil, fmt.Errorf("topology line %d: message directives require a route directive", messageAt)
 	}
 	return topo, nil
 }
@@ -552,68 +539,6 @@ func validateVChans(topo *Topology, vchanLine, faultLine []int, wiredLine map[st
 		}
 	}
 	return nil
-}
-
-// parseHeartbeat reads a heartbeat directive:
-//
-//	heartbeat [interval=D] [timeout=D]
-func parseHeartbeat(args []string) (HeartbeatSpec, error) {
-	hb := HeartbeatSpec{Set: true}
-	for _, opt := range args {
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok {
-			return hb, fmt.Errorf("bad heartbeat option %q", opt)
-		}
-		d, err := parseDuration(v)
-		if err != nil || d <= 0 {
-			return hb, fmt.Errorf("bad heartbeat %s %q", k, v)
-		}
-		switch k {
-		case "interval":
-			hb.Interval = d
-		case "timeout":
-			hb.Timeout = d
-		default:
-			return hb, fmt.Errorf("unknown heartbeat option %q", k)
-		}
-	}
-	return hb, nil
-}
-
-// parseRoute reads a route directive:
-//
-//	route [hop=D] [replay=D] [ttl=N]
-func parseRoute(args []string) (RouteSpec, error) {
-	rt := RouteSpec{Enabled: true}
-	for _, opt := range args {
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok {
-			return rt, fmt.Errorf("bad route option %q", opt)
-		}
-		switch k {
-		case "hop":
-			d, err := parseDuration(v)
-			if err != nil || d <= 0 {
-				return rt, fmt.Errorf("bad route hop %q", v)
-			}
-			rt.Hop = d
-		case "replay":
-			d, err := parseDuration(v)
-			if err != nil || d <= 0 {
-				return rt, fmt.Errorf("bad route replay %q", v)
-			}
-			rt.Replay = d
-		case "ttl":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 || n > 255 {
-				return rt, fmt.Errorf("bad route ttl %q", v)
-			}
-			rt.TTL = n
-		default:
-			return rt, fmt.Errorf("unknown route option %q", k)
-		}
-	}
-	return rt, nil
 }
 
 // parseMessage reads a message directive:

@@ -98,6 +98,18 @@ func TestParseTopologyErrors(t *testing.T) {
 			t.Errorf("ParseTopology(%q) should fail", src)
 		}
 	}
+	// heartbeat and route are bare switches: the option forms they once
+	// took are refused at their line.
+	for src, want := range map[string]string{
+		"heartbeat interval=20us":                             "topology line 1: heartbeat takes no options",
+		"transputer x t424\nheartbeat timeout=100us":          "topology line 2: heartbeat takes no options",
+		"transputer x t424\nlinkmode reliable\nroute ttl=4":   "topology line 3: route takes no options",
+		"transputer x t424\nlinkmode reliable\nroute hop=1us": "topology line 3: route takes no options",
+	} {
+		if _, err := ParseTopology(src); err == nil || err.Error() != want {
+			t.Errorf("ParseTopology(%q) = %v, want %q", src, err, want)
+		}
+	}
 }
 
 // TestParseTopologyErrorLines: every parse error names the offending
@@ -119,6 +131,17 @@ func TestParseTopologyErrorLines(t *testing.T) {
 	_, err = ParseTopology("transputer x t424\nheartbeat\nrun -1ms\n")
 	if want := `topology line 3: bad duration "-1ms"`; err == nil || err.Error() != want {
 		t.Errorf("negative run limit: %v, want %q", err, want)
+	}
+	// The cross-directive checks run after the whole file is read; they
+	// name the route line, or the first message line.
+	for src, want := range map[string]string{
+		"transputer x t424\nheartbeat\nroute\n":                                     "topology line 3: route requires linkmode reliable",
+		"transputer x t424\nroute\n\nlinkmode reliable\n":                           "topology line 2: route requires a heartbeat directive",
+		"transputer x t424\nmessage x x at=1us data=a\nmessage x x at=2us data=b\n": "topology line 2: message directives require a route directive",
+	} {
+		if _, err := ParseTopology(src); err == nil || err.Error() != want {
+			t.Errorf("ParseTopology(%q) = %v, want %q", src, err, want)
+		}
 	}
 }
 
@@ -215,8 +238,8 @@ connect a.0 b.1
 connect b.0 c.1
 connect c.0 a.1
 linkmode reliable
-heartbeat interval=20us timeout=100us
-route hop=400us replay=800us ttl=16
+heartbeat
+route
 message a c at=100us data=hello
 fault sever a.0 at=200us
 fault halt b at=300us
@@ -227,13 +250,8 @@ run 5ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !topo.Heartbeat.Set || topo.Heartbeat.Interval != 20*sim.Microsecond ||
-		topo.Heartbeat.Timeout != 100*sim.Microsecond {
-		t.Errorf("heartbeat = %+v", topo.Heartbeat)
-	}
-	if !topo.Route.Enabled || topo.Route.Hop != 400*sim.Microsecond ||
-		topo.Route.Replay != 800*sim.Microsecond || topo.Route.TTL != 16 {
-		t.Errorf("route = %+v", topo.Route)
+	if !topo.Heartbeat || !topo.Route {
+		t.Errorf("heartbeat = %v, route = %v", topo.Heartbeat, topo.Route)
 	}
 	if len(topo.Messages) != 1 {
 		t.Fatalf("messages = %+v", topo.Messages)
@@ -326,18 +344,25 @@ func TestParseVChan(t *testing.T) {
 	}
 }
 
-// TestParseDuplicateDirectives: a topology may configure heartbeat and
-// route at most once; a silent last-writer-wins overwrite was how a
-// campaign ran with the wrong timeout and nobody noticed.
+// TestParseDuplicateDirectives: a topology may give each of run, seed,
+// linkmode, heartbeat and route at most once; a silent
+// last-writer-wins overwrite was how a campaign ran with the wrong
+// timeout and nobody noticed.
 func TestParseDuplicateDirectives(t *testing.T) {
 	cases := []struct {
 		src  string
 		want []string
 	}{
-		{"heartbeat interval=20us\nheartbeat interval=50us",
+		{"heartbeat\nheartbeat",
 			[]string{"line 2", "duplicate heartbeat", "line 1"}},
-		{"transputer x t424\nlinkmode reliable\nheartbeat\nroute\nroute ttl=4",
+		{"transputer x t424\nlinkmode reliable\nheartbeat\nroute\nroute",
 			[]string{"line 5", "duplicate route", "line 4"}},
+		{"linkmode reliable timeout=5us\nlinkmode reliable",
+			[]string{"line 2", "duplicate linkmode", "line 1"}},
+		{"seed 1\ntransputer x t424\nseed 2",
+			[]string{"line 3", "duplicate seed", "line 1"}},
+		{"run 1ms\n\nrun 1ms",
+			[]string{"line 3", "duplicate run", "line 1"}},
 	}
 	for _, c := range cases {
 		_, err := ParseTopology(c.src)

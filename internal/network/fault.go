@@ -37,16 +37,12 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 	if err != nil {
 		return err
 	}
-	if s.hb.set {
+	if s.heartbeat {
 		// With liveness monitoring on, peers resynchronise their link
 		// streams at the heartbeat down verdict and the restarted node
 		// resets its own at boot.  An outage shorter than the detection
 		// window would reset only one end and desynchronise the byte
 		// stream, so reject such plans outright.
-		timeout := s.hb.timeout
-		if timeout <= 0 {
-			timeout = link.DefaultBeatTimeout
-		}
 		for i, r := range plan.Rules {
 			if r.Kind != fault.Restart {
 				continue
@@ -57,10 +53,10 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 					haltAt = h.At
 				}
 			}
-			if haltAt > 0 && r.At-haltAt < 2*timeout {
+			if haltAt > 0 && r.At-haltAt < 2*link.BeatTimeout {
 				return fmt.Errorf("network: rule %d: restart of %q only %v after its halt; "+
 					"outages must exceed twice the heartbeat timeout (%v) for link streams to resynchronise",
-					i, r.Node, r.At-haltAt, timeout)
+					i, r.Node, r.At-haltAt, link.BeatTimeout)
 			}
 		}
 	}

@@ -35,11 +35,11 @@ func FuzzParseTopology(f *testing.F) {
 		}
 	}
 	// Topologies that reach the run with no program: liveness and routing
-	// at the shortest intervals the parser takes, a restart, a cut under
-	// a routed message, odd memory sizes, the file's own placement.
-	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nlinkmode reliable\nheartbeat interval=1ns timeout=2ns\nroute hop=1ns replay=1ns ttl=1\nmessage a b at=1ns data=x\nmessage b a at=1ns data=y\n")
+	// under messages at the first nanosecond, a restart, a cut under a
+	// routed message, odd memory sizes, the file's own placement.
+	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nlinkmode reliable\nheartbeat\nroute\nmessage a b at=1ns data=x\nmessage b a at=1ns data=y\n")
 	f.Add("transputer a t424 mem=4097\ntransputer b t222 mem=5\nconnect a.0 b.0\nlinkmode reliable\nroute\nheartbeat\nmessage a b at=5us data=xyz\nfault halt b at=10us\nfault restart b at=400us\n")
-	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nlinkmode reliable\nroute\nheartbeat interval=3ns timeout=5ns\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\nshard a b\nshard c\n")
+	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nlinkmode reliable\nroute\nheartbeat\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\nshard a b\nshard c\n")
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nconnect a.1 b.1\nlinkmode reliable\nheartbeat\nroute\nmessage a b at=1us data=x\nfault corrupt a.0 rate=1\nfault jitter b.1 rate=1 max=1ms\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		topo, err := network.ParseTopology(src)

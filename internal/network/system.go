@@ -80,13 +80,9 @@ type System struct {
 	blockCacheOff bool
 	// code is the decoded code every machine shares (see core.CodeStore).
 	code *core.CodeStore
-	// hb is the system-wide heartbeat configuration, applied to every
-	// engine present and future; monitors start when Run does.
-	hb struct {
-		interval sim.Time
-		timeout  sim.Time
-		set      bool
-	}
+	// heartbeat enables liveness monitoring on every engine, present
+	// and future; monitors start when Run does.
+	heartbeat bool
 	// downSubs and upSubs hear node liveness transitions driven by the
 	// fault schedule (halt and restart rules).  Callbacks run on the
 	// affected node's shard; subscribe before Run.
@@ -282,8 +278,8 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 	if s.blockCacheOff {
 		m.SetBlockCache(false)
 	}
-	if s.hb.set {
-		n.Engine.SetHeartbeat(s.hb.interval, s.hb.timeout)
+	if s.heartbeat {
+		n.Engine.SetHeartbeat()
 	}
 	s.nodes = append(s.nodes, n)
 	s.byName[name] = n
@@ -462,19 +458,19 @@ func (n *Node) Publish(ev probe.Event) {
 	n.col.bus.Publish(ev)
 }
 
-// SetHeartbeat configures link liveness monitoring on every node,
-// present and future (zero values select the defaults); the monitors
-// start when Run does.  See link.SetHeartbeat.
-func (s *System) SetHeartbeat(interval, timeout sim.Time) {
-	s.hb.interval, s.hb.timeout, s.hb.set = interval, timeout, true
+// SetHeartbeat enables link liveness monitoring on every node,
+// present and future; the monitors start when Run does.  See
+// link.SetHeartbeat.
+func (s *System) SetHeartbeat() {
+	s.heartbeat = true
 	for _, n := range s.nodes {
-		n.Engine.SetHeartbeat(interval, timeout)
+		n.Engine.SetHeartbeat()
 	}
 }
 
 // HeartbeatSet reports whether system-wide liveness monitoring is
-// configured.
-func (s *System) HeartbeatSet() bool { return s.hb.set }
+// enabled.
+func (s *System) HeartbeatSet() bool { return s.heartbeat }
 
 // LinkMode reports the system-wide link protocol configuration.
 func (s *System) LinkMode() LinkMode { return s.linkMode }
@@ -599,7 +595,7 @@ func (s *System) Run(limit sim.Time) Report {
 	s.seal()
 	for _, n := range s.nodes {
 		n.runner.Start()
-		if s.hb.set {
+		if s.heartbeat {
 			n.Engine.StartHeartbeat()
 		}
 	}

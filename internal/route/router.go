@@ -40,6 +40,10 @@
 //     think battery-backed NVRAM).  At restart the node resets its
 //     link streams, rejoins via HELLO, and replays its unacknowledged
 //     messages.
+//
+// Like the link protocol under it, the router takes no options: the
+// per-hop custody timeout, the replay backoff base and the hop budget
+// are constants, as is the timing of the heartbeat it depends on.
 package route
 
 import (
@@ -52,24 +56,17 @@ import (
 	"transputer/internal/sim"
 )
 
-// Defaults for Config.
+// The router's timing and hop budget are fixed.
 const (
-	// DefaultHopTimeout is the custody timeout per hop — generous
-	// against queueing and link-level retransmission, so it only fires
-	// for genuinely stuck frames.
-	DefaultHopTimeout = 400 * sim.Microsecond
-	// DefaultReplayTimeout is the base end-to-end replay backoff.
-	DefaultReplayTimeout = 800 * sim.Microsecond
-	// DefaultTTL is the hop budget of routed frames.
-	DefaultTTL = 32
+	// custodyTimeout is the custody timeout per hop — generous against
+	// queueing and link-level retransmission, so it only fires for
+	// genuinely stuck frames.
+	custodyTimeout = 400 * sim.Microsecond
+	// replayTimeout is the base end-to-end replay backoff.
+	replayTimeout = 800 * sim.Microsecond
+	// frameTTL is the hop budget of routed frames.
+	frameTTL = 32
 )
-
-// Config tunes the router.  Zero values select the defaults.
-type Config struct {
-	HopTimeout    sim.Time
-	ReplayTimeout sim.Time
-	TTL           int
-}
 
 // Delivery is one in-order end-to-end delivery at a destination.
 type Delivery struct {
@@ -181,7 +178,6 @@ type rnode struct {
 // before Run; read results (Deliveries, Injected, Undelivered) after.
 type Router struct {
 	sys      *network.System
-	cfg      Config
 	nodes    []*rnode
 	byName   map[string]*rnode
 	adj      [][core.NumLinks]adjEntry
@@ -189,37 +185,25 @@ type Router struct {
 }
 
 // Attach builds a router over every node of the system.  The system
-// must be in error-detecting link mode with heartbeats configured —
+// must be in error-detecting link mode with heartbeats enabled —
 // the router's streams and failure detection are built on both — and
 // fully wired: call Attach after the topology is connected (including
 // any System.EnableVChans) and before Run.  On a multiplexed link the
 // router runs one send slot and one receive pump per virtual channel,
 // so frames to different destinations stream concurrently over the
 // shared wire instead of queueing behind each other.
-func Attach(s *network.System, cfg Config) (*Router, error) {
+func Attach(s *network.System) (*Router, error) {
 	if !s.LinkMode().Reliable {
 		return nil, fmt.Errorf("route: router requires the error-detecting link mode")
 	}
 	if !s.HeartbeatSet() {
 		return nil, fmt.Errorf("route: router requires heartbeats (System.SetHeartbeat)")
 	}
-	if cfg.HopTimeout <= 0 {
-		cfg.HopTimeout = DefaultHopTimeout
-	}
-	if cfg.ReplayTimeout <= 0 {
-		cfg.ReplayTimeout = DefaultReplayTimeout
-	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
-	}
-	if cfg.TTL > 255 {
-		cfg.TTL = 255
-	}
 	nodes := s.Nodes()
 	if len(nodes) > 256 {
 		return nil, fmt.Errorf("route: %d nodes exceed the 256-node frame address space", len(nodes))
 	}
-	r := &Router{sys: s, cfg: cfg, byName: make(map[string]*rnode)}
+	r := &Router{sys: s, byName: make(map[string]*rnode)}
 	r.adj = make([][core.NumLinks]adjEntry, len(nodes))
 	for i, nn := range nodes {
 		for l := 0; l < core.NumLinks; l++ {
@@ -336,14 +320,14 @@ func (r *Router) SendAt(at sim.Time, from, to string, payload []byte) (*Injected
 
 func (nd *rnode) dataFrame(to int, seq uint32, payload []byte) frame {
 	return frame{kind: fData, origin: byte(nd.ord), dest: byte(to),
-		ttl: byte(nd.r.cfg.TTL), seq: seq, payload: payload}
+		ttl: frameTTL, seq: seq, payload: payload}
 }
 
 // armReplay schedules the message's next replay with exponential
 // backoff.
 func (nd *rnode) armReplay(to int, seq uint32, msg *pendingMsg) {
 	gen := nd.gen
-	wait := nd.r.cfg.ReplayTimeout
+	wait := replayTimeout
 	for i := 0; i < msg.attempts && i < 5; i++ {
 		wait *= 2
 	}
@@ -427,7 +411,7 @@ func (nd *rnode) sendOn(l, si int) {
 	hold := f
 	sl.inFlight = &hold
 	sl.sending = true
-	sl.hopWait = nd.r.cfg.HopTimeout
+	sl.hopWait = custodyTimeout
 	nd.armHop(l, si)
 	gen := nd.gen
 	done := func() {
@@ -447,7 +431,7 @@ func (nd *rnode) sendOn(l, si int) {
 		sl.sending = false
 		sl.inFlight = nil
 		ls.queue = append([]frame{f}, ls.queue...)
-		nd.clock().After(nd.r.cfg.HopTimeout/4, func() {
+		nd.clock().After(custodyTimeout/4, func() {
 			if nd.gen == gen {
 				nd.trySend(l)
 			}
@@ -503,7 +487,7 @@ func (nd *rnode) hopTimeout(l, si int) {
 			nd.enqueue(alt, f)
 		}
 	}
-	if sl.hopWait < 8*nd.r.cfg.HopTimeout {
+	if sl.hopWait < 8*custodyTimeout {
 		sl.hopWait *= 2
 	}
 	nd.armHop(l, si)
@@ -795,7 +779,7 @@ func (nd *rnode) deliverLocal(f frame) {
 	o := int(f.origin)
 	if o != nd.ord {
 		nd.route(frame{kind: fE2EAck, origin: byte(nd.ord), dest: f.origin,
-			ttl: byte(nd.r.cfg.TTL), seq: f.seq})
+			ttl: frameTTL, seq: f.seq})
 	}
 	if f.seq < nd.expect[o] {
 		return // duplicate of an already-delivered message

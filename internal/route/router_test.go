@@ -29,7 +29,7 @@ func ring(t *testing.T, n int, workers int) (*network.System, []*network.Node) {
 		s.MustConnect(nodes[i], 0, nodes[(i+1)%n], 1)
 	}
 	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat(0, 0) // package defaults
+	s.SetHeartbeat()
 	return s, nodes
 }
 
@@ -55,7 +55,7 @@ func grid(t *testing.T, w, h int) (*network.System, [][]*network.Node) {
 		}
 	}
 	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat(0, 0)
+	s.SetHeartbeat()
 	return s, nodes
 }
 
@@ -108,7 +108,7 @@ func checkExactlyOnce(t *testing.T, r *route.Router) {
 // everything exactly once with no advertisements ever needed.
 func TestRouterRingNoFaults(t *testing.T) {
 	s, _ := ring(t, 4, 0)
-	r, err := route.Attach(s, route.Config{})
+	r, err := route.Attach(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +144,15 @@ func TestRouterAttachRequirements(t *testing.T) {
 	a := s.MustAddTransputer("a", cfg())
 	b := s.MustAddTransputer("b", cfg())
 	s.MustConnect(a, 0, b, 1)
-	if _, err := route.Attach(s, route.Config{}); err == nil {
+	if _, err := route.Attach(s); err == nil {
 		t.Error("Attach accepted a plain-mode system")
 	}
 	s.SetLinkMode(network.LinkMode{Reliable: true})
-	if _, err := route.Attach(s, route.Config{}); err == nil {
+	if _, err := route.Attach(s); err == nil {
 		t.Error("Attach accepted a system without heartbeats")
 	}
-	s.SetHeartbeat(0, 0)
-	if _, err := route.Attach(s, route.Config{}); err != nil {
+	s.SetHeartbeat()
+	if _, err := route.Attach(s); err != nil {
 		t.Errorf("Attach rejected a well-configured system: %v", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestRouterAttachRequirements(t *testing.T) {
 // link ends must not linger as DOWN retry-exhausted senders.
 func TestRouterSeveredRingHeals(t *testing.T) {
 	s, nodes := ring(t, 4, 0)
-	r, err := route.Attach(s, route.Config{})
+	r, err := route.Attach(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRouterSeveredRingHeals(t *testing.T) {
 // it, from it, and through it all completes exactly once.
 func TestRouterRestartRecovery(t *testing.T) {
 	s, nodes := grid(t, 3, 3)
-	r, err := route.Attach(s, route.Config{})
+	r, err := route.Attach(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRouterRestartRecovery(t *testing.T) {
 // messages.
 func TestRouterUnsurvivablePartition(t *testing.T) {
 	s, nodes := ring(t, 4, 0)
-	r, err := route.Attach(s, route.Config{})
+	r, err := route.Attach(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +317,12 @@ func TestRouterOverVChans(t *testing.T) {
 		s.MustConnect(a, 0, b, 1)
 		s.MustConnect(b, 0, c, 1)
 		s.SetLinkMode(network.LinkMode{Reliable: true})
-		s.SetHeartbeat(0, 0)
+		s.SetHeartbeat()
 		// The a<->b wire carries every stream below; multiplex it.
 		if err := s.EnableVChans(a, 0, 8); err != nil {
 			t.Fatal(err)
 		}
-		r, err := route.Attach(s, route.Config{})
+		r, err := route.Attach(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestRouterOverVChans(t *testing.T) {
 func TestRouterDeterminism(t *testing.T) {
 	outcome := func(workers int) []route.Delivery {
 		s, nodes := ring(t, 6, workers)
-		r, err := route.Attach(s, route.Config{})
+		r, err := route.Attach(s)
 		if err != nil {
 			t.Fatal(err)
 		}

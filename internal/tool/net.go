@@ -101,15 +101,11 @@ func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Netwo
 		net.Hosts = append(net.Hosts, host)
 	}
 	s.SetLinkMode(topo.LinkMode)
-	if topo.Heartbeat.Set {
-		s.SetHeartbeat(topo.Heartbeat.Interval, topo.Heartbeat.Timeout)
+	if topo.Heartbeat {
+		s.SetHeartbeat()
 	}
-	if topo.Route.Enabled {
-		r, err := route.Attach(s, route.Config{
-			HopTimeout:    topo.Route.Hop,
-			ReplayTimeout: topo.Route.Replay,
-			TTL:           topo.Route.TTL,
-		})
+	if topo.Route {
+		r, err := route.Attach(s)
 		if err != nil {
 			return nil, err
 		}

@@ -87,7 +87,7 @@ connect n1.1 n2.0
 connect n2.1 n3.0
 connect n3.1 n0.0
 linkmode reliable
-heartbeat interval=20us timeout=100us
+heartbeat
 route
 message n1 n2 at=50us  data=before
 message n1 n2 at=210us data=during
@@ -132,7 +132,7 @@ transputer n0 t424 mem=64K
 transputer n1 t424 mem=64K
 connect n0.0 n1.0
 linkmode reliable
-heartbeat interval=20us timeout=100us
+heartbeat
 route
 message n0 n1 at=500us data=doomed
 fault sever n0.0 at=100us
