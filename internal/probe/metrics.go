@@ -58,6 +58,14 @@ func (q *queueMetrics) set(depth int, at sim.Time) {
 	}
 }
 
+// setQueue records a run-queue depth; a priority outside 0..1 has no
+// queue and is left out.
+func (n *nodeMetrics) setQueue(pri, depth int, at sim.Time) {
+	if uint(pri) < uint(len(n.queues)) {
+		n.queues[pri].set(depth, at)
+	}
+}
+
 type linkMetrics struct {
 	dataBytes uint64
 	acks      uint64
@@ -131,14 +139,14 @@ func (m *Metrics) consume(e *Event) {
 		}
 		n.dispatches++
 		n.switching += e.Dur
-		n.queues[e.Pri].set(e.Depth, e.Time)
+		n.setQueue(e.Pri, e.Depth, e.Time)
 	case ProcStop:
 		if n.running {
 			n.busy += e.Time - n.runningFrom
 			n.running = false
 		}
 	case ProcReady:
-		n.queues[e.Pri].set(e.Depth, e.Time)
+		n.setQueue(e.Pri, e.Depth, e.Time)
 	case Preempt:
 		n.preempts++
 		n.switching += e.Dur

@@ -68,3 +68,23 @@ func TestMetricsRunQueueDepth(t *testing.T) {
 		t.Errorf("bad priority = %v, %d", avg, max)
 	}
 }
+
+// TestMetricsBadPriority: a dispatch or a ready at a priority with no
+// run queue is counted and changes no queue; it must not panic.
+func TestMetricsBadPriority(t *testing.T) {
+	b := NewBus()
+	m := NewMetrics(b)
+	for _, pri := range []int{-1, 2, 128} {
+		b.Publish(Event{Kind: ProcDispatch, Node: "n0", Time: 10, Pri: pri, Depth: 5})
+		b.Publish(Event{Kind: ProcReady, Node: "n0", Time: 20, Pri: pri, Depth: 6})
+	}
+	m.Finish(100)
+	if got := m.nodes["n0"].dispatches; got != 3 {
+		t.Errorf("%d dispatches counted, want 3", got)
+	}
+	for pri := 0; pri <= 1; pri++ {
+		if avg, max := m.QueueStats("n0", pri); avg != 0 || max != 0 {
+			t.Errorf("priority %d queue: avg %v, max %d; want zeros", pri, avg, max)
+		}
+	}
+}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"transputer/internal/bench"
 	"transputer/internal/network"
 	"transputer/internal/probe"
+	"transputer/internal/raceflag"
 	"transputer/internal/sim"
 	"transputer/internal/tool"
 )
@@ -76,6 +78,47 @@ func TestRingMatchesReference(t *testing.T) {
 	tl, doc := renderRun(t, s, 10*sim.Second, nil)
 	if tl.Len() < 10000 || len(doc.Flows) < 8*256 {
 		t.Errorf("ring recorded %d events and %d flows: too few to be the streaming ring", tl.Len(), len(doc.Flows))
+	}
+}
+
+// TestTimelineStoreAllocGuard pins what an observed run keeps an event,
+// on the streaming ring's real traffic: its records take at most 10
+// bytes an event (7.4 when this was written; a record of plain uvarints
+// and one flow delta took 13.4), and recording them again allocates
+// those bytes and at most one chunk of slack.
+func TestTimelineStoreAllocGuard(t *testing.T) {
+	s, err := bench.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := probe.NewBus()
+	tl := probe.NewTimeline(bus)
+	s.AttachProbe(bus)
+	if rep := s.Run(10 * sim.Second); !rep.Settled {
+		t.Fatalf("run did not settle: %+v", rep)
+	}
+	used := probe.StoredBytes(tl)
+	if per := float64(used) / float64(tl.Len()); per > 10 {
+		t.Errorf("%d events stored in %d bytes: %.2f an event, want at most 10", tl.Len(), used, per)
+	}
+	if raceflag.Enabled {
+		return // the race detector's instrumentation allocates
+	}
+	evs := tl.Events()
+	bus = probe.NewBus()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	again := probe.NewTimeline(bus)
+	for i := range evs {
+		bus.PublishRef(&evs[i])
+	}
+	runtime.ReadMemStats(&m1)
+	if got := probe.StoredBytes(again); got != used {
+		t.Errorf("the same events stored again take %d bytes, first %d", got, used)
+	}
+	// The node table and the list of chunks take the few KiB over.
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(used+probe.ChunkBytes+4<<10); got > limit {
+		t.Errorf("recording %d events in %d bytes allocated %d, over %d", len(evs), used, got, limit)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
-	"unsafe"
 
 	"transputer/internal/raceflag"
 	"transputer/internal/sim"
@@ -166,12 +165,22 @@ func TestTimelineMatchesReference(t *testing.T) {
 	})
 
 	t.Run("pages", func(t *testing.T) {
-		// Page boundaries and more than one flush of the buffer.
-		for _, n := range []int{pageEvents - 1, pageEvents, pageEvents + 1, 5*pageEvents + 3} {
+		// Events on either side of a chunk boundary, and more than one
+		// flush of the buffer.
+		ev := func(i int) Event {
+			return Event{Kind: ChanRendezvous, Node: fmt.Sprintf("n%d", i%3), Time: sim.Time(i) * 7,
+				Proc: uint64(0x100 + i%5), Addr: 0x80, Bytes: 4, Flow: PackFlow(2, uint64(i))}
+		}
+		b := NewBus()
+		tl := NewTimeline(b)
+		for i := 0; len(tl.chunks) < 2; i++ {
+			b.Publish(ev(i))
+		}
+		perChunk := tl.Len() - 1
+		for _, n := range []int{perChunk - 1, perChunk, perChunk + 1, 5*perChunk + 3} {
 			evs := make([]Event, n)
 			for i := range evs {
-				evs[i] = Event{Kind: ChanRendezvous, Node: fmt.Sprintf("n%d", i%3), Time: sim.Time(i) * 7,
-					Proc: uint64(0x100 + i%5), Addr: 0x80, Bytes: 4, Flow: PackFlow(2, uint64(i))}
+				evs[i] = ev(i)
 			}
 			checkTimeline(t, fmt.Sprintf("%d events", n), evs)
 		}
@@ -209,9 +218,12 @@ func TestAppendUsecMatchesFloat(t *testing.T) {
 func TestTimelineEventsIsACopy(t *testing.T) {
 	b := NewBus()
 	tl := NewTimeline(b)
-	const n = 2*pageEvents + 17
+	const n = chunkBytes
 	for i := 0; i < n; i++ {
 		b.Publish(Event{Kind: Timeslice, Node: "n", Time: sim.Time(i)})
+	}
+	if len(tl.chunks) < 3 {
+		t.Fatalf("%d events fill %d chunks: too few to cross two chunk boundaries", n, len(tl.chunks))
 	}
 	evs := tl.Events()
 	if tl.Len() != n || len(evs) != n {
@@ -385,8 +397,8 @@ func leastAllocated(fn func()) uint64 {
 
 // TestRenderAllocGuard: rendering is O(1) in memory — both writers
 // allocate the same for four times the events, the buffer and the
-// per-node state and nothing per event — and recording costs the
-// events' own size and no more: no regrowth, no slack past one page.
+// per-node state and nothing per event — and recording costs no more
+// than 24 bytes an event and one chunk of slack.
 func TestRenderAllocGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -437,9 +449,9 @@ func TestRenderAllocGuard(t *testing.T) {
 		n   int
 		got uint64
 	}{{n, one.record}, {4 * n, four.record}} {
-		if limit := uint64(1.05 * float64(m.n) * float64(unsafe.Sizeof(Event{}))); m.got > limit {
-			t.Errorf("recording %d events allocated %d bytes, over 1.05 x %d x %d = %d",
-				m.n, m.got, m.n, unsafe.Sizeof(Event{}), limit)
+		if limit := uint64(24*m.n + chunkBytes); m.got > limit {
+			t.Errorf("recording %d events allocated %d bytes, over 24 x %d + %d = %d",
+				m.n, m.got, m.n, chunkBytes, limit)
 		}
 	}
 }

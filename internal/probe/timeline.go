@@ -1,9 +1,9 @@
 package probe
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,11 +17,12 @@ import (
 // own track, as do the node's links (wire occupancy, transfers and ack
 // stalls), the scheduler and the host protocol.
 type Timeline struct {
-	// Events are kept as records in fixed-size pages: recording never
-	// copies or re-clears what it already holds, and at most one page of
-	// slack stays reachable (a doubling slice leaves up to as much again).
-	pages []*[pageEvents]rec
-	n     int
+	// Events are kept as variable-length records (see record) in chunks
+	// of chunkBytes.  A record never straddles two chunks, so recording
+	// never copies what it holds, and at most one chunk of slack stays
+	// reachable.
+	chunks [][]byte
+	n      int
 
 	// names holds each node name once, in order of first appearance, and
 	// a record holds its node's index; last is the previous event's.
@@ -29,50 +30,50 @@ type Timeline struct {
 	index map[string]int
 	last  int
 
-	// wide keeps whole the events a record cannot hold.
-	wide []wideEvent
+	// What the next record is encoded against: the previous event's
+	// time and, by node index, the last values of the fields kept as
+	// deltas.
+	time sim.Time
+	base []deltaBase
 }
 
-// pageEvents records fill one 64 KiB page.
-const pageEvents = 1024
-
-// rec is one recorded event in 64 bytes that hold no pointer, so the
-// pages cost the garbage collector nothing to scan.  The node is an
-// index into Timeline.names, and the fields a transputer fills with a
-// word (process descriptor, channel address, instruction pointer) take
-// 32 bits.  An event with a value out of its field's range is kept
-// whole in Timeline.wide instead: its record has flagWide set and holds
-// the event's index there in arg, nothing else.
-type rec struct {
-	time   sim.Time
-	cycles uint64
-	flow   uint64
-	dur    sim.Time
-	arg    int64
-	proc   uint32
-	addr   uint32
-	ip     uint32
-	bytes  int32
-	depth  int16
-	node   uint16
-	link   int8
-	pri    int8
-	kind   Kind
-	flags  uint8
+// deltaBase holds a node's last non-zero value of each field a record
+// keeps as a delta.  Flow and Dur go by link too: a link's packets
+// repeat their message's flow and their wire time.  A link outside 0..3
+// shares a slot; any rule does, so long as the decoder keeps the same.
+type deltaBase struct {
+	cycles, proc, ip uint64
+	flow, dur        [numLinks]uint64
 }
 
-// rec flags.
 const (
-	flagAck uint8 = 1 << iota
-	flagOut
-	flagWide
+	chunkBytes = 64 << 10
+	// maxRecord bounds a record: a kind byte, a mask of 15 bits and 13
+	// varints.
+	maxRecord = 1 + 3 + 13*binary.MaxVarintLen64
 )
 
-// wideEvent is an event kept whole, with its node's index.
-type wideEvent struct {
-	Event
-	node int
-}
+// A record's presence mask: one bit for each field that is non-zero,
+// with Ack and Out as bits of their own and hasNode set when the node
+// differs from the previous event's.  The fields most events carry come
+// first, so that a typical mask fits the uvarint's first byte.
+const (
+	hasCycles = 1 << iota
+	hasFlow
+	hasNode
+	hasDur
+	hasBytes
+	hasAck
+	hasLink
+	hasProc
+	hasPri
+	hasIP
+	hasOut
+	hasTime
+	hasDepth
+	hasArg
+	hasAddr
+)
 
 // NewTimeline subscribes a fresh timeline recorder to the bus.
 func NewTimeline(b *Bus) *Timeline {
@@ -81,34 +82,99 @@ func NewTimeline(b *Bus) *Timeline {
 	return t
 }
 
+// record appends one event.  A record is its kind byte, the uvarint
+// presence mask, then the fields the mask names, in the order written
+// here and read by reader.next.  The time is a zigzag delta from the
+// previous event's, and the node's index is there only when the node
+// changes.  Cycles, Proc and IP are zigzag deltas from the node's last
+// non-zero value of the field, Flow and Dur from the last on the node's
+// link; the rest are uvarints, zigzag if signed.  Every value fits, so
+// nothing is kept anywhere else.
 func (t *Timeline) record(e *Event) {
-	i := t.n % pageEvents
-	if i == 0 {
-		t.pages = append(t.pages, new([pageEvents]rec))
+	c := len(t.chunks) - 1
+	if c < 0 || chunkBytes-len(t.chunks[c]) < maxRecord {
+		t.chunks = append(t.chunks, make([]byte, 0, chunkBytes))
+		c++
 	}
-	r := &t.pages[len(t.pages)-1][i]
 	t.n++
+	prev := t.last
 	node := t.nodeIndex(e.Node)
-	if node > math.MaxUint16 || e.Proc|e.Addr|e.IP > math.MaxUint32 ||
-		e.Bytes != int(int32(e.Bytes)) || e.Depth != int(int16(e.Depth)) ||
-		e.Link != int(int8(e.Link)) || e.Pri != int(int8(e.Pri)) {
-		*r = rec{flags: flagWide, arg: int64(len(t.wide))}
-		t.wide = append(t.wide, wideEvent{*e, node})
-		return
+	t.last = node
+	dt := e.Time - t.time
+	t.time = e.Time
+
+	mask := bit(dt != 0, hasTime) | bit(node != prev, hasNode) |
+		bit(e.Cycles != 0, hasCycles) | bit(e.Flow != 0, hasFlow) |
+		bit(e.Dur != 0, hasDur) | bit(e.Bytes != 0, hasBytes) |
+		bit(e.Ack, hasAck) | bit(e.Link != 0, hasLink) |
+		bit(e.Proc != 0, hasProc) | bit(e.Pri != 0, hasPri) |
+		bit(e.IP != 0, hasIP) | bit(e.Out, hasOut) |
+		bit(e.Depth != 0, hasDepth) | bit(e.Arg != 0, hasArg) |
+		bit(e.Addr != 0, hasAddr)
+	b := binary.AppendUvarint(append(t.chunks[c], byte(e.Kind)), mask)
+	if mask&hasTime != 0 {
+		b = appendZigzag(b, int64(dt))
 	}
-	var flags uint8
-	if e.Ack {
-		flags |= flagAck
+	if mask&hasNode != 0 {
+		b = binary.AppendUvarint(b, uint64(node))
 	}
-	if e.Out {
-		flags |= flagOut
+	if mask&hasLink != 0 {
+		b = appendZigzag(b, int64(e.Link))
 	}
-	*r = rec{
-		time: e.Time, cycles: e.Cycles, flow: e.Flow, dur: e.Dur, arg: e.Arg,
-		proc: uint32(e.Proc), addr: uint32(e.Addr), ip: uint32(e.IP),
-		bytes: int32(e.Bytes), depth: int16(e.Depth), node: uint16(node),
-		link: int8(e.Link), pri: int8(e.Pri), kind: e.Kind, flags: flags,
+	base, l := &t.base[node], e.Link&(numLinks-1)
+	if mask&hasCycles != 0 {
+		b = appendDelta(b, e.Cycles, &base.cycles)
 	}
+	if mask&hasFlow != 0 {
+		b = appendDelta(b, e.Flow, &base.flow[l])
+	}
+	if mask&hasDur != 0 {
+		b = appendDelta(b, uint64(e.Dur), &base.dur[l])
+	}
+	if mask&hasProc != 0 {
+		b = appendDelta(b, e.Proc, &base.proc)
+	}
+	if mask&hasIP != 0 {
+		b = appendDelta(b, e.IP, &base.ip)
+	}
+	if mask&hasBytes != 0 {
+		b = appendZigzag(b, int64(e.Bytes))
+	}
+	if mask&hasPri != 0 {
+		b = appendZigzag(b, int64(e.Pri))
+	}
+	if mask&hasDepth != 0 {
+		b = appendZigzag(b, int64(e.Depth))
+	}
+	if mask&hasArg != 0 {
+		b = appendZigzag(b, e.Arg)
+	}
+	if mask&hasAddr != 0 {
+		b = binary.AppendUvarint(b, e.Addr)
+	}
+	t.chunks[c] = b
+}
+
+// bit is b's mask bit: m if b holds, else 0.
+func bit(b bool, m uint64) uint64 {
+	if b {
+		return m
+	}
+	return 0
+}
+
+// appendZigzag appends a signed value as a uvarint, small magnitudes of
+// either sign in few bytes.
+func appendZigzag(b []byte, v int64) []byte {
+	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
+}
+
+// appendDelta appends v as a zigzag delta from *last, wrapping, and
+// makes v the next delta's base.
+func appendDelta(b []byte, v uint64, last *uint64) []byte {
+	d := v - *last
+	*last = v
+	return appendZigzag(b, int64(d))
 }
 
 // nodeIndex returns the index of a node name, adding it at first sight.
@@ -121,26 +187,145 @@ func (t *Timeline) nodeIndex(name string) int {
 		i = len(t.names)
 		t.names = append(t.names, name)
 		t.index[name] = i
+		t.base = append(t.base, deltaBase{})
 	}
-	t.last = i
 	return i
 }
 
-// event returns the event r records and its node's index.  A record
-// that is not wide is decoded into *scratch.
-func (t *Timeline) event(r *rec, scratch *Event) (*Event, int) {
-	if r.flags&flagWide != 0 {
-		w := &t.wide[r.arg]
-		return &w.Event, w.node
+// uvarint reads the uvarint at b[i:] and returns it and the index past
+// it.
+func uvarint(b []byte, i int) (uint64, int) {
+	var v uint64
+	for s := 0; ; s += 7 {
+		c := b[i]
+		i++
+		if c < 0x80 {
+			return v | uint64(c)<<s, i
+		}
+		v |= uint64(c&0x7f) << s
 	}
-	*scratch = Event{
-		Time: r.time, Cycles: r.cycles, Node: t.names[r.node], Kind: r.kind,
-		Proc: uint64(r.proc), Pri: int(r.pri), Addr: uint64(r.addr), Link: int(r.link),
-		Bytes: int(r.bytes), Dur: r.dur, Depth: int(r.depth),
-		Ack: r.flags&flagAck != 0, Out: r.flags&flagOut != 0,
-		Arg: r.arg, Flow: r.flow, IP: uint64(r.ip),
+}
+
+// zigzag reads the zigzag uvarint at b[i:].
+func zigzag(b []byte, i int) (int64, int) {
+	u, i := uvarint(b, i)
+	return int64(u>>1) ^ -int64(u&1), i
+}
+
+// delta reads the zigzag delta at b[i:] and returns *last plus it,
+// which becomes the next delta's base.
+func delta(b []byte, i int, last *uint64) (uint64, int) {
+	u, i := uvarint(b, i)
+	*last += u>>1 ^ -(u & 1)
+	return *last, i
+}
+
+// reader decodes the records in order: the one decoder behind Events
+// and WriteChromeTrace.  Its event is rewritten by every next, so a
+// caller copies what it keeps.
+type reader struct {
+	t     *Timeline
+	chunk int
+	i     int
+	e     Event
+	node  int
+	bases []deltaBase
+}
+
+// reader returns a reader at the first record.
+func (t *Timeline) reader() *reader {
+	r := &reader{t: t, bases: make([]deltaBase, len(t.names))}
+	if len(t.names) > 0 {
+		r.e.Node = t.names[0]
 	}
-	return scratch, int(r.node)
+	return r
+}
+
+// next decodes the next record into r.e and r.node, and reports whether
+// there was one.
+func (r *reader) next() bool {
+	chunks := r.t.chunks
+	if r.chunk == len(chunks) {
+		return false
+	}
+	b, i := chunks[r.chunk], r.i
+	var mask, u uint64
+	var v int64
+	e := &r.e
+	e.Kind = Kind(b[i])
+	mask, i = uvarint(b, i+1)
+	if mask&hasTime != 0 {
+		v, i = zigzag(b, i)
+		e.Time += sim.Time(v)
+	}
+	if mask&hasNode != 0 {
+		u, i = uvarint(b, i)
+		r.node = int(u)
+		e.Node = r.t.names[r.node]
+	}
+	v = 0
+	if mask&hasLink != 0 {
+		v, i = zigzag(b, i)
+	}
+	e.Link = int(v)
+	base, l := &r.bases[r.node], e.Link&(numLinks-1)
+	u = 0
+	if mask&hasCycles != 0 {
+		u, i = delta(b, i, &base.cycles)
+	}
+	e.Cycles = u
+	u = 0
+	if mask&hasFlow != 0 {
+		u, i = delta(b, i, &base.flow[l])
+	}
+	e.Flow = u
+	u = 0
+	if mask&hasDur != 0 {
+		u, i = delta(b, i, &base.dur[l])
+	}
+	e.Dur = sim.Time(u)
+	u = 0
+	if mask&hasProc != 0 {
+		u, i = delta(b, i, &base.proc)
+	}
+	e.Proc = u
+	u = 0
+	if mask&hasIP != 0 {
+		u, i = delta(b, i, &base.ip)
+	}
+	e.IP = u
+	v = 0
+	if mask&hasBytes != 0 {
+		v, i = zigzag(b, i)
+	}
+	e.Bytes = int(v)
+	v = 0
+	if mask&hasPri != 0 {
+		v, i = zigzag(b, i)
+	}
+	e.Pri = int(v)
+	v = 0
+	if mask&hasDepth != 0 {
+		v, i = zigzag(b, i)
+	}
+	e.Depth = int(v)
+	v = 0
+	if mask&hasArg != 0 {
+		v, i = zigzag(b, i)
+	}
+	e.Arg = v
+	u = 0
+	if mask&hasAddr != 0 {
+		u, i = uvarint(b, i)
+	}
+	e.Addr = u
+	e.Ack = mask&hasAck != 0
+	e.Out = mask&hasOut != 0
+	if i == len(b) {
+		r.chunk, i = r.chunk+1, 0
+	}
+	r.i = i
+	return true
 }
 
 // Len returns the number of recorded events.
@@ -150,20 +335,10 @@ func (t *Timeline) Len() int { return t.n }
 // one slice the caller owns; the timeline keeps no reference to it.
 func (t *Timeline) Events() []Event {
 	out := make([]Event, 0, t.n)
-	var scratch Event
-	for i := range t.pages {
-		page := t.page(i)
-		for j := range page {
-			e, _ := t.event(&page[j], &scratch)
-			out = append(out, *e)
-		}
+	for r := t.reader(); r.next(); {
+		out = append(out, r.e)
 	}
 	return out
-}
-
-// page returns the recorded part of page i.
-func (t *Timeline) page(i int) []rec {
-	return t.pages[i][:min(pageEvents, t.n-i*pageEvents)]
 }
 
 // Track ids within a node's trace process.  Process tracks are assigned
@@ -309,7 +484,7 @@ func (t *traceEnc) closeSlice(ns *traceNode, at sim.Time) {
 }
 
 // WriteChromeTrace renders the recorded events in one pass over the
-// pages, through a bounded buffer: what it allocates does not grow with
+// chunks, through a bounded buffer: what it allocates does not grow with
 // the number of events.  It stops at the first write error.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	enc := traceEnc{out: newOut(w)}
@@ -325,24 +500,20 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	nodes := make([]traceNode, len(t.names))
 	pids := 0
 	var end sim.Time
-	var scratch Event
-	for i := range t.pages {
-		page := t.page(i)
-		for j := range page {
-			e, node := t.event(&page[j], &scratch)
-			end = max(end, e.Time)
-			ns := &nodes[node]
-			if ns.pid == 0 {
-				pids++
-				*ns = traceNode{pid: pids, procTid: map[uint64]int{}}
-				enc.begin("process_name", "M", 0, 0, ns.pid, 0, "", "")
-				enc.str("name", e.Node)
-				enc.end()
-			}
-			enc.event(e, ns)
-			if len(enc.b) >= flushLen && enc.flush() != nil {
-				return enc.err
-			}
+	for r := t.reader(); r.next(); {
+		e := &r.e
+		end = max(end, e.Time)
+		ns := &nodes[r.node]
+		if ns.pid == 0 {
+			pids++
+			*ns = traceNode{pid: pids, procTid: map[uint64]int{}}
+			enc.begin("process_name", "M", 0, 0, ns.pid, 0, "", "")
+			enc.str("name", e.Node)
+			enc.end()
+		}
+		enc.event(e, ns)
+		if len(enc.b) >= flushLen && enc.flush() != nil {
+			return enc.err
 		}
 	}
 	// Close any slice still open at the end of the run, in node-name

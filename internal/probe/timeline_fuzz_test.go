@@ -3,33 +3,31 @@ package probe
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"strconv"
 	"testing"
-	"unsafe"
 
 	"transputer/internal/sim"
 )
 
-// TestTimelineRecordSize pins the record at 64 bytes: what an observed
-// run keeps per event.
-func TestTimelineRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(rec{}); n != 64 {
-		t.Errorf("a timeline record is %d bytes, want 64", n)
-	}
-}
-
-// fuzzValues are the field values a fuzz input names by index: each
-// side of every record field's range (32 bits unsigned, int32, int16,
-// int8) and the ends of 64 bits.
+// fuzzValues are the field values a fuzz input names by index: the
+// ends of 8, 16, 32 and 64 bits, signed and unsigned, and the values
+// where a uvarint, or a zigzag one, takes another byte.
 var fuzzValues = []uint64{
 	0, 1, 0x80000048, math.MaxUint32, math.MaxUint32 + 1, 1 << 40, math.MaxUint64, math.MaxInt64, 1 << 63,
 	math.MaxInt8, math.MaxInt8 + 1, math.MaxInt16, math.MaxInt16 + 1, math.MaxInt32, math.MaxInt32 + 1,
 	neg(math.MinInt8), neg(math.MinInt8 - 1), neg(math.MinInt16), neg(math.MinInt16 - 1), neg(math.MinInt32), neg(math.MinInt32 - 1),
+	1<<14 - 1, 1 << 14, 63, 64, neg(-64), neg(-65),
 }
 
 // neg is a negative value as its two's-complement bits.
 func neg(v int64) uint64 { return uint64(v) }
+
+// fuzzCrowds maps an input's first byte to the number of node names it
+// publishes first: 128 and 16 384 are where a node index grows from one
+// byte to two and from two to three.
+var fuzzCrowds = map[byte]int{0xFF: math.MaxUint16 + 2, 0xFE: 1 << 14, 0xFD: 1 << 7}
 
 // fuzzNames are the node names a fuzz input names by index: repeats,
 // the empty name, and names that need escaping.
@@ -39,12 +37,13 @@ var fuzzNames = append([]string{"n", "n0", "n1", "n", ""}, hostileNames...)
 // the last kind included), a node byte, a flags byte (Ack, Out) and one
 // byte for each numeric field: an index into fuzzValues or, past its
 // end, the mark of a raw little-endian value in the next 8 bytes.  An
-// input whose first byte is 0xFF starts with more distinct nodes than a
-// record's node index holds.
+// input whose first byte is one of fuzzCrowds' keys first publishes
+// that many distinct nodes, so that the nodes after them take a node
+// index of two or three bytes.
 func fuzzEvents(data []byte) []Event {
 	var evs []Event
-	if len(data) > 0 && data[0] == 0xFF {
-		for i := 0; i <= math.MaxUint16+1; i++ {
+	if len(data) > 0 && fuzzCrowds[data[0]] > 0 {
+		for i := 0; i < fuzzCrowds[data[0]]; i++ {
 			evs = append(evs, Event{Kind: Timeslice, Node: "x" + strconv.Itoa(i), Time: sim.Time(i)})
 		}
 		data = data[1:]
@@ -110,11 +109,14 @@ func fuzzInput(evs ...Event) []byte {
 	return b
 }
 
-// FuzzTimelineRoundTrip: whatever is published, the timeline's compact
-// records give it all back — Events returns exactly the events, an event
-// a record cannot hold included; WriteChromeTrace writes what the
-// reference renderer writes for them; and a Subscribe consumer beside
-// the timeline gets its own identical copy of each.
+// FuzzTimelineRoundTrip: whatever is published, the timeline's
+// variable-length records give it all back — Events returns exactly the
+// events, 64-bit extremes, negative values and any number of nodes
+// included; WriteChromeTrace writes what the reference renderer writes
+// for them; a Subscribe consumer beside the timeline gets its own
+// identical copy of each; and the metrics and flow table on the same
+// bus take the same values without a panic, through Finish, Report and
+// WriteJSON.
 func FuzzTimelineRoundTrip(f *testing.F) {
 	var kinds []Event
 	for k := Kind(0); k < numKinds; k++ {
@@ -123,8 +125,9 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 		kinds = append(kinds, e)
 	}
 	f.Add(fuzzInput(kinds...))
-	// Negative values that fit, 64-bit extremes, and one field a record
-	// cannot hold, a different one from event to event.
+	// Negative values, 64-bit extremes, and one field past 32 bits or
+	// past its int8, int16 or int32 range, a different one from event to
+	// event.
 	var extreme []Event
 	for i, e := range kinds {
 		e.Node = fuzzNames[i%len(fuzzNames)]
@@ -152,6 +155,47 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 	f.Add(fuzzInput(append(kinds[:4:4], extreme[4:8]...)...))
 	f.Add(append([]byte{0xFF}, fuzzInput(kinds[0], extreme[1])...))
 	f.Add([]byte{byte(ProcDispatch), 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, byte(ProcDispatch), 4, 2, 20, 19, 18})
+	// The deltas the records are encoded as.  Time stepping backwards,
+	// to both ends of its range and back.
+	var back []Event
+	for _, at := range []sim.Time{1000, 500, 0, -5, math.MaxInt64, math.MinInt64, 7} {
+		back = append(back, Event{Kind: WirePacket, Node: "n", Time: at, Dur: 1100})
+	}
+	f.Add(fuzzInput(back...))
+	// A node's Cycles going down, and wrapping from MaxUint64 to 0 and on
+	// to 1.
+	var cycles []Event
+	for i, c := range []uint64{100, 50, math.MaxUint64, 0, 1, 0, math.MaxUint64, 2} {
+		cycles = append(cycles, Event{Kind: ProcDispatch, Node: "n", Time: sim.Time(i), Cycles: c, Proc: 0x80000101, Pri: 1})
+	}
+	f.Add(fuzzInput(cycles...))
+	// Flow alternating between 0, MaxUint64 and 1.
+	var flows []Event
+	for i := 0; i < 9; i++ {
+		flows = append(flows, Event{Kind: FlowArrive, Node: "n0", Time: sim.Time(i), Flow: []uint64{0, math.MaxUint64, 1}[i%3]})
+	}
+	f.Add(fuzzInput(flows...))
+	// 128 and 16 384 nodes before the input's own: the node index of what
+	// follows takes two bytes, then three.
+	f.Add(append([]byte{0xFD}, fuzzInput(kinds[0], extreme[1], kinds[2])...))
+	f.Add(append([]byte{0xFE}, fuzzInput(kinds[0], extreme[1], kinds[2])...))
+	// A node revisited after others: its Cycles, Proc and IP are encoded
+	// against its own last values, not the previous event's.
+	f.Add(fuzzInput(
+		Event{Kind: ProcDispatch, Node: "n", Time: 10, Cycles: 1000, Proc: 0x101},
+		Event{Kind: ChanBlock, Node: "n0", Time: 20, Cycles: 5, Proc: 0x201, Addr: 0x80000048, IP: 0x44},
+		Event{Kind: ProcStop, Node: "n1", Time: 30, Cycles: 1 << 40, Proc: 0x80000101},
+		Event{Kind: ChanRendezvous, Node: "n", Time: 40, Cycles: 990, Proc: 0x101, IP: 0x52},
+		Event{Kind: ProcStop, Node: "n0", Time: 50},
+		Event{Kind: ProcReady, Node: "n0", Time: 60, Cycles: 6, Proc: 0x101, Pri: 1, Depth: 1, IP: 0x40}))
+	// Flow and Dur are encoded against the node's link; links 1 and 5,
+	// and -3, share a slot, and a link's flow can go back.
+	var links []Event
+	for i, l := range []int{1, 5, 1, -3, 5, 1, 0, -1 << 40} {
+		links = append(links, Event{Kind: WirePacket, Node: "n1", Time: sim.Time(i), Link: l,
+			Dur: sim.Time(1100 - 900*(i%2)), Flow: PackFlow(uint64(i%3+1), uint64(9-i))})
+	}
+	f.Add(fuzzInput(links...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs := fuzzEvents(data)
@@ -162,8 +206,12 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 			e.Time, e.Node = -1, "changed" // the subscriber's copy, not the timeline's
 		})
 		tl := NewTimeline(b)
+		m := NewMetrics(b)
+		ft := NewFlowTable(b)
+		var end sim.Time
 		for _, e := range evs {
 			b.Publish(e)
+			end = max(end, e.Time)
 		}
 		got := tl.Events()
 		if tl.Len() != len(evs) || len(got) != len(evs) || len(copies) != len(evs) {
@@ -185,5 +233,13 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameBytes(t, "fuzzed timeline", out.Bytes(), ref.Bytes())
+
+		m.Finish(end)
+		m.Report(io.Discard)
+		ft.Finish(end)
+		ft.Report(io.Discard, 5)
+		if err := ft.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
