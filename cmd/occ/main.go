@@ -7,6 +7,10 @@
 // With -S the listing is disassembled to standard output instead of
 // writing a binary image.  The image format is the simple container
 // understood by trun and tnet.
+//
+// A program whose outermost process is PLACED PAR is a configuration:
+// it compiles to one image per PROCESSOR, named <base>.p<N>.tix, and
+// -o and -S do not apply.
 package main
 
 import (
@@ -23,8 +27,6 @@ func main() {
 	wordBytes := flag.Int("w", 4, "word length in bytes (4 for T424, 2 for T222)")
 	out := flag.String("o", "", "output image path (default: input with .tix)")
 	listing := flag.Bool("S", false, "print a disassembly listing instead of writing an image")
-	configured := flag.Bool("configured", false,
-		"compile a PLACED PAR configuration: one image per PROCESSOR, named <base>.p<N>.tix")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: occ [-w words] [-o out.tix] [-S] program.occ")
@@ -35,7 +37,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *configured {
+	comp, err := occam.Compile(string(src), occam.Options{WordBytes: *wordBytes})
+	if err != nil {
+		// Compile refuses PLACED PAR; CompileConfigured takes it as the
+		// outermost process, and otherwise fails as Compile did.
 		procs, err := occam.CompileConfigured(string(src), occam.Options{WordBytes: *wordBytes})
 		if err != nil {
 			fatal(err)
@@ -50,10 +55,6 @@ func main() {
 				path, p.ID, len(p.Compiled.Image.Code), dst)
 		}
 		return
-	}
-	comp, err := occam.Compile(string(src), occam.Options{WordBytes: *wordBytes})
-	if err != nil {
-		fatal(err)
 	}
 	if *listing {
 		fmt.Printf("; %s: %d bytes of code, workspace %d above / %d below\n",

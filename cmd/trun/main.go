@@ -7,7 +7,7 @@
 //
 //	trun [-model t424|t222] [-mem bytes] [-limit dur] [-stats]
 //	     [-timeline out.json] [-metrics] [-flows out.json] [-prof out.prof]
-//	     [-profperiod us] [-in w,w,...] [-blockcache=false] [-enginestats]
+//	     [-profperiod us] [-in w,w,...] [-enginestats]
 //	     program.{occ,tasm,tix}
 //
 // The run is tnet's on a network of one (tool.OneNode): the same
@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	prof := fs.String("prof", "", "sample the instruction pointer and write a profile to this file")
 	profPeriod := fs.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
 	input := fs.String("in", "", "comma-separated words queued for host input")
-	blockcache := fs.Bool("blockcache", true, "use the predecoded block cache (purely a simulator speed switch; output is identical either way)")
 	engineStats := fs.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -73,6 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topo.Inputs = map[string][]int64{"main": words}
 	}
 	f := tool.NetFlags{Tool: "trun", Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Trace: *trace,
-		Workers: 1, Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod, BlockCache: *blockcache, Fuse: "topo"}
+		Workers: 1, Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod}
 	return tool.RunNet(f, topo, "", stdout, stderr)
 }

@@ -67,8 +67,8 @@ type ended struct {
 // fuzzCycles; ok is false when the image does not load.
 func runToEnd(img core.Image, cache bool) (e ended, ok bool) {
 	cfg := core.T424().WithMemory(64 * 1024)
-	cfg.NoBlockCache = !cache
 	m := core.MustNew(cfg)
+	m.SetBlockCache(cache)
 	if err := m.Load(img); err != nil {
 		return ended{}, false
 	}
@@ -82,13 +82,13 @@ func runToEnd(img core.Image, cache bool) (e ended, ok bool) {
 	return e, true
 }
 
-// FuzzAssemble runs what assembles (ROADMAP item 5: "fuzzed tasm must
-// load or fail cleanly").  Any input is either refused with an error —
-// by the assembler or by the loader — or yields an image that runs for
-// fuzzCycles with the block cache on and again with it off and ends in
-// the same registers, flags, statistics and memory.  A Go panic is the
-// fuzzer's to report; an input that spins the host fails here, by the
-// clock.
+// FuzzAssemble runs what assembles (a cache-on-and-off differential
+// like those DESIGN.md §10 describes).  Any input is either refused
+// with an error — by the assembler or by the loader — or yields an
+// image that runs for fuzzCycles with the block cache on and again with
+// it off and ends in the same registers, flags, statistics and memory.
+// A Go panic is the fuzzer's to report; an input that spins the host
+// fails here, by the clock.
 func FuzzAssemble(f *testing.F) {
 	for _, src := range tasmSources(f) {
 		f.Add(src)

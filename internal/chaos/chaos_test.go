@@ -6,6 +6,7 @@ import (
 
 	"transputer/internal/fault"
 	"transputer/internal/network"
+	"transputer/internal/raceflag"
 	"transputer/internal/sim"
 )
 
@@ -70,23 +71,51 @@ func TestGenerateRespectsConstraints(t *testing.T) {
 }
 
 // TestCampaignSmoke runs a few seeds end to end on both topologies,
-// with the worker-count determinism cross-check on.
+// with the worker-count determinism cross-check on, and on ring8 the
+// two seeds whose heartbeat verdicts disagree across a link (DESIGN.md
+// §12): 30, where one end declares it down and the other does not, and
+// 98, where both ends reboot.
 func TestCampaignSmoke(t *testing.T) {
 	for _, topo := range Topologies() {
-		for seed := uint64(1); seed <= 5; seed++ {
-			sc, err := Generate(topo, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(sc, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Ok() {
-				t.Errorf("%s seed %d failed:\n  %s", topo, seed,
-					strings.Join(res.Failures, "\n  "))
-			}
+		seeds := []uint64{1, 2, 3, 4, 5}
+		if topo == "ring8" {
+			seeds = append(seeds, 30, 98)
 		}
+		for _, seed := range seeds {
+			campaign(t, topo, seed)
+		}
+	}
+}
+
+// TestCampaign runs what CI's chaos job runs under the race detector,
+// but for seeds 1 to 200 instead of 25: every seed on both topologies
+// must pass.  It is too slow for -short and for the race detector, and
+// skips under both.
+func TestCampaign(t *testing.T) {
+	if testing.Short() || raceflag.Enabled {
+		t.Skip("200 seeds on both topologies: not under -short or -race")
+	}
+	for _, topo := range Topologies() {
+		for seed := uint64(1); seed <= 200; seed++ {
+			campaign(t, topo, seed)
+		}
+	}
+}
+
+// campaign generates and runs one scenario at four workers, as tchaos
+// does, and reports its failures.
+func campaign(t *testing.T, topo string, seed uint64) {
+	t.Helper()
+	sc, err := Generate(topo, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Errorf("%s seed %d failed:\n  %s", topo, seed, strings.Join(res.Failures, "\n  "))
 	}
 }
 

@@ -203,7 +203,7 @@ func (m *Machine) aheadClear(rec *blockRec) bool {
 // executing: the block cache is off, it has halted, or a trace hook or
 // probe bus is attached, either of which would see the clock.
 func (m *Machine) aheadOff() bool {
-	return m.bus != nil || m.trace != nil || m.cfg.NoBlockCache || m.halted
+	return m.bus != nil || m.trace != nil || m.noCache || m.halted
 }
 
 // RunAhead is StepRun for a batch past the port's horizon: it executes

@@ -158,13 +158,13 @@ func (m *Machine) flushBlocks() {
 	m.curBlock = nil
 }
 
-// SetBlockCache turns the predecoded block cache on or off at run
-// time.  Like Config.NoBlockCache this is purely a simulator-
-// performance switch: traces, statistics and cycle accounting are
-// identical either way.  Turning the cache off also drops every
-// cached block.
+// SetBlockCache turns the predecoded block cache on or off; a new
+// machine has it on.  With it off every instruction takes the
+// interpreted fetch/decode path.  Purely a simulator-performance
+// switch: traces, statistics and cycle accounting are identical either
+// way.  Turning the cache off also drops every cached block.
 func (m *Machine) SetBlockCache(on bool) {
-	m.cfg.NoBlockCache = !on
+	m.noCache = !on
 	if !on {
 		m.flushBlocks()
 	}
@@ -533,7 +533,7 @@ func (m *Machine) exec(rec *blockRec) int {
 // a send promise that extends neighbouring shards' windows (see
 // internal/sim).
 func (m *Machine) SendLookaheadCycles() int {
-	if m.cfg.NoBlockCache || m.halted || m.longOp != nil || m.preemptPending ||
+	if m.noCache || m.halted || m.longOp != nil || m.preemptPending ||
 		m.pendingSwitchCycles != 0 || m.Oreg != 0 || m.Wdesc == m.notProcess() {
 		return 0
 	}
@@ -570,7 +570,7 @@ func (m *Machine) StepRun(maxNs int64) (total, last int) {
 // record must also be delivery-independent (see ahead.go), and exit
 // says what ended the batch.
 func (m *Machine) stepRun(maxNs int64, ahead bool) (total, last int, exit AheadExit) {
-	if m.cfg.NoBlockCache || m.halted || m.trace != nil {
+	if m.noCache || m.halted || m.trace != nil {
 		return 0, 0, AheadOff
 	}
 	if m.pendingSwitchCycles != 0 || m.preemptPending || m.longOp != nil ||

@@ -82,8 +82,8 @@ func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoBlockCache = true
 	off := core.MustNew(cfg)
+	off.SetBlockCache(false)
 	core.BackFully(off)
 	if err := on.Load(img); err != nil {
 		return
@@ -267,6 +267,7 @@ func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small boo
 	for _, s := range []*side{&on, &off} {
 		s.m = core.MustNew(cfg)
 		if s == &off {
+			s.m.SetBlockCache(false)
 			core.BackFully(s.m)
 		}
 		s.links = &fakeLinks{m: s.m}
@@ -274,7 +275,6 @@ func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small boo
 		if err := s.m.Load(img); err != nil {
 			return // no test
 		}
-		cfg.NoBlockCache = true
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cyc := int64(cfg.CycleNs)

@@ -16,8 +16,8 @@ import (
 func runSrcCache(t *testing.T, src string, cache bool) (*core.Machine, core.RunResult) {
 	t.Helper()
 	cfg := core.T424().WithMemory(64 * 1024)
-	cfg.NoBlockCache = !cache
 	m := core.MustNew(cfg)
+	m.SetBlockCache(cache)
 	if err := m.Load(assemble(t, src)); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -121,8 +121,8 @@ func TestBlockCacheResultEquivalence(t *testing.T) {
 func TestBlockCacheTraceEquivalence(t *testing.T) {
 	run := func(src string, cache bool) []core.TraceEvent {
 		cfg := core.T424().WithMemory(64 * 1024)
-		cfg.NoBlockCache = !cache
 		m := core.MustNew(cfg)
+		m.SetBlockCache(cache)
 		if err := m.Load(assemble(t, src)); err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -334,8 +334,8 @@ func TestTimesliceAtChainedJump(t *testing.T) {
 	run := func(cache bool) (core.Stats, sim.Time, []slice) {
 		cfg := core.T424().WithMemory(64 * 1024)
 		cfg.TimesliceCycles = 97
-		cfg.NoBlockCache = !cache
 		m := core.MustNew(cfg)
+		m.SetBlockCache(cache)
 		if err := m.Load(assemble(t, spinSource)); err != nil {
 			t.Fatal(err)
 		}
@@ -372,8 +372,8 @@ func TestTimesliceAtChainedJump(t *testing.T) {
 func TestUndefinedOperationCounted(t *testing.T) {
 	for _, cache := range []bool{true, false} {
 		cfg := core.T424().WithMemory(64 * 1024)
-		cfg.NoBlockCache = !cache
 		m := core.MustNew(cfg)
+		m.SetBlockCache(cache)
 		// add; pfix 1, pfix 2, opr 3 = opr #123, which faults.
 		if err := m.Load(assemble(t, "\tadd\n\tbyte #21, #22, #F3\n")); err != nil {
 			t.Fatal(err)

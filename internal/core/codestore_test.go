@@ -75,9 +75,8 @@ func TestSharedCodeIsInvisible(t *testing.T) {
 		if ms[i], err = core.NewShared(cfg, st); err != nil {
 			t.Fatal(err)
 		}
-		refCfg := cfg
-		refCfg.NoBlockCache = true
-		refs[i] = core.MustNew(refCfg)
+		refs[i] = core.MustNew(cfg)
+		refs[i].SetBlockCache(false)
 		for _, m := range []*core.Machine{ms[i], refs[i]} {
 			if err := m.Load(img); err != nil {
 				t.Fatal(err)
@@ -206,8 +205,8 @@ func TestCodeStoreBounded(t *testing.T) {
 	var x [2]uint64
 	for i, cache := range []bool{true, false} {
 		cfg := core.T424().WithMemory(64 * 1024)
-		cfg.NoBlockCache = !cache
 		m := core.MustNew(cfg)
+		m.SetBlockCache(cache)
 		if err := m.Load(img); err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +297,11 @@ func TestSharedCodeAllocGuard(t *testing.T) {
 	st := core.NewCodeStore()
 	run := func(cache bool) (bytes uint64, m *core.Machine) {
 		cfg := core.T424().WithMemory(64 * 1024)
-		cfg.NoBlockCache = !cache
 		m, err := core.NewShared(cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.SetBlockCache(cache)
 		if err := m.Load(img); err != nil {
 			t.Fatal(err)
 		}

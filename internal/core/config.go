@@ -44,11 +44,6 @@ type Config struct {
 	// cycle.  Used by the ablation benchmarks; real transputers have
 	// the buffer (paper, 3.2.5).
 	NoFetchBuffer bool
-	// NoBlockCache disables the predecoded block cache, forcing every
-	// instruction through the interpreted fetch/decode path.  A pure
-	// simulator-performance switch: results are identical either way
-	// (pinned by tests), only wall-clock speed changes.
-	NoBlockCache bool
 }
 
 // T424 returns the configuration of the IMS T424: 32 bits, 4 KiB

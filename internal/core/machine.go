@@ -53,6 +53,7 @@ type Machine struct {
 	errorFlag bool
 	haltErr   bool // halt-on-error flag
 	halted    bool
+	noCache   bool // the block cache is off (SetBlockCache)
 	faulted   *MemoryFault
 
 	clock sim.Clock

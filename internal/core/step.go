@@ -73,7 +73,7 @@ func (m *Machine) wptr() uint64 { return wptrOf(m.Wdesc) }
 // holds one for the current instruction pointer and falling back to
 // the interpreted fetch/decode path otherwise.
 func (m *Machine) execOne() int {
-	if !m.cfg.NoBlockCache && m.Oreg == 0 {
+	if !m.noCache && m.Oreg == 0 {
 		if b, idx := m.find(true); b != nil {
 			return m.execRec(b, idx)
 		}

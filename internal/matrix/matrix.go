@@ -5,9 +5,10 @@
 // internal/analysis/atest is: the tests that use it are this package's
 // own, internal/network's and internal/tool's.
 //
-// A Scenario is a system built in Go or a topology source run through
-// tool.RunNet, the function cmd/tnet and cmd/trun are flag parsers
-// around.  Every
+// A Scenario is a system built in Go or a topology source built by
+// tool.BuildNetwork and run by Network.Run, the two steps of
+// tool.RunNet, which cmd/tnet and cmd/trun are flag parsers around.
+// Every
 // scenario runs on every leg Legs gives, each leg is compared with the
 // stepwise reference on everything an Observation holds, and the
 // reference observation's digest is held against golden.txt.  DESIGN.md,
@@ -36,7 +37,8 @@ import (
 )
 
 // A Scenario is one row of the matrix: Build (a system made in Go) or
-// Source (a topology file's text, for tool.RunNet) is set, not both.
+// Source (a topology file's text, for tool.RunNet's two steps) is set,
+// not both.
 type Scenario struct {
 	Name string
 	// Build makes a fresh system each call; the harness sets workers,
@@ -69,9 +71,9 @@ type Running struct {
 type Placement int
 
 const (
-	Derived  Placement = iota // from the worker count: -fuse topo on a file with no shard lines
-	Private                   // SetPlacement, one shard a node: -fuse off
-	OneShard                  // SetPlacement, every node on one shard: -fuse topo and a shard line naming them all
+	Derived  Placement = iota // from the worker count, as every command's is
+	Private                   // SetPlacement, one shard a node
+	OneShard                  // SetPlacement, every node on one shard
 )
 
 var placements = [...]string{Derived: "derived", Private: "private", OneShard: "one shard"}
@@ -214,6 +216,24 @@ func snapshot(s *network.System, rep network.Report) Snapshot {
 	return snap
 }
 
+// apply sets the leg's workers, cache and placement on a built system.
+// Its bus is the caller's to attach.
+func (l Leg) apply(s *network.System) error {
+	s.SetWorkers(l.Workers)
+	s.SetBlockCache(l.Cache)
+	switch l.Place {
+	case Private:
+		return s.SetPlacement(PrivateShards(s))
+	case OneShard:
+		all := make([]string, len(s.Nodes()))
+		for i, n := range s.Nodes() {
+			all[i] = n.Name
+		}
+		return s.SetPlacement([][]string{all})
+	}
+	return nil
+}
+
 // Observe runs the scenario once on the leg.
 func (sc *Scenario) Observe(l Leg) (*Observation, error) {
 	if sc.Source != nil {
@@ -224,19 +244,7 @@ func (sc *Scenario) Observe(l Leg) (*Observation, error) {
 		return nil, err
 	}
 	s := r.Net
-	s.SetWorkers(l.Workers)
-	s.SetBlockCache(l.Cache)
-	switch l.Place {
-	case Private:
-		err = s.SetPlacement(PrivateShards(s))
-	case OneShard:
-		all := make([]string, len(s.Nodes()))
-		for i, n := range s.Nodes() {
-			all[i] = n.Name
-		}
-		err = s.SetPlacement([][]string{all})
-	}
-	if err != nil {
+	if err := l.apply(s); err != nil {
 		return nil, err
 	}
 	var timeline *probe.Timeline
@@ -277,8 +285,9 @@ func (sc *Scenario) Observe(l Leg) (*Observation, error) {
 	return o, nil
 }
 
-// observeFile is tnet -stats -enginestats on the leg's flags, with
-// -metrics, -timeline and -flows on an attached leg.  What -enginestats
+// observeFile is tnet -stats -enginestats -workers, with -metrics,
+// -timeline and -flows on an attached leg, and the leg's cache and
+// placement set on the built system before it runs.  What -enginestats
 // prints comes last and says how the engine ran, so it is cut off the
 // compared text and read for the shard count.
 func (sc *Scenario) observeFile(l Leg) (*Observation, error) {
@@ -295,24 +304,19 @@ func (sc *Scenario) observeFile(l Leg) (*Observation, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := tool.NetFlags{Tool: "tnet", Stats: true, EngineStats: true, Workers: l.Workers, BlockCache: l.Cache, Fuse: "topo"}
-	switch l.Place {
-	case Private:
-		f.Fuse = "off"
-	case OneShard:
-		// No shipped file has a shard line, so the leg adds the one
-		// that names every node.
-		var all []string
-		for _, t := range topo.Transputers {
-			all = append(all, t.Name)
-		}
-		topo.Shards = [][]string{all}
+	var stdout, stderr bytes.Buffer
+	net, err := tool.BuildNetwork(topo, base, &stdout)
+	if err != nil {
+		return nil, err
 	}
+	if err := l.apply(net.System); err != nil {
+		return nil, err
+	}
+	f := tool.NetFlags{Tool: "tnet", Stats: true, EngineStats: true, Workers: l.Workers}
 	if l.Bus {
 		f.Metrics, f.Timeline, f.Flows = true, filepath.Join(dir, "timeline.json"), filepath.Join(dir, "flows.json")
 	}
-	var stdout, stderr bytes.Buffer
-	o := &Observation{Exit: tool.RunNet(f, topo, base, &stdout, &stderr), Stdout: stdout.String()}
+	o := &Observation{Exit: net.Run(f, &stderr), Stdout: stdout.String()}
 	// The temporary directory is in the "written to" lines.
 	text, engine, ran := strings.Cut(strings.ReplaceAll(stderr.String(), dir, "$TMP"), "engine: ")
 	if !ran {

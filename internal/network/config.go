@@ -52,14 +52,6 @@ import (
 // physical wire (naming either end of the connection is equivalent):
 //
 //	vchan app.1 count=8
-//
-// Shard fusion co-locates chattering nodes on one simulation shard
-// (results are identical; only simulator speed changes).  One `shard`
-// line makes the whole placement explicit: nodes no line names, and a
-// node named alone, each get a shard of their own, whatever the worker
-// count (see System.SetPlacement for what a file with none gets):
-//
-//	shard app gfx disk
 type Topology struct {
 	Transputers []TransputerSpec
 	Connections []Connection
@@ -85,11 +77,6 @@ type Topology struct {
 	Messages []MessageSpec
 	// VChans multiplexes virtual channels over physical links.
 	VChans []VChanSpec
-	// Shards lists explicit fusion groups (`shard a b c`): the named
-	// nodes share one event-queue shard.  Purely a simulator-performance
-	// placement; results are byte-identical at any partition.  Empty
-	// leaves the partition to the worker count.
-	Shards [][]string
 }
 
 // VChanSpec multiplexes Count virtual channels over the physical link
@@ -151,7 +138,6 @@ func ParseTopology(src string) (*Topology, error) {
 	wiredLine := make(map[string]int) // "node.link" -> wiring line
 	var faultLine []int               // line of each rule in topo.Faults
 	var vchanLine []int               // line of each spec in topo.VChans
-	shardOf := make(map[string]int)   // node name -> line of its shard group
 	onceAt := make(map[string]int)    // singleton directive -> its line
 	messageAt := 0                    // line of the first message
 	// refs records node-name uses to validate after all declarations.
@@ -331,24 +317,6 @@ func ParseTopology(src string) (*Topology, error) {
 			refs = append(refs, ref{n, no})
 			topo.VChans = append(topo.VChans, VChanSpec{Node: n, Link: l, Count: cnt})
 			vchanLine = append(vchanLine, no)
-		case "shard":
-			if len(fields) < 2 {
-				return nil, fail("shard needs at least one node name")
-			}
-			group := fields[1:]
-			seen := make(map[string]bool, len(group))
-			for _, name := range group {
-				if seen[name] {
-					return nil, fail("duplicate node %q in shard group", name)
-				}
-				seen[name] = true
-				if prev, dup := shardOf[name]; dup {
-					return nil, fail("node %q already in the shard group at line %d", name, prev)
-				}
-				shardOf[name] = no
-				refs = append(refs, ref{name, no})
-			}
-			topo.Shards = append(topo.Shards, group)
 		case "message":
 			msg, err := parseMessage(fields[1:])
 			if err != nil {

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -99,8 +98,10 @@ func TestParseTopologyErrors(t *testing.T) {
 		}
 	}
 	// heartbeat and route are bare switches: the option forms they once
-	// took are refused at their line.
+	// took are refused at their line.  The engine picks its own
+	// partition, so a shard line is an unknown directive.
 	for src, want := range map[string]string{
+		"transputer a t424\ntransputer b t424\nshard a b":     `topology line 3: unknown directive "shard"`,
 		"heartbeat interval=20us":                             "topology line 1: heartbeat takes no options",
 		"transputer x t424\nheartbeat timeout=100us":          "topology line 2: heartbeat takes no options",
 		"transputer x t424\nlinkmode reliable\nroute ttl=4":   "topology line 3: route takes no options",
@@ -419,24 +420,5 @@ func TestParseFaultValidation(t *testing.T) {
 	ok := base + "fault sever a.0 at=1ms\nfault halt a at=1ms\nfault restart a at=2ms\n"
 	if _, err := ParseTopology(ok); err != nil {
 		t.Errorf("valid campaign rejected: %v", err)
-	}
-}
-
-// TestParseShard: `shard` lines make the placement explicit, a group a
-// line; a node may be named alone, which pins it to a shard of its own
-// at any worker count.
-func TestParseShard(t *testing.T) {
-	const nodes = "transputer a t424\ntransputer b t424\ntransputer c t424\n"
-	topo, err := ParseTopology(nodes + "shard a b\nshard c\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := [][]string{{"a", "b"}, {"c"}}; !reflect.DeepEqual(topo.Shards, want) {
-		t.Errorf("Shards = %v, want %v", topo.Shards, want)
-	}
-	for _, bad := range []string{"shard", "shard a a", "shard a b\nshard b", "shard ghost"} {
-		if _, err := ParseTopology(nodes + bad + "\n"); err == nil {
-			t.Errorf("%q should be rejected", bad)
-		}
 	}
 }

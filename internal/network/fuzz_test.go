@@ -36,10 +36,10 @@ func FuzzParseTopology(f *testing.F) {
 	}
 	// Topologies that reach the run with no program: liveness and routing
 	// under messages at the first nanosecond, a restart, a cut under a
-	// routed message, odd memory sizes, the file's own placement.
+	// routed message, odd memory sizes.
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nlinkmode reliable\nheartbeat\nroute\nmessage a b at=1ns data=x\nmessage b a at=1ns data=y\n")
 	f.Add("transputer a t424 mem=4097\ntransputer b t222 mem=5\nconnect a.0 b.0\nlinkmode reliable\nroute\nheartbeat\nmessage a b at=5us data=xyz\nfault halt b at=10us\nfault restart b at=400us\n")
-	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nlinkmode reliable\nroute\nheartbeat\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\nshard a b\nshard c\n")
+	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nlinkmode reliable\nroute\nheartbeat\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\n")
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nconnect a.1 b.1\nlinkmode reliable\nheartbeat\nroute\nmessage a b at=1us data=x\nfault corrupt a.0 rate=1\nfault jitter b.1 rate=1 max=1ms\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		topo, err := network.ParseTopology(src)
@@ -70,12 +70,12 @@ func FuzzParseTopology(f *testing.F) {
 }
 
 // runsTheSame builds a parsed topology the way tnet does — without its
-// programs (there is no file system under a fuzz input) or its own
-// placement, at most 16 nodes of at most 64K, for at most a simulated
-// millisecond — and runs it on two legs of the determinism matrix, all
-// on one shard and one shard a node.  Either the build refuses both
-// with the same error or the two runs show the same thing; a panic or a
-// hang is the fuzzer's to report.
+// programs (there is no file system under a fuzz input), at most 16
+// nodes of at most 64K, for at most a simulated millisecond — and runs
+// it on two legs of the determinism matrix, all on one shard and one
+// shard a node.  Either the build refuses both with the same error or
+// the two runs show the same thing; a panic or a hang is the fuzzer's
+// to report.
 func runsTheSame(topo *network.Topology) []string {
 	if len(topo.Transputers) > 16 {
 		return nil
@@ -84,7 +84,6 @@ func runsTheSame(topo *network.Topology) []string {
 		topo.Transputers[i].Program = ""
 		topo.Transputers[i].MemBytes = min(topo.Transputers[i].MemBytes, 64*1024)
 	}
-	topo.Shards = nil
 	topo.RunLimit = min(topo.RunLimit, sim.Millisecond)
 	sc := matrix.Scenario{Build: func() (*matrix.Running, error) {
 		var host bytes.Buffer

@@ -72,8 +72,8 @@ type ranOccam struct {
 // image does not load.
 func runCompiled(img core.Image, cache bool) (ranOccam, bool) {
 	cfg := core.T424().WithMemory(64 * 1024)
-	cfg.NoBlockCache = !cache
 	m := core.MustNew(cfg)
+	m.SetBlockCache(cache)
 	if err := m.Load(img); err != nil {
 		return ranOccam{}, false
 	}
@@ -174,17 +174,17 @@ func occamSeeds(tb testing.TB) []string {
 	return srcs
 }
 
-// FuzzOccamDifferential runs what compiles (ROADMAP item 5: "fuzzed
-// occam that compiles must run under a cycle cap with cache on and off
-// agreeing").  Compiled occam is the traffic the block cache serves, so
-// any source the compiler accepts runs for occamFuzzCycles with the
-// block cache on and again with it off, on two legs: standalone, its
-// links on openLinks, and on trun's one-node topology, with a real host
-// on link 0.  The two runs of a leg must end in the same registers, queues,
-// flags, fault, statistics and memory, and the hosted ones in the same
-// host output, report and watchdog verdict.  A source the compiler
-// refuses is no test; a Go panic is the fuzzer's to report, and an
-// input that spins the host fails here, by the clock.
+// FuzzOccamDifferential runs what compiles (DESIGN.md §10 describes it
+// beside the block cache's own differential fuzzer).  Compiled occam is
+// the traffic the block cache serves, so any source the compiler
+// accepts runs for occamFuzzCycles with the block cache on and again
+// with it off, on two legs: standalone, its links on openLinks, and on
+// trun's one-node topology, with a real host on link 0.  The two runs
+// of a leg must end in the same registers, queues, flags, fault,
+// statistics and memory, and the hosted ones in the same host output,
+// report and watchdog verdict.  A source the compiler refuses is no
+// test; a Go panic is the fuzzer's to report, and an input that spins
+// the host fails here, by the clock.
 func FuzzOccamDifferential(f *testing.F) {
 	for _, src := range occamSeeds(f) {
 		f.Add(src)

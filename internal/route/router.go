@@ -544,11 +544,17 @@ func (nd *rnode) upVerdict(l int) {
 }
 
 // helloArrived completes the handshake: the link carries aligned
-// streams again.  Reply if we have not greeted since the outage, then
-// advertise the regained link and exchange full link-state databases
-// so two healed partitions reconcile their views.
+// streams again.  A greeting on a link this end still holds routable
+// means the peer reset its stream — it rebooted, or its heartbeat
+// declared the link down when this end's did not — so this end resets
+// too before answering.  Reply if we have not greeted since the outage,
+// then advertise the regained link and exchange full link-state
+// databases so two healed partitions reconcile their views.
 func (nd *rnode) helloArrived(l int) {
 	ls := &nd.links[l]
+	if ls.routable {
+		nd.linkDown(l)
+	}
 	if !ls.helloSent {
 		ls.helloSent = true
 		nd.enqueue(l, frame{kind: fHello, origin: byte(nd.ord), dest: byte(nd.r.adj[nd.ord][l].peer), ttl: 1})
@@ -834,10 +840,12 @@ func (nd *rnode) crash() {
 }
 
 // boot rejoins the network at a restart: reset every link stream to
-// power-on state (peers did the same at their down verdicts), restart
-// the receive pumps, presume the world up again, and replay the stable
-// store's unacknowledged messages.  Links become routable only through
-// the HELLO handshake, driven by the peers' heartbeat up verdicts.
+// power-on state, restart the receive pumps, greet every peer, presume
+// the world up again, and replay the stable store's unacknowledged
+// messages.  Links become routable only through the HELLO handshake:
+// the greeting makes a peer that never saw the outage reset its end
+// (see helloArrived), and a peer that rebooted too greets back at its
+// own boot, so no link waits on a heartbeat verdict that never comes.
 func (nd *rnode) boot() {
 	nd.gen++
 	nd.alive = true
@@ -854,6 +862,7 @@ func (nd *rnode) boot() {
 		nd.links[l] = linkState{}
 		nd.initSlots(l)
 		nd.armRecv(l)
+		nd.upVerdict(l)
 	}
 	nd.recompute()
 	for _, k := range nd.sortedPending() {

@@ -19,7 +19,7 @@ func TestHostUnreadReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, BlockCache: true, Fuse: "topo"},
+	exit := RunNet(NetFlags{Tool: "tnet", Workers: 1},
 		OneNode("t424", 0, "twice.occ"), dir, &stdout, &stderr)
 	if exit != ExitHostStall || !strings.Contains(stderr.String(), "deadlock watchdog") ||
 		!strings.Contains(stderr.String(), "stalled sending: 0 of 4 bytes") {

@@ -37,11 +37,6 @@ type Network struct {
 func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Network, error) {
 	s := network.NewSystem()
 	net := &Network{System: s}
-	if len(topo.Shards) > 0 {
-		if err := s.SetPlacement(topo.Shards); err != nil {
-			return nil, err
-		}
-	}
 	for _, spec := range topo.Transputers {
 		cfg, err := ModelConfig(spec.Model, spec.MemBytes)
 		if err != nil {
@@ -177,30 +172,34 @@ type NetFlags struct {
 	Workers                     int
 	Timeline, Flows, Prof       string
 	ProfPeriod                  int // simulated microseconds
-	BlockCache                  bool
-	Fuse                        string
 }
 
 // RunNet is tnet and trun — each command is flag parsing around this
 // call, so a test that drives it runs what the tools run: the parsed
-// topology (program paths relative to baseDir) under the flags, host
-// output to stdout, everything else to stderr; it returns the exit
-// code (see Verdict).
+// topology (program paths relative to baseDir) built by BuildNetwork
+// with host output to stdout, then Run under the flags with everything
+// else to stderr; it returns the exit code (see Verdict).
 func RunNet(f NetFlags, topo *network.Topology, baseDir string, stdout, stderr io.Writer) int {
+	net, err := BuildNetwork(topo, baseDir, stdout)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", f.Tool, err)
+		return 1
+	}
+	return net.Run(f, stderr)
+}
+
+// Run runs a built network under the flags, reporting to stderr, and
+// returns the exit code (see Verdict).  The partition follows
+// f.Workers (network.System.SetPlacement says how) and the block cache
+// is on, unless the caller set either on net.System first — which no
+// command does, and the determinism matrix does for every leg.
+func (net *Network) Run(f NetFlags, stderr io.Writer) int {
 	fatal := func(err error) int {
 		fmt.Fprintf(stderr, "%s: %v\n", f.Tool, err)
 		return 1
 	}
-	if err := ResolveFusion(topo, f.Fuse); err != nil {
-		return fatal(err)
-	}
-	net, err := BuildNetwork(topo, baseDir, stdout)
-	if err != nil {
-		return fatal(err)
-	}
 	s := net.System
 	s.SetWorkers(f.Workers)
-	s.SetBlockCache(f.BlockCache)
 	flushTrace := func() error { return nil }
 	if f.Trace {
 		var tw core.Trace
@@ -274,11 +273,7 @@ func RunNet(f NetFlags, topo *network.Topology, baseDir string, stdout, stderr i
 		}
 	}
 	if f.EngineStats {
-		explicit := ""
-		if len(topo.Shards) > 0 {
-			explicit = f.Fuse
-		}
-		PrintEngineStats(stderr, s.EngineStats(), PartitionOrigin(explicit, s.Workers()))
+		PrintEngineStats(stderr, s.EngineStats())
 		PrintCreditStats(stderr, s.CreditStats())
 		PrintAheadStats(stderr, s.AheadStats())
 	}

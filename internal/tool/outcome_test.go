@@ -65,7 +65,7 @@ func TestRunNetProgramError(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stdout, stderr bytes.Buffer
-		exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, BlockCache: true, Fuse: "topo"}, topo, dir, &stdout, &stderr)
+		exit := RunNet(NetFlags{Tool: "tnet", Workers: 1}, topo, dir, &stdout, &stderr)
 		if exit != c.exit || stderr.String() != c.stderr {
 			t.Errorf("%q: exit %d, stderr %q; want %d, %q", c.src, exit, stderr.String(), c.exit, c.stderr)
 		}

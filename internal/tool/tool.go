@@ -1,8 +1,8 @@
 // Package tool holds shared plumbing for the command-line programs:
 // loading source programs by extension, building a system from a
 // topology (BuildNetwork), the one run path trun and tnet share
-// (RunNet; trun's topology is OneNode), their exit codes (Verdict) and
-// printing machine statistics.
+// (RunNet, which is BuildNetwork then Network.Run; trun's topology is
+// OneNode), their exit codes (Verdict) and printing machine statistics.
 package tool
 
 import (
