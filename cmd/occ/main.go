@@ -9,7 +9,8 @@
 // understood by trun and tnet.
 //
 // A program whose outermost process is PLACED PAR is a configuration:
-// it compiles to one image per PROCESSOR, named <base>.p<N>.tix, and
+// it compiles to one image per processor (a replicated PLACED PAR has
+// one for each value of its replicator), named <base>.p<N>.tix, and
 // -o and -S do not apply.
 package main
 

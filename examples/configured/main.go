@@ -1,6 +1,6 @@
 // Configured demonstrates occam configuration: ONE source file whose
 // outermost process is PLACED PAR, compiled into one image per
-// PROCESSOR and run on a four-transputer pipeline.  This is the
+// processor and run on a four-transputer pipeline.  This is the
 // paper's development model: "once the logical behaviour of the
 // program has been verified, the program may be configured for
 // execution by a single transputer (low cost), or for execution by a
@@ -16,9 +16,11 @@ import (
 	"transputer"
 )
 
-// A four-stage pipeline: generate, square, accumulate, report.  Each
-// PROCESSOR block names its transputer; channels crossing processor
-// boundaries are PLACEd on link addresses.
+// A four-stage pipeline: generate, square, accumulate, report.  The
+// replicated PLACED PAR compiles its PROCESSOR once for each of the
+// four transputers, and the configuration IF that opens it, whose
+// guards are constant once i is, gives each its stage; channels
+// crossing processor boundaries are PLACEd on link addresses.
 const program = `DEF n = 8:
 PROC stage(CHAN in, CHAN out, VALUE rounds) =
   VAR v:
@@ -27,39 +29,41 @@ PROC stage(CHAN in, CHAN out, VALUE rounds) =
       in ? v
       out ! v * v
 :
-PLACED PAR
-  PROCESSOR 0
-    CHAN out:
-    PLACE out AT LINK1OUT:
-    SEQ i = [1 FOR n]
-      out ! i
-  PROCESSOR 1
-    CHAN in, out:
-    PLACE in AT LINK0IN:
-    PLACE out AT LINK1OUT:
-    stage(in, out, n)
-  PROCESSOR 2
-    CHAN in, out:
-    PLACE in AT LINK0IN:
-    PLACE out AT LINK1OUT:
-    VAR v, sum:
-    SEQ
-      sum := 0
-      SEQ i = [0 FOR n]
+PLACED PAR i = [0 FOR 4]
+  PROCESSOR i
+    IF
+      i = 0
+        CHAN out:
+        PLACE out AT LINK1OUT:
+        SEQ k = [1 FOR n]
+          out ! k
+      i = 1
+        CHAN in, out:
+        PLACE in AT LINK0IN:
+        PLACE out AT LINK1OUT:
+        stage(in, out, n)
+      i = 2
+        CHAN in, out:
+        PLACE in AT LINK0IN:
+        PLACE out AT LINK1OUT:
+        VAR v, sum:
         SEQ
-          in ? v
-          sum := sum + v
-      out ! sum
-  PROCESSOR 3
-    CHAN in, screen:
-    PLACE in AT LINK0IN:
-    PLACE screen AT LINK1OUT:
-    VAR total:
-    SEQ
-      in ? total
-      screen ! 2
-      screen ! total
-      screen ! 4
+          sum := 0
+          SEQ k = [0 FOR n]
+            SEQ
+              in ? v
+              sum := sum + v
+          out ! sum
+      TRUE
+        CHAN in, screen:
+        PLACE in AT LINK0IN:
+        PLACE screen AT LINK1OUT:
+        VAR total:
+        SEQ
+          in ? total
+          screen ! 2
+          screen ! total
+          screen ! 4
 `
 
 func main() {

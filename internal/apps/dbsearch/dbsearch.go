@@ -17,6 +17,9 @@
 // number with a small congruential generator, standing in for the
 // partitioned database the paper assumes; Reference reproduces the
 // same records on the host for answer checking.
+//
+// The array is one occam program, as the paper's networks are: a
+// replicated PLACED PAR with a PROCESSOR for each node (ArraySource).
 package dbsearch
 
 import (
@@ -104,7 +107,7 @@ func (p Params) TotalRecords() int { return p.Rows * p.Cols * p.RecordsPerNode }
 // each row — a spanning tree whose longest path is
 // (Rows-1)+(Cols-1) links.
 
-// Build compiles one occam program per node and wires the array.
+// Build compiles the array's one occam program and wires the array.
 func Build(p Params) (*System, error) {
 	net := network.NewSystem()
 	nodes := make([][]*network.Node, p.Rows)
@@ -141,16 +144,14 @@ func Build(p Params) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			src := NodeSource(p, r, c)
-			comp, cerr := occam.Compile(src, occam.Options{})
-			if cerr != nil {
-				return nil, fmt.Errorf("node %d.%d: %w\n%s", r, c, cerr, src)
-			}
-			if lerr := nodes[r][c].Load(comp.Image); lerr != nil {
-				return nil, fmt.Errorf("node %d.%d: %w", r, c, lerr)
-			}
+	procs, err := occam.CompileConfigured(ArraySource(p), occam.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("dbsearch: %w", err)
+	}
+	for _, proc := range procs {
+		r, c := int(proc.ID)/p.Cols, int(proc.ID)%p.Cols
+		if lerr := nodes[r][c].Load(proc.Compiled.Image); lerr != nil {
+			return nil, fmt.Errorf("node %d.%d: %w", r, c, lerr)
 		}
 	}
 	return &System{
@@ -166,21 +167,64 @@ func (s *System) RunSearches(keys []int64, limit sim.Time) ([]int64, network.Rep
 	return s.Results.Values, rep
 }
 
-// NodeSource generates the occam program for node (r,c).  Every node
-// runs the same two-process algorithm; only link placement and the
-// record seed differ — "a small program in each transputer does the
-// search".
-func NodeSource(p Params, r, c int) string {
-	var sb strings.Builder
-	seed := r*p.Cols + c + 1
-	root := r == 0 && c == 0
-	right := c+1 < p.Cols
-	down := c == 0 && r+1 < p.Rows
+// role is what sets one node's program apart from another's, besides
+// its record seed: the links it uses.
+type role struct{ root, right, down bool }
 
+func (p Params) roleOf(r, c int) role {
+	return role{root: r == 0 && c == 0, right: c+1 < p.Cols, down: c == 0 && r+1 < p.Rows}
+}
+
+// ArraySource is the whole array as one configured occam program, the
+// paper's model of a network: a replicated PLACED PAR whose processor
+// i is node (i / cols, i \ cols), its record seed i + 1, and its links
+// chosen by a configuration IF on i — one branch for each role.  A
+// branch no node takes is neither checked nor compiled.
+func ArraySource(p Params) string {
+	branches := [...]struct {
+		guard string
+		role  role
+	}{
+		{"i = 0", p.roleOf(0, 0)},
+		{"((i \\ cols) = 0) AND (i < ((rows - 1) * cols))", role{right: p.Cols > 1, down: true}},
+		{"((i \\ cols) + 1) < cols", role{right: true}},
+		{"TRUE", role{}},
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "DEF rows = %d:\nDEF cols = %d:\n", p.Rows, p.Cols)
 	fmt.Fprintf(&sb, "DEF n = %d:\n", p.RecordsPerNode)
 	fmt.Fprintf(&sb, "DEF keyspace = %d:\n", p.KeySpace)
-	fmt.Fprintf(&sb, "DEF seed = %d:\n", seed)
+	sb.WriteString("PLACED PAR i = [0 FOR rows * cols]\n  PROCESSOR i\n    DEF seed = i + 1:\n    IF\n")
+	for _, br := range branches {
+		fmt.Fprintf(&sb, "      %s\n", br.guard)
+		var node strings.Builder
+		br.role.write(&node)
+		for _, line := range strings.SplitAfter(node.String(), "\n") {
+			if line != "" {
+				sb.WriteString("        ")
+				sb.WriteString(line)
+			}
+		}
+	}
+	return sb.String()
+}
 
+// NodeSource generates the occam program for node (r,c) alone, as
+// ArraySource's processor r*cols + c compiles it.  Every node runs the
+// same two-process algorithm; only link placement and the record seed
+// differ — "a small program in each transputer does the search".
+func NodeSource(p Params, r, c int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "DEF n = %d:\n", p.RecordsPerNode)
+	fmt.Fprintf(&sb, "DEF keyspace = %d:\n", p.KeySpace)
+	fmt.Fprintf(&sb, "DEF seed = %d:\n", r*p.Cols+c+1)
+	p.roleOf(r, c).write(&sb)
+	return sb.String()
+}
+
+// write writes a node's program after its DEFs of n, keyspace and seed.
+func (ro role) write(sb *strings.Builder) {
+	root, right, down := ro.root, ro.right, ro.down
 	if root {
 		sb.WriteString(`CHAN keys.req, keys.in, res.out:
 PLACE keys.req AT LINK0OUT:
@@ -224,7 +268,7 @@ PLACE ans.out AT LINK0OUT:
 	// receiving a key, forwarding it, searching locally and passing
 	// the local count to the merger.
 	sb.WriteString("CHAN local, issued:\n")
-	fmt.Fprintf(&sb, "PROC search(CHAN getkey, CHAN put, CHAN fin%s) =\n", fwdParams)
+	fmt.Fprintf(sb, "PROC search(CHAN getkey, CHAN put, CHAN fin%s) =\n", fwdParams)
 	sb.WriteString(`  VAR db[n], x, key, count, going, sent:
   SEQ
     x := seed
@@ -265,7 +309,7 @@ PLACE ans.out AT LINK0OUT:
 
 	// The merger process: combine the local answer with downstream
 	// answers and forward.
-	fmt.Fprintf(&sb, "PROC merge(CHAN take, CHAN put, CHAN fin%s) =\n", ansParams)
+	fmt.Fprintf(sb, "PROC merge(CHAN take, CHAN put, CHAN fin%s) =\n", ansParams)
 	sb.WriteString(`  VAR count, sub, total, answered:
   SEQ
     total := -1
@@ -316,12 +360,11 @@ PAR
           TRUE
             SKIP
 `)
-		fmt.Fprintf(&sb, "  search(feed, local, issued%s)\n", fwdArgs)
-		fmt.Fprintf(&sb, "  merge(local, res.out, issued%s)\n", ansArgs)
+		fmt.Fprintf(sb, "  search(feed, local, issued%s)\n", fwdArgs)
+		fmt.Fprintf(sb, "  merge(local, res.out, issued%s)\n", ansArgs)
 	} else {
 		sb.WriteString("PAR\n")
-		fmt.Fprintf(&sb, "  search(req.in, local, issued%s)\n", fwdArgs)
-		fmt.Fprintf(&sb, "  merge(local, ans.out, issued%s)\n", ansArgs)
+		fmt.Fprintf(sb, "  search(req.in, local, issued%s)\n", fwdArgs)
+		fmt.Fprintf(sb, "  merge(local, ans.out, issued%s)\n", ansArgs)
 	}
-	return sb.String()
 }

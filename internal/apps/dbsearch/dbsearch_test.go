@@ -1,11 +1,13 @@
 package dbsearch
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"transputer/internal/core"
 	"transputer/internal/network"
+	"transputer/internal/occam"
 	"transputer/internal/sim"
 )
 
@@ -117,5 +119,45 @@ func TestSharedCodeAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, four) {
 		t.Errorf("one worker and four differ:\none:  %+v %+v\nfour: %+v %+v", one.answers, one.rep, four.answers, four.rep)
+	}
+}
+
+// TestConfiguredSearchMatchesNodeSource compiles each array as Build
+// does, one configured program, and every node's program alone with
+// NodeSource: each processor's code, entry and workspace must be the
+// same bytes and figures.  (Source marks differ: they point into
+// different sources.)
+func TestConfiguredSearchMatchesNodeSource(t *testing.T) {
+	for _, p := range []Params{
+		Defaults128(),
+		Defaults16(),
+		{Rows: 2, Cols: 2, RecordsPerNode: 50, KeySpace: 16},
+		{Rows: 1, Cols: 4, RecordsPerNode: 50, KeySpace: 16},
+		{Rows: 4, Cols: 1, RecordsPerNode: 50, KeySpace: 16},
+		{Rows: 1, Cols: 1, RecordsPerNode: 50, KeySpace: 16},
+	} {
+		procs, err := occam.CompileConfigured(ArraySource(p), occam.Options{})
+		if err != nil {
+			t.Fatalf("%dx%d: %v", p.Rows, p.Cols, err)
+		}
+		if len(procs) != p.Rows*p.Cols {
+			t.Fatalf("%dx%d: %d processors", p.Rows, p.Cols, len(procs))
+		}
+		for i, proc := range procs {
+			r, c := i/p.Cols, i%p.Cols
+			want, err := occam.Compile(NodeSource(p, r, c), occam.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := proc.Compiled.Image
+			if proc.ID != int64(i) || !bytes.Equal(got.Code, want.Image.Code) || got.Entry != want.Image.Entry ||
+				got.WsBelow != want.Image.WsBelow || got.WsAbove != want.Image.WsAbove {
+				t.Errorf("%dx%d node %d.%d: processor %d has %d bytes of code, entry %d, workspace %d/%d; "+
+					"NodeSource compiles to %d bytes (same: %v), entry %d, workspace %d/%d",
+					p.Rows, p.Cols, r, c, proc.ID, len(got.Code), got.Entry, got.WsBelow, got.WsAbove,
+					len(want.Image.Code), bytes.Equal(got.Code, want.Image.Code), want.Image.Entry,
+					want.Image.WsBelow, want.Image.WsAbove)
+			}
+		}
 	}
 }

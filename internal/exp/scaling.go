@@ -150,30 +150,35 @@ func runPrimesSingle(workers, limit int) (int64, sim.Time, error) {
 	return host.Values[0], host.DoneAt, nil
 }
 
-// runPrimesConfigured places each worker on its own transputer via
-// PLACED PAR, with a collector transputer summing the counts.
+// runPrimesConfigured places each worker on its own transputer via a
+// replicated PLACED PAR, with a collector transputer summing the
+// counts: processors 0 to workers-1 count, each from its own start, and
+// the last, the configuration IF's other branch, collects.
 func runPrimesConfigured(workers, limit int) (int64, sim.Time, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "DEF workers = %d:\nDEF limit = %d:\n", workers, limit)
 	sb.WriteString(primeProc)
-	sb.WriteString("PLACED PAR\n")
-	for w := 0; w < workers; w++ {
-		fmt.Fprintf(&sb, "  PROCESSOR %d\n", w)
-		sb.WriteString("    CHAN out:\n    PLACE out AT LINK0OUT:\n")
-		fmt.Fprintf(&sb, "    count.primes(%d, %d, limit, out)\n", 2+w, workers)
-	}
+	sb.WriteString(`PLACED PAR i = [0 FOR workers + 1]
+  PROCESSOR i
+    DEF start = i + 2:
+    IF
+      i < workers
+        CHAN out:
+        PLACE out AT LINK0OUT:
+        count.primes(start, workers, limit, out)
+      TRUE
+`)
 	// The collector: one link per worker, the host on the remaining
 	// link.
-	fmt.Fprintf(&sb, "  PROCESSOR %d\n", workers)
-	fmt.Fprintf(&sb, "    CHAN screen:\n    PLACE screen AT LINK%dOUT:\n", workers)
+	fmt.Fprintf(&sb, "        CHAN screen:\n        PLACE screen AT LINK%dOUT:\n", workers)
 	for w := 0; w < workers; w++ {
-		fmt.Fprintf(&sb, "    CHAN in%d:\n    PLACE in%d AT LINK%dIN:\n", w, w, w)
+		fmt.Fprintf(&sb, "        CHAN in%d:\n        PLACE in%d AT LINK%dIN:\n", w, w, w)
 	}
-	sb.WriteString("    VAR total, part:\n    SEQ\n      total := 0\n")
+	sb.WriteString("        VAR total, part:\n        SEQ\n          total := 0\n")
 	for w := 0; w < workers; w++ {
-		fmt.Fprintf(&sb, "      in%d ? part\n      total := total + part\n", w)
+		fmt.Fprintf(&sb, "          in%d ? part\n          total := total + part\n", w)
 	}
-	sb.WriteString("      screen ! 2\n      screen ! total\n      screen ! 4\n")
+	sb.WriteString("          screen ! 2\n          screen ! total\n          screen ! 4\n")
 
 	procs, err := occam.CompileConfigured(sb.String(), occam.Options{})
 	if err != nil {

@@ -63,18 +63,41 @@ func benchConst(tb testing.TB, name string) string {
 // per iteration and reports the front end's cost per source line.
 func BenchmarkCompile(b *testing.B) {
 	srcs := searchSources()
+	benchPerLine(b, func() error {
+		for _, src := range srcs {
+			if _, err := occam.Compile(src, occam.Options{}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// BenchmarkCompileConfigured is BenchmarkCompile's twin: the same 128
+// images, compiled as dbsearch.Build compiles them, from the array's one
+// configured program.
+func BenchmarkCompileConfigured(b *testing.B) {
+	src := dbsearch.ArraySource(dbsearch.Defaults128())
+	benchPerLine(b, func() error {
+		_, err := occam.CompileConfigured(src, occam.Options{})
+		return err
+	})
+}
+
+// benchPerLine runs compile, which compiles the search array's 128
+// images, b.N times and reports its cost per line of the 128 node
+// programs, so that the two ways of compiling them compare.
+func benchPerLine(b *testing.B, compile func() error) {
 	lines := 0
-	for _, src := range srcs {
+	for _, src := range searchSources() {
 		lines += strings.Count(src, "\n")
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, src := range srcs {
-			if _, err := occam.Compile(src, occam.Options{}); err != nil {
-				b.Fatal(err)
-			}
+		if err := compile(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
@@ -88,17 +111,25 @@ func BenchmarkCompile(b *testing.B) {
 // compileCost is what one compile of src allocates: objects and bytes.
 func compileCost(t *testing.T, src string) (allocs, bytes float64) {
 	t.Helper()
+	return allocCost(t, func() error {
+		_, err := occam.Compile(src, occam.Options{})
+		return err
+	})
+}
+
+// allocCost is what one call of compile allocates: objects and bytes.
+func allocCost(t *testing.T, compile func() error) (allocs, bytes float64) {
+	t.Helper()
 	const runs = 20
-	compile := func() {
-		if _, err := occam.Compile(src, occam.Options{}); err != nil {
-			t.Fatal(err)
-		}
+	if err := compile(); err != nil { // warm-up: one-time initialisation anywhere below
+		t.Fatal(err)
 	}
-	compile() // warm-up: one-time initialisation anywhere below
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		compile()
+		if err := compile(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
@@ -133,5 +164,30 @@ func TestCompileAllocGuard(t *testing.T) {
 		if bytes > tc.maxKiB*1024 {
 			t.Errorf("%s: one compile allocates %.0f bytes, more than %.0f KiB", tc.name, bytes, tc.maxKiB)
 		}
+	}
+}
+
+// TestConfiguredArrayAllocGuard pins what one CompileConfigured of the
+// 128-transputer search's configured program allocates, in objects and
+// in bytes: one parse and 128 checks, sizings and code generations.
+func TestConfiguredArrayAllocGuard(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	src := dbsearch.ArraySource(dbsearch.Defaults128())
+	allocs, bytes := allocCost(t, func() error {
+		_, err := occam.CompileConfigured(src, occam.Options{})
+		return err
+	})
+	t.Logf("%.0f allocations, %.0f bytes a compile", allocs, bytes)
+	// 22 334 allocations, 2 555 588 bytes on linux/amd64 with Go 1.24;
+	// the 128 compiles of NodeSource's programs it replaces make 49 500
+	// and 4.0 MB.
+	const maxAllocs, maxKiB = 24500, 2750
+	if allocs > maxAllocs {
+		t.Errorf("one compile makes %.0f allocations, more than %d", allocs, maxAllocs)
+	}
+	if bytes > maxKiB*1024 {
+		t.Errorf("one compile allocates %.0f bytes, more than %d KiB", bytes, maxKiB)
 	}
 }

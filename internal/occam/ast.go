@@ -140,15 +140,23 @@ type altBranch struct {
 }
 
 // ifProc is IF with condition branches; no true condition = STOP.
+//
+// An IF that opens a replicated PROCESSOR's body, after its
+// declarations, is a configuration choice: its guards fold once the
+// replicator is fixed, and only the first true branch, chosen by the
+// checker for the processor being compiled, is compiled.
 type ifProc struct {
 	pos
 	branches []ifBranch
+	config   bool
+	chosen   int32 // the branch a configuration choice took
 }
 
 type ifBranch struct {
-	pos
 	cond expr
 	body process
+	// tokens is the branch's length in tokens, guard included.
+	tokens int
 }
 
 // whileProc is WHILE e.
@@ -184,16 +192,23 @@ type declProc struct {
 
 // placedPar is the occam configuration construct: PLACED PAR with
 // PROCESSOR components, each destined for its own transputer.  It may
-// only appear as the outermost process of a program.
+// only appear as the outermost process of a program.  A replicated
+// PLACED PAR (rep != nil) has exactly one component, compiled once for
+// each value of the replicator.
 type placedPar struct {
 	pos
+	rep        *replicator
 	components []placedComponent
+	// tokens is the program's length in tokens up to the PLACED PAR:
+	// the shared declarations.
+	tokens int
 }
 
 type placedComponent struct {
 	pos
 	processor expr // compile-time processor number
 	body      process
+	tokens    int // the component's length in tokens
 }
 
 // ---- declarations ---------------------------------------------------

@@ -174,6 +174,8 @@ type checker struct {
 	wordBytes int
 	nextFrame int
 	procs     []*procInfo // all PROCs, in declaration order
+	// skipped is the tokens of configuration-IF branches not taken.
+	skipped int
 }
 
 // parInfo is the checker/sizer annotation for a PAR construct.
@@ -329,6 +331,9 @@ func (c *checker) process(p process, sc *scope) *Err {
 	case *altProc:
 		return c.alt(v, sc)
 	case *ifProc:
+		if v.config {
+			return c.configChoice(v, sc)
+		}
 		for _, br := range v.branches {
 			if err := c.expr(br.cond, sc); err != nil {
 				return err
@@ -363,6 +368,38 @@ func (c *checker) process(p process, sc *scope) *Err {
 		return nil
 	}
 	return errf(0, 0, "checker: unhandled process %T", p)
+}
+
+// processorNumber is the DEF through which CompileConfigured passes a
+// component its processor number.
+const processorNumber = "configured.processor.number"
+
+// configChoice checks a configuration IF: the first branch whose guard
+// folds true is the processor's, and the branches it does not take are
+// neither checked nor counted among the tokens compiled.
+func (c *checker) configChoice(v *ifProc, sc *scope) *Err {
+	v.chosen = -1
+	for i := range v.branches {
+		br := &v.branches[i]
+		if v.chosen >= 0 {
+			c.skipped += br.tokens
+			continue
+		}
+		val, err := c.constExpr(br.cond, sc)
+		if err != nil {
+			return errf(err.Line, err.Col, "a configuration IF guard must fold once the PLACED PAR replicator is fixed: %s", err.Msg)
+		}
+		if val != 0 {
+			v.chosen = int32(i)
+		} else {
+			c.skipped += br.tokens
+		}
+	}
+	if v.chosen < 0 {
+		id, _ := sc.lookup(processorNumber)
+		return errf(v.line, v.col, "no branch of the configuration IF is true for PROCESSOR %d", id.value)
+	}
+	return c.process(v.branches[v.chosen].body, sc.child(nil, false))
 }
 
 // declare binds one declaration of a group; the group's PLACEs say

@@ -61,8 +61,12 @@ type Processor struct {
 // process, and occam channels are allocated to links."  Declarations
 // preceding the PLACED PAR (DEFs and PROCs) are shared by every
 // component; each PROCESSOR block is compiled to its own image, with
-// its channels PLACEd on link addresses.  A program without PLACED PAR
-// compiles to a single processor numbered 0.
+// its channels PLACEd on link addresses.  A replicated PLACED PAR
+// i = [base FOR count] compiles its one PROCESSOR once for each value
+// of i, in order, with i a constant; a configuration IF at the head of
+// that PROCESSOR's body compiles only the branch the processor takes.
+// A program without PLACED PAR compiles to a single processor
+// numbered 0.
 func CompileConfigured(src string, opt Options) ([]Processor, error) {
 	if err := checkOptions(&opt); err != nil {
 		return nil, err
@@ -90,33 +94,85 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 		}
 		return []Processor{{ID: 0, Compiled: comp}}, nil
 	}
+	rep, base, n := pp.rep, int64(0), int64(len(pp.components))
+	if rep != nil {
+		var err error
+		if base, n, err = foldReplicator(rep, shared, opt); err != nil {
+			return nil, err
+		}
+	}
 
-	var out []Processor
-	seen := map[int64]bool{}
-	for i := range pp.components {
-		comp := &pp.components[i]
-		// The processor number is folded by smuggling it through a DEF
-		// in the component's compilation.
-		idDecl := &defDecl{pos: comp.pos, name: "configured.processor.number", value: comp.processor}
-		decls := append(append([]decl{}, shared...), idDecl)
-		synth := &declProc{pos: comp.pos, decls: decls, body: comp.body}
-		// A component's share of the source is not known, so its
-		// compilation sizes its buffers as it goes.
-		compiled, err := compileProgram(synth, 0, opt)
+	out := make([]Processor, 0, n)
+	seen := make(map[int64]int64, n) // each processor number's component, or value of i
+	// The processor number is folded by smuggling it through a DEF in
+	// the component's compilation.  A replicated PLACED PAR's one
+	// component is wrapped once, and i's DEF, ahead of the number's,
+	// takes each value in turn.
+	iVal := &numberExpr{}
+	var synth process
+	var idDecl *defDecl
+	for k := int64(0); k < n; k++ {
+		comp, which := &pp.components[0], base+k
+		if rep == nil {
+			comp = &pp.components[k]
+		}
+		if k == 0 || rep == nil {
+			idDecl = &defDecl{pos: comp.pos, name: processorNumber, value: comp.processor}
+			own := []decl{idDecl}
+			if rep != nil {
+				iVal.pos = rep.pos
+				own = []decl{&defDecl{pos: rep.pos, name: rep.name, value: iVal}, idDecl}
+			}
+			synth = &declProc{pos: comp.pos, decls: shared, body: &declProc{pos: comp.pos, decls: own, body: comp.body}}
+		}
+		iVal.val = which
+		compiled, err := compileProgram(synth, pp.tokens+comp.tokens, opt)
 		if err != nil {
 			return nil, err
 		}
-		if idDecl.sym == nil {
-			return nil, errf(comp.line, comp.col, "PROCESSOR number is not a compile-time constant")
-		}
 		id := idDecl.sym.value
-		if seen[id] {
+		if prev, dup := seen[id]; dup {
+			if rep != nil {
+				return nil, errf(comp.line, comp.col, "PROCESSOR %d configured twice: for %s = %d and %s = %d",
+					id, rep.name, prev, rep.name, which)
+			}
 			return nil, errf(comp.line, comp.col, "PROCESSOR %d configured twice", id)
 		}
-		seen[id] = true
+		seen[id] = which
 		out = append(out, Processor{ID: id, Compiled: compiled})
 	}
 	return out, nil
+}
+
+// maxProcessors bounds a replicated PLACED PAR's count.
+const maxProcessors = 4096
+
+// foldReplicator folds a replicated PLACED PAR's base and count
+// against the shared declarations.  PROCs cannot name a constant, so
+// they are left undeclared here and checked only with each processor.
+func foldReplicator(rep *replicator, shared []decl, opt Options) (base, count int64, err error) {
+	c := newChecker(opt.WordBytes)
+	sc := (&scope{wordBytes: opt.WordBytes}).child(c.newFrame(), false)
+	for _, d := range shared {
+		if _, isProc := d.(*procDecl); isProc {
+			continue
+		}
+		if derr := c.declare(d, sc, shared); derr != nil {
+			return 0, 0, derr
+		}
+	}
+	base, berr := c.constExpr(rep.base, sc)
+	if berr != nil {
+		return 0, 0, errf(rep.line, rep.col, "PLACED PAR needs a compile-time base: %s", berr.Msg)
+	}
+	count, cerr := c.constExpr(rep.count, sc)
+	if cerr != nil {
+		return 0, 0, errf(rep.line, rep.col, "PLACED PAR needs a compile-time count: %s", cerr.Msg)
+	}
+	if count <= 0 || count > maxProcessors {
+		return 0, 0, errf(rep.line, rep.col, "PLACED PAR count must be 1 to %d, got %d", maxProcessors, count)
+	}
+	return base, count, nil
 }
 
 // Generated code runs to about three builder items (instructions and
@@ -130,7 +186,7 @@ const (
 )
 
 // compileProgram checks and generates a parsed program; tokens is the
-// length of its source in tokens, or 0 when that is not known.
+// length of its source in tokens, configuration-IF branches included.
 func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 	c := newChecker(opt.WordBytes)
 	root, cerr := c.run(prog)
@@ -149,6 +205,9 @@ func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 		cur:       root,
 		entered:   []frameEntry{{f: root, kind: entryRoot}},
 	}
+	// Size the builder from what is compiled: not the branches of a
+	// configuration IF that the checker passed over.
+	tokens -= c.skipped
 	g.b.Grow(tokens*itemsPer8Tokens/8, tokens/tokensPerLabel)
 	var genErr *Err
 	func() {

@@ -605,6 +605,11 @@ func (g *gen) seq(v *seqProc) {
 }
 
 func (g *gen) ifProcess(v *ifProc) {
+	if v.config {
+		// A configuration choice was made at compile time.
+		g.process(v.branches[v.chosen].body)
+		return
+	}
 	end := g.b.NewLabel()
 	for _, br := range v.branches {
 		next := g.b.NewLabel()

@@ -6,6 +6,8 @@ package occam
 type parser struct {
 	lx  *lexer
 	tok token // the next token
+	// placed is set inside a PLACED PAR, which cannot nest.
+	placed bool
 }
 
 // parse parses a program; tokens is the number of tokens it read.
@@ -231,6 +233,9 @@ func (p *parser) parseSimpleOrConstruct() process {
 		procs := p.parseBody(rep != nil)
 		return &parProc{pos: p.posOf(t), rep: rep, procs: procs}
 	case t.kind == tokKeyword && t.text == "PLACED":
+		if p.placed {
+			p.fail(t, "PLACED PAR cannot be nested: a configuration places processes at its outermost level")
+		}
 		p.next()
 		p.expect(tokKeyword, "PAR")
 		return p.parsePlacedPar(t)
@@ -285,24 +290,50 @@ func (p *parser) parseSimpleOrConstruct() process {
 }
 
 // parsePlacedPar parses the configuration construct: each component is
-// introduced by a PROCESSOR line.
+// introduced by a PROCESSOR line.  A replicated PLACED PAR has one.
 func (p *parser) parsePlacedPar(t token) process {
+	pp := &placedPar{pos: p.posOf(t), tokens: p.lx.tokens}
+	pp.rep = p.maybeReplicator()
 	p.expect(tokNewline, "")
 	p.expect(tokIndent, "")
-	pp := &placedPar{pos: p.posOf(t)}
+	p.placed = true
 	for !p.at(tokDedent, "") {
 		start := p.expect(tokKeyword, "PROCESSOR")
+		if pp.rep != nil && len(pp.components) == 1 {
+			p.fail(start, "a replicated PLACED PAR takes exactly one PROCESSOR")
+		}
 		procNum := p.parseExpr()
 		p.expect(tokNewline, "")
 		p.expect(tokIndent, "")
+		before := p.lx.tokens
 		body := p.parseProcess()
 		p.expect(tokDedent, "")
+		if pp.rep != nil {
+			markConfigChoice(body)
+		}
 		pp.components = append(pp.components, placedComponent{
-			pos: p.posOf(start), processor: procNum, body: body,
+			pos: p.posOf(start), processor: procNum, body: body, tokens: p.lx.tokens - before,
 		})
 	}
 	p.expect(tokDedent, "")
+	p.placed = false
 	return pp
+}
+
+// markConfigChoice marks the IF that opens a replicated PROCESSOR's
+// body, after its declarations, as that processor's configuration
+// choice.
+func markConfigChoice(body process) {
+	for {
+		dp, ok := body.(*declProc)
+		if !ok {
+			break
+		}
+		body = dp.body
+	}
+	if v, ok := body.(*ifProc); ok {
+		v.config = true
+	}
 }
 
 // parseBody parses NEWLINE INDENT components DEDENT.  A replicated
@@ -460,13 +491,13 @@ func (p *parser) parseIfBody(t token) process {
 	p.expect(tokIndent, "")
 	var branches []ifBranch
 	for !p.at(tokDedent, "") {
-		start := p.peek()
+		before := p.lx.tokens
 		cond := p.parseExpr()
 		p.expect(tokNewline, "")
 		p.expect(tokIndent, "")
 		body := p.parseProcess()
 		p.expect(tokDedent, "")
-		branches = append(branches, ifBranch{pos: p.posOf(start), cond: cond, body: body})
+		branches = append(branches, ifBranch{cond: cond, body: body, tokens: p.lx.tokens - before})
 	}
 	p.expect(tokDedent, "")
 	return &ifProc{pos: p.posOf(t), branches: branches}

@@ -207,6 +207,9 @@ func TestParseErrors(t *testing.T) {
 		"VAR x\nSKIP\n",        // missing colon
 		"x + 1\n",              // expression is not a process
 	}
+	for _, c := range configuredParseErrors {
+		cases = append(cases, c.src)
+	}
 	for _, src := range cases {
 		if _, _, err := parse(src); err == nil {
 			t.Errorf("parse(%q) should fail", src)

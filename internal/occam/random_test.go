@@ -1,6 +1,7 @@
 package occam_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -202,4 +203,107 @@ func TestRandomSeqParEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRandomReplicatedPlacedPar compiles random replicated PLACED PARs
+// and the same programs written out by hand: an unreplicated PLACED PAR
+// with a PROCESSOR for each value of i, in which i is a DEF and the
+// configuration IF has become the branch that processor takes.  Every
+// processor must compile to the same image both ways.
+func TestRandomReplicatedPlacedPar(t *testing.T) {
+	rng := rand.New(rand.NewSource(1983))
+	for round := 0; round < 30; round++ {
+		base, count := rng.Intn(5), 1+rng.Intn(6)
+		mul, off := 1+rng.Intn(3), rng.Intn(4)
+		// Guards the configuration IF may test, with their value in Go.
+		type guard struct {
+			src  string
+			test func(i int) bool
+		}
+		cut, mod := base+rng.Intn(count+1), 2+rng.Intn(2)
+		forms := []guard{
+			{fmt.Sprintf("i < %d", cut), func(i int) bool { return i < cut }},
+			{fmt.Sprintf("(i \\ %d) = 1", mod), func(i int) bool { return i%mod == 1 }},
+			{fmt.Sprintf("d = %d", 2*base+1), func(i int) bool { return 2*i+1 == 2*base+1 }},
+		}
+		var guards []guard
+		for n := rng.Intn(3); len(guards) < n; {
+			guards = append(guards, forms[rng.Intn(len(forms))])
+		}
+		guards = append(guards, guard{"TRUE", func(int) bool { return true }})
+		bodies := make([]string, len(guards))
+		for b := range bodies {
+			bodies[b] = randomProcessorBody(rng)
+		}
+
+		const shared = "DEF k = 3:\nPROC emit(CHAN c, VALUE v) =\n  c ! v\n:\n"
+		var rep, plain strings.Builder
+		rep.WriteString(shared)
+		fmt.Fprintf(&rep, "PLACED PAR i = [%d FOR %d]\n  PROCESSOR (i * %d) + %d\n    DEF d = (i * 2) + 1:\n    IF\n", base, count, mul, off)
+		for b, g := range guards {
+			fmt.Fprintf(&rep, "      %s\n%s", g.src, indent(bodies[b], "        "))
+		}
+		plain.WriteString(shared + "PLACED PAR\n")
+		for i := base; i < base+count; i++ {
+			b := 0
+			for !guards[b].test(i) {
+				b++
+			}
+			fmt.Fprintf(&plain, "  PROCESSOR %d\n    DEF i = %d:\n    DEF d = (i * 2) + 1:\n%s", i*mul+off, i, indent(bodies[b], "    "))
+		}
+
+		for _, wb := range []int{4, 2} {
+			got, err := occam.CompileConfigured(rep.String(), occam.Options{WordBytes: wb})
+			if err != nil {
+				t.Fatalf("round %d: %v\n%s", round, err, rep.String())
+			}
+			want, err := occam.CompileConfigured(plain.String(), occam.Options{WordBytes: wb})
+			if err != nil {
+				t.Fatalf("round %d, written out: %v\n%s", round, err, plain.String())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %d processors, written out %d", round, len(got), len(want))
+			}
+			for n := range got {
+				g, w := got[n].Compiled, want[n].Compiled
+				if got[n].ID != want[n].ID || !bytes.Equal(g.Image.Code, w.Image.Code) || g.Image.Entry != w.Image.Entry ||
+					g.Above != w.Above || g.Below != w.Below {
+					t.Fatalf("round %d, %d-byte words: processor %d compiles differently from its written-out form\n%s\n%s",
+						round, wb, got[n].ID, rep.String(), plain.String())
+				}
+			}
+		}
+	}
+}
+
+// randomProcessorBody is a small process for one branch of a random
+// configuration IF: a link output of random expressions over i, d, k
+// and variables, a call of the shared PROC, and an ordinary IF.
+func randomProcessorBody(rng *rand.Rand) string {
+	var sb strings.Builder
+	sb.WriteString("CHAN out:\nPLACE out AT LINK1OUT:\nVAR a, b, c:\nSEQ\n")
+	sb.WriteString("  a := i\n  b := (d + k)\n")
+	fmt.Fprintf(&sb, "  c := %d\n", rng.Intn(50))
+	for n := rng.Intn(3); n >= 0; n-- {
+		fmt.Fprintf(&sb, "  out ! %s\n", genExpr(rng, [3]int64{}, 2).src)
+	}
+	if rng.Intn(2) == 0 {
+		sb.WriteString("  emit(out, i + k)\n")
+	}
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&sb, "  IF\n    i > %d\n      out ! a\n    TRUE\n      out ! b\n", rng.Intn(4))
+	}
+	return sb.String()
+}
+
+// indent puts prefix before every line of text.
+func indent(text, prefix string) string {
+	var sb strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if line != "" {
+			sb.WriteString(prefix)
+			sb.WriteString(line)
+		}
+	}
+	return sb.String()
 }

@@ -174,19 +174,88 @@ func occamSeeds(tb testing.TB) []string {
 	return srcs
 }
 
+// replicatedSeeds are configured programs for FuzzOccamDifferential: a
+// replicated PLACED PAR whose configuration IF gives its processors
+// different links, and some that the compiler refuses (a count that is
+// not constant, two values of i on one processor, a nested PLACED PAR,
+// a guard that does not fold, no branch taken).
+var replicatedSeeds = []string{
+	`DEF n = 3:
+PROC pass(CHAN in, CHAN out) =
+  VAR v:
+  SEQ
+    in ? v
+    out ! v + 1
+:
+PLACED PAR i = [0 FOR n]
+  PROCESSOR i
+    DEF seed = (i * 7) + 1:
+    IF
+      i = 0
+        CHAN out:
+        PLACE out AT LINK1OUT:
+        out ! seed
+      i < (n - 1)
+        CHAN in, out:
+        PLACE in AT LINK0IN:
+        PLACE out AT LINK1OUT:
+        pass(in, out)
+      TRUE
+        CHAN in, screen:
+        PLACE in AT LINK0IN:
+        PLACE screen AT LINK1OUT:
+        VAR v:
+        SEQ
+          in ? v
+          screen ! 2; v + seed
+          screen ! 4
+`,
+	"CHAN out, in:\nPLACED PAR i = [2 FOR 2]\n  PROCESSOR 4 - i\n    CHAN out:\n    PLACE out AT LINK0OUT:\n    VAR x:\n    SEQ\n      x := i\n      IF\n        x = 2\n          out ! 2; x\n        TRUE\n          out ! 2; 0\n      out ! 4\n",
+	"VAR n:\nPLACED PAR i = [0 FOR n]\n  PROCESSOR i\n    SKIP\n",
+	"PLACED PAR i = [0 FOR 4]\n  PROCESSOR i \\ 2\n    SKIP\n",
+	"PLACED PAR i = [0 FOR 2]\n  PROCESSOR i\n    PLACED PAR\n      PROCESSOR 0\n        SKIP\n",
+	"PLACED PAR i = [0 FOR 2]\n  PROCESSOR i\n    VAR x:\n    IF\n      x = i\n        SKIP\n",
+	"PLACED PAR i = [0 FOR 2]\n  PROCESSOR i\n    IF\n      i = 0\n        SKIP\n",
+}
+
+// fuzzProcessors is how many of a configured program's processors
+// FuzzOccamDifferential runs.
+const fuzzProcessors = 3
+
+// fuzzImages is what FuzzOccamDifferential runs of a source: its image,
+// or, for a configured program, its first fuzzProcessors processors'.
+func fuzzImages(src string) []core.Image {
+	if c, err := occam.Compile(src, occam.Options{}); err == nil {
+		return []core.Image{c.Image}
+	}
+	procs, err := occam.CompileConfigured(src, occam.Options{})
+	if err != nil {
+		return nil
+	}
+	var imgs []core.Image
+	for _, p := range procs[:min(len(procs), fuzzProcessors)] {
+		imgs = append(imgs, p.Compiled.Image)
+	}
+	return imgs
+}
+
 // FuzzOccamDifferential runs what compiles (DESIGN.md §10 describes it
 // beside the block cache's own differential fuzzer).  Compiled occam is
 // the traffic the block cache serves, so any source the compiler
-// accepts runs for occamFuzzCycles with the block cache on and again
-// with it off, on two legs: standalone, its links on openLinks, and on
-// trun's one-node topology, with a real host on link 0.  The two runs
-// of a leg must end in the same registers, queues, flags, fault,
-// statistics and memory, and the hosted ones in the same host output,
-// report and watchdog verdict.  A source the compiler refuses is no
-// test; a Go panic is the fuzzer's to report, and an input that spins
-// the host fails here, by the clock.
+// accepts — alone, or configured, processor by processor — runs for
+// occamFuzzCycles with the block cache on and again with it off, on two
+// legs: standalone, its links on openLinks, and on trun's one-node
+// topology, with a real host on link 0.  The two runs of a leg must end
+// in the same registers, queues, flags, fault, statistics and memory,
+// and the hosted ones in the same host output, report and watchdog
+// verdict.  A source the compiler refuses is no test; a Go panic is the
+// fuzzer's to report, and an input that spins the host fails here, by
+// the clock.
 func FuzzOccamDifferential(f *testing.F) {
 	for _, src := range occamSeeds(f) {
+		f.Add(src)
+	}
+	for _, src := range replicatedSeeds {
 		f.Add(src)
 	}
 	// Asks the host for a word twice and reads neither answer.
@@ -197,34 +266,48 @@ func FuzzOccamDifferential(f *testing.F) {
 			hostOn, hostOff     hostedOccam
 			onOK, offOK, hostOK bool
 		}
-		done := make(chan outcome, 1)
+		// Ten seconds for each image run, the compile counted in them.
+		start, limit := time.Now(), 10*time.Second
+		counted, done := make(chan int, 1), make(chan []outcome, 1)
 		go func() {
-			var o outcome
-			if c, err := occam.Compile(src, occam.Options{}); err == nil {
-				o.on, o.onOK = runCompiled(c.Image, true)
-				o.off, o.offOK = runCompiled(c.Image, false)
+			imgs := fuzzImages(src)
+			counted <- len(imgs)
+			var outs []outcome
+			for _, img := range imgs {
+				var o outcome
+				o.on, o.onOK = runCompiled(img, true)
+				o.off, o.offOK = runCompiled(img, false)
 				if o.onOK {
-					o.hostOn, o.hostOK = runHosted(c.Image, true)
-					o.hostOff, _ = runHosted(c.Image, false)
+					o.hostOn, o.hostOK = runHosted(img, true)
+					o.hostOff, _ = runHosted(img, false)
 				}
+				outs = append(outs, o)
 			}
-			done <- o
+			done <- outs
 		}()
-		var o outcome
 		select {
-		case o = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("compiling and running %d simulated cycles four times took over ten seconds", occamFuzzCycles)
+		case n := <-counted:
+			limit *= time.Duration(max(1, n))
+		case <-time.After(limit):
+			t.Fatalf("compiling took over %v", limit)
 		}
-		if o.onOK != o.offOK {
-			t.Fatalf("the image loads with the block cache on: %v, off: %v", o.onOK, o.offOK)
+		var outs []outcome
+		select {
+		case outs = <-done:
+		case <-time.After(time.Until(start.Add(limit))):
+			t.Fatalf("compiling and running %d simulated cycles four times on each image took over %v", occamFuzzCycles, limit)
 		}
-		sameRun(t, "standalone", o.on, o.off)
-		if o.hostOK {
-			sameRun(t, "with a host", o.hostOn.ranOccam, o.hostOff.ranOccam)
-			o.hostOn.ranOccam, o.hostOff.ranOccam = ranOccam{}, ranOccam{}
-			if !reflect.DeepEqual(o.hostOn, o.hostOff) {
-				t.Fatalf("the run with a host shows differently\ncache on:  %+v\ncache off: %+v", o.hostOn, o.hostOff)
+		for _, o := range outs {
+			if o.onOK != o.offOK {
+				t.Fatalf("the image loads with the block cache on: %v, off: %v", o.onOK, o.offOK)
+			}
+			sameRun(t, "standalone", o.on, o.off)
+			if o.hostOK {
+				sameRun(t, "with a host", o.hostOn.ranOccam, o.hostOff.ranOccam)
+				o.hostOn.ranOccam, o.hostOff.ranOccam = ranOccam{}, ranOccam{}
+				if !reflect.DeepEqual(o.hostOn, o.hostOff) {
+					t.Fatalf("the run with a host shows differently\ncache on:  %+v\ncache off: %+v", o.hostOn, o.hostOff)
+				}
 			}
 		}
 	})

@@ -102,6 +102,9 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		t, d := s.process(v.body, f)
 		return maxInt(t, exprTemps(v.cond)), d
 	case *ifProc:
+		if v.config {
+			return s.process(v.branches[v.chosen].body, f)
+		}
 		t, d := 0, 0
 		for _, br := range v.branches {
 			bt, bd := s.process(br.body, f)

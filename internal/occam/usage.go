@@ -128,13 +128,6 @@ func (c *checker) checkUsage(prog process) *Err {
 func (c *checker) usage(p process, e *effects) *Err {
 	switch v := p.(type) {
 	case *skipProc, *stopProc:
-	case *placedPar:
-		// Components run on different transputers; nothing shared.
-		for i := range v.components {
-			if err := c.usage(v.components[i].body, &effects{}); err != nil {
-				return err
-			}
-		}
 	case *declProc:
 		for _, d := range v.decls {
 			if pd, ok := d.(*procDecl); ok {
@@ -194,6 +187,9 @@ func (c *checker) usage(p process, e *effects) *Err {
 		c.exprReads(e, v.cond)
 		return c.usage(v.body, e)
 	case *ifProc:
+		if v.config {
+			return c.usage(v.branches[v.chosen].body, e)
+		}
 		for _, br := range v.branches {
 			c.exprReads(e, br.cond)
 			if err := c.usage(br.body, e); err != nil {

@@ -90,7 +90,8 @@ func CompileOccam(src string, wordBytes int) (Image, error) {
 
 // CompileOccamConfigured compiles a program whose outermost process is
 // PLACED PAR (the occam configuration construct) into one image per
-// PROCESSOR, keyed by processor number.  A program without PLACED PAR
+// processor, keyed by processor number: one per PROCESSOR block, or,
+// for a replicated PLACED PAR, one per value of its replicator.  A program without PLACED PAR
 // yields a single image under key 0.
 func CompileOccamConfigured(src string, wordBytes int) (map[int64]Image, error) {
 	procs, err := occam.CompileConfigured(src, occam.Options{WordBytes: wordBytes})
