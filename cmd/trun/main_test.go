@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"transputer/internal/isa"
 	"transputer/internal/tool"
 )
 
@@ -60,6 +61,10 @@ SEQ
 		{"no program", nil, 2, "", "usage: trun"},
 		{"two programs", []string{squares, squares}, 2, "", "usage: trun"},
 		{"unknown flag", []string{"-workers", "2", squares}, 2, "", "flag provided but not defined: -workers"},
+		{"zero profperiod", []string{"-prof", filepath.Join(dir, "p.json"), "-profperiod", "0", squares}, 2, "",
+			"trun: -profperiod 0: the sampling period must be positive"},
+		{"negative profperiod", []string{"-prof", filepath.Join(dir, "p.json"), "-profperiod", "-5", squares}, 2, "",
+			"trun: -profperiod -5: the sampling period must be positive"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -75,6 +80,33 @@ SEQ
 		}
 		if c.stderr == "" && stderr.Len() > 0 {
 			t.Errorf("%s: unexpected stderr:\n%s", c.name, stderr.String())
+		}
+	}
+}
+
+// TestT222TraceSignedOperands checks that a 16-bit trace prints the
+// signed operands the disassembler prints for the same code: ldc -1 is
+// -1 on a T222 as on a T424, not the word 65535.
+func TestT222TraceSignedOperands(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "consts.tasm")
+	if err := os.WriteFile(path, []byte("\tldc -1\n\tldc -300\n\tstopp\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if exit := run([]string{"-model", "t222", "-trace", path}, &stdout, &stderr); exit != tool.ExitOK {
+		t.Fatalf("exit %d; stderr:\n%s", exit, stderr.String())
+	}
+	img, err := tool.LoadProgram(path, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := isa.Sdisassemble(img.Code)
+	for _, want := range []string{"load constant -1", "load constant -300"} {
+		if !strings.Contains(listing, want) {
+			t.Errorf("disassembly does not say %q:\n%s", want, listing)
+		}
+		if !strings.Contains(stderr.String(), "  "+want+"\n") {
+			t.Errorf("trace does not say %q:\n%s", want, stderr.String())
 		}
 	}
 }

@@ -10,7 +10,6 @@ package asm
 import (
 	"fmt"
 
-	"transputer/internal/core"
 	"transputer/internal/isa"
 )
 
@@ -173,7 +172,7 @@ func (b *Builder) Mark(line int) {
 // Result is an assembled code image with its source map.
 type Result struct {
 	Code  []byte
-	Marks []core.SourceMark
+	Marks []isa.SourceMark
 }
 
 // undefinedLabelError is the error Assemble returns for a reference to
@@ -255,9 +254,9 @@ func (b *Builder) Assemble() (*Result, error) {
 			last = offsets[i]
 		}
 	}
-	var marks []core.SourceMark
+	var marks []isa.SourceMark
 	if nMarks > 0 {
-		marks = make([]core.SourceMark, 0, nMarks)
+		marks = make([]isa.SourceMark, 0, nMarks)
 	}
 	var scratch [2 * 16]byte // the longest ldc-with-prefixes plus ldpi
 	for i := range b.items {
@@ -270,7 +269,7 @@ func (b *Builder) Assemble() (*Result, error) {
 			if n := len(marks); n > 0 && marks[n-1].Offset == int(start) {
 				marks[n-1].Line = int(it.arg)
 			} else {
-				marks = append(marks, core.SourceMark{Offset: int(start), Line: int(it.arg)})
+				marks = append(marks, isa.SourceMark{Offset: int(start), Line: int(it.arg)})
 			}
 			continue
 		case kindAlign:

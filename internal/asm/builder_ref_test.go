@@ -9,7 +9,6 @@ package asm
 import (
 	"fmt"
 
-	"transputer/internal/core"
 	"transputer/internal/isa"
 )
 
@@ -139,7 +138,7 @@ func (b *refBuilder) Mark(line int) {
 type refResult struct {
 	Code   []byte
 	Labels map[string]int // label -> byte offset
-	Marks  []core.SourceMark
+	Marks  []isa.SourceMark
 }
 
 // Assemble resolves all labels and encodes the program.
@@ -197,7 +196,7 @@ func (b *refBuilder) Assemble() (*refResult, error) {
 	for name, idx := range b.labels {
 		labels[name] = offsets[idx]
 	}
-	var marks []core.SourceMark
+	var marks []isa.SourceMark
 	for i := range b.items {
 		it := &b.items[i]
 		start := len(code)
@@ -207,7 +206,7 @@ func (b *refBuilder) Assemble() (*refResult, error) {
 			if n := len(marks); n > 0 && marks[n-1].Offset == len(code) {
 				marks[n-1].Line = it.srcLine
 			} else {
-				marks = append(marks, core.SourceMark{Offset: len(code), Line: it.srcLine})
+				marks = append(marks, isa.SourceMark{Offset: len(code), Line: it.srcLine})
 			}
 			continue
 		case refKindBytes:

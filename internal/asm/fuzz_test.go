@@ -72,7 +72,7 @@ func runToEnd(img core.Image, cache bool) (e ended, ok bool) {
 	if err := m.Load(img); err != nil {
 		return ended{}, false
 	}
-	core.Run(m, sim.Time(fuzzCycles*cfg.CycleNs))
+	core.Run(m, sim.Time(fuzzCycles*core.CycleNs))
 	e = ended{Iptr: m.Iptr, Wdesc: m.Wdesc, A: m.Areg, B: m.Breg, C: m.Creg, Fptr: m.Fptr, Bptr: m.Bptr,
 		Halted: m.Halted(), Error: m.ErrorFlag(), Idle: m.Idle(), Stats: m.Stats(),
 		Mem: m.ReadBytes(m.LinkOutAddr(0), cfg.MemBytes)}

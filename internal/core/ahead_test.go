@@ -145,7 +145,7 @@ func TestRunAheadStops(t *testing.T) {
 				}
 			}
 			before := m.Cycles()
-			total, _, exit := m.RunAhead(1000 * int64(cfg.CycleNs))
+			total, _, exit := m.RunAhead(1000 * core.CycleNs)
 			if exit != c.exit {
 				t.Errorf("exit %v, want %v", exit, c.exit)
 			}

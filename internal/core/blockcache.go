@@ -466,7 +466,7 @@ func (m *Machine) execRec(b *block, idx int) int {
 			Time: m.now(),
 			Addr: rec.addr, Wdesc: m.Wdesc,
 			Areg: m.Areg, Breg: m.Breg, Creg: m.Creg,
-			Fn: rec.fn, Operand: rec.operand, Cycles: m.stats.Cycles,
+			Instr: m.traceInstr(rec.fn, rec.operand, int(rec.bytes)), Cycles: m.stats.Cycles,
 		})
 	}
 	m.curBlock, m.curIdx = b, idx+1
@@ -577,7 +577,6 @@ func (m *Machine) stepRun(maxNs int64, ahead bool) (total, last int, exit AheadE
 		m.Oreg != 0 || m.Wdesc == m.notProcess() {
 		return 0, 0, AheadImpure
 	}
-	cycleNs := int64(m.cfg.CycleNs)
 	b, idx := m.find(true)
 	exit = AheadImpure // unless something else ends the batch: a record for Step, or none at all
 	// Running ahead, hazards says the hazard list has been built (only
@@ -624,7 +623,7 @@ func (m *Machine) stepRun(maxNs int64, ahead bool) (total, last int, exit AheadE
 		if m.halted {
 			break // memory fault or halt-on-error
 		}
-		if int64(total)*cycleNs >= maxNs {
+		if int64(total)*CycleNs >= maxNs {
 			exit = AheadBound
 			break
 		}

@@ -95,7 +95,7 @@ func runDifferential(t *testing.T, img core.Image, wordBytes int, small bool, se
 		t.Fatalf("image loads with the cache on but not off: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cyc := int64(cfg.CycleNs)
+	cyc := int64(core.CycleNs)
 	for batch := 0; batch < 1500; batch++ {
 		maxNs := int64(1+rng.Intn(48)) * cyc
 		if rng.Intn(8) == 0 {
@@ -277,7 +277,7 @@ func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small boo
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	cyc := int64(cfg.CycleNs)
+	cyc := int64(core.CycleNs)
 	// pending holds every injection made, ordered by time; skew is the
 	// time that passed with both machines idle.
 	var pending []injection

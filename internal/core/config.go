@@ -15,6 +15,15 @@ const (
 	PriorityLow  = 1
 )
 
+// The timing every model shares: the cycle time of a 20 MHz part, and
+// the periods of the two priority clocks (1 µs and 64 µs on the first
+// transputers), in nanoseconds.
+const (
+	CycleNs       = 50
+	HiTimerTickNs = 1000
+	LoTimerTickNs = 64000
+)
+
 // Config describes one transputer.
 type Config struct {
 	// Name labels the machine in traces and errors.
@@ -27,18 +36,11 @@ type Config struct {
 	// not an allocation: the host backs only the prefix a program
 	// covers or writes (see memory.go).
 	MemBytes int
-	// CycleNs is the processor cycle time in nanoseconds (50 ns for a
-	// 20 MHz part).
-	CycleNs int
 	// TimesliceCycles is the period after which a low-priority process
 	// is moved to the back of its queue at the next descheduling point.
 	TimesliceCycles int
 	// HaltOnError stops the machine when the error flag is set.
 	HaltOnError bool
-	// HiTimerTickNs and LoTimerTickNs are the periods of the two
-	// priority clocks (1 µs and 64 µs on the first transputers).
-	HiTimerTickNs int
-	LoTimerTickNs int
 	// NoFetchBuffer models a processor without the two-word instruction
 	// fetch buffer: every instruction byte then costs an extra memory
 	// cycle.  Used by the ablation benchmarks; real transputers have
@@ -54,10 +56,7 @@ func T424() Config {
 		Name:            "T424",
 		WordBits:        32,
 		MemBytes:        4 * 1024,
-		CycleNs:         50,
 		TimesliceCycles: 20480, // ~1 ms at 20 MHz
-		HiTimerTickNs:   1000,
-		LoTimerTickNs:   64000,
 	}
 }
 
@@ -95,9 +94,6 @@ func (c Config) validate() error {
 	}
 	if c.MemBytes > maxMem {
 		return fmt.Errorf("core: memory %d exceeds address space", c.MemBytes)
-	}
-	if c.CycleNs <= 0 {
-		return fmt.Errorf("core: cycle time must be positive")
 	}
 	return nil
 }

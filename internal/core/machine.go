@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"transputer/internal/isa"
 	"transputer/internal/probe"
 	"transputer/internal/sim"
 )
@@ -331,7 +332,7 @@ func (m *Machine) emit(e probe.Event) {
 
 // cycleDur converts a cycle count to simulated time.
 func (m *Machine) cycleDur(cycles int) sim.Time {
-	return sim.Time(int64(cycles) * int64(m.cfg.CycleNs))
+	return sim.Time(int64(cycles) * CycleNs)
 }
 
 // Config returns the machine's configuration.
@@ -450,18 +451,9 @@ type Image struct {
 	// WsAbove is the number of local-variable words at and above the
 	// initial workspace pointer.
 	WsAbove int
-	// Marks is the optional source map: code offsets annotated with the
-	// source line they derive from, sorted by offset.  Consumers (the
-	// sampling profiler) attribute an offset to the greatest mark at or
-	// below it.
-	Marks []SourceMark
-}
-
-// SourceMark associates a byte offset in Image.Code with a source line:
-// code from Offset up to the next mark derives from Line.
-type SourceMark struct {
-	Offset int
-	Line   int
+	// Marks is the optional source map, sorted by offset; see
+	// isa.SourceLine.
+	Marks []isa.SourceMark
 }
 
 // CodeStart returns the address code is loaded at.

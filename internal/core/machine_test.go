@@ -16,16 +16,16 @@ func testMachine(t *testing.T) *Machine {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if _, err := New(Config{WordBits: 24, MemBytes: 4096, CycleNs: 50}); err == nil {
+	if _, err := New(Config{WordBits: 24, MemBytes: 4096}); err == nil {
 		t.Error("24-bit word should be rejected")
 	}
-	if _, err := New(Config{WordBits: 32, MemBytes: 10, CycleNs: 50}); err == nil {
+	if _, err := New(Config{WordBits: 32, MemBytes: 10}); err == nil {
 		t.Error("tiny memory should be rejected")
 	}
-	if _, err := New(Config{WordBits: 32, MemBytes: 4095, CycleNs: 50}); err == nil {
+	if _, err := New(Config{WordBits: 32, MemBytes: 4095}); err == nil {
 		t.Error("unaligned memory should be rejected")
 	}
-	if _, err := New(Config{WordBits: 16, MemBytes: 1 << 17, CycleNs: 50}); err == nil {
+	if _, err := New(Config{WordBits: 16, MemBytes: 1 << 17}); err == nil {
 		t.Error("16-bit machine with 128 KiB should be rejected")
 	}
 	if _, err := New(T424()); err != nil {

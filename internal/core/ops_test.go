@@ -469,11 +469,11 @@ func TestTraceHook(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("traced %d events, want 3", len(events))
 	}
-	if !strings.Contains(events[0].Instr(), "load constant 7") {
-		t.Errorf("event 0 = %q", events[0].Instr())
+	if !strings.Contains(events[0].Instr.String(), "load constant 7") {
+		t.Errorf("event 0 = %q", events[0].Instr.String())
 	}
-	if !strings.Contains(events[2].Instr(), "stop process") {
-		t.Errorf("event 2 = %q", events[2].Instr())
+	if !strings.Contains(events[2].Instr.String(), "stop process") {
+		t.Errorf("event 2 = %q", events[2].Instr.String())
 	}
 	var sb strings.Builder
 	tw, flush := core.TraceWriter(&sb)

@@ -85,7 +85,6 @@ func (r *Runner) step() {
 	}
 	d := r.port
 	base := d.Now()
-	cyc := int64(m.cfg.CycleNs)
 	var off, last sim.Time
 	stamp := d.Stamp()
 	bound := r.bound()
@@ -99,10 +98,10 @@ func (r *Runner) step() {
 		// deschedule, so only a halt can park the machine.
 		if n, lastC := m.StepRun(int64(bound - (base + off))); n > 0 {
 			r.BusyCycles += uint64(n)
-			off += sim.Time(int64(n) * cyc)
+			off += sim.Time(int64(n) * CycleNs)
 			if m.Halted() {
 				d.SetOffset(0)
-				d.AdvanceTo(base + off - sim.Time(int64(lastC)*cyc))
+				d.AdvanceTo(base + off - sim.Time(int64(lastC)*CycleNs))
 				return
 			}
 			if base+off >= bound {
@@ -113,9 +112,9 @@ func (r *Runner) step() {
 		}
 		cycles := m.Step()
 		r.BusyCycles += uint64(cycles)
-		delay := sim.Time(int64(cycles) * int64(m.cfg.CycleNs))
+		delay := sim.Time(int64(cycles) * CycleNs)
 		if cycles == 0 {
-			delay = sim.Time(m.cfg.CycleNs)
+			delay = sim.Time(CycleNs)
 		}
 		off += delay
 		if m.Halted() || (m.Idle() && m.longOp == nil && m.pendingSwitchCycles == 0) {
@@ -138,11 +137,11 @@ func (r *Runner) step() {
 	if base+off >= d.Horizon() {
 		// The window, not an event of this port's own, ended the batch.
 		n, lastC := r.runAhead(base + off)
-		off += sim.Time(int64(n) * cyc)
+		off += sim.Time(int64(n) * CycleNs)
 		if m.Halted() {
 			// Deliveries may still be due before the halt, so the clock
 			// cannot be moved there now; an event takes it there.
-			d.Schedule(base+off-sim.Time(int64(lastC)*cyc), park)
+			d.Schedule(base+off-sim.Time(int64(lastC)*CycleNs), park)
 			return
 		}
 	}
@@ -152,7 +151,7 @@ func (r *Runner) step() {
 		// The continuation will not start or acknowledge any link
 		// transfer before then; the coordinator extends neighbouring
 		// windows past the per-link lookahead on the strength of it.
-		d.PromiseQuiet(id, base+off+sim.Time(int64(ahead)*cyc))
+		d.PromiseQuiet(id, base+off+sim.Time(int64(ahead)*CycleNs))
 	}
 }
 
@@ -166,8 +165,7 @@ func (r *Runner) runAhead(at sim.Time) (total, last int) {
 		return 0, 0
 	}
 	d := r.port
-	cyc := sim.Time(r.M.cfg.CycleNs)
-	hard, why := at+aheadCapCycles*cyc, AheadCap
+	hard, why := at+aheadCapCycles*CycleNs, AheadCap
 	if l := d.Limit(); l <= hard {
 		hard, why = l, AheadLimit
 	}

@@ -114,7 +114,7 @@ func (m *Machine) execOneSlow() int {
 					Time: m.now(),
 					Addr: startAddr, Wdesc: m.Wdesc,
 					Areg: m.Areg, Breg: m.Breg, Creg: m.Creg,
-					Fn: fn, Operand: operand, Cycles: m.stats.Cycles,
+					Instr: m.traceInstr(fn, operand, bytes), Cycles: m.stats.Cycles,
 				})
 			}
 			if m.cfg.NoFetchBuffer {

@@ -21,9 +21,9 @@ import (
 // tickNs returns the clock period of the given priority.
 func (m *Machine) tickNs(pri int) int64 {
 	if pri == PriorityHigh {
-		return int64(m.cfg.HiTimerTickNs)
+		return HiTimerTickNs
 	}
-	return int64(m.cfg.LoTimerTickNs)
+	return LoTimerTickNs
 }
 
 // clockValue returns the current reading of a priority's clock.

@@ -22,19 +22,12 @@ type TraceEvent struct {
 	Wdesc uint64
 	// The evaluation stack before execution.
 	Areg, Breg, Creg uint64
-	// Fn and Operand are the decoded instruction.
-	Fn      isa.Function
-	Operand uint64
+	// Instr is the decoded instruction, its operand the machine's
+	// operand register read as a signed word: the value isa.Decode
+	// gives for the same bytes, whatever the word length.
+	Instr isa.Instr
 	// Cycles is the machine's cycle counter before execution.
 	Cycles uint64
-}
-
-// Instr renders the decoded instruction.
-func (e TraceEvent) Instr() string {
-	if e.Fn == isa.FnOpr {
-		return isa.Op(e.Operand).Name()
-	}
-	return fmt.Sprintf("%s %d", e.Fn.Name(), int64(int32(uint32(e.Operand))))
 }
 
 // Trace receives every executed instruction while attached.
@@ -44,32 +37,21 @@ type Trace func(TraceEvent)
 // Tracing is for debugging and does not alter timing.
 func (m *Machine) SetTrace(fn Trace) { m.trace = fn }
 
-// TraceSink formats instruction traces onto a buffered writer: one
-// line per instruction with simulated time, cycle count, process,
-// address, stack and the full instruction name.  Callers must Flush
-// when tracing ends (the per-instruction Fprintf of the unbuffered
-// original dominated trace-enabled runs).
-type TraceSink struct {
-	bw *bufio.Writer
+// traceInstr is the instruction a TraceEvent carries: fn with the
+// accumulated operand sign-extended from the word, size bytes long.
+func (m *Machine) traceInstr(fn isa.Function, operand uint64, size int) isa.Instr {
+	return isa.Instr{Fn: fn, Operand: m.signed(operand), Size: size}
 }
 
-// NewTraceWriter builds a buffered trace sink over w.
-func NewTraceWriter(w io.Writer) *TraceSink {
-	return &TraceSink{bw: bufio.NewWriterSize(w, 64*1024)}
-}
-
-// Trace writes one event; pass it to Machine.SetTrace.
-func (s *TraceSink) Trace(e TraceEvent) {
-	fmt.Fprintf(s.bw, "%12v %10d  W=%08X  %08X  A=%08X B=%08X C=%08X  %s\n",
-		e.Time, e.Cycles, e.Wdesc, e.Addr, e.Areg, e.Breg, e.Creg, e.Instr())
-}
-
-// Flush drains the buffer.
-func (s *TraceSink) Flush() error { return s.bw.Flush() }
-
-// TraceWriter returns a buffered Trace writing to w and a flush
-// function that must be called when the run ends.
+// TraceWriter returns a Trace writing one line per instruction to w —
+// simulated time, cycle count, process, address, stack and the full
+// instruction name — and a flush function that must be called when the
+// run ends.  Lines are buffered: a write per instruction dominated
+// trace-enabled runs.
 func TraceWriter(w io.Writer) (Trace, func() error) {
-	s := NewTraceWriter(w)
-	return s.Trace, s.Flush
+	bw := bufio.NewWriterSize(w, 64*1024)
+	return func(e TraceEvent) {
+		fmt.Fprintf(bw, "%12v %10d  W=%08X  %08X  A=%08X B=%08X C=%08X  %s\n",
+			e.Time, e.Cycles, e.Wdesc, e.Addr, e.Areg, e.Breg, e.Creg, e.Instr)
+	}, bw.Flush
 }

@@ -64,9 +64,12 @@ func itoa(v int64) string {
 // Decode reads one complete instruction (prefix sequence plus final
 // function byte) from code starting at pc.  It mirrors the operand
 // register mechanism: prefix shifts the accumulated operand up four
-// places; negative prefix complements it first.  ok is false if the
-// prefix sequence runs off the end of code.
+// places; negative prefix complements it first.  ok is false if pc is
+// negative or the prefix sequence runs off the end of code.
 func Decode(code []byte, pc int) (instr Instr, ok bool) {
+	if pc < 0 {
+		return Instr{}, false
+	}
 	var oreg int64
 	size := 0
 	for pc+size < len(code) {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -258,19 +259,33 @@ func (r *WatchdogReport) Empty() bool {
 	return len(r.Procs) == 0 && len(r.DownLinks) == 0 && len(r.HostStalls) == 0
 }
 
-// String renders the report in the format documented in DESIGN.md.
-func (r *WatchdogReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "deadlock watchdog: simulated time stuck at %v\n", r.Time)
+// Write renders the report in the format documented in DESIGN.md.
+// resolve, when non-nil, names the source location of a blocked
+// process's instruction pointer ("file:line", or "" for none), which
+// the process's line then ends with.
+func (r *WatchdogReport) Write(w io.Writer, resolve func(node string, iptr uint64) string) {
+	fmt.Fprintf(w, "deadlock watchdog: simulated time stuck at %v\n", r.Time)
 	for _, p := range r.Procs {
-		fmt.Fprintf(&b, "  %s: %s\n", p.Node, p.BlockedProcess)
+		loc := ""
+		if resolve != nil {
+			if s := resolve(p.Node, p.Iptr); s != "" {
+				loc = " at " + s
+			}
+		}
+		fmt.Fprintf(w, "  %s: %s%s\n", p.Node, p.BlockedProcess, loc)
 	}
 	for _, d := range r.DownLinks {
-		fmt.Fprintf(&b, "  %s: link %d DOWN after %d retries\n", d.Node, d.Link, d.Retries)
+		fmt.Fprintf(w, "  %s: link %d DOWN after %d retries\n", d.Node, d.Link, d.Retries)
 	}
 	for _, h := range r.HostStalls {
-		fmt.Fprintf(&b, "  host: %s\n", h.Error())
+		fmt.Fprintf(w, "  host: %s\n", h.Error())
 	}
+}
+
+// String is the report as Write renders it with no resolver.
+func (r *WatchdogReport) String() string {
+	var b strings.Builder
+	r.Write(&b, nil)
 	return b.String()
 }
 

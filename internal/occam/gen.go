@@ -310,7 +310,7 @@ func (g *gen) evalExpr(e expr) {
 	case *binaryExpr:
 		ln, _ := exprShape(v.left)
 		rn, _ := exprShape(v.right)
-		if maxInt(ln, rn+1) > 3 {
+		if max(ln, rn+1) > 3 {
 			// Spill: right operand into a temporary.
 			g.evalExpr(v.right)
 			t := g.allocTemp(v.pos)
@@ -815,7 +815,7 @@ func (g *gen) planChanAddr(in *inputProc, avail int) operandPlan {
 	need := 1
 	if in.chIdx != nil {
 		idxNeed, _ := exprShape(in.chIdx)
-		need = maxInt(idxNeed, 2)
+		need = max(idxNeed, 2)
 	}
 	return g.planOperand(in.pos, need, avail, func() { g.chanAddr(in.ch, in.chIdx) })
 }

@@ -80,7 +80,7 @@ func runCompiled(img core.Image, cache bool) (ranOccam, bool) {
 	c := sim.NewCoordinator(1)
 	p := c.NewShard().Port()
 	core.NewRunner(p, m, &openLinks{port: p, m: m}).Start()
-	c.RunUntil(sim.Time(occamFuzzCycles * cfg.CycleNs))
+	c.RunUntil(sim.Time(occamFuzzCycles * core.CycleNs))
 	return ranOf(m), true
 }
 
@@ -114,7 +114,7 @@ type hostedOccam struct {
 func runHosted(img core.Image, cache bool) (r hostedOccam, ok bool) {
 	topo := tool.OneNode("t424", 64*1024, "")
 	topo.Inputs = map[string][]int64{"main": {3, -1, 1 << 20}}
-	topo.RunLimit = sim.Time(occamFuzzCycles * core.T424().CycleNs)
+	topo.RunLimit = sim.Time(occamFuzzCycles * core.CycleNs)
 	var out bytes.Buffer
 	net, err := tool.BuildNetwork(topo, "", &out)
 	if err != nil {

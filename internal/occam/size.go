@@ -63,20 +63,20 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		if v.index != nil {
 			// Value occupies one stack slot while the index and base
 			// are computed.
-			t = maxInt(t, 1+exprTemps(v.index))
+			t = max(t, 1+exprTemps(v.index))
 		}
 		return t, 0
 	case *outputProc:
 		t := exprTempsChan(v.chIdx)
 		for _, e := range v.values {
-			t = maxInt(t, exprTemps(e))
+			t = max(t, exprTemps(e))
 		}
 		return t, 0
 	case *inputProc:
 		t := exprTempsChan(v.chIdx)
 		for _, tgt := range v.targets {
 			if tgt.index != nil {
-				t = maxInt(t, exprTemps(tgt.index))
+				t = max(t, exprTemps(tgt.index))
 			}
 		}
 		return t, 0
@@ -91,16 +91,16 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 	case *seqProc:
 		t, d := 0, 0
 		if v.rep != nil {
-			t = maxInt(exprTemps(v.rep.base), exprTemps(v.rep.count))
+			t = max(exprTemps(v.rep.base), exprTemps(v.rep.count))
 		}
 		for _, sub := range v.procs {
 			st, sd := s.process(sub, f)
-			t, d = maxInt(t, st), maxInt(d, sd)
+			t, d = max(t, st), max(d, sd)
 		}
 		return t, d
 	case *whileProc:
 		t, d := s.process(v.body, f)
-		return maxInt(t, exprTemps(v.cond)), d
+		return max(t, exprTemps(v.cond)), d
 	case *ifProc:
 		if v.config {
 			return s.process(v.branches[v.chosen].body, f)
@@ -108,8 +108,8 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		t, d := 0, 0
 		for _, br := range v.branches {
 			bt, bd := s.process(br.body, f)
-			t = maxInt(t, maxInt(bt, exprTemps(br.cond)))
-			d = maxInt(d, bd)
+			t = max(t, bt, exprTemps(br.cond))
+			d = max(d, bd)
 		}
 		return t, d
 	case *altProc:
@@ -120,29 +120,29 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		// replicated ALT additionally parks the loop-invariant base.
 		t, d := 0, 0
 		if v.rep != nil {
-			t = 1 + maxInt(exprTemps(v.rep.base), exprTemps(v.rep.count))
+			t = 1 + max(exprTemps(v.rep.base), exprTemps(v.rep.count))
 			bt, bd := s.process(v.branches[0].body, f)
 			in := v.branches[0].input.(*inputProc)
 			it, _ := s.process(in, f)
-			t = maxInt(t, 3+it)
+			t = max(t, 3+it)
 			if v.branches[0].cond != nil {
-				t = maxInt(t, 3+exprTemps(v.branches[0].cond))
+				t = max(t, 3+exprTemps(v.branches[0].cond))
 			}
-			return maxInt(t, bt), maxInt(d, bd)
+			return max(t, bt), max(d, bd)
 		}
 		for _, br := range v.branches {
 			if br.cond != nil {
-				t = maxInt(t, 2+exprTemps(br.cond))
+				t = max(t, 2+exprTemps(br.cond))
 			}
 			if in, ok := br.input.(*inputProc); ok {
 				it, _ := s.process(in, f)
-				t = maxInt(t, 2+it)
+				t = max(t, 2+it)
 			}
 			if ti, ok := br.input.(*timeInputProc); ok && ti.after != nil {
-				t = maxInt(t, 2+exprTemps(ti.after))
+				t = max(t, 2+exprTemps(ti.after))
 			}
 			bt, bd := s.process(br.body, f)
-			t, d = maxInt(t, bt), maxInt(d, bd)
+			t, d = max(t, bt), max(d, bd)
 		}
 		return t, d
 	case *parProc:
@@ -162,9 +162,9 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 			if i < nReg {
 				at += i // earlier register args already parked
 			}
-			t = maxInt(t, at)
+			t = max(t, at)
 		}
-		t = maxInt(t, nReg)
+		t = max(t, nReg)
 		// Call frame of 4 words plus the callee's workspace.
 		return t, 4 + info.frame.above + info.frame.below
 	}
@@ -188,7 +188,7 @@ func (s *sizer) par(v *parProc, f *frame) (temps, depth int) {
 		size := comp.above + comp.below
 		info.stride = size
 		info.deltas = []int{-comp.above}
-		t = maxInt(exprTemps(v.rep.base), 0)
+		t = max(exprTemps(v.rep.base), 0)
 		return t, size * info.count
 	}
 	cursor := 0
@@ -228,48 +228,31 @@ func exprTempsChan(chIdx expr) int {
 func exprShape(e expr) (need, temps int) {
 	switch v := e.(type) {
 	case *numberExpr, *nameExpr:
-		return exprLeafNeed(e), 0
+		return 1, 0
 	case *indexExpr:
 		in, it := exprShape(v.index)
 		// index, then base pointer, then load.
-		return maxInt(in, 2), it
+		return max(in, 2), it
 	case *unaryExpr:
 		an, at := exprShape(v.arg)
 		if v.op == "-" {
 			// ldc 0 ; arg ; sub
-			return maxInt(2, an+1), at
+			return max(2, an+1), at
 		}
-		return maxInt(an, 1), at
+		return max(an, 1), at
 	case *binaryExpr:
 		ln, lt := exprShape(v.left)
 		rn, rt := exprShape(v.right)
-		need = maxInt(ln, rn+1)
+		need = max(ln, rn+1)
 		if need <= 3 {
-			return need, maxInt(lt, rt)
+			return need, max(lt, rt)
 		}
 		// Spill: evaluate the right operand into a temporary first,
 		// then the left, then reload.  The node still requires the
 		// right operand's full stack depth (evaluated from empty), so
 		// an enclosing expression may need to spill in turn.
-		temps = maxInt(rt, 1+lt)
-		return maxInt(rn, maxInt(ln, 2)), temps
+		temps = max(rt, 1+lt)
+		return max(rn, ln, 2), temps
 	}
 	return 1, 0
-}
-
-func exprLeafNeed(e expr) int {
-	if n, ok := e.(*nameExpr); ok && n.sym != nil {
-		if n.sym.kind == symParam && n.sym.paramKind == paramVar {
-			// ldl p ; ldnl 0: still one live slot.
-			return 1
-		}
-	}
-	return 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

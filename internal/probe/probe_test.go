@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"transputer/internal/isa"
 	"transputer/internal/sim"
 )
 
@@ -163,8 +164,8 @@ func TestResolveAndProfileRoundTrip(t *testing.T) {
 	}
 	tp := Resolve(tgt, ResolveOptions{
 		CodeStart: 0x1000,
-		CodeLen:   0x100,
-		Marks:     []Mark{{Offset: 0, Line: 10}, {Offset: 4, Line: 12}},
+		Code:      make([]byte, 0x100),
+		Marks:     []isa.SourceMark{{Offset: 0, Line: 10}, {Offset: 4, Line: 12}},
 		SourceLines: []string{
 			"line one", "", "", "", "", "", "", "", "",
 			"  x := x + 1", "", "  c ! x",
@@ -195,20 +196,5 @@ func TestResolveAndProfileRoundTrip(t *testing.T) {
 	}
 	if back.PeriodNs != 1000 || len(back.Targets) != 1 || back.Targets[0].Attributed != 5 {
 		t.Errorf("round trip = %+v", back)
-	}
-}
-
-func TestLineFor(t *testing.T) {
-	marks := []Mark{{Offset: 0, Line: 3}, {Offset: 10, Line: 7}, {Offset: 20, Line: 9}}
-	cases := []struct{ off, want int }{
-		{0, 3}, {9, 3}, {10, 7}, {19, 7}, {20, 9}, {1000, 9},
-	}
-	for _, c := range cases {
-		if got := lineFor(marks, c.off); got != c.want {
-			t.Errorf("lineFor(%d) = %d, want %d", c.off, got, c.want)
-		}
-	}
-	if got := lineFor(nil, 5); got != 0 {
-		t.Errorf("lineFor with no marks = %d, want 0", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"transputer/internal/isa"
 	"transputer/internal/sim"
 )
 
@@ -46,10 +47,11 @@ type Target struct {
 	Running, Idle uint64
 }
 
-// NewSampler builds a profiler with the given period.
+// NewSampler builds a profiler with the given period, which must be
+// positive.
 func NewSampler(period sim.Time) *Sampler {
 	if period <= 0 {
-		period = 10 * sim.Microsecond
+		panic(fmt.Sprintf("probe: sampling period %v is not positive", period))
 	}
 	return &Sampler{Period: period}
 }
@@ -60,9 +62,6 @@ func (s *Sampler) AddTarget(name string, clk SampleClock, sample func() (uint64,
 	s.targets = append(s.targets, t)
 	return t
 }
-
-// Targets returns the registered targets.
-func (s *Sampler) Targets() []*Target { return s.targets }
 
 // Start schedules each target's first sample one period from now.  A
 // target stops rescheduling itself once it is the only activity left
@@ -90,28 +89,17 @@ func (s *Sampler) tick(t *Target) {
 	t.clk.After(s.Period, func() { s.tick(t) })
 }
 
-// Mark maps a code byte offset to a source line; marks are sorted by
-// offset and each covers [Offset, next.Offset).
-type Mark struct {
-	Offset int
-	Line   int
-}
-
 // ResolveOptions says how to attribute a target's sampled addresses.
 type ResolveOptions struct {
-	// CodeStart is the load address of the code image; CodeLen its
-	// length in bytes.
+	// CodeStart is the load address of the code image Code.
 	CodeStart uint64
-	CodeLen   int
-	// Marks is the compiler's debug info (may be empty).
-	Marks []Mark
+	Code      []byte
+	// Marks is the image's source map (may be empty).
+	Marks []isa.SourceMark
 	// SourceLines holds the program source, for annotating the report.
 	SourceLines []string
 	// SourcePath names the source file in the report.
 	SourcePath string
-	// AddrLabel labels an address when no mark covers it (e.g. with a
-	// disassembled instruction); may be nil.
-	AddrLabel func(offset int) string
 }
 
 // Bucket is one row of a resolved profile.
@@ -145,8 +133,8 @@ type Profile struct {
 }
 
 // Resolve attributes a target's samples to source lines (via marks) or
-// labelled addresses, producing one profile entry sorted by sample
-// count.
+// to code offsets labelled with the instruction there, producing one
+// profile entry sorted by sample count.
 func Resolve(t *Target, opt ResolveOptions) TargetProfile {
 	type key struct {
 		line int
@@ -157,12 +145,10 @@ func Resolve(t *Target, opt ResolveOptions) TargetProfile {
 	//tvet:ignore detrange sums samples into per-line rows; addition commutes, so the rows do not depend on the order
 	for addr, count := range t.Counts {
 		off := int(addr - opt.CodeStart)
-		if addr >= opt.CodeStart && off < opt.CodeLen {
-			if line := lineFor(opt.Marks, off); line > 0 {
-				rows[key{line: line}] += count
-				attributed += count
-				continue
-			}
+		if line := isa.SourceLine(opt.Marks, len(opt.Code), off); line > 0 {
+			rows[key{line: line}] += count
+			attributed += count
+			continue
 		}
 		rows[key{off: off, line: -1}] += count
 	}
@@ -178,10 +164,8 @@ func Resolve(t *Target, opt ResolveOptions) TargetProfile {
 			}
 		} else {
 			b.Where = fmt.Sprintf("code+%#x", k.off)
-			if opt.AddrLabel != nil {
-				if lbl := opt.AddrLabel(k.off); lbl != "" {
-					b.Source = lbl
-				}
+			if in, ok := isa.Decode(opt.Code, k.off); ok {
+				b.Source = in.String()
 			}
 		}
 		tp.Buckets = append(tp.Buckets, b)
@@ -203,23 +187,6 @@ func sourceName(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// lineFor returns the source line covering a code offset, or 0.
-func lineFor(marks []Mark, off int) int {
-	lo, hi := 0, len(marks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if marks[mid].Offset <= off {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return marks[lo-1].Line
 }
 
 // WriteJSON serialises the profile.

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"transputer/internal/core"
+	"transputer/internal/isa"
 )
 
 // Image container format (".tix"): a small binary envelope around a
@@ -92,14 +93,14 @@ func DecodeImage(data []byte) (core.Image, error) {
 		if n < 0 || int(n) > r.Len()/8 {
 			return core.Image{}, fmt.Errorf("tix: bad source map count %d", n)
 		}
-		img.Marks = make([]core.SourceMark, n)
+		img.Marks = make([]isa.SourceMark, n)
 		for i := range img.Marks {
 			var off, ln int32
 			binary.Read(r, binary.LittleEndian, &off)
 			if err := binary.Read(r, binary.LittleEndian, &ln); err != nil {
 				return core.Image{}, fmt.Errorf("tix: short source map: %w", err)
 			}
-			img.Marks[i] = core.SourceMark{Offset: int(off), Line: int(ln)}
+			img.Marks[i] = isa.SourceMark{Offset: int(off), Line: int(ln)}
 		}
 	}
 	return img, nil

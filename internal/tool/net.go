@@ -171,15 +171,20 @@ type NetFlags struct {
 	Trace                       bool // every instruction to stderr, through one writer: a one-worker run's (trun's -trace)
 	Workers                     int
 	Timeline, Flows, Prof       string
-	ProfPeriod                  int // simulated microseconds
+	ProfPeriod                  int // simulated microseconds, > 0 when Prof is set
 }
 
 // RunNet is tnet and trun — each command is flag parsing around this
 // call, so a test that drives it runs what the tools run: the parsed
 // topology (program paths relative to baseDir) built by BuildNetwork
 // with host output to stdout, then Run under the flags with everything
-// else to stderr; it returns the exit code (see Verdict).
+// else to stderr; it returns the exit code (see Verdict), 2 for a
+// profile asked for with a sampling period that is not positive.
 func RunNet(f NetFlags, topo *network.Topology, baseDir string, stdout, stderr io.Writer) int {
+	if f.Prof != "" && f.ProfPeriod <= 0 {
+		fmt.Fprintf(stderr, "%s: -profperiod %d: the sampling period must be positive\n", f.Tool, f.ProfPeriod)
+		return 2
+	}
 	net, err := BuildNetwork(topo, baseDir, stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", f.Tool, err)
@@ -249,7 +254,7 @@ func (net *Network) Run(f NetFlags, stderr io.Writer) int {
 	var wd *network.WatchdogReport
 	if rep.Settled {
 		if wd = s.Watchdog(); wd != nil {
-			PrintWatchdog(stderr, wd, LineResolver(net.Programs))
+			wd.Write(stderr, LineResolver(net.Programs))
 		}
 	}
 	undelivered := 0
@@ -260,7 +265,7 @@ func (net *Network) Run(f NetFlags, stderr io.Writer) int {
 	if f.Stats {
 		fmt.Fprintf(stderr, "simulated time: %v\n", rep.Time)
 		for _, n := range s.Nodes() {
-			PrintStats(stderr, n.Name, n.M.Stats(), n.M.Config().CycleNs)
+			PrintStats(stderr, n.Name, n.M.Stats())
 			PrintLinkStats(stderr, n)
 		}
 		for i, h := range net.Hosts {

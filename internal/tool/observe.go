@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"transputer/internal/core"
@@ -75,9 +76,6 @@ func (o *Observer) EnableFlows(path string, resolve func(node string, iptr uint6
 	o.flows.Resolve = resolve
 }
 
-// Flows returns the flow table, nil unless EnableFlows was called.
-func (o *Observer) Flows() *probe.FlowTable { return o.flows }
-
 // EnableProfile samples every registered target's instruction pointer
 // each period, saving the resolved profile to path at Finish.  Targets
 // are registered with AddProfileTarget.
@@ -103,12 +101,9 @@ func (o *Observer) AddProfileTarget(n *network.Node, img core.Image, srcPath str
 	})
 	opt := probe.ResolveOptions{
 		CodeStart:  m.CodeStart(),
-		CodeLen:    len(img.Code),
+		Code:       img.Code,
+		Marks:      img.Marks,
 		SourcePath: srcPath,
-		AddrLabel:  addrLabel(img.Code),
-	}
-	for _, mk := range img.Marks {
-		opt.Marks = append(opt.Marks, probe.Mark{Offset: mk.Offset, Line: mk.Line})
 	}
 	if srcPath != "" {
 		if src, err := os.ReadFile(srcPath); err == nil {
@@ -200,29 +195,23 @@ func (o *Observer) ResolveProfile() *probe.Profile {
 	return p
 }
 
-// addrLabel returns a labeller that disassembles the instruction at a
-// code offset, the profiler's fallback when no source mark covers it.
-func addrLabel(code []byte) func(off int) string {
-	return func(off int) string {
-		if off < 0 || off >= len(code) {
+// LineResolver maps a node's instruction pointer to a source location
+// ("file:line") through the loaded programs' source maps.  Unknown
+// nodes and unmapped addresses resolve to "".
+func LineResolver(progs []Program) func(node string, iptr uint64) string {
+	byNode := make(map[string]Program, len(progs))
+	for _, p := range progs {
+		byNode[p.Node.Name] = p
+	}
+	return func(node string, iptr uint64) string {
+		p, ok := byNode[node]
+		if !ok {
 			return ""
 		}
-		var oreg int64
-		for i := off; i < len(code); i++ {
-			b := code[i]
-			fn := isa.Function(b >> 4)
-			data := int64(b & 0xF)
-			switch fn {
-			case isa.FnPfix:
-				oreg = (oreg | data) << 4
-			case isa.FnNfix:
-				oreg = ^(oreg | data) << 4
-			case isa.FnOpr:
-				return isa.Op(oreg | data).Name()
-			default:
-				return fmt.Sprintf("%s %d", fn.Name(), oreg|data)
-			}
+		line := isa.SourceLine(p.Image.Marks, len(p.Image.Code), int(iptr-p.Node.M.CodeStart()))
+		if line == 0 {
+			return ""
 		}
-		return ""
+		return fmt.Sprintf("%s:%d", filepath.Base(p.Path), line)
 	}
 }

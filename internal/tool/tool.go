@@ -64,9 +64,9 @@ func ModelConfig(model string, memBytes int) (core.Config, error) {
 }
 
 // PrintStats writes a human-readable statistics summary.
-func PrintStats(w io.Writer, name string, st core.Stats, cycleNs int) {
+func PrintStats(w io.Writer, name string, st core.Stats) {
 	fmt.Fprintf(w, "%s: %d instructions, %d cycles (%.2f MIPS at %d ns/cycle)\n",
-		name, st.Instructions, st.Cycles, st.MIPS(cycleNs), cycleNs)
+		name, st.Instructions, st.Cycles, st.MIPS(core.CycleNs), core.CycleNs)
 	fmt.Fprintf(w, "  code %d bytes; %.1f%% of executed instructions single byte\n",
 		st.CodeBytes, 100*st.SingleByteFraction())
 	fmt.Fprintf(w, "  scheduler: %d enqueues, %d deschedules, %d preemptions, %d timeslices\n",

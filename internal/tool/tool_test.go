@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"transputer/internal/core"
+	"transputer/internal/isa"
 	"transputer/internal/network"
 	"transputer/internal/sim"
 )
@@ -186,7 +187,7 @@ func TestImageSourceMapRoundTrip(t *testing.T) {
 	img := core.Image{
 		Code:    []byte{0x40, 0xD1, 0x21, 0xF5},
 		WsBelow: 8, WsAbove: 8,
-		Marks: []core.SourceMark{{Offset: 0, Line: 3}, {Offset: 2, Line: 5}},
+		Marks: []isa.SourceMark{{Offset: 0, Line: 3}, {Offset: 2, Line: 5}},
 	}
 	data := EncodeImage(img)
 	if string(data[:4]) != "TIX2" {
@@ -196,7 +197,7 @@ func TestImageSourceMapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Marks) != 2 || got.Marks[1] != (core.SourceMark{Offset: 2, Line: 5}) {
+	if len(got.Marks) != 2 || got.Marks[1] != (isa.SourceMark{Offset: 2, Line: 5}) {
 		t.Errorf("marks = %+v", got.Marks)
 	}
 	plain := EncodeImage(core.Image{Code: []byte{0x40}})
