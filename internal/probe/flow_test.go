@@ -3,9 +3,12 @@ package probe
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"transputer/internal/sim"
 )
@@ -302,7 +305,11 @@ func TestSlowestMatchesFullSort(t *testing.T) {
 			doc.Flows = append(doc.Flows, FlowInfo{ID: uint64(rng.Intn(6)), StartNs: start, EndNs: start + int64(rng.Intn(5))})
 		}
 		for top := -1; top <= len(doc.Flows)+2; top++ {
-			if got, want := doc.slowest(top), refSlowest(doc, top); !slices.Equal(got, want) {
+			var got []*FlowInfo
+			for _, s := range slowest(doc, top) {
+				got = append(got, &doc.Flows[s.i])
+			}
+			if want := refSlowest(doc, top); !slices.Equal(got, want) {
 				t.Fatalf("trial %d, top %d of %d flows: picked %v, the full sort %v", trial, top, len(doc.Flows), got, want)
 			}
 		}
@@ -331,4 +338,85 @@ func assertTiled(t *testing.T, doc *FlowDoc) {
 	if doc.CriticalPathNs != sum {
 		t.Errorf("CriticalPathNs = %d, want %d", doc.CriticalPathNs, sum)
 	}
+}
+
+// TestFlowTableUnfinished: before Finish a table has no document.  Its
+// report prints nothing, as WriteJSON writes null, and neither panics;
+// nor does a nil document's report.
+func TestFlowTableUnfinished(t *testing.T) {
+	b := NewBus()
+	ft := NewFlowTable(b)
+	b.Publish(Event{Kind: ChanBlock, Node: "n", Time: 10, Addr: 0x90, Flow: PackFlow(1, 1)})
+	var rep, doc bytes.Buffer
+	ft.Report(&rep, 10)
+	var none *FlowDoc
+	none.Report(&rep, 0)
+	if rep.Len() != 0 {
+		t.Errorf("the report before Finish printed %q, want nothing", rep.String())
+	}
+	if err := ft.WriteJSON(&doc); err != nil || doc.String() != "null\n" {
+		t.Errorf("WriteJSON before Finish wrote %q, %v; want null", doc.String(), err)
+	}
+	if ft.Doc() != nil {
+		t.Errorf("Doc before Finish = %+v, want nil", ft.Doc())
+	}
+}
+
+// TestFlowTableWideValues: a record keeps a node as a 16-bit number and
+// its bytes, link and virtual channel in 32, 16 and 8 bits; a value that
+// does not fit, or is its slot's escape, goes to the cold part and comes
+// back whole.  The table's document and what it writes keep every value
+// the events carried, past 65 535 nodes too.
+func TestFlowTableWideValues(t *testing.T) {
+	if unsafe.Sizeof(flowRec{}) != 88 {
+		t.Errorf("unsafe.Sizeof(flowRec{}) = %d, want 88: a flow's record is most of what an observed run keeps a flow", unsafe.Sizeof(flowRec{}))
+	}
+	wide := []struct{ bytes, link, vc int }{
+		{4, 1, 3},
+		{math.MinInt32, math.MinInt16, math.MinInt8}, // each slot's escape
+		{1 << 40, 1 << 20, 200},
+		{-1 << 40, -129, -129},
+		{math.MaxInt32, math.MaxInt16, math.MaxInt8},
+		{math.MinInt64, math.MaxInt64, math.MinInt64},
+	}
+	// Two new nodes a flow, and "" first: the last flows' nodes are
+	// numbered past 65 535.
+	const crowd = math.MaxUint16/2 + 3
+	b := NewBus()
+	ft := NewFlowTable(b)
+	var want []FlowInfo
+	for i := 0; i < crowd; i++ {
+		src, dst := "s"+strconv.Itoa(i), "d"+strconv.Itoa(i)
+		w := wide[i%len(wide)]
+		fl := PackFlow(1+uint64(i%3), uint64(i+1))
+		at := sim.Time(i)
+		b.Publish(Event{Kind: LinkXferStart, Node: src, Time: at, Link: w.link, Bytes: 7, Out: true, Flow: fl})
+		b.Publish(Event{Kind: VChanChunk, Node: src, Time: at + 1, Link: w.link, Arg: int64(w.vc), Flow: fl})
+		b.Publish(Event{Kind: VChanDeliver, Node: dst, Time: at + 2, Bytes: w.bytes, Flow: fl})
+		want = append(want, FlowInfo{ID: fl, Kind: "link", Src: src, Dst: dst, Link: w.link,
+			Bytes: w.bytes, StartNs: int64(at), EndNs: int64(at + 2)})
+	}
+	ft.Finish(crowd + 2)
+	doc := ft.Doc()
+	if len(doc.Flows) != crowd {
+		t.Fatalf("%d flows, want %d", len(doc.Flows), crowd)
+	}
+	for i, f := range doc.Flows {
+		w := want[i]
+		w.Name = f.Name
+		if f != w {
+			t.Fatalf("flow %d:\n got %+v\nwant %+v", i, f, w)
+		}
+	}
+	if f := doc.Flows[3]; f.Name != "s3.L-129>d3#1" {
+		t.Errorf("flow 3 is named %q", f.Name)
+	}
+	var got, ref bytes.Buffer
+	if err := ft.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := RefWriteFlowJSON(doc, &ref); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, "wide values", got.Bytes(), ref.Bytes())
 }

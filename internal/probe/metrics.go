@@ -3,6 +3,7 @@ package probe
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"transputer/internal/sim"
@@ -12,13 +13,10 @@ import (
 // processor busy/idle/switching time, time-weighted run-queue depth per
 // priority, link throughput, wire occupancy and ack-stall time.
 type Metrics struct {
-	nodes map[string]*nodeMetrics
-	order []string
+	// nodes[i] is the node that names numbers i.
+	names nodeTable
+	nodes []nodeMetrics
 	end   sim.Time
-
-	// last is the previous event's node, named lastName.
-	last     *nodeMetrics
-	lastName string
 }
 
 type nodeMetrics struct {
@@ -91,23 +89,26 @@ const numLinks = 4
 
 // NewMetrics subscribes a fresh aggregator to the bus.
 func NewMetrics(b *Bus) *Metrics {
-	m := &Metrics{nodes: map[string]*nodeMetrics{}}
+	m := &Metrics{}
 	b.SubscribeRef(m.consume)
 	return m
 }
 
+// node returns the named node's metrics, adding them at first sight.
 func (m *Metrics) node(name string) *nodeMetrics {
-	if m.last != nil && m.lastName == name {
-		return m.last
+	i := m.names.intern(name)
+	if i == len(m.nodes) {
+		m.nodes = append(m.nodes, nodeMetrics{links: map[int]*linkMetrics{}})
 	}
-	n, ok := m.nodes[name]
-	if !ok {
-		n = &nodeMetrics{links: map[int]*linkMetrics{}}
-		m.nodes[name] = n
-		m.order = append(m.order, name)
+	return &m.nodes[i]
+}
+
+// lookup returns the named node's metrics, nil if no event named it.
+func (m *Metrics) lookup(name string) *nodeMetrics {
+	if i, ok := m.names.lookup(name); ok {
+		return &m.nodes[i]
 	}
-	m.last, m.lastName = n, name
-	return n
+	return nil
 }
 
 func (n *nodeMetrics) link(i int) *linkMetrics {
@@ -202,8 +203,8 @@ func (m *Metrics) Finish(end sim.Time) {
 	if end > m.end {
 		m.end = end
 	}
-	for _, name := range m.order {
-		n := m.nodes[name]
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		if n.running {
 			n.busy += m.end - n.runningFrom
 			n.running = false
@@ -224,10 +225,10 @@ func pct(part, whole sim.Time) float64 {
 // Report writes the text report.
 func (m *Metrics) Report(w io.Writer) {
 	fmt.Fprintf(w, "probe metrics over %v\n", m.end)
-	names := append([]string(nil), m.order...)
+	names := slices.Clone(m.names.names)
 	sort.Strings(names)
 	for _, name := range names {
-		n := m.nodes[name]
+		n := m.lookup(name)
 		total := m.end
 		idle := total - n.busy
 		if idle < 0 {
@@ -282,7 +283,7 @@ func (m *Metrics) Report(w io.Writer) {
 // Retransmits returns the error-detecting-mode retransmission count of
 // one link (for tests and campaign assertions).
 func (m *Metrics) Retransmits(node string, link int) uint64 {
-	if n, ok := m.nodes[node]; ok {
+	if n := m.lookup(node); n != nil {
 		if l, ok := n.links[link]; ok {
 			return l.retransmits
 		}
@@ -293,7 +294,7 @@ func (m *Metrics) Retransmits(node string, link int) uint64 {
 // FaultCounts returns the injected drop/corrupt/delay totals of one
 // link.
 func (m *Metrics) FaultCounts(node string, link int) (drops, corrupts, delays uint64) {
-	if n, ok := m.nodes[node]; ok {
+	if n := m.lookup(node); n != nil {
 		if l, ok := n.links[link]; ok {
 			return l.drops, l.corrupts, l.delays
 		}
@@ -310,7 +311,7 @@ func avgDepth(q queueMetrics, total sim.Time) float64 {
 
 // NodeBusy returns the accumulated busy time of a node (after Finish).
 func (m *Metrics) NodeBusy(name string) sim.Time {
-	if n, ok := m.nodes[name]; ok {
+	if n := m.lookup(name); n != nil {
 		return n.busy
 	}
 	return 0
@@ -320,8 +321,8 @@ func (m *Metrics) NodeBusy(name string) sim.Time {
 // (after Finish): the time-weighted average depth over the run and the
 // maximum depth observed.
 func (m *Metrics) QueueStats(name string, pri int) (avg float64, max int) {
-	n, ok := m.nodes[name]
-	if !ok || pri < 0 || pri > 1 {
+	n := m.lookup(name)
+	if n == nil || pri < 0 || pri > 1 {
 		return 0, 0
 	}
 	return avgDepth(n.queues[pri], m.end), n.queues[pri].max
@@ -331,7 +332,7 @@ func (m *Metrics) QueueStats(name string, pri int) (avg float64, max int) {
 // preemption state-save and dispatch restore time carried on Preempt
 // and ProcDispatch events.
 func (m *Metrics) Switching(name string) sim.Time {
-	if n, ok := m.nodes[name]; ok {
+	if n := m.lookup(name); n != nil {
 		return n.switching
 	}
 	return 0

@@ -79,7 +79,7 @@ func TestMetricsBadPriority(t *testing.T) {
 		b.Publish(Event{Kind: ProcReady, Node: "n0", Time: 20, Pri: pri, Depth: 6})
 	}
 	m.Finish(100)
-	if got := m.nodes["n0"].dispatches; got != 3 {
+	if got := m.lookup("n0").dispatches; got != 3 {
 		t.Errorf("%d dispatches counted, want 3", got)
 	}
 	for pri := 0; pri <= 1; pri++ {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -54,8 +55,10 @@ func checkTimeline(t *testing.T, what string, evs []Event) {
 	sameBytes(t, what+" timeline", got.Bytes(), want.Bytes())
 }
 
-// checkFlows builds the events' flow document and writes it through
-// the streaming writer and through the reference.
+// checkFlows builds the events' flow table and compares its flows with
+// the reference accumulation's, and what it writes and prints, streamed
+// from its records, with what the references write and print for its
+// document; then the document's own.
 func checkFlows(t *testing.T, what string, evs []Event, end sim.Time, resolve func(string, uint64) string) {
 	t.Helper()
 	b := NewBus()
@@ -65,9 +68,24 @@ func checkFlows(t *testing.T, what string, evs []Event, end sim.Time, resolve fu
 		b.Publish(e)
 	}
 	ft.Finish(end)
-	checkFlowDoc(t, what, ft.Doc())
+	doc := ft.Doc()
+	if want := RefFlows(evs, resolve); !reflect.DeepEqual(doc.Flows, want) {
+		t.Errorf("%s: flows\n%+v\nreference\n%+v", what, doc.Flows, want)
+	}
+	var got, want bytes.Buffer
+	if err := ft.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := RefWriteFlowJSON(doc, &want); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, what+" flow table", got.Bytes(), want.Bytes())
+	checkReports(t, what+" flow table", ft, doc)
+	checkFlowDoc(t, what, doc)
 }
 
+// checkFlowDoc writes the document through the streaming writer and
+// through the reference, and prints it through both report writers.
 func checkFlowDoc(t *testing.T, what string, doc *FlowDoc) {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -78,6 +96,21 @@ func checkFlowDoc(t *testing.T, what string, doc *FlowDoc) {
 		t.Fatal(err)
 	}
 	sameBytes(t, what+" flow document", got.Bytes(), want.Bytes())
+	if doc != nil {
+		checkReports(t, what+" flow document", doc, doc)
+	}
+}
+
+// checkReports prints src's report, at slowest-list lengths from all
+// to one and past the end, and compares it with the reference's for doc.
+func checkReports(t *testing.T, what string, src interface{ Report(io.Writer, int) }, doc *FlowDoc) {
+	t.Helper()
+	for _, top := range []int{0, 1, 3, 10, len(doc.Flows) + 1} {
+		var got, want bytes.Buffer
+		src.Report(&got, top)
+		RefReport(doc, &want, top)
+		sameBytes(t, fmt.Sprintf("%s report, top %d", what, top), got.Bytes(), want.Bytes())
+	}
 }
 
 // hostileNames are node names that exercise every escaping rule of

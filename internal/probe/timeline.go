@@ -24,11 +24,9 @@ type Timeline struct {
 	chunks [][]byte
 	n      int
 
-	// names holds each node name once, in order of first appearance, and
-	// a record holds its node's index; last is the previous event's.
-	names []string
-	index map[string]int
-	last  int
+	// A record holds its node's number in nodes; nodes.last is the
+	// previous event's.
+	nodes nodeTable
 
 	// What the next record is encoded against: the previous event's
 	// time and, by node index, the last values of the fields kept as
@@ -77,7 +75,7 @@ const (
 
 // NewTimeline subscribes a fresh timeline recorder to the bus.
 func NewTimeline(b *Bus) *Timeline {
-	t := &Timeline{index: map[string]int{}}
+	t := &Timeline{}
 	b.SubscribeRef(t.record)
 	return t
 }
@@ -97,9 +95,11 @@ func (t *Timeline) record(e *Event) {
 		c++
 	}
 	t.n++
-	prev := t.last
-	node := t.nodeIndex(e.Node)
-	t.last = node
+	prev := t.nodes.last
+	node := t.nodes.intern(e.Node)
+	if node == len(t.base) {
+		t.base = append(t.base, deltaBase{})
+	}
 	dt := e.Time - t.time
 	t.time = e.Time
 
@@ -177,21 +177,6 @@ func appendDelta(b []byte, v uint64, last *uint64) []byte {
 	return appendZigzag(b, int64(d))
 }
 
-// nodeIndex returns the index of a node name, adding it at first sight.
-func (t *Timeline) nodeIndex(name string) int {
-	if i := t.last; i < len(t.names) && t.names[i] == name {
-		return i
-	}
-	i, ok := t.index[name]
-	if !ok {
-		i = len(t.names)
-		t.names = append(t.names, name)
-		t.index[name] = i
-		t.base = append(t.base, deltaBase{})
-	}
-	return i
-}
-
 // uvarint reads the uvarint at b[i:] and returns it and the index past
 // it.
 func uvarint(b []byte, i int) (uint64, int) {
@@ -234,9 +219,9 @@ type reader struct {
 
 // reader returns a reader at the first record.
 func (t *Timeline) reader() *reader {
-	r := &reader{t: t, bases: make([]deltaBase, len(t.names))}
-	if len(t.names) > 0 {
-		r.e.Node = t.names[0]
+	r := &reader{t: t, bases: make([]deltaBase, len(t.nodes.names))}
+	if len(t.nodes.names) > 0 {
+		r.e.Node = t.nodes.names[0]
 	}
 	return r
 }
@@ -261,7 +246,7 @@ func (r *reader) next() bool {
 	if mask&hasNode != 0 {
 		u, i = uvarint(b, i)
 		r.node = int(u)
-		e.Node = r.t.names[r.node]
+		e.Node = r.t.nodes.names[r.node]
 	}
 	v = 0
 	if mask&hasLink != 0 {
@@ -497,7 +482,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	enc.b = append(enc.b, '[')
 
 	// Per-node trace state, by the records' node index.
-	nodes := make([]traceNode, len(t.names))
+	nodes := make([]traceNode, len(t.nodes.names))
 	pids := 0
 	var end sim.Time
 	for r := t.reader(); r.next(); {
@@ -524,7 +509,8 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			open = append(open, i)
 		}
 	}
-	slices.SortFunc(open, func(a, b int) int { return strings.Compare(t.names[a], t.names[b]) })
+	names := t.nodes.names
+	slices.SortFunc(open, func(a, b int) int { return strings.Compare(names[a], names[b]) })
 	for _, i := range open {
 		enc.closeSlice(&nodes[i], end)
 	}

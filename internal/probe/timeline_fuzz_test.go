@@ -3,8 +3,10 @@ package probe
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -114,9 +116,10 @@ func fuzzInput(evs ...Event) []byte {
 // events, 64-bit extremes, negative values and any number of nodes
 // included; WriteChromeTrace writes what the reference renderer writes
 // for them; a Subscribe consumer beside the timeline gets its own
-// identical copy of each; and the metrics and flow table on the same
-// bus take the same values without a panic, through Finish, Report and
-// WriteJSON.
+// identical copy of each; the metrics on the same bus take the same
+// values without a panic; and the flow table keeps what the reference
+// accumulation keeps, and streams what the references write and print
+// (checkFlowTable).
 func FuzzTimelineRoundTrip(f *testing.F) {
 	var kinds []Event
 	for k := Kind(0); k < numKinds; k++ {
@@ -196,6 +199,22 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 			Dur: sim.Time(1100 - 900*(i%2)), Flow: PackFlow(uint64(i%3+1), uint64(9-i))})
 	}
 	f.Add(fuzzInput(links...))
+	// A reliable link's flow, with retransmits, NAKs, an acknowledge
+	// stall, faults and a dead link: the records' cold parts.
+	f.Add(fuzzInput(flowKindEvents("n0", "n1")...))
+	// Flows whose events mix kinds, as no real run's do: a link flow's
+	// data packet and then a channel's block, a channel flow's data
+	// packet and transfer start with no rendezvous, and after one.
+	f.Add(fuzzInput(
+		Event{Kind: LinkXferStart, Node: "n0", Time: 5, Link: 1, Bytes: 4, Out: true, Flow: 7},
+		Event{Kind: WirePacket, Node: "n0", Time: 7, Link: 1, Dur: 1100, Flow: 7},
+		Event{Kind: ChanBlock, Node: "n1", Time: 10, Addr: 0x80, Flow: 7},
+		Event{Kind: ChanBlock, Node: "n", Time: 10, Addr: 0x90, Flow: 9},
+		Event{Kind: WirePacket, Node: "n", Time: 20, Dur: 1100, Flow: 9},
+		Event{Kind: LinkXferStart, Node: "n", Time: 25, Out: true, Flow: 9},
+		Event{Kind: ChanRendezvous, Node: "n0", Time: 30, Addr: 0x98, Bytes: 4, Flow: 11},
+		Event{Kind: WirePacket, Node: "n0", Time: 40, Dur: 1100, Flow: 11},
+		Event{Kind: LinkXferStart, Node: "n0", Time: 50, Out: true, Flow: 11}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs := fuzzEvents(data)
@@ -237,9 +256,43 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 		m.Finish(end)
 		m.Report(io.Discard)
 		ft.Finish(end)
-		ft.Report(io.Discard, 5)
-		if err := ft.WriteJSON(io.Discard); err != nil {
-			t.Fatal(err)
-		}
+		checkFlowTable(t, ft, evs)
 	})
+}
+
+// checkFlowTable compares the flows of a finished table with what the
+// reference accumulation makes of the events it was fed, and what the
+// table writes and prints with the references' renderings of its
+// document and with tflow's: the report of the document read back from
+// what the table wrote, when the round trip keeps every string (JSON
+// turns invalid UTF-8 into U+FFFD).
+func checkFlowTable(t *testing.T, ft *FlowTable, evs []Event) {
+	t.Helper()
+	doc := ft.Doc()
+	if want := RefFlows(evs, ft.Resolve); !reflect.DeepEqual(doc.Flows, want) {
+		t.Fatalf("flows\n%+v\nreference\n%+v", doc.Flows, want)
+	}
+	var js, ref bytes.Buffer
+	if err := ft.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := RefWriteFlowJSON(doc, &ref); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, "flow table", js.Bytes(), ref.Bytes())
+	back, err := ReadFlowDoc(bytes.NewReader(js.Bytes()))
+	if err != nil {
+		t.Fatalf("the flow document does not parse: %v", err)
+	}
+	lossless := reflect.DeepEqual(back, doc)
+	for _, top := range []int{0, 1, 10, len(doc.Flows) + 1} {
+		var got, want, tflow bytes.Buffer
+		ft.Report(&got, top)
+		RefReport(doc, &want, top)
+		sameBytes(t, fmt.Sprintf("flow report, top %d", top), got.Bytes(), want.Bytes())
+		if lossless {
+			back.Report(&tflow, top)
+			sameBytes(t, fmt.Sprintf("flow report, top %d, against the document read back", top), got.Bytes(), tflow.Bytes())
+		}
+	}
 }

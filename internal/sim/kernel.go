@@ -8,7 +8,10 @@
 // simulation run reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Time is a simulated instant in nanoseconds from the start of the run.
 type Time int64
@@ -22,16 +25,19 @@ const (
 )
 
 // String renders the time with a convenient unit.
-func (t Time) String() string {
+func (t Time) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends what String returns to b.
+func (t Time) AppendTo(b []byte) []byte {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Second), 'f', 3, 64), 's')
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Millisecond), 'f', 3, 64), "ms"...)
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fµs", float64(t)/float64(Microsecond))
+		return append(strconv.AppendFloat(b, float64(t)/float64(Microsecond), 'f', 3, 64), "µs"...)
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	}
 }
 

@@ -157,10 +157,16 @@ func TestTimeString(t *testing.T) {
 		6 * Microsecond:    "6.000µs",
 		1300 * Microsecond: "1.300ms",
 		2 * Second:         "2.000s",
+		-5:                 "-5ns",
+		1234567:            "1.235ms",
+		MaxTime:            "9223372036.855s",
 	}
 	for v, want := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int64(v), got, want)
+		}
+		if got := string(v.AppendTo([]byte("at "))); got != "at "+want {
+			t.Errorf("%d.AppendTo = %q, want %q", int64(v), got, "at "+want)
 		}
 	}
 }
