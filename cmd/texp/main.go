@@ -10,7 +10,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"strings"
 
@@ -22,22 +21,13 @@ func main() {
 	for _, arg := range os.Args[1:] {
 		want[strings.ToUpper(arg)] = true
 	}
-	fmt.Println("Reproduction of \"The Transputer\" (Whitby-Strevens, ISCA 1985)")
-	fmt.Println("==============================================================")
-	fmt.Println()
-	failures := 0
+	var results []exp.Result
 	for _, r := range exp.All() {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
-		r.Fprint(os.Stdout)
-		if !r.Pass() {
-			failures++
+		if len(want) == 0 || want[r.ID] {
+			results = append(results, r)
 		}
 	}
-	if failures > 0 {
-		fmt.Printf("%d experiment(s) had mismatching rows\n", failures)
+	if exp.Report(os.Stdout, results) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("all experiments reproduce the paper's figures")
 }

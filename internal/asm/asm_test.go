@@ -297,3 +297,35 @@ func TestBuilderDisassemblerRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestDropJump: a j to a label about to be placed after it goes, marks
+// and all, and a label placed at the j lands on what follows; a j to
+// any other label, or with an instruction after it, stays.
+func TestDropJump(t *testing.T) {
+	b := NewBuilder(4)
+	at, end, other := b.NewLabel(), b.NewLabel(), b.NewLabel()
+	b.Define(other)
+	b.Op(isa.OpRev)
+	b.Define(at)
+	b.Branch(isa.FnJ, end)
+	b.Mark(3)
+	b.DropJump(other) // not the label jumped to: stays
+	b.DropJump(end)
+	b.Define(end)
+	b.Branch(isa.FnJ, other)
+	b.Op(isa.OpStopp)
+	b.DropJump(other) // an instruction follows: stays
+	res, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := isa.EncodeOp(nil, isa.OpRev)
+	want = isa.EncodeOperand(want, isa.FnJ, -int64(len(want))-2)
+	want = isa.EncodeOp(want, isa.OpStopp)
+	if string(res.Code) != string(want) {
+		t.Fatalf("code % X, want % X", res.Code, want)
+	}
+	if b.Offset(at) != b.Offset(end) || b.Offset(end) != len(isa.EncodeOp(nil, isa.OpRev)) {
+		t.Errorf("labels at %d and %d, want both at the j after rev", b.Offset(at), b.Offset(end))
+	}
+}

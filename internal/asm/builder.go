@@ -100,6 +100,25 @@ func (b *Builder) Define(l Label) {
 	b.labels[l] = int32(len(b.items))
 }
 
+// DropJump removes a j to l that nothing but source marks follows, for
+// a caller about to place l there: the jump would only land on the
+// instruction after it.
+func (b *Builder) DropJump(l Label) {
+	i := len(b.items) - 1
+	for i >= 0 && b.items[i].kind == kindMark {
+		i--
+	}
+	if i < 0 || b.items[i].kind != kindBranch || b.items[i].fn != isa.FnJ || b.items[i].a != l {
+		return
+	}
+	b.items = append(b.items[:i], b.items[i+1:]...)
+	for k, at := range b.labels {
+		if at > int32(i) {
+			b.labels[k] = at - 1
+		}
+	}
+}
+
 // Offset is a label's byte offset from the start of the code image,
 // valid once Assemble has succeeded.
 func (b *Builder) Offset(l Label) int { return int(b.offsets[b.labels[l]]) }

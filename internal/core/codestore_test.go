@@ -279,8 +279,8 @@ func TestSearchArraySharesCode(t *testing.T) {
 	}
 	codes, codeRecs := core.StoreCounts(st)
 	t.Logf("%d blocks of %d records on %d nodes; %d codes of %d records", blocks, recs, len(s.Net.Nodes()), codes, codeRecs)
-	if blocks != 4373 || recs != 22958 || codes != 316 || codeRecs != 2059 {
-		t.Errorf("%d blocks of %d records, %d codes of %d records; want 4373, 22958, 316 and 2059",
+	if blocks != 3859 || recs != 21034 || codes != 294 || codeRecs != 1980 {
+		t.Errorf("%d blocks of %d records, %d codes of %d records; want 3859, 21034, 294 and 1980",
 			blocks, recs, codes, codeRecs)
 	}
 }

@@ -66,6 +66,27 @@ func (r Result) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// Report writes what texp prints for a run of the given results: a
+// heading, each result's table, and a verdict line.  It returns how
+// many results had a mismatching row.
+func Report(w io.Writer, results []Result) (failures int) {
+	fmt.Fprintln(w, "Reproduction of \"The Transputer\" (Whitby-Strevens, ISCA 1985)")
+	fmt.Fprintln(w, "==============================================================")
+	fmt.Fprintln(w)
+	for _, r := range results {
+		r.Fprint(w)
+		if !r.Pass() {
+			failures++
+		}
+	}
+	if failures > 0 {
+		fmt.Fprintf(w, "%d experiment(s) had mismatching rows\n", failures)
+	} else {
+		fmt.Fprintln(w, "all experiments reproduce the paper's figures")
+	}
+	return failures
+}
+
 // All runs every experiment in DESIGN.md order.
 func All() []Result {
 	return []Result{

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -118,4 +121,63 @@ func TestRenderingsByteEqual(t *testing.T) {
 			t.Fatalf("E12 rendering %d differs:\n%s\n---\n%s", i, got, want)
 		}
 	}
+}
+
+// texpGolden is what texp prints for a run of every experiment.
+const texpGolden = "testdata/texp.golden"
+
+// TestTexpGolden holds texp's whole output to texpGolden, so that a
+// change which moves a figure shows it as a diff of the tables.  A
+// change meant to move them regenerates the file:
+//
+//	go run ./cmd/texp > internal/exp/testdata/texp.golden
+func TestTexpGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	want, err := os.ReadFile(filepath.FromSlash(texpGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	Report(&sb, All())
+	if got := sb.String(); got != string(want) {
+		t.Errorf("texp's output differs from %s (- golden, + now):\n%s", texpGolden,
+			lineDiff(strings.SplitAfter(string(want), "\n"), strings.SplitAfter(got, "\n")))
+	}
+}
+
+// lineDiff lists the lines to delete from a and to insert to make b,
+// each marked with the line of a it deletes or comes before, by a
+// longest common subsequence.
+func lineDiff(a, b []string) string {
+	// lcs[i][j] is the longest common subsequence of a[i:] and b[j:].
+	lcs := make([][]int, len(a)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(b)+1)
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		for j := len(b) - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	var sb strings.Builder
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case i < len(a) && j < len(b) && a[i] == b[j]:
+			i, j = i+1, j+1
+		case i < len(a) && (j == len(b) || lcs[i+1][j] >= lcs[i][j+1]):
+			fmt.Fprintf(&sb, "%4d - %s", i+1, strings.TrimSuffix(a[i], "\n")+"\n")
+			i++
+		default:
+			fmt.Fprintf(&sb, "%4d + %s", i+1, strings.TrimSuffix(b[j], "\n")+"\n")
+			j++
+		}
+	}
+	return sb.String()
 }

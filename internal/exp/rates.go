@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"transputer/internal/apps/dbsearch"
 	"transputer/internal/asm"
 	"transputer/internal/core"
 	"transputer/internal/isa"
@@ -63,7 +64,12 @@ func E12SingleByteFraction() Result {
 		ID:    "E12",
 		Title: "single-byte instruction fraction (paper 3.2.3)",
 	}
-	progs := []struct{ label, src string }{
+	// Each compiled program must reach 70%: the gate holds the compiler
+	// near the paper's density, not to its own past.
+	progs := []struct {
+		label, src string
+		bar        float64
+	}{
 		{"squares producer/consumer", `CHAN screen:
 PLACE screen AT LINK0OUT:
 DEF n = 20:
@@ -82,7 +88,7 @@ SEQ
   screen ! 2
   screen ! sum
   screen ! 4
-`},
+`, 0.70},
 		{"array sort (insertion)", `CHAN screen:
 PLACE screen AT LINK0OUT:
 DEF n = 24:
@@ -107,26 +113,31 @@ SEQ
   screen ! 2
   screen ! a[0]
   screen ! 4
-`},
+`, 0.70},
+	}
+	row := func(label string, frac, bar float64, err error) {
+		if err != nil {
+			r.Rows = append(r.Rows, Row{Label: label, Measured: "error: " + err.Error()})
+			return
+		}
+		r.Rows = append(r.Rows, Row{
+			Label:    label,
+			Paper:    "typically 80%",
+			Measured: fmt.Sprintf("%.1f%% single byte", 100*frac),
+			OK:       frac > bar,
+		})
 	}
 	for _, p := range progs {
 		frac, err := singleByteFraction(p.src)
-		if err != nil {
-			r.Rows = append(r.Rows, Row{Label: p.label, Measured: "error: " + err.Error()})
-			continue
-		}
-		r.Rows = append(r.Rows, Row{
-			Label:    p.label,
-			Paper:    "typically 80%",
-			Measured: fmt.Sprintf("%.1f%% single byte", 100*frac),
-			OK:       frac > 0.50,
-		})
+		row(p.label, frac, p.bar, err)
 	}
+	frac, err := searchNodeSingleByteFraction()
+	row("figure-7 search node (interior, 4x4 array)", frac, 0.70, err)
 	// The paper's own instruction mix (the 3.2.6/3.2.9 tables) is
-	// entirely single byte; compiled occam adds prefixed operations
-	// (multiply, loop end, the alternative instructions), so our
-	// straightforward code generator lands nearer 55-65%.
-	r.Notes = "the claim holds on the paper's table mix; our compiler's output is lower (see EXPERIMENTS.md)"
+	// entirely single byte.  Compiled occam adds prefixed operations
+	// (multiply, loop end, the alternative instructions), so it lands a
+	// little lower.
+	r.Notes = "compiled occam reaches 78-84% (see EXPERIMENTS.md)"
 	mix := "\tldc 0\n\tstl 1\n\tldl 2\n\tstl 1\n\tldl 1\n\tadc 2\n\tstl 1\n"
 	a, err := asm.Assemble(strings.Repeat(mix, 32)+"\tstopp\n", 4)
 	if err == nil {
@@ -143,6 +154,21 @@ SEQ
 		}
 	}
 	return r
+}
+
+// searchNodeSingleByteFraction is the single-byte fraction of an
+// interior node of the 4x4 search array, node (1,1), over eight
+// pipelined queries.
+func searchNodeSingleByteFraction() (float64, error) {
+	s, err := dbsearch.Build(dbsearch.Defaults16())
+	if err != nil {
+		return 0, err
+	}
+	if _, rep := s.RunSearches([]int64{5, 17, 33, 0, 63, 12, 40, 7}, sim.Second); !rep.Settled {
+		return 0, fmt.Errorf("search did not settle")
+	}
+	n, _ := s.Net.Node("n1.1")
+	return n.M.Stats().SingleByteFraction(), nil
 }
 
 func singleByteFraction(src string) (float64, error) {

@@ -35,6 +35,10 @@ type symbol struct {
 	// paramKind, paramIndex and nParams: a parameter's kind, its place
 	// among its PROC's parameters and their number.
 	paramKind paramKind
+	// uses is how often the code names the symbol, each use weighted by
+	// the loops around it (checker.weight); layout puts the most used
+	// nearest the frame base.
+	uses uint32
 
 	name  string
 	pos   pos
@@ -67,8 +71,6 @@ type procInfo struct {
 	frame  *frame
 	params []*symbol
 	label  asm.Label // set when the generator queues the body
-	// sized is set once workspace requirements are known.
-	sized bool
 	// emitted is set once the body has been queued for generation.
 	queued bool
 	// effects is the body's use of each parameter, once summarised
@@ -78,28 +80,40 @@ type procInfo struct {
 }
 
 // frame is one workspace: slots 0 and 1 are reserved (scratch /
-// alternative selection / end-process block), locals and replicator
-// blocks follow, then expression spill temporaries, then (for PROCs)
-// the slots of parameters beyond the third.
+// alternative selection / end-process block), locals, replicator
+// blocks and expression spill temporaries follow in the order layout
+// gives them, then (for PROCs) the slots of parameters beyond the
+// third.
 type frame struct {
 	id      int
-	nLocal  int // next free local slot
+	nLocal  int // slots 0 and 1 and the locals' words
 	maxTemp int // expression spill temporaries needed
-	// Sizing results (size.go).
+	// tempBase is the offset of the first temporary (size.go).
+	tempBase int
+	// Sizing results (size.go); above is 0 until the frame is sized.
 	above int // words at and above the frame base
 	below int // words below the frame base
-	sized bool
 	// PROC frames: extra parameter slots reserved at the top of the
 	// local area.
 	extraParams int
+	// tempUses is the temporaries' use, weighted as a symbol's is, and
+	// outUses its code's weighted uses of enclosing frames' words.
+	tempUses, outUses uint32
 }
 
 const frameReserved = 2 // slots 0 and 1
 
-func (f *frame) allocWords(n int) int {
-	off := f.nLocal
-	f.nLocal += n
-	return off
+// words is how many workspace words a local occupies: a replicator's
+// block is two, its value or index and then the remaining count of a
+// SEQ or ALT, or a PAR copy's static link.
+func (s *symbol) words() int {
+	switch {
+	case s.array:
+		return s.size
+	case s.kind == symRep:
+		return 2
+	}
+	return 1
 }
 
 // scope is a lexical scope; procBoundary scopes hide outer variables
@@ -172,10 +186,58 @@ func (s *scope) lookup(name string) (*symbol, bool) {
 // checker drives resolution.
 type checker struct {
 	wordBytes int
-	nextFrame int
-	procs     []*procInfo // all PROCs, in declaration order
-	// skipped is the tokens of configuration-IF branches not taken.
-	skipped int
+	// tokens is the program's length in tokens, less those of the
+	// configuration-IF branches not taken.
+	tokens int
+	// locals is every symbol layout places, in declaration order.
+	locals    []*symbol
+	nextFrame int32
+	// weight is what one use counts for at this point of the program:
+	// loopWeight per enclosing loop, and nothing in code that a
+	// constant guard leaves out.
+	weight uint32
+}
+
+// loopWeight is how many times more a use inside a loop counts than one
+// just outside it.
+const loopWeight = 8
+
+// maxWeight bounds weight, so that the uses of a symbol in loops nested
+// deeper than seven rank alike instead of overflowing.
+const maxWeight = 1 << 21
+
+// inLoop is the weight of a use in a loop entered at weight w.
+func inLoop(w uint32) uint32 { return min(w*loopWeight, maxWeight) }
+
+// addUses adds w to a use count, saturating.
+func addUses(uses, w uint32) uint32 {
+	if uses > ^uint32(0)-w {
+		return ^uint32(0)
+	}
+	return uses + w
+}
+
+// use counts one use of a symbol, by code in scope sc, at the current
+// weight: on the symbol, and, when the symbol is a word of an
+// enclosing frame, on the frame the code runs in, which reaches out to
+// it.
+func (c *checker) use(sym *symbol, sc *scope) {
+	sym.uses = addUses(sym.uses, c.weight)
+	if sym.frame != nil && sym.frame != sc.frame && !sym.placed {
+		sc.frame.outUses = addUses(sc.frame.outUses, c.weight)
+	}
+}
+
+// local gives a symbol words in its frame, which layout places.
+func (c *checker) local(sym *symbol) {
+	sym.frame.nLocal += sym.words()
+	if c.locals == nil {
+		// Sized at the first local, which in a configured processor
+		// usually comes after its configuration IF has taken off the
+		// branches it leaves out.
+		c.locals = make([]*symbol, 0, c.tokens/tokensPerLocal+1)
+	}
+	c.locals = append(c.locals, sym)
 }
 
 // parInfo is the checker/sizer annotation for a PAR construct.
@@ -187,18 +249,15 @@ type parInfo struct {
 	deltas []int
 	stride int
 	count  int // replicated copy count
-	// linkSlot: replicated components share code, so each copy's frame
-	// holds the enclosing frame's base address in this slot.
-	linkSlot int
 }
 
 func newChecker(wordBytes int) *checker {
-	return &checker{wordBytes: wordBytes}
+	return &checker{wordBytes: wordBytes, weight: 1}
 }
 
 func (c *checker) newFrame() *frame {
 	c.nextFrame++
-	return &frame{id: c.nextFrame, nLocal: frameReserved}
+	return &frame{id: int(c.nextFrame), nLocal: frameReserved}
 }
 
 // builtinConst resolves a predefined constant by name for a word
@@ -312,19 +371,24 @@ func (c *checker) process(p process, sc *scope) *Err {
 		}
 		return c.bindTarget(v.target, v.index, sc)
 	case *seqProc:
-		inner := sc
+		inner, w := sc, c.weight
 		if v.rep != nil {
 			var err *Err
 			inner, err = c.replicator(v.rep, sc)
 			if err != nil {
 				return err
 			}
+			// The body, and the loop end that steps the replicator
+			// block, run once an iteration.
+			c.weight = inLoop(w)
+			c.use(v.rep.sym, sc)
 		}
 		for _, sub := range v.procs {
 			if err := c.process(sub, inner); err != nil {
 				return err
 			}
 		}
+		c.weight = w
 		return nil
 	case *parProc:
 		return c.par(v, sc)
@@ -334,20 +398,41 @@ func (c *checker) process(p process, sc *scope) *Err {
 		if v.config {
 			return c.configChoice(v, sc)
 		}
+		// A branch whose guard folds FALSE, and every branch after one
+		// that folds TRUE, compile to nothing, so their uses count for
+		// nothing.
+		w := c.weight
 		for _, br := range v.branches {
 			if err := c.expr(br.cond, sc); err != nil {
 				return err
 			}
+			k, konst := foldConst(br.cond)
+			bw := c.weight
+			if konst && k == 0 {
+				c.weight = 0
+			}
 			if err := c.process(br.body, sc.child(nil, false)); err != nil {
 				return err
 			}
+			c.weight = bw
+			if konst && k != 0 {
+				c.weight = 0
+			}
 		}
+		c.weight = w
 		return nil
 	case *whileProc:
+		w := c.weight
+		c.weight = inLoop(w)
 		if err := c.expr(v.cond, sc); err != nil {
 			return err
 		}
-		return c.process(v.body, sc.child(nil, false))
+		if k, konst := foldConst(v.cond); konst && k == 0 {
+			c.weight = 0
+		}
+		err := c.process(v.body, sc.child(nil, false))
+		c.weight = w
+		return err
 	case *placedPar:
 		return errf(v.line, v.col, "PLACED PAR must be the outermost process (compile with CompileConfigured)")
 	case *callProc:
@@ -382,7 +467,7 @@ func (c *checker) configChoice(v *ifProc, sc *scope) *Err {
 	for i := range v.branches {
 		br := &v.branches[i]
 		if v.chosen >= 0 {
-			c.skipped += br.tokens
+			c.tokens -= br.tokens
 			continue
 		}
 		val, err := c.constExpr(br.cond, sc)
@@ -392,7 +477,7 @@ func (c *checker) configChoice(v *ifProc, sc *scope) *Err {
 		if val != 0 {
 			v.chosen = int32(i)
 		} else {
-			c.skipped += br.tokens
+			c.tokens -= br.tokens
 		}
 	}
 	if v.chosen < 0 {
@@ -488,9 +573,9 @@ func (c *checker) declareItems(items []declItem, kind symbolKind, sc *scope, gro
 			}
 			sym.array = true
 			sym.size = int(n)
-			sym.offset = sc.frame.allocWords(int(n))
+			c.local(sym)
 		default:
-			sym.offset = sc.frame.allocWords(1)
+			c.local(sym)
 		}
 		item.sym = sym
 		if err := sc.declare(sym); err != nil {
@@ -572,7 +657,6 @@ func (c *checker) declareProc(d *procDecl, sc *scope) *Err {
 	if extras := len(d.params) - 3; extras > 0 {
 		f.extraParams = extras
 	}
-	c.procs = append(c.procs, info)
 	// The PROC name becomes visible only after its body: occam has no
 	// recursion, and this enforces it.
 	return sc.declare(sym)
@@ -588,7 +672,7 @@ func (c *checker) replicator(rep *replicator, sc *scope) (*scope, *Err) {
 	inner := sc.child(nil, false)
 	sym := &symbol{kind: symRep, name: rep.name, pos: rep.pos, frame: sc.frame}
 	// Two adjacent slots: index (the variable) and remaining count.
-	sym.offset = sc.frame.allocWords(2)
+	c.local(sym)
 	rep.sym = sym
 	if err := inner.declare(sym); err != nil {
 		return nil, err
@@ -616,9 +700,12 @@ func (c *checker) par(v *parProc, sc *scope) *Err {
 		f := c.newFrame()
 		info.frames = []*frame{f}
 		comp := sc.child(f, false)
-		sym := &symbol{kind: symRep, name: v.rep.name, pos: v.rep.pos, frame: f}
-		sym.offset = f.allocWords(1) // the copy's replicator value
-		info.linkSlot = f.allocWords(1)
+		// The copy's replicator value, then its static link: replicated
+		// components share code, so each copy's frame holds the
+		// enclosing frame's base address.  Every access outward goes
+		// through the link, so the block counts as used the most.
+		sym := &symbol{kind: symRep, name: v.rep.name, pos: v.rep.pos, frame: f, uses: ^uint32(0)}
+		c.local(sym)
 		v.rep.sym = sym
 		if err2 := comp.declare(sym); err2 != nil {
 			return err2
@@ -643,6 +730,11 @@ func (c *checker) alt(v *altProc, sc *scope) *Err {
 		if err != nil {
 			return err
 		}
+		// The guard is enabled and disabled in two loops over the
+		// replicator block; the body runs once.
+		w := c.weight
+		c.weight = inLoop(w)
+		c.use(v.rep.sym, sc)
 		br := &v.branches[0]
 		if br.cond != nil {
 			if err := c.expr(br.cond, inner); err != nil {
@@ -656,6 +748,7 @@ func (c *checker) alt(v *altProc, sc *scope) *Err {
 		if err := c.process(in, inner); err != nil {
 			return err
 		}
+		c.weight = w
 		return c.process(br.body, inner.child(nil, false))
 	}
 	for i := range v.branches {
@@ -699,6 +792,7 @@ func (c *checker) bindTarget(name *nameExpr, index expr, sc *scope) *Err {
 		return errf(name.line, name.col, "undeclared name %q", name.name)
 	}
 	name.sym = sym
+	c.use(sym, sc)
 	switch sym.kind {
 	case symVar, symRep:
 	case symParam:
@@ -727,6 +821,7 @@ func (c *checker) bindChannel(name *nameExpr, index expr, sc *scope) *Err {
 		return errf(name.line, name.col, "undeclared channel %q", name.name)
 	}
 	name.sym = sym
+	c.use(sym, sc)
 	switch {
 	case sym.kind == symChan:
 	case sym.kind == symParam && sym.paramKind == paramChan:
@@ -793,6 +888,7 @@ func (c *checker) arrayArg(a expr, sc *scope, what string) *Err {
 		return errf(v.line, v.col, "undeclared name %q", v.name)
 	}
 	v.sym = sym
+	c.use(sym, sc)
 	if !sym.array {
 		return errf(v.line, v.col, "%q is not an array", v.name)
 	}
@@ -810,6 +906,7 @@ func (c *checker) expr(e expr, sc *scope) *Err {
 			return errf(v.line, v.col, "undeclared name %q", v.name)
 		}
 		v.sym = sym
+		c.use(sym, sc)
 		switch sym.kind {
 		case symVar, symRep, symConst, symTable:
 		case symParam:

@@ -177,18 +177,22 @@ func foldReplicator(rep *replicator, shared []decl, opt Options) (base, count in
 
 // Generated code runs to about three builder items (instructions and
 // source marks) for every five tokens of source and a label for every
-// twelve to sixteen.  compileProgram sizes the builder a little above
+// twelve to sixteen, and a program declares a variable, channel or
+// replicator for every twenty-five to sixty tokens.  compileProgram
+// sizes the builder and the checker's list of locals a little above
 // these ratios: a buffer that has to grow once costs more than a few
 // spare places.
 const (
 	itemsPer8Tokens = 5
 	tokensPerLabel  = 12
+	tokensPerLocal  = 24
 )
 
 // compileProgram checks and generates a parsed program; tokens is the
 // length of its source in tokens, configuration-IF branches included.
 func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 	c := newChecker(opt.WordBytes)
+	c.tokens = tokens
 	root, cerr := c.run(prog)
 	if cerr != nil {
 		return nil, cerr
@@ -203,12 +207,13 @@ func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 		b:         asm.NewBuilder(opt.WordBytes),
 		wordBytes: opt.WordBytes,
 		cur:       root,
-		entered:   []frameEntry{{f: root, kind: entryRoot}},
+		// Room for the frame most code runs in below the root: a PROC's
+		// or a PAR component's.
+		entered: append(make([]frameEntry, 0, 2), frameEntry{f: root, kind: entryRoot}),
 	}
 	// Size the builder from what is compiled: not the branches of a
 	// configuration IF that the checker passed over.
-	tokens -= c.skipped
-	g.b.Grow(tokens*itemsPer8Tokens/8, tokens/tokensPerLabel)
+	g.b.Grow(c.tokens*itemsPer8Tokens/8, c.tokens/tokensPerLabel)
 	var genErr *Err
 	func() {
 		defer func() {

@@ -67,7 +67,7 @@ func (g *gen) fail(p pos, format string, args ...interface{}) {
 // ---- temporaries ----------------------------------------------------
 
 func (g *gen) allocTemp(p pos) int {
-	off := g.cur.nLocal + g.tempNext
+	off := g.cur.tempBase + g.tempNext
 	g.tempNext++
 	if g.tempNext > g.cur.maxTemp {
 		g.fail(p, "internal: spill temporaries exceed sizing (%d > %d)", g.tempNext, g.cur.maxTemp)
@@ -308,19 +308,32 @@ func (g *gen) evalExpr(e expr) {
 			g.fail(v.pos, "unknown unary operator %q", v.op)
 		}
 	case *binaryExpr:
-		ln, _ := exprShape(v.left)
-		rn, _ := exprShape(v.right)
-		if max(ln, rn+1) > 3 {
-			// Spill: right operand into a temporary.
-			g.evalExpr(v.right)
+		first, second, k := operands(v, g.wordBytes)
+		if second == nil {
+			g.evalExpr(first)
+			if v.op == "+" || v.op == "-" {
+				g.b.Fn(isa.FnAdc, k)
+				return
+			}
+			g.b.Fn(isa.FnEqc, k)
+			if v.op == "<>" {
+				g.b.Fn(isa.FnEqc, 0)
+			}
+			return
+		}
+		fn, _ := exprShape(first, g.wordBytes)
+		sn, _ := exprShape(second, g.wordBytes)
+		if max(fn, sn+1) > 3 {
+			// Spill: the second operand into a temporary.
+			g.evalExpr(second)
 			t := g.allocTemp(v.pos)
 			g.b.Fn(isa.FnStl, int64(t))
-			g.evalExpr(v.left)
+			g.evalExpr(first)
 			g.b.Fn(isa.FnLdl, int64(t))
 			g.freeTemp()
 		} else {
-			g.evalExpr(v.left)
-			g.evalExpr(v.right)
+			g.evalExpr(first)
+			g.evalExpr(second)
 		}
 		g.binaryOp(v)
 	default:
@@ -328,8 +341,48 @@ func (g *gen) evalExpr(e expr) {
 	}
 }
 
+// operands says what a binary expression pushes, first then second,
+// for its operation to take as B and A.  Where the operation can take
+// a constant in its instruction instead (adc for + and -, eqc for =
+// and <>), second is nil and k is that constant as a word: a + or =
+// with its constant on the left is turned round, and a - whose
+// constant is the most negative word stays ldc and sub, as its
+// negation does not fit adc.  < and >= push right before left, so
+// that gt needs no rev.
+func operands(v *binaryExpr, wordBytes int) (first, second expr, k int64) {
+	switch v.op {
+	case "+", "-", "=", "<>":
+		e := v.left
+		c, ok := foldConst(v.right)
+		if !ok && v.op != "-" {
+			e = v.right
+			c, ok = foldConst(v.left)
+		}
+		if !ok {
+			break
+		}
+		k = wordValue(c, wordBytes)
+		if v.op == "-" {
+			if k == int64(-1)<<(8*wordBytes-1) {
+				break
+			}
+			k = -k
+		}
+		return e, nil, k
+	case "<", ">=":
+		return v.right, v.left, 0
+	}
+	return v.left, v.right, 0
+}
+
+// wordValue is v as a machine word of wordBytes bytes holds it.
+func wordValue(v int64, wordBytes int) int64 {
+	shift := uint(64 - 8*wordBytes)
+	return v << shift >> shift
+}
+
 // binaryOp emits the operation for a binary expression whose operands
-// are on the stack (left in B, right in A).
+// are on the stack (operands' first in B, second in A).
 func (g *gen) binaryOp(v *binaryExpr) {
 	switch v.op {
 	case "+":
@@ -366,10 +419,8 @@ func (g *gen) binaryOp(v *binaryExpr) {
 	case ">":
 		g.b.Op(isa.OpGt)
 	case "<":
-		g.b.Op(isa.OpRev)
 		g.b.Op(isa.OpGt)
 	case ">=":
-		g.b.Op(isa.OpRev)
 		g.b.Op(isa.OpGt)
 		g.b.Fn(isa.FnEqc, 0)
 	case "<=":
@@ -418,14 +469,7 @@ func (g *gen) process(p process) {
 	case *seqProc:
 		g.seq(v)
 	case *whileProc:
-		start := g.b.NewLabel()
-		end := g.b.NewLabel()
-		g.b.Define(start)
-		g.evalExpr(v.cond)
-		g.b.Branch(isa.FnCj, end)
-		g.process(v.body)
-		g.b.Branch(isa.FnJ, start)
-		g.b.Define(end)
+		g.while(v)
 	case *ifProc:
 		g.ifProcess(v)
 	case *parProc:
@@ -604,6 +648,35 @@ func (g *gen) seq(v *seqProc) {
 	g.b.Define(after)
 }
 
+// land places a label that code before it jumps to, dropping the jump
+// that would land on the instruction after it anyway.
+func (g *gen) land(l asm.Label) {
+	g.b.DropJump(l)
+	g.b.Define(l)
+}
+
+// while compiles a WHILE.  A condition that folds is not tested: TRUE
+// loops for ever, and FALSE compiles to nothing.
+func (g *gen) while(v *whileProc) {
+	k, konst := foldConst(v.cond)
+	if konst && k == 0 {
+		return
+	}
+	start := g.b.NewLabel()
+	end := g.b.NewLabel()
+	g.b.Define(start)
+	if !konst {
+		g.evalExpr(v.cond)
+		g.b.Branch(isa.FnCj, end)
+	}
+	g.process(v.body)
+	g.b.Branch(isa.FnJ, start)
+	g.b.Define(end)
+}
+
+// ifProcess compiles an IF.  A guard that folds is not tested: a FALSE
+// one's branch compiles to nothing, and a TRUE one's compiles to its
+// body alone, which ends the IF.
 func (g *gen) ifProcess(v *ifProc) {
 	if v.config {
 		// A configuration choice was made at compile time.
@@ -612,6 +685,14 @@ func (g *gen) ifProcess(v *ifProc) {
 	}
 	end := g.b.NewLabel()
 	for _, br := range v.branches {
+		if k, konst := foldConst(br.cond); konst {
+			if k != 0 {
+				g.process(br.body)
+				g.land(end)
+				return
+			}
+			continue
+		}
 		next := g.b.NewLabel()
 		g.evalExpr(br.cond)
 		g.b.Branch(isa.FnCj, next)
@@ -721,6 +802,7 @@ func (g *gen) replicatedPar(v *parProc) {
 	comp := info.frames[0]
 	n := info.count
 	rep := v.rep.sym
+	linkSlot := rep.offset + 1
 
 	cont := g.b.NewLabel()
 	body := g.b.NewLabel()
@@ -739,7 +821,7 @@ func (g *gen) replicatedPar(v *parProc) {
 		}
 		g.b.Fn(isa.FnStl, int64(delta+rep.offset))
 		g.b.Fn(isa.FnLdlp, 0)
-		g.b.Fn(isa.FnStl, int64(delta+info.linkSlot))
+		g.b.Fn(isa.FnStl, int64(delta+linkSlot))
 		afterStartp := g.b.NewLabel()
 		g.b.Diff(isa.FnLdc, body, afterStartp)
 		g.b.Fn(isa.FnLdlp, int64(delta))
@@ -753,10 +835,10 @@ func (g *gen) replicatedPar(v *parProc) {
 	// Shared body: all copies execute the same code, reaching outer
 	// frames through the static link.
 	g.b.Define(body)
-	g.enterLinked(comp, info.linkSlot)
+	g.enterLinked(comp, linkSlot)
 	g.process(v.procs[0])
 	// Rejoin: the parent frame base is in the link slot.
-	g.b.Fn(isa.FnLdl, int64(info.linkSlot))
+	g.b.Fn(isa.FnLdl, int64(linkSlot))
 	g.b.Op(isa.OpEndp)
 	g.leave()
 
@@ -805,7 +887,7 @@ func (g *gen) planGuardCond(br *altBranch, avail int) operandPlan {
 	if br.cond == nil {
 		return operandPlan{temp: -1, emit: func() { g.b.Fn(isa.FnLdc, 1) }}
 	}
-	need, _ := exprShape(br.cond)
+	need, _ := exprShape(br.cond, g.wordBytes)
 	return g.planOperand(br.pos, need, avail, func() { g.evalExpr(br.cond) })
 }
 
@@ -814,7 +896,7 @@ func (g *gen) planGuardCond(br *altBranch, avail int) operandPlan {
 func (g *gen) planChanAddr(in *inputProc, avail int) operandPlan {
 	need := 1
 	if in.chIdx != nil {
-		idxNeed, _ := exprShape(in.chIdx)
+		idxNeed, _ := exprShape(in.chIdx, g.wordBytes)
 		need = max(idxNeed, 2)
 	}
 	return g.planOperand(in.pos, need, avail, func() { g.chanAddr(in.ch, in.chIdx) })
@@ -823,7 +905,7 @@ func (g *gen) planChanAddr(in *inputProc, avail int) operandPlan {
 // planTime prepares a timer guard's time for a context with avail free
 // slots.
 func (g *gen) planTime(ti *timeInputProc, avail int) operandPlan {
-	need, _ := exprShape(ti.after)
+	need, _ := exprShape(ti.after, g.wordBytes)
 	return g.planOperand(ti.pos, need, avail, func() { g.evalExpr(ti.after) })
 }
 
@@ -919,7 +1001,7 @@ func (g *gen) alt(v *altProc) {
 		g.process(br.body)
 		g.b.Branch(isa.FnJ, done)
 	}
-	g.b.Define(done)
+	g.land(done)
 }
 
 func (g *gen) guardCond(br *altBranch) {

@@ -137,12 +137,25 @@ func TestRandomExpressions(t *testing.T) {
 
 func runRandom(t *testing.T, src string) []int64 {
 	t.Helper()
-	comp, err := occam.Compile(src, occam.Options{})
+	values, _ := runWords(t, src, 4)
+	return values
+}
+
+// runWords compiles src for a machine of wordBytes bytes a word (a T424
+// or a T222), runs it with a host on link 0, and returns what the host
+// took and whether the Error flag ended set.
+func runWords(t *testing.T, src string, wordBytes int) ([]int64, bool) {
+	t.Helper()
+	comp, err := occam.Compile(src, occam.Options{WordBytes: wordBytes})
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, src)
 	}
+	cfg := core.T424()
+	if wordBytes == 2 {
+		cfg = core.T222()
+	}
 	s := network.NewSystem()
-	n := s.MustAddTransputer("m", core.T424().WithMemory(128*1024))
+	n := s.MustAddTransputer("m", cfg.WithMemory(32*1024))
 	host, _ := s.AttachHost(n, 0, nil)
 	if err := n.Load(comp.Image); err != nil {
 		t.Fatal(err)
@@ -154,7 +167,131 @@ func runRandom(t *testing.T, src string) []int64 {
 	if err := n.M.Fault(); err != nil {
 		t.Fatalf("fault: %v\n%s", err, src)
 	}
-	return host.Values
+	return host.Values, n.M.ErrorFlag()
+}
+
+// operandCase is one x op c, or c op x when constLeft, with a constant
+// c: the forms the compiler turns into adc c, eqc c or a gt without rev.
+type operandCase struct {
+	op        string
+	x, c      int64
+	constLeft bool
+}
+
+func (oc operandCase) expr() string {
+	lit := func(v int64) string {
+		if v < 0 {
+			return fmt.Sprintf("(%d)", v)
+		}
+		return fmt.Sprintf("%d", v)
+	}
+	if oc.constLeft {
+		return fmt.Sprintf("%s %s x", lit(oc.c), oc.op)
+	}
+	return fmt.Sprintf("x %s %s", oc.op, lit(oc.c))
+}
+
+// want is what the case gives on a machine of bits-bit words compiled
+// the plain way, c loaded by ldc and the operation the two-operand
+// instruction: ldc keeps c's low bits, add and sub set the Error flag
+// when the true result does not fit a word, and the comparisons never
+// do.
+func (oc operandCase) want(bits uint) (v int64, overflow bool) {
+	word := func(v int64) int64 { return v << (64 - bits) >> (64 - bits) }
+	l, r := oc.x, word(oc.c)
+	if oc.constLeft {
+		l, r = r, l
+	}
+	switch oc.op {
+	case "+":
+		v = l + r
+	case "-":
+		v = l - r
+	case "=":
+		return boolWord64(l == r), false
+	case "<>":
+		return boolWord64(l != r), false
+	case "<":
+		return boolWord64(l < r), false
+	case ">=":
+		return boolWord64(l >= r), false
+	}
+	return word(v), word(v) != v
+}
+
+// operandSource is a program that reports each case in turn.
+func operandSource(cases []operandCase) string {
+	var sb strings.Builder
+	sb.WriteString("CHAN screen:\nPLACE screen AT LINK0OUT:\nVAR x:\nSEQ\n")
+	for _, oc := range cases {
+		fmt.Fprintf(&sb, "  x := %d\n  screen ! 2; %s\n", oc.x, oc.expr())
+	}
+	return sb.String()
+}
+
+// operandCases is every case at a word length: each operator the
+// compiler gives a constant form, with the constant on either side, over
+// the word's edges on both sides of it, and on the T222 constants wider
+// than its word.
+func operandCases(wordBytes int) []operandCase {
+	bits := uint(8 * wordBytes)
+	maxInt := int64(1)<<(bits-1) - 1
+	edges := []int64{0, 1, -1, 15, 16, maxInt, -maxInt - 1}
+	consts := edges
+	if wordBytes == 2 {
+		consts = append(consts[:len(consts):len(consts)], 32768, 65535, 65536+16, 70000, -70000, 1<<31-1, -1<<31)
+	}
+	var cases []operandCase
+	for _, op := range []string{"+", "-", "=", "<>", "<", ">="} {
+		for _, constLeft := range []bool{false, true} {
+			for _, c := range consts {
+				for _, x := range edges {
+					cases = append(cases, operandCase{op: op, x: x, c: c, constLeft: constLeft})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// TestConstantOperands holds the constant forms to what the plain forms
+// computed, at both word lengths: x + c is adc c and x - c is adc -c,
+// except where -c does not fit a word; x = c is eqc c and x <> c is
+// eqc c then eqc 0; x < c and x >= c push c first and need no rev.  The
+// value of each case must be the plain form's, and the Error flag set
+// exactly when the plain form's add or sub overflows.  The cases that
+// set it run one a program, the rest together.
+func TestConstantOperands(t *testing.T) {
+	for _, wb := range []int{4, 2} {
+		bits := uint(8 * wb)
+		var quiet []operandCase
+		var wantQuiet []int64
+		for _, oc := range operandCases(wb) {
+			v, overflow := oc.want(bits)
+			if !overflow {
+				quiet, wantQuiet = append(quiet, oc), append(wantQuiet, v)
+				continue
+			}
+			got, errFlag := runWords(t, operandSource([]operandCase{oc}), wb)
+			if len(got) != 1 || got[0] != v || !errFlag {
+				t.Errorf("%d-byte words, x = %d: %s gives %v, Error flag %v; want [%d], Error flag set",
+					wb, oc.x, oc.expr(), got, errFlag, v)
+			}
+		}
+		src := operandSource(quiet)
+		got, errFlag := runWords(t, src, wb)
+		if errFlag {
+			t.Errorf("%d-byte words: a case that does not overflow sets the Error flag\n%s", wb, src)
+		}
+		if len(got) != len(quiet) {
+			t.Fatalf("%d-byte words: %d values reported, want %d\n%s", wb, len(got), len(quiet), src)
+		}
+		for i, oc := range quiet {
+			if got[i] != wantQuiet[i] {
+				t.Errorf("%d-byte words, x = %d: %s gives %d, want %d", wb, oc.x, oc.expr(), got[i], wantQuiet[i])
+			}
+		}
+	}
 }
 
 // TestRandomSeqParEquivalence: a set of independent assignments

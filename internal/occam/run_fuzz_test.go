@@ -258,6 +258,18 @@ func FuzzOccamDifferential(f *testing.F) {
 	for _, src := range replicatedSeeds {
 		f.Add(src)
 	}
+	// TestConstantOperands's cases, an operator a source.
+	for _, wb := range []int{4, 2} {
+		cases := operandCases(wb)
+		for len(cases) > 0 {
+			n := 1
+			for n < len(cases) && cases[n].op == cases[0].op {
+				n++
+			}
+			f.Add(operandSource(cases[:n]))
+			cases = cases[n:]
+		}
+	}
 	// Asks the host for a word twice and reads neither answer.
 	f.Add("CHAN out, in:\nPLACE out AT LINK0OUT:\nPLACE in AT LINK0IN:\nSEQ\n  out ! 5\n  out ! 5\n")
 	f.Fuzz(func(t *testing.T, src string) {

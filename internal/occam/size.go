@@ -1,5 +1,10 @@
 package occam
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Workspace sizing.  The occam compiler performs all storage
 // allocation: "the processor does not need to support the dynamic
 // allocation of storage as the occam compiler is able to perform the
@@ -20,20 +25,53 @@ type sizer struct {
 	c *checker
 }
 
-// sizeProgram sizes the root frame and every PROC frame.
+// sizeProgram sizes the root frame and every PROC frame, then lays
+// every frame out.
 func (c *checker) sizeProgram(prog process, root *frame) {
 	s := &sizer{c: c}
-	// PROCs were recorded in declaration order, so callees precede
-	// callers; size them first.
-	for _, info := range c.procs {
-		s.sizeProc(info)
-	}
 	s.sizeFrame(root, prog)
+	c.layout()
+}
+
+// layout gives each frame's locals, replicator blocks and spill
+// temporaries their offsets after slots 0 and 1: scalars before
+// arrays, the most used first among each, ties in declaration order.
+// A frame's hottest operands then sit in the sixteen words a one-byte
+// ldl, stl or ldlp reaches (paper, 3.2.3).  The temporaries are one
+// block, placed as a scalar used tempUses times.
+func (c *checker) layout() {
+	slices.SortStableFunc(c.locals, func(a, b *symbol) int {
+		switch {
+		case a.frame != b.frame:
+			return a.frame.id - b.frame.id
+		case a.array != b.array:
+			if a.array {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(b.uses, a.uses)
+	})
+	var f *frame
+	off, tempsPlaced := 0, false
+	for _, sym := range c.locals {
+		if sym.frame != f {
+			f = sym.frame
+			off, tempsPlaced = frameReserved, f.maxTemp == 0
+		}
+		if !tempsPlaced && (sym.array || sym.uses < f.tempUses) {
+			f.tempBase = off
+			off += f.maxTemp
+			tempsPlaced = true
+		}
+		sym.offset = off
+		off += sym.words()
+	}
 }
 
 func (s *sizer) sizeProc(info *procInfo) {
-	if info.frame.sized {
-		return
+	if info.frame.above > 0 {
+		return // sized already
 	}
 	s.sizeFrame(info.frame, info.decl.body)
 }
@@ -42,12 +80,20 @@ func (s *sizer) sizeProc(info *procInfo) {
 // process.
 func (s *sizer) sizeFrame(f *frame, body process) {
 	temps, depth := s.process(body, f)
-	if temps > f.maxTemp {
-		f.maxTemp = temps
-	}
+	f.maxTemp = temps
+	f.tempBase = f.nLocal // until layout moves them down
 	f.above = f.nLocal + f.maxTemp + f.extraParams
 	f.below = schedulerSlots + depth
-	f.sized = true
+}
+
+// spill counts a statement's use of its frame's spill temporaries, if
+// it needs any, at the checker's weight, which the sizer keeps as the
+// checker did, and returns how many it needs.
+func (s *sizer) spill(f *frame, temps int) int {
+	if temps > 0 {
+		f.tempUses = addUses(f.tempUses, s.c.weight)
+	}
+	return temps
 }
 
 // process returns (spill temporaries, words needed below the frame
@@ -57,50 +103,51 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 	case *skipProc, *stopProc:
 		return 0, 0
 	case *declProc:
+		// A PROC is sized where it is declared, which is before any
+		// call of it, and at the weight its body was checked at.
+		for _, d := range v.decls {
+			if pd, ok := d.(*procDecl); ok {
+				s.sizeProc(pd.sym.proc)
+			}
+		}
 		return s.process(v.body, f)
 	case *assignProc:
-		t := exprTemps(v.value)
+		t := s.temps(v.value)
 		if v.index != nil {
 			// Value occupies one stack slot while the index and base
 			// are computed.
-			t = max(t, 1+exprTemps(v.index))
+			t = max(t, 1+s.temps(v.index))
 		}
-		return t, 0
+		return s.spill(f, t), 0
 	case *outputProc:
-		t := exprTempsChan(v.chIdx)
+		t := s.temps(v.chIdx)
 		for _, e := range v.values {
-			t = max(t, exprTemps(e))
+			t = max(t, s.temps(e))
 		}
-		return t, 0
+		return s.spill(f, t), 0
 	case *inputProc:
-		t := exprTempsChan(v.chIdx)
-		for _, tgt := range v.targets {
-			if tgt.index != nil {
-				t = max(t, exprTemps(tgt.index))
-			}
-		}
-		return t, 0
+		return s.spill(f, s.inputTemps(v)), 0
 	case *timeInputProc:
-		if v.after != nil {
-			return exprTemps(v.after), 0
-		}
-		if v.index != nil {
-			return exprTemps(v.index), 0
-		}
-		return 0, 0
+		return s.spill(f, max(s.temps(v.after), s.temps(v.index))), 0
 	case *seqProc:
-		t, d := 0, 0
+		t, d, w := 0, 0, s.c.weight
 		if v.rep != nil {
-			t = max(exprTemps(v.rep.base), exprTemps(v.rep.count))
+			t = s.spill(f, max(s.temps(v.rep.base), s.temps(v.rep.count)))
+			s.c.weight = inLoop(w)
 		}
 		for _, sub := range v.procs {
 			st, sd := s.process(sub, f)
 			t, d = max(t, st), max(d, sd)
 		}
+		s.c.weight = w
 		return t, d
 	case *whileProc:
+		w := s.c.weight
+		s.c.weight = inLoop(w)
 		t, d := s.process(v.body, f)
-		return max(t, exprTemps(v.cond)), d
+		t = max(t, s.spill(f, s.temps(v.cond)))
+		s.c.weight = w
+		return t, d
 	case *ifProc:
 		if v.config {
 			return s.process(v.branches[v.chosen].body, f)
@@ -108,7 +155,7 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		t, d := 0, 0
 		for _, br := range v.branches {
 			bt, bd := s.process(br.body, f)
-			t = max(t, bt, exprTemps(br.cond))
+			t = max(t, bt, s.spill(f, s.temps(br.cond)))
 			d = max(d, bd)
 		}
 		return t, d
@@ -117,32 +164,33 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		// selection offset and guard boolean occupy the stack (see
 		// planOperand in gen.go): reserve two slots per alternative
 		// plus whatever the operand expressions themselves spill.  A
-		// replicated ALT additionally parks the loop-invariant base.
+		// replicated ALT additionally parks the loop-invariant base,
+		// in its enable and disable loops.
 		t, d := 0, 0
 		if v.rep != nil {
-			t = 1 + max(exprTemps(v.rep.base), exprTemps(v.rep.count))
-			bt, bd := s.process(v.branches[0].body, f)
+			w := s.c.weight
+			s.c.weight = inLoop(w)
+			t = 1 + max(s.temps(v.rep.base), s.temps(v.rep.count))
 			in := v.branches[0].input.(*inputProc)
-			it, _ := s.process(in, f)
-			t = max(t, 3+it)
-			if v.branches[0].cond != nil {
-				t = max(t, 3+exprTemps(v.branches[0].cond))
-			}
+			t = max(t, 3+s.inputTemps(in), 3+s.temps(v.branches[0].cond))
+			s.spill(f, t)
+			s.c.weight = w
+			bt, bd := s.process(v.branches[0].body, f)
 			return max(t, bt), max(d, bd)
 		}
 		for _, br := range v.branches {
+			at := 0
 			if br.cond != nil {
-				t = max(t, 2+exprTemps(br.cond))
+				at = 2 + s.temps(br.cond)
 			}
-			if in, ok := br.input.(*inputProc); ok {
-				it, _ := s.process(in, f)
-				t = max(t, 2+it)
-			}
-			if ti, ok := br.input.(*timeInputProc); ok && ti.after != nil {
-				t = max(t, 2+exprTemps(ti.after))
+			switch in := br.input.(type) {
+			case *inputProc:
+				at = max(at, 2+s.inputTemps(in))
+			case *timeInputProc:
+				at = max(at, 2+s.temps(in.after))
 			}
 			bt, bd := s.process(br.body, f)
-			t, d = max(t, bt), max(d, bd)
+			t, d = max(t, s.spill(f, at), bt), max(d, bd)
 		}
 		return t, d
 	case *parProc:
@@ -152,13 +200,10 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		s.sizeProc(info)
 		// Argument spills: register arguments evaluated into
 		// temporaries first (see gen.go).
-		nReg := len(v.args)
-		if nReg > 3 {
-			nReg = 3
-		}
+		nReg := min(len(v.args), 3)
 		t := 0
 		for i, a := range v.args {
-			at := exprTemps(a)
+			at := s.temps(a)
 			if i < nReg {
 				at += i // earlier register args already parked
 			}
@@ -166,93 +211,103 @@ func (s *sizer) process(p process, f *frame) (temps, depth int) {
 		}
 		t = max(t, nReg)
 		// Call frame of 4 words plus the callee's workspace.
-		return t, 4 + info.frame.above + info.frame.below
+		return s.spill(f, t), 4 + info.frame.above + info.frame.below
 	}
 	return 0, 0
 }
 
 // par sizes a PAR: components are stacked downward from the frame
-// base; each consumes above+below words.
+// base, each consuming above+below words, the one whose code uses the
+// enclosing frames' words most nearest the base, ties in textual
+// order, so that those uses reach them in the fewest bytes.
 func (s *sizer) par(v *parProc, f *frame) (temps, depth int) {
 	info := v.info
-	t := 0
 	if v.rep != nil {
 		comp := info.frames[0]
-		ct, cd := s.process(v.procs[0], comp)
-		if ct > comp.maxTemp {
-			comp.maxTemp = ct
-		}
-		comp.above = comp.nLocal + comp.maxTemp
-		comp.below = schedulerSlots + cd
-		comp.sized = true
+		s.sizeFrame(comp, v.procs[0])
 		size := comp.above + comp.below
 		info.stride = size
 		info.deltas = []int{-comp.above}
-		t = max(exprTemps(v.rep.base), 0)
-		return t, size * info.count
+		return s.spill(f, s.temps(v.rep.base)), size * info.count
 	}
-	cursor := 0
 	for i, sub := range v.procs {
-		comp := info.frames[i]
-		ct, cd := s.process(sub, comp)
-		if ct > comp.maxTemp {
-			comp.maxTemp = ct
+		s.sizeFrame(info.frames[i], sub)
+	}
+	// A component's delta stays 0 until it is placed: a placed one is at
+	// least its two reserved words below the base.
+	info.deltas = make([]int, len(v.procs))
+	cursor := 0
+	for range v.procs {
+		next := -1
+		for i, comp := range info.frames {
+			if info.deltas[i] == 0 && (next < 0 || comp.outUses > info.frames[next].outUses) {
+				next = i
+			}
 		}
-		comp.above = comp.nLocal + comp.maxTemp
-		comp.below = schedulerSlots + cd
-		comp.sized = true
+		comp := info.frames[next]
 		cursor -= comp.above
-		info.deltas = append(info.deltas, cursor)
+		info.deltas[next] = cursor
 		cursor -= comp.below
 	}
-	return t, -cursor
+	return 0, -cursor
 }
 
-// exprTemps returns the spill temporaries needed to evaluate e on the
-// three-register stack: "if there is insufficient room to evaluate an
-// expression on the stack, then the compiler introduces the necessary
-// temporary variables in the local workspace" (paper, 3.2.9).
-func exprTemps(e expr) int {
-	_, t := exprShape(e)
+// inputTemps is what an input's channel and target subscripts spill.
+func (s *sizer) inputTemps(in *inputProc) int {
+	t := s.temps(in.chIdx)
+	for _, tgt := range in.targets {
+		t = max(t, s.temps(tgt.index))
+	}
 	return t
 }
 
-func exprTempsChan(chIdx expr) int {
-	if chIdx == nil {
+// temps returns the spill temporaries needed to evaluate e, or none
+// when there is no e: "if there is insufficient room to evaluate an
+// expression on the stack, then the compiler introduces the necessary
+// temporary variables in the local workspace" (paper, 3.2.9).
+func (s *sizer) temps(e expr) int {
+	if e == nil {
 		return 0
 	}
-	return exprTemps(chIdx)
+	_, t := exprShape(e, s.c.wordBytes)
+	return t
 }
 
-// exprShape returns (stack need, temps) for an expression.
-func exprShape(e expr) (need, temps int) {
-	switch v := e.(type) {
-	case *numberExpr, *nameExpr:
+// exprShape returns (stack need, temps) for an expression, compiled as
+// evalExpr compiles it for a machine of wordBytes bytes a word.
+func exprShape(e expr, wordBytes int) (need, temps int) {
+	if _, ok := foldConst(e); ok {
 		return 1, 0
+	}
+	switch v := e.(type) {
 	case *indexExpr:
-		in, it := exprShape(v.index)
+		in, it := exprShape(v.index, wordBytes)
 		// index, then base pointer, then load.
 		return max(in, 2), it
 	case *unaryExpr:
-		an, at := exprShape(v.arg)
+		an, at := exprShape(v.arg, wordBytes)
 		if v.op == "-" {
 			// ldc 0 ; arg ; sub
 			return max(2, an+1), at
 		}
 		return max(an, 1), at
 	case *binaryExpr:
-		ln, lt := exprShape(v.left)
-		rn, rt := exprShape(v.right)
-		need = max(ln, rn+1)
-		if need <= 3 {
-			return need, max(lt, rt)
+		first, second, _ := operands(v, wordBytes)
+		fn, ft := exprShape(first, wordBytes)
+		if second == nil {
+			// The constant rides in the instruction.
+			return fn, ft
 		}
-		// Spill: evaluate the right operand into a temporary first,
-		// then the left, then reload.  The node still requires the
-		// right operand's full stack depth (evaluated from empty), so
+		sn, st := exprShape(second, wordBytes)
+		need = max(fn, sn+1)
+		if need <= 3 {
+			return need, max(ft, st)
+		}
+		// Spill: evaluate the second operand into a temporary first,
+		// then the first, then reload.  The node still requires the
+		// second operand's full stack depth (evaluated from empty), so
 		// an enclosing expression may need to spill in turn.
-		temps = max(rt, 1+lt)
-		return max(rn, ln, 2), temps
+		return max(sn, fn, 2), max(st, 1+ft)
 	}
 	return 1, 0
 }

@@ -10,8 +10,15 @@ import (
 // evaluation-stack registers, and temporaries stay bounded by the
 // expression depth.
 
+// variable is a leaf that does not fold: a constant, or an operation
+// on constants, is loaded with one ldc whatever its shape.
+func variable() expr { return &nameExpr{sym: &symbol{kind: symVar}} }
+
 func randomExpr(rng *rand.Rand, depth int) expr {
 	if depth == 0 || rng.Intn(4) == 0 {
+		if rng.Intn(2) == 0 {
+			return variable()
+		}
 		return &numberExpr{val: int64(rng.Intn(100))}
 	}
 	return &binaryExpr{
@@ -36,7 +43,7 @@ func TestExprShapeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1985))
 	for i := 0; i < 2000; i++ {
 		e := randomExpr(rng, 1+rng.Intn(6))
-		need, temps := exprShape(e)
+		need, temps := exprShape(e, 4)
 		if need < 1 || need > 3 {
 			t.Fatalf("need = %d for depth-%d expression", need, depthOf(e))
 		}
@@ -49,32 +56,32 @@ func TestExprShapeProperties(t *testing.T) {
 // TestExprShapeKnownCases pins the table the generator's spill decision
 // relies on.
 func TestExprShapeKnownCases(t *testing.T) {
-	leaf := func() expr { return &numberExpr{val: 1} }
+	leaf := variable
 	bin := func(l, r expr) expr { return &binaryExpr{op: "+", left: l, right: r} }
 
-	if n, tp := exprShape(leaf()); n != 1 || tp != 0 {
+	if n, tp := exprShape(leaf(), 4); n != 1 || tp != 0 {
 		t.Errorf("leaf = (%d,%d)", n, tp)
 	}
 	// Left-deep chains stay within two slots.
 	ld := bin(bin(bin(leaf(), leaf()), leaf()), leaf())
-	if n, tp := exprShape(ld); n != 2 || tp != 0 {
+	if n, tp := exprShape(ld, 4); n != 2 || tp != 0 {
 		t.Errorf("left-deep = (%d,%d), want (2,0)", n, tp)
 	}
 	// Right-deep depth 2 fits without spilling.
 	rd2 := bin(leaf(), bin(leaf(), leaf()))
-	if n, tp := exprShape(rd2); n != 3 || tp != 0 {
+	if n, tp := exprShape(rd2, 4); n != 3 || tp != 0 {
 		t.Errorf("right-deep 2 = (%d,%d), want (3,0)", n, tp)
 	}
 	// Right-deep depth 3 forces one spill under left-first evaluation:
 	// the left operand occupies a register while the depth-2 right
 	// side needs all three.
 	rd3 := bin(leaf(), rd2)
-	if n, tp := exprShape(rd3); n > 3 || tp != 1 {
+	if n, tp := exprShape(rd3, 4); n > 3 || tp != 1 {
 		t.Errorf("right-deep 3 = (%d,%d), want need<=3 temps 1", n, tp)
 	}
 	// Balanced depth 4 trees spill at most twice.
 	full := bin(bin(rd2, rd3), bin(rd3, rd2))
-	if n, tp := exprShape(full); n > 3 || tp > 3 {
+	if n, tp := exprShape(full, 4); n > 3 || tp > 3 {
 		t.Errorf("balanced = (%d,%d)", n, tp)
 	}
 }

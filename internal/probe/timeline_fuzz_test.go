@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -26,10 +27,22 @@ var fuzzValues = []uint64{
 // neg is a negative value as its two's-complement bits.
 func neg(v int64) uint64 { return uint64(v) }
 
-// fuzzCrowds maps an input's first byte to the number of node names it
-// publishes first: 128 and 16 384 are where a node index grows from one
-// byte to two and from two to three.
-var fuzzCrowds = map[byte]int{0xFF: math.MaxUint16 + 2, 0xFE: 1 << 14, 0xFD: 1 << 7}
+// An input whose first byte is fuzzCrowdByte publishes fuzzCrowd node
+// names first: past 127 names a node index takes two bytes.
+// TestTimelineCrowds publishes the larger crowds.
+const (
+	fuzzCrowdByte = 0xFD
+	fuzzCrowd     = 1 << 7
+)
+
+// crowd is n Timeslice events, each on a node of its own.
+func crowd(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Kind: Timeslice, Node: "x" + strconv.Itoa(i), Time: sim.Time(i)}
+	}
+	return evs
+}
 
 // fuzzNames are the node names a fuzz input names by index: repeats,
 // the empty name, and names that need escaping.
@@ -39,15 +52,13 @@ var fuzzNames = append([]string{"n", "n0", "n1", "n", ""}, hostileNames...)
 // the last kind included), a node byte, a flags byte (Ack, Out) and one
 // byte for each numeric field: an index into fuzzValues or, past its
 // end, the mark of a raw little-endian value in the next 8 bytes.  An
-// input whose first byte is one of fuzzCrowds' keys first publishes
-// that many distinct nodes, so that the nodes after them take a node
-// index of two or three bytes.
+// input whose first byte is fuzzCrowdByte first publishes a crowd of
+// fuzzCrowd nodes, so that the nodes after them take a node index of
+// two bytes.
 func fuzzEvents(data []byte) []Event {
 	var evs []Event
-	if len(data) > 0 && fuzzCrowds[data[0]] > 0 {
-		for i := 0; i < fuzzCrowds[data[0]]; i++ {
-			evs = append(evs, Event{Kind: Timeslice, Node: "x" + strconv.Itoa(i), Time: sim.Time(i)})
-		}
+	if len(data) > 0 && data[0] == fuzzCrowdByte {
+		evs = crowd(fuzzCrowd)
 		data = data[1:]
 	}
 	value := func() uint64 {
@@ -83,8 +94,10 @@ func fuzzEvents(data []byte) []Event {
 	return evs
 }
 
-// fuzzInput encodes events in the form fuzzEvents decodes, every value
-// raw; a node must be one of fuzzNames.
+// fuzzInput encodes events in the form fuzzEvents decodes, a value as
+// its index in fuzzValues if it is there and raw if not; a node must be
+// one of fuzzNames.  Inputs stay small, which is what lets the fuzzer
+// minimise what it finds from them within a short run.
 func fuzzInput(evs ...Event) []byte {
 	var b []byte
 	for _, e := range evs {
@@ -105,7 +118,11 @@ func fuzzInput(evs ...Event) []byte {
 		b = append(b, byte(e.Kind), byte(node), flags)
 		for _, v := range []uint64{uint64(e.Time), e.Cycles, e.Proc, uint64(e.Pri), e.Addr, uint64(e.Link),
 			uint64(e.Bytes), uint64(e.Dur), uint64(e.Depth), uint64(e.Arg), e.Flow, e.IP} {
-			b = binary.LittleEndian.AppendUint64(append(b, 0xFE), v)
+			if i := slices.Index(fuzzValues, v); i >= 0 {
+				b = append(b, byte(i))
+			} else {
+				b = binary.LittleEndian.AppendUint64(append(b, 0xFE), v)
+			}
 		}
 	}
 	return b
@@ -121,42 +138,10 @@ func fuzzInput(evs ...Event) []byte {
 // accumulation keeps, and streams what the references write and print
 // (checkFlowTable).
 func FuzzTimelineRoundTrip(f *testing.F) {
-	var kinds []Event
-	for k := Kind(0); k < numKinds; k++ {
-		e := kindTable[k].ev
-		e.Kind, e.Node, e.Time = k, "n", sim.Time(k+1)*sim.Microsecond
-		kinds = append(kinds, e)
-	}
+	kinds, extreme := seedEvents()
 	f.Add(fuzzInput(kinds...))
-	// Negative values, 64-bit extremes, and one field past 32 bits or
-	// past its int8, int16 or int32 range, a different one from event to
-	// event.
-	var extreme []Event
-	for i, e := range kinds {
-		e.Node = fuzzNames[i%len(fuzzNames)]
-		e.Link, e.Pri, e.Bytes, e.Depth = -1, -7, -5, -3
-		e.Cycles, e.Flow, e.Dur, e.Arg = math.MaxUint64, math.MaxUint64, math.MaxInt64, math.MaxInt64
-		switch i % 7 {
-		case 0:
-			e.Proc = 1 << 32
-		case 1:
-			e.Addr = math.MaxUint64
-		case 2:
-			e.IP = 1<<32 + uint64(i)
-		case 3:
-			e.Bytes = -1 << 40
-		case 4:
-			e.Depth = 1 << 15
-		case 5:
-			e.Link = -129
-		case 6:
-			e.Pri = 128
-		}
-		extreme = append(extreme, e)
-	}
 	f.Add(fuzzInput(extreme...))
 	f.Add(fuzzInput(append(kinds[:4:4], extreme[4:8]...)...))
-	f.Add(append([]byte{0xFF}, fuzzInput(kinds[0], extreme[1])...))
 	f.Add([]byte{byte(ProcDispatch), 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, byte(ProcDispatch), 4, 2, 20, 19, 18})
 	// The deltas the records are encoded as.  Time stepping backwards,
 	// to both ends of its range and back.
@@ -178,10 +163,9 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 		flows = append(flows, Event{Kind: FlowArrive, Node: "n0", Time: sim.Time(i), Flow: []uint64{0, math.MaxUint64, 1}[i%3]})
 	}
 	f.Add(fuzzInput(flows...))
-	// 128 and 16 384 nodes before the input's own: the node index of what
-	// follows takes two bytes, then three.
-	f.Add(append([]byte{0xFD}, fuzzInput(kinds[0], extreme[1], kinds[2])...))
-	f.Add(append([]byte{0xFE}, fuzzInput(kinds[0], extreme[1], kinds[2])...))
+	// 128 nodes before the input's own: the node index of what follows
+	// takes two bytes.
+	f.Add(append([]byte{fuzzCrowdByte}, fuzzInput(kinds[0], extreme[1], kinds[2])...))
 	// A node revisited after others: its Cycles, Proc and IP are encoded
 	// against its own last values, not the previous event's.
 	f.Add(fuzzInput(
@@ -215,49 +199,110 @@ func FuzzTimelineRoundTrip(f *testing.F) {
 		Event{Kind: ChanRendezvous, Node: "n0", Time: 30, Addr: 0x98, Bytes: 4, Flow: 11},
 		Event{Kind: WirePacket, Node: "n0", Time: 40, Dur: 1100, Flow: 11},
 		Event{Kind: LinkXferStart, Node: "n0", Time: 50, Out: true, Flow: 11}))
+	// No events at all.
+	f.Add([]byte{})
+	// Every node name in turn, each taking its first record with the
+	// kind past the last one the timeline knows, then a known one.
+	var named []Event
+	for i, name := range fuzzNames {
+		named = append(named,
+			Event{Kind: numKinds, Node: name, Time: sim.Time(i), Arg: int64(i)},
+			Event{Kind: ChanRendezvous, Node: name, Time: sim.Time(i), Addr: 0x80000048, Bytes: 4, Flow: uint64(i)})
+	}
+	f.Add(fuzzInput(named...))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		evs := fuzzEvents(data)
-		b := NewBus()
-		var copies []Event
-		b.Subscribe(func(e Event) {
-			copies = append(copies, e)
-			e.Time, e.Node = -1, "changed" // the subscriber's copy, not the timeline's
-		})
-		tl := NewTimeline(b)
-		m := NewMetrics(b)
-		ft := NewFlowTable(b)
-		var end sim.Time
-		for _, e := range evs {
-			b.Publish(e)
-			end = max(end, e.Time)
-		}
-		got := tl.Events()
-		if tl.Len() != len(evs) || len(got) != len(evs) || len(copies) != len(evs) {
-			t.Fatalf("published %d events: Len %d, Events %d, a subscriber saw %d", len(evs), tl.Len(), len(got), len(copies))
-		}
-		for i := range evs {
-			if got[i] != evs[i] {
-				t.Fatalf("event %d:\nrecorded  %+v\npublished %+v", i, got[i], evs[i])
-			}
-			if copies[i] != evs[i] {
-				t.Fatalf("event %d:\nsubscriber saw %+v\npublished      %+v", i, copies[i], evs[i])
-			}
-		}
-		var out, ref bytes.Buffer
-		if err := tl.WriteChromeTrace(&out); err != nil {
-			t.Fatal(err)
-		}
-		if err := RefWriteChromeTrace(evs, &ref); err != nil {
-			t.Fatal(err)
-		}
-		sameBytes(t, "fuzzed timeline", out.Bytes(), ref.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) { checkRoundTrip(t, fuzzEvents(data)) })
+}
 
-		m.Finish(end)
-		m.Report(io.Discard)
-		ft.Finish(end)
-		checkFlowTable(t, ft, evs)
+// seedEvents is an event of every kind, and the same kinds with
+// negative values, 64-bit extremes, and one field past 32 bits or past
+// its int8, int16 or int32 range, a different one from event to event.
+func seedEvents() (kinds, extreme []Event) {
+	for k := Kind(0); k < numKinds; k++ {
+		e := kindTable[k].ev
+		e.Kind, e.Node, e.Time = k, "n", sim.Time(k+1)*sim.Microsecond
+		kinds = append(kinds, e)
+	}
+	for i, e := range kinds {
+		e.Node = fuzzNames[i%len(fuzzNames)]
+		e.Link, e.Pri, e.Bytes, e.Depth = -1, -7, -5, -3
+		e.Cycles, e.Flow, e.Dur, e.Arg = math.MaxUint64, math.MaxUint64, math.MaxInt64, math.MaxInt64
+		switch i % 7 {
+		case 0:
+			e.Proc = 1 << 32
+		case 1:
+			e.Addr = math.MaxUint64
+		case 2:
+			e.IP = 1<<32 + uint64(i)
+		case 3:
+			e.Bytes = -1 << 40
+		case 4:
+			e.Depth = 1 << 15
+		case 5:
+			e.Link = -129
+		case 6:
+			e.Pri = 128
+		}
+		extreme = append(extreme, e)
+	}
+	return kinds, extreme
+}
+
+// TestTimelineCrowds runs FuzzTimelineRoundTrip's check on events
+// after a crowd of 65 537 nodes, past 65 535 of which a flow's node
+// takes its escape, and of 16 384, past which a record's node index
+// takes three bytes.  The check costs about a second a crowd, which
+// fuzzing cannot pay on every input it derives from one: as fuzz seeds
+// whose first byte called up the crowd, they took most of a fuzzing
+// run's time.
+func TestTimelineCrowds(t *testing.T) {
+	kinds, extreme := seedEvents()
+	checkRoundTrip(t, append(crowd(math.MaxUint16+2), fuzzEvents(fuzzInput(kinds[0], extreme[1]))...))
+	checkRoundTrip(t, append(crowd(1<<14), fuzzEvents(fuzzInput(kinds[0], extreme[1], kinds[2]))...))
+}
+
+// checkRoundTrip is FuzzTimelineRoundTrip's check of the events of one
+// input.
+func checkRoundTrip(t *testing.T, evs []Event) {
+	b := NewBus()
+	copies := make([]Event, 0, len(evs))
+	b.Subscribe(func(e Event) {
+		copies = append(copies, e)
+		e.Time, e.Node = -1, "changed" // the subscriber's copy, not the timeline's
 	})
+	tl := NewTimeline(b)
+	m := NewMetrics(b)
+	ft := NewFlowTable(b)
+	var end sim.Time
+	for _, e := range evs {
+		b.Publish(e)
+		end = max(end, e.Time)
+	}
+	got := tl.Events()
+	if tl.Len() != len(evs) || len(got) != len(evs) || len(copies) != len(evs) {
+		t.Fatalf("published %d events: Len %d, Events %d, a subscriber saw %d", len(evs), tl.Len(), len(got), len(copies))
+	}
+	for i := range evs {
+		if got[i] != evs[i] {
+			t.Fatalf("event %d:\nrecorded  %+v\npublished %+v", i, got[i], evs[i])
+		}
+		if copies[i] != evs[i] {
+			t.Fatalf("event %d:\nsubscriber saw %+v\npublished      %+v", i, copies[i], evs[i])
+		}
+	}
+	var out, ref bytes.Buffer
+	if err := tl.WriteChromeTrace(&out); err != nil {
+		t.Fatal(err)
+	}
+	if err := RefWriteChromeTrace(evs, &ref); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(t, "fuzzed timeline", out.Bytes(), ref.Bytes())
+
+	m.Finish(end)
+	m.Report(io.Discard)
+	ft.Finish(end)
+	checkFlowTable(t, ft, evs)
 }
 
 // checkFlowTable compares the flows of a finished table with what the
