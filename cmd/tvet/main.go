@@ -14,7 +14,7 @@
 // and the compiler's export data for everything it imports — to check.
 //
 // Findings are suppressed per site with
-// "//tvet:ignore <analyzer> <reason>"; see DESIGN.md §15.
+// "//tvet:ignore <analyzer> <reason>"; see DESIGN.md §18.
 package main
 
 import (

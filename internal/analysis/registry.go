@@ -1,6 +1,6 @@
 // Package analysis assembles the tvet suite: analyzers over go/ast and
 // go/types that mechanize the simulator's determinism and protocol
-// invariants (see DESIGN.md §15).
+// invariants (see DESIGN.md §18).
 //
 // The suite runs as a vet tool:
 //

@@ -83,7 +83,7 @@ func runToEnd(img core.Image, cache bool) (e ended, ok bool) {
 }
 
 // FuzzAssemble runs what assembles (a cache-on-and-off differential
-// like those DESIGN.md §10 describes).  Any input is either refused
+// like those DESIGN.md §13 describes).  Any input is either refused
 // with an error — by the assembler or by the loader — or yields an
 // image that runs for fuzzCycles with the block cache on and again with
 // it off and ends in the same registers, flags, statistics and memory.

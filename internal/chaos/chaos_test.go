@@ -73,7 +73,7 @@ func TestGenerateRespectsConstraints(t *testing.T) {
 // TestCampaignSmoke runs a few seeds end to end on both topologies,
 // with the worker-count determinism cross-check on, and on ring8 the
 // two seeds whose heartbeat verdicts disagree across a link (DESIGN.md
-// §12): 30, where one end declares it down and the other does not, and
+// §17): 30, where one end declares it down and the other does not, and
 // 98, where both ends reboot.
 func TestCampaignSmoke(t *testing.T) {
 	for _, topo := range Topologies() {

@@ -50,7 +50,7 @@ type blockRec struct {
 	// times the bytes per word in two's complement: what ldl, stl, ldlp,
 	// ldnl, stnl, ldnlp and ajw add to a pointer.
 	disp   uint64
-	pre    uint16 // prefix cycles, plus the no-fetch-buffer penalty
+	pre    uint16 // prefix cycles
 	cycles uint16 // pre + the minimum base cost: exact but for cj and an opr not recFixedOp
 	bytes  uint8
 	fn     isa.Function
@@ -95,11 +95,10 @@ type code struct {
 	// excluding a terminating opr.
 	quiet []int32
 	// The rest of the content key, the address being recs[0].addr: the
-	// bytes decoded, the word size and the fetch-buffer ablation, which
-	// is everything decodeRec reads.
+	// bytes decoded and the word size, which is everything decodeRec
+	// reads.
 	src      string
 	wordBits uint8
-	noFetch  bool
 	next     *code // the store bucket's chain, set before publication
 }
 
@@ -259,12 +258,6 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		bc = m.bcache()
 	}
 	memLen := uint64(len(m.mem))
-	fetchPenalty := 0
-	if m.cfg.NoFetchBuffer {
-		// Ablation: without the fetch buffer each instruction byte costs
-		// an extra memory cycle (charged per instruction, like execOne).
-		fetchPenalty = 1
-	}
 	// Decode into a scratch array: the store keeps an exact-size copy,
 	// and only when it holds none of the same bytes already.
 	var recs [maxBlockRecs]blockRec
@@ -273,7 +266,7 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	addr := iptr
 	prevOff := startOff
 	for n < maxBlockRecs {
-		rec, ok := m.decodeRec(addr, memLen, fetchPenalty)
+		rec, ok := m.decodeRec(addr, memLen)
 		if !ok {
 			break
 		}
@@ -296,7 +289,7 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 		m.store = NewCodeStore()
 	}
 	b := &block{code: m.store.intern(recs[:n], m.mem[startOff:prevOff], startOff,
-		uint8(m.wordBits), m.cfg.NoFetchBuffer), valid: true}
+		uint8(m.wordBits)), valid: true}
 	bc.blocks[iptr] = b
 	last := (b.endOff - 1) >> blockPageShift
 	for p := b.startOff >> blockPageShift; p <= last; p++ {
@@ -313,10 +306,10 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 
 // newCode builds the code for the records recs decoded from src, which
 // lies at offset startOff.
-func newCode(recs []blockRec, src []byte, startOff uint64, wordBits uint8, noFetch bool) *code {
+func newCode(recs []blockRec, src []byte, startOff uint64, wordBits uint8) *code {
 	c := &code{startOff: startOff, endOff: startOff + uint64(len(src)),
 		recs: append([]blockRec(nil), recs...), quiet: make([]int32, len(recs)),
-		src: string(src), wordBits: wordBits, noFetch: noFetch}
+		src: string(src), wordBits: wordBits}
 	quiet := int32(0)
 	for i := len(c.recs) - 1; i >= 0; i-- {
 		r := &c.recs[i]
@@ -351,7 +344,7 @@ func storeRec(r *blockRec) bool {
 // at addr without side effects.  ok is false when the bytes run off the
 // memory backing (memLen) — execution must take the interpreted path,
 // which reads unbacked memory as zero and faults past MemBytes.
-func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bool) {
+func (m *Machine) decodeRec(addr, memLen uint64) (blockRec, bool) {
 	var oreg uint64
 	pre := 0
 	nbytes := 0
@@ -375,7 +368,6 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 			pre += isa.CyclesPerPrefix
 		default:
 			operand := (oreg | data) & m.mask
-			preTotal := pre + nbytes*fetchPenalty
 			minC := isa.FunctionCycles(fn)
 			kind, touch := recPure, touchNone // ldlp ldc ldnlp adc ajw eqc
 			switch fn {
@@ -402,8 +394,8 @@ func (m *Machine) decodeRec(addr, memLen uint64, fetchPenalty int) (blockRec, bo
 				addr:    addr,
 				operand: operand,
 				disp:    uint64(m.signed(operand) * int64(m.bpw)),
-				pre:     uint16(preTotal),
-				cycles:  uint16(preTotal + minC),
+				pre:     uint16(pre),
+				cycles:  uint16(pre + minC),
 				bytes:   uint8(nbytes),
 				fn:      fn,
 				kind:    kind,

@@ -44,14 +44,14 @@ func NewCodeStore() *CodeStore { return &CodeStore{} }
 // startOff: the store's own when it holds the same key, else new code,
 // published for the next machine unless the store is full.  The bytes
 // are compared in full; the hash only picks the chain.
-func (st *CodeStore) intern(recs []blockRec, src []byte, startOff uint64, wordBits uint8, noFetch bool) *code {
+func (st *CodeStore) intern(recs []blockRec, src []byte, startOff uint64, wordBits uint8) *code {
 	addr := recs[0].addr
-	bucket := &st.buckets[codeHash(addr, src, wordBits, noFetch)>>(64-storeBucketBits)]
+	bucket := &st.buckets[codeHash(addr, src, wordBits)>>(64-storeBucketBits)]
 	head := bucket.Load()
-	if c := head.find(nil, addr, src, wordBits, noFetch); c != nil {
+	if c := head.find(nil, addr, src, wordBits); c != nil {
 		return c
 	}
-	c := newCode(recs, src, startOff, wordBits, noFetch)
+	c := newCode(recs, src, startOff, wordBits)
 	if st.codes.Add(1) > maxCodes {
 		st.codes.Add(-1)
 		return c // private: never published
@@ -64,7 +64,7 @@ func (st *CodeStore) intern(recs []blockRec, src []byte, startOff uint64, wordBi
 		// Another shard published first: adopt its entry if it has our
 		// key, else try again on top of what it added.
 		newHead := bucket.Load()
-		if w := newHead.find(head, addr, src, wordBits, noFetch); w != nil {
+		if w := newHead.find(head, addr, src, wordBits); w != nil {
 			st.codes.Add(-1)
 			return w
 		}
@@ -74,9 +74,9 @@ func (st *CodeStore) intern(recs []blockRec, src []byte, startOff uint64, wordBi
 
 // find walks a bucket chain from c up to stop for the code with the
 // given key.
-func (c *code) find(stop *code, addr uint64, src []byte, wordBits uint8, noFetch bool) *code {
+func (c *code) find(stop *code, addr uint64, src []byte, wordBits uint8) *code {
 	for ; c != stop; c = c.next {
-		if c.recs[0].addr == addr && c.wordBits == wordBits && c.noFetch == noFetch &&
+		if c.recs[0].addr == addr && c.wordBits == wordBits &&
 			c.src == string(src) {
 			return c
 		}
@@ -85,14 +85,11 @@ func (c *code) find(stop *code, addr uint64, src []byte, wordBits uint8, noFetch
 }
 
 // codeHash is FNV-1a over a content key; its top bits pick the chain.
-func codeHash(addr uint64, src []byte, wordBits uint8, noFetch bool) uint64 {
+func codeHash(addr uint64, src []byte, wordBits uint8) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	h = (h ^ addr) * prime
 	h = (h ^ uint64(wordBits)) * prime
-	if noFetch {
-		h = (h ^ 1) * prime
-	}
 	for _, b := range src {
 		h = (h ^ uint64(b)) * prime
 	}

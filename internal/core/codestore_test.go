@@ -114,17 +114,14 @@ func TestSharedCodeIsInvisible(t *testing.T) {
 	}
 }
 
-// TestCodeNotSharedAcrossModels: a T424, a T222 and a T424 without the
-// fetch buffer loaded with the same bytes decode them differently, and
-// never share code.
+// TestCodeNotSharedAcrossModels: a T424 and a T222 loaded with the
+// same bytes decode them differently, and never share code.
 func TestCodeNotSharedAcrossModels(t *testing.T) {
 	img := assemble(t, loopSource)
-	noFetch := core.T424().WithMemory(64 * 1024)
-	noFetch.NoFetchBuffer = true
 	st := core.NewCodeStore()
 	var ms []*core.Machine
 	blocks := 0
-	for _, cfg := range []core.Config{core.T424().WithMemory(64 * 1024), core.T222().WithMemory(16 * 1024), noFetch} {
+	for _, cfg := range []core.Config{core.T424().WithMemory(64 * 1024), core.T222().WithMemory(16 * 1024)} {
 		m, err := core.NewShared(cfg, st)
 		if err != nil {
 			t.Fatal(err)

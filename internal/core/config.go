@@ -41,11 +41,6 @@ type Config struct {
 	TimesliceCycles int
 	// HaltOnError stops the machine when the error flag is set.
 	HaltOnError bool
-	// NoFetchBuffer models a processor without the two-word instruction
-	// fetch buffer: every instruction byte then costs an extra memory
-	// cycle.  Used by the ablation benchmarks; real transputers have
-	// the buffer (paper, 3.2.5).
-	NoFetchBuffer bool
 }
 
 // T424 returns the configuration of the IMS T424: 32 bits, 4 KiB

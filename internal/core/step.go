@@ -117,11 +117,6 @@ func (m *Machine) execOneSlow() int {
 					Instr: m.traceInstr(fn, operand, bytes), Cycles: m.stats.Cycles,
 				})
 			}
-			if m.cfg.NoFetchBuffer {
-				// Ablation: without the fetch buffer each instruction
-				// byte costs an extra memory access cycle.
-				cycles += bytes
-			}
 			cycles += m.execFunction(fn, operand)
 			return cycles
 		}

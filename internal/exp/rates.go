@@ -23,28 +23,11 @@ func E11MIPSRate() Result {
 		Title: "execution rate on typical sequences (paper 3.2.1)",
 		Notes: "the paper's own table mix: loads, stores, add constant, add",
 	}
-	// A straight-line block from the paper's tables, repeated: x := 0;
-	// x := y; x + 2 folded into an accumulating mix.
-	var sb strings.Builder
-	for i := 0; i < 64; i++ {
-		sb.WriteString("\tldc 0\n\tstl 1\n")                 // x := 0        (2 instr, 2 cycles)
-		sb.WriteString("\tldl 2\n\tstl 1\n")                 // x := y        (2 instr, 3 cycles)
-		sb.WriteString("\tldl 1\n\tadc 2\n\tstl 1\n")        // x := x + 2 (3 instr, 4 cycles)
-		sb.WriteString("\tldl 1\n\tldl 2\n\tadd\n\tstl 1\n") // x := x + y (4 instr, 6 cycles)
-	}
-	sb.WriteString("\tstopp\n")
-	a, err := asm.Assemble(sb.String(), 4)
+	st, err := tableMix()
 	if err != nil {
 		r.Rows = append(r.Rows, Row{Label: "mix", Measured: "error: " + err.Error()})
 		return r
 	}
-	m := core.MustNew(core.T424().WithMemory(64 * 1024))
-	if err := m.Load(a.Image); err != nil {
-		r.Rows = append(r.Rows, Row{Label: "mix", Measured: "error: " + err.Error()})
-		return r
-	}
-	core.Run(m, 10*sim.Millisecond)
-	st := m.Stats()
 	mips := st.MIPS(50)
 	r.Rows = append(r.Rows, Row{
 		Label:    "assignment/expression mix at 20 MHz",
@@ -53,6 +36,37 @@ func E11MIPSRate() Result {
 		OK:       mips > 13 && mips < 17,
 	})
 	return r
+}
+
+// tableMix runs a straight-line block from the paper's tables on a
+// T424 and returns its statistics: the cost of typical sequences under
+// the 3.2 cost table, which E11 reports and E9 scales to a board.
+func tableMix() (core.Stats, error) {
+	// x := 0; x := y; x + 2 folded into an accumulating mix.
+	var sb strings.Builder
+	for i := 0; i < 64; i++ {
+		sb.WriteString("\tldc 0\n\tstl 1\n")                 // x := 0        (2 instr, 2 cycles)
+		sb.WriteString("\tldl 2\n\tstl 1\n")                 // x := y        (2 instr, 3 cycles)
+		sb.WriteString("\tldl 1\n\tadc 2\n\tstl 1\n")        // x := x + 2 (3 instr, 4 cycles)
+		sb.WriteString("\tldl 1\n\tldl 2\n\tadd\n\tstl 1\n") // x := x + y (4 instr, 6 cycles)
+	}
+	sb.WriteString("\tstopp\n")
+	return runT424(sb.String())
+}
+
+// runT424 assembles src for a T424 with 64 KiB, runs it for up to 10 ms
+// of simulated time and returns its statistics.
+func runT424(src string) (core.Stats, error) {
+	a, err := asm.Assemble(src, 4)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	if err := m.Load(a.Image); err != nil {
+		return core.Stats{}, err
+	}
+	core.Run(m, 10*sim.Millisecond)
+	return m.Stats(), nil
 }
 
 // E12SingleByteFraction measures the fraction of executed operations
@@ -139,19 +153,14 @@ SEQ
 	// little lower.
 	r.Notes = "compiled occam reaches 78-84% (see EXPERIMENTS.md)"
 	mix := "\tldc 0\n\tstl 1\n\tldl 2\n\tstl 1\n\tldl 1\n\tadc 2\n\tstl 1\n"
-	a, err := asm.Assemble(strings.Repeat(mix, 32)+"\tstopp\n", 4)
-	if err == nil {
-		m := core.MustNew(core.T424().WithMemory(64 * 1024))
-		if m.Load(a.Image) == nil {
-			core.Run(m, 10*sim.Millisecond)
-			frac := m.Stats().SingleByteFraction()
-			r.Rows = append(r.Rows, Row{
-				Label:    "the paper's table mix (loads, stores, add constant)",
-				Paper:    "typically 80%",
-				Measured: fmt.Sprintf("%.1f%% single byte", 100*frac),
-				OK:       frac > 0.80,
-			})
-		}
+	if st, err := runT424(strings.Repeat(mix, 32) + "\tstopp\n"); err == nil {
+		frac := st.SingleByteFraction()
+		r.Rows = append(r.Rows, Row{
+			Label:    "the paper's table mix (loads, stores, add constant)",
+			Paper:    "typically 80%",
+			Measured: fmt.Sprintf("%.1f%% single byte", 100*frac),
+			OK:       frac > 0.80,
+		})
 	}
 	return r
 }
@@ -246,38 +255,22 @@ SEQ
 	return r
 }
 
-// A3FetchBuffer runs the same program with and without the two-word
-// instruction fetch buffer the paper describes (3.2.5): without it,
-// every instruction byte costs an extra memory cycle.
+// A3FetchBuffer prices the two-word instruction fetch buffer the paper
+// describes (3.2.5): without it, every instruction byte costs an extra
+// memory cycle, so the same run costs its cycles plus the bytes it
+// executed.
 func A3FetchBuffer() Result {
 	r := Result{
 		ID:    "A3",
 		Title: "ablation: two-word instruction fetch buffer (paper 3.2.5)",
 	}
 	src := strings.Repeat("\tldl 1\n\tadc 1\n\tstl 1\n", 200) + "\tstopp\n"
-	run := func(noBuffer bool) (uint64, error) {
-		cfg := core.T424().WithMemory(64 * 1024)
-		cfg.NoFetchBuffer = noBuffer
-		m, err := core.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		a, err := asm.Assemble(src, 4)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.Load(a.Image); err != nil {
-			return 0, err
-		}
-		core.Run(m, 10*sim.Millisecond)
-		return m.Stats().Cycles, nil
-	}
-	with, err1 := run(false)
-	without, err2 := run(true)
-	if err1 != nil || err2 != nil {
+	st, err := runT424(src)
+	if err != nil {
 		r.Rows = append(r.Rows, Row{Label: "run", Measured: "error"})
 		return r
 	}
+	with, without := st.Cycles, st.Cycles+st.InstructionBytes
 	r.Rows = append(r.Rows, Row{
 		Label:    "with fetch buffer (the real design)",
 		Paper:    "fetch uses spare memory cycles",

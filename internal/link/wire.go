@@ -288,7 +288,7 @@ func (w *wire) send(p packet) {
 		// its completion need to be an event: the frame just queued
 		// starts when it fires.  That the event is scheduled late, and
 		// so sequenced after local events it would have preceded, cannot
-		// show (DESIGN.md §13, "lazy completion").
+		// show (DESIGN.md §15, "lazy completion").
 		w.busy = true
 		w.cur, w.curDropped = packet{kind: pktAck}, true
 		w.k.Schedule(w.creditUntil, w.txDone)

@@ -21,7 +21,7 @@
 // have drawn — same counters, same instant, same busy line — without a
 // frame (inHalf.dataStart).  Three things end a promise early: the
 // receiving engine needing the line for data of its own (revoke), a cut
-// (cutCredit), and an acknowledge that carries no grant.  DESIGN.md §13
+// (cutCredit), and an acknowledge that carries no grant.  DESIGN.md §15
 // has the time arithmetic; any run someone is watching takes the
 // per-packet path, which is the reference.
 package link

@@ -451,7 +451,7 @@ func tnetShows(exit int, stdout string, stderr ...string) func(*Observation) err
 // every leg is a bug in the rendering or in the engine.  Seeds 1 to 3
 // of each topology, and ring8's 30 and 98, which exercise the router's
 // handshake when the two ends' heartbeat verdicts disagree (DESIGN.md
-// §12; internal/chaos's tests hold them to the campaign's oracle).
+// §17; internal/chaos's tests hold them to the campaign's oracle).
 func chaosPlans() []Scenario {
 	var plans []Scenario
 	for _, topo := range chaos.Topologies() {

@@ -239,7 +239,7 @@ func fuzzImages(src string) []core.Image {
 	return imgs
 }
 
-// FuzzOccamDifferential runs what compiles (DESIGN.md §10 describes it
+// FuzzOccamDifferential runs what compiles (DESIGN.md §13 describes it
 // beside the block cache's own differential fuzzer).  Compiled occam is
 // the traffic the block cache serves, so any source the compiler
 // accepts — alone, or configured, processor by processor — runs for

@@ -12,7 +12,7 @@ func StoredBytes(t *Timeline) int {
 	return n
 }
 
-// ChunkBytes is the size of one chunk of records.
+// ChunkBytes is the size of the largest chunk of records.
 const ChunkBytes = chunkBytes
 
 // FlowTableBytes returns the bytes a flow table holds for its flows,

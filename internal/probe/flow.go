@@ -702,15 +702,15 @@ func (t *FlowTable) WriteJSON(w io.Writer) error { return writeFlowDoc(w, t) }
 // left out when zero, null for a nil slice.  A table's flows are never
 // a nil slice but when there are none.
 func writeFlowDoc(w io.Writer, src flowSource) error {
-	d := docEnc{out: newOut(w)}
 	sum := src.summary()
 	if sum == nil {
-		d.b = append(d.b, "null\n"...)
-		return d.flush()
+		_, err := io.WriteString(w, "null\n")
+		return err
 	}
+	n := src.flowCount()
+	d := docEnc{out: newOut(w, (n+1)<<10)}
 	d.open('{')
 	d.int("end_ns", sum.EndNs)
-	n := src.flowCount()
 	var f FlowInfo
 	var name []byte
 	docArray(&d, "flows", n, n == 0 && sum.Flows == nil, func(i int) {
@@ -775,7 +775,8 @@ func writeFlowDoc(w io.Writer, src flowSource) error {
 
 // out is the buffer the timeline and flow renderers append to: b goes
 // to w whenever an element leaves it flushLen long, so a render holds
-// 64 KiB whatever it renders.  Nothing is written after a write error.
+// at most 64 KiB whatever it renders.  Nothing is written after a write
+// error.
 type out struct {
 	w   io.Writer
 	b   []byte
@@ -785,7 +786,12 @@ type out struct {
 // flushLen leaves 4 KiB of capacity for the element that crosses it.
 const flushLen = 60 << 10
 
-func newOut(w io.Writer) *out { return &out{w: w, b: make([]byte, 0, 64<<10)} }
+// newOut sizes the buffer from an estimate of what the render writes,
+// so that a small render allocates little and a large one takes 64 KiB
+// once.
+func newOut(w io.Writer, estimate int) *out {
+	return &out{w: w, b: make([]byte, 0, min(estimate, 64<<10))}
+}
 
 // flush writes the buffer out and returns the first write error so far.
 func (o *out) flush() error {

@@ -430,8 +430,9 @@ func leastAllocated(fn func()) uint64 {
 
 // TestRenderAllocGuard: rendering is O(1) in memory — both writers
 // allocate the same for four times the events, the buffer and the
-// per-node state and nothing per event — and recording costs no more
-// than 24 bytes an event and one chunk of slack.
+// per-node state and nothing per event — recording costs no more than
+// 24 bytes an event and one chunk of slack, and a run of one event
+// records and renders in a few KiB.
 func TestRenderAllocGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -471,6 +472,10 @@ func TestRenderAllocGuard(t *testing.T) {
 		return s
 	}
 	one, four := measure(n), measure(4*n)
+	if small := measure(1); max(small.record, small.trace, small.flows) > 16<<10 {
+		t.Errorf("one event allocated %d bytes to record, %d to render and one flow %d: not sized to the run",
+			small.record, small.trace, small.flows)
+	}
 	near := func(a, b uint64) bool { return max(a, b)-min(a, b) <= 4<<10 }
 	if !near(one.trace, four.trace) {
 		t.Errorf("WriteChromeTrace allocated %d bytes for %d events and %d for %d: not O(1)", one.trace, n, four.trace, 4*n)

@@ -18,9 +18,9 @@ import (
 // stalls), the scheduler and the host protocol.
 type Timeline struct {
 	// Events are kept as variable-length records (see record) in chunks
-	// of chunkBytes.  A record never straddles two chunks, so recording
-	// never copies what it holds, and at most one chunk of slack stays
-	// reachable.
+	// that double from firstChunkBytes to chunkBytes.  A record never
+	// straddles two chunks, so recording never copies what it holds, and
+	// at most one chunk of slack stays reachable.
 	chunks [][]byte
 	n      int
 
@@ -45,7 +45,8 @@ type deltaBase struct {
 }
 
 const (
-	chunkBytes = 64 << 10
+	firstChunkBytes = 1 << 10
+	chunkBytes      = 64 << 10
 	// maxRecord bounds a record: a kind byte, a mask of 15 bits and 13
 	// varints.
 	maxRecord = 1 + 3 + 13*binary.MaxVarintLen64
@@ -90,8 +91,12 @@ func NewTimeline(b *Bus) *Timeline {
 // nothing is kept anywhere else.
 func (t *Timeline) record(e *Event) {
 	c := len(t.chunks) - 1
-	if c < 0 || chunkBytes-len(t.chunks[c]) < maxRecord {
-		t.chunks = append(t.chunks, make([]byte, 0, chunkBytes))
+	if c < 0 || cap(t.chunks[c])-len(t.chunks[c]) < maxRecord {
+		size := firstChunkBytes
+		if c >= 0 {
+			size = min(2*cap(t.chunks[c]), chunkBytes)
+		}
+		t.chunks = append(t.chunks, make([]byte, 0, size))
 		c++
 	}
 	t.n++
@@ -472,7 +477,7 @@ func (t *traceEnc) closeSlice(ns *traceNode, at sim.Time) {
 // chunks, through a bounded buffer: what it allocates does not grow with
 // the number of events.  It stops at the first write error.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	enc := traceEnc{out: newOut(w)}
+	enc := traceEnc{out: newOut(w, 1<<10+64*t.n)}
 	enc.b = append(enc.b, `{"displayTimeUnit":"ms","traceEvents":`...)
 	if t.n == 0 {
 		// The reference encoder's slice of events is nil here.
