@@ -53,6 +53,9 @@ const (
 	// stamp events with the clock), halted — and is not counted.
 	AheadBound
 	AheadOff
+	// aheadIdiom is how stepRun's record loop stops at an idiom head,
+	// for idioms to run (see fuse); no batch ends with it.
+	aheadIdiom
 )
 
 var aheadExitNames = [NumAheadExits]string{

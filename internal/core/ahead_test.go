@@ -40,7 +40,8 @@ const (
 	spin = "go:\tldc 1\nstop:\tstl 1\n\tj go\n"
 )
 
-var runAheadCases = []struct {
+// runAheadCase is a program and where RunAhead must stop in it.
+type runAheadCase struct {
 	name string
 	src  string
 	exit core.AheadExit
@@ -50,7 +51,9 @@ var runAheadCases = []struct {
 	timeslice int
 	haltOnErr bool
 	prep      func(m *core.Machine) // applied before the program runs
-}{
+}
+
+var runAheadCases = []runAheadCase{
 	{name: "load from an open input buffer", exit: core.AheadHazard, ran: true,
 		src: waitLow(inputLocal5, "go:\tldc 1\n\tstl 1\nstop:\tldl 45\n\tcj go\n\tj go\n")},
 	{name: "byte load from an open input buffer", exit: core.AheadHazard, ran: true,
@@ -119,51 +122,57 @@ var runAheadCases = []struct {
 
 func TestRunAheadStops(t *testing.T) {
 	for _, c := range runAheadCases {
-		t.Run(c.name, func(t *testing.T) {
-			a, err := asm.Assemble(c.src, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := core.T424().WithMemory(16 * 1024)
-			cfg.HaltOnError = c.haltOnErr
-			if c.timeslice != 0 {
-				cfg.TimesliceCycles = c.timeslice
-			}
-			m := core.MustNew(cfg)
-			links := &fakeLinks{m: m}
-			m.Attach(nil, links)
-			if err := m.Load(a.Image); err != nil {
-				t.Fatal(err)
-			}
-			if c.prep != nil {
-				c.prep(m)
-			}
-			at := func(label string) uint64 { return m.CodeStart() + uint64(a.Labels[label]) }
-			for steps := 0; m.Iptr != at("go") || m.WaitingProcesses() == 0; steps++ {
-				if m.Step() == 0 || steps == 200 {
-					t.Fatalf("never reached go with a process waiting: Iptr %#x, fault %v", m.Iptr, m.Fault())
-				}
-			}
-			before := m.Cycles()
-			total, _, exit := m.RunAhead(1000 * core.CycleNs)
-			if exit != c.exit {
-				t.Errorf("exit %v, want %v", exit, c.exit)
-			}
-			if m.Cycles() != before+uint64(total) {
-				t.Errorf("ran %d cycles, reported %d", m.Cycles()-before, total)
-			}
-			switch {
-			case m.Halted() || m.Fault() != nil || m.ErrorFlag():
-				t.Errorf("halted=%v fault=%v error=%v", m.Halted(), m.Fault(), m.ErrorFlag())
-			case c.exit == core.AheadBound:
-				if total < 1000 {
-					t.Errorf("ran %d cycles of 1000", total)
-				}
-			case c.ran && (total == 0 || m.Iptr != at("stop")):
-				t.Errorf("ran %d cycles and stopped at %#x, want stop at %#x", total, m.Iptr, at("stop"))
-			case !c.ran && (total != 0 || m.Iptr != at("go")):
-				t.Errorf("ran %d cycles to %#x, want none", total, m.Iptr)
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { runAheadStop(t, c) })
 	}
+}
+
+// runAheadStop runs c's program to go, then ahead, and checks where and
+// why it stopped; it returns the machine.
+func runAheadStop(t *testing.T, c runAheadCase) *core.Machine {
+	t.Helper()
+	a, err := asm.Assemble(c.src, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.T424().WithMemory(16 * 1024)
+	cfg.HaltOnError = c.haltOnErr
+	if c.timeslice != 0 {
+		cfg.TimesliceCycles = c.timeslice
+	}
+	m := core.MustNew(cfg)
+	links := &fakeLinks{m: m}
+	m.Attach(nil, links)
+	if err := m.Load(a.Image); err != nil {
+		t.Fatal(err)
+	}
+	if c.prep != nil {
+		c.prep(m)
+	}
+	at := func(label string) uint64 { return m.CodeStart() + uint64(a.Labels[label]) }
+	for steps := 0; m.Iptr != at("go") || m.WaitingProcesses() == 0; steps++ {
+		if m.Step() == 0 || steps == 200 {
+			t.Fatalf("never reached go with a process waiting: Iptr %#x, fault %v", m.Iptr, m.Fault())
+		}
+	}
+	before := m.Cycles()
+	total, _, exit := m.RunAhead(1000 * core.CycleNs)
+	if exit != c.exit {
+		t.Errorf("exit %v, want %v", exit, c.exit)
+	}
+	if m.Cycles() != before+uint64(total) {
+		t.Errorf("ran %d cycles, reported %d", m.Cycles()-before, total)
+	}
+	switch {
+	case m.Halted() || m.Fault() != nil || m.ErrorFlag():
+		t.Errorf("halted=%v fault=%v error=%v", m.Halted(), m.Fault(), m.ErrorFlag())
+	case c.exit == core.AheadBound:
+		if total < 1000 {
+			t.Errorf("ran %d cycles of 1000", total)
+		}
+	case c.ran && (total == 0 || m.Iptr != at("stop")):
+		t.Errorf("ran %d cycles and stopped at %#x, want stop at %#x", total, m.Iptr, at("stop"))
+	case !c.ran && (total != 0 || m.Iptr != at("go")):
+		t.Errorf("ran %d cycles to %#x, want none", total, m.Iptr)
+	}
+	return m
 }

@@ -257,9 +257,10 @@ func (s *side) take(pending []injection, skew int64) {
 
 // runAheadDifferential drives the image on a cached machine that runs
 // ahead of random horizons and on a stepwise one, both under the same
-// injections, for at most 1500 batches.  As in runDifferential the
-// stepwise machine's memory is fully backed.
-func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small bool, seed int64) {
+// injections, for at most 1500 batches, and returns the cached
+// machine's idiom counts.  As in runDifferential the stepwise machine's
+// memory is fully backed.
+func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small bool, seed int64) core.FusedStats {
 	t.Helper()
 	cfg := diffConfig(wordBytes, small)
 	defer logModel(t, cfg)
@@ -273,7 +274,7 @@ func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small boo
 		s.links = &fakeLinks{m: s.m}
 		s.m.Attach(nil, s.links)
 		if err := s.m.Load(img); err != nil {
-			return // no test
+			return core.FusedStats{} // no test
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -368,6 +369,7 @@ func runAheadDifferential(t *testing.T, img core.Image, wordBytes int, small boo
 			t.Fatalf("batch %d: injections taken differ: %d and %d", batch, on.taken, off.taken)
 		}
 	}
+	return on.m.FusedStats()
 }
 
 // compareMachines fails unless the two machines are in the same state.
@@ -407,7 +409,9 @@ func compareMachines(t *testing.T, batch int, on, off *core.Machine) {
 // progGen turns fuzz bytes into a tasm program built from the shapes
 // the block cache cares about: direct functions whose operands need
 // prefix chains of every length, pure operations, counted cj/j and lend
-// loops, forward branches, calls, and stores into code — a byte or a
+// loops, forward branches, calls, the three idioms StepRun runs as one
+// step (array load, compare and branch, loop end; see fuse), each
+// emitted as a unit, and stores into code — a byte or a
 // word of one of the program's patch sites, which may lie later in the
 // block executing the store, in a block already decoded and chained
 // (the store sits in a loop), or at a block's first byte (sites follow
@@ -553,15 +557,15 @@ func (g *progGen) spawn() {
 }
 
 func (g *progGen) stmt() {
-	kinds := 14
+	kinds := 16
 	if g.links {
-		kinds = 15
+		kinds = 17
 	}
 	kind := g.next() % kinds
 	switch {
 	case g.depth >= 3 && kind >= 6 && kind <= 8:
 		kind -= 6
-	case g.depth >= 3 && kind == 13:
+	case g.depth >= 3 && (kind == 13 || kind == 15):
 		kind = 0
 	}
 	switch kind {
@@ -653,7 +657,32 @@ func (g *progGen) stmt() {
 		g.emit("\tldc %s-%s", end, head)
 		g.emit("\tlend")
 		g.emit("%s:", end)
-	case 14:
+	case 14: // array load as one unit: ldl; ldlp; wsub; ldnl
+		i := g.local()
+		if g.next()%4 != 0 {
+			// An index inside the array; otherwise whatever the local
+			// holds, which may leave memory or its backing.
+			g.emit("	ldc %d", g.next()%4)
+			g.emit("	stl %d", i)
+		}
+		g.emit("	ldl %d", i)
+		g.emit("	ldlp %d", g.local())
+		g.emit("	wsub")
+		g.emit("	ldnl %d", g.next()%4)
+		g.emit("	stl %d", g.local())
+	case 15: // compare and branch as one unit: ldl; diff; eqc; cj
+		skip, k := g.label(), int64(0)
+		if g.next()%2 == 1 {
+			k = g.operand()
+		}
+		g.emit("	ldl %d", g.local())
+		g.emit("	ldl %d", g.local())
+		g.emit("	diff")
+		g.emit("	eqc %d", k)
+		g.emit("	cj %s", skip)
+		g.body()
+		g.emit("%s:", skip)
+	case 16:
 		g.spawn()
 	}
 }
@@ -837,7 +866,7 @@ func FuzzRunAheadDifferential(f *testing.F) {
 	for i := 0; i < 48; i++ {
 		data := []byte{1, 2} // the two leading sites' locals
 		for k := 0; k <= i%3; k++ {
-			data = append(data, 14, byte(i%4), 2) // spawn, priority, rounds
+			data = append(data, 16, byte(i%4), 2) // spawn, priority, rounds
 			for buf := 0; buf < 2; buf++ {
 				pick := byte(rng.Intn(8))
 				if data = append(data, pick); pick%2 == 0 {
@@ -849,7 +878,9 @@ func FuzzRunAheadDifferential(f *testing.F) {
 		rest := make([]byte, 64+8*i)
 		rng.Read(rest)
 		for j := 0; j < len(rest); j += 9 {
-			rest[j] = []byte{6, 13}[j%2] // a counted loop, a replicated one
+			// A counted loop, a replicated one (ending in the loop-end
+			// idiom), an array load and a compare and branch.
+			rest[j] = []byte{6, 13, 14, 15}[j/9%4]
 		}
 		data = append(data, rest...)
 		f.Add(data, false, uint16(0), false, int64(i))

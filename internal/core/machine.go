@@ -158,10 +158,11 @@ type Machine struct {
 	rareOps  map[uint16]uint64
 
 	// store holds the code bc's blocks are handles on, shared with every
-	// machine built with the same store (see CodeStore).  A cold field,
-	// it stays last, so the fields the instruction loop touches keep
+	// machine built with the same store (see CodeStore).  Cold fields
+	// like it stay last, so the fields the instruction loop touches keep
 	// their offsets.
 	store *CodeStore
+	fused FusedStats
 }
 
 // longOpState is an in-progress interruptible long operation: either a

@@ -44,7 +44,9 @@ func TestConfigValidate(t *testing.T) {
 // code.  newCode copies each run out at its exact size for the same
 // reason (append's doubling left up to half of a cache unused); a field
 // added here has to fit, or be derived instead, as the next address is
-// from addr and bytes.
+// from addr and bytes.  The idiom byte, which marks an idiom's head
+// (see fuse), fit when pre narrowed to a byte: a record's prefix chain
+// is at most maxRecBytes-1 = 15 cycles.
 func TestBlockRecSize(t *testing.T) {
 	if n := unsafe.Sizeof(blockRec{}); n != 32 {
 		t.Errorf("blockRec is %d bytes, want 32", n)

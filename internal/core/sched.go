@@ -250,9 +250,13 @@ func (m *Machine) WaitingProcesses() int { return m.waiting }
 // sliceDue reports whether the executing process is a low-priority one
 // that has used up its timeslice: whether timesliceCheck would act.
 // StepRun executes a jump itself only while it would not.
-func (m *Machine) sliceDue() bool {
+func (m *Machine) sliceDue() bool { return m.sliceDueAfter(0) }
+
+// sliceDueAfter reports whether the slice will be due once cycles more
+// have been accounted.
+func (m *Machine) sliceDueAfter(cycles int) bool {
 	return priorityOf(m.Wdesc) == PriorityLow && m.cfg.TimesliceCycles > 0 &&
-		m.timesliceCount >= m.cfg.TimesliceCycles
+		m.timesliceCount+cycles >= m.cfg.TimesliceCycles
 }
 
 // timesliceCheck is applied at descheduling points (jump and loop end):

@@ -51,7 +51,7 @@ func aheadRing(name string, sources []string, cfg func(*core.Config), limit, the
 		return r, nil
 	}}
 	if check != nil {
-		sc.Ahead = func(a core.AheadStats) error {
+		sc.Ahead = func(a core.AheadStats, _ core.FusedStats) error {
 			if !check(a) {
 				return fmt.Errorf("the run never left a batch the way %q is there to show: %+v", name, a)
 			}
@@ -116,6 +116,22 @@ var aheadScenarios = []Scenario{
 	aheadRing("overflow in the batch that arms error halting",
 		[]string{delayThenSend(6000, 0xF00D), overflowLoop(false)}, nil, sim.Second, 0,
 		func(a core.AheadStats) bool { return a.Batches > 0 }),
+	fusing(aheadRing("search ring with every receiver's input open",
+		[]string{searchRingNode, searchRingNode, searchRingNode, searchRingNode}, nil, sim.Second, 0,
+		func(a core.AheadStats) bool { return a.Batches > 0 })),
+}
+
+// fusing adds to a run-ahead scenario's check that idioms ran as one
+// step.
+func fusing(sc Scenario) Scenario {
+	ahead := sc.Ahead
+	sc.Ahead = func(a core.AheadStats, f core.FusedStats) error {
+		if f.Steps == 0 {
+			return fmt.Errorf("no idiom ran as one step in %q: %+v", sc.Name, f)
+		}
+		return ahead(a, f)
+	}
+	return sc
 }
 
 // delayThenSend counts down from n, then outputs word on link 1.
@@ -179,6 +195,46 @@ PROC recv(CHAN in) =
 :
 PAR
   send(out, limit)
+  recv(in)
+`
+
+// searchRingNode is computeRingNode with the figure-7 search for its
+// work: a replicated SEQ over an array compared against a key, the
+// three idioms the block cache runs as one step each.
+const searchRingNode = `--occam
+DEF n = 200:
+CHAN in, out:
+PLACE in AT LINK0IN:
+PLACE out AT LINK1OUT:
+PROC search(VAR count) =
+  VAR db[n], x:
+  SEQ
+    x := 1
+    SEQ i = [0 FOR n]
+      SEQ
+        x := ((x * 1103) + 4567) \ 10007
+        db[i] := x \ 64
+    count := 0
+    SEQ key = [0 FOR 20]
+      SEQ i = [0 FOR n]
+        IF
+          db[i] = key
+            count := count + 1
+          TRUE
+            SKIP
+:
+PROC send(CHAN out) =
+  VAR count:
+  SEQ
+    search(count)
+    out ! count
+:
+PROC recv(CHAN in) =
+  VAR x:
+  in ? x
+:
+PAR
+  send(out)
   recv(in)
 `
 

@@ -50,10 +50,10 @@ type Scenario struct {
 	// Post checks a reference observation for what the scenario is
 	// there to show (an answer, an exit code, a watchdog line).
 	Post func(o *Observation) error
-	// Ahead checks the run-ahead diagnostics of the one-worker, cached,
-	// private, detached leg: a scenario built to exercise one way out
-	// of a batch has to have taken it.
-	Ahead func(a core.AheadStats) error
+	// Ahead checks the run-ahead and idiom diagnostics of the
+	// one-worker, cached, private, detached leg: a scenario built to
+	// exercise one way out of a batch has to have taken it.
+	Ahead func(a core.AheadStats, f core.FusedStats) error
 }
 
 // Running is a built system and how the scenario runs it.
@@ -197,6 +197,7 @@ type Observation struct {
 	// How the engine ran: checked against the leg, never compared.
 	nodes, shards int
 	ahead         core.AheadStats
+	fused         core.FusedStats
 }
 
 func snapshot(s *network.System, rep network.Report) Snapshot {
@@ -281,7 +282,7 @@ func (sc *Scenario) Observe(l Leg) (*Observation, error) {
 		}
 		o.Timeline, o.Metrics, o.Flows = tl.Bytes(), mt.String(), fl.Bytes()
 	}
-	o.nodes, o.shards, o.ahead = len(s.Nodes()), s.EngineStats().Shards, s.AheadStats()
+	o.nodes, o.shards, o.ahead, o.fused = len(s.Nodes()), s.EngineStats().Shards, s.AheadStats(), s.FusedStats()
 	return o, nil
 }
 
@@ -514,7 +515,7 @@ func (sc *Scenario) check(c *checked) {
 			c.failf("%v: %s", l, d)
 		}
 		if sc.Ahead != nil && l == (Leg{Workers: 1, Cache: true, Place: Private}) {
-			if err := sc.Ahead(o.ahead); err != nil {
+			if err := sc.Ahead(o.ahead, o.fused); err != nil {
 				c.failf("%v: %v", l, err)
 			}
 		}
@@ -533,6 +534,9 @@ func (sc *Scenario) check(c *checked) {
 func (sc *Scenario) checkReference(c *checked, o *Observation, bus bool) {
 	if o.ahead != (core.AheadStats{}) {
 		c.failf("the stepwise reference ran ahead: %+v", o.ahead)
+	}
+	if o.fused != (core.FusedStats{}) {
+		c.failf("the stepwise reference ran idioms as one step: %+v", o.fused)
 	}
 	if sc.Post != nil {
 		if err := sc.Post(o); err != nil {

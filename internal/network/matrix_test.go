@@ -47,7 +47,8 @@ func TestRunAheadInvisible(t *testing.T) {
 		"timer expiring over a low-priority loop",
 		"overflow with error halting configured",
 		"overflow with error halting armed by the program",
-		"overflow in the batch that arms error halting")
+		"overflow in the batch that arms error halting",
+		"search ring with every receiver's input open")
 }
 
 // Acknowledge credit is invisible: a detached run promises the

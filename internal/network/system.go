@@ -142,6 +142,16 @@ func (s *System) AheadStats() core.AheadStats {
 	return total
 }
 
+// FusedStats sums every node's idioms run as one step and idiom heads
+// split (see core.FusedStats).  Engine diagnostics like AheadStats.
+func (s *System) FusedStats() core.FusedStats {
+	var total core.FusedStats
+	for _, n := range s.nodes {
+		total.Add(n.M.FusedStats())
+	}
+	return total
+}
+
 // CreditStats sums what acknowledge credit did on every node's links
 // (see link.CreditStats).  A diagnostic of the simulator like the two
 // above, but unlike them the same at every partition and worker count —

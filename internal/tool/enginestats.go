@@ -57,3 +57,11 @@ func PrintAheadStats(w io.Writer, a core.AheadStats) {
 	}
 	fmt.Fprintln(w)
 }
+
+// PrintFusedStats reports how many idioms the block cache ran as one
+// step and how many idiom heads it ran record by record, the whole
+// idiom not fitting the batch (core.FusedStats).  Engine diagnostics:
+// they vary with the partition and the block cache.
+func PrintFusedStats(w io.Writer, f core.FusedStats) {
+	fmt.Fprintf(w, "engine: %d idioms ran as one step, %d idiom heads split\n", f.Steps, f.Splits)
+}

@@ -281,6 +281,7 @@ func (net *Network) Run(f NetFlags, stderr io.Writer) int {
 		PrintEngineStats(stderr, s.EngineStats())
 		PrintCreditStats(stderr, s.CreditStats())
 		PrintAheadStats(stderr, s.AheadStats())
+		PrintFusedStats(stderr, s.FusedStats())
 	}
 	return Verdict(failed, wd, undelivered)
 }
