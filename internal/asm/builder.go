@@ -85,6 +85,12 @@ func (b *Builder) Grow(items, labels int) {
 	}
 }
 
+// Reset empties the builder for another program and keeps its buffers.
+func (b *Builder) Reset() {
+	b.items, b.labels, b.data = b.items[:0], b.labels[:0], b.data[:0]
+	b.redefined = -1
+}
+
 // NewLabel returns a label no code has been placed at yet.
 func (b *Builder) NewLabel() Label {
 	b.labels = append(b.labels, -1)

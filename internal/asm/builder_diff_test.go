@@ -129,6 +129,18 @@ func differ(data []byte) string {
 	}
 	s := &itemStream{data: data, pos: 1}
 	b := NewBuilder(wordBytes)
+	// The builder under test has built another program first, one that
+	// Assemble refuses, and been reset, as a builder compiling one
+	// program after another is.
+	l := b.NewLabel()
+	b.Define(l)
+	b.Bytes([]byte{1, 2, 3})
+	b.Define(l)
+	b.Branch(isa.FnJ, b.NewLabel())
+	if _, err := b.Assemble(); err == nil {
+		return "a program that defines a label twice assembles"
+	}
+	b.Reset()
 	p := builderPair{ref: newRefBuilder(wordBytes), b: b, names: newLabelNames(b)}
 	refErr, err := p.run(s)
 	if refErr != nil || err != nil {

@@ -67,6 +67,10 @@ func TestPartitionIgnoresCallOrder(t *testing.T) {
 		if first.Shards != c.shards || first.Ports != len(names) {
 			t.Errorf("%s: %d ports on %d shards, want %d on %d", c.name, first.Ports, first.Shards, len(names), c.shards)
 		}
+		// Only a shard of several members scans them.
+		if fused := c.shards < len(names); (first.Passes > 0) != fused || (first.LocalWindows > 0) != fused {
+			t.Errorf("%s: %d member runs in %d scan passes", c.name, first.LocalWindows, first.Passes)
+		}
 	}
 	// The worker count that holds is the one the run starts with.
 	flipped := stats(func(s *network.System) { s.SetWorkers(4) }, func(s *network.System) { s.SetWorkers(1) })

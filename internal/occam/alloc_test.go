@@ -169,7 +169,9 @@ func TestCompileAllocGuard(t *testing.T) {
 
 // TestConfiguredArrayAllocGuard pins what one CompileConfigured of the
 // 128-transputer search's configured program allocates, in objects and
-// in bytes: one parse and 128 checks, sizings and code generations.
+// in bytes: one parse, a check for each of the four configuration
+// branches its 128 processors take, and 128 code generations through
+// one builder.
 func TestConfiguredArrayAllocGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -180,10 +182,11 @@ func TestConfiguredArrayAllocGuard(t *testing.T) {
 		return err
 	})
 	t.Logf("%.0f allocations, %.0f bytes a compile", allocs, bytes)
-	// 22 334 allocations, 2 555 588 bytes on linux/amd64 with Go 1.24;
-	// the 128 compiles of NodeSource's programs it replaces make 49 500
-	// and 4.0 MB.
-	const maxAllocs, maxKiB = 24500, 2750
+	// 3 749 allocations, 288 714 bytes on linux/amd64 with Go 1.24; a
+	// check for each processor made 21 948 and 2 540 971, and the 128
+	// compiles of NodeSource's programs it replaces make 49 500 and
+	// 4.0 MB.
+	const maxAllocs, maxKiB = 4050, 305
 	if allocs > maxAllocs {
 		t.Errorf("one compile makes %.0f allocations, more than %d", allocs, maxAllocs)
 	}

@@ -185,10 +185,12 @@ func (s *scope) lookup(name string) (*symbol, bool) {
 
 // checker drives resolution.
 type checker struct {
-	wordBytes int
+	// wordBytes and tokens are 32-bit, so that the checker packs into 48
+	// bytes.
+	wordBytes int32
 	// tokens is the program's length in tokens, less those of the
 	// configuration-IF branches not taken.
-	tokens int
+	tokens int32
 	// locals is every symbol layout places, in declaration order.
 	locals    []*symbol
 	nextFrame int32
@@ -196,6 +198,28 @@ type checker struct {
 	// loopWeight per enclosing loop, and nothing in code that a
 	// constant guard leaves out.
 	weight uint32
+	// config is set while a replicated PLACED PAR's processor is
+	// checked.
+	config *configCheck
+}
+
+// configCheck is what the checker notes of a replicated PLACED PAR's i
+// while it checks one of its processors: the DEFs whose value derives
+// from i, in the order it declares them, and whether such a value
+// decides more than an operand (shaped) — a guard that folds, an array
+// size, a replicator's base or count, a PLACE address, a constant
+// subscript, or an operand whose spill need turns on its value.  While
+// nothing is shaped, a processor that takes the same configuration
+// branch has the same checked tree, frames and layout (see
+// CompileConfigured).
+type configCheck struct {
+	i       *numberExpr // i's value
+	derived []*defDecl
+	shaped  bool
+	// choice is the configuration IF, and procs every PROC declared,
+	// whose generation state a reuse resets.
+	choice *ifProc
+	procs  []*procInfo
 }
 
 // loopWeight is how many times more a use inside a loop counts than one
@@ -205,6 +229,38 @@ const loopWeight = 8
 // maxWeight bounds weight, so that the uses of a symbol in loops nested
 // deeper than seven rank alike instead of overflowing.
 const maxWeight = 1 << 21
+
+// derives reports whether e's value derives from i's: it is i's value
+// or names a derived DEF.
+func (cc *configCheck) derives(e expr) bool {
+	switch v := e.(type) {
+	case *numberExpr:
+		return v == cc.i
+	case *nameExpr:
+		if v.sym != nil && v.sym.kind == symConst {
+			for _, d := range cc.derived {
+				if d.sym == v.sym {
+					return true
+				}
+			}
+		}
+	case *indexExpr:
+		return cc.derives(v.index)
+	case *unaryExpr:
+		return cc.derives(v.arg)
+	case *binaryExpr:
+		return cc.derives(v.left) || cc.derives(v.right)
+	}
+	return false
+}
+
+// shape notes that e's value decides the shape of the code or of its
+// workspace, not only an operand.
+func (c *checker) shape(e expr) {
+	if cc := c.config; cc != nil && !cc.shaped && cc.derives(e) {
+		cc.shaped = true
+	}
+}
 
 // inLoop is the weight of a use in a loop entered at weight w.
 func inLoop(w uint32) uint32 { return min(w*loopWeight, maxWeight) }
@@ -235,7 +291,7 @@ func (c *checker) local(sym *symbol) {
 		// Sized at the first local, which in a configured processor
 		// usually comes after its configuration IF has taken off the
 		// branches it leaves out.
-		c.locals = make([]*symbol, 0, c.tokens/tokensPerLocal+1)
+		c.locals = make([]*symbol, 0, int(c.tokens)/tokensPerLocal+1)
 	}
 	c.locals = append(c.locals, sym)
 }
@@ -252,7 +308,7 @@ type parInfo struct {
 }
 
 func newChecker(wordBytes int) *checker {
-	return &checker{wordBytes: wordBytes, weight: 1}
+	return &checker{wordBytes: int32(wordBytes), weight: 1}
 }
 
 func (c *checker) newFrame() *frame {
@@ -318,7 +374,7 @@ func builtinConst(name string, wordBytes int) (int64, bool) {
 // run resolves the whole program, returning the root frame.
 func (c *checker) run(prog process) (*frame, *Err) {
 	root := c.newFrame()
-	sc := (&scope{wordBytes: c.wordBytes}).child(root, false)
+	sc := (&scope{wordBytes: int(c.wordBytes)}).child(root, false)
 	if err := c.process(prog, sc); err != nil {
 		return nil, err
 	}
@@ -406,6 +462,7 @@ func (c *checker) process(p process, sc *scope) *Err {
 			if err := c.expr(br.cond, sc); err != nil {
 				return err
 			}
+			c.shape(br.cond)
 			k, konst := foldConst(br.cond)
 			bw := c.weight
 			if konst && k == 0 {
@@ -427,6 +484,7 @@ func (c *checker) process(p process, sc *scope) *Err {
 		if err := c.expr(v.cond, sc); err != nil {
 			return err
 		}
+		c.shape(v.cond)
 		if k, konst := foldConst(v.cond); konst && k == 0 {
 			c.weight = 0
 		}
@@ -464,10 +522,13 @@ const processorNumber = "configured.processor.number"
 // neither checked nor counted among the tokens compiled.
 func (c *checker) configChoice(v *ifProc, sc *scope) *Err {
 	v.chosen = -1
+	if c.config != nil {
+		c.config.choice = v
+	}
 	for i := range v.branches {
 		br := &v.branches[i]
 		if v.chosen >= 0 {
-			c.tokens -= br.tokens
+			c.tokens -= int32(br.tokens)
 			continue
 		}
 		val, err := c.constExpr(br.cond, sc)
@@ -477,7 +538,7 @@ func (c *checker) configChoice(v *ifProc, sc *scope) *Err {
 		if val != 0 {
 			v.chosen = int32(i)
 		} else {
-			c.tokens -= br.tokens
+			c.tokens -= int32(br.tokens)
 		}
 	}
 	if v.chosen < 0 {
@@ -502,7 +563,7 @@ func (c *checker) declare(d decl, sc *scope, group []decl) *Err {
 				return errf(v.line, v.col, "string table longer than 255 bytes")
 			}
 			data := append([]byte{byte(len(s))}, s...)
-			words := (len(data) + c.wordBytes - 1) / c.wordBytes
+			words := (len(data) + int(c.wordBytes) - 1) / int(c.wordBytes)
 			sym := &symbol{
 				kind: symTable, name: v.name, pos: v.pos,
 				array: true, size: words, tableData: data,
@@ -516,6 +577,9 @@ func (c *checker) declare(d decl, sc *scope, group []decl) *Err {
 		}
 		sym := &symbol{kind: symConst, name: v.name, pos: v.pos, value: val}
 		v.sym = sym
+		if cc := c.config; cc != nil && cc.derives(v.value) {
+			cc.derived = append(cc.derived, v)
+		}
 		return sc.declare(sym)
 	case *placeDecl:
 		sym, ok := sc.lookup(v.name)
@@ -529,6 +593,7 @@ func (c *checker) declare(d decl, sc *scope, group []decl) *Err {
 		if err != nil {
 			return err
 		}
+		c.shape(v.addr)
 		sym.placed = true
 		sym.placeAddr = addr
 		return nil
@@ -568,6 +633,7 @@ func (c *checker) declareItems(items []declItem, kind symbolKind, sc *scope, gro
 			if err != nil {
 				return err
 			}
+			c.shape(item.size)
 			if n <= 0 {
 				return errf(item.line, item.col, "array size must be positive, got %d", n)
 			}
@@ -628,6 +694,9 @@ func (c *checker) declareProc(d *procDecl, sc *scope) *Err {
 	}
 	f := c.newFrame()
 	info := &procInfo{decl: d, frame: f}
+	if c.config != nil {
+		c.config.procs = append(c.config.procs, info)
+	}
 	sym := &symbol{kind: symProc, name: d.name, pos: d.pos, proc: info}
 	d.sym = sym
 
@@ -669,6 +738,8 @@ func (c *checker) replicator(rep *replicator, sc *scope) (*scope, *Err) {
 	if err := c.expr(rep.count, sc); err != nil {
 		return nil, err
 	}
+	c.shape(rep.base)
+	c.shape(rep.count)
 	inner := sc.child(nil, false)
 	sym := &symbol{kind: symRep, name: rep.name, pos: rep.pos, frame: sc.frame}
 	// Two adjacent slots: index (the variable) and remaining count.
@@ -696,6 +767,8 @@ func (c *checker) par(v *parProc, sc *scope) *Err {
 		if err2 := c.expr(v.rep.base, sc); err2 != nil {
 			return err2
 		}
+		c.shape(v.rep.base)
+		c.shape(v.rep.count)
 		info.count = int(n)
 		f := c.newFrame()
 		info.frames = []*frame{f}

@@ -35,7 +35,7 @@ func Compile(src string, opt Options) (*Compiled, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	return compileProgram(prog, tokens, opt)
+	return compileProgram(prog, tokens, opt, asm.NewBuilder(opt.WordBytes))
 }
 
 func checkOptions(opt *Options) error {
@@ -62,18 +62,30 @@ type Processor struct {
 // preceding the PLACED PAR (DEFs and PROCs) are shared by every
 // component; each PROCESSOR block is compiled to its own image, with
 // its channels PLACEd on link addresses.  A replicated PLACED PAR
-// i = [base FOR count] compiles its one PROCESSOR once for each value
-// of i, in order, with i a constant; a configuration IF at the head of
-// that PROCESSOR's body compiles only the branch the processor takes.
-// A program without PLACED PAR compiles to a single processor
-// numbered 0.
+// i = [base FOR count] compiles its one PROCESSOR for each value of i
+// with i a constant; a configuration IF at the head of that
+// PROCESSOR's body compiles only the branch the processor takes.
+// Processors that take the same branch, and in which what derives from
+// i is only ever an operand, differ only in their code: the first is
+// checked and sized, and the others reuse its checked tree, frames and
+// layout, each generated with its own i.  A processor in which a value
+// derived from i decides a shape is checked alone.  Errors are those
+// of compiling each processor alone, in order.  A program without
+// PLACED PAR compiles to a single processor numbered 0.
 func CompileConfigured(src string, opt Options) ([]Processor, error) {
+	procs, _, err := compileConfigured(src, opt)
+	return procs, err
+}
+
+// compileConfigured is CompileConfigured, and also says how many
+// processors, or programs, it checked.
+func compileConfigured(src string, opt Options) ([]Processor, int, error) {
 	if err := checkOptions(&opt); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	prog, tokens, perr := parse(src)
 	if perr != nil {
-		return nil, perr
+		return nil, 0, perr
 	}
 	// Peel shared declarations off the front.
 	var shared []decl
@@ -86,62 +98,145 @@ func CompileConfigured(src string, opt Options) ([]Processor, error) {
 		shared = append(shared, dp.decls...)
 		body = dp.body
 	}
+	b := asm.NewBuilder(opt.WordBytes)
 	pp, ok := body.(*placedPar)
 	if !ok {
-		comp, err := compileProgram(prog, tokens, opt)
+		comp, err := compileProgram(prog, tokens, opt, b)
 		if err != nil {
-			return nil, err
+			return nil, 1, err
 		}
-		return []Processor{{ID: 0, Compiled: comp}}, nil
+		return []Processor{{ID: 0, Compiled: comp}}, 1, nil
 	}
 	rep, base, n := pp.rep, int64(0), int64(len(pp.components))
+	var t *configTree
 	if rep != nil {
 		var err error
 		if base, n, err = foldReplicator(rep, shared, opt); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		t = newConfigTree(shared, pp)
 	}
 
-	out := make([]Processor, 0, n)
+	out := make([]Processor, n)
 	seen := make(map[int64]int64, n) // each processor number's component, or value of i
-	// The processor number is folded by smuggling it through a DEF in
-	// the component's compilation.  A replicated PLACED PAR's one
-	// component is wrapped once, and i's DEF, ahead of the number's,
-	// takes each value in turn.
-	iVal := &numberExpr{}
-	var synth process
-	var idDecl *defDecl
+	checks := 0
 	for k := int64(0); k < n; k++ {
 		comp, which := &pp.components[0], base+k
 		if rep == nil {
 			comp = &pp.components[k]
 		}
-		if k == 0 || rep == nil {
-			idDecl = &defDecl{pos: comp.pos, name: processorNumber, value: comp.processor}
-			own := []decl{idDecl}
+		if out[k].Compiled == nil {
+			checks++
+			var err error
 			if rep != nil {
-				iVal.pos = rep.pos
-				own = []decl{&defDecl{pos: rep.pos, name: rep.name, value: iVal}, idDecl}
+				err = t.compile(out, k, base, opt, b)
+			} else {
+				// The processor number is folded by smuggling it through
+				// a DEF in the component's compilation.
+				idDecl := &defDecl{pos: comp.pos, name: processorNumber, value: comp.processor}
+				synth := &declProc{pos: comp.pos, decls: shared, body: &declProc{pos: comp.pos, decls: []decl{idDecl}, body: comp.body}}
+				out[k].Compiled, err = compileProgram(synth, pp.tokens+comp.tokens, opt, b)
+				if err == nil {
+					out[k].ID = idDecl.sym.value
+				}
 			}
-			synth = &declProc{pos: comp.pos, decls: shared, body: &declProc{pos: comp.pos, decls: own, body: comp.body}}
+			if err != nil {
+				return nil, checks, err
+			}
 		}
-		iVal.val = which
-		compiled, err := compileProgram(synth, pp.tokens+comp.tokens, opt)
-		if err != nil {
-			return nil, err
-		}
-		id := idDecl.sym.value
+		id := out[k].ID
 		if prev, dup := seen[id]; dup {
 			if rep != nil {
-				return nil, errf(comp.line, comp.col, "PROCESSOR %d configured twice: for %s = %d and %s = %d",
+				return nil, checks, errf(comp.line, comp.col, "PROCESSOR %d configured twice: for %s = %d and %s = %d",
 					id, rep.name, prev, rep.name, which)
 			}
-			return nil, errf(comp.line, comp.col, "PROCESSOR %d configured twice", id)
+			return nil, checks, errf(comp.line, comp.col, "PROCESSOR %d configured twice", id)
 		}
 		seen[id] = which
-		out = append(out, Processor{ID: id, Compiled: compiled})
 	}
-	return out, nil
+	return out, checks, nil
+}
+
+// configTree is a replicated PLACED PAR's one component wrapped for
+// compilation: the shared declarations, then i's DEF and the processor
+// number's, then the component's body.  i's DEF takes each value in
+// turn through iVal.
+type configTree struct {
+	prog   process
+	tokens int
+	iVal   *numberExpr
+	idDecl *defDecl
+}
+
+func newConfigTree(shared []decl, pp *placedPar) *configTree {
+	comp, rep := &pp.components[0], pp.rep
+	t := &configTree{tokens: pp.tokens + comp.tokens, iVal: &numberExpr{pos: rep.pos}}
+	t.idDecl = &defDecl{pos: comp.pos, name: processorNumber, value: comp.processor}
+	own := []decl{&defDecl{pos: rep.pos, name: rep.name, value: t.iVal}, t.idDecl}
+	t.prog = &declProc{pos: comp.pos, decls: shared, body: &declProc{pos: comp.pos, decls: own, body: comp.body}}
+	return t
+}
+
+// compile checks and generates the processor for i = base+k into
+// out[k].  Unless a value derived from i decides a shape in it, it then
+// generates every later processor still to compile that the check
+// admits: they share its checked tree, frames and layout.  It does so
+// at once, since the next check binds the tree's names anew.  A
+// processor whose generation fails is left for compiling alone, in its
+// turn.
+func (t *configTree) compile(out []Processor, k, base int64, opt Options, b *asm.Builder) error {
+	t.iVal.val = base + k
+	c, root, err := checkProgram(t.prog, t.tokens, opt, &configCheck{i: t.iVal})
+	if err != nil {
+		return err
+	}
+	comp, gerr := c.generate(t.prog, root, b)
+	if gerr != nil {
+		return gerr
+	}
+	out[k] = Processor{ID: t.idDecl.sym.value, Compiled: comp}
+	if c.config.shaped {
+		return nil
+	}
+	for j := k + 1; j < int64(len(out)); j++ {
+		if out[j].Compiled != nil || !t.admits(c, base+j) {
+			continue
+		}
+		for _, info := range c.config.procs {
+			info.queued = false
+		}
+		if comp, err := c.generate(t.prog, root, b); err == nil {
+			out[j] = Processor{ID: t.idDecl.sym.value, Compiled: comp}
+		}
+	}
+	return nil
+}
+
+// admits reports whether the processor for i = which takes the
+// configuration branch c checked, with every value derived from i
+// folding as it did there, and leaves those values set for it.
+func (t *configTree) admits(c *checker, which int64) bool {
+	t.iVal.val = which
+	for _, d := range c.config.derived {
+		v, ok := foldConst(d.value)
+		if !ok {
+			return false
+		}
+		d.sym.value = v
+	}
+	if v := c.config.choice; v != nil {
+		// The branch's own guard first: a processor that takes another
+		// branch usually fails there.
+		if k, ok := foldConst(v.branches[v.chosen].cond); !ok || k == 0 {
+			return false
+		}
+		for _, br := range v.branches[:v.chosen] {
+			if k, ok := foldConst(br.cond); !ok || k != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // maxProcessors bounds a replicated PLACED PAR's count.
@@ -188,24 +283,43 @@ const (
 	tokensPerLocal  = 24
 )
 
-// compileProgram checks and generates a parsed program; tokens is the
-// length of its source in tokens, configuration-IF branches included.
-func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
+// compileProgram checks and generates a parsed program through b;
+// tokens is the length of its source in tokens, configuration-IF
+// branches included.
+func compileProgram(prog process, tokens int, opt Options, b *asm.Builder) (*Compiled, error) {
+	c, root, err := checkProgram(prog, tokens, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.generate(prog, root, b)
+}
+
+// checkProgram checks, usage-checks and sizes a parsed program, and
+// returns its checker and root frame.  config is set for a processor
+// of a replicated PLACED PAR, and nil otherwise.
+func checkProgram(prog process, tokens int, opt Options, config *configCheck) (*checker, *frame, *Err) {
 	c := newChecker(opt.WordBytes)
-	c.tokens = tokens
+	c.tokens = int32(tokens)
+	c.config = config
 	root, cerr := c.run(prog)
 	if cerr != nil {
-		return nil, cerr
+		return nil, nil, cerr
 	}
 	if uerr := c.checkUsage(prog); uerr != nil {
-		return nil, uerr
+		return nil, nil, uerr
 	}
 	c.sizeProgram(prog, root)
+	return c, root, nil
+}
 
+// generate generates a checked program's code through b, emptied
+// first, and assembles it.
+func (c *checker) generate(prog process, root *frame, b *asm.Builder) (*Compiled, error) {
+	b.Reset()
 	g := &gen{
 		c:         c,
-		b:         asm.NewBuilder(opt.WordBytes),
-		wordBytes: opt.WordBytes,
+		b:         b,
+		wordBytes: int(c.wordBytes),
 		cur:       root,
 		// Room for the frame most code runs in below the root: a PROC's
 		// or a PAR component's.
@@ -213,7 +327,7 @@ func compileProgram(prog process, tokens int, opt Options) (*Compiled, error) {
 	}
 	// Size the builder from what is compiled: not the branches of a
 	// configuration IF that the checker passed over.
-	g.b.Grow(c.tokens*itemsPer8Tokens/8, c.tokens/tokensPerLabel)
+	g.b.Grow(int(c.tokens)*itemsPer8Tokens/8, int(c.tokens)/tokensPerLabel)
 	var genErr *Err
 	func() {
 		defer func() {

@@ -3,7 +3,17 @@ package occam
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestCheckerSize pins the checker at 48 bytes, the size class every
+// compile allocates it in: what a configured compile adds sits behind
+// one pointer.
+func TestCheckerSize(t *testing.T) {
+	if got := unsafe.Sizeof(checker{}); got != 48 {
+		t.Errorf("checker is %d bytes, want 48", got)
+	}
+}
 
 // configuredParseErrors are replicated PLACED PARs the parser refuses;
 // TestParseErrors and TestConfiguredErrors both run them.

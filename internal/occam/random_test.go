@@ -350,85 +350,137 @@ func TestRandomSeqParEquivalence(t *testing.T) {
 func TestRandomReplicatedPlacedPar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1983))
 	for round := 0; round < 30; round++ {
-		base, count := rng.Intn(5), 1+rng.Intn(6)
-		mul, off := 1+rng.Intn(3), rng.Intn(4)
-		// Guards the configuration IF may test, with their value in Go.
-		type guard struct {
-			src  string
-			test func(i int) bool
-		}
-		cut, mod := base+rng.Intn(count+1), 2+rng.Intn(2)
-		forms := []guard{
-			{fmt.Sprintf("i < %d", cut), func(i int) bool { return i < cut }},
-			{fmt.Sprintf("(i \\ %d) = 1", mod), func(i int) bool { return i%mod == 1 }},
-			{fmt.Sprintf("d = %d", 2*base+1), func(i int) bool { return 2*i+1 == 2*base+1 }},
-		}
-		var guards []guard
-		for n := rng.Intn(3); len(guards) < n; {
-			guards = append(guards, forms[rng.Intn(len(forms))])
-		}
-		guards = append(guards, guard{"TRUE", func(int) bool { return true }})
-		bodies := make([]string, len(guards))
-		for b := range bodies {
-			bodies[b] = randomProcessorBody(rng)
-		}
-
-		const shared = "DEF k = 3:\nPROC emit(CHAN c, VALUE v) =\n  c ! v\n:\n"
-		var rep, plain strings.Builder
-		rep.WriteString(shared)
-		fmt.Fprintf(&rep, "PLACED PAR i = [%d FOR %d]\n  PROCESSOR (i * %d) + %d\n    DEF d = (i * 2) + 1:\n    IF\n", base, count, mul, off)
-		for b, g := range guards {
-			fmt.Fprintf(&rep, "      %s\n%s", g.src, indent(bodies[b], "        "))
-		}
-		plain.WriteString(shared + "PLACED PAR\n")
-		for i := base; i < base+count; i++ {
-			b := 0
-			for !guards[b].test(i) {
-				b++
-			}
-			fmt.Fprintf(&plain, "  PROCESSOR %d\n    DEF i = %d:\n    DEF d = (i * 2) + 1:\n%s", i*mul+off, i, indent(bodies[b], "    "))
-		}
-
-		for _, wb := range []int{4, 2} {
-			got, err := occam.CompileConfigured(rep.String(), occam.Options{WordBytes: wb})
-			if err != nil {
-				t.Fatalf("round %d: %v\n%s", round, err, rep.String())
-			}
-			want, err := occam.CompileConfigured(plain.String(), occam.Options{WordBytes: wb})
-			if err != nil {
-				t.Fatalf("round %d, written out: %v\n%s", round, err, plain.String())
-			}
-			if len(got) != len(want) {
-				t.Fatalf("round %d: %d processors, written out %d", round, len(got), len(want))
-			}
-			for n := range got {
-				g, w := got[n].Compiled, want[n].Compiled
-				if got[n].ID != want[n].ID || !bytes.Equal(g.Image.Code, w.Image.Code) || g.Image.Entry != w.Image.Entry ||
-					g.Above != w.Above || g.Below != w.Below {
-					t.Fatalf("round %d, %d-byte words: processor %d compiles differently from its written-out form\n%s\n%s",
-						round, wb, got[n].ID, rep.String(), plain.String())
-				}
-			}
+		rep, plain := randomReplicated(rng)
+		if err := sameProcessors(rep, plain); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
 
+// FuzzReplicatedPlacedPar is TestRandomReplicatedPlacedPar with the
+// fuzzer choosing the generator's seed: the compile of a random
+// replicated PLACED PAR, whose processors share checks where they may,
+// against its written-out form, at both word lengths.
+func FuzzReplicatedPlacedPar(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rep, plain := randomReplicated(rand.New(rand.NewSource(seed)))
+		if err := sameProcessors(rep, plain); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// randomReplicated is a random replicated PLACED PAR and the same
+// program written out, a PROCESSOR for each value of i.
+func randomReplicated(rng *rand.Rand) (rep, plain string) {
+	base, count := rng.Intn(5), 1+rng.Intn(6)
+	mul, off := 1+rng.Intn(3), rng.Intn(4)
+	// Guards the configuration IF may test, with their value in Go.
+	type guard struct {
+		src  string
+		test func(i int) bool
+	}
+	cut, mod := base+rng.Intn(count+1), 2+rng.Intn(2)
+	forms := []guard{
+		{fmt.Sprintf("i < %d", cut), func(i int) bool { return i < cut }},
+		{fmt.Sprintf("(i \\ %d) = 1", mod), func(i int) bool { return i%mod == 1 }},
+		{fmt.Sprintf("d = %d", 2*base+1), func(i int) bool { return 2*i+1 == 2*base+1 }},
+	}
+	var guards []guard
+	for n := rng.Intn(3); len(guards) < n; {
+		guards = append(guards, forms[rng.Intn(len(forms))])
+	}
+	guards = append(guards, guard{"TRUE", func(int) bool { return true }})
+	bodies := make([]string, len(guards))
+	for b := range bodies {
+		bodies[b] = randomProcessorBody(rng)
+	}
+
+	const shared = "DEF k = 3:\nPROC emit(CHAN c, VALUE v) =\n  c ! v\n:\n"
+	var r, p strings.Builder
+	r.WriteString(shared)
+	fmt.Fprintf(&r, "PLACED PAR i = [%d FOR %d]\n  PROCESSOR (i * %d) + %d\n    DEF d = (i * 2) + 1:\n    IF\n", base, count, mul, off)
+	for b, g := range guards {
+		fmt.Fprintf(&r, "      %s\n%s", g.src, indent(bodies[b], "        "))
+	}
+	p.WriteString(shared + "PLACED PAR\n")
+	for i := base; i < base+count; i++ {
+		b := 0
+		for !guards[b].test(i) {
+			b++
+		}
+		fmt.Fprintf(&p, "  PROCESSOR %d\n    DEF i = %d:\n    DEF d = (i * 2) + 1:\n%s", i*mul+off, i, indent(bodies[b], "    "))
+	}
+	return r.String(), p.String()
+}
+
+// sameProcessors compiles a replicated PLACED PAR and its written-out
+// form at both word lengths and reports the first processor whose
+// number, code, entry or workspace differ.
+func sameProcessors(rep, plain string) error {
+	for _, wb := range []int{4, 2} {
+		got, err := occam.CompileConfigured(rep, occam.Options{WordBytes: wb})
+		if err != nil {
+			return fmt.Errorf("%v\n%s", err, rep)
+		}
+		want, err := occam.CompileConfigured(plain, occam.Options{WordBytes: wb})
+		if err != nil {
+			return fmt.Errorf("written out: %v\n%s", err, plain)
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("%d processors, written out %d", len(got), len(want))
+		}
+		for n := range got {
+			g, w := got[n].Compiled, want[n].Compiled
+			if got[n].ID != want[n].ID || !bytes.Equal(g.Image.Code, w.Image.Code) || g.Image.Entry != w.Image.Entry ||
+				g.Above != w.Above || g.Below != w.Below {
+				return fmt.Errorf("%d-byte words: processor %d compiles differently from its written-out form\n%s\n%s",
+					wb, got[n].ID, rep, plain)
+			}
+		}
+	}
+	return nil
+}
+
 // randomProcessorBody is a small process for one branch of a random
 // configuration IF: a link output of random expressions over i, d, k
-// and variables, a call of the shared PROC, and an ordinary IF.
+// and variables, a call of the shared PROC, an ordinary IF, and some
+// shapes that turn on i: an array of d words, a loop d times round, an
+// IF on d that folds, and a subtraction of d, which adc takes unless d
+// is the most negative word.
 func randomProcessorBody(rng *rand.Rand) string {
 	var sb strings.Builder
-	sb.WriteString("CHAN out:\nPLACE out AT LINK1OUT:\nVAR a, b, c:\nSEQ\n")
+	sb.WriteString("CHAN out:\nPLACE out AT LINK1OUT:\nVAR a, b, c:\n")
+	array := rng.Intn(4) == 0
+	if array {
+		sb.WriteString("VAR v[d]:\n")
+	}
+	sb.WriteString("SEQ\n")
 	sb.WriteString("  a := i\n  b := (d + k)\n")
 	fmt.Fprintf(&sb, "  c := %d\n", rng.Intn(50))
+	if array {
+		sb.WriteString("  v[0] := a\n  out ! v[0]\n")
+	}
 	for n := rng.Intn(3); n >= 0; n-- {
 		fmt.Fprintf(&sb, "  out ! %s\n", genExpr(rng, [3]int64{}, 2).src)
+	}
+	if rng.Intn(4) == 0 {
+		sb.WriteString("  SEQ j = [0 FOR d]\n    c := c + j\n")
 	}
 	if rng.Intn(2) == 0 {
 		sb.WriteString("  emit(out, i + k)\n")
 	}
 	if rng.Intn(2) == 0 {
-		fmt.Fprintf(&sb, "  IF\n    i > %d\n      out ! a\n    TRUE\n      out ! b\n", rng.Intn(4))
+		fmt.Fprintf(&sb, "  IF\n    c > %d\n      out ! a\n    TRUE\n      out ! b\n", rng.Intn(50))
+	}
+	if rng.Intn(4) == 0 {
+		fmt.Fprintf(&sb, "  IF\n    d > %d\n      out ! a\n    TRUE\n      out ! b\n", rng.Intn(12))
+	}
+	if rng.Intn(4) == 0 {
+		sb.WriteString("  out ! (c - d)\n")
 	}
 	return sb.String()
 }

@@ -269,8 +269,33 @@ func (s *sizer) temps(e expr) int {
 	if e == nil {
 		return 0
 	}
-	_, t := exprShape(e, s.c.wordBytes)
+	if cc := s.c.config; cc != nil && !cc.shaped && cc.spillTurns(e) {
+		cc.shaped = true
+	}
+	_, t := exprShape(e, int(s.c.wordBytes))
 	return t
+}
+
+// spillTurns reports whether exprShape's answer for e can turn on the
+// value of a constant derived from i: a division by one folds
+// unless it is zero, and a subtraction of one rides in adc unless it is
+// the most negative word (operands).
+func (cc *configCheck) spillTurns(e expr) bool {
+	switch v := e.(type) {
+	case *indexExpr:
+		return cc.spillTurns(v.index)
+	case *unaryExpr:
+		return cc.spillTurns(v.arg)
+	case *binaryExpr:
+		switch v.op {
+		case "-", "/", "\\":
+			if cc.derives(v.right) {
+				return true
+			}
+		}
+		return cc.spillTurns(v.left) || cc.spillTurns(v.right)
+	}
+	return false
 }
 
 // exprShape returns (stack need, temps) for an expression, compiled as

@@ -101,10 +101,11 @@ func (e *effects) merge(o *effects) {
 
 // entityOf resolves a symbol with an optional subscript expression to
 // an entity: constant subscripts select single elements.
-func entityOf(sym *symbol, idx expr) entity {
+func (c *checker) entityOf(sym *symbol, idx expr) entity {
 	if idx == nil {
 		return entity{sym: sym}
 	}
+	c.shape(idx)
 	if v, ok := foldConst(idx); ok {
 		return entity{sym: sym, indexed: true, idx: v}
 	}
@@ -142,9 +143,9 @@ func (c *checker) usage(p process, e *effects) *Err {
 		if v.index != nil {
 			c.exprReads(e, v.index)
 		}
-		e.written.add(entityOf(v.target.sym, v.index))
+		e.written.add(c.entityOf(v.target.sym, v.index))
 	case *outputProc:
-		e.output.add(entityOf(v.ch.sym, v.chIdx))
+		e.output.add(c.entityOf(v.ch.sym, v.chIdx))
 		if v.chIdx != nil {
 			c.exprReads(e, v.chIdx)
 		}
@@ -152,13 +153,13 @@ func (c *checker) usage(p process, e *effects) *Err {
 			c.exprReads(e, val)
 		}
 	case *inputProc:
-		e.input.add(entityOf(v.ch.sym, v.chIdx))
+		e.input.add(c.entityOf(v.ch.sym, v.chIdx))
 		if v.chIdx != nil {
 			c.exprReads(e, v.chIdx)
 		}
 		for _, tgt := range v.targets {
 			if tgt.name != nil {
-				e.written.add(entityOf(tgt.name.sym, tgt.index))
+				e.written.add(c.entityOf(tgt.name.sym, tgt.index))
 				if tgt.index != nil {
 					c.exprReads(e, tgt.index)
 				}
@@ -168,7 +169,7 @@ func (c *checker) usage(p process, e *effects) *Err {
 		if v.after != nil {
 			c.exprReads(e, v.after)
 		} else {
-			e.written.add(entityOf(v.target.sym, v.index))
+			e.written.add(c.entityOf(v.target.sym, v.index))
 			if v.index != nil {
 				c.exprReads(e, v.index)
 			}
@@ -259,7 +260,7 @@ func (c *checker) exprReads(e *effects, ex expr) {
 		if v.base.sym != nil {
 			switch v.base.sym.kind {
 			case symVar, symRep, symParam:
-				e.read.add(entityOf(v.base.sym, v.index))
+				e.read.add(c.entityOf(v.base.sym, v.index))
 			}
 		}
 		c.exprReads(e, v.index)
@@ -285,7 +286,7 @@ func (c *checker) argEffects(e *effects, arg expr, formal *symbol, pe paramEffec
 		if v.base.sym == nil {
 			return
 		}
-		ent = entityOf(v.base.sym, v.index)
+		ent = c.entityOf(v.base.sym, v.index)
 		c.exprReads(e, v.index)
 	default:
 		c.exprReads(e, arg)

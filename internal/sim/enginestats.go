@@ -19,8 +19,11 @@ type EngineStats struct {
 	Windows      uint64
 	ShardWindows uint64
 	// LocalWindows counts the barrier-free micro-windows fused shards
-	// ran to interleave their member ports (zero with no fusion).
+	// ran to interleave their member ports (zero with no fusion), and
+	// Passes the scans of every member that fused shards made to bound
+	// them.
 	LocalWindows uint64
+	Passes       uint64
 	// Cross counts deliveries that crossed shards through the barrier
 	// merge; Fused counts port-to-port deliveries that stayed inside
 	// one shard (the fusion fast path).
@@ -37,9 +40,10 @@ type EngineStats struct {
 // EngineStats returns the engine diagnostics accumulated so far.  Call
 // between runs, not from inside a window.
 func (c *Coordinator) EngineStats() EngineStats {
-	var local, fused uint64
+	var local, passes, fused uint64
 	for _, s := range c.shards {
 		local += s.stLocal
+		passes += s.stPasses
 	}
 	for _, p := range c.ports {
 		fused += p.stFused
@@ -51,6 +55,7 @@ func (c *Coordinator) EngineStats() EngineStats {
 		Windows:       c.stWindows,
 		ShardWindows:  c.stShardWindows,
 		LocalWindows:  local,
+		Passes:        passes,
 		Cross:         c.stCross,
 		Fused:         fused,
 		SpanSum:       c.stSpanSum,

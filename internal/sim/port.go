@@ -21,12 +21,13 @@ type Shard struct {
 
 	// Scratch for the fused member loop (cached per-member next-event
 	// times and send bounds with the kernel stamps that validate them),
-	// and the shard's diagnostic counter — a plain field, since a
+	// and the shard's diagnostic counters — plain fields, since a
 	// shard's work is single-threaded within a window.
-	nts     []Time
-	sbs     []Time
-	stamps  []uint64
-	stLocal uint64
+	nts      []Time
+	sbs      []Time
+	stamps   []uint64
+	stLocal  uint64
+	stPasses uint64
 }
 
 // Port is one participant's handle on a shard: an event kernel of its
@@ -269,6 +270,7 @@ func (s *Shard) runBefore(hzn Time) {
 		// change, and every schedule change — a delivery posted in, a
 		// cross-port cancel, the member's own scheduling while it ran —
 		// bumps its kernel stamp.
+		s.stPasses++
 		m1 := MaxTime
 		sb1, sb2 := MaxTime, MaxTime
 		sb1i := -1

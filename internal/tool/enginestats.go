@@ -24,6 +24,9 @@ func PrintEngineStats(w io.Writer, es sim.EngineStats) {
 	}
 	fmt.Fprintf(w, "engine: %d cross-shard deliveries via barrier mailbox, %d fused intra-kernel\n",
 		es.Cross, es.Fused)
+	if es.Passes > 0 {
+		fmt.Fprintf(w, "engine: %d member runs in %d scan passes of fused shards\n", es.LocalWindows, es.Passes)
+	}
 	if es.BarrierWaitNs > 0 {
 		fmt.Fprintf(w, "engine: %v wall-clock waiting at window barriers\n",
 			(sim.Time)(es.BarrierWaitNs))
