@@ -1,6 +1,11 @@
 package core
 
-import "transputer/internal/isa"
+import (
+	"maps"
+	"slices"
+
+	"transputer/internal/isa"
+)
 
 // The predecoded block cache.
 //
@@ -117,9 +122,6 @@ type block struct {
 }
 
 const (
-	// blockPageShift sizes the invalidation pages: writes are mapped to
-	// 256-byte pages, each holding the blocks that overlap it.
-	blockPageShift = 8
 	// maxBlockRecs bounds one block.
 	maxBlockRecs = 64
 	// maxRecBytes bounds one record's prefix chain; longer chains
@@ -131,19 +133,16 @@ const (
 	maxBlocks = 4096
 )
 
-// blockCache holds a machine's decoded blocks and the index needed to
-// invalidate them precisely on writes.
+// blockCache holds a machine's decoded blocks.
 type blockCache struct {
-	blocks map[uint64]*block   // start address -> block
-	pages  map[uint64][]*block // page index -> blocks overlapping it
-	lo, hi uint64              // union of covered offsets, the write filter
+	blocks map[uint64]*block // start address -> block
+	lo, hi uint64            // union of covered offsets, the write filter
 }
 
 func (m *Machine) bcache() *blockCache {
 	if m.bc == nil {
 		m.bc = &blockCache{
 			blocks: make(map[uint64]*block),
-			pages:  make(map[uint64][]*block),
 			lo:     ^uint64(0),
 		}
 	}
@@ -160,10 +159,11 @@ func (m *Machine) flushBlocks() {
 }
 
 // SetBlockCache turns the predecoded block cache on or off; a new
-// machine has it on.  With it off every instruction takes the
-// interpreted fetch/decode path.  Purely a simulator-performance
-// switch: traces, statistics and cycle accounting are identical either
-// way.  Turning the cache off also drops every cached block.
+// machine has it on.  Step always interprets; with the cache on,
+// StepRun and RunAhead batches run predecoded records, and with it off
+// they run nothing.  Purely a simulator-performance switch: traces,
+// statistics and cycle accounting are identical either way.  Turning
+// the cache off also drops every cached block.
 func (m *Machine) SetBlockCache(on bool) {
 	m.noCache = !on
 	if !on {
@@ -173,42 +173,19 @@ func (m *Machine) SetBlockCache(on bool) {
 
 // noteCodeWrite invalidates every cached block overlapping the written
 // byte range [off, off+n).  Callers have already tested the range
-// against the cache's lo/hi filter.
+// against the cache's lo/hi filter, which no store of a compiled
+// program passes, so walking the whole map costs ordinary runs nothing;
+// the walk goes in key order so that it is deterministic.
 func (m *Machine) noteCodeWrite(off, n uint64) {
 	bc := m.bc
-	var victims []*block
-	last := (off + n - 1) >> blockPageShift
-	for p := off >> blockPageShift; p <= last; p++ {
-		for _, b := range bc.pages[p] {
-			if b.valid && b.startOff < off+n && off < b.endOff {
-				// A dead block is never executed again, so its edges only
-				// keep its successors — and theirs, once they die too —
-				// reachable from whatever stale edge still names it.
-				b.valid = false
-				b.succ = [2]*block{}
-				victims = append(victims, b)
-			}
-		}
-	}
-	for _, b := range victims {
-		bc.remove(b)
-	}
-}
-
-// remove unlinks an invalidated block from the lookup map and the page
-// lists.
-func (bc *blockCache) remove(b *block) {
-	if start := b.recs[0].addr; bc.blocks[start] == b {
-		delete(bc.blocks, start)
-	}
-	last := (b.endOff - 1) >> blockPageShift
-	for p := b.startOff >> blockPageShift; p <= last; p++ {
-		list := bc.pages[p]
-		for i, x := range list {
-			if x == b {
-				bc.pages[p] = append(list[:i], list[i+1:]...)
-				break
-			}
+	for _, start := range slices.Sorted(maps.Keys(bc.blocks)) {
+		if b := bc.blocks[start]; b.startOff < off+n && off < b.endOff {
+			// A dead block is never executed again, so its edges only
+			// keep its successors — and theirs, once they die too —
+			// reachable from whatever stale edge still names it.
+			b.valid = false
+			b.succ = [2]*block{}
+			delete(bc.blocks, start)
 		}
 	}
 }
@@ -293,10 +270,6 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	b := &block{code: m.store.intern(recs[:n], m.mem[startOff:prevOff], startOff,
 		uint8(m.wordBits)), valid: true}
 	bc.blocks[iptr] = b
-	last := (b.endOff - 1) >> blockPageShift
-	for p := b.startOff >> blockPageShift; p <= last; p++ {
-		bc.pages[p] = append(bc.pages[p], b)
-	}
 	if b.startOff < bc.lo {
 		bc.lo = b.startOff
 	}
@@ -412,9 +385,10 @@ func (m *Machine) decodeRec(addr, memLen uint64) (blockRec, bool) {
 // find returns the predecoded record at the instruction pointer: the
 // cursor's own when execution ran straight on, else the first record of
 // the block that starts there, reached over a chain edge when the
-// cursor stands at the end of a block and through the lookup map
-// otherwise (a cold edge, a return to a new caller, a process switch, a
-// block invalidated under the cursor).  With decode set a missing block
+// cursor stands past the end of a block or on its last record (the
+// terminator a batch left to Step) and through the lookup map otherwise
+// (a cold edge, a return to a new caller, a process switch, a block
+// invalidated under the cursor).  With decode set a missing block
 // is translated and the edge taken is recorded; without it find only
 // reports what is already cached.  A nil block means the instruction
 // must take the interpreted path.
@@ -422,11 +396,10 @@ func (m *Machine) find(decode bool) (*block, int) {
 	b, idx := m.curBlock, m.curIdx
 	var edge **block
 	if b != nil {
-		if idx < len(b.recs) {
-			if b.valid && b.recs[idx].addr == m.Iptr {
-				return b, idx
-			}
-		} else {
+		if idx < len(b.recs) && b.valid && b.recs[idx].addr == m.Iptr {
+			return b, idx
+		}
+		if idx >= len(b.recs)-1 {
 			edge = &b.succ[0]
 			if m.Iptr != b.recs[len(b.recs)-1].next(m.mask) {
 				edge = &b.succ[1]
@@ -447,25 +420,6 @@ func (m *Machine) find(decode bool) (*block, int) {
 		*edge = s
 	}
 	return s, 0
-}
-
-// execRec dispatches one predecoded record, reproducing the interpreted
-// path byte for byte: instruction counting, tracing, the fetch-buffer
-// ablation charge and the cycle total are all identical.
-func (m *Machine) execRec(b *block, idx int) int {
-	rec := &b.recs[idx]
-	m.Iptr = rec.next(m.mask)
-	m.countInstr(int(rec.bytes), int(rec.fn))
-	if m.trace != nil {
-		m.trace(TraceEvent{
-			Time: m.now(),
-			Addr: rec.addr, Wdesc: m.Wdesc,
-			Areg: m.Areg, Breg: m.Breg, Creg: m.Creg,
-			Instr: m.traceInstr(rec.fn, rec.operand, int(rec.bytes)), Cycles: m.stats.Cycles,
-		})
-	}
-	m.curBlock, m.curIdx = b, idx+1
-	return m.exec(rec)
 }
 
 // exec executes a predecoded record, the instruction pointer already
@@ -554,8 +508,8 @@ func (m *Machine) SendLookaheadCycles() int {
 // happens per record.  A j or lend that could end a timeslice, call and
 // every other impure opr are left to Step.  The next record is looked
 // up (and its block decoded) only once the bound has let it start, so
-// the set of decoded blocks — which SendLookaheadCycles reads — is the
-// one stepwise execution builds.
+// the set of decoded blocks — which SendLookaheadCycles reads — depends
+// on what has executed and never on where a bound fell.
 func (m *Machine) StepRun(maxNs int64) (total, last int) {
 	total, last, _ = m.stepRun(maxNs, false)
 	return total, last

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,40 +111,6 @@ func TestBlockCacheResultEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(mOn.Stats(), mOff.Stats()) {
 			t.Errorf("stats differ:\non:  %+v\noff: %+v", mOn.Stats(), mOff.Stats())
-		}
-	}
-}
-
-// TestBlockCacheTraceEquivalence compares full instruction traces with
-// the cache on and off: every TraceEvent — time, address, registers,
-// decoded instruction, cycle counter — must be byte-identical, so the
-// cached dispatch is invisible to observers too.
-func TestBlockCacheTraceEquivalence(t *testing.T) {
-	run := func(src string, cache bool) []core.TraceEvent {
-		cfg := core.T424().WithMemory(64 * 1024)
-		m := core.MustNew(cfg)
-		m.SetBlockCache(cache)
-		if err := m.Load(assemble(t, src)); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		var evs []core.TraceEvent
-		m.SetTrace(func(e core.TraceEvent) { evs = append(evs, e) })
-		res := core.Run(m, 100*sim.Millisecond)
-		if !res.Settled {
-			t.Fatalf("program did not settle in %v", res.Time)
-		}
-		return evs
-	}
-	for _, src := range []string{loopSource, selfModifySource} {
-		on := run(src, true)
-		off := run(src, false)
-		if len(on) != len(off) {
-			t.Fatalf("trace lengths differ: %d vs %d", len(on), len(off))
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("trace event %d differs:\non:  %+v\noff: %+v", i, on[i], off[i])
-			}
 		}
 	}
 }
@@ -389,6 +356,67 @@ func TestUndefinedOperationCounted(t *testing.T) {
 	}
 }
 
+// stepOne runs one instruction as the runner does: as a one-record
+// StepRun batch, or through Step when no batch applies.
+func stepOne(m *core.Machine) int {
+	if n, _ := m.StepRun(1); n != 0 {
+		return n
+	}
+	return m.Step()
+}
+
+// TestCodeWriteDropsOverlappingBlocks: a store into code invalidates
+// exactly the blocks whose bytes it overlaps.  The program is a block
+// near the start of a 256-byte page that jumps over unexecuted bytes to
+// a block straddling the next page boundary, three bytes before it and
+// three after; each write lands on a fresh run of it, and a write to a
+// block's page that misses its bytes leaves it cached.
+func TestCodeWriteDropsOverlappingBlocks(t *testing.T) {
+	cfg := core.T424().WithMemory(64 * 1024)
+	start := core.MustNew(cfg).CodeStart()
+	boundary := start&^0xFF + 0x100
+	// ldc 1, stl 1 and a prefixed j are 4 bytes; the second block,
+	// ldc 2, stl 2, ldc 3, stl 3 and a prefixed stopp, is 6.
+	pad := int(boundary-start) - 3 - 4
+	img := assemble(t, fmt.Sprintf(
+		"\tldc 1\n\tstl 1\n\tj b\n\tspace %d\nb:\tldc 2\n\tstl 2\n\tldc 3\n\tstl 3\n\tstopp\n", pad))
+	first := [2]uint64{start, start + 4}
+	straddler := [2]uint64{boundary - 3, boundary + 3}
+	for _, tc := range []struct {
+		name  string
+		write func(m *core.Machine)
+		want  [][2]uint64
+	}{
+		{"gap byte on the first block's page", func(m *core.Machine) { m.SetByteAt(start+16, 0) },
+			[][2]uint64{first, straddler}},
+		{"first block's last byte", func(m *core.Machine) { m.SetByteAt(start+3, m.ByteAt(start+3)) },
+			[][2]uint64{straddler}},
+		{"straddler's byte below the boundary", func(m *core.Machine) { m.SetByteAt(boundary-1, m.ByteAt(boundary-1)) },
+			[][2]uint64{first}},
+		{"straddler's word above the boundary", func(m *core.Machine) { m.WriteWord(boundary, m.ReadWord(boundary)) },
+			[][2]uint64{first}},
+		{"word ending below the straddler", func(m *core.Machine) { m.WriteWord(boundary-8, m.ReadWord(boundary-8)) },
+			[][2]uint64{first, straddler}},
+	} {
+		m := core.MustNew(cfg)
+		if err := m.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		for !m.Idle() {
+			if stepOne(m) == 0 {
+				t.Fatalf("%s: stopped: %v", tc.name, m.Fault())
+			}
+		}
+		if got, want := core.CachedRanges(m), [][2]uint64{first, straddler}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: blocks %x after the run, want %x", tc.name, got, want)
+		}
+		tc.write(m)
+		if got := core.CachedRanges(m); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: blocks %x after the write, want %x", tc.name, got, tc.want)
+		}
+	}
+}
+
 // pingPongSource is two blocks that each rewrite a byte of the other
 // (with the value it already has) and jump to it, for ever.  Every
 // block is entered over an edge from the block that is about to be
@@ -422,7 +450,7 @@ func TestInvalidatedBlocksAreReleased(t *testing.T) {
 	}
 	const rewrites = 4096
 	for i := 0; i < 7*rewrites; i++ { // seven instructions a block
-		if m.Step() == 0 {
+		if stepOne(m) == 0 {
 			t.Fatalf("stopped after %d steps: %v", i, m.Fault())
 		}
 	}

@@ -45,46 +45,20 @@ func (m *Machine) outputMessage() int {
 	}
 
 	chWord := m.word(chAddr)
-	w := m.wptr()
 	if chWord == m.notProcess() {
-		// First at the rendezvous: wait for the inputter.
-		m.setWord(chAddr, m.Wdesc)
-		m.setWordIndex(w, wsPointer, ptr)
-		if m.bus != nil {
-			m.emit(probe.Event{Kind: probe.ChanBlock, Proc: m.Wdesc, Addr: chAddr, Out: true,
-				Flow: m.offerFlow(chAddr), IP: m.Iptr})
-		}
-		m.blockOnComm(BlockChanOut, chAddr, -1)
-		return isa.CommunicationCycles(0, m.wordBits)
+		return m.awaitPartner(chAddr, ptr, true)
 	}
-
 	partnerW := wptrOf(chWord)
-	state := m.wordIndex(partnerW, wsState)
-	switch state {
-	case m.altEnabling(), m.altReady():
-		// The inputter is enabling or has already seen a ready guard:
-		// mark the channel ready and wait to be collected.
-		m.setWord(chAddr, m.Wdesc)
-		m.setWordIndex(w, wsPointer, ptr)
+	switch state := m.wordIndex(partnerW, wsState); state {
+	case m.altEnabling(), m.altReady(), m.altWaiting():
+		// The inputter is in an alternative: mark the channel ready,
+		// wake the inputter if it is descheduled inside alt wait, and
+		// wait to be collected.
 		m.setWordIndex(partnerW, wsState, m.altReady())
-		if m.bus != nil {
-			m.emit(probe.Event{Kind: probe.ChanBlock, Proc: m.Wdesc, Addr: chAddr, Out: true,
-				Flow: m.offerFlow(chAddr), IP: m.Iptr})
+		if state == m.altWaiting() {
+			m.wake(chWord)
 		}
-		m.blockOnComm(BlockChanOut, chAddr, -1)
-		return isa.CommunicationCycles(0, m.wordBits)
-	case m.altWaiting():
-		// The inputter is descheduled inside alt wait: wake it.
-		m.setWord(chAddr, m.Wdesc)
-		m.setWordIndex(w, wsPointer, ptr)
-		m.setWordIndex(partnerW, wsState, m.altReady())
-		m.wake(chWord)
-		if m.bus != nil {
-			m.emit(probe.Event{Kind: probe.ChanBlock, Proc: m.Wdesc, Addr: chAddr, Out: true,
-				Flow: m.offerFlow(chAddr), IP: m.Iptr})
-		}
-		m.blockOnComm(BlockChanOut, chAddr, -1)
-		return isa.CommunicationCycles(0, m.wordBits)
+		return m.awaitPartner(chAddr, ptr, true)
 	}
 
 	// The inputter is already waiting: copy the message to its buffer
@@ -118,16 +92,8 @@ func (m *Machine) inputMessage() int {
 	}
 
 	chWord := m.word(chAddr)
-	w := m.wptr()
 	if chWord == m.notProcess() {
-		m.setWord(chAddr, m.Wdesc)
-		m.setWordIndex(w, wsPointer, ptr)
-		if m.bus != nil {
-			m.emit(probe.Event{Kind: probe.ChanBlock, Proc: m.Wdesc, Addr: chAddr,
-				Flow: m.offerFlow(chAddr), IP: m.Iptr})
-		}
-		m.blockOnComm(BlockChanIn, chAddr, -1)
-		return isa.CommunicationCycles(0, m.wordBits)
+		return m.awaitPartner(chAddr, ptr, false)
 	}
 
 	// The outputter is waiting: copy from its buffer.
@@ -141,6 +107,24 @@ func (m *Machine) inputMessage() int {
 			Bytes: count, Arg: int64(chWord), Flow: m.takeFlow(chAddr), IP: m.Iptr})
 	}
 	return m.completeTransfer(chWord, count)
+}
+
+// awaitPartner is the first process at the rendezvous: it stores its
+// descriptor in the channel word and its buffer pointer in its
+// workspace, and deschedules until the partner arrives.
+func (m *Machine) awaitPartner(chAddr, ptr uint64, out bool) int {
+	m.setWord(chAddr, m.Wdesc)
+	m.setWordIndex(m.wptr(), wsPointer, ptr)
+	if m.bus != nil {
+		m.emit(probe.Event{Kind: probe.ChanBlock, Proc: m.Wdesc, Addr: chAddr, Out: out,
+			Flow: m.offerFlow(chAddr), IP: m.Iptr})
+	}
+	kind := BlockChanIn
+	if out {
+		kind = BlockChanOut
+	}
+	m.blockOnComm(kind, chAddr, -1)
+	return isa.CommunicationCycles(0, m.wordBits)
 }
 
 // completeTransfer charges the communication cost and reschedules the

@@ -8,7 +8,7 @@ import "sync/atomic"
 // network mostly run copies of a few programs: the search array's 128
 // nodes differ only in a constant and their link set.  What decodeRec
 // makes of a run of bytes depends on nothing but those bytes, their
-// address, the word size and the fetch-buffer ablation, so machines
+// address and the word size, the key code.find compares, so machines
 // that decode the same bytes at the same address can hold one copy of
 // the records.  A CodeStore keeps that copy; each machine keeps only a
 // block, its handle on the code, with its own chain edges and validity.

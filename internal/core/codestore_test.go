@@ -232,7 +232,7 @@ func TestRewriteWithSameBytesAddsNoCode(t *testing.T) {
 	}
 	var first int
 	for i := 0; i < 7*4096; i++ {
-		if m.Step() == 0 {
+		if stepOne(m) == 0 {
 			t.Fatalf("stopped after %d steps: %v", i, m.Fault())
 		}
 		if i == 7*4 {

@@ -1,6 +1,10 @@
 package core
 
-import "unsafe"
+import (
+	"maps"
+	"slices"
+	"unsafe"
+)
 
 // MemOf returns a machine's whole memory, all MemBytes of it, zero past
 // the backing, for the external tests: the differential checker
@@ -59,6 +63,19 @@ func CachedCode(m *Machine) (blocks, recs int) {
 		}
 	}
 	return blocks, recs
+}
+
+// CachedRanges lists the address ranges [start, end) of the blocks in
+// a machine's lookup map, in address order.
+func CachedRanges(m *Machine) [][2]uint64 {
+	var rs [][2]uint64
+	if m.bc != nil {
+		for _, start := range slices.Sorted(maps.Keys(m.bc.blocks)) {
+			b := m.bc.blocks[start]
+			rs = append(rs, [2]uint64{start, start + b.endOff - b.startOff})
+		}
+	}
+	return rs
 }
 
 // StoreOf is the store a machine decodes into, nil before its first

@@ -140,9 +140,10 @@ type Machine struct {
 	vchans map[uint64]*extXfer
 
 	// bc caches predecoded straight-line instruction blocks; curBlock
-	// and curIdx form the execution cursor: the record after the last
-	// one executed from the cache, or, with curIdx past the last record,
-	// the block whose chain edges lead on (see find in blockcache.go).
+	// and curIdx form the execution cursor: the record where the last
+	// batch stopped, or, with curIdx past the last record or on a
+	// terminator Step has run, the block whose chain edges lead on (see
+	// find in blockcache.go).
 	bc       *blockCache
 	curBlock *block
 	curIdx   int

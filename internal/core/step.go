@@ -68,22 +68,12 @@ func (m *Machine) pop() uint64 {
 // wptr returns the current workspace pointer.
 func (m *Machine) wptr() uint64 { return wptrOf(m.Wdesc) }
 
-// execOne executes a single instruction and returns the cycles
-// consumed, dispatching on a predecoded record when the block cache
-// holds one for the current instruction pointer and falling back to
-// the interpreted fetch/decode path otherwise.
+// execOne fetches, decodes and executes a single instruction,
+// including its prefix sequence, and returns the cycles consumed.  This
+// is the interpreter, the reference the block cache is held to: Step
+// never consults the cache, whose records run only in StepRun and
+// RunAhead batches.
 func (m *Machine) execOne() int {
-	if !m.noCache && m.Oreg == 0 {
-		if b, idx := m.find(true); b != nil {
-			return m.execRec(b, idx)
-		}
-	}
-	return m.execOneSlow()
-}
-
-// execOneSlow fetches, decodes and executes a single instruction,
-// including its prefix sequence, and returns the cycles consumed.
-func (m *Machine) execOneSlow() int {
 	cycles := 0
 	bytes := 0
 	startAddr := m.Iptr

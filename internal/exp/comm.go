@@ -90,15 +90,8 @@ cnt:
 buf:
 	space 1024
 `, n)
-	a, err := asm.Assemble(src, 4)
+	m, err := loadT424(src)
 	if err != nil {
-		return 0, err
-	}
-	m, err := core.New(core.T424().WithMemory(64 * 1024))
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Load(a.Image); err != nil {
 		return 0, err
 	}
 	res := core.Run(m, 10*sim.Millisecond)
@@ -163,7 +156,7 @@ buf:
 	space 1024
 `
 	// Longest uninterruptible slice under a move-heavy load.
-	m, err := loadLow(moveLoop)
+	m, err := loadT424(moveLoop)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -177,7 +170,7 @@ buf:
 	// Preemption charge: inject a high-priority jump loop at an
 	// instruction boundary; the next step preempts and runs the high
 	// process's first instruction (a 3-cycle jump).
-	m2, err := loadLow(moveLoop)
+	m2, err := loadT424(moveLoop)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -199,7 +192,7 @@ buf:
 	// low-priority state.  Subtracting the known instruction costs
 	// isolates the downward charge.
 	const simpleLoop = "loop:\n\tldc 0\n\tstl 1\n\tj loop\n"
-	m3, err := loadLow(simpleLoop)
+	m3, err := loadT424(simpleLoop)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -218,7 +211,8 @@ buf:
 	return worstUp, down, nil
 }
 
-func loadLow(src string) (*core.Machine, error) {
+// loadT424 assembles src and loads it on a T424 with 64 KiB.
+func loadT424(src string) (*core.Machine, error) {
 	a, err := asm.Assemble(src, 4)
 	if err != nil {
 		return nil, err
@@ -241,5 +235,3 @@ func plantHigh(m *core.Machine, code []byte) (iptr, wptr uint64) {
 	wptr = m.EntryWptr() + 4*64
 	return iptr, wptr
 }
-
-var _ = sim.Microsecond

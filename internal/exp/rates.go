@@ -57,12 +57,8 @@ func tableMix() (core.Stats, error) {
 // runT424 assembles src for a T424 with 64 KiB, runs it for up to 10 ms
 // of simulated time and returns its statistics.
 func runT424(src string) (core.Stats, error) {
-	a, err := asm.Assemble(src, 4)
+	m, err := loadT424(src)
 	if err != nil {
-		return core.Stats{}, err
-	}
-	m := core.MustNew(core.T424().WithMemory(64 * 1024))
-	if err := m.Load(a.Image); err != nil {
 		return core.Stats{}, err
 	}
 	core.Run(m, 10*sim.Millisecond)

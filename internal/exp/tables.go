@@ -17,16 +17,9 @@ import (
 // T424 and returns the fragment's code bytes and executed cycles.
 func measureFragment(setup, fragment string) (bytes int, cycles uint64, err error) {
 	run := func(src string) (*core.Machine, error) {
-		a, aerr := asm.Assemble(src, 4)
-		if aerr != nil {
-			return nil, aerr
-		}
-		m, merr := core.New(core.T424().WithMemory(64 * 1024))
-		if merr != nil {
-			return nil, merr
-		}
-		if lerr := m.Load(a.Image); lerr != nil {
-			return nil, lerr
+		m, err := loadT424(src)
+		if err != nil {
+			return nil, err
 		}
 		res := core.Run(m, 10*sim.Millisecond)
 		if !res.Settled {

@@ -486,6 +486,7 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 		}
 		if min1 == MaxTime {
 			c.flush(MaxTime, true)
+			c.spanTo(c.Now())
 			return true
 		}
 		c.flush(min1, false)
@@ -496,13 +497,11 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 			if c.now < limit {
 				c.now = limit
 			}
+			c.spanTo(limit)
 			return false
 		}
 		c.stBarriers++
-		if c.lastMin1Set && min1 > c.lastMin1 {
-			c.stSpanSum += min1 - c.lastMin1
-		}
-		c.lastMin1, c.lastMin1Set = min1, true
+		c.spanTo(min1)
 		minSb := MaxTime
 		for _, q := range c.shards {
 			sb := q.sendBound()
@@ -536,6 +535,17 @@ func (c *Coordinator) run(limit Time, bounded bool) bool {
 			c.stShardWindows += uint64(len(active))
 		}
 		c.runWindow(active)
+	}
+}
+
+// spanTo moves the low-water mark up to t, the opening of the next
+// window or where the run ended, which closes the last window's span.
+func (c *Coordinator) spanTo(t Time) {
+	if !c.lastMin1Set {
+		c.lastMin1, c.lastMin1Set = t, true
+	} else if t > c.lastMin1 {
+		c.stSpanSum += t - c.lastMin1
+		c.lastMin1 = t
 	}
 }
 

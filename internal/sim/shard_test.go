@@ -169,3 +169,32 @@ func TestClockImplementers(t *testing.T) {
 		t.Error("*Shard implements Clock; schedule through its ports instead")
 	}
 }
+
+// TestSpanClosesLastWindow: the span a run reports ends where the run
+// ended, so a lone shard, whose one window runs everything there is,
+// reports the stretch from its first event to its last when the run
+// drains, and to the limit when the limit stops it.
+func TestSpanClosesLastWindow(t *testing.T) {
+	const L = Time(100)
+	c := NewCoordinator(L)
+	p := c.NewShard().Port()
+	for _, at := range []Time{L, 3 * L} {
+		p.Schedule(at, func() {})
+	}
+	c.Run()
+	if es := c.EngineStats(); es.Windows != 1 || es.SpanSum != 2*L {
+		t.Errorf("drained run: %d windows spanning %v, want 1 spanning %v", es.Windows, es.SpanSum, 2*L)
+	}
+	p.Schedule(4*L, func() {})
+	p.Schedule(9*L, func() {})
+	if c.RunUntil(6 * L) {
+		t.Fatal("the run drained below its limit")
+	}
+	if es := c.EngineStats(); es.Windows != 2 || es.SpanSum != 5*L {
+		t.Errorf("bounded run: %d windows spanning %v, want 2 spanning %v", es.Windows, es.SpanSum, 5*L)
+	}
+	c.Run()
+	if es := c.EngineStats(); es.Windows != 3 || es.SpanSum != 8*L {
+		t.Errorf("resumed run: %d windows spanning %v, want 3 spanning %v", es.Windows, es.SpanSum, 8*L)
+	}
+}
