@@ -466,7 +466,7 @@ func (sc Scenario) TopologyFile() string {
 	for _, c := range t.conns {
 		fmt.Fprintf(&b, "connect %s.%d %s.%d\n", c.A, c.ALink, c.B, c.BLink)
 	}
-	b.WriteString("\nlinkmode reliable\nheartbeat\nroute\n\n")
+	b.WriteString("\nroute\n\n")
 	msgs := append([]network.MessageSpec(nil), sc.Messages...)
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].At < msgs[j].At })
 	for _, m := range msgs {

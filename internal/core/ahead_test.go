@@ -49,7 +49,6 @@ type runAheadCase struct {
 	// RunAhead must refuse at `go`, where `stop` is not.
 	ran       bool
 	timeslice int
-	haltOnErr bool
 	prep      func(m *core.Machine) // applied before the program runs
 }
 
@@ -88,8 +87,8 @@ var runAheadCases = []runAheadCase{
 		// program, in memory the host has not backed: all inside memory.
 		src: waitLow("\tmint\n\tldnlp 3000\n\tmint\n\tldnlp 4\n\tldc 4\n\tin\n",
 			"go:\tmint\n\tldnlp 2000\n\tldnl 0\n\tmint\n\tstnl 2500\n\tj go\nstop:\n")},
-	{name: "error halting armed", exit: core.AheadImpure, haltOnErr: true,
-		src: waitLow(inputLocal5, spin)},
+	{name: "error halting armed", exit: core.AheadImpure,
+		src: waitLow("\tsethalterr\n"+inputLocal5, spin)},
 	{name: "a wait on the event channel", exit: core.AheadWait,
 		src: waitLow("\tldlp 5\n\tmint\n\tldnlp 8\n\tldc 4\n\tin\n", spin)},
 	{name: "an alternative armed on a link", exit: core.AheadWait,
@@ -135,7 +134,6 @@ func runAheadStop(t *testing.T, c runAheadCase) *core.Machine {
 		t.Fatal(err)
 	}
 	cfg := core.T424().WithMemory(16 * 1024)
-	cfg.HaltOnError = c.haltOnErr
 	if c.timeslice != 0 {
 		cfg.TimesliceCycles = c.timeslice
 	}

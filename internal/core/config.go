@@ -39,8 +39,6 @@ type Config struct {
 	// TimesliceCycles is the period after which a low-priority process
 	// is moved to the back of its queue at the next descheduling point.
 	TimesliceCycles int
-	// HaltOnError stops the machine when the error flag is set.
-	HaltOnError bool
 }
 
 // T424 returns the configuration of the IMS T424: 32 bits, 4 KiB

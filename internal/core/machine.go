@@ -413,7 +413,7 @@ func (m *Machine) now() sim.Time {
 
 func (m *Machine) setError() {
 	m.errorFlag = true
-	if m.cfg.HaltOnError || m.haltErr {
+	if m.haltErr {
 		m.halted = true
 	}
 }

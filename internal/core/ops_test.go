@@ -400,18 +400,25 @@ loop2:
 	}
 }
 
-// TestHaltOnErrorConfig: the machine-level halt-on-error switch.
-func TestHaltOnErrorConfig(t *testing.T) {
-	cfg := core.T424().WithMemory(64 * 1024)
-	cfg.HaltOnError = true
-	m := core.MustNew(cfg)
-	img := assemble(t, "\tmint\n\tadc -1\n\tldc 5\n\tstl 1\n\tstopp\n")
-	if err := m.Load(img); err != nil {
-		t.Fatal(err)
+// TestClrhalterrDisarmsHalting: clrhalterr undoes sethalterr, so a
+// later overflow sets the error flag and execution goes on.
+func TestClrhalterrDisarmsHalting(t *testing.T) {
+	m := runSrc(t, `
+	sethalterr
+	clrhalterr
+	testhalterr
+	stl 1
+	mint
+	adc -1         -- overflow -> error, no halt
+	ldc 9
+	stl 2
+	stopp
+`)
+	if m.Halted() || !m.ErrorFlag() {
+		t.Errorf("halted=%v error=%v, want a set error flag on a running machine", m.Halted(), m.ErrorFlag())
 	}
-	core.Run(m, sim.Millisecond)
-	if !m.Halted() || m.Local(1) == 5 {
-		t.Error("HaltOnError config should stop at the overflow")
+	if m.Local(1) != 0 || m.Local(2) != 9 {
+		t.Errorf("testhalterr = %d, local 2 = %d, want 0 and 9", m.Local(1), m.Local(2))
 	}
 }
 

@@ -107,12 +107,9 @@ var aheadScenarios = []Scenario{
 		[]string{delayThenSend(9000, 0xD1CE), timerOverLoop},
 		func(c *core.Config) { c.TimesliceCycles = 700 }, sim.Second, 0,
 		func(a core.AheadStats) bool { return a.Exits[core.AheadOwnEvent] > 0 && a.Batches > 0 }),
-	aheadRing("overflow with error halting configured",
-		[]string{delayThenSend(1500, 0xF00D), overflowLoop(false)},
-		func(c *core.Config) { c.HaltOnError = true }, sim.Second, 0,
-		func(a core.AheadStats) bool { return a.Exits[core.AheadImpure] > 0 }),
 	aheadRing("overflow with error halting armed by the program",
-		[]string{delayThenSend(1500, 0xF00D), overflowLoop(true)}, nil, sim.Second, 0, nil),
+		[]string{delayThenSend(1500, 0xF00D), overflowLoop(true)}, nil, sim.Second, 0,
+		func(a core.AheadStats) bool { return a.Exits[core.AheadImpure] > 0 }),
 	aheadRing("overflow in the batch that arms error halting",
 		[]string{delayThenSend(6000, 0xF00D), overflowLoop(false)}, nil, sim.Second, 0,
 		func(a core.AheadStats) bool { return a.Batches > 0 }),

@@ -157,8 +157,8 @@ func sieved(name string, p sieve.Params, limit sim.Time) Scenario {
 
 // severedAndRestoredRing has a wire cut for good and a node that loses
 // power and comes back — cuts and revivals that cross shards wherever
-// the partition puts a boundary — with heartbeats and the routing layer
-// on every node, a bounded Run and a Continue.
+// the partition puts a boundary — with the routing layer (and so
+// heartbeats) on every node, a bounded Run and a Continue.
 func severedAndRestoredRing() (*Running, error) {
 	s := network.NewSystem()
 	nodes := make([]*network.Node, 5)
@@ -168,8 +168,6 @@ func severedAndRestoredRing() (*Running, error) {
 	for i, n := range nodes {
 		s.MustConnect(n, 0, nodes[(i+1)%len(nodes)], 1)
 	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat()
 	r, err := route.Attach(s)
 	if err != nil {
 		return nil, err
@@ -193,7 +191,6 @@ func severedAndRestoredRing() (*Running, error) {
 		Run: func() (network.Report, string) { return s.Run(6 * sim.Millisecond), "" },
 		Then: func() (network.Report, string) {
 			r.Stop()
-			s.StopHeartbeats()
 			rep := s.Continue(s.Now() + 4*sim.Millisecond)
 			var extra bytes.Buffer
 			fmt.Fprintf(&extra, "undelivered %d\n", r.Undelivered())
@@ -220,8 +217,6 @@ func routedVChanRing() (*Running, error) {
 			return nil, err
 		}
 	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat()
 	r, err := route.Attach(s)
 	if err != nil {
 		return nil, err
@@ -240,7 +235,6 @@ func routedVChanRing() (*Running, error) {
 		Run: func() (network.Report, string) { return s.Run(4 * sim.Millisecond), "" },
 		Then: func() (network.Report, string) {
 			r.Stop()
-			s.StopHeartbeats()
 			rep := s.Continue(s.Now() + 2*sim.Millisecond)
 			var extra bytes.Buffer
 			fmt.Fprintf(&extra, "undelivered %d\n", r.Undelivered())

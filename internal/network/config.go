@@ -38,13 +38,13 @@ import (
 //	fault halt gfx at=1ms
 //	fault restart gfx at=2ms
 //
-// Self-healing topologies enable liveness monitoring and the routing
-// layer, and inject end-to-end messages instead of running programs.
-// Both are bare switches: their timing is fixed (link.BeatTimeout and
-// the route package's constants), and an option is an error:
+// Self-healing topologies turn on the routing layer, and inject
+// end-to-end messages instead of running programs.  route is a bare
+// switch: it brings the error-detecting link mode (a linkmode line's
+// timeout and retries still apply) and liveness monitoring with it,
+// their timing is fixed (link.BeatTimeout and the route package's
+// constants), and an option is an error:
 //
-//	linkmode reliable
-//	heartbeat
 //	route
 //	message app gfx at=100us data=hello
 //
@@ -69,9 +69,8 @@ type Topology struct {
 	LinkMode LinkMode
 	// Faults is the scripted fault plan (empty when none).
 	Faults []fault.Rule
-	// Heartbeat enables link liveness monitoring.
-	Heartbeat bool
-	// Route enables the store-and-forward routing layer.
+	// Route enables the store-and-forward routing layer, and with it
+	// the error-detecting link mode and liveness monitoring.
 	Route bool
 	// Messages are end-to-end injections for routed topologies.
 	Messages []MessageSpec
@@ -93,6 +92,16 @@ type MessageSpec struct {
 	At       sim.Time
 	Data     string
 }
+
+// The routing layer's frame caps: a frame names its origin and
+// destination by node ordinal in one byte each, and carries at most
+// MaxRoutePayload bytes of message.  The parser rejects a routed
+// topology or message beyond them, as route.Attach and Router.SendAt
+// do for Go callers.
+const (
+	MaxRouteNodes   = 256
+	MaxRoutePayload = 1024
+)
 
 // LinkMode configures the link protocol for a whole system.
 type LinkMode struct {
@@ -168,7 +177,7 @@ func ParseTopology(src string) (*Topology, error) {
 			return nil
 		}
 		switch fields[0] {
-		case "run", "seed", "linkmode", "heartbeat", "route":
+		case "run", "seed", "linkmode", "route":
 			if prev, dup := onceAt[fields[0]]; dup {
 				return nil, fail("duplicate %s directive (first at line %d)", fields[0], prev)
 			}
@@ -288,11 +297,6 @@ func ParseTopology(src string) (*Topology, error) {
 			refs = append(refs, ref{rule.Node, no})
 			topo.Faults = append(topo.Faults, rule)
 			faultLine = append(faultLine, no)
-		case "heartbeat":
-			if len(fields) > 1 {
-				return nil, fail("heartbeat takes no options")
-			}
-			topo.Heartbeat = true
 		case "route":
 			if len(fields) > 1 {
 				return nil, fail("route takes no options")
@@ -322,6 +326,9 @@ func ParseTopology(src string) (*Topology, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
+			if len(msg.Data) > MaxRoutePayload {
+				return nil, fail("message payload of %d bytes exceeds the %d-byte cap", len(msg.Data), MaxRoutePayload)
+			}
 			refs = append(refs, ref{msg.From, no}, ref{msg.To, no})
 			topo.Messages = append(topo.Messages, msg)
 			if messageAt == 0 {
@@ -342,13 +349,9 @@ func ParseTopology(src string) (*Topology, error) {
 	if err := validateVChans(topo, vchanLine, faultLine, wiredLine); err != nil {
 		return nil, err
 	}
-	if topo.Route {
-		if !topo.LinkMode.Reliable {
-			return nil, fmt.Errorf("topology line %d: route requires linkmode reliable", onceAt["route"])
-		}
-		if !topo.Heartbeat {
-			return nil, fmt.Errorf("topology line %d: route requires a heartbeat directive", onceAt["route"])
-		}
+	if topo.Route && len(topo.Transputers) > MaxRouteNodes {
+		return nil, fmt.Errorf("topology line %d: route over %d transputers exceeds the %d-node frame address space",
+			onceAt["route"], len(topo.Transputers), MaxRouteNodes)
 	}
 	if messageAt != 0 && !topo.Route {
 		return nil, fmt.Errorf("topology line %d: message directives require a route directive", messageAt)
@@ -400,6 +403,9 @@ func validateFaults(topo *Topology, faultLine []int, wiredLine map[string]int) e
 			}
 			if haltAt >= r.At {
 				return fail("restart of %q at %v does not follow its halt at %v", r.Node, r.At, haltAt)
+			}
+			if topo.Route && r.At-haltAt < minOutage {
+				return fail("%s", shortOutage(r.Node, r.At-haltAt))
 			}
 		default:
 			// Wire-targeted rules must name an end that is actually
@@ -546,20 +552,13 @@ func parseMessage(args []string) (MessageSpec, error) {
 // parseLinkMode reads the arguments of a linkmode directive.
 func parseLinkMode(args []string) (LinkMode, error) {
 	var mode LinkMode
-	if len(args) == 0 {
-		return mode, fmt.Errorf("linkmode needs a mode (standard or reliable)")
+	switch {
+	case len(args) == 0:
+		return mode, fmt.Errorf("linkmode needs a mode (reliable)")
+	case args[0] != "reliable":
+		return mode, fmt.Errorf("unknown link mode %q (want reliable)", args[0])
 	}
-	switch args[0] {
-	case "standard":
-		if len(args) > 1 {
-			return mode, fmt.Errorf("linkmode standard takes no options")
-		}
-		return mode, nil
-	case "reliable":
-		mode.Reliable = true
-	default:
-		return mode, fmt.Errorf("unknown link mode %q (want standard or reliable)", args[0])
-	}
+	mode.Reliable = true
 	for _, opt := range args[1:] {
 		k, v, ok := strings.Cut(opt, "=")
 		if !ok {

@@ -65,8 +65,8 @@ func TestParseTopologyErrors(t *testing.T) {
 		"input a",
 		"input a xyz",
 		"run forever",
-		"transputer x t424\nheartbeat\nrun -1ms", // ran forever: the monitor never lets the system quiesce
-		"run -5",                                 // ran unbounded
+		"transputer x t424\nroute\nrun -1ms", // ran forever: the monitor never lets the system quiesce
+		"run -5",                             // ran unbounded
 		"run 0",
 		"banana split",
 		// hardening: duplicates, double wiring, bad references
@@ -97,15 +97,21 @@ func TestParseTopologyErrors(t *testing.T) {
 			t.Errorf("ParseTopology(%q) should fail", src)
 		}
 	}
-	// heartbeat and route are bare switches: the option forms they once
-	// took are refused at their line.  The engine picks its own
-	// partition, so a shard line is an unknown directive.
+	// route is a bare switch: the option forms it once took are refused
+	// at its line.  It brings liveness monitoring with it, so there is no
+	// heartbeat directive, and the paper's protocol is what a file
+	// without a linkmode line gets, so linkmode has no standard mode.
+	// The engine picks its own partition, so a shard line is an unknown
+	// directive.  A message longer than a routed frame carries is
+	// refused at its line.
 	for src, want := range map[string]string{
-		"transputer a t424\ntransputer b t424\nshard a b":     `topology line 3: unknown directive "shard"`,
-		"heartbeat interval=20us":                             "topology line 1: heartbeat takes no options",
-		"transputer x t424\nheartbeat timeout=100us":          "topology line 2: heartbeat takes no options",
-		"transputer x t424\nlinkmode reliable\nroute ttl=4":   "topology line 3: route takes no options",
-		"transputer x t424\nlinkmode reliable\nroute hop=1us": "topology line 3: route takes no options",
+		"transputer a t424\ntransputer b t424\nshard a b": `topology line 3: unknown directive "shard"`,
+		"heartbeat": `topology line 1: unknown directive "heartbeat"`,
+		"transputer x t424\nheartbeat timeout=100us":                                     `topology line 2: unknown directive "heartbeat"`,
+		"linkmode standard":                                                              `topology line 1: unknown link mode "standard" (want reliable)`,
+		"transputer x t424\nlinkmode reliable\nroute ttl=4":                              "topology line 3: route takes no options",
+		"transputer x t424\nlinkmode reliable\nroute hop=1us":                            "topology line 3: route takes no options",
+		"transputer x t424\nroute\nmessage x x at=1us data=" + strings.Repeat("y", 2000): "topology line 3: message payload of 2000 bytes exceeds the 1024-byte cap",
 	} {
 		if _, err := ParseTopology(src); err == nil || err.Error() != want {
 			t.Errorf("ParseTopology(%q) = %v, want %q", src, err, want)
@@ -129,16 +135,23 @@ func TestParseTopologyErrorLines(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("duplicate-name error %v should name both lines", err)
 	}
-	_, err = ParseTopology("transputer x t424\nheartbeat\nrun -1ms\n")
+	_, err = ParseTopology("transputer x t424\nroute\nrun -1ms\n")
 	if want := `topology line 3: bad duration "-1ms"`; err == nil || err.Error() != want {
 		t.Errorf("negative run limit: %v, want %q", err, want)
 	}
 	// The cross-directive checks run after the whole file is read; they
-	// name the route line, or the first message line.
+	// name the route line, the restart rule, or the first message line.
+	// A routed frame names a node in one byte, and a routed node's
+	// peers reset their streams only at the heartbeat's down verdict.
+	var big strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&big, "transputer n%d t424\n", i)
+	}
 	for src, want := range map[string]string{
-		"transputer x t424\nheartbeat\nroute\n":                                     "topology line 3: route requires linkmode reliable",
-		"transputer x t424\nroute\n\nlinkmode reliable\n":                           "topology line 2: route requires a heartbeat directive",
 		"transputer x t424\nmessage x x at=1us data=a\nmessage x x at=2us data=b\n": "topology line 2: message directives require a route directive",
+		"route\n" + big.String(): "topology line 1: route over 300 transputers exceeds the 256-node frame address space",
+		"transputer a t424\ntransputer b t424\nconnect a.0 b.0\nfault halt b at=100us\nfault restart b at=150us\nroute\n": `topology line 5: restart of "b" only 50.000µs after its halt; ` +
+			"outages must last at least 200.000µs (twice the heartbeat timeout) for link streams to resynchronise",
 	} {
 		if _, err := ParseTopology(src); err == nil || err.Error() != want {
 			t.Errorf("ParseTopology(%q) = %v, want %q", src, err, want)
@@ -228,8 +241,10 @@ func TestParseDurations(t *testing.T) {
 	}
 }
 
-// TestParseSelfHealing covers the heartbeat, route and message
-// directives of a self-healing topology.
+// TestParseSelfHealing covers the route and message directives of a
+// self-healing topology: route needs no linkmode line (the build turns
+// the error-detecting mode on), and an outage of twice the heartbeat
+// timeout or more is accepted.
 func TestParseSelfHealing(t *testing.T) {
 	src := `
 transputer a t424
@@ -238,21 +253,19 @@ transputer c t424
 connect a.0 b.1
 connect b.0 c.1
 connect c.0 a.1
-linkmode reliable
-heartbeat
 route
 message a c at=100us data=hello
 fault sever a.0 at=200us
 fault halt b at=300us
-fault restart b at=900us
+fault restart b at=500us
 run 5ms
 `
 	topo, err := ParseTopology(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !topo.Heartbeat || !topo.Route {
-		t.Errorf("heartbeat = %v, route = %v", topo.Heartbeat, topo.Route)
+	if !topo.Route || topo.LinkMode.Reliable {
+		t.Errorf("route = %v, link mode = %+v", topo.Route, topo.LinkMode)
 	}
 	if len(topo.Messages) != 1 {
 		t.Fatalf("messages = %+v", topo.Messages)
@@ -262,7 +275,7 @@ run 5ms
 		t.Errorf("message = %+v", m)
 	}
 	r := topo.Faults[2]
-	if r.Kind != fault.Restart || r.Node != "b" || r.Link != -1 || r.At != 900*sim.Microsecond {
+	if r.Kind != fault.Restart || r.Node != "b" || r.Link != -1 || r.At != 500*sim.Microsecond {
 		t.Errorf("restart rule = %+v", r)
 	}
 }
@@ -271,18 +284,13 @@ run 5ms
 // directives at parse time.
 func TestParseSelfHealingErrors(t *testing.T) {
 	cases := []string{
-		"heartbeat interval=banana",
-		"heartbeat frequency=20us",
 		"route ttl=0",
 		"route ttl=banana",
 		"route speed=11",
-		// route without its prerequisites
-		"transputer x t424\nroute",
-		"transputer x t424\nlinkmode reliable\nroute",
 		// messages without routing, or naming ghosts
 		"transputer x t424\nmessage x x at=1us data=hi",
 		"transputer x t424\ntransputer y t424\nconnect x.0 y.0\n" +
-			"linkmode reliable\nheartbeat\nroute\nmessage x ghost at=1us data=hi",
+			"route\nmessage x ghost at=1us data=hi",
 		"message x",
 		"message x y",
 		"message x y data=hi", // no at=
@@ -346,7 +354,7 @@ func TestParseVChan(t *testing.T) {
 }
 
 // TestParseDuplicateDirectives: a topology may give each of run, seed,
-// linkmode, heartbeat and route at most once; a silent
+// linkmode and route at most once; a silent
 // last-writer-wins overwrite was how a campaign ran with the wrong
 // timeout and nobody noticed.
 func TestParseDuplicateDirectives(t *testing.T) {
@@ -354,10 +362,8 @@ func TestParseDuplicateDirectives(t *testing.T) {
 		src  string
 		want []string
 	}{
-		{"heartbeat\nheartbeat",
-			[]string{"line 2", "duplicate heartbeat", "line 1"}},
-		{"transputer x t424\nlinkmode reliable\nheartbeat\nroute\nroute",
-			[]string{"line 5", "duplicate route", "line 4"}},
+		{"transputer x t424\nroute\nroute",
+			[]string{"line 3", "duplicate route", "line 2"}},
 		{"linkmode reliable timeout=5us\nlinkmode reliable",
 			[]string{"line 2", "duplicate linkmode", "line 1"}},
 		{"seed 1\ntransputer x t424\nseed 2",

@@ -27,6 +27,20 @@ func (s *System) SetLinkMode(m LinkMode) {
 	}
 }
 
+// minOutage is the shortest halt-to-restart gap on a monitored system.
+// Peers resynchronise their link streams at the heartbeat down verdict
+// and the restarted node resets its own at boot; an outage shorter
+// than twice the detection window would reset only one end and
+// desynchronise the byte stream, so both the parser and ApplyFaults
+// reject such plans.
+const minOutage = 2 * link.BeatTimeout
+
+// shortOutage describes a restart that comes too soon after its halt.
+func shortOutage(node string, gap sim.Time) string {
+	return fmt.Sprintf("restart of %q only %v after its halt; outages must last at least %v "+
+		"(twice the heartbeat timeout) for link streams to resynchronise", node, gap, minOutage)
+}
+
 // ApplyFaults installs a seeded fault plan: per-packet hooks on the
 // targeted wires, and scheduled severs and halts on the kernel.  Call
 // it after the topology is fully wired and before Run.
@@ -39,11 +53,6 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 		return err
 	}
 	if s.heartbeat {
-		// With liveness monitoring on, peers resynchronise their link
-		// streams at the heartbeat down verdict and the restarted node
-		// resets its own at boot.  An outage shorter than the detection
-		// window would reset only one end and desynchronise the byte
-		// stream, so reject such plans outright.
 		for i, r := range plan.Rules {
 			if r.Kind != fault.Restart {
 				continue
@@ -54,10 +63,8 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 					haltAt = h.At
 				}
 			}
-			if haltAt > 0 && r.At-haltAt < 2*link.BeatTimeout {
-				return fmt.Errorf("network: rule %d: restart of %q only %v after its halt; "+
-					"outages must exceed twice the heartbeat timeout (%v) for link streams to resynchronise",
-					i, r.Node, r.At-haltAt, link.BeatTimeout)
+			if haltAt > 0 && r.At-haltAt < minOutage {
+				return fmt.Errorf("network: rule %d: %s", i, shortOutage(r.Node, r.At-haltAt))
 			}
 		}
 	}

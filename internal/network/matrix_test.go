@@ -45,7 +45,6 @@ func TestRunAheadInvisible(t *testing.T) {
 		"high-priority receiver over a low-priority loop",
 		"replicated loops timesliced while a delivery joins the queue",
 		"timer expiring over a low-priority loop",
-		"overflow with error halting configured",
 		"overflow with error halting armed by the program",
 		"overflow in the batch that arms error halting",
 		"search ring with every receiver's input open")

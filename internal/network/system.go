@@ -469,8 +469,8 @@ func (n *Node) Publish(ev probe.Event) {
 }
 
 // SetHeartbeat enables link liveness monitoring on every node,
-// present and future; the monitors start when Run does.  See
-// link.SetHeartbeat.
+// present and future; the monitors start when Run does.  route.Attach
+// calls it, and the router's Stop stops them.  See link.SetHeartbeat.
 func (s *System) SetHeartbeat() {
 	s.heartbeat = true
 	for _, n := range s.nodes {
@@ -478,20 +478,8 @@ func (s *System) SetHeartbeat() {
 	}
 }
 
-// HeartbeatSet reports whether system-wide liveness monitoring is
-// enabled.
-func (s *System) HeartbeatSet() bool { return s.heartbeat }
-
 // LinkMode reports the system-wide link protocol configuration.
 func (s *System) LinkMode() LinkMode { return s.linkMode }
-
-// StopHeartbeats cancels every node's liveness monitor so a run can
-// quiesce; call between Run and a final Continue.
-func (s *System) StopHeartbeats() {
-	for _, n := range s.nodes {
-		n.Engine.StopHeartbeat()
-	}
-}
 
 // OnNodeDown registers a callback for nodes stopped by a halt rule.
 // It runs on the affected node's shard, at the instant of the halt.

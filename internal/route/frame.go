@@ -6,13 +6,18 @@
 //	kind(1) origin(1) dest(1) ttl(1) seq(4 LE) len(2 LE) payload...
 //
 // origin and dest are node ordinals (the creation order of the
-// system's transputers), which caps a routed network at 256 nodes —
-// comfortably above anything the simulator runs.  seq is the
+// system's transputers), which caps a routed network at
+// network.MaxRouteNodes — comfortably above anything the simulator
+// runs — and len is at most network.MaxRoutePayload.  seq is the
 // end-to-end stream sequence for DATA and E2EACK frames and the
 // advertisement generation for LSA frames.
 package route
 
-import "fmt"
+import (
+	"fmt"
+
+	"transputer/internal/network"
+)
 
 // Frame kinds.  Zero is deliberately invalid so a desynchronised byte
 // stream is likely to surface as a bad frame instead of a plausible
@@ -27,10 +32,6 @@ const (
 
 // headerLen is the fixed frame header size.
 const headerLen = 10
-
-// maxPayload bounds a frame's payload; anything longer is split by the
-// caller or rejected.
-const maxPayload = 1024
 
 // frame is one routed message in memory.
 type frame struct {
@@ -78,7 +79,7 @@ func parseHeader(b []byte, nodes int) (f frame, plen int, err error) {
 	f.ttl = b[3]
 	f.seq = uint32(b[4]) | uint32(b[5])<<8 | uint32(b[6])<<16 | uint32(b[7])<<24
 	plen = int(b[8]) | int(b[9])<<8
-	if plen > maxPayload {
+	if plen > network.MaxRoutePayload {
 		return frame{}, 0, fmt.Errorf("route: frame payload %d exceeds cap", plen)
 	}
 	return f, plen, nil

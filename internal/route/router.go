@@ -184,25 +184,26 @@ type Router struct {
 	injected []*Injected
 }
 
-// Attach builds a router over every node of the system.  The system
-// must be in error-detecting link mode with heartbeats enabled —
-// the router's streams and failure detection are built on both — and
-// fully wired: call Attach after the topology is connected (including
-// any System.EnableVChans) and before Run.  On a multiplexed link the
-// router runs one send slot and one receive pump per virtual channel,
-// so frames to different destinations stream concurrently over the
-// shared wire instead of queueing behind each other.
+// Attach builds a router over every node of the system and turns on
+// what its streams and failure detection are built on: the
+// error-detecting link mode, keeping the system's own timeout and
+// retry count, and every engine's liveness monitor.  The system must
+// be fully wired: call Attach after the topology is connected
+// (including any System.EnableVChans) and before Run.  On a
+// multiplexed link the router runs one send slot and one receive pump
+// per virtual channel, so frames to different destinations stream
+// concurrently over the shared wire instead of queueing behind each
+// other.
 func Attach(s *network.System) (*Router, error) {
-	if !s.LinkMode().Reliable {
-		return nil, fmt.Errorf("route: router requires the error-detecting link mode")
-	}
-	if !s.HeartbeatSet() {
-		return nil, fmt.Errorf("route: router requires heartbeats (System.SetHeartbeat)")
-	}
 	nodes := s.Nodes()
-	if len(nodes) > 256 {
-		return nil, fmt.Errorf("route: %d nodes exceed the 256-node frame address space", len(nodes))
+	if len(nodes) > network.MaxRouteNodes {
+		return nil, fmt.Errorf("route: %d nodes exceed the %d-node frame address space", len(nodes), network.MaxRouteNodes)
 	}
+	if m := s.LinkMode(); !m.Reliable {
+		m.Reliable = true
+		s.SetLinkMode(m)
+	}
+	s.SetHeartbeat()
 	r := &Router{sys: s, byName: make(map[string]*rnode)}
 	r.adj = make([][core.NumLinks]adjEntry, len(nodes))
 	for i, nn := range nodes {
@@ -292,8 +293,8 @@ func (r *Router) SendAt(at sim.Time, from, to string, payload []byte) (*Injected
 	if !ok {
 		return nil, fmt.Errorf("route: unknown destination %q", to)
 	}
-	if len(payload) > maxPayload {
-		return nil, fmt.Errorf("route: payload %d exceeds %d-byte cap", len(payload), maxPayload)
+	if len(payload) > network.MaxRoutePayload {
+		return nil, fmt.Errorf("route: payload %d exceeds %d-byte cap", len(payload), network.MaxRoutePayload)
 	}
 	rec := &Injected{From: from, To: to, At: at, Payload: append([]byte(nil), payload...)}
 	r.injected = append(r.injected, rec)
@@ -888,11 +889,12 @@ func (nd *rnode) sortedPending() []pendKey {
 	return keys
 }
 
-// Stop cancels the router's perpetual timers — the end-to-end replay
-// backoffs — so a run can quiesce.  Call it from the driving goroutine
-// between Run and the draining Continue, together with the system's
-// StopHeartbeats.  In-flight frames keep moving and deliveries keep
-// landing during the drain; only re-injection stops.
+// Stop cancels the perpetual timers — the end-to-end replay backoffs
+// and every engine's liveness monitor — so a run can quiesce.  Call it
+// from the driving goroutine between Run and the draining Continue.
+// In-flight frames keep moving and deliveries keep landing during the
+// drain; only re-injection stops, and link verdicts freeze as they
+// stand.
 func (r *Router) Stop() {
 	for _, nd := range r.nodes {
 		for _, k := range nd.sortedPending() {
@@ -901,6 +903,9 @@ func (r *Router) Stop() {
 				msg.armed = false
 			}
 		}
+	}
+	for _, nd := range r.nodes {
+		nd.nn.Engine.StopHeartbeat()
 	}
 }
 

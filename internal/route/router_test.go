@@ -13,8 +13,7 @@ import (
 
 func cfg() core.Config { return core.T424().WithMemory(64 * 1024) }
 
-// ring builds an n-node ring with the error-detecting link mode and
-// heartbeats on, ready for a router.
+// ring builds an n-node ring, ready for a router.
 func ring(t *testing.T, n int, workers int) (*network.System, []*network.Node) {
 	t.Helper()
 	s := network.NewSystem()
@@ -28,8 +27,6 @@ func ring(t *testing.T, n int, workers int) (*network.System, []*network.Node) {
 	for i := range nodes {
 		s.MustConnect(nodes[i], 0, nodes[(i+1)%n], 1)
 	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat()
 	return s, nodes
 }
 
@@ -54,8 +51,6 @@ func grid(t *testing.T, w, h int) (*network.System, [][]*network.Node) {
 			}
 		}
 	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	s.SetHeartbeat()
 	return s, nodes
 }
 
@@ -65,7 +60,6 @@ func drain(t *testing.T, s *network.System, r *route.Router, limit sim.Time) {
 	t.Helper()
 	s.Run(limit)
 	r.Stop()
-	s.StopHeartbeats()
 	rep := s.Continue(limit + 2*sim.Millisecond)
 	if !rep.Settled {
 		t.Fatalf("system did not settle after the drain window: %+v", rep)
@@ -138,22 +132,57 @@ func TestRouterRingNoFaults(t *testing.T) {
 	}
 }
 
-// TestRouterAttachRequirements covers the two preconditions.
+// TestRouterAttachRequirements: Attach puts a plain system in the
+// error-detecting link mode, keeps a reliable system's own timing, and
+// refuses a system wider than a frame can address.
 func TestRouterAttachRequirements(t *testing.T) {
+	for _, mode := range []network.LinkMode{{}, {Reliable: true, Timeout: 5 * sim.Microsecond, Retries: 64}} {
+		s, _ := ring(t, 2, 0)
+		s.SetLinkMode(mode)
+		if _, err := route.Attach(s); err != nil {
+			t.Fatalf("Attach on link mode %+v: %v", mode, err)
+		}
+		mode.Reliable = true
+		if got := s.LinkMode(); got != mode {
+			t.Errorf("link mode after Attach = %+v, want %+v", got, mode)
+		}
+	}
 	s := network.NewSystem()
-	a := s.MustAddTransputer("a", cfg())
-	b := s.MustAddTransputer("b", cfg())
-	s.MustConnect(a, 0, b, 1)
-	if _, err := route.Attach(s); err == nil {
-		t.Error("Attach accepted a plain-mode system")
+	for i := 0; i <= network.MaxRouteNodes; i++ {
+		s.MustAddTransputer(fmt.Sprintf("n%d", i), core.T424().WithMemory(4096))
 	}
-	s.SetLinkMode(network.LinkMode{Reliable: true})
-	if _, err := route.Attach(s); err == nil {
-		t.Error("Attach accepted a system without heartbeats")
+	want := fmt.Sprintf("route: %d nodes exceed the %d-node frame address space", network.MaxRouteNodes+1, network.MaxRouteNodes)
+	if _, err := route.Attach(s); err == nil || err.Error() != want {
+		t.Errorf("Attach over %d nodes = %v, want %q", network.MaxRouteNodes+1, err, want)
 	}
-	s.SetHeartbeat()
-	if _, err := route.Attach(s); err != nil {
-		t.Errorf("Attach rejected a well-configured system: %v", err)
+	if s.LinkMode().Reliable {
+		t.Error("a refused Attach changed the link mode")
+	}
+}
+
+// TestRoutedLimitsForGoCallers: what the topology parser refuses at its
+// line, a system built in Go meets in SendAt and ApplyFaults.
+func TestRoutedLimitsForGoCallers(t *testing.T) {
+	s, _ := ring(t, 2, 0)
+	r, err := route.Attach(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, network.MaxRoutePayload)); err != nil {
+		t.Errorf("SendAt of a full frame: %v", err)
+	}
+	want := fmt.Sprintf("route: payload %d exceeds %d-byte cap", network.MaxRoutePayload+1, network.MaxRoutePayload)
+	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, network.MaxRoutePayload+1)); err == nil || err.Error() != want {
+		t.Errorf("SendAt of an oversized payload = %v, want %q", err, want)
+	}
+	err = s.ApplyFaults(fault.Plan{Rules: []fault.Rule{
+		{Kind: fault.Halt, Node: "n1", Link: -1, At: 100 * sim.Microsecond},
+		{Kind: fault.Restart, Node: "n1", Link: -1, At: 250 * sim.Microsecond},
+	}})
+	want = `network: rule 1: restart of "n1" only 150.000µs after its halt; ` +
+		"outages must last at least 200.000µs (twice the heartbeat timeout) for link streams to resynchronise"
+	if err == nil || err.Error() != want {
+		t.Errorf("ApplyFaults of a short outage = %v, want %q", err, want)
 	}
 }
 
@@ -316,8 +345,6 @@ func TestRouterOverVChans(t *testing.T) {
 		c := s.MustAddTransputer("c", cfg())
 		s.MustConnect(a, 0, b, 1)
 		s.MustConnect(b, 0, c, 1)
-		s.SetLinkMode(network.LinkMode{Reliable: true})
-		s.SetHeartbeat()
 		// The a<->b wire carries every stream below; multiplex it.
 		if err := s.EnableVChans(a, 0, 8); err != nil {
 			t.Fatal(err)

@@ -96,9 +96,6 @@ func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Netwo
 		net.Hosts = append(net.Hosts, host)
 	}
 	s.SetLinkMode(topo.LinkMode)
-	if topo.Heartbeat {
-		s.SetHeartbeat()
-	}
 	if topo.Route {
 		r, err := route.Attach(s)
 		if err != nil {

@@ -61,23 +61,19 @@ func programFailed(m *core.Machine) bool {
 	return m.ErrorFlag() || errors.As(m.Fault(), &mf)
 }
 
-// RunToQuiescence drives a built network to a settled state.  A system
-// with liveness monitoring never quiesces on its own — the heartbeat
-// tickers and replay timers are perpetual — so the run is phased:
-// bounded run, stop the perpetual timers, then drain in-flight
-// traffic for 2 ms.  Plain systems run to quiescence directly, or to
-// the limit when there is one.  The returned
-// report reflects the final settled state.
+// RunToQuiescence drives a built network to a settled state.  A routed
+// system never quiesces on its own — the heartbeat tickers and replay
+// timers are perpetual — so the run is phased: bounded run, stop the
+// perpetual timers (Router.Stop), then drain in-flight traffic for
+// 2 ms.  Other systems run to quiescence directly, or to the limit when
+// there is one.  The returned report reflects the final settled state.
 func RunToQuiescence(net *Network) network.Report {
 	s := net.System
-	if !s.HeartbeatSet() {
-		return s.Run(net.Limit)
-	}
 	rep := s.Run(net.Limit)
-	if net.Router != nil {
-		net.Router.Stop()
+	if net.Router == nil {
+		return rep
 	}
-	s.StopHeartbeats()
+	net.Router.Stop()
 	drained := s.Continue(rep.Time + 2*sim.Millisecond)
 	drained.Halted = rep.Halted
 	return drained

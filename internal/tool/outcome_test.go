@@ -2,13 +2,18 @@ package tool
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"transputer/internal/core"
+	"transputer/internal/link"
 	"transputer/internal/network"
+	"transputer/internal/probe"
+	"transputer/internal/sim"
 )
 
 func TestVerdictPrecedence(t *testing.T) {
@@ -86,8 +91,6 @@ connect n0.1 n1.0
 connect n1.1 n2.0
 connect n2.1 n3.0
 connect n3.1 n0.0
-linkmode reliable
-heartbeat
 route
 message n1 n2 at=50us  data=before
 message n1 n2 at=210us data=during
@@ -124,6 +127,75 @@ run 8ms
 	}
 }
 
+// TestRouteTurnsOnLinksAndLiveness: a route line is the one
+// self-healing switch — every engine of the built network runs the
+// error-detecting link mode with its liveness monitor on — and a
+// linkmode line beside it keeps its own timeout and retry count.  Every
+// data packet is dropped, so each sender resends on its timeout until
+// its retry budget is spent, while beats go out on every wire.
+func TestRouteTurnsOnLinksAndLiveness(t *testing.T) {
+	const wiring = `
+transputer a t424
+transputer b t424
+transputer c t424
+connect a.0 b.1
+connect b.0 c.1
+message a b at=10us data=ab
+message b a at=10us data=ba
+message b c at=10us data=bc
+message c b at=10us data=cb
+fault drop a.0 rate=1 pkt=data
+fault drop b.1 rate=1 pkt=data
+fault drop b.0 rate=1 pkt=data
+fault drop c.1 rate=1 pkt=data
+run 2ms
+`
+	for _, c := range []struct {
+		linkmode string
+		timeout  sim.Time
+		retries  int
+	}{
+		{"", link.DefaultRelTimeout, link.DefaultRelRetries},
+		{"linkmode reliable timeout=5us retries=64\n", 5 * sim.Microsecond, 64},
+	} {
+		topo, err := network.ParseTopology(wiring + c.linkmode + "route\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := BuildNetwork(topo, ".", io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus := probe.NewBus()
+		net.System.AttachProbe(bus)
+		resent := make(map[string][]sim.Time) // link end -> its first retransmissions
+		bus.Subscribe(func(e probe.Event) {
+			if e.Kind == probe.LinkRetransmit {
+				end := fmt.Sprintf("%s.%d", e.Node, e.Link)
+				resent[end] = append(resent[end], e.Time)
+			}
+		})
+		RunToQuiescence(net)
+		for _, n := range net.System.Nodes() {
+			for l := 0; l < core.NumLinks; l++ {
+				if !n.Engine.Connected(l) {
+					continue
+				}
+				end := fmt.Sprintf("%s.%d", n.Name, l)
+				ws, at := n.Engine.WireStats(l), resent[end]
+				switch {
+				case ws.Beats == 0:
+					t.Errorf("%q: %s sent no beats: its liveness monitor is off", c.linkmode, end)
+				case len(at) < 2 || ws.Retransmits != uint64(c.retries):
+					t.Errorf("%q: %s resent %d times, want %d", c.linkmode, end, ws.Retransmits, c.retries)
+				case at[1]-at[0] < c.timeout || at[1]-at[0] >= c.timeout+5*sim.Microsecond:
+					t.Errorf("%q: %s resent %v apart, want the %v timeout and a frame", c.linkmode, end, at[1]-at[0], c.timeout)
+				}
+			}
+		}
+	}
+}
+
 // TestRoutedTopologyPartitionVerdict: an unsurvivable cut yields the
 // partition exit code and names the lost message.
 func TestRoutedTopologyPartitionVerdict(t *testing.T) {
@@ -131,8 +203,6 @@ func TestRoutedTopologyPartitionVerdict(t *testing.T) {
 transputer n0 t424 mem=64K
 transputer n1 t424 mem=64K
 connect n0.0 n1.0
-linkmode reliable
-heartbeat
 route
 message n0 n1 at=500us data=doomed
 fault sever n0.0 at=100us
