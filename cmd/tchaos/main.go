@@ -2,7 +2,7 @@
 // stack: random fault plans over fixed topologies, checked for the
 // invariants the stack promises (exactly-once in-order delivery while
 // a path survives, a clean watchdog after quiesce, byte-identical
-// outcomes at any worker count).  Every scenario runs from the .tnet
+// outcomes at one worker and at four).  Every scenario runs from the .tnet
 // file it renders, on tnet's build and run path, so a failing plan —
 // shrunk to a minimal reproducing rule set and written out with
 // -artifacts — replays the violation under tnet by construction.
@@ -10,7 +10,7 @@
 // Usage:
 //
 //	tchaos [-topo ring8|grid3x3|all] [-seeds n] [-seed s]
-//	       [-workers n] [-artifacts dir] [-v]
+//	       [-artifacts dir] [-v]
 //
 // -seeds n runs seeds 1..n; -seed s runs exactly one.  The exit code
 // is 0 when every scenario holds its invariants, 1 otherwise.
@@ -25,11 +25,14 @@ import (
 	"transputer/internal/chaos"
 )
 
+// crossWorkers is the worker count every scenario is cross-checked at
+// against one worker: a shard a node, whatever the host's CPU count.
+const crossWorkers = 4
+
 func main() {
 	topo := flag.String("topo", "all", "topology to torture: ring8, grid3x3 or all")
 	seeds := flag.Int("seeds", 25, "run seeds 1..n")
 	seed := flag.Uint64("seed", 0, "run exactly this seed (overrides -seeds)")
-	workers := flag.Int("workers", 4, "worker count for the determinism cross-check against one worker (a shard a node, whatever the host's CPU count; 1 skips the check)")
 	artifacts := flag.String("artifacts", "", "write shrunken failing plans as .tnet files into this directory")
 	verbose := flag.Bool("v", false, "log every scenario, not just failures")
 	flag.Parse()
@@ -57,7 +60,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			res, err := chaos.Run(sc, *workers)
+			res, err := chaos.Run(sc, crossWorkers)
 			if err != nil {
 				fatal(err)
 			}

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	tnet [-stats] [-timeline out.json] [-metrics] [-flows out.json]
-//	     [-prof out.prof] [-profperiod us] [-seed n] [-workers n]
-//	     [-enginestats] network.tnet
+//	     [-prof out.prof] [-seed n] [-workers n] [-enginestats]
+//	     network.tnet
 //
 // -seed overrides the topology file's seed directive, so one fault
 // campaign file can be replayed under many seeds.  The shard partition
@@ -34,8 +34,7 @@ func main() {
 	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
 	metrics := flag.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
 	flows := flag.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")
-	prof := flag.String("prof", "", "sample every node's instruction pointer and write a profile to this file")
-	profPeriod := flag.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
+	prof := flag.String("prof", "", "sample every node's instruction pointer every 10 simulated µs and write a profile to this file")
 	seed := flag.Uint64("seed", 0, "override the topology's fault-plan seed")
 	engineStats := flag.Bool("enginestats", false, "print windowed-engine diagnostics (the partition, windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window); all but the credit line vary with -workers, unlike all other output")
 	flag.Parse()
@@ -58,6 +57,6 @@ func main() {
 		}
 	})
 	f := tool.NetFlags{Tool: "tnet", Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Workers: *workers,
-		Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod}
+		Timeline: *timeline, Flows: *flows, Prof: *prof}
 	os.Exit(tool.RunNet(f, topo, filepath.Dir(flag.Arg(0)), os.Stdout, os.Stderr))
 }

@@ -7,8 +7,7 @@
 //
 //	trun [-model t424|t222] [-mem bytes] [-limit dur] [-stats]
 //	     [-timeline out.json] [-metrics] [-flows out.json] [-prof out.prof]
-//	     [-profperiod us] [-in w,w,...] [-enginestats]
-//	     program.{occ,tasm,tix}
+//	     [-in w,w,...] [-enginestats] program.{occ,tasm,tix}
 //
 // The run is tnet's on a network of one (tool.OneNode): the same
 // output, observers and exit codes (tool.Verdict).
@@ -42,8 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeline := fs.String("timeline", "", "write a Chrome trace-event timeline to this file")
 	metrics := fs.Bool("metrics", false, "print probe metrics (utilization, run queues, links)")
 	flows := fs.String("flows", "", "trace message flows and write the flow document (spans, latency histograms, critical path) to this file")
-	prof := fs.String("prof", "", "sample the instruction pointer and write a profile to this file")
-	profPeriod := fs.Int("profperiod", 10, "profiler sampling period in simulated microseconds")
+	prof := fs.String("prof", "", "sample the instruction pointer every 10 simulated µs and write a profile to this file")
 	input := fs.String("in", "", "comma-separated words queued for host input")
 	engineStats := fs.Bool("enginestats", false, "print windowed-engine diagnostics (windows, barriers, fused vs mailbox deliveries, acknowledges booked on credit instead of sent, batches run ahead of their window)")
 	if err := fs.Parse(args); err != nil {
@@ -72,6 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topo.Inputs = map[string][]int64{"main": words}
 	}
 	f := tool.NetFlags{Tool: "trun", Stats: *stats, Metrics: *metrics, EngineStats: *engineStats, Trace: *trace,
-		Workers: 1, Timeline: *timeline, Flows: *flows, Prof: *prof, ProfPeriod: *profPeriod}
+		Workers: 1, Timeline: *timeline, Flows: *flows, Prof: *prof}
 	return tool.RunNet(f, topo, "", stdout, stderr)
 }

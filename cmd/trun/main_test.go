@@ -61,10 +61,6 @@ SEQ
 		{"no program", nil, 2, "", "usage: trun"},
 		{"two programs", []string{squares, squares}, 2, "", "usage: trun"},
 		{"unknown flag", []string{"-workers", "2", squares}, 2, "", "flag provided but not defined: -workers"},
-		{"zero profperiod", []string{"-prof", filepath.Join(dir, "p.json"), "-profperiod", "0", squares}, 2, "",
-			"trun: -profperiod 0: the sampling period must be positive"},
-		{"negative profperiod", []string{"-prof", filepath.Join(dir, "p.json"), "-profperiod", "-5", squares}, 2, "",
-			"trun: -profperiod -5: the sampling period must be positive"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

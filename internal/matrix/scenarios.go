@@ -262,7 +262,7 @@ func transfer(name string, stopwait, reliable bool, vchans int) Scenario {
 		a, b := s.MustAddTransputer("a", c), s.MustAddTransputer("b", c)
 		s.MustConnect(a, 0, b, 1)
 		if reliable {
-			s.SetLinkMode(network.LinkMode{Reliable: true})
+			s.SetReliable()
 		}
 		if stopwait {
 			a.Engine.SetStopAndWait(true)

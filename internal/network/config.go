@@ -26,11 +26,13 @@ import (
 //	input app 5 10
 //	run 100ms
 //
-// Fault campaigns add a seed, an optional error-detecting link mode,
-// and scripted faults:
+// Fault campaigns add a seed, an optional error-detecting link mode
+// (a bare switch: its timeout and retry budget are the link package's
+// constants), and scripted faults; a timed fault, like a message
+// below, comes at or before the run limit:
 //
 //	seed 42
-//	linkmode reliable timeout=10us retries=32
+//	linkmode reliable
 //	fault drop app.1 rate=0.05 pkt=data
 //	fault corrupt app.1 rate=0.01
 //	fault jitter disk.0 rate=0.5 max=2us
@@ -40,10 +42,9 @@ import (
 //
 // Self-healing topologies turn on the routing layer, and inject
 // end-to-end messages instead of running programs.  route is a bare
-// switch: it brings the error-detecting link mode (a linkmode line's
-// timeout and retries still apply) and liveness monitoring with it,
-// their timing is fixed (link.BeatTimeout and the route package's
-// constants), and an option is an error:
+// switch: it brings the error-detecting link mode and liveness
+// monitoring with it, their timing is fixed (link.BeatTimeout and the
+// route package's constants), and an option is an error:
 //
 //	route
 //	message app gfx at=100us data=hello
@@ -64,9 +65,9 @@ type Topology struct {
 
 	// Seed drives every random decision of the fault plan.
 	Seed uint64
-	// LinkMode selects the paper's plain protocol or the
-	// error-detecting mode for every link in the system.
-	LinkMode LinkMode
+	// Reliable selects the error-detecting link mode for every link in
+	// the system instead of the paper's plain protocol.
+	Reliable bool
 	// Faults is the scripted fault plan (empty when none).
 	Faults []fault.Rule
 	// Route enables the store-and-forward routing layer, and with it
@@ -102,13 +103,6 @@ const (
 	MaxRouteNodes   = 256
 	MaxRoutePayload = 1024
 )
-
-// LinkMode configures the link protocol for a whole system.
-type LinkMode struct {
-	Reliable bool
-	Timeout  sim.Time // 0 means the link package default
-	Retries  int      // 0 means the link package default
-}
 
 // Plan packages the topology's fault script as a seeded plan.
 func (t *Topology) Plan() fault.Plan {
@@ -148,7 +142,7 @@ func ParseTopology(src string) (*Topology, error) {
 	var faultLine []int               // line of each rule in topo.Faults
 	var vchanLine []int               // line of each spec in topo.VChans
 	onceAt := make(map[string]int)    // singleton directive -> its line
-	messageAt := 0                    // line of the first message
+	var messageLine []int             // line of each spec in topo.Messages
 	// refs records node-name uses to validate after all declarations.
 	type ref struct {
 		name string
@@ -284,11 +278,15 @@ func ParseTopology(src string) (*Topology, error) {
 			}
 			topo.Seed = v
 		case "linkmode":
-			mode, err := parseLinkMode(fields[1:])
-			if err != nil {
-				return nil, fail("%v", err)
+			switch {
+			case len(fields) == 1:
+				return nil, fail("linkmode needs a mode (reliable)")
+			case fields[1] != "reliable":
+				return nil, fail("unknown link mode %q (want reliable)", fields[1])
+			case len(fields) > 2:
+				return nil, fail("linkmode takes no options")
 			}
-			topo.LinkMode = mode
+			topo.Reliable = true
 		case "fault":
 			rule, err := parseFault(fields[1:])
 			if err != nil {
@@ -331,9 +329,7 @@ func ParseTopology(src string) (*Topology, error) {
 			}
 			refs = append(refs, ref{msg.From, no}, ref{msg.To, no})
 			topo.Messages = append(topo.Messages, msg)
-			if messageAt == 0 {
-				messageAt = no
-			}
+			messageLine = append(messageLine, no)
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
@@ -341,6 +337,20 @@ func ParseTopology(src string) (*Topology, error) {
 	for _, r := range refs {
 		if _, ok := nodeLine[r.name]; !ok {
 			return nil, fmt.Errorf("topology line %d: unknown transputer %q", r.line, r.name)
+		}
+	}
+	// An event after the run limit would fire in the settling drain
+	// that follows the run, or never; one at the limit still fires.
+	for i, r := range topo.Faults {
+		if r.Timed() && r.At > topo.RunLimit {
+			return nil, fmt.Errorf("topology line %d: fault %s at %v is after the run limit of %v",
+				faultLine[i], r.Kind, r.At, topo.RunLimit)
+		}
+	}
+	for i, m := range topo.Messages {
+		if m.At > topo.RunLimit {
+			return nil, fmt.Errorf("topology line %d: message at %v is after the run limit of %v",
+				messageLine[i], m.At, topo.RunLimit)
 		}
 	}
 	if err := validateFaults(topo, faultLine, wiredLine); err != nil {
@@ -353,8 +363,8 @@ func ParseTopology(src string) (*Topology, error) {
 		return nil, fmt.Errorf("topology line %d: route over %d transputers exceeds the %d-node frame address space",
 			onceAt["route"], len(topo.Transputers), MaxRouteNodes)
 	}
-	if messageAt != 0 && !topo.Route {
-		return nil, fmt.Errorf("topology line %d: message directives require a route directive", messageAt)
+	if len(messageLine) != 0 && !topo.Route {
+		return nil, fmt.Errorf("topology line %d: message directives require a route directive", messageLine[0])
 	}
 	return topo, nil
 }
@@ -547,41 +557,6 @@ func parseMessage(args []string) (MessageSpec, error) {
 		return msg, fmt.Errorf("message needs at=")
 	}
 	return msg, nil
-}
-
-// parseLinkMode reads the arguments of a linkmode directive.
-func parseLinkMode(args []string) (LinkMode, error) {
-	var mode LinkMode
-	switch {
-	case len(args) == 0:
-		return mode, fmt.Errorf("linkmode needs a mode (reliable)")
-	case args[0] != "reliable":
-		return mode, fmt.Errorf("unknown link mode %q (want reliable)", args[0])
-	}
-	mode.Reliable = true
-	for _, opt := range args[1:] {
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok {
-			return mode, fmt.Errorf("bad linkmode option %q", opt)
-		}
-		switch k {
-		case "timeout":
-			d, err := parseDuration(v)
-			if err != nil || d <= 0 {
-				return mode, fmt.Errorf("bad timeout %q", v)
-			}
-			mode.Timeout = d
-		case "retries":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return mode, fmt.Errorf("bad retries %q", v)
-			}
-			mode.Retries = n
-		default:
-			return mode, fmt.Errorf("unknown linkmode option %q", k)
-		}
-	}
-	return mode, nil
 }
 
 // parseFault reads the arguments of a fault directive:

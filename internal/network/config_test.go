@@ -97,13 +97,16 @@ func TestParseTopologyErrors(t *testing.T) {
 			t.Errorf("ParseTopology(%q) should fail", src)
 		}
 	}
-	// route is a bare switch: the option forms it once took are refused
-	// at its line.  It brings liveness monitoring with it, so there is no
-	// heartbeat directive, and the paper's protocol is what a file
-	// without a linkmode line gets, so linkmode has no standard mode.
-	// The engine picks its own partition, so a shard line is an unknown
-	// directive.  A message longer than a routed frame carries is
-	// refused at its line.
+	// route and linkmode are bare switches: an option is refused at
+	// their line.  route brings liveness monitoring
+	// with it, so there is no heartbeat directive, and the paper's
+	// protocol is what a file without a linkmode line gets, so linkmode
+	// has no standard mode.  The engine picks its own partition, so a
+	// shard line is an unknown directive.  A message longer than a
+	// routed frame carries is refused at its line, and so is a scripted
+	// event after the run limit (one second without a run line), which
+	// would otherwise fire in the drain after the run.
+	const ring = "transputer n0 t424\ntransputer n1 t424\ntransputer n2 t424\nconnect n0.0 n1.1\nconnect n1.0 n2.1\nconnect n2.0 n0.1\nroute\n"
 	for src, want := range map[string]string{
 		"transputer a t424\ntransputer b t424\nshard a b": `topology line 3: unknown directive "shard"`,
 		"heartbeat": `topology line 1: unknown directive "heartbeat"`,
@@ -111,11 +114,20 @@ func TestParseTopologyErrors(t *testing.T) {
 		"linkmode standard":                                                              `topology line 1: unknown link mode "standard" (want reliable)`,
 		"transputer x t424\nlinkmode reliable\nroute ttl=4":                              "topology line 3: route takes no options",
 		"transputer x t424\nlinkmode reliable\nroute hop=1us":                            "topology line 3: route takes no options",
+		"linkmode reliable timeout=5us retries=64":                                       "topology line 1: linkmode takes no options",
+		"transputer x t424\nlinkmode reliable retries=0":                                 "topology line 2: linkmode takes no options",
+		ring + "fault halt n2 at=7800us\nfault restart n2 at=8500us\nrun 8ms":            "topology line 9: fault restart at 8.500ms is after the run limit of 8.000ms",
+		ring + "fault sever n0.0 at=2s":                                                  "topology line 8: fault sever at 2.000s is after the run limit of 1.000s",
+		ring + "run 1ms\nmessage n0 n2 at=1001us data=late":                              "topology line 9: message at 1.001ms is after the run limit of 1.000ms",
 		"transputer x t424\nroute\nmessage x x at=1us data=" + strings.Repeat("y", 2000): "topology line 3: message payload of 2000 bytes exceeds the 1024-byte cap",
 	} {
 		if _, err := ParseTopology(src); err == nil || err.Error() != want {
 			t.Errorf("ParseTopology(%q) = %v, want %q", src, err, want)
 		}
+	}
+	// An event at the limit itself is legal: RunUntil still fires it.
+	if _, err := ParseTopology(ring + "fault halt n2 at=8ms\nmessage n0 n1 at=8ms data=x\nrun 8ms"); err != nil {
+		t.Errorf("events at the run limit: %v", err)
 	}
 }
 
@@ -182,7 +194,7 @@ transputer a t424 program=a.occ
 transputer b t424 program=b.occ
 connect a.1 b.0
 seed 42
-linkmode reliable timeout=5us retries=16
+linkmode reliable
 fault drop a.1 rate=0.05 pkt=data
 fault corrupt a.1 rate=0.01
 fault jitter b.0 rate=0.5 max=2us
@@ -197,9 +209,8 @@ run 10ms
 	if topo.Seed != 42 {
 		t.Errorf("seed = %d", topo.Seed)
 	}
-	lm := topo.LinkMode
-	if !lm.Reliable || lm.Timeout != 5*sim.Microsecond || lm.Retries != 16 {
-		t.Errorf("linkmode = %+v", lm)
+	if !topo.Reliable {
+		t.Error("linkmode reliable left the topology plain")
 	}
 	if len(topo.Faults) != 5 {
 		t.Fatalf("faults = %+v", topo.Faults)
@@ -264,8 +275,8 @@ run 5ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !topo.Route || topo.LinkMode.Reliable {
-		t.Errorf("route = %v, link mode = %+v", topo.Route, topo.LinkMode)
+	if !topo.Route || topo.Reliable {
+		t.Errorf("route = %v, reliable = %v", topo.Route, topo.Reliable)
 	}
 	if len(topo.Messages) != 1 {
 		t.Fatalf("messages = %+v", topo.Messages)
@@ -354,9 +365,8 @@ func TestParseVChan(t *testing.T) {
 }
 
 // TestParseDuplicateDirectives: a topology may give each of run, seed,
-// linkmode and route at most once; a silent
-// last-writer-wins overwrite was how a campaign ran with the wrong
-// timeout and nobody noticed.
+// linkmode and route at most once; a silent last-writer-wins
+// overwrite would run a campaign other than the one written.
 func TestParseDuplicateDirectives(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -364,7 +374,7 @@ func TestParseDuplicateDirectives(t *testing.T) {
 	}{
 		{"transputer x t424\nroute\nroute",
 			[]string{"line 3", "duplicate route", "line 2"}},
-		{"linkmode reliable timeout=5us\nlinkmode reliable",
+		{"linkmode reliable\nlinkmode reliable",
 			[]string{"line 2", "duplicate linkmode", "line 1"}},
 		{"seed 1\ntransputer x t424\nseed 2",
 			[]string{"line 3", "duplicate seed", "line 1"}},

@@ -13,17 +13,18 @@ import (
 	"transputer/internal/sim"
 )
 
-// SetLinkMode selects the link protocol for the whole system: the
-// paper's plain 11-bit protocol (the default) or the error-detecting
-// mode with CRC trailers, NAKs and bounded retransmission.  It applies
-// to every node and host already in the system and to any added later.
-func (s *System) SetLinkMode(m LinkMode) {
-	s.linkMode = m
+// SetReliable puts the whole system in the error-detecting link mode
+// (CRC trailers, NAKs and bounded retransmission, with the link
+// package's timeout and retry budget) instead of the paper's plain
+// 11-bit protocol, the default.  It applies to every node and host
+// already in the system and to any added later, and cannot be undone.
+func (s *System) SetReliable() {
+	s.reliable = true
 	for _, n := range s.nodes {
-		n.Engine.SetReliable(m.Reliable, m.Timeout, m.Retries)
+		n.Engine.SetReliable(true, 0, 0)
 	}
 	for _, h := range s.hosts {
-		h.end.SetReliable(m.Reliable, m.Timeout, m.Retries)
+		h.end.SetReliable(true, 0, 0)
 	}
 }
 

@@ -77,7 +77,8 @@ func lossyCampaign(t *testing.T, seed uint64, pinned bool) ([]string, *probe.Met
 	a := s.MustAddTransputer("a", cfg())
 	b := s.MustAddTransputer("b", cfg())
 	s.MustConnect(a, 1, b, 0)
-	s.SetLinkMode(network.LinkMode{Reliable: true, Timeout: 2 * sim.Microsecond, Retries: 64})
+	a.Engine.SetReliable(true, 2*sim.Microsecond, 64)
+	b.Engine.SetReliable(true, 2*sim.Microsecond, 64)
 	load(t, a, senderLoop(50))
 	load(t, b, receiverLoop(50))
 	err := s.ApplyFaults(fault.Plan{Seed: seed, Rules: []fault.Rule{
@@ -159,7 +160,8 @@ func jitterCampaign(t *testing.T, max sim.Time) uint64 {
 	a := s.MustAddTransputer("a", cfg())
 	b := s.MustAddTransputer("b", cfg())
 	s.MustConnect(a, 1, b, 0)
-	s.SetLinkMode(network.LinkMode{Reliable: true, Timeout: 10 * sim.Microsecond, Retries: 64})
+	a.Engine.SetReliable(true, 10*sim.Microsecond, 64)
+	b.Engine.SetReliable(true, 10*sim.Microsecond, 64)
 	load(t, a, senderLoop(30))
 	load(t, b, receiverLoop(30))
 	err := s.ApplyFaults(fault.Plan{Seed: 99, Rules: []fault.Rule{

@@ -36,10 +36,10 @@ func FuzzParseTopology(f *testing.F) {
 	}
 	// Topologies that reach the run with no program: routing (and with it
 	// liveness) under messages at the first nanosecond, a restart, a cut
-	// under a routed message, odd memory sizes, the link mode's own
-	// timing kept under route.
+	// under a routed message, odd memory sizes, a linkmode line beside
+	// route and a restart at the run limit itself.
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nroute\nmessage a b at=1ns data=x\nmessage b a at=1ns data=y\n")
-	f.Add("transputer a t424 mem=4097\ntransputer b t222 mem=5\nconnect a.0 b.0\nlinkmode reliable timeout=5us retries=64\nroute\nmessage a b at=5us data=xyz\nfault halt b at=10us\nfault restart b at=400us\n")
+	f.Add("transputer a t424 mem=4097\ntransputer b t222 mem=5\nconnect a.0 b.0\nlinkmode reliable\nroute\nmessage a b at=5us data=xyz\nfault halt b at=10us\nfault restart b at=400us\nrun 400us\n")
 	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nroute\nlinkmode reliable\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\n")
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nconnect a.1 b.1\nroute\nmessage a b at=1us data=x\nfault corrupt a.0 rate=1\nfault jitter b.1 rate=1 max=1ms\n")
 	f.Fuzz(func(t *testing.T, src string) {

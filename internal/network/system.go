@@ -72,9 +72,9 @@ type System struct {
 	byName map[string]*Node
 	hosts  []*Host
 	bus    *probe.Bus
-	// linkMode is applied to every engine and host end, present and
-	// future (see SetLinkMode).
-	linkMode LinkMode
+	// reliable is applied to every engine and host end, present and
+	// future (see SetReliable).
+	reliable bool
 	// blockCacheOff is applied to every machine, present and future
 	// (see SetBlockCache).
 	blockCacheOff bool
@@ -282,8 +282,8 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 	if s.bus != nil {
 		s.attachCollector(n)
 	}
-	if s.linkMode.Reliable {
-		n.Engine.SetReliable(true, s.linkMode.Timeout, s.linkMode.Retries)
+	if s.reliable {
+		n.Engine.SetReliable(true, 0, 0)
 	}
 	if s.blockCacheOff {
 		m.SetBlockCache(false)
@@ -478,9 +478,6 @@ func (s *System) SetHeartbeat() {
 	}
 }
 
-// LinkMode reports the system-wide link protocol configuration.
-func (s *System) LinkMode() LinkMode { return s.linkMode }
-
 // OnNodeDown registers a callback for nodes stopped by a halt rule.
 // It runs on the affected node's shard, at the instant of the halt.
 func (s *System) OnNodeDown(fn func(*Node)) { s.downSubs = append(s.downSubs, fn) }
@@ -558,8 +555,8 @@ func (s *System) AttachHost(n *Node, l int, w io.Writer) (*Host, error) {
 	if n.col != nil {
 		h.bus = n.col.bus
 	}
-	if s.linkMode.Reliable {
-		h.end.SetReliable(true, s.linkMode.Timeout, s.linkMode.Retries)
+	if s.reliable {
+		h.end.SetReliable(true, 0, 0)
 	}
 	n.wired[l] = true
 	s.hosts = append(s.hosts, h)
@@ -597,14 +594,17 @@ func (s *System) Run(limit sim.Time) Report {
 			n.Engine.StartHeartbeat()
 		}
 	}
-	var rep Report
 	if limit > 0 {
-		rep.Settled = s.coord.RunUntil(limit)
-	} else {
-		s.coord.Run()
-		rep.Settled = true
+		return s.report(s.coord.RunUntil(limit))
 	}
-	rep.Time = s.Now()
+	s.coord.Run()
+	return s.report(true)
+}
+
+// report classifies every node where the run stopped, for Run and
+// Continue alike.
+func (s *System) report(settled bool) Report {
+	rep := Report{Time: s.Now(), Settled: settled}
 	for _, n := range s.nodes {
 		switch {
 		case n.M.Halted():
@@ -627,11 +627,9 @@ func (s *System) TotalStats() core.Stats {
 	return total
 }
 
-// Continue resumes a previously run system for another bounded slice.
+// Continue resumes a previously run system for another bounded slice
+// and reports as Run does.
 func (s *System) Continue(until sim.Time) Report {
 	s.seal()
-	var rep Report
-	rep.Settled = s.coord.RunUntil(until)
-	rep.Time = s.Now()
-	return rep
+	return s.report(s.coord.RunUntil(until))
 }

@@ -2,11 +2,12 @@ package network_test
 
 import (
 	"bytes"
-
+	"fmt"
 	"testing"
 
 	"transputer/internal/asm"
 	"transputer/internal/core"
+	"transputer/internal/fault"
 	"transputer/internal/network"
 	"transputer/internal/sim"
 )
@@ -500,5 +501,51 @@ func TestHostQueuesReplies(t *testing.T) {
 	}
 	if wd := s.Watchdog(); wd != nil {
 		t.Errorf("watchdog: %v", wd)
+	}
+}
+
+// TestContinueReportsNodes: a bounded Continue classifies the nodes as
+// Run does — one computing when the slice ends is Running, one waiting
+// on a link that never delivers is Blocked, and one a halt rule stopped
+// during the slice is Halted.
+func TestContinueReportsNodes(t *testing.T) {
+	const spin = `
+loop:
+	j loop
+`
+	s := network.NewSystem()
+	busy := s.MustAddTransputer("busy", cfg())
+	waiter := s.MustAddTransputer("waiter", cfg())
+	doomed := s.MustAddTransputer("doomed", cfg())
+	s.MustConnect(busy, 0, waiter, 0)
+	load(t, busy, spin)
+	load(t, doomed, spin)
+	load(t, waiter, `
+	ldlp 1
+	mint
+	ldnlp 4        -- link 0 input
+	ldc 4
+	in
+	stopp
+`)
+	err := s.ApplyFaults(fault.Plan{Rules: []fault.Rule{
+		{Kind: fault.Halt, Node: "doomed", Link: -1, At: 15 * sim.Microsecond},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := s.Run(10 * sim.Microsecond)
+	continued := s.Continue(20 * sim.Microsecond)
+	for _, c := range []struct {
+		rep                      network.Report
+		running, halted, blocked string
+	}{
+		{ran, "[busy doomed]", "[]", "[waiter]"},
+		{continued, "[busy]", "[doomed]", "[waiter]"},
+	} {
+		got := fmt.Sprint(c.rep.Running, c.rep.Halted, c.rep.Blocked)
+		if want := fmt.Sprint(c.running, " ", c.halted, " ", c.blocked); c.rep.Settled || got != want {
+			t.Errorf("report at %v: settled=%v running, halted, blocked = %s, want %s", c.rep.Time, c.rep.Settled, got, want)
+		}
 	}
 }

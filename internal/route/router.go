@@ -186,8 +186,7 @@ type Router struct {
 
 // Attach builds a router over every node of the system and turns on
 // what its streams and failure detection are built on: the
-// error-detecting link mode, keeping the system's own timeout and
-// retry count, and every engine's liveness monitor.  The system must
+// error-detecting link mode and every engine's liveness monitor.  The system must
 // be fully wired: call Attach after the topology is connected
 // (including any System.EnableVChans) and before Run.  On a
 // multiplexed link the router runs one send slot and one receive pump
@@ -199,10 +198,7 @@ func Attach(s *network.System) (*Router, error) {
 	if len(nodes) > network.MaxRouteNodes {
 		return nil, fmt.Errorf("route: %d nodes exceed the %d-node frame address space", len(nodes), network.MaxRouteNodes)
 	}
-	if m := s.LinkMode(); !m.Reliable {
-		m.Reliable = true
-		s.SetLinkMode(m)
-	}
+	s.SetReliable()
 	s.SetHeartbeat()
 	r := &Router{sys: s, byName: make(map[string]*rnode)}
 	r.adj = make([][core.NumLinks]adjEntry, len(nodes))

@@ -133,18 +133,32 @@ func TestRouterRingNoFaults(t *testing.T) {
 }
 
 // TestRouterAttachRequirements: Attach puts a plain system in the
-// error-detecting link mode, keeps a reliable system's own timing, and
-// refuses a system wider than a frame can address.
+// error-detecting link mode, and leaves one already in it so, so a
+// dropped data packet is resent either way; and it refuses a system
+// wider than a frame can address.
 func TestRouterAttachRequirements(t *testing.T) {
-	for _, mode := range []network.LinkMode{{}, {Reliable: true, Timeout: 5 * sim.Microsecond, Retries: 64}} {
+	for _, reliable := range []bool{false, true} {
 		s, _ := ring(t, 2, 0)
-		s.SetLinkMode(mode)
-		if _, err := route.Attach(s); err != nil {
-			t.Fatalf("Attach on link mode %+v: %v", mode, err)
+		if reliable {
+			s.SetReliable()
 		}
-		mode.Reliable = true
-		if got := s.LinkMode(); got != mode {
-			t.Errorf("link mode after Attach = %+v, want %+v", got, mode)
+		r, err := route.Attach(s)
+		if err != nil {
+			t.Fatalf("Attach on a reliable=%v system: %v", reliable, err)
+		}
+		if err := s.ApplyFaults(fault.Plan{Rules: []fault.Rule{
+			{Kind: fault.Drop, Node: "n0", Link: 0, Rate: 1, Pkt: fault.DataPacket},
+			{Kind: fault.Drop, Node: "n0", Link: 1, Rate: 1, Pkt: fault.DataPacket},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.SendAt(sim.Microsecond, "n0", "n1", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(100 * sim.Microsecond)
+		n0, _ := s.Node("n0")
+		if ws0, ws1 := n0.Engine.WireStats(0), n0.Engine.WireStats(1); ws0.Retransmits+ws1.Retransmits == 0 {
+			t.Errorf("reliable=%v: n0 resent no dropped data packet after Attach", reliable)
 		}
 	}
 	s := network.NewSystem()
@@ -154,9 +168,6 @@ func TestRouterAttachRequirements(t *testing.T) {
 	want := fmt.Sprintf("route: %d nodes exceed the %d-node frame address space", network.MaxRouteNodes+1, network.MaxRouteNodes)
 	if _, err := route.Attach(s); err == nil || err.Error() != want {
 		t.Errorf("Attach over %d nodes = %v, want %q", network.MaxRouteNodes+1, err, want)
-	}
-	if s.LinkMode().Reliable {
-		t.Error("a refused Attach changed the link mode")
 	}
 }
 

@@ -95,7 +95,9 @@ func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Netwo
 		}
 		net.Hosts = append(net.Hosts, host)
 	}
-	s.SetLinkMode(topo.LinkMode)
+	if topo.Reliable {
+		s.SetReliable()
+	}
 	if topo.Route {
 		r, err := route.Attach(s)
 		if err != nil {
@@ -168,20 +170,18 @@ type NetFlags struct {
 	Trace                       bool // every instruction to stderr, through one writer: a one-worker run's (trun's -trace)
 	Workers                     int
 	Timeline, Flows, Prof       string
-	ProfPeriod                  int // simulated microseconds, > 0 when Prof is set
 }
+
+// profileEvery is the sampling period of a tool's -prof profile, in
+// simulated time.
+const profileEvery = 10 * sim.Microsecond
 
 // RunNet is tnet and trun — each command is flag parsing around this
 // call, so a test that drives it runs what the tools run: the parsed
 // topology (program paths relative to baseDir) built by BuildNetwork
 // with host output to stdout, then Run under the flags with everything
-// else to stderr; it returns the exit code (see Verdict), 2 for a
-// profile asked for with a sampling period that is not positive.
+// else to stderr; it returns the exit code (see Verdict).
 func RunNet(f NetFlags, topo *network.Topology, baseDir string, stdout, stderr io.Writer) int {
-	if f.Prof != "" && f.ProfPeriod <= 0 {
-		fmt.Fprintf(stderr, "%s: -profperiod %d: the sampling period must be positive\n", f.Tool, f.ProfPeriod)
-		return 2
-	}
 	net, err := BuildNetwork(topo, baseDir, stdout)
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", f.Tool, err)
@@ -222,7 +222,7 @@ func (net *Network) Run(f NetFlags, stderr io.Writer) int {
 		obs.EnableFlows(f.Flows, LineResolver(net.Programs))
 	}
 	if f.Prof != "" {
-		obs.EnableProfile(f.Prof, sim.Time(f.ProfPeriod)*sim.Microsecond)
+		obs.EnableProfile(f.Prof, profileEvery)
 		for _, p := range net.Programs {
 			obs.AddProfileTarget(p.Node, p.Image, p.Path)
 		}

@@ -74,9 +74,7 @@ func RunToQuiescence(net *Network) network.Report {
 		return rep
 	}
 	net.Router.Stop()
-	drained := s.Continue(rep.Time + 2*sim.Millisecond)
-	drained.Halted = rep.Halted
-	return drained
+	return s.Continue(rep.Time + 2*sim.Millisecond)
 }
 
 // PrintRouteSummary reports the routing layer's end-to-end outcome:

@@ -77,6 +77,47 @@ func TestRunNetProgramError(t *testing.T) {
 	}
 }
 
+// TestUnroutedRestart: a node halted mid-transfer and restarted in a
+// system with no router, whose boot would otherwise reset the links.
+// In the error-detecting mode the restart resends the frozen byte and
+// the stream completes; on the paper's plain links that byte's
+// acknowledge never comes, and the watchdog names both ends.
+func TestUnroutedRestart(t *testing.T) {
+	const wiring = `
+transputer tx t424 mem=64K program=lossy-tx.occ
+transputer rx t424 mem=64K program=lossy-rx.occ
+connect tx.1 rx.0
+host rx.2
+fault halt tx at=100us
+fault restart tx at=600us
+`
+	for _, c := range []struct {
+		linkmode, stdout string
+		exit             int
+		stderr           []string
+	}{
+		{"linkmode reliable\n", "5050\n", ExitOK,
+			[]string{"link 1 out-wire: 400 data bytes, 0 acks, busy 866.000µs, 33 retransmitted\n"}},
+		{"", "", ExitDeadlock,
+			[]string{"simulated time stuck at 600.200µs\n  rx: ", " at lossy-rx.occ:14\n  tx: ", " at lossy-tx.occ:9\n"}},
+	} {
+		topo, err := network.ParseTopology(wiring + c.linkmode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		exit := RunNet(NetFlags{Tool: "tnet", Workers: 1, Stats: true}, topo, "../../examples/faults", &stdout, &stderr)
+		if exit != c.exit || stdout.String() != c.stdout {
+			t.Errorf("%q: exit %d, stdout %q; want %d, %q", c.linkmode, exit, stdout.String(), c.exit, c.stdout)
+		}
+		for _, want := range c.stderr {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%q: stderr does not say %q:\n%s", c.linkmode, want, stderr.String())
+			}
+		}
+	}
+}
+
 // TestRoutedTopologyEndToEnd drives the whole stack the way tnet does:
 // parse a routed topology with a sever, a halt and a restart, build
 // it, run the phased quiesce flow, and demand a clean verdict with
@@ -130,9 +171,10 @@ run 8ms
 // TestRouteTurnsOnLinksAndLiveness: a route line is the one
 // self-healing switch — every engine of the built network runs the
 // error-detecting link mode with its liveness monitor on — and a
-// linkmode line beside it keeps its own timeout and retry count.  Every
-// data packet is dropped, so each sender resends on its timeout until
-// its retry budget is spent, while beats go out on every wire.
+// linkmode line beside it changes nothing: both run the link package's
+// fixed timeout and retry budget.  Every data packet is dropped, so
+// each sender resends on its timeout until its retry budget is spent,
+// while beats go out on every wire.
 func TestRouteTurnsOnLinksAndLiveness(t *testing.T) {
 	const wiring = `
 transputer a t424
@@ -150,15 +192,8 @@ fault drop b.0 rate=1 pkt=data
 fault drop c.1 rate=1 pkt=data
 run 2ms
 `
-	for _, c := range []struct {
-		linkmode string
-		timeout  sim.Time
-		retries  int
-	}{
-		{"", link.DefaultRelTimeout, link.DefaultRelRetries},
-		{"linkmode reliable timeout=5us retries=64\n", 5 * sim.Microsecond, 64},
-	} {
-		topo, err := network.ParseTopology(wiring + c.linkmode + "route\n")
+	for _, linkmode := range []string{"", "linkmode reliable\n"} {
+		topo, err := network.ParseTopology(wiring + linkmode + "route\n")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +220,11 @@ run 2ms
 				ws, at := n.Engine.WireStats(l), resent[end]
 				switch {
 				case ws.Beats == 0:
-					t.Errorf("%q: %s sent no beats: its liveness monitor is off", c.linkmode, end)
-				case len(at) < 2 || ws.Retransmits != uint64(c.retries):
-					t.Errorf("%q: %s resent %d times, want %d", c.linkmode, end, ws.Retransmits, c.retries)
-				case at[1]-at[0] < c.timeout || at[1]-at[0] >= c.timeout+5*sim.Microsecond:
-					t.Errorf("%q: %s resent %v apart, want the %v timeout and a frame", c.linkmode, end, at[1]-at[0], c.timeout)
+					t.Errorf("%q: %s sent no beats: its liveness monitor is off", linkmode, end)
+				case len(at) < 2 || ws.Retransmits != link.DefaultRelRetries:
+					t.Errorf("%q: %s resent %d times, want %d", linkmode, end, ws.Retransmits, link.DefaultRelRetries)
+				case at[1]-at[0] < link.DefaultRelTimeout || at[1]-at[0] >= link.DefaultRelTimeout+5*sim.Microsecond:
+					t.Errorf("%q: %s resent %v apart, want the %v timeout and a frame", linkmode, end, at[1]-at[0], link.DefaultRelTimeout)
 				}
 			}
 		}
