@@ -25,10 +25,10 @@ type Engine struct {
 	// are links carrying a single conversation (see vchan.go).
 	mux [core.NumLinks]*Mux
 
-	// hb is the liveness monitor state (see heartbeat.go); onBeat is
-	// told every verdict change.
-	hb     heartbeat
-	onBeat func(link int, up bool)
+	// hb is the liveness monitor state (see heartbeat.go); onVerdict
+	// is told every verdict change and every spent retry budget.
+	hb        heartbeat
+	onVerdict func(link int, up bool)
 
 	// credit counts what acknowledge credit (see xfer.go) did at this
 	// engine's ends of its links.

@@ -7,15 +7,18 @@
 // data, acknowledge, NAK or beat — arrived on each link, and flips a
 // per-link verdict when the silence exceeds a timeout.  Verdict
 // changes are published as probe.Heartbeat events and reported to the
-// OnHeartbeat callback, which the routing layer uses to steer traffic
-// around dead links and to resynchronise links that come back.
+// OnVerdict callback, which the routing layer uses to steer traffic
+// around dead links and to resynchronise links that come back.  The
+// callback also hears the error-detecting mode's faster tripwire: a
+// sender that spends its retry budget reports its link down at that
+// instant (reliable.go), without touching the heartbeat's verdict.
 //
 // Beats ride the same serialised signal lines as real traffic, but
 // only when the wire is idle, so they never delay data.  Host-wired
 // links are not monitored: host ends do not beat, and declaring the
-// host dead for its silence would be wrong.  Verdicts change only at
-// tick instants, keeping detection deterministic under any shard
-// schedule.
+// host dead for its silence would be wrong.  Heartbeat verdicts change
+// only at tick instants, keeping detection deterministic under any
+// shard schedule.
 package link
 
 import (
@@ -49,10 +52,13 @@ type heartbeat struct {
 // StartHeartbeat is called.
 func (e *Engine) SetHeartbeat() { e.hb.configured = true }
 
-// OnHeartbeat registers the verdict-change callback: up reports
-// whether the link's peer was just declared alive (true) or
-// unresponsive (false).  Called from the engine's own shard.
-func (e *Engine) OnHeartbeat(fn func(link int, up bool)) { e.onBeat = fn }
+// OnVerdict registers the link-verdict callback: up reports whether
+// the link's peer was just declared alive (true) or unresponsive
+// (false).  A down verdict has two causes: the heartbeat's silence
+// timeout, and a sender in error-detecting mode spending its retry
+// budget.  The second leaves the heartbeat's own verdict as it stands.
+// Called from the engine's own shard.
+func (e *Engine) OnVerdict(fn func(link int, up bool)) { e.onVerdict = fn }
 
 // StartHeartbeat begins monitoring: every link is presumed alive as of
 // now, and the first beats go out one interval from now.  A no-op when
@@ -137,16 +143,16 @@ func (e *Engine) hbTick() {
 				// with simulator batching (the block-cache invariant).
 				e.bus.Publish(probe.Event{Kind: probe.Heartbeat, Time: now, Node: e.m.Name(), Link: l, Arg: 0, Dur: silence})
 			}
-			if e.onBeat != nil {
-				e.onBeat(l, false)
+			if e.onVerdict != nil {
+				e.onVerdict(l, false)
 			}
 		case e.hb.peerDown[l] && silence <= BeatTimeout:
 			e.hb.peerDown[l] = false
 			if e.bus != nil {
 				e.bus.Publish(probe.Event{Kind: probe.Heartbeat, Time: now, Node: e.m.Name(), Link: l, Arg: 1, Dur: silence})
 			}
-			if e.onBeat != nil {
-				e.onBeat(l, true)
+			if e.onVerdict != nil {
+				e.onVerdict(l, true)
 			}
 		}
 		// A beat goes out only when the wire is idle; real traffic is

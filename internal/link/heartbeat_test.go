@@ -21,7 +21,7 @@ func TestHeartbeatStartedAfterTraffic(t *testing.T) {
 	var verdicts []string
 	for name, e := range map[string]*Engine{"a": ea, "b": eb} {
 		e.SetHeartbeat()
-		e.OnHeartbeat(func(l int, up bool) {
+		e.OnVerdict(func(l int, up bool) {
 			if !up {
 				verdicts = append(verdicts, name)
 			}
@@ -37,5 +37,46 @@ func TestHeartbeatStartedAfterTraffic(t *testing.T) {
 	}
 	if ea.WireStats(1).Beats == 0 || eb.WireStats(0).Beats == 0 {
 		t.Error("no beats were exchanged: the monitors did not run")
+	}
+}
+
+// TestRetryExhaustionVerdict: a reliable pair whose data packets all
+// drop while beats still cross.  The sender's spent retry budget is a
+// down verdict of its own: the callback hears (link, false) exactly
+// once, after the link is marked failed, while the heartbeat — which
+// keeps hearing beats — holds its verdict up.
+func TestRetryExhaustionVerdict(t *testing.T) {
+	c, ma, mb, ea, eb := portPair(1, false)
+	type verdict struct {
+		link   int
+		up     bool
+		failed bool
+	}
+	var got []verdict
+	for _, e := range []*Engine{ea, eb} {
+		e.SetReliable(true, 0, 0)
+		e.SetHeartbeat()
+	}
+	ea.OnVerdict(func(l int, up bool) {
+		got = append(got, verdict{l, up, ea.outs[l].rel.failed})
+	})
+	eb.OnVerdict(func(l int, up bool) { t.Errorf("receiver verdict (%d, %v)", l, up) })
+	ea.SetFaultHook(1, func(isCtl bool) FaultAction { return FaultAction{Drop: !isCtl} })
+	ea.StartHeartbeat()
+	eb.StartHeartbeat()
+	eb.BeginInput(0, mb.MemStart()+64, 4, nil)
+	ea.BeginOutput(1, ma.MemStart(), 4, nil)
+	c.RunUntil(10 * BeatTimeout)
+	ea.StopHeartbeat()
+	eb.StopHeartbeat()
+	c.Run()
+	if want := []verdict{{1, false, true}}; len(got) != 1 || got[0] != want[0] {
+		t.Errorf("verdicts %+v, want %+v", got, want)
+	}
+	if down, retries := ea.LinkDown(1); !down || retries <= DefaultRelRetries {
+		t.Errorf("LinkDown = %v after %d retries; want the budget of %d spent", down, retries, DefaultRelRetries)
+	}
+	if ea.hb.peerDown[1] || eb.hb.peerDown[0] {
+		t.Error("the heartbeat declared a link down although beats kept crossing it")
 	}
 }

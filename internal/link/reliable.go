@@ -134,14 +134,21 @@ func (o *outHalf) retryTimeout() {
 }
 
 // retransmit resends the current byte, or declares the link down when
-// the retry budget is spent.
+// the retry budget is spent.  The verdict callback comes last: the
+// router answers it by resynchronising this very half.
 func (o *outHalf) retransmit() {
 	o.rel.retries++
 	if o.rel.retries > o.rel.maxRetries {
 		o.rel.failed = true
-		if o.eng != nil && o.eng.bus != nil {
+		if o.eng == nil {
+			return
+		}
+		if o.eng.bus != nil {
 			o.eng.emit(probe.Event{Kind: probe.LinkDown, Link: o.link,
 				Arg: int64(o.rel.maxRetries), Flow: o.flow})
+		}
+		if o.eng.onVerdict != nil {
+			o.eng.onVerdict(o.link, false)
 		}
 		return
 	}

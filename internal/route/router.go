@@ -11,15 +11,15 @@
 //
 // Mechanisms, bottom up:
 //
-//   - Hop custody: a frame queued on a link is "in custody" until the
-//     link engine acknowledges its final byte (Engine.Send's completion).
-//     A custody timer with exponential backoff catches links that die
-//     mid-frame; a dead link's frames are resynchronised away and
-//     rerouted.
-//   - Failure detection: the link layer's heartbeat monitor (see
-//     link/heartbeat.go) declares links down after bounded silence and
-//     up when traffic returns.  Down: the local end aborts its streams
-//     (ResyncLink), floods a link-state advertisement and reroutes.
+//   - Hop transfer: a frame queued on a link leaves its send slot when
+//     the link engine acknowledges its final byte (Engine.Send's
+//     completion).  Nothing polls a frame in flight: a link that dies
+//     under it is reported by the verdict below, which reroutes it.
+//   - Failure detection: the link engine's verdict callback (see
+//     link/heartbeat.go) declares a link down after bounded silence or
+//     the moment a sender spends its retry budget, and up when traffic
+//     returns.  Down: the local end aborts its streams (ResyncLink),
+//     floods a link-state advertisement and reroutes.
 //     Up: a HELLO handshake re-establishes the link — both ends have
 //     reset their streams at the down verdict, so the byte streams
 //     restart aligned — followed by a full advertisement exchange that
@@ -42,7 +42,7 @@
 //     messages.
 //
 // Like the link protocol under it, the router takes no options: the
-// per-hop custody timeout, the replay backoff base and the hop budget
+// busy-sender retry delay, the replay backoff base and the hop budget
 // are constants, as is the timing of the heartbeat it depends on.
 package route
 
@@ -58,10 +58,9 @@ import (
 
 // The router's timing and hop budget are fixed.
 const (
-	// custodyTimeout is the custody timeout per hop — generous against
-	// queueing and link-level retransmission, so it only fires for
-	// genuinely stuck frames.
-	custodyTimeout = 400 * sim.Microsecond
+	// busyRetry is the wait before a send slot retries an engine whose
+	// sender was busy with a transfer the router does not own.
+	busyRetry = 100 * sim.Microsecond
 	// replayTimeout is the base end-to-end replay backoff.
 	replayTimeout = 800 * sim.Microsecond
 	// frameTTL is the hop budget of routed frames.
@@ -125,15 +124,11 @@ type oooKey struct {
 
 // sendSlot is one unit of send concurrency on a link: the whole wire
 // for plain links, or one virtual channel of a multiplexed link.  A
-// frame in a slot is "in custody" until the engine confirms its final
-// byte, watched by the slot's hop timer.
+// frame stays in its slot until the engine confirms its final byte;
+// a free slot holds none.
 type sendSlot struct {
 	end      core.End // the link, or one of its vchans
 	inFlight *frame
-	sending  bool
-	hopTimer sim.EventID
-	hopArmed bool
-	hopWait  sim.Time
 }
 
 // linkState is the dynamic router state of one link end.  Touched only
@@ -175,7 +170,7 @@ type rnode struct {
 }
 
 // Router is the system-wide routing layer.  Build it with Attach
-// before Run; read results (Deliveries, Injected, Undelivered) after.
+// before Run; read results (AllDeliveries, Injected, Undelivered) after.
 type Router struct {
 	sys      *network.System
 	nodes    []*rnode
@@ -263,12 +258,17 @@ func Attach(s *network.System) (*Router, error) {
 	return r, nil
 }
 
-// hookEngine subscribes the node to its engine's heartbeat verdicts.
+// hookEngine subscribes the node to its engine's link verdicts: the
+// heartbeat's, and a spent retry budget's.  A halted node's senders
+// may still exhaust against its severed wires; it ignores them, since
+// boot resets every link.
 func (nd *rnode) hookEngine() {
-	nd.nn.Engine.OnHeartbeat(func(l int, up bool) {
-		if up {
+	nd.nn.Engine.OnVerdict(func(l int, up bool) {
+		switch {
+		case !nd.alive:
+		case up:
 			nd.upVerdict(l)
-		} else {
+		default:
 			nd.linkDown(l)
 		}
 	})
@@ -384,16 +384,16 @@ func (nd *rnode) initSlots(l int) {
 	}
 }
 
-// trySend fills every free send slot of link l from its queue, taking
-// custody of each frame until the link engine confirms its final byte
-// was acknowledged.
+// trySend fills every free send slot of link l from its queue, holding
+// each frame until the link engine confirms its final byte was
+// acknowledged.
 func (nd *rnode) trySend(l int) {
 	ls := &nd.links[l]
 	for si := range ls.slots {
 		if len(ls.queue) == 0 {
 			return
 		}
-		if !ls.slots[si].sending {
+		if ls.slots[si].inFlight == nil {
 			nd.sendOn(l, si)
 		}
 	}
@@ -407,16 +407,11 @@ func (nd *rnode) sendOn(l, si int) {
 	ls.queue = ls.queue[1:]
 	hold := f
 	sl.inFlight = &hold
-	sl.sending = true
-	sl.hopWait = custodyTimeout
-	nd.armHop(l, si)
 	gen := nd.gen
 	done := func() {
 		if nd.gen != gen {
 			return
 		}
-		nd.cancelHop(l, si)
-		sl.sending = false
 		sl.inFlight = nil
 		nd.trySend(l)
 	}
@@ -424,11 +419,9 @@ func (nd *rnode) sendOn(l, si int) {
 		// The engine's sender is busy with a transfer the router does
 		// not own — should not happen, but never wedge: back off and
 		// retry.
-		nd.cancelHop(l, si)
-		sl.sending = false
 		sl.inFlight = nil
 		ls.queue = append([]frame{f}, ls.queue...)
-		nd.clock().After(custodyTimeout/4, func() {
+		nd.clock().After(busyRetry, func() {
 			if nd.gen == gen {
 				nd.trySend(l)
 			}
@@ -436,80 +429,24 @@ func (nd *rnode) sendOn(l, si int) {
 	}
 }
 
-func (nd *rnode) armHop(l, si int) {
-	sl := &nd.links[l].slots[si]
-	gen := nd.gen
-	sl.hopArmed = true
-	sl.hopTimer = nd.clock().After(sl.hopWait, func() {
-		sl.hopArmed = false
-		if nd.gen != gen {
-			return
-		}
-		nd.hopTimeout(l, si)
-	})
-}
-
-func (nd *rnode) cancelHop(l, si int) {
-	sl := &nd.links[l].slots[si]
-	if sl.hopArmed {
-		nd.clock().Cancel(sl.hopTimer)
-		sl.hopArmed = false
-	}
-}
-
-// cancelHops cancels every slot's custody timer on link l.
-func (nd *rnode) cancelHops(l int) {
-	for si := range nd.links[l].slots {
-		nd.cancelHop(l, si)
-	}
-}
-
-// hopTimeout fires when a frame's custody ran out.  A link the
-// error-detecting layer has declared dead is torn down and its frames
-// rerouted; a merely slow link gets its custody timer backed off, and
-// the frame is duplicated onto the current best route if the table has
-// moved away (the destination's sequence window absorbs duplicates).
-func (nd *rnode) hopTimeout(l, si int) {
-	sl := &nd.links[l].slots[si]
-	if !sl.sending || sl.inFlight == nil {
-		return
-	}
-	if down, _ := nd.nn.Engine.LinkDown(l); down {
-		nd.linkDown(l)
-		return
-	}
-	f := *sl.inFlight
-	if f.kind == fData || f.kind == fE2EAck {
-		if alt := nd.nextHop[int(f.dest)]; alt >= 0 && alt != l && nd.links[alt].routable {
-			nd.enqueue(alt, f)
-		}
-	}
-	if sl.hopWait < 8*custodyTimeout {
-		sl.hopWait *= 2
-	}
-	nd.armHop(l, si)
-}
-
 // linkDown tears down this end of link l: abort and reset the byte
 // streams, reroute every frame it held, advertise the loss, and leave
-// the HELLO handshake to bring it back.  Called on the heartbeat down
-// verdict and on custody timeout of a dead link; idempotent while
-// down.
+// the HELLO handshake to bring it back.  Called on a down verdict —
+// the heartbeat's or a spent retry budget's — and on a greeting over a
+// link still held routable; idempotent while down.
 func (nd *rnode) linkDown(l int) {
 	if !nd.r.adj[nd.ord][l].wired {
 		return
 	}
 	ls := &nd.links[l]
-	nd.cancelHops(l)
 	nd.nn.Engine.ResyncLink(l)
 	nd.armRecv(l) // the resync aborted the receive pumps; restart them
 	var orphans []frame
 	for si := range ls.slots {
 		if sl := &ls.slots[si]; sl.inFlight != nil {
 			orphans = append(orphans, *sl.inFlight)
+			sl.inFlight = nil
 		}
-		ls.slots[si].inFlight = nil
-		ls.slots[si].sending = false
 	}
 	orphans = append(orphans, ls.queue...)
 	ls.queue = nil
@@ -704,8 +641,10 @@ func (nd *rnode) armRecv(l int) {
 }
 
 // recvFrame is one end's receive pump: read a header, then the payload,
-// dispatch, repeat.  A frame that fails validation is dropped; the pump
-// realigns at the next header boundary, and the end-to-end replay layer
+// dispatch, repeat.  A header that fails validation is dropped and the
+// pump reads the next fixed-size header straight after it: nothing
+// realigns a stream that lost its frame boundary, which only a
+// resynchronisation of both ends restores.  The end-to-end replay layer
 // absorbs whatever was lost.
 func (nd *rnode) recvFrame(l int, c core.End) {
 	gen := nd.gen
@@ -818,7 +757,6 @@ func (nd *rnode) crash() {
 	nd.gen++
 	nd.alive = false
 	for l := range nd.links {
-		nd.cancelHops(l)
 		nd.links[l] = linkState{}
 	}
 	for _, k := range nd.sortedPending() {
@@ -903,16 +841,6 @@ func (r *Router) Stop() {
 	for _, nd := range r.nodes {
 		nd.nn.Engine.StopHeartbeat()
 	}
-}
-
-// Deliveries returns every in-order delivery recorded at the named
-// node, in delivery order.  Read after the run.
-func (r *Router) Deliveries(node string) []Delivery {
-	nd, ok := r.byName[node]
-	if !ok {
-		return nil
-	}
-	return nd.delivered
 }
 
 // AllDeliveries returns every delivery in the system, grouped by

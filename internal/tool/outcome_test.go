@@ -264,3 +264,30 @@ run 4ms
 		t.Errorf("summary should name the lost message, got %q", sb.String())
 	}
 }
+
+// TestRouteRetryExhaustion: the healed ring with its wire cut replaced
+// by a wire that drops every data packet.  Beats and acknowledges still
+// cross it, so the heartbeat never declares the link down; the only
+// evidence is the sender's spent retry budget, which must reach the
+// router as a down verdict so the frames stuck on that hop go the long
+// way round.
+func TestRouteRetryExhaustion(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "examples", "faults", "healed-ring.tnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = "fault sever n1.1 at=200us"
+	if !strings.Contains(string(raw), cut) {
+		t.Fatalf("healed-ring.tnet no longer has the line %q", cut)
+	}
+	src := strings.Replace(string(raw), cut, "fault drop n1.1 rate=1 pkt=data", 1)
+	topo, err := network.ParseTopology(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	exit := RunNet(NetFlags{Tool: "tnet", Workers: 1}, topo, ".", &stdout, &stderr)
+	if exit != ExitOK || !strings.Contains(stderr.String(), "route: delivered 5 of 5") {
+		t.Errorf("exit %d, stderr %q; want 0 and every message delivered", exit, stderr.String())
+	}
+}
