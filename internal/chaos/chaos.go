@@ -125,7 +125,6 @@ const (
 	faultTo   = 1500 * sim.Microsecond
 	msgFrom   = 10 * sim.Microsecond
 	msgTo     = 2000 * sim.Microsecond
-	minOutage = 300 * sim.Microsecond // > 2x the default heartbeat timeout
 	runLimit  = 20 * sim.Millisecond
 )
 
@@ -133,8 +132,9 @@ const (
 // couple of link cuts, node outages (mostly with recovery), background
 // wire noise, and a random message load.  The constraints the network
 // layer enforces — one sever per link, one halt/restart cycle per
-// node, outages longer than the detection window — are respected by
-// construction.
+// node, a restart after its halt — are respected by construction.  An
+// outage lasts from a microsecond, too short for any heartbeat to
+// notice, to most of a millisecond.
 func Generate(topo string, seed uint64) (Scenario, error) {
 	t, err := shape(topo)
 	if err != nil {
@@ -160,11 +160,11 @@ func Generate(topo string, seed uint64) (Scenario, error) {
 			continue
 		}
 		halted[n] = true
-		at := r.dur(faultFrom, faultTo-minOutage)
+		at := r.dur(faultFrom, faultTo)
 		sc.Rules = append(sc.Rules, fault.Rule{Kind: fault.Halt, Node: n, Link: -1, At: at})
 		if r.float() < 0.75 {
 			sc.Rules = append(sc.Rules, fault.Rule{Kind: fault.Restart, Node: n, Link: -1,
-				At: at + minOutage + r.dur(0, 800*sim.Microsecond)})
+				At: at + r.dur(sim.Microsecond, 800*sim.Microsecond)})
 		}
 	}
 	for i := 0; i < r.intn(3); i++ {

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -59,11 +61,9 @@ func TestGenerateRespectsConstraints(t *testing.T) {
 				}
 			}
 			for _, r := range sc.Rules {
-				if r.Kind == fault.Restart {
-					if r.At-halts[r.Node] < minOutage {
-						t.Errorf("%s seed %d: outage of %q too short: %v",
-							topo, seed, r.Node, r.At-halts[r.Node])
-					}
+				if r.Kind == fault.Restart && r.At <= halts[r.Node] {
+					t.Errorf("%s seed %d: restart of %q at %v does not follow its halt at %v",
+						topo, seed, r.Node, r.At, halts[r.Node])
 				}
 			}
 		}
@@ -71,10 +71,10 @@ func TestGenerateRespectsConstraints(t *testing.T) {
 }
 
 // TestCampaignSmoke runs a few seeds end to end on both topologies,
-// with the worker-count determinism cross-check on, and on ring8 the
-// two seeds whose heartbeat verdicts disagree across a link (DESIGN.md
-// §17): 30, where one end declares it down and the other does not, and
-// 98, where both ends reboot.
+// with the worker-count determinism cross-check on, and on ring8 two
+// seeds of short outages: 30, whose n6 is back 10 µs after its halt,
+// before any heartbeat notices, and 98, where both ends of the link
+// n1–n2 halt and restart.
 func TestCampaignSmoke(t *testing.T) {
 	for _, topo := range Topologies() {
 		seeds := []uint64{1, 2, 3, 4, 5}
@@ -116,6 +116,34 @@ func campaign(t *testing.T, topo string, seed uint64) {
 	}
 	if !res.Ok() {
 		t.Errorf("%s seed %d failed:\n  %s", topo, seed, strings.Join(res.Failures, "\n  "))
+	}
+}
+
+// TestShrunkPlansDeliver replays the shrunk plans of two ring8 seeds
+// that once lost a message between live, connected nodes: a heartbeat
+// declared a link down at one end only, and that end reset its half of
+// the byte stream.  Each plan must pass every invariant.
+func TestShrunkPlansDeliver(t *testing.T) {
+	for _, name := range []string{"ring8-seed354.tnet", "ring8-seed591.tnet"} {
+		t.Run(name, func(t *testing.T) {
+			src, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := network.ParseTopology(string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := Scenario{Topo: "ring8", Seed: topo.Seed, Rules: topo.Faults,
+				Messages: topo.Messages, RunLimit: topo.RunLimit}
+			fails, err := evaluate(sc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fails) > 0 {
+				t.Errorf("%s failed:\n  %s", name, strings.Join(fails, "\n  "))
+			}
+		})
 	}
 }
 

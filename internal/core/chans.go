@@ -173,9 +173,8 @@ func (m *Machine) externalTransfer(x *extXfer, chAddr, ptr uint64, count int) in
 	if x.busy {
 		// A second process on a channel end already in use — an occam
 		// program error the engine answers by never completing the
-		// transfer — or a transfer aborted by a link resync.  Either way
-		// the end's record still describes the earlier message, so this
-		// one gets a record of its own.
+		// transfer.  The end's record still describes the earlier
+		// message, so this one gets a record of its own.
 		x = &extXfer{end: x.end, output: x.output, extra: true}
 		m.extraXfers++
 	}

@@ -8,8 +8,8 @@
 // per-link verdict when the silence exceeds a timeout.  Verdict
 // changes are published as probe.Heartbeat events and reported to the
 // OnVerdict callback, which the routing layer uses to steer traffic
-// around dead links and to resynchronise links that come back.  The
-// callback also hears the error-detecting mode's faster tripwire: a
+// around dead links and back onto links that return.  The callback
+// also hears the error-detecting mode's faster tripwire: a
 // sender that spends its retry budget reports its link down at that
 // instant (reliable.go), without touching the heartbeat's verdict.
 //
@@ -60,9 +60,12 @@ func (e *Engine) SetHeartbeat() { e.hb.configured = true }
 // Called from the engine's own shard.
 func (e *Engine) OnVerdict(fn func(link int, up bool)) { e.onVerdict = fn }
 
-// StartHeartbeat begins monitoring: every link is presumed alive as of
-// now, and the first beats go out one interval from now.  A no-op when
-// the monitor is unconfigured or already running.
+// StartHeartbeat begins monitoring: every link is presumed heard as of
+// now, and the first beats go out one interval from now.  Verdicts
+// carry over from a stopped monitor, so a link that was down when a
+// halt stopped it is declared up when its peer is heard after the
+// restart.  A no-op when the monitor is unconfigured or already
+// running.
 func (e *Engine) StartHeartbeat() {
 	if !e.hb.configured || e.hb.running {
 		return
@@ -71,7 +74,6 @@ func (e *Engine) StartHeartbeat() {
 	now := e.k.Now()
 	for l := range e.hb.lastHeard {
 		e.hb.lastHeard[l] = now
-		e.hb.peerDown[l] = false
 	}
 	if e.hb.tick == nil {
 		e.hb.tick = e.hbTick

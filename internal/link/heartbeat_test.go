@@ -80,3 +80,42 @@ func TestRetryExhaustionVerdict(t *testing.T) {
 		t.Error("the heartbeat declared a link down although beats kept crossing it")
 	}
 }
+
+// TestVerdictSurvivesRestart: a monitor stopped and started again — a
+// halt and its restart — keeps its verdicts.  A pair goes silent until
+// both ends declare the link down; the monitors restart, the wire comes
+// back, and each end must hear its peer with exactly one up verdict,
+// which is what brings a router's link back.
+func TestVerdictSurvivesRestart(t *testing.T) {
+	c, _, _, ea, eb := portPair(1, false)
+	type verdict struct {
+		link int
+		up   bool
+	}
+	got := map[string][]verdict{}
+	for name, e := range map[string]*Engine{"a": ea, "b": eb} {
+		e.SetHeartbeat()
+		e.OnVerdict(func(l int, up bool) { got[name] = append(got[name], verdict{l, up}) })
+		e.StartHeartbeat()
+	}
+	ea.SeverLink(1)
+	c.RunUntil(3 * BeatTimeout)
+	if !ea.hb.peerDown[1] || !eb.hb.peerDown[0] {
+		t.Fatalf("a silent link is not down at both ends: %+v", got)
+	}
+	for _, e := range []*Engine{ea, eb} {
+		e.StopHeartbeat()
+		e.StartHeartbeat()
+	}
+	ea.RestoreLink(1)
+	c.RunUntil(6 * BeatTimeout)
+	ea.StopHeartbeat()
+	eb.StopHeartbeat()
+	c.Run()
+	want := map[string][]verdict{"a": {{1, false}, {1, true}}, "b": {{0, false}, {0, true}}}
+	for name, w := range want {
+		if g := got[name]; len(g) != len(w) || g[0] != w[0] || g[1] != w[1] {
+			t.Errorf("%s's verdicts %+v, want %+v", name, g, w)
+		}
+	}
+}

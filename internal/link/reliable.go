@@ -134,8 +134,8 @@ func (o *outHalf) retryTimeout() {
 }
 
 // retransmit resends the current byte, or declares the link down when
-// the retry budget is spent.  The verdict callback comes last: the
-// router answers it by resynchronising this very half.
+// the retry budget is spent.  A spent budget pauses the sender with its
+// byte still current, for RecoverLink to resend.
 func (o *outHalf) retransmit() {
 	o.rel.retries++
 	if o.rel.retries > o.rel.maxRetries {

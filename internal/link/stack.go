@@ -15,7 +15,7 @@
 //	├─────────────────────────────────────────────────────┤
 //	│ multiplexer   vchan.go   N logical chans per wire   │
 //	├─────────────────────────────────────────────────────┤
-//	│ streams       stream.go  raw byte streams, resync   │
+//	│ streams       stream.go  raw byte streams, recovery │
 //	├─────────────────────────────────────────────────────┤
 //	│ liveness      heartbeat.go  beats, per-link verdict │
 //	├─────────────────────────────────────────────────────┤

@@ -3,9 +3,9 @@
 // The routing layer (internal/route) drives link engines directly,
 // from the node's own shard, without involving the machine: Send and
 // Recv move byte slices where BeginOutput/BeginInput move machine
-// memory, over the same ends.  The resynchronisation and recovery
-// entry points live here too: they are what the self-healing layer
-// calls when a link comes back after an outage.
+// memory, over the same ends.  A stream is never reset: the
+// error-detecting mode carries it exactly once across an outage, and
+// the recovery entry point here resumes a sender that stopped in one.
 package link
 
 import "transputer/internal/core"
@@ -82,44 +82,10 @@ func (e *Engine) Recv(c core.End, n int, done func([]byte)) bool {
 	return true
 }
 
-// ResyncLink aborts whatever transfer is in progress on link l in both
-// directions and resets the error-detecting sequence state to its
-// power-on values.  The routing layer performs this handshake on both
-// ends when a link comes back after an outage, so the two halves agree
-// on a fresh byte stream; bytes of the old stream are discarded.
-// Transfer completion callbacks of the aborted transfers never fire.
-// A virtual-channel multiplexer on the link is reset to its power-on
-// state too: chunks and credit of the old stream belong to the old
-// stream.
-func (e *Engine) ResyncLink(l int) {
-	if l < 0 || l >= core.NumLinks {
-		return
-	}
-	o := e.outs[l]
-	o.cancelRetryTimer()
-	o.active = false
-	o.done = nil
-	o.stalledAtStart = false
-	o.rel.failed = false
-	o.rel.retries = 0
-	o.rel.seq = 0
-	if o.wire != nil {
-		// Queued frames belong to the abandoned stream.
-		o.wire.clearQueues()
-	}
-	in := e.ins[l]
-	in.active = false
-	in.done = nil
-	in.armed = nil
-	in.bufferValid = false
-	in.rel.expect = 0
-	if m := e.mux[l]; m != nil {
-		m.resync()
-	}
-}
-
-// RecoverLink revives link l's sender after a freeze-restart outage
-// without losing the byte in flight.  It only applies in
+// RecoverLink revives link l's sender after an outage without losing
+// the byte in flight: a node restart calls it at both ends of every
+// link it restores, and the router calls it when the heartbeat hears
+// the peer of a sender that spent its retry budget.  It only applies in
 // error-detecting mode: the alternating sequence bit makes the
 // retransmission exactly-once whether the outage swallowed the
 // original byte or only its acknowledge.  Plain-mode transfers cannot

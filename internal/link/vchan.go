@@ -382,18 +382,3 @@ func (m *Mux) grant(vc, n int) {
 	m.owed[vc] += n
 	m.pump()
 }
-
-// resync resets the multiplexer to its power-on state (fresh credit,
-// nothing staged, nothing owed) and re-arms the receive pump; part of
-// the link resynchronisation handshake (see Engine.ResyncLink).
-func (m *Mux) resync() {
-	for vc := range m.out {
-		m.out[vc] = vcOut{credit: VCWindow}
-		m.in[vc] = vcIn{}
-		m.owed[vc] = 0
-	}
-	m.grants = nil
-	m.rr = 0
-	m.txBusy = false
-	m.armHeader()
-}

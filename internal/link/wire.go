@@ -260,12 +260,6 @@ func (w *wire) queueEmpty() bool {
 	return w.ackHead == len(w.acks) && w.dataHead == len(w.data)
 }
 
-// clearQueues discards everything queued but not yet transmitted.
-func (w *wire) clearQueues() {
-	w.acks, w.ackHead = w.acks[:0], 0
-	w.data, w.dataHead = w.data[:0], 0
-}
-
 func (w *wire) send(p packet) {
 	if p.kind != pktData {
 		if w.ackHead == len(w.acks) {

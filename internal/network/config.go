@@ -414,9 +414,6 @@ func validateFaults(topo *Topology, faultLine []int, wiredLine map[string]int) e
 			if haltAt >= r.At {
 				return fail("restart of %q at %v does not follow its halt at %v", r.Node, r.At, haltAt)
 			}
-			if topo.Route && r.At-haltAt < minOutage {
-				return fail("%s", shortOutage(r.Node, r.At-haltAt))
-			}
 		default:
 			// Wire-targeted rules must name an end that is actually
 			// wired (a connection or a host attachment).

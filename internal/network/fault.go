@@ -8,7 +8,6 @@ import (
 
 	"transputer/internal/core"
 	"transputer/internal/fault"
-	"transputer/internal/link"
 	"transputer/internal/probe"
 	"transputer/internal/sim"
 )
@@ -28,20 +27,6 @@ func (s *System) SetReliable() {
 	}
 }
 
-// minOutage is the shortest halt-to-restart gap on a monitored system.
-// Peers resynchronise their link streams at the heartbeat down verdict
-// and the restarted node resets its own at boot; an outage shorter
-// than twice the detection window would reset only one end and
-// desynchronise the byte stream, so both the parser and ApplyFaults
-// reject such plans.
-const minOutage = 2 * link.BeatTimeout
-
-// shortOutage describes a restart that comes too soon after its halt.
-func shortOutage(node string, gap sim.Time) string {
-	return fmt.Sprintf("restart of %q only %v after its halt; outages must last at least %v "+
-		"(twice the heartbeat timeout) for link streams to resynchronise", node, gap, minOutage)
-}
-
 // ApplyFaults installs a seeded fault plan: per-packet hooks on the
 // targeted wires, and scheduled severs and halts on the kernel.  Call
 // it after the topology is fully wired and before Run.
@@ -52,22 +37,6 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 	inj, err := fault.NewInjector(plan)
 	if err != nil {
 		return err
-	}
-	if s.heartbeat {
-		for i, r := range plan.Rules {
-			if r.Kind != fault.Restart {
-				continue
-			}
-			var haltAt sim.Time
-			for _, h := range plan.Rules {
-				if h.Kind == fault.Halt && h.Node == r.Node && h.At < r.At && h.At > haltAt {
-					haltAt = h.At
-				}
-			}
-			if haltAt > 0 && r.At-haltAt < minOutage {
-				return fmt.Errorf("network: rule %d: %s", i, shortOutage(r.Node, r.At-haltAt))
-			}
-		}
 	}
 	for _, n := range s.nodes {
 		for l := 0; l < core.NumLinks; l++ {
@@ -184,12 +153,10 @@ func (s *System) restartNode(n *Node, restore []int) {
 	for _, l := range restore {
 		n.Engine.RestoreLink(l)
 	}
-	// Node-up subscribers run between restore and recovery on purpose:
-	// the routing layer's boot resets the restored links to power-on
-	// state, which makes the recovery below a no-op on router-managed
-	// links — a restarted router node must not retransmit a pre-crash
-	// byte into a peer that reset its stream.  On bare systems the
-	// subscriber list is empty and recovery resumes frozen transfers.
+	// Node-up subscribers run between restore and recovery: a transfer
+	// the routing layer's replays start on a sender that spent its
+	// retry budget in the outage waits at its start, and the recovery
+	// below begins it along with the transfers the halt froze.
 	s.notifyUp(n)
 	for _, l := range restore {
 		// RestoreLink (above) and the peer recovery both post to the
@@ -223,7 +190,7 @@ type WatchdogProc struct {
 }
 
 // DownLink is a link whose reliable-mode sender exhausted its retry
-// budget.
+// budget while a blocked process waits on it.
 type DownLink struct {
 	Node    string
 	Link    int
@@ -308,7 +275,11 @@ func (s *System) Watchdog() *WatchdogReport {
 		if n.M.Halted() {
 			continue // a halt is its own verdict, not a deadlock
 		}
+		var waited [core.NumLinks]bool
 		for _, p := range n.M.BlockedProcesses() {
+			if p.Link >= 0 {
+				waited[p.Link] = true
+			}
 			rep.Procs = append(rep.Procs, WatchdogProc{Node: n.Name, BlockedProcess: p})
 			if s.bus != nil {
 				s.bus.Publish(probe.Event{
@@ -318,8 +289,11 @@ func (s *System) Watchdog() *WatchdogReport {
 				})
 			}
 		}
+		// A sender that spent its budget with no process waiting on it
+		// belongs to a stream the routing layer has already routed
+		// around: paused, not deadlocked.
 		for l := 0; l < core.NumLinks; l++ {
-			if down, retries := n.Engine.LinkDown(l); down {
+			if down, retries := n.Engine.LinkDown(l); down && waited[l] {
 				rep.DownLinks = append(rep.DownLinks, DownLink{Node: n.Name, Link: l, Retries: retries})
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"transputer/internal/core"
 	"transputer/internal/fault"
+	"transputer/internal/link"
 	"transputer/internal/matrix"
 	"transputer/internal/network"
 	"transputer/internal/probe"
@@ -264,6 +265,46 @@ func severWatchdog(t *testing.T, pinned bool) {
 	}
 	if !strings.Contains(wd.String(), "a:") || !strings.Contains(wd.String(), "b:") {
 		t.Errorf("report does not name both nodes:\n%s", wd)
+	}
+}
+
+// TestRetryExhaustionWatchdog: an unrouted reliable pair whose data
+// packets all drop.  The sender spends its retry budget with its
+// process blocked on the link, so the watchdog reports the blocked
+// output and, on its own line, the link it waits on as DOWN.
+func TestRetryExhaustionWatchdog(t *testing.T) {
+	s := network.NewSystem()
+	a := s.MustAddTransputer("a", cfg())
+	b := s.MustAddTransputer("b", cfg())
+	s.MustConnect(a, 1, b, 0)
+	s.SetReliable()
+	load(t, a, senderLoop(10))
+	load(t, b, receiverLoop(10))
+	err := s.ApplyFaults(fault.Plan{Rules: []fault.Rule{
+		{Kind: fault.Drop, Node: "a", Link: 1, Rate: 1, Pkt: fault.DataPacket},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Run(10 * sim.Millisecond); !rep.Settled {
+		t.Fatalf("a pair with a dead data line should settle: %+v", rep)
+	}
+	wd := s.Watchdog()
+	if wd == nil {
+		t.Fatal("watchdog found nothing on a link whose retries ran out")
+	}
+	out := wd.String()
+	// The budget is spent on the retry that exceeds it.
+	for _, line := range []string{
+		"blocked on link output, link 1",
+		fmt.Sprintf("  a: link 1 DOWN after %d retries\n", link.DefaultRelRetries+1),
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("report lacks %q:\n%s", line, out)
+		}
+	}
+	if len(wd.DownLinks) != 1 {
+		t.Errorf("down links %+v, want only a's link 1", wd.DownLinks)
 	}
 }
 

@@ -19,15 +19,13 @@ import (
 	"transputer/internal/network"
 )
 
-// Frame kinds.  Zero is deliberately invalid so a desynchronised byte
-// stream is likely to surface as a bad frame instead of a plausible
-// one.
+// Frame kinds.  Zero is deliberately invalid so a stray byte is likely
+// to surface as a bad frame instead of a plausible one.
 const (
 	fData   = 1 // application payload, origin→dest, exactly-once in order
 	fE2EAck = 2 // end-to-end acknowledge: origin = acker, dest = message origin
 	fLSA    = 3 // link-state advertisement: origin = advertiser, payload = down-mask
-	fHello  = 4 // link resync greeting, not routed beyond the receiving hop
-	fKinds  = 5
+	fKinds  = 4
 )
 
 // headerLen is the fixed frame header size.
@@ -61,8 +59,8 @@ func (f frame) encode() []byte {
 }
 
 // parseHeader decodes a header, reporting the payload length still to
-// be read.  An error means the stream is not aligned on a frame
-// boundary (or carries garbage); the caller drops it.
+// be read.  An error means the bytes are not a frame header; the
+// caller drops them.
 func parseHeader(b []byte, nodes int) (f frame, plen int, err error) {
 	if len(b) != headerLen {
 		return frame{}, 0, fmt.Errorf("route: short header (%d bytes)", len(b))

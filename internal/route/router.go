@@ -14,16 +14,17 @@
 //   - Hop transfer: a frame queued on a link leaves its send slot when
 //     the link engine acknowledges its final byte (Engine.Send's
 //     completion).  Nothing polls a frame in flight: a link that dies
-//     under it is reported by the verdict below, which reroutes it.
+//     under it is reported by the verdict below, which reroutes a copy.
 //   - Failure detection: the link engine's verdict callback (see
 //     link/heartbeat.go) declares a link down after bounded silence or
 //     the moment a sender spends its retry budget, and up when traffic
-//     returns.  Down: the local end aborts its streams (ResyncLink),
-//     floods a link-state advertisement and reroutes.
-//     Up: a HELLO handshake re-establishes the link — both ends have
-//     reset their streams at the down verdict, so the byte streams
-//     restart aligned — followed by a full advertisement exchange that
-//     heals partitioned views.
+//     returns.  Down: the link stops carrying routed traffic, a
+//     link-state advertisement goes out and queued frames reroute.
+//     Up: the link carries traffic again, and this end sends the peer
+//     its whole advertisement database so healed partitions reconcile
+//     their views.  Nothing resets a link's byte stream: the
+//     error-detecting link mode carries it exactly once across any
+//     outage, so frame boundaries never move.
 //   - Routing: every node floods (origin, generation, down-mask)
 //     advertisements and computes next hops by breadth-first search
 //     over the agreed topology, with deterministic tie-breaks (lower
@@ -34,12 +35,11 @@
 //     origin keeps unacknowledged messages in a replay buffer with
 //     exponential backoff.  Duplicates created by replay or rerouting
 //     collapse at the destination's sequence window.
-//   - Crash recovery: a node halt wipes volatile state (queues, link
-//     streams, others' advertisements) but preserves the stable store
-//     (replay buffer, delivery ledger, own advertisement generation —
-//     think battery-backed NVRAM).  At restart the node resets its
-//     link streams, rejoins via HELLO, and replays its unacknowledged
-//     messages.
+//   - Crash recovery: a halt freezes the router with the rest of the
+//     board (think battery-backed RAM); only its replay timers stop.
+//     At restart the links resume their streams where they stopped,
+//     the verdicts above bring routes back, and the node replays its
+//     unacknowledged messages.
 //
 // Like the link protocol under it, the router takes no options: the
 // busy-sender retry delay, the replay backoff base and the hop budget
@@ -134,10 +134,9 @@ type sendSlot struct {
 // linkState is the dynamic router state of one link end.  Touched only
 // from the owning node's shard.
 type linkState struct {
-	routable  bool // HELLO handshake complete; data may be routed here
-	helloSent bool // greeting sent since the last down transition
-	queue     []frame
-	slots     []sendSlot
+	routable bool // no down verdict since the last up: data may be routed here
+	queue    []frame
+	slots    []sendSlot
 }
 
 // rnode is the router's per-node state.
@@ -146,22 +145,16 @@ type rnode struct {
 	nn    *network.Node
 	ord   int
 	alive bool
-	// gen invalidates outstanding timer and transfer closures across a
-	// crash or restart: a closure captures the generation it was armed
-	// under and goes silent if the node has since crossed a boot.
-	gen uint64
 
 	links [core.NumLinks]linkState
 
-	// Stable store: survives a crash (battery-backed NVRAM).
 	pending   map[pendKey]*pendingMsg
 	nextSeq   []uint32 // per-destination next stream sequence
 	expect    []uint32 // per-origin next in-order delivery
 	ooo       map[oooKey][]byte
-	lsaSeq    uint32 // own advertisement generation; bumped every boot
+	lsaSeq    uint32 // own advertisement generation
 	delivered []Delivery
 
-	// Volatile: wiped by a crash.
 	db      []lsaEntry
 	dbKnown []bool
 	nextHop []int // per-destination link index, -1 unreachable
@@ -229,7 +222,6 @@ func Attach(s *network.System) (*Router, error) {
 		for l := 0; l < core.NumLinks; l++ {
 			if r.adj[i][l].wired {
 				nd.links[l].routable = true
-				nd.links[l].helloSent = true
 			}
 		}
 		r.nodes = append(r.nodes, nd)
@@ -260,14 +252,15 @@ func Attach(s *network.System) (*Router, error) {
 
 // hookEngine subscribes the node to its engine's link verdicts: the
 // heartbeat's, and a spent retry budget's.  A halted node's senders
-// may still exhaust against its severed wires; it ignores them, since
-// boot resets every link.
+// may still exhaust against its severed wires; it ignores them: the
+// restart recovers the links it restores, and the heartbeat reports
+// the others down.
 func (nd *rnode) hookEngine() {
 	nd.nn.Engine.OnVerdict(func(l int, up bool) {
 		switch {
 		case !nd.alive:
 		case up:
-			nd.upVerdict(l)
+			nd.linkUp(l)
 		default:
 			nd.linkDown(l)
 		}
@@ -323,7 +316,6 @@ func (nd *rnode) dataFrame(to int, seq uint32, payload []byte) frame {
 // armReplay schedules the message's next replay with exponential
 // backoff.
 func (nd *rnode) armReplay(to int, seq uint32, msg *pendingMsg) {
-	gen := nd.gen
 	wait := replayTimeout
 	for i := 0; i < msg.attempts && i < 5; i++ {
 		wait *= 2
@@ -331,9 +323,6 @@ func (nd *rnode) armReplay(to int, seq uint32, msg *pendingMsg) {
 	msg.armed = true
 	msg.timer = nd.clock().After(wait, func() {
 		msg.armed = false
-		if nd.gen != gen || !nd.alive {
-			return
-		}
 		if _, still := nd.pending[pendKey{to, seq}]; !still {
 			return
 		}
@@ -407,11 +396,7 @@ func (nd *rnode) sendOn(l, si int) {
 	ls.queue = ls.queue[1:]
 	hold := f
 	sl.inFlight = &hold
-	gen := nd.gen
 	done := func() {
-		if nd.gen != gen {
-			return
-		}
 		sl.inFlight = nil
 		nd.trySend(l)
 	}
@@ -421,42 +406,34 @@ func (nd *rnode) sendOn(l, si int) {
 		// retry.
 		sl.inFlight = nil
 		ls.queue = append([]frame{f}, ls.queue...)
-		nd.clock().After(busyRetry, func() {
-			if nd.gen == gen {
-				nd.trySend(l)
-			}
-		})
+		nd.clock().After(busyRetry, func() { nd.trySend(l) })
 	}
 }
 
-// linkDown tears down this end of link l: abort and reset the byte
-// streams, reroute every frame it held, advertise the loss, and leave
-// the HELLO handshake to bring it back.  Called on a down verdict —
-// the heartbeat's or a spent retry budget's — and on a greeting over a
-// link still held routable; idempotent while down.
+// linkDown stops routing over link l: advertise the loss and reroute
+// the queue and a copy of each DATA or E2EACK frame in flight.  The
+// slot keeps its frame until the engine finishes it — the link's
+// stream resumes when the link does — and the destination's sequence
+// window drops whichever copy arrives second.  Called on a down
+// verdict, the heartbeat's or a spent retry budget's; idempotent while
+// down.
 func (nd *rnode) linkDown(l int) {
-	if !nd.r.adj[nd.ord][l].wired {
+	ls := &nd.links[l]
+	if !ls.routable {
 		return
 	}
-	ls := &nd.links[l]
-	nd.nn.Engine.ResyncLink(l)
-	nd.armRecv(l) // the resync aborted the receive pumps; restart them
+	ls.routable = false
 	var orphans []frame
-	for si := range ls.slots {
-		if sl := &ls.slots[si]; sl.inFlight != nil {
+	for _, sl := range ls.slots {
+		if sl.inFlight != nil {
 			orphans = append(orphans, *sl.inFlight)
-			sl.inFlight = nil
 		}
 	}
 	orphans = append(orphans, ls.queue...)
 	ls.queue = nil
-	ls.helloSent = false
-	if ls.routable {
-		ls.routable = false
-		nd.lsaSeq++
-		nd.floodOwnLSA()
-		nd.recompute()
-	}
+	nd.lsaSeq++
+	nd.floodOwnLSA()
+	nd.recompute()
 	for _, f := range orphans {
 		if f.kind == fData || f.kind == fE2EAck {
 			nd.route(f)
@@ -464,42 +441,21 @@ func (nd *rnode) linkDown(l int) {
 	}
 }
 
-// upVerdict fires when the heartbeat hears a silent link again: greet
-// the peer.  Routability waits for the peer's greeting — both ends
-// reset their streams at the down verdict, so the greeting is the
-// first frame of the fresh stream.
-func (nd *rnode) upVerdict(l int) {
-	ls := &nd.links[l]
-	if !nd.r.adj[nd.ord][l].wired || ls.routable || ls.helloSent {
-		return
-	}
-	ls.helloSent = true
-	nd.enqueue(l, frame{kind: fHello, origin: byte(nd.ord), dest: byte(nd.r.adj[nd.ord][l].peer), ttl: 1})
-}
-
-// helloArrived completes the handshake: the link carries aligned
-// streams again.  A greeting on a link this end still holds routable
-// means the peer reset its stream — it rebooted, or its heartbeat
-// declared the link down when this end's did not — so this end resets
-// too before answering.  Reply if we have not greeted since the outage,
-// then advertise the regained link and exchange full link-state
-// databases so two healed partitions reconcile their views.
-func (nd *rnode) helloArrived(l int) {
+// linkUp routes over link l again once the heartbeat hears its peer:
+// revive a sender that spent its retry budget in the outage, advertise
+// the regained link, and send the peer this node's whole link-state
+// database so two healed partitions reconcile their views.
+func (nd *rnode) linkUp(l int) {
 	ls := &nd.links[l]
 	if ls.routable {
-		nd.linkDown(l)
-	}
-	if !ls.helloSent {
-		ls.helloSent = true
-		nd.enqueue(l, frame{kind: fHello, origin: byte(nd.ord), dest: byte(nd.r.adj[nd.ord][l].peer), ttl: 1})
-	}
-	if ls.routable {
 		return
+	}
+	if down, _ := nd.nn.Engine.LinkDown(l); down {
+		nd.nn.Engine.RecoverLink(l)
 	}
 	ls.routable = true
 	nd.lsaSeq++
 	nd.floodOwnLSA()
-	nd.enqueue(l, nd.ownLSA())
 	for o := 0; o < len(nd.db); o++ {
 		if o != nd.ord && nd.dbKnown[o] {
 			nd.enqueue(l, frame{kind: fLSA, origin: byte(o), ttl: 1,
@@ -631,7 +587,7 @@ func (nd *rnode) recompute() {
 	}
 }
 
-// armRecv (re)starts the receive pumps on link l, one on each end its
+// armRecv starts the receive pumps on link l, one on each end its
 // send slots use — the whole wire, or each virtual channel of a
 // multiplexed link, every vchan carrying an independent frame stream.
 func (nd *rnode) armRecv(l int) {
@@ -641,17 +597,12 @@ func (nd *rnode) armRecv(l int) {
 }
 
 // recvFrame is one end's receive pump: read a header, then the payload,
-// dispatch, repeat.  A header that fails validation is dropped and the
-// pump reads the next fixed-size header straight after it: nothing
-// realigns a stream that lost its frame boundary, which only a
-// resynchronisation of both ends restores.  The end-to-end replay layer
-// absorbs whatever was lost.
+// dispatch, repeat, for the whole run.  The link carries its byte
+// stream exactly once and never resets it, so every header starts on a
+// frame boundary; one that fails validation is dropped, and the
+// end-to-end replay layer absorbs the loss.
 func (nd *rnode) recvFrame(l int, c core.End) {
-	gen := nd.gen
 	nd.nn.Engine.Recv(c, headerLen, func(hdr []byte) {
-		if nd.gen != gen {
-			return
-		}
 		f, plen, err := parseHeader(hdr, len(nd.r.nodes))
 		if err != nil {
 			nd.recvFrame(l, c)
@@ -659,20 +610,13 @@ func (nd *rnode) recvFrame(l int, c core.End) {
 		}
 		if plen == 0 {
 			nd.handleFrame(l, f)
-			if nd.gen == gen {
-				nd.recvFrame(l, c)
-			}
+			nd.recvFrame(l, c)
 			return
 		}
 		nd.nn.Engine.Recv(c, plen, func(payload []byte) {
-			if nd.gen != gen {
-				return
-			}
 			f.payload = payload
 			nd.handleFrame(l, f)
-			if nd.gen == gen {
-				nd.recvFrame(l, c)
-			}
+			nd.recvFrame(l, c)
 		})
 	})
 }
@@ -680,8 +624,6 @@ func (nd *rnode) recvFrame(l int, c core.End) {
 // handleFrame dispatches one received frame.
 func (nd *rnode) handleFrame(l int, f frame) {
 	switch f.kind {
-	case fHello:
-		nd.helloArrived(l)
 	case fLSA:
 		nd.lsaArrived(l, f)
 	case fData, fE2EAck:
@@ -750,61 +692,35 @@ func (nd *rnode) deliverLocal(f frame) {
 	}
 }
 
-// crash wipes the node's volatile state at a halt.  The link engine's
-// wires were already severed by the fault layer; peers will notice the
-// silence and tear down their ends.
+// crash freezes the node's router at a halt: the replay timers stop,
+// and everything else waits for the restart as the board's memory
+// does.  The fault layer has already severed the node's wires; peers
+// notice the silence and route around it.
 func (nd *rnode) crash() {
-	nd.gen++
 	nd.alive = false
-	for l := range nd.links {
-		nd.links[l] = linkState{}
-	}
-	for _, k := range nd.sortedPending() {
-		if msg := nd.pending[k]; msg.armed {
-			nd.clock().Cancel(msg.timer)
-			msg.armed = false
-		}
-	}
-	nd.parked = nil
-	nd.dbKnown = make([]bool, len(nd.r.nodes))
-	nd.db = make([]lsaEntry, len(nd.r.nodes))
-	for i := range nd.nextHop {
-		nd.nextHop[i] = -1
-	}
-	nd.reach = 0
+	nd.stopReplays()
 }
 
-// boot rejoins the network at a restart: reset every link stream to
-// power-on state, restart the receive pumps, greet every peer, presume
-// the world up again, and replay the stable store's unacknowledged
-// messages.  Links become routable only through the HELLO handshake:
-// the greeting makes a peer that never saw the outage reset its end
-// (see helloArrived), and a peer that rebooted too greets back at its
-// own boot, so no link waits on a heartbeat verdict that never comes.
+// boot resumes the node at a restart and replays the unacknowledged
+// messages of its replay buffer.  Its links resume their streams, and
+// the heartbeat's verdicts bring their routes back.
 func (nd *rnode) boot() {
-	nd.gen++
 	nd.alive = true
-	nd.lsaSeq++ // boot counter: post-outage advertisements supersede stale ones
-	for i := range nd.dbKnown {
-		nd.dbKnown[i] = true
-		nd.db[i] = lsaEntry{}
-	}
-	for l := 0; l < core.NumLinks; l++ {
-		if !nd.r.adj[nd.ord][l].wired {
-			continue
-		}
-		nd.nn.Engine.ResyncLink(l)
-		nd.links[l] = linkState{}
-		nd.initSlots(l)
-		nd.armRecv(l)
-		nd.upVerdict(l)
-	}
-	nd.recompute()
 	for _, k := range nd.sortedPending() {
 		msg := nd.pending[k]
 		msg.attempts = 0
 		nd.route(nd.dataFrame(k.to, k.seq, msg.payload))
 		nd.armReplay(k.to, k.seq, msg)
+	}
+}
+
+// stopReplays cancels every armed replay timer.
+func (nd *rnode) stopReplays() {
+	for _, k := range nd.sortedPending() {
+		if msg := nd.pending[k]; msg.armed {
+			nd.clock().Cancel(msg.timer)
+			msg.armed = false
+		}
 	}
 }
 
@@ -831,12 +747,7 @@ func (nd *rnode) sortedPending() []pendKey {
 // stand.
 func (r *Router) Stop() {
 	for _, nd := range r.nodes {
-		for _, k := range nd.sortedPending() {
-			if msg := nd.pending[k]; msg.armed {
-				nd.clock().Cancel(msg.timer)
-				msg.armed = false
-			}
-		}
+		nd.stopReplays()
 	}
 	for _, nd := range r.nodes {
 		nd.nn.Engine.StopHeartbeat()

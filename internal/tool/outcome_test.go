@@ -290,4 +290,9 @@ func TestRouteRetryExhaustion(t *testing.T) {
 	if exit != ExitOK || !strings.Contains(stderr.String(), "route: delivered 5 of 5") {
 		t.Errorf("exit %d, stderr %q; want 0 and every message delivered", exit, stderr.String())
 	}
+	// n1's sender is paused with its budget spent, but no process
+	// waits on that link: the router has routed around it.
+	if strings.Contains(stderr.String(), "deadlock watchdog") {
+		t.Errorf("the watchdog reported the rerouted link:\n%s", stderr.String())
+	}
 }
