@@ -41,8 +41,9 @@ const (
 	Halt
 	// Restart revives a node previously stopped by Halt at simulated
 	// time At: power returns to a battery-backed board — the processor
-	// resumes with its frozen state, links are restored and resume
-	// their streams, and the node rejoins the network.
+	// resumes with its frozen state, its links resume their streams
+	// (all but a severed one and those to a board still halted), and
+	// the node rejoins the network.
 	Restart
 
 	numKinds

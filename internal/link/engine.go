@@ -2,7 +2,8 @@
 // implements core.External (machine-memory transfers and alternative
 // input) on top of the byte-transfer layer, owns per-link mode switches
 // (stop-and-wait, error detecting, heartbeats, virtual channels), and
-// carries the fault surface (hooks, sever, restore) down to the wires.
+// carries the fault surface (hooks, sever, halt and resume) down to the
+// wires.
 package link
 
 import (
@@ -241,45 +242,51 @@ func (e *Engine) SetFaultHook(i int, h FaultHook) {
 	}
 }
 
-// SeverLink cuts both signal lines of link i at the current instant:
-// nothing queued or in flight is delivered afterwards, exactly like a
-// cable pulled mid-run.  When the link crosses ports, the cut is
-// observed at the far end one propagation delay later: this end's
-// outgoing wire and inbound gate die now, the peer's die at now+prop —
-// a packet already in flight may still land before the cut reaches it.
-func (e *Engine) SeverLink(i int) {
-	if !e.Connected(i) {
+// SeverLink cuts link i for good at the current instant: nothing
+// queued or in flight is delivered afterwards, exactly like a cable
+// pulled mid-run.  When the link crosses ports, the cut is observed at
+// the far end one propagation delay later: this end's outgoing wire and
+// inbound gate die now, the peer's die at now+prop — a packet already
+// in flight may still land before the cut reaches it.
+func (e *Engine) SeverLink(i int) { e.cut(i, cutCable) }
+
+// Halt powers the board's links off with it: the liveness monitor stops
+// and every link is cut, here now and at its far end one propagation
+// later, until Resume.
+func (e *Engine) Halt() {
+	e.StopHeartbeat()
+	for i := range e.outs {
+		e.cut(i, cutHalt)
+	}
+}
+
+// Resume powers the links back on after a Halt: each link whose only
+// cut was this halt carries traffic again at this end now and at the
+// far end one propagation later, and each end's error-detecting sender
+// resends the byte the halt froze.  A severed cable stays cut, and so
+// does a link whose far board is still halted, until that board
+// resumes too.  The liveness monitor starts again.
+func (e *Engine) Resume() {
+	for _, o := range e.outs {
+		if o.cuts&cutHalt != 0 {
+			o.wire.setCut(cutHalt, false)
+		}
+	}
+	e.StartHeartbeat()
+}
+
+// cut adds cause c to link i's end.  The probe stream shows one sever a
+// cut: an event only when the end was whole.
+func (e *Engine) cut(i int, c uint8) {
+	if !e.Connected(i) || e.outs[i].cuts&c != 0 {
 		return
 	}
-	w := e.outs[i].wire
-	if w.severed {
-		// Already cut (e.g. a halt's SeverAll after a sever of the same
-		// link, or both ends halting): the first cut killed both
-		// directions, and the probe stream shows one sever a cut.
-		return
-	}
-	w.setCut(true)
-	if e.bus != nil {
+	o := e.outs[i]
+	whole := o.cuts == 0
+	o.wire.setCut(c, true)
+	if whole && e.bus != nil {
 		e.emit(probe.Event{Kind: probe.LinkSever, Link: i})
 	}
-}
-
-// SeverAll cuts every connected link of the engine; used when a fault
-// campaign halts the whole node.
-func (e *Engine) SeverAll() {
-	for i := range e.outs {
-		e.SeverLink(i)
-	}
-}
-
-// RestoreLink reconnects both signal lines of link i, reversing
-// SeverLink with the same propagation discipline: this end's wire and
-// inbound gate revive now, the peer's revive one propagation later.
-func (e *Engine) RestoreLink(i int) {
-	if !e.Connected(i) {
-		return
-	}
-	e.outs[i].wire.setCut(false)
 }
 
 // EnableInput arms alternative-input readiness signalling on end c.

@@ -83,9 +83,9 @@ func TestRetryExhaustionVerdict(t *testing.T) {
 
 // TestVerdictSurvivesRestart: a monitor stopped and started again — a
 // halt and its restart — keeps its verdicts.  A pair goes silent until
-// both ends declare the link down; the monitors restart, the wire comes
-// back, and each end must hear its peer with exactly one up verdict,
-// which is what brings a router's link back.
+// both ends declare the link down; both boards halt and resume, the
+// wire comes back, and each end must hear its peer with exactly one up
+// verdict, which is what brings a router's link back.
 func TestVerdictSurvivesRestart(t *testing.T) {
 	c, _, _, ea, eb := portPair(1, false)
 	type verdict struct {
@@ -98,16 +98,19 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 		e.OnVerdict(func(l int, up bool) { got[name] = append(got[name], verdict{l, up}) })
 		e.StartHeartbeat()
 	}
-	ea.SeverLink(1)
+	deaf := func(bool) FaultAction { return FaultAction{Drop: true} }
+	ea.SetFaultHook(1, deaf)
+	eb.SetFaultHook(0, deaf)
 	c.RunUntil(3 * BeatTimeout)
 	if !ea.hb.peerDown[1] || !eb.hb.peerDown[0] {
 		t.Fatalf("a silent link is not down at both ends: %+v", got)
 	}
-	for _, e := range []*Engine{ea, eb} {
-		e.StopHeartbeat()
-		e.StartHeartbeat()
-	}
-	ea.RestoreLink(1)
+	ea.Halt()
+	eb.Halt()
+	ea.SetFaultHook(1, nil)
+	eb.SetFaultHook(0, nil)
+	ea.Resume()
+	eb.Resume()
 	c.RunUntil(6 * BeatTimeout)
 	ea.StopHeartbeat()
 	eb.StopHeartbeat()

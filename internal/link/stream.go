@@ -82,20 +82,22 @@ func (e *Engine) Recv(c core.End, n int, done func([]byte)) bool {
 	return true
 }
 
-// RecoverLink revives link l's sender after an outage without losing
-// the byte in flight: a node restart calls it at both ends of every
-// link it restores, and the router calls it when the heartbeat hears
-// the peer of a sender that spent its retry budget.  It only applies in
-// error-detecting mode: the alternating sequence bit makes the
-// retransmission exactly-once whether the outage swallowed the
-// original byte or only its acknowledge.  Plain-mode transfers cannot
-// be recovered safely (no sequence bit to dedup a blind resend) and
-// stay stalled for the watchdog to report.
+// RecoverLink resumes link l's error-detecting sender where an outage
+// stopped it, without losing the byte in flight: the router calls it
+// when the heartbeat hears the peer of a sender that spent its retry
+// budget, and an end whose last cut clears does the same (see
+// setCause).  The alternating sequence bit makes the resend
+// exactly-once whether the outage swallowed the original byte or only
+// its acknowledge.  Plain-mode transfers cannot be recovered safely (no
+// sequence bit to dedup a blind resend) and stay stalled for the
+// watchdog to report.
 func (e *Engine) RecoverLink(l int) {
-	if l < 0 || l >= core.NumLinks || !e.Connected(l) {
-		return
+	if e.Connected(l) {
+		e.outs[l].recover()
 	}
-	o := e.outs[l]
+}
+
+func (o *outHalf) recover() {
 	if !o.rel.on {
 		return
 	}

@@ -52,8 +52,8 @@ type packet struct {
 const (
 	rxArrive  = iota // the packed packet has fully arrived
 	rxStart          // a plain data packet has begun arriving
-	rxSever          // the far end cut the link one propagation ago
-	rxRestore        // the far end reconnected it
+	rxSever          // the far end was cut one propagation ago; word B is the cause as this end counts it
+	rxRestore        // the far end lost that cause
 	rxRevoke         // the far end withdrew its acknowledge credit; word B is what it still owed
 )
 
@@ -106,70 +106,78 @@ type FaultAction struct {
 type FaultHook func(isCtl bool) FaultAction
 
 // rxEnd is the receiving end of a wire: the far halves its frames are
-// addressed to, and the receiver-side cut detector.  It lives in the
-// receiving engine's clock domain — posted frames are delivered to it
-// there — so a sever can kill in-flight packets without touching sender
-// state.
+// addressed to.  It lives in the receiving engine's clock domain —
+// posted frames are delivered to it there — and admits them only while
+// its own end of the link is whole (out.cuts), so a cut kills in-flight
+// packets without touching sender state.
 type rxEnd struct {
-	severed bool
-	in      *inHalf  // takes the wire's data packets and beats
-	out     *outHalf // takes its acknowledges and NAKs
+	in  *inHalf  // takes the wire's data packets and beats
+	out *outHalf // takes its acknowledges and NAKs
 }
 
 // Receive implements sim.Receiver: a message posted by the wire's
 // sending end lands in the receiver's kernel.
 func (rx *rxEnd) Receive(m sim.Msg) {
-	switch op := m.A & 0xff; op {
-	case rxSever, rxRestore:
-		// The break (or repair) has propagated (see setCut): this end's
-		// receive gate and its own transmitter on the reverse line follow.
-		rx.severed = op == rxSever
-		rx.out.wire.severed = rx.severed
-		if rx.severed {
-			rx.out.cutCredit()
-			rx.in.granted = 0
-		}
-	case rxStart:
-		if !rx.severed {
-			rx.in.dataStart(m.B, m.A&creditedFlag != 0)
-		}
-	case rxRevoke:
-		if !rx.severed {
-			rx.out.creditRevoked(int(m.B))
-		}
+	switch op := m.A & 0xff; {
+	case op == rxSever, op == rxRestore:
+		// A cause of the far end's cut has propagated (see setCut).
+		rx.out.setCause(uint8(m.B), op == rxSever)
+	case rx.out.cuts != 0:
+	case op == rxStart:
+		rx.in.dataStart(m.B, m.A&creditedFlag != 0)
+	case op == rxRevoke:
+		rx.out.creditRevoked(int(m.B))
 	default:
-		if !rx.severed {
-			rx.arrive(unpack(m))
-		}
+		rx.arrive(unpack(m))
 	}
 }
 
-// setCut cuts (or reconnects) both signal lines of the link whose
-// outgoing line is w.  The reverse line is the one the far end's
-// sending half drives.
-func (w *wire) setCut(cut bool) {
-	w.severed = cut
-	inbound := w.rx.out.wire
+// Why a link end is cut (outHalf.cuts).  The causes are independent
+// facts, so an end keeps a set of them and carries traffic only while
+// the set is empty: a severed cable is cut for good, and a halted board
+// cuts its own ends and, one propagation later, its peers'.
+const (
+	cutCable    uint8 = 1 << iota // the cable is severed
+	cutHalt                       // this end's board is halted
+	cutPeerHalt                   // the far end's board is halted
+)
+
+// setCut adds (on) or clears cause c at this end of the link whose
+// outgoing line is w, now, and at the far end when the change has
+// propagated — at once when both ends share a clock.  A halt here is a
+// halted peer there.
+func (w *wire) setCut(c uint8, on bool) {
+	w.tx.setCause(c, on)
+	if c == cutHalt {
+		c = cutPeerHalt
+	}
 	if w.to == nil {
-		inbound.severed = cut
+		w.rx.out.setCause(c, on)
 		return
 	}
-	// Inbound traffic stops (or resumes) being accepted here
-	// immediately; the peer's transmitter and its receive gate for our
-	// wire follow when the change has propagated (see rxEnd.Receive).
-	inbound.rx.severed = cut
-	if cut {
-		// Acknowledge credit dies with the cable at both ends (the far
-		// end's when it hears): an acknowledge that would have landed
-		// after this instant is lost with the rest.
-		w.tx.cutCredit()
-		inbound.rx.in.granted = 0
-	}
 	op := uint64(rxRestore)
-	if cut {
+	if on {
 		op = rxSever
 	}
-	w.from.PostMsg(w.to, w.k.Now()+w.prop, w.rx, sim.Msg{A: op})
+	w.from.PostMsg(w.to, w.k.Now()+w.prop, w.rx, sim.Msg{A: op, B: uint64(c)})
+}
+
+// setCause adds or clears one cause of this end's cut.  Acknowledge
+// credit dies with the link, in both directions: an acknowledge that
+// would have landed after this instant is lost with the rest.  When the
+// last cause clears, the end's error-detecting sender resends the byte
+// the outage froze.
+func (o *outHalf) setCause(c uint8, on bool) {
+	if on {
+		o.cuts |= c
+		o.cutCredit()
+		return
+	}
+	if was := o.cuts; was&c != 0 {
+		if o.cuts = was &^ c; o.cuts == 0 {
+			o.recover()
+		}
+	}
 }
 
 // arrive hands a completed packet to the half it is addressed to.
@@ -219,7 +227,7 @@ type wire struct {
 	// frames are then posted from one to the other, reception-start
 	// signals prop (the coordinator's conservative lookahead) after the
 	// frame starts.  The post is the same whether the two ports share a
-	// shard or not; rx.severed is the cut gate either way.
+	// shard or not; the receiving end's cut is the gate either way.
 	from, to *sim.Port
 	prop     sim.Time
 
@@ -238,10 +246,9 @@ type wire struct {
 	creditUntil sim.Time
 
 	// hook, when non-nil, injects faults into this wire's traffic.
+	// Nothing queued or in flight is delivered while the sending end is
+	// cut (tx.cuts).
 	hook FaultHook
-	// severed marks a cut wire: nothing queued or in flight is ever
-	// delivered after the cut.
-	severed bool
 }
 
 // newWire builds the signal line that carries tx's data frames and
@@ -329,7 +336,8 @@ func (w *wire) transmitNext() {
 	if corrupt {
 		p.payload ^= act.Corrupt
 	}
-	dropped := act.Drop || w.severed
+	cut := w.tx.cuts != 0
+	dropped := act.Drop || cut
 	// The wire's probe events are attributed to the engine whose sending
 	// half it serves (host ends have none and publish nothing); no event
 	// is built unless a bus is there to hear it.
@@ -343,7 +351,7 @@ func (w *wire) transmitNext() {
 		if corrupt {
 			e.emit(probe.Event{Kind: probe.FaultCorrupt, Link: link, Arg: int64(act.Corrupt), Flow: p.flow})
 		}
-		if act.Drop && !w.severed {
+		if act.Drop && !cut {
 			e.emit(probe.Event{Kind: probe.FaultDrop, Link: link, Ack: isCtl, Flow: p.flow})
 		}
 	}
@@ -355,9 +363,9 @@ func (w *wire) transmitNext() {
 	case dropped:
 	case w.to != nil:
 		// Receiver on another port: both signals are posted to its end of
-		// the wire, which gates them on the receiver-side cut flag (a
-		// cable cut is observed at the far end one propagation later;
-		// anything arriving after that is lost).  Packet completion keeps
+		// the wire, which gates them on that end's cut (a cut is observed
+		// at the far end one propagation later; anything arriving after
+		// that is lost).  Packet completion keeps
 		// its exact wire timing — every frame lasts at least an
 		// acknowledge (2 bit times), which is precisely the coordinator's
 		// lookahead, so start+dur is always a legal cross-port instant.
@@ -387,7 +395,7 @@ func (w *wire) transmitNext() {
 // next queued frame.
 func (w *wire) finishTx() {
 	p := w.cur
-	if w.to == nil && !w.curDropped && !w.severed {
+	if w.to == nil && !w.curDropped && w.tx.cuts == 0 {
 		w.rx.arrive(p)
 	}
 	if p.kind == pktData {

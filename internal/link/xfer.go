@@ -53,6 +53,9 @@ type outHalf struct {
 	// because the link had been declared down: no byte of it is on the
 	// wire, so recovery must send the first byte rather than retransmit.
 	stalledAtStart bool
+	// cuts is the set of causes this end of the link is cut for (see
+	// setCut); the end carries traffic only while it is empty.
+	cuts uint8
 	// txEndAt records when the current byte finished transmitting, for
 	// measuring the wait for its acknowledge.
 	txEndAt sim.Time
@@ -210,12 +213,16 @@ func (o *outHalf) creditRevoked(owed int) {
 	o.credit = 0
 }
 
-// cutCredit ends the promise at a cut, at this end: the acknowledge of a
-// byte sent on credit is lost iff it would have landed strictly after
+// cutCredit ends both promises at a cut, at this end: the one its
+// receiver made, and the one its sender holds, where the acknowledge of
+// a byte sent on credit is lost iff it would have landed strictly after
 // now (at this very instant the delivery precedes the event that cuts,
 // as it does per packet).
 func (o *outHalf) cutCredit() {
 	o.credit = 0
+	if o.eng != nil {
+		o.eng.ins[o.link].granted = 0
+	}
 	if o.ackAt > o.wire.k.Now() {
 		o.acked = false
 		o.ackAt = 0
@@ -392,7 +399,7 @@ func (in *inHalf) mayGrant() bool {
 		!in.rel.on && !in.stopAndWait &&
 		e.mux[in.link] == nil && fe.mux[far.link] == nil &&
 		w.hook == nil && far.wire.hook == nil &&
-		!w.severed && !e.outs[in.link].active && !w.busy && w.queueEmpty()
+		w.tx.cuts == 0 && !e.outs[in.link].active && !w.busy && w.queueEmpty()
 }
 
 // revoke withdraws whatever credit this half has outstanding, telling

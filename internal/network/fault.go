@@ -67,119 +67,27 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 		case fault.Halt:
 			n.port.Schedule(r.At, func() {
 				n.M.ForceHalt("fault injection")
-				n.Engine.StopHeartbeat()
-				n.Engine.SeverAll()
+				n.Engine.Halt()
 				s.notifyDown(n)
 			})
 		case fault.Restart:
-			// Decide now, from the plan, which links the revived node
-			// gets back: every wired link except those a Sever cut for
-			// good and those whose peer is itself down at the restart
-			// instant (the peer's own later restart restores the shared
-			// link).
-			restore := restorableLinks(n, plan, r.At)
-			n.port.Schedule(r.At, func() { s.restartNode(n, restore) })
+			n.port.Schedule(r.At, func() { s.restartNode(n) })
 		}
 	}
 	return nil
 }
 
-// restorableLinks lists the links of n that a restart at the given
-// instant reconnects.
-func restorableLinks(n *Node, plan fault.Plan, at sim.Time) []int {
-	var out []int
-	for l := 0; l < core.NumLinks; l++ {
-		if !n.Engine.Connected(l) {
-			continue
-		}
-		severed := false
-		pn, pl, engPeer := n.Peer(l)
-		for _, r := range plan.Rules {
-			if r.Kind != fault.Sever || r.At > at {
-				continue
-			}
-			if r.Node == n.Name && r.Link == l ||
-				engPeer && r.Node == pn.Name && r.Link == pl {
-				severed = true
-				break
-			}
-		}
-		if severed {
-			continue
-		}
-		if engPeer && nodeDownAt(plan, pn.Name, at) {
-			continue
-		}
-		out = append(out, l)
-	}
-	return out
-}
-
-// nodeDownAt reports whether the plan has the named node halted at the
-// given instant: its latest halt or restart rule at or before that
-// time decides, with a tie going to the halt (conservative — a link to
-// a node halting at this very instant is not worth restoring).
-func nodeDownAt(plan fault.Plan, node string, at sim.Time) bool {
-	var last sim.Time
-	down := false
-	for _, r := range plan.Rules {
-		if r.Node != node || r.At > at {
-			continue
-		}
-		switch r.Kind {
-		case fault.Halt:
-			if r.At >= last {
-				last, down = r.At, true
-			}
-		case fault.Restart:
-			if r.At > last {
-				last, down = r.At, false
-			}
-		}
-	}
-	return down
-}
-
 // restartNode revives a halted node: the processor resumes with its
-// frozen state, the given links are reconnected and their in-flight
-// error-detecting transfers recovered at both ends, the liveness
-// monitor restarts, and node-up subscribers (the routing layer) are
-// told to rejoin.  Runs on the node's shard at the restart instant.
-func (s *System) restartNode(n *Node, restore []int) {
+// frozen state, its links resume (each end knows why it is cut, so a
+// severed cable and a link to a board still halted stay down), node-up
+// subscribers (the routing layer) are told to rejoin, and the processor
+// is released.  Runs on the node's shard at the restart instant.
+func (s *System) restartNode(n *Node) {
 	if !n.M.ClearForcedHalt() {
 		return
 	}
-	now := n.port.Now()
-	for _, l := range restore {
-		n.Engine.RestoreLink(l)
-	}
-	// Node-up subscribers run between restore and recovery: a transfer
-	// the routing layer's replays start on a sender that spent its
-	// retry budget in the outage waits at its start, and the recovery
-	// below begins it along with the transfers the halt froze.
+	n.Engine.Resume()
 	s.notifyUp(n)
-	for _, l := range restore {
-		// RestoreLink (above) and the peer recovery both post to the
-		// peer's port at now+Lookahead, and post order (same instant,
-		// same source) revives the wire before any retransmission
-		// crosses it.
-		n.Engine.RecoverLink(l)
-		pn, pl, ok := n.Peer(l)
-		if !ok {
-			continue // host link: the wire is back; stalled host transfers are not replayed
-		}
-		if pn.port == n.port {
-			// A self-connection: both ends are this very node.
-			pn.Engine.RecoverLink(pl)
-		} else {
-			// Distinct peer: the recovery crosses node timelines, so it
-			// travels as a keyed post one Lookahead out, which makes the
-			// revival order identical at every partition.
-			pe, plnk := pn.Engine, pl
-			n.port.Post(pn.port, now+Lookahead, func() { pe.RecoverLink(plnk) })
-		}
-	}
-	n.Engine.StartHeartbeat()
 	n.runner.Start()
 }
 

@@ -237,8 +237,8 @@ func (s *System) seal() {
 	// one Lookahead.  A connection between fused nodes never reaches the
 	// matrix: its traffic is intra-kernel and bounds no window.  One that
 	// does stays there for the whole run, whatever a fault plan does to
-	// the link: a severed wire keeps its ends' windows conservative, and
-	// a restart may restore it.
+	// the link: a cut wire keeps its ends' windows conservative, and a
+	// restart may bring it back.
 	for _, n := range s.nodes {
 		for _, peer := range n.peers {
 			if peer == nil {
@@ -483,10 +483,9 @@ func (s *System) SetHeartbeat() {
 func (s *System) OnNodeDown(fn func(*Node)) { s.downSubs = append(s.downSubs, fn) }
 
 // OnNodeUp registers a callback for nodes revived by a restart rule.
-// It runs on the affected node's shard, after the links are restored
-// but before their frozen transfers are recovered and the processor is
-// released — so a routing layer can reset the restored links to a
-// fresh stream before any pre-crash byte is retransmitted.
+// It runs on the affected node's shard, after the links have resumed
+// (and their frozen transfers resent their bytes) and before the
+// processor is released.
 func (s *System) OnNodeUp(fn func(*Node)) { s.upSubs = append(s.upSubs, fn) }
 
 func (s *System) notifyDown(n *Node) {

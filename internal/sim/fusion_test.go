@@ -82,12 +82,12 @@ func TestFusionPartitionInvariantPingPong(t *testing.T) {
 				*trace = append(*trace, fmt.Sprintf("%d->%d@%v", from, to, ports[to].Now()))
 				if n > 0 {
 					next := (to + 1) % len(ports)
-					ports[to].Post(ports[next], ports[to].Now()+L, volley(to, next, n-1))
+					post(ports[to], ports[next], ports[to].Now()+L, volley(to, next, n-1))
 				}
 			}
 		}
 		ports[0].Schedule(L, func() {
-			ports[0].Post(ports[1], ports[0].Now()+L, volley(0, 1, 12))
+			post(ports[0], ports[1], ports[0].Now()+L, volley(0, 1, 12))
 		})
 		return trace
 	})
@@ -105,14 +105,14 @@ func TestFusionPartitionInvariantSameInstant(t *testing.T) {
 		ports[0].Schedule(at, func() { *trace = append(*trace, "local-0") })
 		ports[0].Schedule(at, func() { *trace = append(*trace, "local-1") })
 		ports[1].Schedule(L, func() {
-			ports[1].Post(ports[0], at, func() { *trace = append(*trace, "from-1") })
+			post(ports[1], ports[0], at, func() { *trace = append(*trace, "from-1") })
 		})
 		ports[2].Schedule(L, func() {
-			ports[2].Post(ports[0], at, func() { *trace = append(*trace, "from-2-a") })
-			ports[2].Post(ports[0], at, func() { *trace = append(*trace, "from-2-b") })
+			post(ports[2], ports[0], at, func() { *trace = append(*trace, "from-2-a") })
+			post(ports[2], ports[0], at, func() { *trace = append(*trace, "from-2-b") })
 		})
 		ports[3].Schedule(L, func() {
-			ports[3].Post(ports[0], at, func() { *trace = append(*trace, "from-3") })
+			post(ports[3], ports[0], at, func() { *trace = append(*trace, "from-3") })
 		})
 		return trace
 	})
@@ -174,7 +174,7 @@ func TestLoneShardFlushesEveryPass(t *testing.T) {
 				}
 				if n > 0 {
 					next := (to + 1) % len(ports)
-					ports[to].Post(ports[next], ports[to].Now()+L, volley(next, n-1))
+					post(ports[to], ports[next], ports[to].Now()+L, volley(next, n-1))
 				}
 			}
 		}

@@ -398,21 +398,6 @@ func (p *Port) Stamp() uint64 { return p.k.Stamp() }
 // have left it.
 func (p *Port) AdvanceTo(t Time) { p.k.AdvanceTo(t) }
 
-// Post delivers fn into another port's timeline (see PostMsg, whose
-// ordering and lookahead contract it shares: closure and typed posts
-// of one port interleave in the order they were made).  The closure is
-// the caller's to allocate; traffic that flows per packet should use
-// PostMsg.
-func (p *Port) Post(dst *Port, at Time, fn func()) {
-	p.PostMsg(dst, at, funcReceiver(fn), Msg{})
-}
-
-// funcReceiver adapts a closure to the typed post; a func value is
-// pointer-shaped, so the conversion allocates nothing.
-type funcReceiver func()
-
-func (f funcReceiver) Receive(Msg) { f() }
-
 // PostMsg delivers m to r in another port's timeline at the given
 // absolute time, at least one lookahead in this port's future — the
 // conservative contract the whole engine rests on.  When

@@ -72,10 +72,19 @@ func (r tracer) Receive(m Msg) {
 	*r.trace = append(*r.trace, fmt.Sprintf("%s-%d", r.label, m.A))
 }
 
-// TestClosureAndTypedPostsKeepOrder: a closure Post is a typed post
-// underneath, so closure and typed posts made by several ports for the
-// same instant land in (time, source port, source sequence) order
-// however they are mixed — at every partition and worker count.
+// post delivers fn into dst's timeline as a typed post, the one kind
+// there is: the tests below send closures across ports with it.
+func post(src, dst *Port, at Time, fn func()) { src.PostMsg(dst, at, call(fn), Msg{}) }
+
+// call adapts a closure to a receiver.
+type call func()
+
+func (f call) Receive(Msg) { f() }
+
+// TestClosureAndTypedPostsKeepOrder: posts to receivers of different
+// kinds — closures and a tracer — made by several ports for the same
+// instant land in (time, source port, source sequence) order however
+// they are mixed — at every partition and worker count.
 func TestClosureAndTypedPostsKeepOrder(t *testing.T) {
 	build := func(ports []*Port, c *Coordinator) *[]string {
 		trace := &[]string{}
@@ -86,16 +95,16 @@ func TestClosureAndTypedPostsKeepOrder(t *testing.T) {
 		// is earliest) yet sorts last; port 1's closure sits between its
 		// two typed posts.
 		ports[3].Schedule(L, func() {
-			ports[3].Post(dst, at, func() { *trace = append(*trace, "p3-closure") })
+			post(ports[3], dst, at, func() { *trace = append(*trace, "p3-closure") })
 			ports[3].PostMsg(dst, at, tracer{"p3-typed", trace}, Msg{A: 1})
 		})
 		ports[1].Schedule(2*L, func() {
 			ports[1].PostMsg(dst, at, tracer{"p1-typed", trace}, Msg{A: 1})
-			ports[1].Post(dst, at, func() { *trace = append(*trace, "p1-closure") })
+			post(ports[1], dst, at, func() { *trace = append(*trace, "p1-closure") })
 			ports[1].PostMsg(dst, at, tracer{"p1-typed", trace}, Msg{A: 2})
 		})
 		ports[2].Schedule(3*L, func() {
-			ports[2].Post(dst, at, func() { *trace = append(*trace, "p2-closure") })
+			post(ports[2], dst, at, func() { *trace = append(*trace, "p2-closure") })
 		})
 		// A local event at the same instant runs after every delivery.
 		dst.Schedule(at, func() { *trace = append(*trace, "local") })

@@ -53,10 +53,10 @@ func TestShardSameInstantOrder(t *testing.T) {
 		// their first window; the release order must be b before d
 		// (source shard order), after a's local events (scheduled
 		// earlier, hence earlier kernel sequence).
-		b.Schedule(L, func() { b.Post(a, at, func() { trace = append(trace, "from-b") }) })
+		b.Schedule(L, func() { post(b, a, at, func() { trace = append(trace, "from-b") }) })
 		d.Schedule(L, func() {
-			d.Post(a, at, func() { trace = append(trace, "from-d-0") })
-			d.Post(a, at, func() { trace = append(trace, "from-d-1") })
+			post(d, a, at, func() { trace = append(trace, "from-d-0") })
+			post(d, a, at, func() { trace = append(trace, "from-d-1") })
 		})
 		c.Run()
 		return trace

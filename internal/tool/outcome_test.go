@@ -13,6 +13,7 @@ import (
 	"transputer/internal/link"
 	"transputer/internal/network"
 	"transputer/internal/probe"
+	"transputer/internal/route"
 	"transputer/internal/sim"
 )
 
@@ -119,11 +120,13 @@ fault restart tx at=600us
 }
 
 // TestRoutedTopologyEndToEnd drives the whole stack the way tnet does:
-// parse a routed topology with a sever, a halt and a restart, build
-// it, run the phased quiesce flow, and demand a clean verdict with
-// every message delivered.
+// parse a routed topology with faults, build it, run the phased quiesce
+// flow at one worker and at four, and demand a clean verdict with every
+// message delivered, at the same instants either way.  The faults are a
+// sever, a halt and a restart; and a restart at the very instant its
+// peer halts.
 func TestRoutedTopologyEndToEnd(t *testing.T) {
-	src := `
+	const ring = `
 transputer n0 t424 mem=64K
 transputer n1 t424 mem=64K
 transputer n2 t424 mem=64K
@@ -133,38 +136,64 @@ connect n1.1 n2.0
 connect n2.1 n3.0
 connect n3.1 n0.0
 route
-message n1 n2 at=50us  data=before
+run 8ms
+`
+	for _, c := range []struct {
+		plan string
+		want int
+	}{
+		{`message n1 n2 at=50us  data=before
 message n1 n2 at=210us data=during
 message n0 n2 at=2ms   data=after
 fault sever n1.1 at=200us
 fault halt n3 at=300us
 fault restart n3 at=900us
-run 8ms
-`
-	topo, err := network.ParseTopology(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := BuildNetwork(topo, ".", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := RunToQuiescence(net)
-	if !rep.Settled {
-		t.Fatalf("run did not settle: %+v", rep)
-	}
-	wd := net.System.Watchdog()
-	if code := Verdict(false, wd, net.Router.Undelivered()); code != ExitOK {
-		t.Fatalf("verdict = %d, want 0 (watchdog: %v, undelivered: %d)",
-			code, wd, net.Router.Undelivered())
-	}
-	if got := len(net.Router.AllDeliveries()); got != 3 {
-		t.Fatalf("delivered %d of 3 messages", got)
-	}
-	var sb strings.Builder
-	PrintRouteSummary(&sb, net.Router)
-	if !strings.Contains(sb.String(), "delivered 3 of 3") {
-		t.Errorf("summary = %q", sb.String())
+`, 3},
+		{`message n1 n2 at=50us  data=before-the-halt
+message n1 n2 at=210us data=during-the-halt
+message n2 n1 at=210us data=the-other-way
+message n1 n2 at=2ms   data=long-after
+message n0 n2 at=2ms   data=around-the-ring
+fault halt n1 at=300us
+fault restart n1 at=700us
+fault halt n2 at=700us
+fault restart n2 at=1200us
+`, 5},
+	} {
+		var first []route.Delivery
+		for _, workers := range []int{1, 4} {
+			topo, err := network.ParseTopology(ring + c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := BuildNetwork(topo, ".", io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.System.SetWorkers(workers)
+			rep := RunToQuiescence(net)
+			if !rep.Settled {
+				t.Fatalf("run did not settle: %+v", rep)
+			}
+			wd := net.System.Watchdog()
+			if code := Verdict(false, wd, net.Router.Undelivered()); code != ExitOK {
+				t.Fatalf("workers %d: verdict = %d, want 0 (watchdog: %v, undelivered: %d)",
+					workers, code, wd, net.Router.Undelivered())
+			}
+			var sb strings.Builder
+			PrintRouteSummary(&sb, net.Router)
+			if want := fmt.Sprintf("delivered %d of %d", c.want, c.want); !strings.Contains(sb.String(), want) {
+				t.Errorf("workers %d: summary = %q, want %q", workers, sb.String(), want)
+			}
+			got := net.Router.AllDeliveries()
+			if first == nil {
+				first = got
+				continue
+			}
+			if fmt.Sprint(got) != fmt.Sprint(first) {
+				t.Errorf("deliveries differ between 1 and 4 workers:\n  %v\n  %v", first, got)
+			}
+		}
 	}
 }
 
