@@ -250,13 +250,15 @@ func (e *Engine) SetFaultHook(i int, h FaultHook) {
 // in flight may still land before the cut reaches it.
 func (e *Engine) SeverLink(i int) { e.cut(i, cutCable) }
 
-// Halt powers the board's links off with it: the liveness monitor stops
-// and every link is cut, here now and at its far end one propagation
-// later, until Resume.
+// Halt powers the board's links off with it: the liveness monitor stops,
+// every link is cut, here now and at its far end one propagation later,
+// and every sender is paused, until Resume.  Once its wires drain, a
+// halted engine has no event left.
 func (e *Engine) Halt() {
 	e.StopHeartbeat()
-	for i := range e.outs {
+	for i, o := range e.outs {
 		e.cut(i, cutHalt)
+		o.park()
 	}
 }
 

@@ -5,13 +5,15 @@
 // engine periodically sends a tiny beat packet (BeatBits) down every
 // idle engine-to-engine wire, records the last instant anything —
 // data, acknowledge, NAK or beat — arrived on each link, and flips a
-// per-link verdict when the silence exceeds a timeout.  Verdict
-// changes are published as probe.Heartbeat events and reported to the
-// OnVerdict callback, which the routing layer uses to steer traffic
-// around dead links and back onto links that return.  The callback
-// also hears the error-detecting mode's faster tripwire: a
-// sender that spends its retry budget reports its link down at that
-// instant (reliable.go), without touching the heartbeat's verdict.
+// per-link verdict when the silence exceeds a timeout; a link declared
+// down has its sender paused (park), so nothing is resent into it until
+// it is recovered.  Verdict changes are published as probe.Heartbeat
+// events and reported to the OnVerdict callback, which the routing
+// layer uses to steer traffic around dead links and back onto links
+// that return.  The callback also hears the error-detecting mode's
+// faster tripwire: a sender that spends its retry budget reports its
+// link down at that instant (reliable.go), without touching the
+// heartbeat's verdict.
 //
 // Beats ride the same serialised signal lines as real traffic, but
 // only when the wire is idle, so they never delay data.  Host-wired
@@ -139,6 +141,7 @@ func (e *Engine) hbTick() {
 		switch {
 		case !e.hb.peerDown[l] && silence > BeatTimeout:
 			e.hb.peerDown[l] = true
+			e.outs[l].park()
 			if e.bus != nil {
 				// Published directly, not via emit: heartbeat events are
 				// link-clocked, and a CPU cycle stamp here would vary

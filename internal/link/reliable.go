@@ -14,7 +14,8 @@
 //   - the sender retransmits on NAK or when no acknowledge arrives
 //     within a timeout, up to a bounded retry budget; exhausting the
 //     budget declares the link down and leaves the blocked process for
-//     the deadlock watchdog to report;
+//     the deadlock watchdog to report, and a sender whose board halts
+//     or whose link the heartbeat declares down stops the same way;
 //   - the alternating sequence bit lets the receiver recognise a
 //     retransmission whose original acknowledge was lost, re-acknowledge
 //     it, and deliver the byte exactly once.
@@ -100,10 +101,11 @@ func (o *outHalf) sendReliable(b byte, retrans bool) {
 	})
 }
 
-// relTxEnd arms the retransmit timer once the packet's bits are out.
+// relTxEnd arms the retransmit timer once the packet's bits are out,
+// unless the sender is paused.
 func (o *outHalf) relTxEnd() {
 	o.txEnded = true
-	if !o.acked {
+	if !o.acked && !o.rel.failed {
 		o.txEndAt = o.wire.k.Now()
 		o.armRetryTimer()
 	}
@@ -157,6 +159,17 @@ func (o *outHalf) retransmit() {
 			Arg: int64(o.rel.retries), Flow: o.flow})
 	}
 	o.sendReliable(o.rel.cur, true)
+}
+
+// park pauses a sender whose acknowledge cannot come — its board is
+// halted, or the heartbeat has declared its link down — in the state a
+// spent retry budget leaves: no retry timer, its byte current, for
+// RecoverLink to resend.  Nothing is sent into a dead link.
+func (o *outHalf) park() {
+	if o.rel.on && o.active && !o.acked {
+		o.cancelRetryTimer()
+		o.rel.failed = true
+	}
 }
 
 // relAckArrived handles an acknowledge carrying the given sequence bit.

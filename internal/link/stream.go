@@ -10,8 +10,9 @@ package link
 
 import "transputer/internal/core"
 
-// LinkDown reports whether link i's sender exhausted its retry budget
-// in error-detecting mode, and how many retries it spent.
+// LinkDown reports whether link i's error-detecting sender has stopped
+// for a dead link — its retry budget spent, or paused at a halt or a
+// down verdict — and how many retries it spent.
 func (e *Engine) LinkDown(i int) (down bool, retries int) {
 	if i < 0 || i >= core.NumLinks {
 		return false, 0

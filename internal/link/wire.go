@@ -219,7 +219,8 @@ type wire struct {
 	// tx is the sending half whose data frames this line carries: it is
 	// told when each one's bits are out, and its engine and link number
 	// attribute the wire's probe events (host ends have no engine and
-	// publish nothing).  rx is the receiving end.
+	// publish nothing).  Nothing queued or in flight is delivered while
+	// its end is cut (tx.cuts).  rx is the receiving end.
 	tx *outHalf
 	rx *rxEnd
 
@@ -246,8 +247,6 @@ type wire struct {
 	creditUntil sim.Time
 
 	// hook, when non-nil, injects faults into this wire's traffic.
-	// Nothing queued or in flight is delivered while the sending end is
-	// cut (tx.cuts).
 	hook FaultHook
 }
 
@@ -365,10 +364,10 @@ func (w *wire) transmitNext() {
 		// Receiver on another port: both signals are posted to its end of
 		// the wire, which gates them on that end's cut (a cut is observed
 		// at the far end one propagation later; anything arriving after
-		// that is lost).  Packet completion keeps
-		// its exact wire timing — every frame lasts at least an
-		// acknowledge (2 bit times), which is precisely the coordinator's
-		// lookahead, so start+dur is always a legal cross-port instant.
+		// that is lost).  Packet completion keeps its exact wire timing —
+		// every frame lasts at least an acknowledge (2 bit times), which
+		// is precisely the coordinator's lookahead, so start+dur is
+		// always a legal cross-port instant.
 		// Only the reception-start signal is deferred by the propagation
 		// delay.  Sender-side bookkeeping stays local.
 		start := w.k.Now()

@@ -97,8 +97,8 @@ type WatchdogProc struct {
 	core.BlockedProcess
 }
 
-// DownLink is a link whose reliable-mode sender exhausted its retry
-// budget while a blocked process waits on it.
+// DownLink is a link whose reliable-mode sender has stopped for a dead
+// link (Engine.LinkDown) while a blocked process waits on it.
 type DownLink struct {
 	Node    string
 	Link    int

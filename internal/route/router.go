@@ -18,7 +18,8 @@
 //   - Failure detection: the link engine's verdict callback (see
 //     link/heartbeat.go) declares a link down after bounded silence or
 //     the moment a sender spends its retry budget, and up when traffic
-//     returns.  Down: the link stops carrying routed traffic, a
+//     returns; a link declared down sends nothing more until it is up.
+//     Down: the link stops carrying routed traffic, a
 //     link-state advertisement goes out and queued frames reroute.
 //     Up: the link carries traffic again, and this end sends the peer
 //     its whole advertisement database so healed partitions reconcile
@@ -251,17 +252,13 @@ func Attach(s *network.System) (*Router, error) {
 }
 
 // hookEngine subscribes the node to its engine's link verdicts: the
-// heartbeat's, and a spent retry budget's.  A halted node's senders
-// may still exhaust against its severed wires; it ignores them: the
-// restart recovers the links it restores, and the heartbeat reports
-// the others down.
+// heartbeat's, and a spent retry budget's.  A halted board gives none:
+// its heartbeat is stopped and its senders are paused.
 func (nd *rnode) hookEngine() {
 	nd.nn.Engine.OnVerdict(func(l int, up bool) {
-		switch {
-		case !nd.alive:
-		case up:
+		if up {
 			nd.linkUp(l)
-		default:
+		} else {
 			nd.linkDown(l)
 		}
 	})
@@ -442,7 +439,8 @@ func (nd *rnode) linkDown(l int) {
 }
 
 // linkUp routes over link l again once the heartbeat hears its peer:
-// revive a sender that spent its retry budget in the outage, advertise
+// revive a sender the outage stopped (its budget spent, or paused at
+// the down verdict), advertise
 // the regained link, and send the peer this node's whole link-state
 // database so two healed partitions reconcile their views.
 func (nd *rnode) linkUp(l int) {

@@ -79,8 +79,8 @@ func TestRunNetProgramError(t *testing.T) {
 }
 
 // TestUnroutedRestart: a node halted mid-transfer and restarted in a
-// system with no router, whose boot would otherwise reset the links.
-// In the error-detecting mode the restart resends the frozen byte and
+// system with no router.  In the error-detecting mode the halted
+// sender sends nothing, the restart resends the frozen byte once and
 // the stream completes; on the paper's plain links that byte's
 // acknowledge never comes, and the watchdog names both ends.
 func TestUnroutedRestart(t *testing.T) {
@@ -98,7 +98,7 @@ fault restart tx at=600us
 		stderr           []string
 	}{
 		{"linkmode reliable\n", "5050\n", ExitOK,
-			[]string{"link 1 out-wire: 400 data bytes, 0 acks, busy 866.000µs, 33 retransmitted\n"}},
+			[]string{"link 1 out-wire: 400 data bytes, 0 acks, busy 802.000µs, 1 retransmitted\n"}},
 		{"", "", ExitDeadlock,
 			[]string{"simulated time stuck at 600.200µs\n  rx: ", " at lossy-rx.occ:14\n  tx: ", " at lossy-tx.occ:9\n"}},
 	} {
