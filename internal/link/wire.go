@@ -123,6 +123,7 @@ func (rx *rxEnd) Receive(m sim.Msg) {
 		// A cause of the far end's cut has propagated (see setCut).
 		rx.out.setCause(uint8(m.B), op == rxSever)
 	case rx.out.cuts != 0:
+		// This end is cut: the frame is lost.
 	case op == rxStart:
 		rx.in.dataStart(m.B, m.A&creditedFlag != 0)
 	case op == rxRevoke:

@@ -19,8 +19,8 @@
 //     link/heartbeat.go) declares a link down after bounded silence or
 //     the moment a sender spends its retry budget, and up when traffic
 //     returns; a link declared down sends nothing more until it is up.
-//     Down: the link stops carrying routed traffic, a
-//     link-state advertisement goes out and queued frames reroute.
+//     Down: the link stops carrying routed traffic, a link-state
+//     advertisement goes out and queued frames reroute.
 //     Up: the link carries traffic again, and this end sends the peer
 //     its whole advertisement database so healed partitions reconcile
 //     their views.  Nothing resets a link's byte stream: the
@@ -440,9 +440,9 @@ func (nd *rnode) linkDown(l int) {
 
 // linkUp routes over link l again once the heartbeat hears its peer:
 // revive a sender the outage stopped (its budget spent, or paused at
-// the down verdict), advertise
-// the regained link, and send the peer this node's whole link-state
-// database so two healed partitions reconcile their views.
+// the down verdict), advertise the regained link, and send the peer
+// this node's whole link-state database so two healed partitions
+// reconcile their views.
 func (nd *rnode) linkUp(l int) {
 	ls := &nd.links[l]
 	if ls.routable {
