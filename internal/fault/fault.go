@@ -150,27 +150,48 @@ type Plan struct {
 // Empty reports a plan with nothing to inject.
 func (p Plan) Empty() bool { return len(p.Rules) == 0 }
 
-// Validate checks every rule, and the plan-level constraint that a
-// Restart revives a node some Halt stopped strictly earlier.
+// A RuleError is a plan refused for its rule Rules[Rule]; Prev is the
+// earlier rule it clashes with, or -1.
+type RuleError struct {
+	Rule, Prev int
+	Err        error
+}
+
+func (e *RuleError) Error() string { return fmt.Sprintf("rule %d: %v", e.Rule, e.Err) }
+
+func (e *RuleError) Unwrap() error { return e.Err }
+
+// Validate checks every rule, and that a node halts at most once and
+// restarts at most once, strictly after its halt.  What a rule may
+// target is the system's to check (network.System.ApplyFaults).
 func (p Plan) Validate() error {
+	type event struct {
+		kind Kind
+		node string
+	}
+	seen := make(map[event]int) // a node's halt or restart -> its rule
 	for i, r := range p.Rules {
 		if err := r.Validate(); err != nil {
-			return fmt.Errorf("rule %d: %w", i, err)
+			return &RuleError{Rule: i, Prev: -1, Err: err}
 		}
+		if r.Kind != Halt && r.Kind != Restart {
+			continue
+		}
+		if prev, dup := seen[event{r.Kind, r.Node}]; dup {
+			return &RuleError{Rule: i, Prev: prev, Err: fmt.Errorf("fault: duplicate %s of %q", r.Kind, r.Node)}
+		}
+		seen[event{r.Kind, r.Node}] = i
 	}
 	for i, r := range p.Rules {
 		if r.Kind != Restart {
 			continue
 		}
-		halted := false
-		for _, h := range p.Rules {
-			if h.Kind == Halt && h.Node == r.Node && h.At < r.At {
-				halted = true
-				break
-			}
-		}
-		if !halted {
-			return fmt.Errorf("rule %d: restart of %q needs an earlier halt of the same node", i, r.Node)
+		h, ok := seen[event{Halt, r.Node}]
+		switch {
+		case !ok:
+			return &RuleError{Rule: i, Prev: -1, Err: fmt.Errorf("fault: restart of %q has no matching halt", r.Node)}
+		case p.Rules[h].At >= r.At:
+			return &RuleError{Rule: i, Prev: -1, Err: fmt.Errorf("fault: restart of %q at %v does not follow its halt at %v", r.Node, r.At, p.Rules[h].At)}
 		}
 	}
 	return nil

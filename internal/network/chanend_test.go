@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"transputer/internal/fault"
 	"transputer/internal/link"
 	"transputer/internal/network"
 	"transputer/internal/sim"
@@ -119,7 +120,13 @@ func TestEnableVChansRejects(t *testing.T) {
 		{name: "one", count: 1, want: "1 vchans on a link 1, want 2..32"},
 		{name: "none", count: 0, want: "0 vchans on a link 1, want 2..32"},
 		{name: "too many", count: link.MaxVChans + 1, want: "33 vchans on a link 1, want 2..32"},
-		{name: "unwired", count: 4, link: 2, want: "a link 2 is not connected to a transputer"},
+		{name: "unwired", count: 4, link: 2, want: "vchan on unwired link end a.2"},
+		{name: "host link", count: 4, link: 2, want: "vchan on host link end a.2 (vchans need a transputer-to-transputer connect)",
+			prep: func(s *network.System, a, b *network.Node) { s.AttachHost(a, 2, nil) }},
+		{name: "faulted wire", count: 4, want: "vchans on a link 1, a wire the fault plan touches",
+			prep: func(s *network.System, a, b *network.Node) {
+				s.ApplyFaults(fault.Plan{Rules: []fault.Rule{{Kind: fault.Drop, Node: "b", Link: 0, Rate: 0.5}}})
+			}},
 		{name: "this end again", count: 4, want: "a link 1 is already multiplexed",
 			prep: func(s *network.System, a, b *network.Node) { s.EnableVChans(a, 1, 8) }},
 		{name: "the far end first", count: 4, want: "a link 1 is already multiplexed",

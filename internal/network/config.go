@@ -2,13 +2,11 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"transputer/internal/core"
 	"transputer/internal/fault"
-	"transputer/internal/link"
 	"transputer/internal/sim"
 )
 
@@ -53,11 +51,17 @@ import (
 // physical wire (naming either end of the connection is equivalent):
 //
 //	vchan app.1 count=8
+//
+// The parser checks each line alone; how a line fits the others is
+// checked by the system that builds it (tool.BuildNetwork), which names
+// the spec's line — zero in a topology built in code.
 type Topology struct {
 	Transputers []TransputerSpec
 	Connections []Connection
 	Hosts       []HostSpec
 	Inputs      map[string][]int64
+	// InputLines is the line of each node's first input directive.
+	InputLines map[string]int
 	// RunLimit bounds the simulated run: a `run` line's positive
 	// duration, one second when the file has none.  Zero, possible only
 	// in a topology built in code, runs to quiescence.
@@ -68,11 +72,15 @@ type Topology struct {
 	// Reliable selects the error-detecting link mode for every link in
 	// the system instead of the paper's plain protocol.
 	Reliable bool
-	// Faults is the scripted fault plan (empty when none).
-	Faults []fault.Rule
+	// Faults is the scripted fault plan (empty when none), and
+	// FaultLines the line of each of its rules.
+	Faults     []fault.Rule
+	FaultLines []int
 	// Route enables the store-and-forward routing layer, and with it
-	// the error-detecting link mode and liveness monitoring.
-	Route bool
+	// the error-detecting link mode and liveness monitoring; RouteLine
+	// is the line of its directive.
+	Route     bool
+	RouteLine int
 	// Messages are end-to-end injections for routed topologies.
 	Messages []MessageSpec
 	// VChans multiplexes virtual channels over physical links.
@@ -85,6 +93,7 @@ type VChanSpec struct {
 	Node  string
 	Link  int
 	Count int
+	Line  int
 }
 
 // MessageSpec is one scripted end-to-end message.
@@ -92,17 +101,8 @@ type MessageSpec struct {
 	From, To string
 	At       sim.Time
 	Data     string
+	Line     int
 }
-
-// The routing layer's frame caps: a frame names its origin and
-// destination by node ordinal in one byte each, and carries at most
-// MaxRoutePayload bytes of message.  The parser rejects a routed
-// topology or message beyond them, as route.Attach and Router.SendAt
-// do for Go callers.
-const (
-	MaxRouteNodes   = 256
-	MaxRoutePayload = 1024
-)
 
 // Plan packages the topology's fault script as a seeded plan.
 func (t *Topology) Plan() fault.Plan {
@@ -115,6 +115,7 @@ type TransputerSpec struct {
 	Model    string // "t424" or "t222"
 	MemBytes int    // 0 means the model default
 	Program  string // path to .occ or .tasm source
+	Line     int
 }
 
 // Connection joins two link ends.
@@ -123,32 +124,25 @@ type Connection struct {
 	ALink int
 	B     string
 	BLink int
+	Line  int
 }
 
 // HostSpec attaches a host device to a node's link.
 type HostSpec struct {
 	Node string
 	Link int
+	Line int
 }
 
-// ParseTopology reads the text format above.  Every error names the
-// line it came from; duplicate node names, double-wired link ends,
-// repeated singleton directives and references to undeclared nodes are
-// rejected.
+// ParseTopology reads the text format above.  It refuses a line it
+// cannot read (an unknown directive or option, a malformed value) and a
+// second run, seed, linkmode or route line; every error names its line.
+// A value's range is checked where it is used: a model by
+// tool.ModelConfig, a vchan count by System.EnableVChans, a fault's
+// rate and time by fault.Rule.Validate.
 func ParseTopology(src string) (*Topology, error) {
-	topo := &Topology{Inputs: make(map[string][]int64), RunLimit: sim.Second}
-	nodeLine := make(map[string]int)  // node name -> declaring line
-	wiredLine := make(map[string]int) // "node.link" -> wiring line
-	var faultLine []int               // line of each rule in topo.Faults
-	var vchanLine []int               // line of each spec in topo.VChans
-	onceAt := make(map[string]int)    // singleton directive -> its line
-	var messageLine []int             // line of each spec in topo.Messages
-	// refs records node-name uses to validate after all declarations.
-	type ref struct {
-		name string
-		line int
-	}
-	var refs []ref
+	topo := &Topology{Inputs: make(map[string][]int64), InputLines: make(map[string]int), RunLimit: sim.Second}
+	onceAt := make(map[string]int) // singleton directive -> its line
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := raw
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -162,14 +156,6 @@ func ParseTopology(src string) (*Topology, error) {
 		fail := func(format string, args ...interface{}) error {
 			return fmt.Errorf("topology line %d: %s", no, fmt.Sprintf(format, args...))
 		}
-		// claim marks a link end as wired, rejecting double wiring.
-		claim := func(end string) error {
-			if prev, dup := wiredLine[end]; dup {
-				return fail("link end %s already wired at line %d", end, prev)
-			}
-			wiredLine[end] = no
-			return nil
-		}
 		switch fields[0] {
 		case "run", "seed", "linkmode", "route":
 			if prev, dup := onceAt[fields[0]]; dup {
@@ -182,16 +168,7 @@ func ParseTopology(src string) (*Topology, error) {
 			if len(fields) < 3 {
 				return nil, fail("transputer needs a name and model")
 			}
-			spec := TransputerSpec{Name: fields[1], Model: strings.ToLower(fields[2])}
-			if prev, dup := nodeLine[spec.Name]; dup {
-				return nil, fail("duplicate transputer name %q (first declared at line %d)", spec.Name, prev)
-			}
-			if spec.Model != "t424" && spec.Model != "t222" {
-				return nil, fail("unknown model %q", fields[2])
-			}
-			if len(topo.Transputers) >= sim.MaxPorts {
-				return nil, fail("too many transputers: a system holds at most %d", sim.MaxPorts)
-			}
+			spec := TransputerSpec{Name: fields[1], Model: strings.ToLower(fields[2]), Line: no}
 			for _, opt := range fields[3:] {
 				k, v, ok := strings.Cut(opt, "=")
 				if !ok {
@@ -210,7 +187,6 @@ func ParseTopology(src string) (*Topology, error) {
 					return nil, fail("unknown option %q", k)
 				}
 			}
-			nodeLine[spec.Name] = no
 			topo.Transputers = append(topo.Transputers, spec)
 		case "connect":
 			if len(fields) != 3 {
@@ -224,16 +200,7 @@ func ParseTopology(src string) (*Topology, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if a == b && al == bl {
-				return nil, fail("cannot connect link end %s to itself", fields[1])
-			}
-			for _, end := range []string{fields[1], fields[2]} {
-				if err := claim(end); err != nil {
-					return nil, err
-				}
-			}
-			refs = append(refs, ref{a, no}, ref{b, no})
-			topo.Connections = append(topo.Connections, Connection{A: a, ALink: al, B: b, BLink: bl})
+			topo.Connections = append(topo.Connections, Connection{A: a, ALink: al, B: b, BLink: bl, Line: no})
 		case "host":
 			if len(fields) != 2 {
 				return nil, fail("host needs one link end")
@@ -242,11 +209,7 @@ func ParseTopology(src string) (*Topology, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if err := claim(fields[1]); err != nil {
-				return nil, err
-			}
-			refs = append(refs, ref{n, no})
-			topo.Hosts = append(topo.Hosts, HostSpec{Node: n, Link: l})
+			topo.Hosts = append(topo.Hosts, HostSpec{Node: n, Link: l, Line: no})
 		case "input":
 			if len(fields) < 3 {
 				return nil, fail("input needs a node and at least one word")
@@ -258,7 +221,9 @@ func ParseTopology(src string) (*Topology, error) {
 				}
 				topo.Inputs[fields[1]] = append(topo.Inputs[fields[1]], v)
 			}
-			refs = append(refs, ref{fields[1], no})
+			if _, seen := topo.InputLines[fields[1]]; !seen {
+				topo.InputLines[fields[1]] = no
+			}
 		case "run":
 			if len(fields) != 2 {
 				return nil, fail("run needs a duration")
@@ -292,14 +257,13 @@ func ParseTopology(src string) (*Topology, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			refs = append(refs, ref{rule.Node, no})
 			topo.Faults = append(topo.Faults, rule)
-			faultLine = append(faultLine, no)
+			topo.FaultLines = append(topo.FaultLines, no)
 		case "route":
 			if len(fields) > 1 {
 				return nil, fail("route takes no options")
 			}
-			topo.Route = true
+			topo.Route, topo.RouteLine = true, no
 		case "vchan":
 			if len(fields) != 3 {
 				return nil, fail("vchan needs a link end and count=N")
@@ -313,213 +277,22 @@ func ParseTopology(src string) (*Topology, error) {
 				return nil, fail("vchan needs count=N, got %q", fields[2])
 			}
 			cnt, err := strconv.Atoi(v)
-			if err != nil || cnt < 2 || cnt > link.MaxVChans {
-				return nil, fail("bad vchan count %q (want 2..%d)", v, link.MaxVChans)
+			if err != nil {
+				return nil, fail("bad vchan count %q", v)
 			}
-			refs = append(refs, ref{n, no})
-			topo.VChans = append(topo.VChans, VChanSpec{Node: n, Link: l, Count: cnt})
-			vchanLine = append(vchanLine, no)
+			topo.VChans = append(topo.VChans, VChanSpec{Node: n, Link: l, Count: cnt, Line: no})
 		case "message":
 			msg, err := parseMessage(fields[1:])
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if len(msg.Data) > MaxRoutePayload {
-				return nil, fail("message payload of %d bytes exceeds the %d-byte cap", len(msg.Data), MaxRoutePayload)
-			}
-			refs = append(refs, ref{msg.From, no}, ref{msg.To, no})
+			msg.Line = no
 			topo.Messages = append(topo.Messages, msg)
-			messageLine = append(messageLine, no)
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
 	}
-	for _, r := range refs {
-		if _, ok := nodeLine[r.name]; !ok {
-			return nil, fmt.Errorf("topology line %d: unknown transputer %q", r.line, r.name)
-		}
-	}
-	// An event after the run limit would fire in the settling drain
-	// that follows the run, or never; one at the limit still fires.
-	for i, r := range topo.Faults {
-		if r.Timed() && r.At > topo.RunLimit {
-			return nil, fmt.Errorf("topology line %d: fault %s at %v is after the run limit of %v",
-				faultLine[i], r.Kind, r.At, topo.RunLimit)
-		}
-	}
-	for i, m := range topo.Messages {
-		if m.At > topo.RunLimit {
-			return nil, fmt.Errorf("topology line %d: message at %v is after the run limit of %v",
-				messageLine[i], m.At, topo.RunLimit)
-		}
-	}
-	if err := validateFaults(topo, faultLine, wiredLine); err != nil {
-		return nil, err
-	}
-	if err := validateVChans(topo, vchanLine, faultLine, wiredLine); err != nil {
-		return nil, err
-	}
-	if topo.Route && len(topo.Transputers) > MaxRouteNodes {
-		return nil, fmt.Errorf("topology line %d: route over %d transputers exceeds the %d-node frame address space",
-			onceAt["route"], len(topo.Transputers), MaxRouteNodes)
-	}
-	if len(messageLine) != 0 && !topo.Route {
-		return nil, fmt.Errorf("topology line %d: message directives require a route directive", messageLine[0])
-	}
 	return topo, nil
-}
-
-// validateFaults cross-checks the fault script against the wiring, so
-// a bad campaign is rejected when the file is read instead of
-// surfacing as a puzzling mid-run no-op.  Every error carries the
-// offending line.
-func validateFaults(topo *Topology, faultLine []int, wiredLine map[string]int) error {
-	// peerEnd maps each connected link end to its other end, so a
-	// sever of the same physical link via either end is caught.
-	peerEnd := make(map[string]string)
-	for _, c := range topo.Connections {
-		a := fmt.Sprintf("%s.%d", c.A, c.ALink)
-		b := fmt.Sprintf("%s.%d", c.B, c.BLink)
-		peerEnd[a] = b
-		peerEnd[b] = a
-	}
-	severed := make(map[string]int) // link end -> line of its sever
-	halted := make(map[string]int)  // node -> line of its halt
-	restarted := make(map[string]int)
-	for i, r := range topo.Faults {
-		no := faultLine[i]
-		fail := func(format string, args ...interface{}) error {
-			return fmt.Errorf("topology line %d: %s", no, fmt.Sprintf(format, args...))
-		}
-		switch r.Kind {
-		case fault.Halt:
-			if prev, dup := halted[r.Node]; dup {
-				return fail("duplicate halt of %q (first at line %d)", r.Node, prev)
-			}
-			halted[r.Node] = no
-		case fault.Restart:
-			if prev, dup := restarted[r.Node]; dup {
-				return fail("duplicate restart of %q (first at line %d)", r.Node, prev)
-			}
-			restarted[r.Node] = no
-			haltAt := sim.Time(-1)
-			for _, h := range topo.Faults {
-				if h.Kind == fault.Halt && h.Node == r.Node {
-					haltAt = h.At
-				}
-			}
-			if haltAt < 0 {
-				return fail("restart of %q has no matching halt", r.Node)
-			}
-			if haltAt >= r.At {
-				return fail("restart of %q at %v does not follow its halt at %v", r.Node, r.At, haltAt)
-			}
-		default:
-			// Wire-targeted rules must name an end that is actually
-			// wired (a connection or a host attachment).
-			end := fmt.Sprintf("%s.%d", r.Node, r.Link)
-			if _, wired := wiredLine[end]; !wired {
-				return fail("fault %s targets unwired link end %s", r.Kind, end)
-			}
-			if r.Kind == fault.Sever {
-				if prev, dup := severed[end]; dup {
-					return fail("duplicate sever of %s (first at line %d)", end, prev)
-				}
-				if p, ok := peerEnd[end]; ok {
-					if prev, dup := severed[p]; dup {
-						return fail("sever of %s cuts the same link as %s at line %d", end, p, prev)
-					}
-				}
-				severed[end] = no
-			}
-		}
-	}
-	return nil
-}
-
-// validateVChans cross-checks vchan directives against the wiring and
-// the fault plan.  A vchan end must belong to a transputer-to-
-// transputer connection (host links carry the boot protocol and cannot
-// be multiplexed), a physical wire may be multiplexed only once even
-// when named from its other end, and the fault plan may not touch a
-// multiplexed wire: the mux frames multi-byte units and a corrupted or
-// dropped header would desynchronise every logical channel at once, so
-// the combination is rejected when the file is read.
-func validateVChans(topo *Topology, vchanLine, faultLine []int, wiredLine map[string]int) error {
-	if len(topo.VChans) == 0 {
-		return nil
-	}
-	peerEnd := make(map[string]string)
-	for _, c := range topo.Connections {
-		a := fmt.Sprintf("%s.%d", c.A, c.ALink)
-		b := fmt.Sprintf("%s.%d", c.B, c.BLink)
-		peerEnd[a] = b
-		peerEnd[b] = a
-	}
-	muxed := make(map[string]int) // link end -> line of its vchan
-	for i, vc := range topo.VChans {
-		no := vchanLine[i]
-		fail := func(format string, args ...interface{}) error {
-			return fmt.Errorf("topology line %d: %s", no, fmt.Sprintf(format, args...))
-		}
-		end := fmt.Sprintf("%s.%d", vc.Node, vc.Link)
-		peer, connected := peerEnd[end]
-		if !connected {
-			if _, wired := wiredLine[end]; wired {
-				return fail("vchan on host link end %s (vchans need a transputer-to-transputer connect)", end)
-			}
-			return fail("vchan targets unwired link end %s", end)
-		}
-		if prev, dup := muxed[end]; dup {
-			return fail("duplicate vchan on %s (first at line %d)", end, prev)
-		}
-		if prev, dup := muxed[peer]; dup {
-			return fail("vchan on %s multiplexes the same wire as %s at line %d", end, peer, prev)
-		}
-		muxed[end] = no
-	}
-	// adjacent records every node touching a multiplexed wire, so halt
-	// and restart rules can be refused along with wire-level faults.
-	// A node on two multiplexed wires keeps the line number of the
-	// lexically earliest end, so refusals cite a stable line.
-	muxEnds := make([]string, 0, len(muxed))
-	for end := range muxed {
-		muxEnds = append(muxEnds, end)
-	}
-	sort.Strings(muxEnds)
-	adjacent := make(map[string]int)
-	for _, end := range muxEnds {
-		no := muxed[end]
-		node, _, _ := strings.Cut(end, ".")
-		if _, seen := adjacent[node]; !seen {
-			adjacent[node] = no
-		}
-		pnode, _, _ := strings.Cut(peerEnd[end], ".")
-		if _, seen := adjacent[pnode]; !seen {
-			adjacent[pnode] = no
-		}
-	}
-	for i, r := range topo.Faults {
-		no := faultLine[i]
-		switch r.Kind {
-		case fault.Halt, fault.Restart:
-			if vl, ok := adjacent[r.Node]; ok {
-				return fmt.Errorf("topology line %d: fault %s of %q touches a multiplexed link (vchan at line %d)", no, r.Kind, r.Node, vl)
-			}
-		default:
-			end := fmt.Sprintf("%s.%d", r.Node, r.Link)
-			prev, dup := muxed[end]
-			if !dup {
-				if pe, ok := peerEnd[end]; ok {
-					prev, dup = muxed[pe]
-				}
-			}
-			if dup {
-				return fmt.Errorf("topology line %d: fault %s targets multiplexed link end %s (vchan at line %d)", no, r.Kind, end, prev)
-			}
-		}
-	}
-	return nil
 }
 
 // parseMessage reads a message directive:
@@ -621,9 +394,6 @@ func parseFault(args []string) (fault.Rule, error) {
 		default:
 			return rule, fmt.Errorf("unknown fault option %q", k)
 		}
-	}
-	if err := rule.Validate(); err != nil {
-		return rule, err
 	}
 	return rule, nil
 }

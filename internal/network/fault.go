@@ -29,37 +29,36 @@ func (s *System) SetReliable() {
 
 // ApplyFaults installs a seeded fault plan: per-packet hooks on the
 // targeted wires, and scheduled severs and halts on the kernel.  Call
-// it after the topology is fully wired and before Run.
+// it after the topology is fully wired and before Run.  Beyond what
+// fault.Plan.Validate refuses, a rule must name a node of the system
+// and, unless it halts or restarts it, a wired end; a link is severed
+// once, from either end; and no rule may touch a multiplexed wire or
+// its nodes (a lost or corrupted mux header would desynchronise every
+// vchan on the wire; EnableVChans refuses the other order).  A refusal
+// is a *fault.RuleError and installs nothing.
 func (s *System) ApplyFaults(plan fault.Plan) error {
 	if plan.Empty() {
 		return nil
 	}
 	inj, err := fault.NewInjector(plan)
+	if err == nil {
+		err = s.checkFaults(plan.Rules)
+	}
 	if err != nil {
 		return err
 	}
+	s.faults = append(s.faults, plan.Rules...)
 	for _, n := range s.nodes {
 		for l := 0; l < core.NumLinks; l++ {
-			hook := inj.WireHook(n.Name, l)
-			if hook == nil {
-				continue
+			if hook := inj.WireHook(n.Name, l); hook != nil {
+				n.Engine.SetFaultHook(l, hook)
 			}
-			if !n.Engine.Connected(l) {
-				return fmt.Errorf("network: fault targets unwired link end %s.%d", n.Name, l)
-			}
-			n.Engine.SetFaultHook(l, hook)
 		}
 	}
 	for _, r := range inj.Timed() {
-		n, ok := s.byName[r.Node]
-		if !ok {
-			return fmt.Errorf("network: fault targets unknown transputer %q", r.Node)
-		}
+		n := s.byName[r.Node]
 		switch r.Kind {
 		case fault.Sever:
-			if !n.Engine.Connected(r.Link) {
-				return fmt.Errorf("network: sever targets unwired link end %s.%d", n.Name, r.Link)
-			}
 			lnk := r.Link
 			// Timed faults act on one node, so they live on that node's
 			// shard and fire in its deterministic event order.
@@ -75,6 +74,55 @@ func (s *System) ApplyFaults(plan fault.Plan) error {
 		}
 	}
 	return nil
+}
+
+// checkFaults is ApplyFaults' check of a plan against the system.
+func (s *System) checkFaults(rules []fault.Rule) error {
+	type end struct {
+		n *Node
+		l int
+	}
+	severed := make(map[end]int) // both ends of a severed link -> its rule
+	for i, r := range rules {
+		refuse := func(prev int, err error) error { return &fault.RuleError{Rule: i, Prev: prev, Err: err} }
+		n, ok := s.byName[r.Node]
+		switch {
+		case !ok:
+			return refuse(-1, fmt.Errorf("network: fault %s targets unknown transputer %q", r.Kind, r.Node))
+		case r.Kind == fault.Halt || r.Kind == fault.Restart:
+			for l := 0; l < core.NumLinks; l++ {
+				if n.Engine.VChans(l) > 0 {
+					return refuse(-1, clash(Multiplexed, n.Name, l, "fault %s of %q touches multiplexed link end %s.%d", r.Kind, n.Name, n.Name, l))
+				}
+			}
+			continue
+		case !n.Engine.Connected(r.Link):
+			return refuse(-1, fmt.Errorf("network: fault %s targets unwired link end %s.%d", r.Kind, n.Name, r.Link))
+		case n.Engine.VChans(r.Link) > 0:
+			return refuse(-1, clash(Multiplexed, n.Name, r.Link, "fault %s targets multiplexed link end %s.%d", r.Kind, n.Name, r.Link))
+		case r.Kind != fault.Sever:
+			continue
+		}
+		if prev, dup := severed[end{n, r.Link}]; dup {
+			return refuse(prev, fmt.Errorf("network: the link at %s.%d is severed twice", r.Node, r.Link))
+		}
+		severed[end{n, r.Link}] = i
+		if peer, pl, ok := n.Peer(r.Link); ok {
+			severed[end{peer, pl}] = i
+		}
+	}
+	return nil
+}
+
+// faulted reports whether an applied fault rule touches link end n.l:
+// a rule on that end, or a halt or restart of n.
+func (s *System) faulted(n *Node, l int) bool {
+	for _, r := range s.faults {
+		if r.Node == n.Name && (r.Link == l || r.Kind == fault.Halt || r.Kind == fault.Restart) {
+			return true
+		}
+	}
+	return false
 }
 
 // restartNode revives a halted node: the processor resumes with its

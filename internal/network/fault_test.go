@@ -1,6 +1,7 @@
 package network_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -363,6 +364,76 @@ func TestUnwiredFaultTarget(t *testing.T) {
 	}})
 	if err == nil {
 		t.Error("fault on unwired link should be rejected")
+	}
+}
+
+// TestApplyFaultsRefusesRules: a Go caller gets the system's checks of
+// a plan, each refusal a *fault.RuleError naming the rule and the
+// earlier rule it clashes with; a refused plan installs nothing.  A
+// fault on a multiplexed wire is refused by whichever of ApplyFaults
+// and EnableVChans comes second.
+func TestApplyFaultsRefusesRules(t *testing.T) {
+	build := func() (*network.System, *network.Node, *network.Node) {
+		s := network.NewSystem()
+		a := s.MustAddTransputer("a", cfg())
+		b := s.MustAddTransputer("b", cfg())
+		s.MustConnect(a, 0, b, 0)
+		s.MustConnect(a, 1, b, 1)
+		return s, a, b
+	}
+	sever := func(node string, l int, at sim.Time) fault.Rule {
+		return fault.Rule{Kind: fault.Sever, Node: node, Link: l, At: at}
+	}
+	halt := func(node string, at sim.Time) fault.Rule {
+		return fault.Rule{Kind: fault.Halt, Node: node, Link: -1, At: at}
+	}
+	cases := []struct {
+		name       string
+		rules      []fault.Rule
+		rule, prev int
+		want       string
+	}{
+		{"drop on a multiplexed wire", []fault.Rule{{Kind: fault.Drop, Node: "b", Link: 1, Rate: 0.5}}, 0, -1,
+			"network: fault drop targets multiplexed link end b.1"},
+		{"halt beside a multiplexed wire", []fault.Rule{halt("a", sim.Millisecond)}, 0, -1,
+			`network: fault halt of "a" touches multiplexed link end a.1`},
+		{"both ends of one link severed", []fault.Rule{sever("a", 0, sim.Millisecond), sever("b", 0, 2*sim.Millisecond)}, 1, 0,
+			"network: the link at b.0 is severed twice"},
+		{"one end severed twice", []fault.Rule{sever("a", 0, sim.Millisecond), sever("a", 0, 2*sim.Millisecond)}, 1, 0,
+			"network: the link at a.0 is severed twice"},
+		{"a node halted twice", []fault.Rule{halt("b", sim.Millisecond), halt("b", 2*sim.Millisecond)}, 1, 0,
+			`fault: duplicate halt of "b"`},
+		{"a rule on ghost", []fault.Rule{sever("a", 0, sim.Millisecond), halt("ghost", sim.Millisecond)}, 1, -1,
+			`network: fault halt targets unknown transputer "ghost"`},
+		{"an unwired end", []fault.Rule{{Kind: fault.Corrupt, Node: "a", Link: 3, Rate: 1}}, 0, -1,
+			"network: fault corrupt targets unwired link end a.3"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, a, _ := build()
+			if err := s.EnableVChans(a, 1, 4); err != nil {
+				t.Fatal(err)
+			}
+			err := s.ApplyFaults(fault.Plan{Rules: c.rules})
+			var re *fault.RuleError
+			if !errors.As(err, &re) || re.Rule != c.rule || re.Prev != c.prev || re.Err.Error() != c.want {
+				t.Fatalf("ApplyFaults = %#v, want rule %d, prev %d: %s", err, c.rule, c.prev, c.want)
+			}
+			if rep := s.Run(3 * sim.Millisecond); len(rep.Halted) != 0 {
+				t.Errorf("a refused plan halted %v", rep.Halted)
+			}
+		})
+	}
+	// Faults first, then the vchans: EnableVChans refuses.
+	s, a, _ := build()
+	if err := s.ApplyFaults(fault.Plan{Rules: []fault.Rule{{Kind: fault.Jitter, Node: "b", Link: 1, Rate: 1, Max: sim.Microsecond}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableVChans(a, 1, 4); err == nil || !strings.Contains(err.Error(), "a wire the fault plan touches") {
+		t.Errorf("EnableVChans on a faulted wire = %v", err)
+	}
+	if err := s.EnableVChans(a, 0, 4); err != nil {
+		t.Errorf("EnableVChans on the other wire: %v", err)
 	}
 }
 

@@ -3,9 +3,12 @@ package network_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
+	"transputer/internal/fault"
 	"transputer/internal/matrix"
 	"transputer/internal/network"
 	"transputer/internal/sim"
@@ -13,8 +16,9 @@ import (
 )
 
 // FuzzParseTopology throws arbitrary text at the topology parser and
-// checks its contract: no panic, a successful parse only ever wires
-// declared nodes — and what parses runs (see runsTheSame).
+// checks its contract: no panic, and what parses either builds or is
+// refused with a positioned error (the build checks what relates one
+// line to another) — and what builds runs (see runsTheSame).
 func FuzzParseTopology(f *testing.F) {
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.1\n")
 	f.Add("transputer a t424 mem=64K program=p.occ\nhost a.2\nrun 50ms\n")
@@ -42,6 +46,15 @@ func FuzzParseTopology(f *testing.F) {
 	f.Add("transputer a t424 mem=4097\ntransputer b t222 mem=5\nconnect a.0 b.0\nlinkmode reliable\nroute\nmessage a b at=5us data=xyz\nfault halt b at=10us\nfault restart b at=400us\nrun 400us\n")
 	f.Add("transputer a t424\ntransputer b t424\ntransputer c t424\nconnect a.0 b.0\nconnect b.1 c.0\nroute\nlinkmode reliable\nmessage a c at=5us data=xyz\nfault sever b.1 at=6us\nfault halt a at=7us\n")
 	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nconnect a.1 b.1\nroute\nmessage a b at=1us data=x\nfault corrupt a.0 rate=1\nfault jitter b.1 rate=1 max=1ms\n")
+	// What the build refuses: messages without route, an input with no
+	// host, a fault on a multiplexed wire, a link severed from both ends,
+	// a node halted twice, a rule on a node that does not exist.
+	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nmessage a b at=1us data=x\n")
+	f.Add("transputer a t424\ninput a 1 2\n")
+	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nvchan a.0 count=4\nfault drop b.0 rate=0.5\n")
+	f.Add("transputer a t424\ntransputer b t424\nconnect a.0 b.0\nfault sever a.0 at=1us\nfault sever b.0 at=2us\n")
+	f.Add("transputer a t424\nfault halt a at=1us\nfault halt a at=2us\n")
+	f.Add("transputer a t424\nhost a.0\nfault halt ghost at=1us\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		topo, err := network.ParseTopology(src)
 		if err != nil {
@@ -50,19 +63,12 @@ func FuzzParseTopology(f *testing.F) {
 		if topo == nil {
 			t.Fatalf("ParseTopology(%q) returned neither topology nor error", src)
 		}
-		declared := make(map[string]bool, len(topo.Transputers))
-		for _, tr := range topo.Transputers {
-			declared[tr.Name] = true
+		// There is no file system under a fuzz input.
+		for i := range topo.Transputers {
+			topo.Transputers[i].Program = ""
 		}
-		for _, c := range topo.Connections {
-			if !declared[c.A] || !declared[c.B] {
-				t.Fatalf("ParseTopology(%q) accepted a wire between undeclared nodes %q-%q", src, c.A, c.B)
-			}
-		}
-		for _, h := range topo.Hosts {
-			if !declared[h.Node] {
-				t.Fatalf("ParseTopology(%q) accepted a host on undeclared node %q", src, h.Node)
-			}
+		if _, err := tool.BuildNetwork(topo, "", io.Discard); err != nil && !strings.HasPrefix(err.Error(), "topology line ") {
+			t.Fatalf("the build of %q refused it with no line: %v", src, err)
 		}
 		if diffs := runsTheSame(topo); len(diffs) > 0 {
 			t.Fatalf("ParseTopology(%q) runs differently on one shard and on one a node:\n%s", src, diffs)
@@ -71,8 +77,8 @@ func FuzzParseTopology(f *testing.F) {
 }
 
 // runsTheSame builds a parsed topology the way tnet does — without its
-// programs (there is no file system under a fuzz input), at most 16
-// nodes of at most 64K, for at most a simulated millisecond — and runs
+// programs, at most 16 nodes of at most 64K, for at most a simulated
+// millisecond with the faults and messages of that millisecond — and runs
 // it on two legs of the determinism matrix, all on one shard and one
 // shard a node.  Either the build refuses both with the same error or
 // the two runs show the same thing; a panic or a hang is the fuzzer's
@@ -82,10 +88,22 @@ func runsTheSame(topo *network.Topology) []string {
 		return nil
 	}
 	for i := range topo.Transputers {
-		topo.Transputers[i].Program = ""
 		topo.Transputers[i].MemBytes = min(topo.Transputers[i].MemBytes, 64*1024)
 	}
 	topo.RunLimit = min(topo.RunLimit, sim.Millisecond)
+	var faults []fault.Rule
+	for _, r := range topo.Faults {
+		if !r.Timed() || r.At <= topo.RunLimit {
+			faults = append(faults, r)
+		}
+	}
+	var messages []network.MessageSpec
+	for _, m := range topo.Messages {
+		if m.At <= topo.RunLimit {
+			messages = append(messages, m)
+		}
+	}
+	topo.Faults, topo.FaultLines, topo.Messages = faults, nil, messages
 	sc := matrix.Scenario{Build: func() (*matrix.Running, error) {
 		var host bytes.Buffer
 		net, err := tool.BuildNetwork(topo, "", &host)

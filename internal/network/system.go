@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"transputer/internal/core"
+	"transputer/internal/fault"
 	"transputer/internal/link"
 	"transputer/internal/probe"
 	"transputer/internal/sim"
@@ -83,6 +84,9 @@ type System struct {
 	// heartbeat enables liveness monitoring on every engine, present
 	// and future; monitors start when Run does.
 	heartbeat bool
+	// faults are the rules ApplyFaults installed, which EnableVChans
+	// reads.
+	faults []fault.Rule
 	// downSubs and upSubs hear node liveness transitions driven by the
 	// fault schedule (halt and restart rules).  Callbacks run on the
 	// affected node's shard; subscribe before Run.
@@ -252,6 +256,32 @@ func (s *System) seal() {
 	}
 }
 
+// A Clash is a refusal caused by what an earlier call configured: the
+// name of transputer Node (Named), the wiring of its link end Node.Link
+// (Wired), or the multiplexing of the wire at that end (Multiplexed).
+// A topology builder maps it to the line of that call's directive.
+type Clash struct {
+	With ClashKind
+	Node string
+	Link int
+	msg  string
+}
+
+// ClashKind says what a Clash is with.
+type ClashKind uint8
+
+const (
+	Named ClashKind = iota
+	Wired
+	Multiplexed
+)
+
+func (c *Clash) Error() string { return c.msg }
+
+func clash(with ClashKind, node string, l int, format string, args ...any) *Clash {
+	return &Clash{With: with, Node: node, Link: l, msg: "network: " + fmt.Sprintf(format, args...)}
+}
+
 // AddTransputer creates a node; which shard it runs on is decided when
 // the run starts (see SetPlacement).  The configuration's Name is
 // replaced by the node name.
@@ -260,7 +290,7 @@ func (s *System) AddTransputer(name string, cfg core.Config) (*Node, error) {
 		return nil, fmt.Errorf("network: transputer %q added after the run has started", name)
 	}
 	if _, dup := s.byName[name]; dup {
-		return nil, fmt.Errorf("network: duplicate transputer name %q", name)
+		return nil, clash(Named, name, -1, "duplicate transputer name %q", name)
 	}
 	if len(s.nodes) >= sim.MaxPorts {
 		// Every node takes one of the coordinator's ports.
@@ -412,13 +442,13 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 		return fmt.Errorf("network: link index out of range (%d, %d)", la, lb)
 	}
 	if a.wired[la] {
-		return fmt.Errorf("network: %s link %d already connected", a.Name, la)
+		return clash(Wired, a.Name, la, "link end %s.%d already wired", a.Name, la)
 	}
 	if b.wired[lb] {
-		return fmt.Errorf("network: %s link %d already connected", b.Name, lb)
+		return clash(Wired, b.Name, lb, "link end %s.%d already wired", b.Name, lb)
 	}
 	if a == b && la == lb {
-		return fmt.Errorf("network: cannot connect a link to itself")
+		return fmt.Errorf("network: cannot connect link end %s.%d to itself", a.Name, la)
 	}
 	if s.sealed {
 		return fmt.Errorf("network: %s link %d connected after the run has started", a.Name, la)
@@ -506,20 +536,25 @@ func (s *System) notifyUp(n *Node) {
 // both machines get the convention channel words mapped so occam
 // programs reach the logical channels through the LINKnVCmOUT/IN
 // addresses (see core.MapVChan).  The link must already be connected
-// to another transputer (host links cannot be multiplexed) and not yet
-// multiplexed, count must be 2 to link.MaxVChans, and the run must not
-// have started.
+// to another transputer (host links carry the boot protocol and cannot
+// be multiplexed) and not yet multiplexed, count must be 2 to
+// link.MaxVChans, no fault rule may touch the wire (see ApplyFaults),
+// and the run must not have started.
 func (s *System) EnableVChans(n *Node, l, count int) error {
 	peer, pl, ok := n.Peer(l)
 	switch {
 	case s.sealed:
 		return fmt.Errorf("network: vchans on %s link %d enabled after the run has started", n.Name, l)
+	case !ok && n.Engine.Connected(l):
+		return fmt.Errorf("network: vchan on host link end %s.%d (vchans need a transputer-to-transputer connect)", n.Name, l)
 	case !ok:
-		return fmt.Errorf("network: %s link %d is not connected to a transputer", n.Name, l)
+		return fmt.Errorf("network: vchan on unwired link end %s.%d", n.Name, l)
 	case count < 2 || count > link.MaxVChans:
 		return fmt.Errorf("network: %d vchans on %s link %d, want 2..%d", count, n.Name, l, link.MaxVChans)
-	case n.Engine.VChans(l) > 0 || peer.Engine.VChans(pl) > 0:
-		return fmt.Errorf("network: %s link %d is already multiplexed", n.Name, l)
+	case n.Engine.VChans(l) > 0:
+		return clash(Multiplexed, n.Name, l, "%s link %d is already multiplexed", n.Name, l)
+	case s.faulted(n, l) || s.faulted(peer, pl):
+		return fmt.Errorf("network: vchans on %s link %d, a wire the fault plan touches", n.Name, l)
 	}
 	n.Engine.EnableVChans(l, count)
 	peer.Engine.EnableVChans(pl, count)
@@ -548,7 +583,7 @@ func (s *System) AttachHost(n *Node, l int, w io.Writer) (*Host, error) {
 		return nil, fmt.Errorf("network: link index %d out of range", l)
 	}
 	if n.wired[l] {
-		return nil, fmt.Errorf("network: %s link %d already connected", n.Name, l)
+		return nil, clash(Wired, n.Name, l, "link end %s.%d already wired", n.Name, l)
 	}
 	h := newHost(n.port, n, l, w)
 	if n.col != nil {

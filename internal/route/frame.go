@@ -6,17 +6,19 @@
 //	kind(1) origin(1) dest(1) ttl(1) seq(4 LE) len(2 LE) payload...
 //
 // origin and dest are node ordinals (the creation order of the
-// system's transputers), which caps a routed network at
-// network.MaxRouteNodes — comfortably above anything the simulator
-// runs — and len is at most network.MaxRoutePayload.  seq is the
-// end-to-end stream sequence for DATA and E2EACK frames and the
-// advertisement generation for LSA frames.
+// system's transputers), which caps a routed network at MaxNodes —
+// comfortably above anything the simulator runs — and len is at most
+// MaxPayload.  seq is the end-to-end stream sequence for DATA and
+// E2EACK frames and the advertisement generation for LSA frames.
 package route
 
-import (
-	"fmt"
+import "fmt"
 
-	"transputer/internal/network"
+// The frame's caps: Attach refuses a system of more than MaxNodes
+// transputers, and SendAt a message of more than MaxPayload bytes.
+const (
+	MaxNodes   = 256
+	MaxPayload = 1024
 )
 
 // Frame kinds.  Zero is deliberately invalid so a stray byte is likely
@@ -77,7 +79,7 @@ func parseHeader(b []byte, nodes int) (f frame, plen int, err error) {
 	f.ttl = b[3]
 	f.seq = uint32(b[4]) | uint32(b[5])<<8 | uint32(b[6])<<16 | uint32(b[7])<<24
 	plen = int(b[8]) | int(b[9])<<8
-	if plen > network.MaxRoutePayload {
+	if plen > MaxPayload {
 		return frame{}, 0, fmt.Errorf("route: frame payload %d exceeds cap", plen)
 	}
 	return f, plen, nil

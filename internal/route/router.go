@@ -184,8 +184,8 @@ type Router struct {
 // other.
 func Attach(s *network.System) (*Router, error) {
 	nodes := s.Nodes()
-	if len(nodes) > network.MaxRouteNodes {
-		return nil, fmt.Errorf("route: %d nodes exceed the %d-node frame address space", len(nodes), network.MaxRouteNodes)
+	if len(nodes) > MaxNodes {
+		return nil, fmt.Errorf("route: %d nodes exceed the %d-node frame address space", len(nodes), MaxNodes)
 	}
 	s.SetReliable()
 	s.SetHeartbeat()
@@ -279,8 +279,8 @@ func (r *Router) SendAt(at sim.Time, from, to string, payload []byte) (*Injected
 	if !ok {
 		return nil, fmt.Errorf("route: unknown destination %q", to)
 	}
-	if len(payload) > network.MaxRoutePayload {
-		return nil, fmt.Errorf("route: payload %d exceeds %d-byte cap", len(payload), network.MaxRoutePayload)
+	if len(payload) > MaxPayload {
+		return nil, fmt.Errorf("route: payload %d exceeds %d-byte cap", len(payload), MaxPayload)
 	}
 	rec := &Injected{From: from, To: to, At: at, Payload: append([]byte(nil), payload...)}
 	r.injected = append(r.injected, rec)

@@ -162,28 +162,28 @@ func TestRouterAttachRequirements(t *testing.T) {
 		}
 	}
 	s := network.NewSystem()
-	for i := 0; i <= network.MaxRouteNodes; i++ {
+	for i := 0; i <= route.MaxNodes; i++ {
 		s.MustAddTransputer(fmt.Sprintf("n%d", i), core.T424().WithMemory(4096))
 	}
-	want := fmt.Sprintf("route: %d nodes exceed the %d-node frame address space", network.MaxRouteNodes+1, network.MaxRouteNodes)
+	want := fmt.Sprintf("route: %d nodes exceed the %d-node frame address space", route.MaxNodes+1, route.MaxNodes)
 	if _, err := route.Attach(s); err == nil || err.Error() != want {
-		t.Errorf("Attach over %d nodes = %v, want %q", network.MaxRouteNodes+1, err, want)
+		t.Errorf("Attach over %d nodes = %v, want %q", route.MaxNodes+1, err, want)
 	}
 }
 
-// TestRoutedLimitsForGoCallers: what the topology parser refuses at its
-// line, a system built in Go meets in SendAt.
+// TestRoutedLimitsForGoCallers: SendAt is where the payload cap is
+// checked, for a system built in Go as for a topology's message line.
 func TestRoutedLimitsForGoCallers(t *testing.T) {
 	s, _ := ring(t, 2, 0)
 	r, err := route.Attach(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, network.MaxRoutePayload)); err != nil {
+	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, route.MaxPayload)); err != nil {
 		t.Errorf("SendAt of a full frame: %v", err)
 	}
-	want := fmt.Sprintf("route: payload %d exceeds %d-byte cap", network.MaxRoutePayload+1, network.MaxRoutePayload)
-	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, network.MaxRoutePayload+1)); err == nil || err.Error() != want {
+	want := fmt.Sprintf("route: payload %d exceeds %d-byte cap", route.MaxPayload+1, route.MaxPayload)
+	if _, err := r.SendAt(sim.Microsecond, "n0", "n1", make([]byte, route.MaxPayload+1)); err == nil || err.Error() != want {
 		t.Errorf("SendAt of an oversized payload = %v, want %q", err, want)
 	}
 }

@@ -1,12 +1,17 @@
 package tool
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"transputer/internal/core"
+	"transputer/internal/fault"
 	"transputer/internal/network"
 	"transputer/internal/route"
 	"transputer/internal/sim"
@@ -33,88 +38,186 @@ type Network struct {
 }
 
 // BuildNetwork constructs a system from a parsed topology.  Program
-// paths are resolved relative to baseDir; host output goes to out.
+// paths are resolved relative to baseDir; host output goes to out.  The
+// system checks how one spec fits the others (refuse places its
+// refusals); the build checks what only a topology says: inputs go to a
+// node with a host, messages need route, and no timed fault or message
+// comes after a run limit (it would fire in the drain after the run).
 func BuildNetwork(topo *network.Topology, baseDir string, out io.Writer) (*Network, error) {
 	s := network.NewSystem()
-	net := &Network{System: s}
+	net := &Network{System: s, Limit: topo.RunLimit}
+	fail := func(line int, err error) (*Network, error) { return nil, refuse(topo, s, line, err) }
+	node := func(name string) (*network.Node, error) {
+		if n, ok := s.Node(name); ok {
+			return n, nil
+		}
+		return nil, fmt.Errorf("unknown transputer %q", name)
+	}
 	for _, spec := range topo.Transputers {
 		cfg, err := ModelConfig(spec.Model, spec.MemBytes)
 		if err != nil {
-			return nil, err
+			return fail(spec.Line, err)
 		}
 		n, err := s.AddTransputer(spec.Name, cfg)
 		if err != nil {
-			return nil, err
+			return fail(spec.Line, err)
 		}
 		if spec.Program == "" {
 			continue
 		}
 		path := filepath.Join(baseDir, spec.Program)
 		img, err := LoadAny(path, cfg.WordBits/8)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
+		if err == nil {
+			err = n.Load(img)
 		}
-		if err := n.Load(img); err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Name, err)
+		if err != nil {
+			return fail(spec.Line, fmt.Errorf("%s: %w", spec.Name, err))
 		}
 		net.Programs = append(net.Programs, Program{Node: n, Image: img, Path: path})
 	}
 	for _, c := range topo.Connections {
-		a, ok := s.Node(c.A)
-		if !ok {
-			return nil, fmt.Errorf("connect: unknown transputer %q", c.A)
+		a, err := node(c.A)
+		if err != nil {
+			return fail(c.Line, err)
 		}
-		b, ok := s.Node(c.B)
-		if !ok {
-			return nil, fmt.Errorf("connect: unknown transputer %q", c.B)
+		b, err := node(c.B)
+		if err == nil {
+			err = s.Connect(a, c.ALink, b, c.BLink)
 		}
-		if err := s.Connect(a, c.ALink, b, c.BLink); err != nil {
-			return nil, err
-		}
-	}
-	for _, vc := range topo.VChans {
-		n, ok := s.Node(vc.Node)
-		if !ok {
-			return nil, fmt.Errorf("vchan: unknown transputer %q", vc.Node)
-		}
-		if err := s.EnableVChans(n, vc.Link, vc.Count); err != nil {
-			return nil, err
+		if err != nil {
+			return fail(c.Line, err)
 		}
 	}
+	// Hosts come before vchans, so a vchan on a host link is refused as
+	// one.
+	hosted := make(map[string]bool)
 	for _, h := range topo.Hosts {
-		n, ok := s.Node(h.Node)
-		if !ok {
-			return nil, fmt.Errorf("host: unknown transputer %q", h.Node)
+		n, err := node(h.Node)
+		if err != nil {
+			return fail(h.Line, err)
 		}
 		host, err := s.AttachHost(n, h.Link, out)
 		if err != nil {
-			return nil, err
+			return fail(h.Line, err)
 		}
-		for _, v := range topo.Inputs[h.Node] {
-			host.QueueInput(v)
-		}
+		host.QueueInput(topo.Inputs[h.Node]...)
 		net.Hosts = append(net.Hosts, host)
+		hosted[h.Node] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(topo.Inputs)) {
+		if _, err := node(name); err != nil || !hosted[name] {
+			return fail(topo.InputLines[name], cmp.Or(err, fmt.Errorf("input for %q, which has no host", name)))
+		}
+	}
+	for _, vc := range topo.VChans {
+		n, err := node(vc.Node)
+		if err == nil {
+			err = s.EnableVChans(n, vc.Link, vc.Count)
+		}
+		if err != nil {
+			return fail(vc.Line, err)
+		}
 	}
 	if topo.Reliable {
 		s.SetReliable()
 	}
+	if len(topo.Messages) != 0 && !topo.Route {
+		return fail(topo.Messages[0].Line, errors.New("message directives require a route directive"))
+	}
 	if topo.Route {
 		r, err := route.Attach(s)
 		if err != nil {
-			return nil, err
+			return fail(topo.RouteLine, err)
 		}
 		net.Router = r
 	}
-	if err := s.ApplyFaults(topo.Plan()); err != nil {
-		return nil, err
-	}
-	for _, m := range topo.Messages {
-		if _, err := net.Router.SendAt(m.At, m.From, m.To, []byte(m.Data)); err != nil {
-			return nil, err
+	late := func(at sim.Time) bool { return topo.RunLimit > 0 && at > topo.RunLimit }
+	for i, r := range topo.Faults {
+		if r.Timed() && late(r.At) {
+			return fail(0, &fault.RuleError{Rule: i, Prev: -1, Err: fmt.Errorf("fault %s at %v is after the run limit of %v", r.Kind, r.At, topo.RunLimit)})
 		}
 	}
-	net.Limit = topo.RunLimit
+	if err := s.ApplyFaults(topo.Plan()); err != nil {
+		return fail(0, err)
+	}
+	for _, m := range topo.Messages {
+		var err error
+		if late(m.At) {
+			err = fmt.Errorf("message at %v is after the run limit of %v", m.At, topo.RunLimit)
+		} else {
+			_, err = net.Router.SendAt(m.At, m.From, m.To, []byte(m.Data))
+		}
+		if err != nil {
+			return fail(m.Line, err)
+		}
+	}
 	return net, nil
+}
+
+// refuse places an error the system returned while building the spec at
+// line as "topology line N: …"; with no line (a topology built in code)
+// the error passes as it is.  A *fault.RuleError is placed at its
+// rule's line, naming the earlier rule's.  A *network.Clash is placed at
+// the second of the specs that name what it clashes with — a name's
+// declaration, a link end's wiring, a wire's vchan — naming the first;
+// in a fault rule's refusal it stays at the rule and names the vchan.
+func refuse(topo *network.Topology, s *network.System, line int, err error) error {
+	msg, note := err, ""
+	var re *fault.RuleError
+	if errors.As(err, &re) && re.Rule < len(topo.FaultLines) {
+		line, msg = topo.FaultLines[re.Rule], re.Err
+		if re.Prev >= 0 {
+			note = fmt.Sprintf(" (first at line %d)", topo.FaultLines[re.Prev])
+		}
+	}
+	var c *network.Clash
+	if errors.As(err, &c) {
+		lines := clashLines(topo, s, c)
+		switch {
+		case re != nil && len(lines) > 0:
+			note = fmt.Sprintf(" (vchan at line %d)", lines[0])
+		case re == nil && len(lines) > 1:
+			line, note = lines[1], fmt.Sprintf(" (first at line %d)", lines[0])
+		}
+	}
+	if line == 0 {
+		return err
+	}
+	return fmt.Errorf("topology line %d: %w%s", line, msg, note)
+}
+
+// clashLines returns, in order, the lines of the specs that name what c
+// clashes with.
+func clashLines(topo *network.Topology, s *network.System, c *network.Clash) []int {
+	var lines []int
+	add := func(names bool, line int) {
+		if names && line > 0 {
+			lines = append(lines, line)
+		}
+	}
+	is := func(node string, l int) bool { return node == c.Node && l == c.Link }
+	switch c.With {
+	case network.Named:
+		for _, t := range topo.Transputers {
+			add(t.Name == c.Node, t.Line)
+		}
+	case network.Wired:
+		for _, k := range topo.Connections {
+			add(is(k.A, k.ALink) || is(k.B, k.BLink), k.Line)
+		}
+		for _, h := range topo.Hosts {
+			add(is(h.Node, h.Link), h.Line)
+		}
+	case network.Multiplexed:
+		for _, v := range topo.VChans {
+			if n, ok := s.Node(v.Node); ok {
+				peer, pl, ok := n.Peer(v.Link)
+				add(is(v.Node, v.Link) || ok && is(peer.Name, pl), v.Line)
+			}
+		}
+	}
+	slices.Sort(lines)
+	return lines
 }
 
 // PrintLinkStats writes the traffic counters of each connected link's
