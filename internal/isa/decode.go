@@ -1,5 +1,7 @@
 package isa
 
+import "strconv"
+
 // Instr is one decoded instruction: a direct function with its fully
 // prefixed operand, or (when Fn == FnOpr) an indirect operation.
 type Instr struct {
@@ -33,32 +35,7 @@ func (i Instr) Mnemonic() string {
 }
 
 func fullWithOperand(name string, operand int64) string {
-	return name + " " + itoa(operand)
-}
-
-// itoa avoids pulling strconv into the hot disassembly path; it renders a
-// signed decimal.
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	var buf [21]byte
-	i := len(buf)
-	u := uint64(v)
-	if neg {
-		u = uint64(-v)
-	}
-	for u > 0 {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return name + " " + strconv.FormatInt(operand, 10)
 }
 
 // Decode reads one complete instruction (prefix sequence plus final

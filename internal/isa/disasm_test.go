@@ -63,12 +63,3 @@ func TestSdisassembleFormat(t *testing.T) {
 		t.Errorf("unexpected listing:\n%s", s)
 	}
 }
-
-func TestItoa(t *testing.T) {
-	cases := map[int64]string{0: "0", 7: "7", -7: "-7", 754: "754", -256: "-256"}
-	for v, want := range cases {
-		if got := itoa(v); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", v, got, want)
-		}
-	}
-}

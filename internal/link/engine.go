@@ -63,7 +63,8 @@ func (e *Engine) CreditStats() CreditStats { return e.credit }
 
 // NewEngine builds a link engine for a machine and attaches it.  The
 // clock is the machine's own scheduling domain — a standalone kernel
-// or a coordinator shard.
+// or a coordinator shard.  A host end's engine has no machine (m is
+// nil): it moves byte slices on its link 0 and has no probe bus.
 func NewEngine(k sim.Clock, m *core.Machine) *Engine {
 	e := &Engine{k: k, m: m}
 	for i := range e.outs {

@@ -3,7 +3,7 @@
 // The paper's protocol has no failure detector: a sender whose peer
 // dies simply waits forever.  This file adds an opt-in heartbeat: each
 // engine periodically sends a tiny beat packet (BeatBits) down every
-// idle engine-to-engine wire, records the last instant anything —
+// idle wire to another machine, records the last instant anything —
 // data, acknowledge, NAK or beat — arrived on each link, and flips a
 // per-link verdict when the silence exceeds a timeout; a link declared
 // down has its sender paused (park), so nothing is resent into it until
@@ -16,11 +16,11 @@
 // heartbeat's verdict.
 //
 // Beats ride the same serialised signal lines as real traffic, but
-// only when the wire is idle, so they never delay data.  Host-wired
-// links are not monitored: host ends do not beat, and declaring the
-// host dead for its silence would be wrong.  Heartbeat verdicts change
-// only at tick instants, keeping detection deterministic under any
-// shard schedule.
+// only when the wire is idle, so they never delay data.  A host end is
+// link 0 of an engine with no machine: it does not beat, and links
+// wired to one are not monitored, since declaring the host dead for
+// its silence would be wrong.  Heartbeat verdicts change only at tick
+// instants, keeping detection deterministic under any shard schedule.
 package link
 
 import (
@@ -102,17 +102,8 @@ func (e *Engine) heard(l int) {
 	}
 }
 
-func (o *outHalf) heard() {
-	if o.eng != nil {
-		o.eng.heard(o.link)
-	}
-}
-
-func (in *inHalf) heard() {
-	if in.eng != nil {
-		in.eng.heard(in.link)
-	}
-}
+func (o *outHalf) heard() { o.eng.heard(o.link) }
+func (in *inHalf) heard() { in.eng.heard(in.link) }
 
 // beatArrive handles a liveness probe landing on this half's link.
 func (in *inHalf) beatArrive() {
@@ -120,10 +111,11 @@ func (in *inHalf) beatArrive() {
 }
 
 // monitored reports whether link l joins the heartbeat exchange: it
-// must be wired to another engine.  Host ends never beat.
+// must be wired to another machine's engine.  A host end's engine has
+// no machine and never beats.
 func (e *Engine) monitored(l int) bool {
 	w := e.outs[l].wire
-	return w != nil && w.rx.in.eng != nil
+	return w != nil && w.rx.in.eng.m != nil
 }
 
 // hbTick is the periodic monitor body: pass verdicts on every

@@ -77,10 +77,10 @@ func TestSingleByteBufferFlowControl(t *testing.T) {
 		t.Fatal("send completed with no receiver")
 	}
 	// One data byte is on the wire/buffer; nothing more.
-	if got := a.out.sent; got != 0 {
+	if got := a.e.outs[0].sent; got != 0 {
 		t.Errorf("sender advanced %d bytes without acknowledge", got)
 	}
-	if !b.in.bufferValid {
+	if !b.e.ins[0].bufferValid {
 		t.Error("first byte should be buffered at the receiver")
 	}
 
@@ -122,7 +122,7 @@ func TestBidirectional(t *testing.T) {
 func TestAckPriority(t *testing.T) {
 	k, a, b := hostPair()
 	var order []bool // true = ack
-	w := a.out.wire
+	w := a.e.outs[0].wire
 	// Queue data then an ack while the wire is busy; the ack must go
 	// first.  The fault hook sees every frame as it starts transmission.
 	w.hook = func(isCtl bool) FaultAction {
@@ -145,7 +145,7 @@ func TestWireStats(t *testing.T) {
 	b.Recv(10, func([]byte) {})
 	a.Send(make([]byte, 10), nil)
 	k.Run()
-	st := a.out.wire.stats
+	st := a.e.outs[0].wire.stats
 	if st.DataBytes != 10 {
 		t.Errorf("data bytes = %d, want 10", st.DataBytes)
 	}
@@ -153,7 +153,7 @@ func TestWireStats(t *testing.T) {
 		t.Errorf("busy = %d ns", st.BusyNs)
 	}
 	// The reverse wire carried the 10 acks.
-	rst := b.out.wire.stats
+	rst := b.e.outs[0].wire.stats
 	if rst.Acks != 10 {
 		t.Errorf("acks = %d, want 10", rst.Acks)
 	}
@@ -201,7 +201,11 @@ func TestZeroLengthTransfer(t *testing.T) {
 
 // TestHostEndBusy: a host end carries one message each way at a time,
 // and asking for a second reports false and leaves the first alone.
+// An unwired end, like an engine's unwired link, refuses both.
 func TestHostEndBusy(t *testing.T) {
+	if u := NewHostEnd(sim.NewKernel()); u.Send([]byte{1}, nil) || u.Recv(1, func([]byte) {}) {
+		t.Error("an unwired host end took a transfer")
+	}
 	k, a, b := hostPair()
 	var got []byte
 	if !b.Recv(2, func(d []byte) { got = d }) || b.Recv(2, func([]byte) { t.Error("second receive ran") }) {

@@ -142,9 +142,6 @@ func (o *outHalf) retransmit() {
 	o.rel.retries++
 	if o.rel.retries > o.rel.maxRetries {
 		o.rel.failed = true
-		if o.eng == nil {
-			return
-		}
 		if o.eng.bus != nil {
 			o.eng.emit(probe.Event{Kind: probe.LinkDown, Link: o.link,
 				Arg: int64(o.rel.maxRetries), Flow: o.flow})
@@ -154,7 +151,7 @@ func (o *outHalf) retransmit() {
 		}
 		return
 	}
-	if o.eng != nil && o.eng.bus != nil {
+	if o.eng.bus != nil {
 		o.eng.emit(probe.Event{Kind: probe.LinkRetransmit, Link: o.link,
 			Arg: int64(o.rel.retries), Flow: o.flow})
 	}
@@ -179,7 +176,7 @@ func (o *outHalf) relAckArrived(seq byte) {
 		return // stale or duplicate acknowledge
 	}
 	o.cancelRetryTimer()
-	if o.txEnded && o.eng != nil && o.eng.bus != nil {
+	if o.txEnded && o.eng.bus != nil {
 		if stall := o.eng.k.Now() - o.txEndAt; stall > 0 {
 			o.eng.emit(probe.Event{Kind: probe.AckStall, Link: o.link, Dur: stall,
 				Flow: o.flow})
@@ -246,7 +243,7 @@ func (in *inHalf) sendRelAck(seq byte) {
 }
 
 func (in *inHalf) sendNak() {
-	if in.eng != nil && in.eng.bus != nil {
+	if in.eng.bus != nil {
 		in.eng.emit(probe.Event{Kind: probe.LinkNak, Link: in.link, Flow: in.flow})
 	}
 	in.ackWire.send(packet{kind: pktNak, rel: true, bits: NakBits, flow: in.flow})

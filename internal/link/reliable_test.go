@@ -55,7 +55,7 @@ func TestReliableCleanTransfer(t *testing.T) {
 	if !sent || !bytes.Equal(got, msg) {
 		t.Fatalf("sent=%v, message intact=%v", sent, bytes.Equal(got, msg))
 	}
-	if st := a.out.wire.stats; st.Naks != 0 {
+	if st := a.e.outs[0].wire.stats; st.Naks != 0 {
 		t.Errorf("clean wire produced %d naks", st.Naks)
 	}
 }
@@ -65,7 +65,7 @@ func TestReliableCleanTransfer(t *testing.T) {
 func TestReliableCorruptionRecovered(t *testing.T) {
 	k, a, b := reliablePair(0, 0)
 	n := 0
-	a.out.wire.hook = func(isCtl bool) FaultAction {
+	a.e.outs[0].wire.hook = func(isCtl bool) FaultAction {
 		if isCtl {
 			return FaultAction{}
 		}
@@ -83,7 +83,7 @@ func TestReliableCorruptionRecovered(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted despite error-detecting mode")
 	}
-	if st := b.out.wire.stats; st.Naks == 0 {
+	if st := b.e.outs[0].wire.stats; st.Naks == 0 {
 		t.Error("corruption produced no naks")
 	}
 }
@@ -96,7 +96,7 @@ func TestReliableCorruptionRecovered(t *testing.T) {
 func TestRetransmitAccounting(t *testing.T) {
 	k, a, b := reliablePair(0, 0)
 	n := 0
-	a.out.wire.hook = func(isCtl bool) FaultAction {
+	a.e.outs[0].wire.hook = func(isCtl bool) FaultAction {
 		if isCtl {
 			return FaultAction{}
 		}
@@ -114,7 +114,7 @@ func TestRetransmitAccounting(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted despite error-detecting mode")
 	}
-	st := a.out.wire.stats
+	st := a.e.outs[0].wire.stats
 	if st.DataBytes != uint64(len(msg)) {
 		t.Errorf("goodput = %d data bytes, want exactly %d (retransmissions must not inflate it)",
 			st.DataBytes, len(msg))
@@ -137,8 +137,8 @@ func TestReliableDropRecovered(t *testing.T) {
 		n++
 		return FaultAction{Drop: n%7 == 0}
 	}
-	a.out.wire.hook = drop
-	b.out.wire.hook = drop // also lose some acks
+	a.e.outs[0].wire.hook = drop
+	b.e.outs[0].wire.hook = drop // also lose some acks
 	msg := testMsg(150)
 	var got []byte
 	sent := false
@@ -148,7 +148,7 @@ func TestReliableDropRecovered(t *testing.T) {
 	if !sent || !bytes.Equal(got, msg) {
 		t.Fatalf("sent=%v intact=%v after drops", sent, bytes.Equal(got, msg))
 	}
-	if a.out.rel.failed {
+	if a.e.outs[0].rel.failed {
 		t.Error("link declared down despite recoverable loss")
 	}
 }
@@ -157,7 +157,7 @@ func TestReliableDropRecovered(t *testing.T) {
 // sender gives up rather than spinning forever.
 func TestReliableLinkDown(t *testing.T) {
 	k, a, b := reliablePair(sim.Microsecond, 4)
-	a.out.wire.hook = func(isCtl bool) FaultAction { return FaultAction{Drop: !isCtl} }
+	a.e.outs[0].wire.hook = func(isCtl bool) FaultAction { return FaultAction{Drop: !isCtl} }
 	sent := false
 	b.Recv(4, func([]byte) {})
 	a.Send([]byte{1, 2, 3, 4}, func() { sent = true })
@@ -165,11 +165,11 @@ func TestReliableLinkDown(t *testing.T) {
 	if sent {
 		t.Fatal("send completed over a dead wire")
 	}
-	if !a.out.rel.failed {
+	if !a.e.outs[0].rel.failed {
 		t.Fatal("retry budget exhausted but link not marked down")
 	}
-	if a.out.rel.retries <= 4 {
-		t.Errorf("retries = %d, want budget exceeded", a.out.rel.retries)
+	if a.e.outs[0].rel.retries <= 4 {
+		t.Errorf("retries = %d, want budget exceeded", a.e.outs[0].rel.retries)
 	}
 }
 
@@ -277,7 +277,7 @@ func TestSeverRacesNak(t *testing.T) {
 func TestReliableDuplicateSuppression(t *testing.T) {
 	k, a, b := reliablePair(2*sim.Microsecond, 16)
 	n := 0
-	b.out.wire.hook = func(isCtl bool) FaultAction {
+	b.e.outs[0].wire.hook = func(isCtl bool) FaultAction {
 		if !isCtl {
 			return FaultAction{}
 		}

@@ -219,9 +219,8 @@ type wire struct {
 
 	// tx is the sending half whose data frames this line carries: it is
 	// told when each one's bits are out, and its engine and link number
-	// attribute the wire's probe events (host ends have no engine and
-	// publish nothing).  Nothing queued or in flight is delivered while
-	// its end is cut (tx.cuts).  rx is the receiving end.
+	// attribute the wire's probe events.  Nothing queued or in flight is
+	// delivered while its end is cut (tx.cuts).  rx is the receiving end.
 	tx *outHalf
 	rx *rxEnd
 
@@ -339,9 +338,8 @@ func (w *wire) transmitNext() {
 	cut := w.tx.cuts != 0
 	dropped := act.Drop || cut
 	// The wire's probe events are attributed to the engine whose sending
-	// half it serves (host ends have none and publish nothing); no event
-	// is built unless a bus is there to hear it.
-	if e := w.tx.eng; e != nil && e.bus != nil {
+	// half it serves; no event is built unless a bus is there to hear it.
+	if e := w.tx.eng; e.bus != nil {
 		link := w.tx.link
 		e.emit(probe.Event{Kind: probe.WirePacket, Link: link,
 			Ack: isCtl, Bytes: boolByte(!isCtl), Dur: sim.Time(dur), Flow: p.flow})

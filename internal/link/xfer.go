@@ -35,7 +35,7 @@ import (
 type outHalf struct {
 	wire *wire // this end's outgoing signal line for the link
 
-	// eng and link attribute ack-stall probe events; nil for host ends.
+	// eng and link are the engine and link this half belongs to.
 	eng  *Engine
 	link int
 
@@ -108,7 +108,7 @@ type inHalf struct {
 	// acknowledge buys.
 	stopAndWait bool
 
-	// eng and link attribute NAK probe events; nil for host ends.
+	// eng and link are the engine and link this half belongs to.
 	eng  *Engine
 	link int
 
@@ -138,12 +138,10 @@ func (o *outHalf) start(buf []byte, ptr uint64, count int, done func()) {
 		o.stalledAtStart = o.rel.failed
 		return
 	}
-	if o.eng != nil {
-		// Data is about to share the line with the acknowledges this
-		// end's receiver promised: from here on they queue like any
-		// frame, so they must be frames.
-		o.eng.ins[o.link].revoke()
-	}
+	// Data is about to share the line with the acknowledges this end's
+	// receiver promised: from here on they queue like any frame, so they
+	// must be frames.
+	o.eng.ins[o.link].revoke()
 	o.sendByte()
 }
 
@@ -171,7 +169,7 @@ func (o *outHalf) sendByte() {
 
 func (o *outHalf) txEnd() {
 	o.txEnded = true
-	if !o.acked && o.eng != nil {
+	if !o.acked {
 		o.txEndAt = o.eng.k.Now()
 	}
 	o.advance()
@@ -185,7 +183,7 @@ func (o *outHalf) ackArrived(grant int) {
 	// An ack landing after the byte finished transmitting stalls the
 	// sender for the difference (the overlapped acknowledge of figure 1
 	// exists to make this zero in the streaming case).
-	if o.txEnded && !o.acked && o.eng != nil && o.eng.bus != nil {
+	if o.txEnded && !o.acked && o.eng.bus != nil {
 		if stall := o.eng.k.Now() - o.txEndAt; stall > 0 {
 			o.eng.emit(probe.Event{Kind: probe.AckStall, Link: o.link,
 				Dur: stall, Flow: o.flow})
@@ -220,9 +218,7 @@ func (o *outHalf) creditRevoked(owed int) {
 // as it does per packet).
 func (o *outHalf) cutCredit() {
 	o.credit = 0
-	if o.eng != nil {
-		o.eng.ins[o.link].granted = 0
-	}
+	o.eng.ins[o.link].granted = 0
 	if o.ackAt > o.wire.k.Now() {
 		o.acked = false
 		o.ackAt = 0
@@ -309,7 +305,7 @@ func (in *inHalf) noteFlow(flow uint64) {
 		return
 	}
 	in.flow = flow
-	if flow == in.flowSeen || in.eng == nil || in.eng.bus == nil {
+	if flow == in.flowSeen || in.eng.bus == nil {
 		return
 	}
 	in.flowSeen = flow
@@ -381,16 +377,17 @@ func (in *inHalf) sendAck(pending int) {
 }
 
 // mayGrant reports whether the acknowledges of this link, in this
-// direction, are unobservable and undelayable: both ends engines on
-// different ports, neither with a probe bus or a liveness monitor, the
-// plain protocol with the overlapped acknowledge, no multiplexer, no
-// fault hook on either line, the cable whole, and the acknowledge line
-// idle with this end sending no data on it.  Everything read of the far
+// direction, are unobservable and undelayable: the two ends on
+// different ports (a host end shares its node's), neither with a probe
+// bus or a liveness monitor, the plain protocol with the overlapped
+// acknowledge, no multiplexer, no fault hook on either line, the cable
+// whole, and the acknowledge line idle with this end sending no data on
+// it.  Everything read of the far
 // end is configuration, settled before traffic flows.
 func (in *inHalf) mayGrant() bool {
 	w := in.ackWire
 	if w.to == nil {
-		return false // only Connect wires across ports, and it wires engines
+		return false // one clock: there is no post to save
 	}
 	far := w.rx.out // the half sending to this one
 	e, fe := in.eng, far.eng

@@ -2,6 +2,7 @@ package network
 
 import (
 	"io"
+	"strconv"
 
 	"transputer/internal/link"
 	"transputer/internal/probe"
@@ -108,7 +109,7 @@ func (h *Host) readCommand() {
 				v := decodeWord(d)
 				h.emit(HostCmdPutWord, v)
 				h.Values = append(h.Values, v)
-				h.write([]byte(formatInt(v) + "\n"))
+				h.write([]byte(strconv.FormatInt(v, 10) + "\n"))
 				h.readCommand()
 			})
 		case HostCmdExit:
@@ -178,27 +179,4 @@ func encodeWord(v int64, n int) []byte {
 		u >>= 8
 	}
 	return out
-}
-
-func formatInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	var buf [21]byte
-	i := len(buf)
-	u := uint64(v)
-	if neg {
-		u = uint64(-v)
-	}
-	for u > 0 {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

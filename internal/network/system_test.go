@@ -8,6 +8,7 @@ import (
 	"transputer/internal/asm"
 	"transputer/internal/core"
 	"transputer/internal/fault"
+	"transputer/internal/link"
 	"transputer/internal/network"
 	"transputer/internal/sim"
 )
@@ -162,16 +163,9 @@ func TestHostProtocol(t *testing.T) {
 	}
 }
 
-// TestHostInput: the program requests a word from the host queue.
-func TestHostInput(t *testing.T) {
-	s := network.NewSystem()
-	n := s.MustAddTransputer("app", cfg())
-	host, err := s.AttachHost(n, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host.QueueInput(77)
-	load(t, n, `
+// hostEcho asks the host for a word (HostCmdGetWord), reads it into
+// local 1, reports it back (HostCmdPutWord) and exits.
+const hostEcho = `
 	ldc 5          -- get word command
 	mint
 	outword
@@ -190,7 +184,18 @@ func TestHostInput(t *testing.T) {
 	mint
 	outword
 	stopp
-`)
+`
+
+// TestHostInput: the program requests a word from the host queue.
+func TestHostInput(t *testing.T) {
+	s := network.NewSystem()
+	n := s.MustAddTransputer("app", cfg())
+	host, err := s.AttachHost(n, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.QueueInput(77)
+	load(t, n, hostEcho)
 	rep := s.Run(10 * sim.Millisecond)
 	if !rep.Settled || !host.Done {
 		t.Fatalf("rep=%+v done=%v", rep, host.Done)
@@ -200,6 +205,47 @@ func TestHostInput(t *testing.T) {
 	}
 	if len(host.Values) != 1 || host.Values[0] != 77 {
 		t.Errorf("echoed %v", host.Values)
+	}
+}
+
+// TestHostAttachedAfterReliable: a host attached after the system has
+// switched to the error-detecting mode speaks that mode too, so the
+// order of AttachHost and SetReliable shows in neither the output nor
+// the timing.  The host sends data (a get-word reply), so a host end
+// left on the plain protocol would finish early on a quieter wire.
+func TestHostAttachedAfterReliable(t *testing.T) {
+	type result struct {
+		out    string
+		doneAt sim.Time
+		wire   link.WireStats
+	}
+	run := func(attachFirst bool) result {
+		s := network.NewSystem()
+		n := s.MustAddTransputer("app", cfg())
+		if !attachFirst {
+			s.SetReliable()
+		}
+		var out bytes.Buffer
+		host, err := s.AttachHost(n, 0, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attachFirst {
+			s.SetReliable()
+		}
+		host.QueueInput(77)
+		load(t, n, hostEcho)
+		if rep := s.Run(10 * sim.Millisecond); !rep.Settled || !host.Done {
+			t.Fatalf("attachFirst=%v: rep=%+v done=%v", attachFirst, rep, host.Done)
+		}
+		return result{out.String(), host.DoneAt, n.Engine.WireStats(0)}
+	}
+	before, after := run(true), run(false)
+	if before.out != "77\n" {
+		t.Errorf("output %q, want %q", before.out, "77\n")
+	}
+	if after != before {
+		t.Errorf("host attached after SetReliable: %+v, before it: %+v", after, before)
 	}
 }
 

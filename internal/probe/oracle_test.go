@@ -3,6 +3,7 @@ package probe_test
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -142,7 +143,16 @@ func TestTimelineStoreAllocGuard(t *testing.T) {
 // the fault, NAK and retransmit kinds, flows with retry tails, a host
 // far end and occam source locations.
 func TestLossyLinkMatchesReference(t *testing.T) {
-	net, err := tool.LoadNetworkFile(filepath.Join("..", "..", "examples", "faults", "lossy-link.tnet"), io.Discard)
+	dir := filepath.Join("..", "..", "examples", "faults")
+	src, err := os.ReadFile(filepath.Join(dir, "lossy-link.tnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := network.ParseTopology(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := tool.BuildNetwork(topo, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"os"
 	"path/filepath"
 	"slices"
 
@@ -241,19 +240,6 @@ func PrintLinkStats(w io.Writer, n *network.Node) {
 				i, n.Engine.VChans(i), ms.Chunks, ms.ChunkBytes, ms.Credits)
 		}
 	}
-}
-
-// LoadNetworkFile parses a topology file and builds its system.
-func LoadNetworkFile(path string, out io.Writer) (*Network, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := network.ParseTopology(string(src))
-	if err != nil {
-		return nil, err
-	}
-	return BuildNetwork(topo, filepath.Dir(path), out)
 }
 
 // OneNode is trun's topology: one transputer, main, running program

@@ -12,16 +12,31 @@ import (
 	"transputer/internal/sim"
 )
 
+// buildRing parses and builds the shipped netdemo ring.
+func buildRing(t *testing.T) *Network {
+	t.Helper()
+	dir := filepath.Join("..", "..", "examples", "netdemo")
+	src, err := os.ReadFile(filepath.Join(dir, "ring.tnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := network.ParseTopology(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := BuildNetwork(topo, dir, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // TestRingTimelineAcceptance runs the shipped netdemo ring with a
 // timeline attached and checks the exported Chrome trace is valid JSON
 // containing scheduler, channel-transfer and wire events from at least
 // two nodes.
 func TestRingTimelineAcceptance(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "netdemo", "ring.tnet")
-	net, err := LoadNetworkFile(path, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := buildRing(t)
 	obs := NewObserver(net.System)
 	out := filepath.Join(t.TempDir(), "ring.json")
 	obs.EnableTimeline(out)
@@ -138,11 +153,7 @@ func TestProfilerAttribution(t *testing.T) {
 // TestObserverMetricsEndToEnd: metrics from a real run account busy
 // time and link traffic.
 func TestObserverMetricsEndToEnd(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "netdemo", "ring.tnet")
-	net, err := LoadNetworkFile(path, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := buildRing(t)
 	obs := NewObserver(net.System)
 	obs.EnableMetrics()
 	obs.Start()
