@@ -1,6 +1,6 @@
 package transputer_test
 
-// The go test -bench surface: three benchmarks that measure the
+// The go test -bench surface: four benchmarks that measure the
 // simulator itself.  The repo's benchmark is benchmark/ (go run
 // ./benchmark); these stay as the way to profile (go test -bench X
 // -cpuprofile).  The paper's tables and figures are tests, not
@@ -18,6 +18,7 @@ package transputer_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"transputer"
 
@@ -70,10 +71,28 @@ func BenchmarkDatabaseSearch128(b *testing.B) {
 	}
 }
 
+// BenchmarkDatabaseSearch1024 is the same search on a 32 × 32 array,
+// for what a node costs the host at scale (live-B/node).
+func BenchmarkDatabaseSearch1024(b *testing.B) {
+	b.ReportAllocs()
+	p := dbsearch.Defaults128()
+	p.Rows, p.Cols = 32, 32
+	benchSearch(b, p, 4)
+}
+
+// benchSearch runs queries searches on a built array b.N times and
+// reports the per-query period, the records searched and the heap the
+// array holds once its run is over, a node (live-B/node).
 func benchSearch(b *testing.B, p dbsearch.Params, queries int) sim.Time {
 	b.Helper()
 	var perQuery sim.Time
+	var live uint64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
 		s, err := dbsearch.Build(p)
 		if err != nil {
 			b.Fatal(err)
@@ -92,9 +111,16 @@ func benchSearch(b *testing.B, p dbsearch.Params, queries int) sim.Time {
 			}
 		}
 		perQuery = rep.Time / sim.Time(queries)
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		live = after.HeapAlloc - before.HeapAlloc
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(perQuery)/1000, "µs/query")
 	b.ReportMetric(float64(p.TotalRecords()), "records")
+	b.ReportMetric(float64(live)/float64(p.Rows*p.Cols), "live-B/node")
 	return perQuery
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 
 	"transputer/internal/isa"
@@ -32,9 +31,9 @@ import (
 //
 // Blocks are chained: a block remembers the block that followed it by
 // falling through and the one that followed it any other way, so a loop
-// moves from block to block without consulting the lookup map (see
-// find).  An edge is a hint, trusted only while the block it names is
-// still valid and starts at the instruction pointer, which is why
+// moves from block to block without consulting the index (see find).
+// An edge is a hint, trusted only while the block it names is still
+// valid and starts at the instruction pointer, which is why
 // invalidating a block never has to find the edges that point at it.
 //
 // Self-modifying code still works: every memory write is filtered
@@ -133,26 +132,35 @@ const (
 	maxBlocks = 4096
 )
 
-// blockCache holds a machine's decoded blocks.
+// blockCache holds a machine's decoded blocks in one index sorted by
+// start address, blocks[i] starting at starts[i]: a node decodes a few
+// dozen blocks, and a slice sized to them costs less to hold than a map
+// and is walked in order without a sort.  Every block in it is valid.
 type blockCache struct {
-	blocks map[uint64]*block // start address -> block
-	lo, hi uint64            // union of covered offsets, the write filter
+	starts []uint64
+	blocks []*block
+	lo, hi uint64 // union of covered offsets, the write filter
 }
 
 func (m *Machine) bcache() *blockCache {
 	if m.bc == nil {
-		m.bc = &blockCache{
-			blocks: make(map[uint64]*block),
-			lo:     ^uint64(0),
-		}
+		m.bc = &blockCache{lo: ^uint64(0)}
 	}
 	return m.bc
 }
 
+// lookup returns the block starting at addr, or nil.
+func (bc *blockCache) lookup(addr uint64) *block {
+	if i, ok := slices.BinarySearch(bc.starts, addr); ok {
+		return bc.blocks[i]
+	}
+	return nil
+}
+
 // flushBlocks drops every cached block: program load or cache overflow.
 // The dropped blocks stay marked valid but can never run again: chain
-// edges are reachable only from the map and the cursor, both cleared
-// here, and are only ever filled with blocks of the current map.
+// edges are reachable only from the index and the cursor, both cleared
+// here, and are only ever filled with blocks of the current index.
 func (m *Machine) flushBlocks() {
 	m.bc = nil
 	m.curBlock = nil
@@ -172,22 +180,27 @@ func (m *Machine) SetBlockCache(on bool) {
 }
 
 // noteCodeWrite invalidates every cached block overlapping the written
-// byte range [off, off+n).  Callers have already tested the range
-// against the cache's lo/hi filter, which no store of a compiled
-// program passes, so walking the whole map costs ordinary runs nothing;
-// the walk goes in key order so that it is deterministic.
+// byte range [off, off+n), compacting the index in place.  Callers have
+// already tested the range against the cache's lo/hi filter, which no
+// store of a compiled program passes, so walking the whole index costs
+// ordinary runs nothing.
 func (m *Machine) noteCodeWrite(off, n uint64) {
 	bc := m.bc
-	for _, start := range slices.Sorted(maps.Keys(bc.blocks)) {
-		if b := bc.blocks[start]; b.startOff < off+n && off < b.endOff {
+	kept := 0
+	for i, b := range bc.blocks {
+		if b.startOff < off+n && off < b.endOff {
 			// A dead block is never executed again, so its edges only
 			// keep its successors — and theirs, once they die too —
 			// reachable from whatever stale edge still names it.
 			b.valid = false
 			b.succ = [2]*block{}
-			delete(bc.blocks, start)
+			continue
 		}
+		bc.starts[kept], bc.blocks[kept] = bc.starts[i], b
+		kept++
 	}
+	clear(bc.blocks[kept:])
+	bc.starts, bc.blocks = bc.starts[:kept], bc.blocks[:kept]
 }
 
 // pureOp classifies an indirect operation.  A pure one — no control
@@ -269,7 +282,9 @@ func (m *Machine) decodeBlock(iptr uint64) *block {
 	}
 	b := &block{code: m.store.intern(recs[:n], m.mem[startOff:prevOff], startOff,
 		uint8(m.wordBits)), valid: true}
-	bc.blocks[iptr] = b
+	i, _ := slices.BinarySearch(bc.starts, iptr)
+	bc.starts = slices.Insert(bc.starts, i, iptr)
+	bc.blocks = slices.Insert(bc.blocks, i, b)
 	if b.startOff < bc.lo {
 		bc.lo = b.startOff
 	}
@@ -386,7 +401,7 @@ func (m *Machine) decodeRec(addr, memLen uint64) (blockRec, bool) {
 // cursor's own when execution ran straight on, else the first record of
 // the block that starts there, reached over a chain edge when the
 // cursor stands past the end of a block or on its last record (the
-// terminator a batch left to Step) and through the lookup map otherwise
+// terminator a batch left to Step) and through the index otherwise
 // (a cold edge, a return to a new caller, a process switch, a block
 // invalidated under the cursor).  With decode set a missing block
 // is translated and the edge taken is recorded; without it find only
@@ -411,7 +426,7 @@ func (m *Machine) find(decode bool) (*block, int) {
 	}
 	var s *block
 	if m.bc != nil {
-		s = m.bc.blocks[m.Iptr] // holds valid blocks only
+		s = m.bc.lookup(m.Iptr) // holds valid blocks only
 	}
 	if s == nil && decode {
 		s = m.decodeBlock(m.Iptr)

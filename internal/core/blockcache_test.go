@@ -9,6 +9,7 @@ import (
 	"transputer/internal/core"
 	"transputer/internal/isa"
 	"transputer/internal/probe"
+	"transputer/internal/raceflag"
 	"transputer/internal/sim"
 )
 
@@ -366,54 +367,135 @@ func stepOne(m *core.Machine) int {
 }
 
 // TestCodeWriteDropsOverlappingBlocks: a store into code invalidates
-// exactly the blocks whose bytes it overlaps.  The program is a block
+// exactly the blocks whose bytes it overlaps, and leaves the index
+// sorted and holding valid blocks only.  The first program is a block
 // near the start of a 256-byte page that jumps over unexecuted bytes to
 // a block straddling the next page boundary, three bytes before it and
-// three after; each write lands on a fresh run of it, and a write to a
-// block's page that misses its bytes leaves it cached.
+// three after; a write to a block's page that misses its bytes leaves
+// it cached.  The second is a loop whose branch enters its first block
+// mid-way, so two blocks overlap, followed by a tail block.  The third
+// decodes its blocks out of address order.  Each write lands on a
+// fresh run, and a reload (which flushes the cache) and a
+// second run rebuild the index.
 func TestCodeWriteDropsOverlappingBlocks(t *testing.T) {
 	cfg := core.T424().WithMemory(64 * 1024)
 	start := core.MustNew(cfg).CodeStart()
+	if start%4 != 0 {
+		t.Fatalf("code starts at %#x, off a word boundary", start)
+	}
 	boundary := start&^0xFF + 0x100
 	// ldc 1, stl 1 and a prefixed j are 4 bytes; the second block,
 	// ldc 2, stl 2, ldc 3, stl 3 and a prefixed stopp, is 6.
 	pad := int(boundary-start) - 3 - 4
-	img := assemble(t, fmt.Sprintf(
-		"\tldc 1\n\tstl 1\n\tj b\n\tspace %d\nb:\tldc 2\n\tstl 2\n\tldc 3\n\tstl 3\n\tstopp\n", pad))
 	first := [2]uint64{start, start + 4}
 	straddler := [2]uint64{boundary - 3, boundary + 3}
+	type program struct {
+		img core.Image
+		ran [][2]uint64 // the blocks a run leaves
+	}
+	jumpOver := program{assemble(t, fmt.Sprintf(
+		"\tldc 1\n\tstl 1\n\tj b\n\tspace %d\nb:\tldc 2\n\tstl 2\n\tldc 3\n\tstl 3\n\tstopp\n", pad)),
+		[][2]uint64{first, straddler}}
+	// ldc 0 and stl 1 are 2 bytes, the loop body to its nfix-prefixed
+	// cj 7 more, and the prefixed stopp 2.
+	whole := [2]uint64{start, start + 9}
+	entered := [2]uint64{start + 2, start + 9}
+	tail := [2]uint64{start + 9, start + 11}
+	loop := program{assemble(t, "\tldc 0\n\tstl 1\nmid:\tldl 1\n\tadc 1\n\tstl 1\n\tldl 1\n\teqc 2\n\tcj mid\n\tstopp\n"),
+		[][2]uint64{whole, entered, tail}}
+	// A 1-byte j forward over the 4-byte block it skips, then ldc 1,
+	// stl 1 and an nfix-prefixed j back to it.
+	jumpFwd, skipped, jumpBack := [2]uint64{start, start + 1}, [2]uint64{start + 1, start + 5}, [2]uint64{start + 5, start + 9}
+	backward := program{assemble(t, "\tj fwd\nback:\tldc 2\n\tstl 2\n\tstopp\nfwd:\tldc 1\n\tstl 1\n\tj back\n"),
+		[][2]uint64{jumpFwd, skipped, jumpBack}}
 	for _, tc := range []struct {
 		name  string
+		prog  program
 		write func(m *core.Machine)
 		want  [][2]uint64
 	}{
-		{"gap byte on the first block's page", func(m *core.Machine) { m.SetByteAt(start+16, 0) },
+		{"gap byte on the first block's page", jumpOver, func(m *core.Machine) { m.SetByteAt(start+16, 0) },
 			[][2]uint64{first, straddler}},
-		{"first block's last byte", func(m *core.Machine) { m.SetByteAt(start+3, m.ByteAt(start+3)) },
+		{"first block's last byte", jumpOver, func(m *core.Machine) { m.SetByteAt(start+3, m.ByteAt(start+3)) },
 			[][2]uint64{straddler}},
-		{"straddler's byte below the boundary", func(m *core.Machine) { m.SetByteAt(boundary-1, m.ByteAt(boundary-1)) },
+		{"straddler's byte below the boundary", jumpOver, func(m *core.Machine) { m.SetByteAt(boundary-1, m.ByteAt(boundary-1)) },
 			[][2]uint64{first}},
-		{"straddler's word above the boundary", func(m *core.Machine) { m.WriteWord(boundary, m.ReadWord(boundary)) },
+		{"straddler's word above the boundary", jumpOver, func(m *core.Machine) { m.WriteWord(boundary, m.ReadWord(boundary)) },
 			[][2]uint64{first}},
-		{"word ending below the straddler", func(m *core.Machine) { m.WriteWord(boundary-8, m.ReadWord(boundary-8)) },
+		{"word ending below the straddler", jumpOver, func(m *core.Machine) { m.WriteWord(boundary-8, m.ReadWord(boundary-8)) },
 			[][2]uint64{first, straddler}},
+		{"loop's first byte", loop, func(m *core.Machine) { m.SetByteAt(start, m.ByteAt(start)) },
+			[][2]uint64{entered, tail}},
+		{"byte where the loop is entered", loop, func(m *core.Machine) { m.SetByteAt(start+2, m.ByteAt(start+2)) },
+			[][2]uint64{tail}},
+		{"word spanning the loop's end and the tail", loop, func(m *core.Machine) { m.WriteWord(start+8, m.ReadWord(start+8)) },
+			nil},
+		{"tail's last byte", loop, func(m *core.Machine) { m.SetByteAt(start+10, m.ByteAt(start+10)) },
+			[][2]uint64{whole, entered}},
+		{"block decoded last", backward, func(m *core.Machine) { m.SetByteAt(start+2, m.ByteAt(start+2)) },
+			[][2]uint64{jumpFwd, jumpBack}},
 	} {
 		m := core.MustNew(cfg)
-		if err := m.Load(img); err != nil {
-			t.Fatal(err)
-		}
-		for !m.Idle() {
-			if stepOne(m) == 0 {
-				t.Fatalf("%s: stopped: %v", tc.name, m.Fault())
+		run := func(when string) {
+			if err := m.Load(tc.prog.img); err != nil {
+				t.Fatal(err)
+			}
+			if got := core.CachedRanges(m); got != nil {
+				t.Fatalf("%s: blocks %x %s, before the run", tc.name, got, when)
+			}
+			for !m.Idle() {
+				if stepOne(m) == 0 {
+					t.Fatalf("%s: stopped: %v", tc.name, m.Fault())
+				}
+			}
+			if got := core.CachedRanges(m); !reflect.DeepEqual(got, tc.prog.ran) {
+				t.Fatalf("%s: blocks %x %s, want %x", tc.name, got, when, tc.prog.ran)
 			}
 		}
-		if got, want := core.CachedRanges(m), [][2]uint64{first, straddler}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: blocks %x after the run, want %x", tc.name, got, want)
-		}
+		run("after the run")
 		tc.write(m)
 		if got := core.CachedRanges(m); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: blocks %x after the write, want %x", tc.name, got, tc.want)
 		}
+		if err := core.CheckIndex(m); err != nil {
+			t.Errorf("%s: after the write: %v", tc.name, err)
+		}
+		run("after a reload and a rerun")
+		if err := core.CheckIndex(m); err != nil {
+			t.Errorf("%s: after a reload and a rerun: %v", tc.name, err)
+		}
+	}
+}
+
+// TestCodeWriteAllocFree: a store that passes the cache's write filter
+// walks and compacts the block index in place, allocating nothing,
+// whether it drops a block or misses them all.
+func TestCodeWriteAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	start := m.CodeStart()
+	if err := m.Load(assemble(t, "\tldc 0\n\tstl 1\nmid:\tldl 1\n\tadc 1\n\tstl 1\n\tldl 1\n\teqc 2\n\tcj mid\n\tstopp\n")); err != nil {
+		t.Fatal(err)
+	}
+	for !m.Idle() {
+		if stepOne(m) == 0 {
+			t.Fatalf("stopped: %v", m.Fault())
+		}
+	}
+	if blocks, _ := core.CachedCode(m); blocks != 3 {
+		t.Fatalf("%d blocks cached, want 3", blocks)
+	}
+	// Drop the tail, the whole loop, the block entered mid-way, then
+	// nothing: the filter still covers all three.
+	for _, off := range []uint64{10, 1, 2, 5} {
+		if n := testing.AllocsPerRun(100, func() { m.SetByteAt(start+off, m.ByteAt(start+off)) }); n != 0 {
+			t.Errorf("a store at code offset %d allocates %.1f times", off, n)
+		}
+	}
+	if blocks, _ := core.CachedCode(m); blocks != 0 {
+		t.Errorf("%d blocks left, want 0", blocks)
 	}
 }
 

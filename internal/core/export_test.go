@@ -1,8 +1,7 @@
 package core
 
 import (
-	"maps"
-	"slices"
+	"fmt"
 	"unsafe"
 )
 
@@ -25,15 +24,13 @@ func BackFully(m *Machine) { m.resize(uint64(m.cfg.MemBytes)) }
 func BackedBytes(m *Machine) int { return len(m.mem) }
 
 // ReachableBlocks counts the decoded blocks the machine keeps alive:
-// everything reachable from the lookup map and the cursor over chain
-// edges, invalidated blocks included.
+// everything reachable from the index and the cursor over chain edges,
+// invalidated blocks included.
 func ReachableBlocks(m *Machine) int {
 	seen := map[*block]bool{}
 	var todo []*block
 	if m.bc != nil {
-		for _, b := range m.bc.blocks {
-			todo = append(todo, b)
-		}
+		todo = append(todo, m.bc.blocks...)
 	}
 	todo = append(todo, m.curBlock)
 	for len(todo) > 0 {
@@ -53,8 +50,8 @@ const MaxCodes = maxCodes
 // BlockSize is the size of a machine's handle on decoded code.
 const BlockSize = int(unsafe.Sizeof(block{}))
 
-// CachedCode counts the blocks in a machine's lookup map and the
-// records they hold.
+// CachedCode counts the blocks in a machine's index and the records
+// they hold.
 func CachedCode(m *Machine) (blocks, recs int) {
 	if m.bc != nil {
 		for _, b := range m.bc.blocks {
@@ -66,12 +63,12 @@ func CachedCode(m *Machine) (blocks, recs int) {
 }
 
 // CachedRanges lists the address ranges [start, end) of the blocks in
-// a machine's lookup map, in address order.
+// a machine's index, in index order.
 func CachedRanges(m *Machine) [][2]uint64 {
 	var rs [][2]uint64
 	if m.bc != nil {
-		for _, start := range slices.Sorted(maps.Keys(m.bc.blocks)) {
-			b := m.bc.blocks[start]
+		for i, start := range m.bc.starts {
+			b := m.bc.blocks[i]
 			rs = append(rs, [2]uint64{start, start + b.endOff - b.startOff})
 		}
 	}
@@ -107,4 +104,28 @@ func SharesCode(a, b *Machine) bool {
 		}
 	}
 	return false
+}
+
+// CheckIndex reports what is wrong with a machine's block index: it
+// must be sorted by start address with no start twice, and hold only
+// valid blocks, each starting where its entry says.
+func CheckIndex(m *Machine) error {
+	if m.bc == nil {
+		return nil
+	}
+	bc := m.bc
+	if len(bc.starts) != len(bc.blocks) {
+		return fmt.Errorf("%d starts for %d blocks", len(bc.starts), len(bc.blocks))
+	}
+	for i, b := range bc.blocks {
+		switch {
+		case i > 0 && bc.starts[i-1] >= bc.starts[i]:
+			return fmt.Errorf("start %#x follows %#x", bc.starts[i], bc.starts[i-1])
+		case !b.valid:
+			return fmt.Errorf("the block at %#x is invalid", bc.starts[i])
+		case b.recs[0].addr != bc.starts[i]:
+			return fmt.Errorf("the block indexed at %#x starts at %#x", bc.starts[i], b.recs[0].addr)
+		}
+	}
+	return nil
 }

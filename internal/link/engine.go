@@ -16,11 +16,19 @@ import (
 // halves and four input halves.  Unconnected links never complete a
 // transfer, exactly like real hardware with nothing wired to the pins.
 type Engine struct {
-	k    sim.Clock
-	m    *core.Machine
+	k sim.Clock
+	m *core.Machine
+	// outs and ins hold each link's two halves, allocated together when
+	// the link is wired or an entry point first drives it (see out); an
+	// untouched link, most of a large array's, holds nil in both.
 	outs [core.NumLinks]*outHalf
 	ins  [core.NumLinks]*inHalf
 	bus  *probe.Bus
+
+	// stopAndWait and rel are the modes the setters last chose, which
+	// halves allocated later take.
+	stopAndWait bool
+	rel         relMode
 
 	// mux holds the per-link virtual-channel multiplexers; nil entries
 	// are links carrying a single conversation (see vchan.go).
@@ -66,12 +74,35 @@ func (e *Engine) CreditStats() CreditStats { return e.credit }
 // or a coordinator shard.  A host end's engine has no machine (m is
 // nil): it moves byte slices on its link 0 and has no probe bus.
 func NewEngine(k sim.Clock, m *core.Machine) *Engine {
-	e := &Engine{k: k, m: m}
-	for i := range e.outs {
-		e.outs[i] = &outHalf{eng: e, link: i}
-		e.ins[i] = &inHalf{eng: e, link: i}
+	return &Engine{k: k, m: m}
+}
+
+// out returns link l's output half, allocating the link's two halves,
+// in the engine's current modes, the first time.  Only the entry points
+// from the machine, the host and the wiring come here: a half reaches
+// its sibling through the arrays directly, since halves come in pairs.
+func (e *Engine) out(l int) *outHalf {
+	if e.outs[l] == nil {
+		e.addHalves(l)
 	}
-	return e
+	return e.outs[l]
+}
+
+// in is out's twin for the input half.
+func (e *Engine) in(l int) *inHalf {
+	if e.ins[l] == nil {
+		e.addHalves(l)
+	}
+	return e.ins[l]
+}
+
+// addHalves allocates link l's two halves in the engine's modes.
+func (e *Engine) addHalves(l int) {
+	o := &outHalf{eng: e, link: l}
+	o.rel.relMode = e.rel
+	in := &inHalf{eng: e, link: l, stopAndWait: e.stopAndWait}
+	in.rel.on = e.rel.on
+	e.outs[l], e.ins[l] = o, in
 }
 
 // AttachProbe connects the engine's wires and senders to a probe bus.
@@ -103,7 +134,7 @@ func (e *Engine) HandoffFlow(c core.End, flow uint64) {
 	case m != nil:
 		m.out[c.VC()].flow = flow
 	default:
-		e.outs[l].flow = flow
+		e.out(l).flow = flow
 	}
 }
 
@@ -116,7 +147,7 @@ func (e *Engine) TransferFlow(c core.End) uint64 {
 	case m != nil:
 		return m.in[c.VC()].flow
 	default:
-		return e.ins[l].flow
+		return e.in(l).flow
 	}
 }
 
@@ -137,15 +168,15 @@ func (e *Engine) emit(ev probe.Event) {
 // get posted delivery with the coordinator's lookahead as the wire's
 // propagation delay.
 func Connect(a *Engine, la int, b *Engine, lb int) {
-	ab := newWire(a.k, a.outs[la], a.ins[la], b.ins[lb], b.outs[lb])
-	ba := newWire(b.k, b.outs[lb], b.ins[lb], a.ins[la], a.outs[la])
+	ab := newWire(a.k, a.out(la), a.in(la), b.in(lb), b.out(lb))
+	ba := newWire(b.k, b.out(lb), b.in(lb), a.in(la), a.out(la))
 	ab.from, ab.to, ab.prop = sim.CrossPath(a.k, b.k)
 	ba.from, ba.to, ba.prop = sim.CrossPath(b.k, a.k)
 }
 
 // Connected reports whether link i has been wired.
 func (e *Engine) Connected(i int) bool {
-	return i >= 0 && i < core.NumLinks && e.outs[i].wire != nil
+	return i >= 0 && i < core.NumLinks && e.outs[i] != nil && e.outs[i].wire != nil
 }
 
 // WireStats returns the traffic counters of link i's outgoing line.
@@ -170,7 +201,7 @@ func (e *Engine) BeginOutput(c core.End, ptr uint64, count int, done func()) {
 		m.send(c.VC(), e.m.ReadBytes(ptr, count), done)
 		return
 	}
-	o := e.outs[l]
+	o := e.out(l)
 	if o.active {
 		return
 	}
@@ -195,7 +226,7 @@ func (e *Engine) BeginInput(c core.End, ptr uint64, count int, done func()) {
 		})
 		return
 	}
-	in := e.ins[l]
+	in := e.in(l)
 	if in.active {
 		return
 	}
@@ -210,8 +241,11 @@ func (e *Engine) BeginInput(c core.End, ptr uint64, count int, done func()) {
 // overlapped acknowledge (false, the default) and a plain
 // stop-and-wait handshake (true).
 func (e *Engine) SetStopAndWait(v bool) {
+	e.stopAndWait = v
 	for _, in := range e.ins {
-		in.stopAndWait = v
+		if in != nil {
+			in.stopAndWait = v
+		}
 	}
 }
 
@@ -227,11 +261,12 @@ func (e *Engine) SetReliable(on bool, timeout sim.Time, maxRetries int) {
 	if maxRetries <= 0 {
 		maxRetries = DefaultRelRetries
 	}
-	for i := range e.outs {
-		e.outs[i].rel.on = on
-		e.outs[i].rel.timeout = timeout
-		e.outs[i].rel.maxRetries = maxRetries
-		e.ins[i].rel.on = on
+	e.rel = relMode{on: on, timeout: timeout, maxRetries: maxRetries}
+	for i, o := range e.outs {
+		if o != nil {
+			o.rel.relMode = e.rel
+			e.ins[i].rel.on = on
+		}
 	}
 }
 
@@ -258,8 +293,10 @@ func (e *Engine) SeverLink(i int) { e.cut(i, cutCable) }
 func (e *Engine) Halt() {
 	e.StopHeartbeat()
 	for i, o := range e.outs {
-		e.cut(i, cutHalt)
-		o.park()
+		if o != nil {
+			e.cut(i, cutHalt)
+			o.park()
+		}
 	}
 }
 
@@ -271,7 +308,7 @@ func (e *Engine) Halt() {
 // resumes too.  The liveness monitor starts again.
 func (e *Engine) Resume() {
 	for _, o := range e.outs {
-		if o.cuts&cutHalt != 0 {
+		if o != nil && o.cuts&cutHalt != 0 {
 			o.wire.setCut(cutHalt, false)
 		}
 	}
@@ -301,7 +338,7 @@ func (e *Engine) EnableInput(c core.End, ready func()) bool {
 	case m != nil:
 		return m.enable(c.VC(), ready)
 	}
-	in := e.ins[l]
+	in := e.in(l)
 	if in.bufferValid {
 		return true
 	}
@@ -319,7 +356,7 @@ func (e *Engine) DisableInput(c core.End) bool {
 	case m != nil:
 		return m.disable(c.VC())
 	}
-	in := e.ins[l]
+	in := e.in(l)
 	in.armed = nil
 	return in.bufferValid
 }

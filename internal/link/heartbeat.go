@@ -114,8 +114,7 @@ func (in *inHalf) beatArrive() {
 // must be wired to another machine's engine.  A host end's engine has
 // no machine and never beats.
 func (e *Engine) monitored(l int) bool {
-	w := e.outs[l].wire
-	return w != nil && w.rx.in.eng.m != nil
+	return e.Connected(l) && e.outs[l].wire.rx.in.eng.m != nil
 }
 
 // hbTick is the periodic monitor body: pass verdicts on every

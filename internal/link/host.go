@@ -40,14 +40,14 @@ func (h *HostEnd) SetReliable(on bool, timeout sim.Time, maxRetries int) {
 // the system settles has hit an EOF-like stall (severed link, halted
 // peer, or a peer that stopped mid-protocol).
 func (h *HostEnd) RecvProgress() (got, want int, active bool) {
-	in := h.e.ins[0]
+	in := h.e.in(0)
 	return in.received, in.count, in.active
 }
 
 // SendProgress reports the state of an in-flight Send: how many bytes
 // have been acknowledged of how many queued.
 func (h *HostEnd) SendProgress() (sent, want int, active bool) {
-	o := h.e.outs[0]
+	o := h.e.out(0)
 	return o.sent, o.count, o.active
 }
 

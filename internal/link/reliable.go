@@ -64,11 +64,16 @@ func crc8(payload, seq byte) byte {
 	return crc
 }
 
-// relSender is the error-detecting-mode state of one outHalf.
-type relSender struct {
+// relMode is the error-detecting mode an engine's senders run in.
+type relMode struct {
 	on         bool
 	timeout    sim.Time
 	maxRetries int
+}
+
+// relSender is the error-detecting-mode state of one outHalf.
+type relSender struct {
+	relMode
 
 	seq        byte // sequence bit of the byte in flight
 	cur        byte // payload of the byte in flight

@@ -14,7 +14,7 @@ import "transputer/internal/core"
 // for a dead link — its retry budget spent, or paused at a halt or a
 // down verdict — and how many retries it spent.
 func (e *Engine) LinkDown(i int) (down bool, retries int) {
-	if i < 0 || i >= core.NumLinks {
+	if i < 0 || i >= core.NumLinks || e.outs[i] == nil {
 		return false, 0
 	}
 	return e.outs[i].rel.failed, e.outs[i].rel.retries

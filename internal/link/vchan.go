@@ -124,6 +124,7 @@ func (e *Engine) EnableVChans(l, n int) {
 		m.out[vc].credit = VCWindow
 	}
 	e.mux[l] = m
+	e.out(l) // the mux drives the link's halves directly from here on
 	m.armHeader()
 }
 
