@@ -146,7 +146,7 @@ func (m *Machine) aheadHazards() (AheadExit, bool) {
 	}
 	np := m.notProcess()
 	if m.vchans != nil || m.altLinks != 0 || m.extraXfers != 0 ||
-		m.eventWaiter != np || m.eventArmed != nil {
+		m.cold != nil && (m.cold.eventWaiter != np || m.cold.eventArmed != nil) {
 		return AheadWait, false
 	}
 	m.haz = m.haz[:0]

@@ -148,19 +148,23 @@ func (m *Machine) completeTransfer(partner uint64, count int) int {
 // An external channel end — a link direction, or a mapped vchan word —
 // carries one transfer at a time, so the record (and the completion
 // callback bound to it, built on first use) belongs to the end and
-// starting a message allocates nothing.
+// starting a message allocates nothing.  What only a probe bus reads
+// of a transfer, its start's instruction pointer and flow, is kept in
+// the cold part (xferTags), which leaves 32 bytes a record, 256 a
+// machine.  count holds any word value.
 type extXfer struct {
+	ptr    uint64
+	wdesc  uint64
+	done   func() // m.finishExternal(x), built once per record
+	count  uint32
 	end    End
 	output bool
 	busy   bool
-	extra  bool // not an end's own record: counted in extraXfers
-	ptr    uint64
-	count  int
-	wdesc  uint64
-	ip     uint64
-	flow   uint64
-	done   func() // m.finishExternal(x), built once per record
 }
+
+// xferTag is what an external transfer's end event reports of its
+// start: the instruction pointer and, for an output, the flow minted.
+type xferTag struct{ ip, flow uint64 }
 
 // externalTransfer hands a message on the end whose record is x over to
 // the link engine and deschedules the process; the engine reschedules
@@ -174,29 +178,39 @@ func (m *Machine) externalTransfer(x *extXfer, chAddr, ptr uint64, count int) in
 		// A second process on a channel end already in use — an occam
 		// program error the engine answers by never completing the
 		// transfer.  The end's record still describes the earlier
-		// message, so this one gets a record of its own.
-		x = &extXfer{end: x.end, output: x.output, extra: true}
+		// message, so this one gets a record of its own, counted in
+		// extraXfers until its completion call.
+		x = &extXfer{end: x.end, output: x.output}
 		m.extraXfers++
+		x.done = func() {
+			m.extraXfers--
+			m.finishExternal(x)
+		}
 	}
 	if x.done == nil {
 		x.done = func() { m.finishExternal(x) }
 	}
-	x.busy, x.ptr, x.count = true, ptr, count
-	x.wdesc, x.ip, x.flow = m.Wdesc, m.Iptr, 0
+	x.busy, x.ptr, x.count, x.wdesc = true, ptr, uint32(count), m.Wdesc
 	if m.bus != nil {
 		// Outputs mint the flow here and hand it to the engine so every
 		// packet of the transfer (and its acks, NAKs and retransmits)
 		// carries it across the wire; inputs learn their flow from the
 		// first packet that lands, so ask the engine — twice, since at
 		// start nothing may have arrived yet.
+		t := xferTag{ip: m.Iptr}
 		if x.output {
-			x.flow = m.newFlow()
-			m.ext.HandoffFlow(x.end, x.flow)
+			t.flow = m.newFlow()
+			m.ext.HandoffFlow(x.end, t.flow)
 		} else {
-			x.flow = m.ext.TransferFlow(x.end)
+			t.flow = m.ext.TransferFlow(x.end)
 		}
+		c := m.useCold()
+		if c.xferTags == nil {
+			c.xferTags = make(map[*extXfer]xferTag)
+		}
+		c.xferTags[x] = t
 		m.emit(probe.Event{Kind: probe.LinkXferStart, Proc: x.wdesc, Link: x.end.Link(),
-			Bytes: count, Out: x.output, Arg: x.end.arg(), Flow: x.flow, IP: x.ip})
+			Bytes: count, Out: x.output, Arg: x.end.arg(), Flow: t.flow, IP: t.ip})
 	}
 	if x.output {
 		m.blockOnComm(BlockLinkOut, chAddr, x.end.Link())
@@ -213,19 +227,22 @@ func (m *Machine) externalTransfer(x *extXfer, chAddr, ptr uint64, count int) in
 }
 
 // finishExternal is the engine's completion call for the transfer x
-// records: publish its end and reschedule the process.
+// records: publish its end and reschedule the process.  A transfer
+// that started before the bus was attached has no tag, and its end
+// event reports a zero instruction pointer.
 func (m *Machine) finishExternal(x *extXfer) {
 	x.busy = false
-	if x.extra {
-		m.extraXfers--
-	}
 	if m.bus != nil {
-		f := x.flow
+		var t xferTag
+		if c := m.cold; c != nil {
+			t = c.xferTags[x]
+			delete(c.xferTags, x)
+		}
 		if !x.output {
-			f = m.ext.TransferFlow(x.end)
+			t.flow = m.ext.TransferFlow(x.end)
 		}
 		m.emit(probe.Event{Kind: probe.LinkXferEnd, Proc: x.wdesc, Link: x.end.Link(),
-			Bytes: x.count, Out: x.output, Arg: x.end.arg(), Flow: f, IP: x.ip})
+			Bytes: int(x.count), Out: x.output, Arg: x.end.arg(), Flow: t.flow, IP: t.ip})
 	}
 	m.wake(x.wdesc)
 }

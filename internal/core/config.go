@@ -97,8 +97,10 @@ const NumLinks = 4
 
 // End names an external channel end: one of the links, or one virtual
 // channel of a multiplexed link (see vchan.go).  A link's own end is its
-// index, so End(l) and the constants 0 to 3 name the links.
-type End int
+// index, so End(l) and the constants 0 to 3 name the links.  Sixteen
+// bits hold every end: the link in the low byte, the vchan (fewer than
+// VChanMax) above it.
+type End int16
 
 // VChanEnd returns the end naming virtual channel vc of link l.
 func VChanEnd(l, vc int) End { return End((vc+1)<<8 | l) }

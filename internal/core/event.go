@@ -18,47 +18,51 @@ func (m *Machine) RaiseEvent() {
 	if m.bus != nil {
 		m.emit(probe.Event{Kind: probe.EventPin})
 	}
-	if m.eventWaiter != m.notProcess() {
-		w := m.eventWaiter
-		m.eventWaiter = m.notProcess()
+	c := m.useCold()
+	if c.eventWaiter != m.notProcess() {
+		w := c.eventWaiter
+		c.eventWaiter = m.notProcess()
 		m.wake(w)
 		return
 	}
-	if m.eventArmed != nil {
-		ready := m.eventArmed
-		m.eventArmed = nil
-		m.eventPending = true
+	if c.eventArmed != nil {
+		ready := c.eventArmed
+		c.eventArmed = nil
+		c.eventPending = true
 		ready()
 		return
 	}
-	m.eventPending = true
+	c.eventPending = true
 }
 
 // eventInput implements input message on the event channel: the count
 // is ignored and no data moves.
 func (m *Machine) eventInput() int {
-	if m.eventPending {
-		m.eventPending = false
+	c := m.useCold()
+	if c.eventPending {
+		c.eventPending = false
 		return 24
 	}
-	m.eventWaiter = m.Wdesc
+	c.eventWaiter = m.Wdesc
 	m.blockOnComm(BlockEvent, 0, -1)
 	return 24
 }
 
 // eventEnable arms alternative-input readiness on the event channel.
 func (m *Machine) eventEnable(ready func()) bool {
-	if m.eventPending {
+	c := m.useCold()
+	if c.eventPending {
 		return true
 	}
-	m.eventArmed = ready
+	c.eventArmed = ready
 	return false
 }
 
 // eventDisable disarms and reports readiness.
 func (m *Machine) eventDisable() bool {
-	m.eventArmed = nil
-	return m.eventPending
+	c := m.useCold()
+	c.eventArmed = nil
+	return c.eventPending
 }
 
 // isEventChannel reports whether addr is the event channel word.

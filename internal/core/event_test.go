@@ -10,10 +10,8 @@ import (
 // The event channel (paper 2.2.2): an external stimulus completes a
 // process's input from the EVENT address.
 
-func TestEventLatched(t *testing.T) {
-	// The event arrives before the process inputs: it is latched.
-	m := core.MustNew(core.T424().WithMemory(64 * 1024))
-	img := assemble(t, `
+// eventInputSource inputs from the event channel and then sets local 1.
+const eventInputSource = `
 	ldlp 0
 	mint
 	ldnlp 8        -- the event channel word
@@ -22,7 +20,12 @@ func TestEventLatched(t *testing.T) {
 	ldc 1
 	stl 1
 	stopp
-`)
+`
+
+func TestEventLatched(t *testing.T) {
+	// The event arrives before the process inputs: it is latched.
+	m := core.MustNew(core.T424().WithMemory(64 * 1024))
+	img := assemble(t, eventInputSource)
 	if err := m.Load(img); err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +38,7 @@ func TestEventLatched(t *testing.T) {
 
 func TestEventWakesWaiter(t *testing.T) {
 	m := core.MustNew(core.T424().WithMemory(64 * 1024))
-	img := assemble(t, `
-	ldlp 0
-	mint
-	ldnlp 8
-	ldc 0
-	in
-	ldc 1
-	stl 1
-	stopp
-`)
+	img := assemble(t, eventInputSource)
 	if err := m.Load(img); err != nil {
 		t.Fatal(err)
 	}

@@ -260,15 +260,13 @@ tab:
 	}
 }
 
-// TestParallelCommunication builds a two-process program by hand: the
-// parent outputs a word on an internal channel, a child started with
-// start process inputs it, and end process joins them.
-func TestParallelCommunication(t *testing.T) {
-	// The joining workspace W holds the continuation address at W[0]
-	// and the component count at W[1]; each component (including the
-	// one the parent becomes) runs in its own workspace below W, as the
-	// occam compiler arranges.
-	src := `
+// parallelCommSource is a two-process program built by hand: the parent
+// outputs a word on an internal channel, a child started with start
+// process inputs it, and end process joins them.  The joining workspace
+// W holds the continuation address at W[0] and the component count at
+// W[1]; each component (including the one the parent becomes) runs in
+// its own workspace below W, as the occam compiler arranges.
+const parallelCommSource = `
 	mint
 	stl 3          -- channel word at W[3] := NotProcess
 	ldc 2
@@ -299,7 +297,10 @@ cont:
 	stl 5
 	stopp
 `
-	m := runSrc(t, src)
+
+// TestParallelCommunication runs parallelCommSource.
+func TestParallelCommunication(t *testing.T) {
+	m := runSrc(t, parallelCommSource)
 	if m.Local(4) != 42 {
 		t.Errorf("message = %d, want 42", m.Local(4))
 	}
@@ -493,10 +494,9 @@ func TestTimerDelayedInput(t *testing.T) {
 	}
 }
 
-// TestPriorityPreemption: a low-priority process makes a high-priority
-// process runnable with run process; the high process runs immediately.
-func TestPriorityPreemption(t *testing.T) {
-	src := `
+// preemptSource has a low-priority process make a high-priority
+// process runnable with run process, which preempts it.
+const preemptSource = `
 	ldc 0
 	stl 5
 	ldpi child
@@ -513,7 +513,11 @@ child:
 	stl 45         -- parent local 5 := 1 (child ws offset 40)
 	stopp
 `
-	m := runSrc(t, src)
+
+// TestPriorityPreemption: in preemptSource the high process runs
+// immediately.
+func TestPriorityPreemption(t *testing.T) {
+	m := runSrc(t, preemptSource)
 	if m.Local(5) != 1 {
 		t.Errorf("child did not run: local5 = %d", m.Local(5))
 	}

@@ -20,6 +20,10 @@ func MemOf(m *Machine) []byte {
 // checkers run their reference machine so.
 func BackFully(m *Machine) { m.resize(uint64(m.cfg.MemBytes)) }
 
+// HasCold reports whether a machine holds its cold part (see
+// coldState).
+func HasCold(m *Machine) bool { return m.cold != nil }
+
 // BackedBytes is the length of a machine's backing.
 func BackedBytes(m *Machine) int { return len(m.mem) }
 

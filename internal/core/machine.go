@@ -43,19 +43,14 @@ type Machine struct {
 	timerEvent  sim.EventID
 	clockOffset [2]uint64
 
-	// Saved low-priority state while a high-priority process runs
-	// (modelling the reserved register save locations).
-	savedLow struct {
-		valid                   bool
-		Iptr, Wdesc, A, B, C, O uint64
-		longOp                  *longOpState
-	}
-
 	errorFlag bool
 	haltErr   bool // halt-on-error flag
 	halted    bool
 	noCache   bool // the block cache is off (SetBlockCache)
-	faulted   *MemoryFault
+	// faulted is the first memory fault.  It stays out of the cold part
+	// because fault is inlined into the byte and word accessors, and
+	// reaching the cold part from there costs them their own inlining.
+	faulted *MemoryFault
 
 	clock sim.Clock
 	ext   External
@@ -98,16 +93,9 @@ type Machine struct {
 	// can occur during it (paper, 3.2.4).
 	longOp *longOpState
 
-	loadedCodeBytes int
-	entryWptr       uint64
+	entryWptr uint64
 
 	trace Trace
-
-	// Event channel state (paper 2.2.2): a latched pending signal, a
-	// process blocked inputting, or an armed alternative.
-	eventPending bool
-	eventWaiter  uint64
-	eventArmed   func()
 
 	// waiting counts processes blocked on channels, timers, events or
 	// stop, for deadlock diagnostics; blocked records what each one is
@@ -119,21 +107,16 @@ type Machine struct {
 	waiting int
 	blocked []BlockedProcess
 
-	// forcedHalt records the reason a fault campaign stopped the node.
-	forcedHalt string
-
 	// bus, when non-nil, receives structured probe events from the
 	// scheduler, channels and timers.  Every emit site nil-checks it,
 	// so a detached machine pays nothing.
 	bus *probe.Bus
 
-	// Flow-tracing state, only touched when a bus is attached: flows
-	// allocated here are packed (flowOrigin, sequence) pairs, and
-	// chanFlows holds the flow offered on each internal channel word
-	// between ChanBlock and ChanRendezvous.
+	// flowOrigin is the origin half of the flows this machine allocates
+	// (see newFlow).  The network layer sets it when it adds the node,
+	// before any program is loaded, so it lives here and not with the
+	// rest of the flow state in the cold part.
 	flowOrigin uint64
-	flowSeq    uint64
-	chanFlows  map[uint64]uint64
 
 	// vchans is nil until the network layer maps a placed channel word
 	// onto a vchan end (MapVChan); it keys masked channel addresses.
@@ -159,11 +142,57 @@ type Machine struct {
 	rareOps  map[uint16]uint64
 
 	// store holds the code bc's blocks are handles on, shared with every
-	// machine built with the same store (see CodeStore).  Cold fields
-	// like it stay last, so the fields the instruction loop touches keep
-	// their offsets.
+	// machine built with the same store (see CodeStore).  It and the
+	// fields below stay after the counters: a field added ahead of the
+	// registers and queues moves the offsets the instruction loop reads.
 	store *CodeStore
 	fused FusedStats
+
+	// cold holds what only a preemption, a forced halt, the event
+	// channel or a probe bus uses: nil until the first of them (see
+	// useCold), and dropped by resetSchedState, which would only reset
+	// it.
+	cold *coldState
+}
+
+// coldState is the part of a machine most nodes of an array never
+// touch.  Keeping it behind one pointer keeps it out of every
+// machine's allocation; a fresh one reads as resetSchedState leaves a
+// machine.
+type coldState struct {
+	// Saved low-priority state while a high-priority process runs
+	// (modelling the reserved register save locations).
+	savedLow struct {
+		valid                   bool
+		Iptr, Wdesc, A, B, C, O uint64
+		longOp                  *longOpState
+	}
+
+	// forcedHalt records the reason a fault campaign stopped the node.
+	forcedHalt string
+
+	// Event channel state (paper 2.2.2): a latched pending signal, a
+	// process blocked inputting, or an armed alternative.
+	eventPending bool
+	eventWaiter  uint64
+	eventArmed   func()
+
+	// Flow-tracing state, only touched when a bus is attached: flows
+	// allocated here are packed (flowOrigin, sequence) pairs, chanFlows
+	// holds the flow offered on each internal channel word between
+	// ChanBlock and ChanRendezvous, and xferTags what an external
+	// transfer's end event reports of its start (see externalTransfer).
+	flowSeq   uint64
+	chanFlows map[uint64]uint64
+	xferTags  map[*extXfer]xferTag
+}
+
+// useCold returns the machine's cold part, allocating it on first use.
+func (m *Machine) useCold() *coldState {
+	if m.cold == nil {
+		m.cold = &coldState{eventWaiter: m.notProcess()}
+	}
+	return m.cold
 }
 
 // longOpState is an in-progress interruptible long operation: either a
@@ -254,23 +283,17 @@ func (m *Machine) resetSchedState() {
 	for w := 0; w < wordEvent+1; w++ {
 		m.setWordIndex(m.addrOf(0), w, np)
 	}
-	m.savedLow.valid = false
+	m.cold = nil
+	m.faulted = nil
 	m.preemptPending = false
 	m.pendingSwitchCycles = 0
 	m.longOp = nil
 	m.halted = false
 	m.errorFlag = false
-	m.faulted = nil
-	m.eventPending = false
-	m.eventWaiter = np
-	m.eventArmed = nil
 	m.altLinks = 0
 	m.waiting = 0
 	m.blocked = m.blocked[:0]
-	m.forcedHalt = ""
 	m.qlen[0], m.qlen[1] = 0, 0
-	m.flowSeq = 0
-	m.chanFlows = nil
 }
 
 // Attach provides the simulated clock and, optionally, the link engine.
@@ -295,18 +318,20 @@ func (m *Machine) SetFlowOrigin(origin uint64) { m.flowOrigin = origin }
 // newFlow allocates the next flow identity.  Called only under a
 // non-nil bus, so a detached run never advances the sequence.
 func (m *Machine) newFlow() uint64 {
-	m.flowSeq++
-	return probe.PackFlow(m.flowOrigin, m.flowSeq)
+	c := m.useCold()
+	c.flowSeq++
+	return probe.PackFlow(m.flowOrigin, c.flowSeq)
 }
 
 // offerFlow allocates a flow for a message offered on an internal
 // channel word and remembers it until the rendezvous completes.
 func (m *Machine) offerFlow(chAddr uint64) uint64 {
 	fl := m.newFlow()
-	if m.chanFlows == nil {
-		m.chanFlows = make(map[uint64]uint64)
+	c := m.cold
+	if c.chanFlows == nil {
+		c.chanFlows = make(map[uint64]uint64)
 	}
-	m.chanFlows[chAddr] = fl
+	c.chanFlows[chAddr] = fl
 	return fl
 }
 
@@ -314,9 +339,11 @@ func (m *Machine) offerFlow(chAddr uint64) uint64 {
 // A missing entry (the partner blocked before the probe attached)
 // yields a fresh flow so the rendezvous still joins one.
 func (m *Machine) takeFlow(chAddr uint64) uint64 {
-	if fl, ok := m.chanFlows[chAddr]; ok {
-		delete(m.chanFlows, chAddr)
-		return fl
+	if c := m.cold; c != nil {
+		if fl, ok := c.chanFlows[chAddr]; ok {
+			delete(c.chanFlows, chAddr)
+			return fl
+		}
 	}
 	return m.newFlow()
 }
@@ -361,8 +388,8 @@ func (m *Machine) Fault() error {
 	if m.faulted != nil {
 		return m.faulted
 	}
-	if m.forcedHalt != "" {
-		return fmt.Errorf("core: halted: %s", m.forcedHalt)
+	if c := m.cold; c != nil && c.forcedHalt != "" {
+		return fmt.Errorf("core: halted: %s", c.forcedHalt)
 	}
 	return nil
 }
@@ -375,7 +402,7 @@ func (m *Machine) ForceHalt(reason string) {
 		return
 	}
 	m.halted = true
-	m.forcedHalt = reason
+	m.useCold().forcedHalt = reason
 	if m.bus != nil {
 		m.emit(probe.Event{Kind: probe.NodeHalt})
 	}
@@ -387,11 +414,12 @@ func (m *Machine) ForceHalt(reason string) {
 // halt-on-error or memory-fault halt is a program's own verdict and
 // stays.  Reports whether the machine was revived.
 func (m *Machine) ClearForcedHalt() bool {
-	if !m.halted || m.forcedHalt == "" || m.faulted != nil {
+	c := m.cold
+	if !m.halted || c == nil || c.forcedHalt == "" || m.faulted != nil {
 		return false
 	}
 	m.halted = false
-	m.forcedHalt = ""
+	c.forcedHalt = ""
 	if m.bus != nil {
 		m.emit(probe.Event{Kind: probe.NodeRestart})
 	}
@@ -464,7 +492,7 @@ func (m *Machine) CodeStart() uint64 { return m.MemStart() }
 // DataStart returns the address of the reserved data area for the
 // loaded image.
 func (m *Machine) DataStart() uint64 {
-	return m.index(m.MemStart(), (m.loadedCodeBytes+m.bpw-1)/m.bpw)
+	return m.index(m.MemStart(), (m.stats.CodeBytes+m.bpw-1)/m.bpw)
 }
 
 var errNoRoom = fmt.Errorf("core: program does not fit in memory")
@@ -489,7 +517,6 @@ func (m *Machine) Load(img Image) error {
 		// covers what the program touches before it is loaded.
 		m.resize(uint64(top))
 	}
-	m.loadedCodeBytes = len(img.Code)
 	m.WriteBytes(codeStart, img.Code)
 	wptr := m.addrOf(uint64(wptrWord * m.bpw))
 	m.entryWptr = wptr

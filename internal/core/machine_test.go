@@ -63,6 +63,22 @@ func TestBlockSize(t *testing.T) {
 	}
 }
 
+// TestMachineSize pins a machine within Go's 1 792-byte size class and
+// its external transfer record at 32 bytes.  What only a preemption, a
+// forced halt, the event channel or a probe bus uses moved behind the
+// cold pointer (coldState), as did a transfer's probe-only instruction
+// pointer and flow (xferTag); the eight records narrowed their count
+// and end.  The machine was 2 120 bytes, in the 2 304-byte class, and
+// a record 64; every node of an array is one machine.
+func TestMachineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Machine{}); n > 1792 {
+		t.Errorf("Machine is %d bytes, over 1792", n)
+	}
+	if n := unsafe.Sizeof(extXfer{}); n != 32 {
+		t.Errorf("extXfer is %d bytes, want 32", n)
+	}
+}
+
 func TestSignedAddressSpace(t *testing.T) {
 	m := testMachine(t)
 	// "Pointer values are treated as signed integers, starting from the

@@ -114,14 +114,11 @@ func (m *Machine) preemptNow() {
 		m.emit(probe.Event{Kind: probe.Preempt, Proc: high, Pri: PriorityHigh,
 			Dur: m.cycleDur(isa.PreemptCycles)})
 	}
-	m.savedLow.valid = true
-	m.savedLow.Iptr = m.Iptr
-	m.savedLow.Wdesc = m.Wdesc
-	m.savedLow.A = m.Areg
-	m.savedLow.B = m.Breg
-	m.savedLow.C = m.Creg
-	m.savedLow.O = m.Oreg
-	m.savedLow.longOp = m.longOp
+	s := &m.useCold().savedLow
+	s.valid = true
+	s.Iptr, s.Wdesc = m.Iptr, m.Wdesc
+	s.A, s.B, s.C, s.O = m.Areg, m.Breg, m.Creg, m.Oreg
+	s.longOp = m.longOp
 	m.longOp = nil
 	m.Wdesc = high
 	m.Iptr = m.wordIndex(wptrOf(high), wsIptr)
@@ -155,7 +152,7 @@ func (m *Machine) deschedule() {
 	// No high-priority work.  Resume an interrupted low-priority
 	// process before consulting the low-priority list, restoring its
 	// full register state (charged at isa.ResumeLowCycles).
-	if m.savedLow.valid {
+	if c := m.cold; c != nil && c.savedLow.valid {
 		m.restoreSavedLow()
 		return
 	}
@@ -188,15 +185,12 @@ func (m *Machine) dispatch(wdesc uint64) {
 }
 
 func (m *Machine) restoreSavedLow() {
-	m.Iptr = m.savedLow.Iptr
-	m.Wdesc = m.savedLow.Wdesc
-	m.Areg = m.savedLow.A
-	m.Breg = m.savedLow.B
-	m.Creg = m.savedLow.C
-	m.Oreg = m.savedLow.O
-	m.longOp = m.savedLow.longOp
-	m.savedLow.longOp = nil
-	m.savedLow.valid = false
+	s := &m.cold.savedLow
+	m.Iptr, m.Wdesc = s.Iptr, s.Wdesc
+	m.Areg, m.Breg, m.Creg, m.Oreg = s.A, s.B, s.C, s.O
+	m.longOp = s.longOp
+	s.longOp = nil
+	s.valid = false
 	m.pendingSwitchCycles += isa.ResumeLowCycles
 	m.stats.Deschedules++
 	if m.bus != nil {

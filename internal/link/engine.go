@@ -26,10 +26,25 @@ type Engine struct {
 	bus  *probe.Bus
 
 	// stopAndWait and rel are the modes the setters last chose, which
-	// halves allocated later take.
+	// halves allocated later take; beat is set by SetHeartbeat, which
+	// configures the liveness monitor (routed.hb).
 	stopAndWait bool
+	beat        bool
 	rel         relMode
 
+	// credit counts what acknowledge credit (see xfer.go) did at this
+	// engine's ends of its links.
+	credit CreditStats
+
+	// routed holds what only a multiplexed, monitored or routed engine
+	// uses; nil until the first of EnableVChans, SetHeartbeat and
+	// OnVerdict (see useRouted).
+	routed *routedState
+}
+
+// routedState is the part of an engine a plain array never touches,
+// kept behind one pointer so it costs such an engine nothing.
+type routedState struct {
 	// mux holds the per-link virtual-channel multiplexers; nil entries
 	// are links carrying a single conversation (see vchan.go).
 	mux [core.NumLinks]*Mux
@@ -38,10 +53,31 @@ type Engine struct {
 	// is told every verdict change and every spent retry budget.
 	hb        heartbeat
 	onVerdict func(link int, up bool)
+}
 
-	// credit counts what acknowledge credit (see xfer.go) did at this
-	// engine's ends of its links.
-	credit CreditStats
+// useRouted returns the engine's routed part, allocating it on first
+// use.
+func (e *Engine) useRouted() *routedState {
+	if e.routed == nil {
+		e.routed = &routedState{}
+	}
+	return e.routed
+}
+
+// muxOf returns link l's multiplexer, nil for a link carrying a single
+// conversation.
+func (e *Engine) muxOf(l int) *Mux {
+	if e.routed == nil {
+		return nil
+	}
+	return e.routed.mux[l]
+}
+
+// verdict tells the OnVerdict callback, if any, link l's new verdict.
+func (e *Engine) verdict(l int, up bool) {
+	if e.routed != nil && e.routed.onVerdict != nil {
+		e.routed.onVerdict(l, up)
+	}
 }
 
 // CreditStats counts acknowledge-credit events at one engine (or, summed,
@@ -99,7 +135,7 @@ func (e *Engine) in(l int) *inHalf {
 // addHalves allocates link l's two halves in the engine's modes.
 func (e *Engine) addHalves(l int) {
 	o := &outHalf{eng: e, link: l}
-	o.rel.relMode = e.rel
+	o.rel = e.rel
 	in := &inHalf{eng: e, link: l, stopAndWait: e.stopAndWait}
 	in.rel.on = e.rel.on
 	e.outs[l], e.ins[l] = o, in
@@ -120,7 +156,7 @@ func (e *Engine) resolve(c core.End) (l int, m *Mux, ok bool) {
 		return 0, nil, false
 	}
 	vc := c.VC()
-	if m = e.mux[l]; m == nil {
+	if m = e.muxOf(l); m == nil {
 		return l, nil, vc < 0
 	}
 	return l, m, vc >= 0 && vc < m.n
@@ -264,7 +300,7 @@ func (e *Engine) SetReliable(on bool, timeout sim.Time, maxRetries int) {
 	e.rel = relMode{on: on, timeout: timeout, maxRetries: maxRetries}
 	for i, o := range e.outs {
 		if o != nil {
-			o.rel.relMode = e.rel
+			o.rel = e.rel
 			e.ins[i].rel.on = on
 		}
 	}

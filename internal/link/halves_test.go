@@ -2,6 +2,7 @@ package link
 
 import (
 	"testing"
+	"unsafe"
 
 	"transputer/internal/core"
 	"transputer/internal/raceflag"
@@ -101,6 +102,61 @@ func TestModesBeforeConnect(t *testing.T) {
 		}
 		if plain := run(func(*Engine) {}, false); plain == after {
 			t.Errorf("%s: the mode changed nothing: %+v", mode.name, plain)
+		}
+	}
+}
+
+// TestEngineSize pins an engine within Go's 192-byte size class and a
+// link's output half within the 160-byte class.  The multiplexers, the
+// liveness monitor and the verdict callback, which only multiplexed,
+// monitored or routed engines use, moved behind the engine's routed
+// pointer; the error-detecting sender's retry state moved behind the
+// half's retry pointer, its mode staying inline.  They were 280 and 200
+// bytes, in the 288- and 208-byte classes; an array has an engine a
+// node and two output halves a wired link.
+func TestEngineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n > 192 {
+		t.Errorf("Engine is %d bytes, over 192", n)
+	}
+	if n := unsafe.Sizeof(outHalf{}); n > 160 {
+		t.Errorf("outHalf is %d bytes, over 160", n)
+	}
+}
+
+// TestPlainLinkStaysCold: a message over a plain wired link allocates
+// neither the engines' routed parts nor the senders' retry state; the
+// setters that need them, and the error-detecting mode's traffic, do.
+func TestPlainLinkStaysCold(t *testing.T) {
+	run := func(set func(*Engine)) (ea, eb *Engine) {
+		k := sim.NewKernel()
+		ma := core.MustNew(core.T424().WithMemory(16 * 1024))
+		mb := core.MustNew(core.T424().WithMemory(16 * 1024))
+		ea, eb = NewEngine(k, ma), NewEngine(k, mb)
+		set(ea)
+		set(eb)
+		Connect(ea, 2, eb, 1)
+		ea.BeginOutput(core.End(2), ma.MemStart(), 4, nil)
+		eb.BeginInput(core.End(1), mb.MemStart(), 4, nil)
+		k.Run()
+		return ea, eb
+	}
+	ea, eb := run(func(*Engine) {})
+	if ea.routed != nil || eb.routed != nil || ea.outs[2].retry != nil || eb.outs[1].retry != nil {
+		t.Error("a plain transfer allocated a routed part or retry state")
+	}
+	if ea, _ := run(func(e *Engine) { e.SetReliable(true, 0, 0) }); ea.routed != nil || ea.outs[2].retry == nil {
+		t.Errorf("reliable traffic: routed part %v, retry state %v; want none and some", ea.routed != nil, ea.outs[2].retry != nil)
+	}
+	for _, c := range []struct {
+		name string
+		set  func(*Engine)
+	}{
+		{"SetHeartbeat", func(e *Engine) { e.SetHeartbeat() }},
+		{"OnVerdict", func(e *Engine) { e.OnVerdict(func(int, bool) {}) }},
+		{"EnableVChans", func(e *Engine) { e.EnableVChans(0, 2) }},
+	} {
+		if ea, _ := run(c.set); ea.routed == nil {
+			t.Errorf("%s left the routed part unallocated", c.name)
 		}
 	}
 }

@@ -42,17 +42,19 @@ const (
 
 // heartbeat is one engine's liveness-monitor state.
 type heartbeat struct {
-	configured bool
-	running    bool
-	timer      sim.EventID
-	tick       func() // the engine's hbTick, bound once
-	lastHeard  [core.NumLinks]sim.Time
-	peerDown   [core.NumLinks]bool
+	running   bool
+	timer     sim.EventID
+	tick      func() // the engine's hbTick, bound once
+	lastHeard [core.NumLinks]sim.Time
+	peerDown  [core.NumLinks]bool
 }
 
 // SetHeartbeat enables the liveness monitor.  It does not run until
 // StartHeartbeat is called.
-func (e *Engine) SetHeartbeat() { e.hb.configured = true }
+func (e *Engine) SetHeartbeat() {
+	e.useRouted()
+	e.beat = true
+}
 
 // OnVerdict registers the link-verdict callback: up reports whether
 // the link's peer was just declared alive (true) or unresponsive
@@ -60,7 +62,7 @@ func (e *Engine) SetHeartbeat() { e.hb.configured = true }
 // timeout, and a sender in error-detecting mode spending its retry
 // budget.  The second leaves the heartbeat's own verdict as it stands.
 // Called from the engine's own shard.
-func (e *Engine) OnVerdict(fn func(link int, up bool)) { e.onVerdict = fn }
+func (e *Engine) OnVerdict(fn func(link int, up bool)) { e.useRouted().onVerdict = fn }
 
 // StartHeartbeat begins monitoring: every link is presumed heard as of
 // now, and the first beats go out one interval from now.  Verdicts
@@ -69,36 +71,37 @@ func (e *Engine) OnVerdict(fn func(link int, up bool)) { e.onVerdict = fn }
 // restart.  A no-op when the monitor is unconfigured or already
 // running.
 func (e *Engine) StartHeartbeat() {
-	if !e.hb.configured || e.hb.running {
+	if !e.beat || e.routed.hb.running {
 		return
 	}
-	e.hb.running = true
+	hb := &e.routed.hb
+	hb.running = true
 	now := e.k.Now()
-	for l := range e.hb.lastHeard {
-		e.hb.lastHeard[l] = now
+	for l := range hb.lastHeard {
+		hb.lastHeard[l] = now
 	}
-	if e.hb.tick == nil {
-		e.hb.tick = e.hbTick
+	if hb.tick == nil {
+		hb.tick = e.hbTick
 	}
-	e.hb.timer = e.k.After(beatInterval, e.hb.tick)
+	hb.timer = e.k.After(beatInterval, hb.tick)
 }
 
 // StopHeartbeat cancels the monitor's recurring timer so the
 // simulation can quiesce.  Verdicts are frozen as they stand.
 func (e *Engine) StopHeartbeat() {
-	if !e.hb.running {
+	if e.routed == nil || !e.routed.hb.running {
 		return
 	}
-	e.hb.running = false
-	e.k.Cancel(e.hb.timer)
+	e.routed.hb.running = false
+	e.k.Cancel(e.routed.hb.timer)
 }
 
 // heard records that something arrived on link l just now.  Without a
 // monitor configured nobody reads the stamp — StartHeartbeat resets
 // every one — and this runs on every data byte and acknowledge.
 func (e *Engine) heard(l int) {
-	if e.hb.configured {
-		e.hb.lastHeard[l] = e.k.Now()
+	if e.beat {
+		e.routed.hb.lastHeard[l] = e.k.Now()
 	}
 }
 
@@ -120,7 +123,8 @@ func (e *Engine) monitored(l int) bool {
 // hbTick is the periodic monitor body: pass verdicts on every
 // monitored link, then beat the idle wires, then reschedule.
 func (e *Engine) hbTick() {
-	if !e.hb.running {
+	hb := &e.routed.hb
+	if !hb.running {
 		return
 	}
 	now := e.k.Now()
@@ -128,10 +132,10 @@ func (e *Engine) hbTick() {
 		if !e.monitored(l) {
 			continue
 		}
-		silence := now - e.hb.lastHeard[l]
+		silence := now - hb.lastHeard[l]
 		switch {
-		case !e.hb.peerDown[l] && silence > BeatTimeout:
-			e.hb.peerDown[l] = true
+		case !hb.peerDown[l] && silence > BeatTimeout:
+			hb.peerDown[l] = true
 			e.outs[l].park()
 			if e.bus != nil {
 				// Published directly, not via emit: heartbeat events are
@@ -139,17 +143,13 @@ func (e *Engine) hbTick() {
 				// with simulator batching (the block-cache invariant).
 				e.bus.Publish(probe.Event{Kind: probe.Heartbeat, Time: now, Node: e.m.Name(), Link: l, Arg: 0, Dur: silence})
 			}
-			if e.onVerdict != nil {
-				e.onVerdict(l, false)
-			}
-		case e.hb.peerDown[l] && silence <= BeatTimeout:
-			e.hb.peerDown[l] = false
+			e.verdict(l, false)
+		case hb.peerDown[l] && silence <= BeatTimeout:
+			hb.peerDown[l] = false
 			if e.bus != nil {
 				e.bus.Publish(probe.Event{Kind: probe.Heartbeat, Time: now, Node: e.m.Name(), Link: l, Arg: 1, Dur: silence})
 			}
-			if e.onVerdict != nil {
-				e.onVerdict(l, true)
-			}
+			e.verdict(l, true)
 		}
 		// A beat goes out only when the wire is idle; real traffic is
 		// its own proof of life.  Severed wires are still beaten — the
@@ -158,7 +158,7 @@ func (e *Engine) hbTick() {
 			e.sendBeat(l)
 		}
 	}
-	e.hb.timer = e.k.After(beatInterval, e.hb.tick)
+	hb.timer = e.k.After(beatInterval, hb.tick)
 }
 
 func (e *Engine) sendBeat(l int) {

@@ -58,7 +58,7 @@ func TestRetryExhaustionVerdict(t *testing.T) {
 		e.SetHeartbeat()
 	}
 	ea.OnVerdict(func(l int, up bool) {
-		got = append(got, verdict{l, up, ea.outs[l].rel.failed})
+		got = append(got, verdict{l, up, ea.outs[l].failed()})
 	})
 	eb.OnVerdict(func(l int, up bool) { t.Errorf("receiver verdict (%d, %v)", l, up) })
 	ea.SetFaultHook(1, func(isCtl bool) FaultAction { return FaultAction{Drop: !isCtl} })
@@ -76,7 +76,7 @@ func TestRetryExhaustionVerdict(t *testing.T) {
 	if down, retries := ea.LinkDown(1); !down || retries <= DefaultRelRetries {
 		t.Errorf("LinkDown = %v after %d retries; want the budget of %d spent", down, retries, DefaultRelRetries)
 	}
-	if ea.hb.peerDown[1] || eb.hb.peerDown[0] {
+	if ea.routed.hb.peerDown[1] || eb.routed.hb.peerDown[0] {
 		t.Error("the heartbeat declared a link down although beats kept crossing it")
 	}
 }
@@ -102,7 +102,7 @@ func TestVerdictSurvivesRestart(t *testing.T) {
 	ea.SetFaultHook(1, deaf)
 	eb.SetFaultHook(0, deaf)
 	c.RunUntil(3 * BeatTimeout)
-	if !ea.hb.peerDown[1] || !eb.hb.peerDown[0] {
+	if !ea.routed.hb.peerDown[1] || !eb.routed.hb.peerDown[0] {
 		t.Fatalf("a silent link is not down at both ends: %+v", got)
 	}
 	ea.Halt()

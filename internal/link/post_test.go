@@ -108,7 +108,7 @@ func runCut(workers int, fused, reliable bool) cutOutcome {
 	out.end = c.Run()
 	out.sent = ea.outs[1].sent
 	out.received = eb.ins[0].received
-	out.failed = ea.outs[1].rel.failed
+	out.failed = ea.outs[1].failed()
 	return out
 }
 

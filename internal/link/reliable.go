@@ -71,10 +71,10 @@ type relMode struct {
 	maxRetries int
 }
 
-// relSender is the error-detecting-mode state of one outHalf.
-type relSender struct {
-	relMode
-
+// relRetry is the error-detecting-mode state of one outHalf, allocated
+// by its first use (useRetry): a half in the paper's protocol holds
+// only its relMode.
+type relRetry struct {
 	seq        byte // sequence bit of the byte in flight
 	cur        byte // payload of the byte in flight
 	retries    int  // retries spent on the current byte
@@ -83,6 +83,18 @@ type relSender struct {
 	onTimeout  func() // the half's retryTimeout, bound once
 	failed     bool   // retry budget exhausted; link declared down
 }
+
+// useRetry returns the half's retry state, allocating it on first use.
+func (o *outHalf) useRetry() *relRetry {
+	if o.retry == nil {
+		o.retry = &relRetry{}
+	}
+	return o.retry
+}
+
+// failed reports whether the sender has stopped for a dead link (see
+// LinkDown).
+func (o *outHalf) failed() bool { return o.retry != nil && o.retry.failed }
 
 // relReceiver is the error-detecting-mode state of one inHalf.
 type relReceiver struct {
@@ -93,14 +105,15 @@ type relReceiver struct {
 // sendReliable queues the current byte with its trailer.  retrans
 // marks a resend, which the wire counts separately from goodput.
 func (o *outHalf) sendReliable(b byte, retrans bool) {
-	o.rel.cur = b
+	r := o.useRetry()
+	r.cur = b
 	o.wire.send(packet{
 		kind:    pktData,
 		rel:     true,
 		bits:    RelDataBits,
 		payload: b,
-		seq:     o.rel.seq,
-		crc:     crc8(b, o.rel.seq),
+		seq:     r.seq,
+		crc:     crc8(b, r.seq),
 		flow:    o.flow,
 		retrans: retrans,
 	})
@@ -110,7 +123,7 @@ func (o *outHalf) sendReliable(b byte, retrans bool) {
 // unless the sender is paused.
 func (o *outHalf) relTxEnd() {
 	o.txEnded = true
-	if !o.acked && !o.rel.failed {
+	if !o.acked && !o.failed() {
 		o.txEndAt = o.wire.k.Now()
 		o.armRetryTimer()
 	}
@@ -118,23 +131,24 @@ func (o *outHalf) relTxEnd() {
 
 func (o *outHalf) armRetryTimer() {
 	o.cancelRetryTimer()
-	if o.rel.onTimeout == nil {
-		o.rel.onTimeout = o.retryTimeout
+	r := o.useRetry()
+	if r.onTimeout == nil {
+		r.onTimeout = o.retryTimeout
 	}
-	o.rel.timer = o.wire.k.After(o.rel.timeout, o.rel.onTimeout)
-	o.rel.timerArmed = true
+	r.timer = o.wire.k.After(o.rel.timeout, r.onTimeout)
+	r.timerArmed = true
 }
 
 func (o *outHalf) cancelRetryTimer() {
-	if o.rel.timerArmed {
-		o.wire.k.Cancel(o.rel.timer)
-		o.rel.timerArmed = false
+	if r := o.retry; r != nil && r.timerArmed {
+		o.wire.k.Cancel(r.timer)
+		r.timerArmed = false
 	}
 }
 
 func (o *outHalf) retryTimeout() {
-	o.rel.timerArmed = false
-	if !o.active || o.acked || o.rel.failed {
+	o.retry.timerArmed = false
+	if !o.active || o.acked || o.retry.failed {
 		return
 	}
 	o.retransmit()
@@ -144,23 +158,22 @@ func (o *outHalf) retryTimeout() {
 // the retry budget is spent.  A spent budget pauses the sender with its
 // byte still current, for RecoverLink to resend.
 func (o *outHalf) retransmit() {
-	o.rel.retries++
-	if o.rel.retries > o.rel.maxRetries {
-		o.rel.failed = true
+	r := o.useRetry()
+	r.retries++
+	if r.retries > o.rel.maxRetries {
+		r.failed = true
 		if o.eng.bus != nil {
 			o.eng.emit(probe.Event{Kind: probe.LinkDown, Link: o.link,
 				Arg: int64(o.rel.maxRetries), Flow: o.flow})
 		}
-		if o.eng.onVerdict != nil {
-			o.eng.onVerdict(o.link, false)
-		}
+		o.eng.verdict(o.link, false)
 		return
 	}
 	if o.eng.bus != nil {
 		o.eng.emit(probe.Event{Kind: probe.LinkRetransmit, Link: o.link,
-			Arg: int64(o.rel.retries), Flow: o.flow})
+			Arg: int64(r.retries), Flow: o.flow})
 	}
-	o.sendReliable(o.rel.cur, true)
+	o.sendReliable(r.cur, true)
 }
 
 // park pauses a sender whose acknowledge cannot come — its board is
@@ -170,14 +183,15 @@ func (o *outHalf) retransmit() {
 func (o *outHalf) park() {
 	if o.rel.on && o.active && !o.acked {
 		o.cancelRetryTimer()
-		o.rel.failed = true
+		o.useRetry().failed = true
 	}
 }
 
 // relAckArrived handles an acknowledge carrying the given sequence bit.
 func (o *outHalf) relAckArrived(seq byte) {
 	o.heard()
-	if !o.active || o.acked || o.rel.failed || seq != o.rel.seq {
+	r := o.useRetry()
+	if !o.active || o.acked || r.failed || seq != r.seq {
 		return // stale or duplicate acknowledge
 	}
 	o.cancelRetryTimer()
@@ -188,8 +202,8 @@ func (o *outHalf) relAckArrived(seq byte) {
 		}
 	}
 	o.acked = true
-	o.rel.retries = 0
-	o.rel.seq ^= 1
+	r.retries = 0
+	r.seq ^= 1
 	o.advance()
 }
 
@@ -197,7 +211,7 @@ func (o *outHalf) relAckArrived(seq byte) {
 // corrupt trailer; resend at once.
 func (o *outHalf) relNakArrived() {
 	o.heard()
-	if !o.active || o.acked || o.rel.failed {
+	if !o.active || o.acked || o.failed() {
 		return
 	}
 	o.cancelRetryTimer()

@@ -148,7 +148,7 @@ func TestReliableDropRecovered(t *testing.T) {
 	if !sent || !bytes.Equal(got, msg) {
 		t.Fatalf("sent=%v intact=%v after drops", sent, bytes.Equal(got, msg))
 	}
-	if a.e.outs[0].rel.failed {
+	if a.e.outs[0].failed() {
 		t.Error("link declared down despite recoverable loss")
 	}
 }
@@ -165,11 +165,11 @@ func TestReliableLinkDown(t *testing.T) {
 	if sent {
 		t.Fatal("send completed over a dead wire")
 	}
-	if !a.e.outs[0].rel.failed {
+	if !a.e.outs[0].failed() {
 		t.Fatal("retry budget exhausted but link not marked down")
 	}
-	if a.e.outs[0].rel.retries <= 4 {
-		t.Errorf("retries = %d, want budget exceeded", a.e.outs[0].rel.retries)
+	if a.e.outs[0].retry.retries <= 4 {
+		t.Errorf("retries = %d, want budget exceeded", a.e.outs[0].retry.retries)
 	}
 }
 

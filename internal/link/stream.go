@@ -14,10 +14,10 @@ import "transputer/internal/core"
 // for a dead link — its retry budget spent, or paused at a halt or a
 // down verdict — and how many retries it spent.
 func (e *Engine) LinkDown(i int) (down bool, retries int) {
-	if i < 0 || i >= core.NumLinks || e.outs[i] == nil {
+	if i < 0 || i >= core.NumLinks || e.outs[i] == nil || e.outs[i].retry == nil {
 		return false, 0
 	}
-	return e.outs[i].rel.failed, e.outs[i].rel.retries
+	return e.outs[i].retry.failed, e.outs[i].retry.retries
 }
 
 // Send transmits the given bytes on end c without involving the
@@ -102,8 +102,9 @@ func (o *outHalf) recover() {
 	if !o.rel.on {
 		return
 	}
-	o.rel.failed = false
-	o.rel.retries = 0
+	r := o.useRetry()
+	r.failed = false
+	r.retries = 0
 	if !o.active {
 		return
 	}
@@ -115,6 +116,6 @@ func (o *outHalf) recover() {
 	}
 	if !o.acked {
 		o.cancelRetryTimer()
-		o.sendReliable(o.rel.cur, true)
+		o.sendReliable(r.cur, true)
 	}
 }

@@ -123,7 +123,7 @@ func (e *Engine) EnableVChans(l, n int) {
 	for vc := range m.out {
 		m.out[vc].credit = VCWindow
 	}
-	e.mux[l] = m
+	e.useRouted().mux[l] = m
 	e.out(l) // the mux drives the link's halves directly from here on
 	m.armHeader()
 }
@@ -131,18 +131,18 @@ func (e *Engine) EnableVChans(l, n int) {
 // VChans reports how many virtual channels are multiplexed over link
 // l; zero when the link carries a single conversation.
 func (e *Engine) VChans(l int) int {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
+	if l < 0 || l >= core.NumLinks || e.muxOf(l) == nil {
 		return 0
 	}
-	return e.mux[l].n
+	return e.muxOf(l).n
 }
 
 // VChanStats returns the send-side multiplexer counters of link l.
 func (e *Engine) VChanStats(l int) (MuxStats, bool) {
-	if l < 0 || l >= core.NumLinks || e.mux[l] == nil {
+	if l < 0 || l >= core.NumLinks || e.muxOf(l) == nil {
 		return MuxStats{}, false
 	}
-	return e.mux[l].stats, true
+	return e.muxOf(l).stats, true
 }
 
 // send starts a message of data, which the mux keeps, on vchan vc;

@@ -72,8 +72,11 @@ type outHalf struct {
 	// packet of the transfer carries it.  Zero when untraced.
 	flow uint64
 
-	// rel is the error-detecting-mode sender state (see reliable.go).
-	rel relSender
+	// rel is the mode the sender runs in, and retry its
+	// error-detecting-mode state, nil until that mode first uses it (see
+	// reliable.go).
+	rel   relMode
+	retry *relRetry
 }
 
 // inHalf is the receiving side of one channel of a link.
@@ -133,9 +136,9 @@ func (o *outHalf) start(buf []byte, ptr uint64, count int, done func()) {
 	o.sent = 0
 	o.done = done
 	o.stalledAtStart = false
-	if o.wire == nil || o.rel.failed {
+	if o.wire == nil || o.failed() {
 		// Unconnected or failed link: waits forever (until recovery).
-		o.stalledAtStart = o.rel.failed
+		o.stalledAtStart = o.failed()
 		return
 	}
 	// Data is about to share the line with the acknowledges this end's
@@ -392,9 +395,9 @@ func (in *inHalf) mayGrant() bool {
 	far := w.rx.out // the half sending to this one
 	e, fe := in.eng, far.eng
 	return e.bus == nil && fe.bus == nil &&
-		!e.hb.configured && !fe.hb.configured &&
+		!e.beat && !fe.beat &&
 		!in.rel.on && !in.stopAndWait &&
-		e.mux[in.link] == nil && fe.mux[far.link] == nil &&
+		e.muxOf(in.link) == nil && fe.muxOf(far.link) == nil &&
 		w.hook == nil && far.wire.hook == nil &&
 		w.tx.cuts == 0 && !e.outs[in.link].active && !w.busy && w.queueEmpty()
 }

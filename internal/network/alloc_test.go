@@ -148,10 +148,12 @@ func idleArrayHeap(t *testing.T, img core.Image, rows, cols int) uint64 {
 
 // TestIdleNodeAllocGuard pins what a loaded node that carries no
 // traffic costs the host: the heap a 128-node array of them holds once
-// every node waits for input, a node.  It measured 4 963 bytes when the
-// bound was last lowered; the bound is that and 5 %.  A node of a large
-// array mostly sits idle, so this figure is what multiplies by the
-// array's size.
+// every node waits for input, a node.  It measured 4 254 bytes when the
+// bound was last lowered, after the machine's, the engine's and the
+// output halves' rarely used state moved behind pointers of their own
+// (4 963 before); the bound is that and 5 %.  A node of a large array
+// mostly sits idle, so this figure is what multiplies by the array's
+// size.
 func TestIdleNodeAllocGuard(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -164,7 +166,7 @@ func TestIdleNodeAllocGuard(t *testing.T) {
 	idleArrayHeap(t, r.Image, rows, cols) // warm-up: one-time initialisation anywhere below
 	per := idleArrayHeap(t, r.Image, rows, cols) / (rows * cols)
 	t.Logf("%d bytes a loaded, idle node", per)
-	if limit := uint64(4963 * 105 / 100); per > limit {
+	if limit := uint64(4254 * 105 / 100); per > limit {
 		t.Errorf("a loaded, idle node holds %d bytes, over %d", per, limit)
 	}
 }
