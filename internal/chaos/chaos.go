@@ -54,22 +54,13 @@ type Result struct {
 // Ok reports a clean run.
 func (r *Result) Ok() bool { return len(r.Failures) == 0 }
 
-// rng is the same splitmix64 stream the fault package uses, so chaos
-// campaigns stay reproducible independent of the standard library.
-type rng struct{ state uint64 }
+// rng is the fault package's splitmix64 stream, so chaos campaigns stay
+// reproducible independent of the standard library.
+type rng struct{ fault.SplitMix64 }
 
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 func (r *rng) dur(lo, hi sim.Time) sim.Time {
-	return lo + sim.Time(r.next()%uint64(hi-lo))
+	return lo + sim.Time(r.Next()%uint64(hi-lo))
 }
 
 // topoShape describes a buildable topology: node names and connections.
@@ -141,8 +132,8 @@ func Generate(topo string, seed uint64) (Scenario, error) {
 		return Scenario{}, err
 	}
 	sc := Scenario{Topo: topo, Seed: seed, RunLimit: runLimit}
-	r := &rng{state: seed ^ 0x9e2029c8a7b0f3d1} // decouple from the injector's per-wire streams
-	severed := make(map[int]bool)               // connection index
+	r := &rng{fault.SplitMix64(seed ^ 0x9e2029c8a7b0f3d1)} // decouple from the injector's per-wire streams
+	severed := make(map[int]bool)                          // connection index
 	halted := make(map[string]bool)
 	for i := 0; i < r.intn(3); i++ {
 		c := r.intn(len(t.conns))
@@ -162,7 +153,7 @@ func Generate(topo string, seed uint64) (Scenario, error) {
 		halted[n] = true
 		at := r.dur(faultFrom, faultTo)
 		sc.Rules = append(sc.Rules, fault.Rule{Kind: fault.Halt, Node: n, Link: -1, At: at})
-		if r.float() < 0.75 {
+		if r.Float() < 0.75 {
 			sc.Rules = append(sc.Rules, fault.Rule{Kind: fault.Restart, Node: n, Link: -1,
 				At: at + r.dur(sim.Microsecond, 800*sim.Microsecond)})
 		}
@@ -171,18 +162,18 @@ func Generate(topo string, seed uint64) (Scenario, error) {
 		c := t.conns[r.intn(len(t.conns))]
 		sc.Rules = append(sc.Rules, fault.Rule{
 			Kind: fault.Jitter, Node: c.A, Link: c.ALink,
-			Rate: r.float() * 0.5, Max: r.dur(sim.Microsecond, 12*sim.Microsecond)})
+			Rate: r.Float() * 0.5, Max: r.dur(sim.Microsecond, 12*sim.Microsecond)})
 	}
 	for i := 0; i < r.intn(3); i++ {
 		c := t.conns[r.intn(len(t.conns))]
 		sc.Rules = append(sc.Rules, fault.Rule{
 			Kind: fault.Drop, Node: c.B, Link: c.BLink,
-			Rate: r.float() * 0.25, Pkt: fault.AnyPacket})
+			Rate: r.Float() * 0.25, Pkt: fault.AnyPacket})
 	}
 	for i := 0; i < r.intn(2); i++ {
 		c := t.conns[r.intn(len(t.conns))]
 		sc.Rules = append(sc.Rules, fault.Rule{
-			Kind: fault.Corrupt, Node: c.A, Link: c.ALink, Rate: r.float() * 0.15})
+			Kind: fault.Corrupt, Node: c.A, Link: c.ALink, Rate: r.Float() * 0.15})
 	}
 	for i, n := 0, 10+r.intn(15); i < n; i++ {
 		from := t.nodes[r.intn(len(t.nodes))]

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"transputer/internal/sim"
 )
 
 // Deadlock diagnostics.  Every communication instruction that
@@ -71,8 +69,6 @@ type BlockedProcess struct {
 	Addr uint64
 	// Link is the link index for link kinds, -1 otherwise.
 	Link int
-	// Since is the simulated time the process blocked.
-	Since sim.Time
 }
 
 // Wptr returns the workspace pointer without the priority bit.

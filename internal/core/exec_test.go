@@ -5,6 +5,7 @@ import (
 
 	"transputer/internal/asm"
 	"transputer/internal/core"
+	"transputer/internal/isa"
 	"transputer/internal/sim"
 )
 
@@ -649,5 +650,14 @@ func TestStatsInstrumentation(t *testing.T) {
 	}
 	if st.CodeBytes != 8 {
 		t.Errorf("code bytes = %d", st.CodeBytes)
+	}
+	// A prefix counts under the function it prefixes, stepwise and in
+	// a block record alike: ldc #754 is one ldc, stopp one opr.
+	for _, cache := range []bool{false, true} {
+		m, _ := runSrcCache(t, "\tldc 1\n\tstl 1\n\tldc #754\n\tstl 2\n\tstopp\n", cache)
+		fc := m.Stats().FunctionCounts
+		if fc[isa.FnLdc] != 2 || fc[isa.FnStl] != 2 || fc[isa.FnOpr] != 1 || fc[isa.FnPfix] != 0 || fc[isa.FnNfix] != 0 {
+			t.Errorf("cache=%v: function counts %v, want 2 ldc, 2 stl, 1 opr and no prefix", cache, fc)
+		}
 	}
 }

@@ -97,14 +97,12 @@ type Machine struct {
 
 	trace Trace
 
-	// waiting counts processes blocked on channels, timers, events or
-	// stop, for deadlock diagnostics; blocked records what each one is
-	// waiting for.  It is an unordered slice rather than a map: entries
-	// come and go on every blocking communication — the engine's hottest
-	// cycle — while it is only read by the cold watchdog snapshot, and
-	// the handful of live entries make a linear scan cheaper than
-	// hashing.
-	waiting int
+	// blocked records each process blocked on a channel, timer or
+	// event and what it waits for, for deadlock diagnostics.  It is an
+	// unordered slice rather than a map: entries come and go on every
+	// blocking communication — the engine's hottest cycle — while it is
+	// only read by the cold watchdog snapshot, and the handful of live
+	// entries make a linear scan cheaper than hashing.
 	blocked []BlockedProcess
 
 	// bus, when non-nil, receives structured probe events from the
@@ -291,7 +289,6 @@ func (m *Machine) resetSchedState() {
 	m.halted = false
 	m.errorFlag = false
 	m.altLinks = 0
-	m.waiting = 0
 	m.blocked = m.blocked[:0]
 	m.qlen[0], m.qlen[1] = 0, 0
 }

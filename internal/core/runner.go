@@ -19,9 +19,6 @@ type Runner struct {
 	// per batch, and a fresh method value each time is an allocation on
 	// the engine's hottest cycle.
 	stepFn func()
-	// BusyCycles counts cycles the processor spent executing; the
-	// difference from elapsed time is idle time.
-	BusyCycles uint64
 	// Ahead counts what ran past the port's horizon, and what ended it.
 	Ahead AheadStats
 }
@@ -97,7 +94,6 @@ func (r *Runner) step() {
 		// cancel events, so the cached bound stays valid; they cannot
 		// deschedule, so only a halt can park the machine.
 		if n, lastC := m.StepRun(int64(bound - (base + off))); n > 0 {
-			r.BusyCycles += uint64(n)
 			off += sim.Time(int64(n) * CycleNs)
 			if m.Halted() {
 				d.SetOffset(0)
@@ -111,7 +107,6 @@ func (r *Runner) step() {
 			continue
 		}
 		cycles := m.Step()
-		r.BusyCycles += uint64(cycles)
 		delay := sim.Time(int64(cycles) * CycleNs)
 		if cycles == 0 {
 			delay = sim.Time(CycleNs)
@@ -181,7 +176,6 @@ func (r *Runner) runAhead(at sim.Time) (total, last int) {
 	}
 	r.Ahead.Exits[exit]++
 	if total > 0 {
-		r.BusyCycles += uint64(total)
 		r.Ahead.Batches++
 		r.Ahead.Cycles += uint64(total)
 	}

@@ -202,7 +202,7 @@ func (m *Machine) restoreSavedLow() {
 // blockCurrent saves the current process's instruction pointer and
 // deschedules it.  Stop process uses it directly (a stopped process is
 // a deliberate state); communication paths use blockOnComm so the
-// waiting count feeds deadlock diagnostics.
+// blocked list feeds deadlock diagnostics.
 func (m *Machine) blockCurrent() {
 	m.setWordIndex(wptrOf(m.Wdesc), wsIptr, m.Iptr)
 	m.deschedule()
@@ -213,19 +213,15 @@ func (m *Machine) blockCurrent() {
 // watchdog can name it.  addr is the channel word (or wakeup clock for
 // timers); link is the link index for external transfers, else -1.
 func (m *Machine) blockOnComm(kind BlockKind, addr uint64, link int) {
-	m.waiting++
 	m.blocked = append(m.blocked, BlockedProcess{
-		Wdesc: m.Wdesc, Iptr: m.Iptr, Kind: kind, Addr: addr,
-		Link: link, Since: m.now(),
+		Wdesc: m.Wdesc, Iptr: m.Iptr, Kind: kind, Addr: addr, Link: link,
 	})
 	m.blockCurrent()
 }
 
-// wake makes a communication-blocked process ready again.
+// wake makes a process ready again, erasing its blocked record if it
+// has one (a runp'd process has none).
 func (m *Machine) wake(wdesc uint64) {
-	if m.waiting > 0 {
-		m.waiting--
-	}
 	for i := range m.blocked {
 		if m.blocked[i].Wdesc == wdesc {
 			m.blocked[i] = m.blocked[len(m.blocked)-1]
@@ -239,7 +235,7 @@ func (m *Machine) wake(wdesc uint64) {
 // WaitingProcesses reports how many processes are currently blocked on
 // a channel, timer or event: an idle machine with a nonzero count is
 // deadlocked.
-func (m *Machine) WaitingProcesses() int { return m.waiting }
+func (m *Machine) WaitingProcesses() int { return len(m.blocked) }
 
 // sliceDue reports whether the executing process is a low-priority one
 // that has used up its timeslice: whether timesliceCheck would act.

@@ -18,8 +18,10 @@ type Stats struct {
 	// Cycles is the total processor cycles consumed, including
 	// scheduling charges.
 	Cycles uint64
-	// FunctionCounts tallies executed direct functions by code; prefix
-	// bytes are counted under their own codes.
+	// FunctionCounts tallies executed instructions by the function code
+	// of their final byte.  A prefix is part of the instruction it
+	// prefixes, as in Instructions, so the pfix and nfix entries stay
+	// zero.
 	FunctionCounts [16]uint64
 	// OpCounts tallies executed indirect operations.
 	OpCounts map[uint16]uint64

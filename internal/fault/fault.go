@@ -197,24 +197,26 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// rng is a splitmix64 stream: tiny, fast and stable across Go versions,
-// which keeps campaigns reproducible independent of the standard
-// library's generator.
-type rng struct{ state uint64 }
+// SplitMix64 is a splitmix64 stream whose value is its state: tiny,
+// fast and stable across Go versions, which keeps fault plans and chaos
+// campaigns reproducible independent of the standard library's
+// generator.
+type SplitMix64 uint64
 
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// Next advances the stream and returns its next value.
+func (r *SplitMix64) Next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
 }
 
-// float returns a uniform float64 in [0,1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// Float returns a uniform float64 in [0,1).
+func (r *SplitMix64) Float() float64 { return float64(r.Next()>>11) / (1 << 53) }
 
 // intn returns a uniform int in [0,n).
-func (r *rng) intn(n int64) int64 { return int64(r.next() % uint64(n)) }
+func (r *SplitMix64) intn(n int64) int64 { return int64(r.Next() % uint64(n)) }
 
 // fnv1a hashes a string (FNV-1a 64), used to derive per-end seeds.
 func fnv1a(s string) uint64 {
@@ -264,7 +266,7 @@ func (inj *Injector) WireHook(node string, lnk int) link.FaultHook {
 	if len(rules) == 0 {
 		return nil
 	}
-	stream := &rng{state: inj.plan.Seed ^ fnv1a(fmt.Sprintf("%s.%d", node, lnk))}
+	stream := SplitMix64(inj.plan.Seed ^ fnv1a(fmt.Sprintf("%s.%d", node, lnk)))
 	return func(isCtl bool) link.FaultAction {
 		var act link.FaultAction
 		for _, r := range rules {
@@ -273,18 +275,18 @@ func (inj *Injector) WireHook(node string, lnk int) link.FaultHook {
 				if isCtl && r.Pkt == DataPacket || !isCtl && r.Pkt == CtlPacket {
 					continue
 				}
-				if stream.float() < r.Rate {
+				if stream.Float() < r.Rate {
 					act.Drop = true
 				}
 			case Corrupt:
 				if isCtl {
 					continue
 				}
-				if stream.float() < r.Rate {
+				if stream.Float() < r.Rate {
 					act.Corrupt |= 1 << uint(stream.intn(8))
 				}
 			case Jitter:
-				if stream.float() < r.Rate {
+				if stream.Float() < r.Rate {
 					act.Delay += sim.Time(stream.intn(int64(r.Max)) + 1)
 				}
 			}

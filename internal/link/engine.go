@@ -26,8 +26,8 @@ type Engine struct {
 	bus  *probe.Bus
 
 	// stopAndWait and rel are the modes the setters last chose, which
-	// halves allocated later take; beat is set by SetHeartbeat, which
-	// configures the liveness monitor (routed.hb).
+	// every half reads through its eng; beat is set by SetHeartbeat,
+	// which configures the liveness monitor (routed.hb).
 	stopAndWait bool
 	beat        bool
 	rel         relMode
@@ -113,10 +113,10 @@ func NewEngine(k sim.Clock, m *core.Machine) *Engine {
 	return &Engine{k: k, m: m}
 }
 
-// out returns link l's output half, allocating the link's two halves,
-// in the engine's current modes, the first time.  Only the entry points
-// from the machine, the host and the wiring come here: a half reaches
-// its sibling through the arrays directly, since halves come in pairs.
+// out returns link l's output half, allocating the link's two halves
+// the first time.  Only the entry points from the machine, the host and
+// the wiring come here: a half reaches its sibling through the arrays
+// directly, since halves come in pairs.
 func (e *Engine) out(l int) *outHalf {
 	if e.outs[l] == nil {
 		e.addHalves(l)
@@ -132,13 +132,9 @@ func (e *Engine) in(l int) *inHalf {
 	return e.ins[l]
 }
 
-// addHalves allocates link l's two halves in the engine's modes.
+// addHalves allocates link l's two halves.
 func (e *Engine) addHalves(l int) {
-	o := &outHalf{eng: e, link: l}
-	o.rel = e.rel
-	in := &inHalf{eng: e, link: l, stopAndWait: e.stopAndWait}
-	in.rel.on = e.rel.on
-	e.outs[l], e.ins[l] = o, in
+	e.outs[l], e.ins[l] = &outHalf{eng: e, link: l}, &inHalf{eng: e, link: l}
 }
 
 // AttachProbe connects the engine's wires and senders to a probe bus.
@@ -276,14 +272,7 @@ func (e *Engine) BeginInput(c core.End, ptr uint64, count int, done func()) {
 // SetStopAndWait switches this engine's receivers between the paper's
 // overlapped acknowledge (false, the default) and a plain
 // stop-and-wait handshake (true).
-func (e *Engine) SetStopAndWait(v bool) {
-	e.stopAndWait = v
-	for _, in := range e.ins {
-		if in != nil {
-			in.stopAndWait = v
-		}
-	}
-}
+func (e *Engine) SetStopAndWait(v bool) { e.stopAndWait = v }
 
 // SetReliable switches every half of this engine into error-detecting
 // mode (CRC trailer, NAK, timeout retransmission with a bounded retry
@@ -298,12 +287,6 @@ func (e *Engine) SetReliable(on bool, timeout sim.Time, maxRetries int) {
 		maxRetries = DefaultRelRetries
 	}
 	e.rel = relMode{on: on, timeout: timeout, maxRetries: maxRetries}
-	for i, o := range e.outs {
-		if o != nil {
-			o.rel = e.rel
-			e.ins[i].rel.on = on
-		}
-	}
 }
 
 // SetFaultHook installs (or with nil, removes) a fault-injection hook

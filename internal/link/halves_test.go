@@ -35,9 +35,6 @@ func TestFreshEngineHoldsNoHalves(t *testing.T) {
 			t.Errorf("after wiring link 2, link %d holds halves: %v", l, got)
 		}
 	}
-	if e.outs[2].rel.timeout != DefaultRelTimeout || !e.ins[2].rel.on || !e.ins[2].stopAndWait {
-		t.Error("halves allocated after the mode setters did not take their modes")
-	}
 	e.BeginOutput(core.End(0), m.MemStart(), 4, nil)
 	if e.outs[0] == nil || e.ins[0] == nil || e.Connected(0) {
 		t.Error("an output on unwired link 0 did not allocate its halves, or wired it")
@@ -52,8 +49,8 @@ func TestFreshEngineHoldsNoHalves(t *testing.T) {
 
 var engineSink *Engine
 
-// TestModesBeforeConnect: the mode setters reach halves allocated
-// after them, so setting the error-detecting or stop-and-wait mode
+// TestModesBeforeConnect: the halves read their engine's modes, so
+// setting the error-detecting or stop-and-wait mode
 // before the link is wired moves the same bytes at the same instants,
 // with the same wire counters, as setting it after.
 func TestModesBeforeConnect(t *testing.T) {
@@ -107,19 +104,23 @@ func TestModesBeforeConnect(t *testing.T) {
 }
 
 // TestEngineSize pins an engine within Go's 192-byte size class and a
-// link's output half within the 160-byte class.  The multiplexers, the
+// link's two halves within the 144-byte class.  The multiplexers, the
 // liveness monitor and the verdict callback, which only multiplexed,
 // monitored or routed engines use, moved behind the engine's routed
 // pointer; the error-detecting sender's retry state moved behind the
-// half's retry pointer, its mode staying inline.  They were 280 and 200
-// bytes, in the 288- and 208-byte classes; an array has an engine a
-// node and two output halves a wired link.
+// half's retry pointer; and the halves read the link modes from their
+// engine rather than holding copies.  The engine was 280 bytes, the
+// output half 200 (160 once its retry state moved) and the input half
+// 152; an array has an engine a node and two of each half a wired link.
 func TestEngineSize(t *testing.T) {
 	if n := unsafe.Sizeof(Engine{}); n > 192 {
 		t.Errorf("Engine is %d bytes, over 192", n)
 	}
-	if n := unsafe.Sizeof(outHalf{}); n > 160 {
-		t.Errorf("outHalf is %d bytes, over 160", n)
+	if n := unsafe.Sizeof(outHalf{}); n > 136 {
+		t.Errorf("outHalf is %d bytes, over 136", n)
+	}
+	if n := unsafe.Sizeof(inHalf{}); n > 144 {
+		t.Errorf("inHalf is %d bytes, over 144", n)
 	}
 }
 

@@ -73,7 +73,7 @@ type relMode struct {
 
 // relRetry is the error-detecting-mode state of one outHalf, allocated
 // by its first use (useRetry): a half in the paper's protocol holds
-// only its relMode.
+// none of it.
 type relRetry struct {
 	seq        byte // sequence bit of the byte in flight
 	cur        byte // payload of the byte in flight
@@ -95,12 +95,6 @@ func (o *outHalf) useRetry() *relRetry {
 // failed reports whether the sender has stopped for a dead link (see
 // LinkDown).
 func (o *outHalf) failed() bool { return o.retry != nil && o.retry.failed }
-
-// relReceiver is the error-detecting-mode state of one inHalf.
-type relReceiver struct {
-	on     bool
-	expect byte // next sequence bit expected
-}
 
 // sendReliable queues the current byte with its trailer.  retrans
 // marks a resend, which the wire counts separately from goodput.
@@ -135,7 +129,7 @@ func (o *outHalf) armRetryTimer() {
 	if r.onTimeout == nil {
 		r.onTimeout = o.retryTimeout
 	}
-	r.timer = o.wire.k.After(o.rel.timeout, r.onTimeout)
+	r.timer = o.wire.k.After(o.eng.rel.timeout, r.onTimeout)
 	r.timerArmed = true
 }
 
@@ -160,11 +154,11 @@ func (o *outHalf) retryTimeout() {
 func (o *outHalf) retransmit() {
 	r := o.useRetry()
 	r.retries++
-	if r.retries > o.rel.maxRetries {
+	if r.retries > o.eng.rel.maxRetries {
 		r.failed = true
 		if o.eng.bus != nil {
 			o.eng.emit(probe.Event{Kind: probe.LinkDown, Link: o.link,
-				Arg: int64(o.rel.maxRetries), Flow: o.flow})
+				Arg: int64(o.eng.rel.maxRetries), Flow: o.flow})
 		}
 		o.eng.verdict(o.link, false)
 		return
@@ -181,7 +175,7 @@ func (o *outHalf) retransmit() {
 // spent retry budget leaves: no retry timer, its byte current, for
 // RecoverLink to resend.  Nothing is sent into a dead link.
 func (o *outHalf) park() {
-	if o.rel.on && o.active && !o.acked {
+	if o.eng.rel.on && o.active && !o.acked {
 		o.cancelRetryTimer()
 		o.useRetry().failed = true
 	}
@@ -228,7 +222,7 @@ func (in *inHalf) relDataArrive(p packet) {
 		in.sendNak()
 		return
 	}
-	if p.seq != in.rel.expect {
+	if p.seq != in.expect {
 		// A retransmission of the previous byte: our acknowledge was
 		// lost.  Re-acknowledge without delivering twice.
 		in.sendRelAck(p.seq)
@@ -237,7 +231,7 @@ func (in *inHalf) relDataArrive(p packet) {
 	switch {
 	case in.active:
 		in.sendRelAck(p.seq)
-		in.rel.expect ^= 1
+		in.expect ^= 1
 		in.store(p.payload)
 	case !in.bufferValid:
 		// No process waiting: accept into the single-byte buffer and
@@ -245,7 +239,7 @@ func (in *inHalf) relDataArrive(p packet) {
 		in.buffer = p.payload
 		in.bufferValid = true
 		in.sendRelAck(p.seq)
-		in.rel.expect ^= 1
+		in.expect ^= 1
 		if in.armed != nil {
 			ready := in.armed
 			in.armed = nil

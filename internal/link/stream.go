@@ -99,7 +99,7 @@ func (e *Engine) RecoverLink(l int) {
 }
 
 func (o *outHalf) recover() {
-	if !o.rel.on {
+	if !o.eng.rel.on {
 		return
 	}
 	r := o.useRetry()

@@ -72,10 +72,8 @@ type outHalf struct {
 	// packet of the transfer carries it.  Zero when untraced.
 	flow uint64
 
-	// rel is the mode the sender runs in, and retry its
-	// error-detecting-mode state, nil until that mode first uses it (see
-	// reliable.go).
-	rel   relMode
+	// retry is the error-detecting-mode state, nil until that mode
+	// first uses it (see reliable.go).
 	retry *relRetry
 }
 
@@ -105,12 +103,6 @@ type inHalf struct {
 	// credit, and equal to it when no credited byte is in flight.
 	granted int
 
-	// stopAndWait suppresses the overlapped acknowledge: the ack is
-	// only sent after the data byte has fully arrived.  Used by the
-	// ablation benchmarks to quantify what figure 1's early
-	// acknowledge buys.
-	stopAndWait bool
-
 	// eng and link are the engine and link this half belongs to.
 	eng  *Engine
 	link int
@@ -123,8 +115,9 @@ type inHalf struct {
 	flow     uint64
 	flowSeen uint64
 
-	// rel is the error-detecting-mode receiver state (see reliable.go).
-	rel relReceiver
+	// expect is the sequence bit the error-detecting mode expects next
+	// (see reliable.go).
+	expect byte
 }
 
 // start begins sending count bytes: buf's when it is non-nil, else the
@@ -157,7 +150,7 @@ func (o *outHalf) sendByte() {
 	}
 	o.txEnded = false
 	o.acked = false
-	if o.rel.on {
+	if o.eng.rel.on {
 		o.sendReliable(b, false)
 		return
 	}
@@ -264,7 +257,7 @@ func (in *inHalf) start(buf []byte, ptr uint64, count int, done func()) {
 		b := in.buffer
 		in.bufferValid = false
 		in.store(b)
-		if !in.rel.on {
+		if !in.eng.rel.on {
 			in.sendAck(0)
 		}
 	}
@@ -294,7 +287,7 @@ func (in *inHalf) dataStart(flow uint64, credited bool) {
 		return
 	}
 	in.ackSentAtStart = false
-	if in.active && !in.stopAndWait {
+	if in.active && !in.eng.stopAndWait {
 		in.sendAck(1)
 		in.ackSentAtStart = true
 	}
@@ -396,7 +389,7 @@ func (in *inHalf) mayGrant() bool {
 	e, fe := in.eng, far.eng
 	return e.bus == nil && fe.bus == nil &&
 		!e.beat && !fe.beat &&
-		!in.rel.on && !in.stopAndWait &&
+		!e.rel.on && !e.stopAndWait &&
 		e.muxOf(in.link) == nil && fe.muxOf(far.link) == nil &&
 		w.hook == nil && far.wire.hook == nil &&
 		w.tx.cuts == 0 && !e.outs[in.link].active && !w.busy && w.queueEmpty()

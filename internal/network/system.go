@@ -40,7 +40,6 @@ type Node struct {
 	runner *core.Runner
 	port   *sim.Port
 	col    *collector
-	wired  [core.NumLinks]bool
 	// peers and peerLink record what each wired link connects to: the
 	// node at the other end and its link index (peers[l] is nil for
 	// host links).  The restart machinery and the routing layer both
@@ -441,10 +440,10 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 	if la < 0 || la >= core.NumLinks || lb < 0 || lb >= core.NumLinks {
 		return fmt.Errorf("network: link index out of range (%d, %d)", la, lb)
 	}
-	if a.wired[la] {
+	if a.Engine.Connected(la) {
 		return clash(Wired, a.Name, la, "link end %s.%d already wired", a.Name, la)
 	}
-	if b.wired[lb] {
+	if b.Engine.Connected(lb) {
 		return clash(Wired, b.Name, lb, "link end %s.%d already wired", b.Name, lb)
 	}
 	if a == b && la == lb {
@@ -454,8 +453,6 @@ func (s *System) Connect(a *Node, la int, b *Node, lb int) error {
 		return fmt.Errorf("network: %s link %d connected after the run has started", a.Name, la)
 	}
 	link.Connect(a.Engine, la, b.Engine, lb)
-	a.wired[la] = true
-	b.wired[lb] = true
 	a.peers[la], a.peerLink[la] = b, lb
 	b.peers[lb], b.peerLink[lb] = a, la
 	return nil
@@ -582,7 +579,7 @@ func (s *System) AttachHost(n *Node, l int, w io.Writer) (*Host, error) {
 	if l < 0 || l >= core.NumLinks {
 		return nil, fmt.Errorf("network: link index %d out of range", l)
 	}
-	if n.wired[l] {
+	if n.Engine.Connected(l) {
 		return nil, clash(Wired, n.Name, l, "link end %s.%d already wired", n.Name, l)
 	}
 	h := newHost(n.port, n, l, w)
@@ -592,7 +589,6 @@ func (s *System) AttachHost(n *Node, l int, w io.Writer) (*Host, error) {
 	if s.reliable {
 		h.end.SetReliable(true, 0, 0)
 	}
-	n.wired[l] = true
 	s.hosts = append(s.hosts, h)
 	return h, nil
 }

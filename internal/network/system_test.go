@@ -10,6 +10,7 @@ import (
 	"transputer/internal/fault"
 	"transputer/internal/link"
 	"transputer/internal/network"
+	"transputer/internal/occam"
 	"transputer/internal/sim"
 )
 
@@ -469,6 +470,37 @@ cont:
 	}
 	if n.M.WaitingProcesses() != 2 {
 		t.Errorf("waiting = %d, want 2", n.M.WaitingProcesses())
+	}
+}
+
+// TestDeadlockAfterRunp: a process made ready by runp (which a compiled
+// PRI PAR uses) was never blocked, so waking it leaves the blocked list
+// alone, and a process still blocked on a channel is reported.
+func TestDeadlockAfterRunp(t *testing.T) {
+	r, err := occam.Compile(`CHAN c:
+VAR x, y:
+PAR
+  c ? x
+  SEQ
+    y := 0
+    PRI PAR
+      y := 1
+      SKIP
+`, occam.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := network.NewSystem()
+	n := s.MustAddTransputer("dead", cfg())
+	if err := n.Load(r.Image); err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Run(sim.Millisecond)
+	if !rep.Settled || len(rep.Blocked) != 1 || rep.Blocked[0] != "dead" {
+		t.Errorf("report %+v, want settled with [dead] blocked", rep)
+	}
+	if w, b := n.M.WaitingProcesses(), len(n.M.BlockedProcesses()); w != 1 || b != 1 {
+		t.Errorf("waiting = %d, blocked processes = %d, want 1 and 1", w, b)
 	}
 }
 

@@ -24,7 +24,6 @@ type nodeMetrics struct {
 	switching   sim.Time
 	runningFrom sim.Time
 	running     bool
-	lastSeen    sim.Time
 
 	queues [2]queueMetrics
 	// links holds every link the node's events named; fast repeats
@@ -128,7 +127,6 @@ func (n *nodeMetrics) link(i int) *linkMetrics {
 
 func (m *Metrics) consume(e *Event) {
 	n := m.node(e.Node)
-	n.lastSeen = e.Time
 	if e.Time > m.end {
 		m.end = e.Time
 	}

@@ -158,15 +158,13 @@ type rnode struct {
 
 	db      []lsaEntry
 	dbKnown []bool
-	nextHop []int // per-destination link index, -1 unreachable
-	reach   int
+	nextHop []int   // per-destination link index, -1 unreachable
 	parked  []frame // routable-nowhere frames awaiting a route change
 }
 
 // Router is the system-wide routing layer.  Build it with Attach
 // before Run; read results (AllDeliveries, Injected, Undelivered) after.
 type Router struct {
-	sys      *network.System
 	nodes    []*rnode
 	byName   map[string]*rnode
 	adj      [][core.NumLinks]adjEntry
@@ -189,7 +187,7 @@ func Attach(s *network.System) (*Router, error) {
 	}
 	s.SetReliable()
 	s.SetHeartbeat()
-	r := &Router{sys: s, byName: make(map[string]*rnode)}
+	r := &Router{byName: make(map[string]*rnode)}
 	r.adj = make([][core.NumLinks]adjEntry, len(nodes))
 	for i, nn := range nodes {
 		for l := 0; l < core.NumLinks; l++ {
@@ -571,7 +569,6 @@ func (nd *rnode) recompute() {
 		}
 	}
 	nd.nextHop = next
-	nd.reach = reach
 	if !changed {
 		return
 	}

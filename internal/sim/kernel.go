@@ -119,7 +119,6 @@ type Kernel struct {
 	nextSeq uint64
 	slots   []slotInfo
 	free    []uint32 // recycled slot indices
-	live    int      // heap entries not cancelled
 	ncancel int      // heap entries cancelled but not yet reaped
 
 	// offset is a virtual-time displacement added to Now: a batched
@@ -185,7 +184,6 @@ func (k *Kernel) fire(e event) {
 	fn, rcv, msg := s.fn, s.rcv, s.msg
 	k.reap(e.slot)
 	k.now = e.at
-	k.live--
 	if fn != nil {
 		fn()
 	} else {
@@ -221,7 +219,7 @@ func (k *Kernel) SetOffset(d Time) { k.offset = d }
 func (k *Kernel) Stamp() uint64 { return k.stamp }
 
 // Pending reports the number of scheduled, uncancelled events.
-func (k *Kernel) Pending() int { return k.live }
+func (k *Kernel) Pending() int { return len(k.heap) - k.ncancel }
 
 // NextTime reports the time of the earliest pending event.  Once it
 // reports true, heap[0] is that event.  It is small enough to inline
@@ -290,7 +288,6 @@ func (k *Kernel) Schedule(at Time, fn func()) EventID {
 	k.slots[s].fn = fn
 	k.push(event{at: at, key: localClass | k.nextSeq, slot: s})
 	k.nextSeq++
-	k.live++
 	k.stamp++
 	return id
 }
@@ -309,7 +306,6 @@ func (k *Kernel) ScheduleDelivery(at Time, key uint64, r Receiver, m Msg) EventI
 	s, id := k.alloc()
 	k.slots[s].rcv, k.slots[s].msg = r, m
 	k.push(event{at: at, key: key, slot: s})
-	k.live++
 	k.stamp++
 	return id
 }
@@ -329,7 +325,6 @@ func (k *Kernel) Cancel(id EventID) {
 	}
 	k.slots[s].cancelled = true
 	k.ncancel++
-	k.live--
 	k.stamp++
 }
 
